@@ -453,13 +453,6 @@ class Calibration:
         nu = self.nu_star_at(points, t)
         return np.column_stack([-nu[:, 1], nu[:, 0]])
 
-    def kappa_star_at(self, points, t: float = 0.0):
-        """eta * (Laplacian of s) via the level-set curvature of the tube."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        s, _, _, kf = self.reference.query(points, t)
-        level = kf / (1.0 + s * kf)
-        return self.profile.eta(s) * level
-
     def proj(self, points, t: float = 0.0):
         points = np.atleast_2d(np.asarray(points, dtype=float))
         s, grad, _, _ = self.reference.query(points, t)

@@ -22,9 +22,7 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.interpolate import CubicSpline
-from scipy.sparse.linalg import spsolve
 
 from .errors import SelfIntersection, StepRejected, TopologyChange
 from .geometry import (
@@ -39,6 +37,7 @@ from .geometry import (
     read_curve_file,
     write_curve_file,
 )
+from .poisson import solve_cyclic_banded, velocity_potential
 
 DT_MIN_FACTOR = 2.0**-24
 
@@ -80,30 +79,34 @@ class FlowState:
         return sum(c.area for c in self.caches)
 
 
-def _arc_laplacian(cache: GeometryCache) -> sp.csr_matrix:
-    n = cache.n
+def _normal_velocity(cache: GeometryCache, dt: float) -> np.ndarray:
+    """Solve (I + dt L (L - diag kappa^2)) w = L kappa as a cyclic banded system.
+
+    L is the cyclic tridiagonal arc Laplacian with row-aligned diagonals
+    (lo, mid, up); its product with M = L - diag(kappa^2) is pentadiagonal.
+    """
     h = cache.edge_lengths
     hm = np.roll(h, 1)
     w = cache.weights
-    idx = np.arange(n)
-    rows = np.concatenate([idx, idx, idx])
-    cols = np.concatenate([idx, (idx + 1) % n, (idx - 1) % n])
-    vals = np.concatenate([
-        -(1.0 / h + 1.0 / hm) / w,
-        (1.0 / h) / w,
-        (1.0 / hm) / w,
-    ])
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    mid = -(1.0 / h + 1.0 / hm) / w
+    up = (1.0 / h) / w
+    lo = (1.0 / hm) / w
 
+    def lap(f):
+        return lo * np.roll(f, 1) + mid * f + up * np.roll(f, -1)
 
-def _normal_velocity(cache: GeometryCache, dt: float) -> np.ndarray:
-    lap = _arc_laplacian(cache)
     kappa_pos = -np.sum(cache.nu * np.column_stack([
-        lap @ cache.vertices[:, 0], lap @ cache.vertices[:, 1]]), axis=1)
-    rhs = lap @ kappa_pos
-    op = (sp.identity(cache.n, format="csr")
-          + dt * (lap @ lap - lap @ sp.diags(kappa_pos**2)))
-    return spsolve(op.tocsc(), rhs)
+        lap(cache.vertices[:, 0]), lap(cache.vertices[:, 1])]), axis=1)
+    m = mid - kappa_pos**2
+    diags = dt * np.array([
+        lo * np.roll(lo, 1),
+        lo * (np.roll(m, 1) + mid),
+        lo * np.roll(up, 1) + mid * m + up * np.roll(lo, -1),
+        up * (mid + np.roll(m, -1)),
+        up * np.roll(up, -1),
+    ])
+    diags[2] += 1.0
+    return solve_cyclic_banded(diags, lap(kappa_pos))
 
 
 def _area_gradient(vertices: np.ndarray) -> np.ndarray:
@@ -150,10 +153,8 @@ def _resample_uniform(vertices: np.ndarray, passes: int = 1) -> np.ndarray:
         closed = np.vstack([vertices, vertices[:1]])
         seg = np.linalg.norm(np.diff(closed, axis=0), axis=1)
         s = np.concatenate([[0.0], np.cumsum(seg)])
-        spline_x = CubicSpline(s, closed[:, 0], bc_type="periodic")
-        spline_y = CubicSpline(s, closed[:, 1], bc_type="periodic")
-        s_new = s[-1] * np.arange(n) / n
-        vertices = np.column_stack([spline_x(s_new), spline_y(s_new)])
+        spline = CubicSpline(s, closed, bc_type="periodic")
+        vertices = spline(s[-1] * np.arange(n) / n)
     return vertices
 
 
@@ -163,15 +164,14 @@ def step(state: FlowState, config: FlowConfig, dt: float | None = None) -> FlowS
         dt = config.dt
     new_components = []
     velocities = []
-    for cache, comp in zip(state.caches, state.curve.components):
-        w = _normal_velocity(cache, dt)
-        w = _area_neutral_shift(cache.vertices, cache.nu, w, dt)
-        moved = cache.vertices + dt * w[:, None] * cache.nu
-        resampled = _resample_uniform(moved)
-        new_components.append(Component(resampled, comp.orientation))
-        velocities.append(VertexField(cache.component_index, w))
-
     try:
+        for cache, comp in zip(state.caches, state.curve.components):
+            w = _normal_velocity(cache, dt)
+            w = _area_neutral_shift(cache.vertices, cache.nu, w, dt)
+            moved = cache.vertices + dt * w[:, None] * cache.nu
+            resampled = _resample_uniform(moved)
+            new_components.append(Component(resampled, comp.orientation))
+            velocities.append(VertexField(cache.component_index, w))
         new_curve = PolyCurve(new_components)
         new_caches = build_geometry(new_curve)
     except SelfIntersection as exc:
@@ -252,9 +252,6 @@ class Trajectory:
             vals = (1 - lam) * fa.values + lam * fb.values if lam > 0 else fa.values
             out.append(VertexField(fa.component_id, vals))
         return out
-
-    def kappa_at(self, t: float) -> list[VertexField]:
-        return self._interp_fields(self.kappa_fields, t)
 
     def v_at(self, t: float) -> list[VertexField]:
         return self._interp_fields(self.v_fields, t)
@@ -385,8 +382,6 @@ def dissipation_identity_residual(before: FlowState, after: FlowState,
     mid_caches = build_geometry(PolyCurve(mid_comps))
     d_h = sum(integrate(c, dds(c, c.kappa) ** 2) for c in mid_caches)
     if half_weighted:
-        from .poisson import velocity_potential
-
         d_v = 0.0
         for cache, vf in zip(mid_caches, after.normal_velocity or []):
             vals = vf.values - integrate(cache, vf.values) / cache.length

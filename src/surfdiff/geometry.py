@@ -11,9 +11,10 @@ is shared by every other module.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.spatial import ConvexHull, cKDTree
+from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 from .errors import (
     AmbiguousNesting,
@@ -41,6 +42,8 @@ class Component:
         v = np.asarray(self.vertices, dtype=float)
         if v.ndim != 2 or v.shape[1] != 2:
             raise ValueError("vertices must be an (n, 2) array")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("vertices must be finite (no NaN or inf)")
         object.__setattr__(self, "vertices", v)
         if self.orientation not in (+1, -1):
             raise ValueError("orientation must be +1 or -1")
@@ -48,6 +51,11 @@ class Component:
     @property
     def n(self) -> int:
         return self.vertices.shape[0]
+
+    @cached_property
+    def diameter(self) -> float:
+        """Largest vertex-to-vertex distance, computed once per component."""
+        return _diameter(self.vertices)
 
     def signed_area(self) -> float:
         x, y = self.vertices[:, 0], self.vertices[:, 1]
@@ -61,10 +69,10 @@ class Component:
 class PolyCurve:
     """A forest of disjoint simple closed components, holes included.
 
-    Construction checks the cheap invariants (vertex counts, degenerate
-    edges, orientation/area consistency, positive total area).  The O(n^2)
-    embeddedness test runs in :func:`check_embedded`, which
-    :func:`build_geometry` invokes.
+    Construction checks the cheap invariants (vertex counts, edges against
+    a floor relative to each component's cached diameter, orientation/area
+    consistency, positive total area).  The embeddedness test runs in
+    :func:`check_embedded`, which :func:`build_geometry` invokes.
     """
 
     def __init__(self, components):
@@ -85,7 +93,7 @@ class PolyCurve:
                 raise ValueError(f"component {k} has {c.n} < 8 vertices")
             edges = np.roll(c.vertices, -1, axis=0) - c.vertices
             h = np.linalg.norm(edges, axis=1)
-            diam = _diameter(c.vertices)
+            diam = c.diameter
             if diam <= 0.0 or np.any(h <= EDGE_FLOOR_REL * diam):
                 raise DegenerateEdge(f"component {k} has an edge below the length floor")
             area = c.signed_area()
@@ -205,17 +213,29 @@ class GeometryCache:
 
 
 def _diameter(vertices: np.ndarray) -> float:
-    if len(vertices) > 16:
-        try:
-            hull = vertices[ConvexHull(vertices).vertices]
-        except Exception:
-            hull = vertices
-    else:
-        hull = vertices
-    # Gram-matrix form avoids the (m, m, 2) intermediate
-    sq = np.sum(hull * hull, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (hull @ hull.T)
-    return float(np.sqrt(max(d2.max(), 0.0)))
+    """Largest vertex distance by rotating calipers (Toussaint 1983).
+
+    Hull vertex i+1 is antipodal to every vertex from the support of edge i
+    (the hull vertex farthest to its left) through the support of edge i+1;
+    each range is widened by one vertex against rounding at parallel edges.
+    Collinear input has no hull: two farthest-point sweeps, exact on a line.
+    """
+    try:
+        hull = vertices[ConvexHull(vertices).vertices]
+    except QhullError:
+        far = vertices[np.argmax(np.sum((vertices - vertices[0]) ** 2, axis=1))]
+        return float(np.sqrt(np.max(np.sum((vertices - far) ** 2, axis=1))))
+    m = len(hull)
+    edges = np.roll(hull, -1, axis=0) - hull
+    angle = np.unwrap(np.arctan2(edges[:, 1], edges[:, 0]))
+    support = np.searchsorted(np.concatenate([angle, angle + 2.0 * np.pi]),
+                              angle + np.pi)
+    lo = support - 1
+    counts = np.diff(np.append(support, support[0] + m)) + 3
+    first = np.cumsum(counts) - counts
+    a = np.repeat(np.arange(1, m + 1) % m, counts)
+    b = (np.repeat(lo - first, counts) + np.arange(counts.sum())) % m
+    return float(np.sqrt(np.max(np.sum((hull[a] - hull[b]) ** 2, axis=1))))
 
 
 def _component_cache(idx: int, comp: Component) -> GeometryCache:
@@ -247,7 +267,7 @@ def _component_cache(idx: int, comp: Component) -> GeometryCache:
         kappa=kappa,
         length=float(np.sum(h)),
         area=comp.signed_area(),
-        diameter=_diameter(v),
+        diameter=comp.diameter,
     )
 
 
@@ -357,29 +377,26 @@ def _segment_segment_dist(a0, a1, b0, b1):
     return np.where(proper, 0.0, d)
 
 
+def _segments(curve: PolyCurve):
+    """Edges of all components, flattened: starts, ends, component, local index."""
+    comps = curve.components
+    n = np.array([c.n for c in comps])
+    comp_of = np.repeat(np.arange(len(comps)), n)
+    local_of = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+    return (np.vstack([c.vertices for c in comps]),
+            np.vstack([np.roll(c.vertices, -1, axis=0) for c in comps]), comp_of, local_of)
+
+
 def check_embedded(curve: PolyCurve) -> None:
     """Reject self-crossing components and touching component pairs.
 
     Uses a uniform grid broad phase sized at twice the longest edge, then
     exact segment-pair distance tests at tolerance SIMPLICITY_TOL_REL times
-    the overall diameter.
+    the diameter: the cached one of a single component, else of all vertices.
     """
-    starts, ends, comp_of, local_of, comp_n = [], [], [], [], []
-    for k, c in enumerate(curve.components):
-        v = c.vertices
-        starts.append(v)
-        ends.append(np.roll(v, -1, axis=0))
-        comp_of.append(np.full(c.n, k))
-        local_of.append(np.arange(c.n))
-        comp_n.append(c.n)
-    starts = np.vstack(starts)
-    ends = np.vstack(ends)
-    comp_of = np.concatenate(comp_of)
-    local_of = np.concatenate(local_of)
-
-    all_v = np.vstack([c.vertices for c in curve.components])
-    diam = _diameter(all_v)
-    tol = SIMPLICITY_TOL_REL * diam
+    starts, ends, comp_of, local_of = _segments(curve)
+    one = curve.ncomponents == 1
+    tol = SIMPLICITY_TOL_REL * (curve.components[0].diameter if one else _diameter(starts))
     hmax = np.linalg.norm(ends - starts, axis=1).max()
     cell = 2.0 * hmax
 
@@ -388,7 +405,7 @@ def check_embedded(curve: PolyCurve) -> None:
         return
     same = comp_of[pi] == comp_of[pj]
     # cyclically adjacent segments of the same component legitimately touch
-    n_arr = np.array(comp_n)[comp_of[pi]]
+    n_arr = np.bincount(comp_of)[comp_of[pi]]
     gap = np.abs(local_of[pi] - local_of[pj])
     adjacent = same & ((gap <= 1) | (gap >= n_arr - 1))
     keep = ~adjacent
@@ -603,16 +620,7 @@ class CurveIndex:
     def __init__(self, curve: PolyCurve, caches: list[GeometryCache] | None = None):
         self.curve = curve
         self.caches = caches if caches is not None else build_geometry(curve)
-        starts, ends, comp_of, local_of = [], [], [], []
-        for k, c in enumerate(curve.components):
-            starts.append(c.vertices)
-            ends.append(np.roll(c.vertices, -1, axis=0))
-            comp_of.append(np.full(c.n, k, dtype=int))
-            local_of.append(np.arange(c.n))
-        self.seg_start = np.vstack(starts)
-        self.seg_end = np.vstack(ends)
-        self.seg_comp = np.concatenate(comp_of)
-        self.seg_local = np.concatenate(local_of)
+        self.seg_start, self.seg_end, self.seg_comp, self.seg_local = _segments(curve)
         self.offsets = np.cumsum([0] + [c.n for c in curve.components])
         self.hmax = float(np.linalg.norm(self.seg_end - self.seg_start, axis=1).max())
         self.tree = cKDTree(self.seg_start)
@@ -762,14 +770,10 @@ def read_curve_file(path) -> PolyCurve:
         head = lines[0].split()
         if head[0] != "component" or len(head) != 3:
             raise ValueError(f"bad component header: {lines[0]!r}")
-        orientation = int(head[2])
-        pts = np.array([[float(a) for a in ln.split()] for ln in lines[1:]])
-        if len(pts) >= 2 and np.allclose(pts[0], pts[-1], rtol=0, atol=1e-300):
+        comp = Component(np.array([[float(a) for a in ln.split()] for ln in lines[1:]]),
+                         int(head[2]))
+        v = comp.vertices
+        if comp.n >= 2 and np.linalg.norm(v[0] - v[-1]) <= EDGE_FLOOR_REL * comp.diameter:
             raise ValueError("curve blocks must not repeat the first vertex")
-        if len(pts) >= 2:
-            gap = np.linalg.norm(pts[0] - pts[-1])
-            diam = _diameter(pts)
-            if gap <= EDGE_FLOOR_REL * diam:
-                raise ValueError("curve blocks must not repeat the first vertex")
-        comps.append(Component(pts, orientation))
+        comps.append(comp)
     return PolyCurve(comps)

@@ -4,8 +4,9 @@ Solves the cyclic second-difference system d^2/ds^2 phi = f - <f> with
 <phi> = 0 on each closed component.  The nullspace of constants is removed
 by a weighted rank-one shift that acts as a bordered mean constraint, so no
 vertex gets pinned and symmetry of the stiffness form is preserved.  The
-cyclic wrap and the shift enter a Thomas-type banded solve through a
-Woodbury correction.
+cyclic wrap and the shift enter a banded solve through a Woodbury
+correction; that solver, :func:`solve_cyclic_banded`, also takes the flow
+step's pentadiagonal system.
 """
 
 from __future__ import annotations
@@ -31,27 +32,35 @@ class PotentialSolve:
     mean_removed: float
 
 
-def _solve_banded_woodbury(main, off_lower, off_upper, corrections, rhs_cols):
-    """Solve (T + sum_k u_k v_k^T) X = rhs for a tridiagonal core T.
+def solve_cyclic_banded(diags, rhs: np.ndarray, extra=()) -> np.ndarray:
+    """Solve A x = rhs for a cyclic band matrix A plus rank-one terms.
 
-    ``corrections`` is a list of (u, v) vector pairs; ``rhs_cols`` is (n, m).
+    ``diags`` holds 2p+1 row-aligned diagonals of an n x n matrix, n > 2p:
+    ``diags[k][i]`` is the entry A[i, (i + k - p) mod n].  The band inside
+    the matrix goes to a banded LU solve; the 2p rows whose entries wrap
+    around the corners, and the ``extra`` (u, v) pairs adding u v^T to A,
+    enter through a Woodbury correction (Temperton, JCP 19, 1975).
     """
-    n = len(main)
-    ab = np.zeros((3, n))
-    ab[0, 1:] = off_upper
-    ab[1, :] = main
-    ab[2, :-1] = off_lower
-    us = np.column_stack([u for u, _ in corrections]) if corrections else np.zeros((n, 0))
-    vs = np.column_stack([v for _, v in corrections]) if corrections else np.zeros((n, 0))
-    stacked = np.column_stack([rhs_cols, us])
-    sol = solve_banded((1, 1), ab, stacked)
-    m = rhs_cols.shape[1]
-    y = sol[:, :m]
-    z = sol[:, m:]
-    r = us.shape[1]
-    if r == 0:
-        return y
-    cap = np.eye(r) + vs.T @ z
+    diags = np.asarray(diags, dtype=float)
+    p = len(diags) // 2
+    n = diags.shape[1]
+    rows = np.arange(n)
+    wrapped = np.r_[0:p, n - p:n]
+    ab = np.zeros((2 * p + 1, n))
+    us = np.zeros((n, 2 * p))
+    us[wrapped, np.arange(2 * p)] = 1.0
+    vs = np.zeros((n, 2 * p))
+    for k in range(2 * p + 1):
+        cols = rows + k - p
+        inside = (cols >= 0) & (cols < n)
+        ab[2 * p - k, cols[inside]] = diags[k, inside]
+        out = rows[~inside]
+        vs[cols[out] % n, np.searchsorted(wrapped, out)] = diags[k, out]
+    us = np.column_stack([us, *(u for u, _ in extra)])
+    vs = np.column_stack([vs, *(v for _, v in extra)])
+    sol = solve_banded((p, p), ab, np.column_stack([rhs, us]))
+    y, z = sol[:, 0], sol[:, 1:]
+    cap = np.eye(us.shape[1]) + vs.T @ z
     return y - z @ np.linalg.solve(cap, vs.T @ y)
 
 
@@ -64,26 +73,11 @@ def _stiffness_shifted_solve(cache: GeometryCache, b: np.ndarray) -> np.ndarray:
     K phi = b with the weighted mean of phi equal to zero, provided b sums
     to zero.
     """
-    h = cache.edge_lengths
-    hm = np.roll(h, 1)
-    inv_h = 1.0 / h
-    inv_hm = 1.0 / hm
-    main = inv_h + inv_hm
-    off_upper = -inv_h[:-1]       # entry (i, i+1)
-    off_lower = -inv_h[:-1]       # entry (i+1, i) shares the same edge
-    n = cache.n
-    e0 = np.zeros(n)
-    e0[0] = 1.0
-    en = np.zeros(n)
-    en[-1] = 1.0
-    wrap = -inv_h[-1]             # corner entries (0, n-1) and (n-1, 0)
-    corrections = [
-        (e0, wrap * en),
-        (en, wrap * e0),
-        (cache.weights.copy(), cache.weights.copy()),
-    ]
-    return _solve_banded_woodbury(main, off_lower, off_upper, corrections,
-                                  b[:, None])[:, 0]
+    inv_h = 1.0 / cache.edge_lengths
+    inv_hm = np.roll(inv_h, 1)
+    diags = [-inv_hm, inv_h + inv_hm, -inv_h]
+    w = cache.weights
+    return solve_cyclic_banded(diags, b, extra=[(w, w)])
 
 
 def solve_zero_average(cache: GeometryCache, f: VertexField) -> PotentialSolve:

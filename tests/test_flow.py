@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline
 
 from surfdiff import flow as fl
 from surfdiff import geometry as geo
@@ -230,3 +233,80 @@ def test_flow_config_validation():
         fl.FlowConfig(dt=1e-3, end_time=1.0, max_dt_growth=1.5)
     with pytest.raises(ValueError):
         fl.FlowConfig(dt=1e-3, end_time=1.0, remesh_ratio_bounds=(1.2, 2.0))
+
+
+# ---------------------------------------------------------------------------
+# fast paths against dense or unfused references
+# ---------------------------------------------------------------------------
+
+def _dense_flow_operator(cache, dt):
+    """I + dt L (L - diag kappa^2) and L kappa from a dense arc Laplacian."""
+    n, h, w = cache.n, cache.edge_lengths, cache.weights
+    lap = np.zeros((n, n))
+    for i in range(n):
+        lap[i, (i + 1) % n] += 1.0 / (h[i] * w[i])
+        lap[i, (i - 1) % n] += 1.0 / (h[i - 1] * w[i])
+        lap[i, i] -= (1.0 / h[i] + 1.0 / h[i - 1]) / w[i]
+    kappa = -np.sum(cache.nu * (lap @ cache.vertices), axis=1)
+    op = np.eye(n) + dt * lap @ (lap - np.diag(kappa**2))
+    return op, lap @ kappa
+
+
+@settings(max_examples=36, deadline=None, database=None)
+@given(st.sampled_from([8, 24, 128, 512]), st.sampled_from([1e-6, 1e-4, 1e-3, 2e-2]),
+       st.integers(0, 2**32 - 1))
+def test_banded_flow_operator_matches_dense_solve(n, dt, seed):
+    # a jittered mesh: edge ratios stay as bounded as the flow keeps them
+    rng = np.random.default_rng(seed)
+    t = 2 * np.pi * (np.arange(n) + rng.uniform(-0.3, 0.3, n)) / n
+    r = 1.0 + 0.2 * np.cos(3 * t + rng.uniform(0, 2 * np.pi))
+    curve = geo.PolyCurve([geo.Component(np.column_stack([2 * r * np.cos(t),
+                                                           r * np.sin(t)]), 1)])
+    cache = geo.build_geometry(curve)[0]
+    op, rhs = _dense_flow_operator(cache, dt)
+    dense = np.linalg.solve(op, rhs)
+    banded = fl._normal_velocity(cache, dt)
+    # L kappa is a fourth difference and cond(op) reaches ~3e6 at n = 512,
+    # dt = 1e-3, and grows in proportion to dt beyond (~3e7 at dt = 2e-2, the
+    # largest step the 512-ellipse flow takes): the two solves differ by up
+    # to ~1e-10 of max |w| at dt = 1e-3 and ~1.3e-9 at dt = 2e-2
+    tol = 1e-9 * max(1.0, dt / 1e-3)
+    assert np.max(np.abs(banded - dense)) <= tol * np.max(np.abs(dense))
+
+
+def test_step_computes_diameter_once(monkeypatch):
+    ellipse = geo.make_ellipse(2.0, 1.0, 128).vertices
+    state = fl.FlowState.initial(geo.PolyCurve([geo.Component(
+        fl._resample_uniform(ellipse, passes=4), 1)]))
+    calls = []
+    diameter = geo._diameter
+
+    def counting(vertices):
+        calls.append(len(vertices))
+        return diameter(vertices)
+
+    monkeypatch.setattr(geo, "_diameter", counting)
+    fl.step(state, fl.FlowConfig(dt=1e-4, end_time=1.0))
+    assert calls == [128]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_velocity_rejects_step(monkeypatch, bad):
+    # a non-finite speed must come back as StepRejected, so that run_flow
+    # retries at half dt instead of aborting on a bare ValueError
+    state = fl.FlowState.initial(geo.PolyCurve([geo.make_ellipse(2.0, 1.0, 64)]))
+    monkeypatch.setattr(fl, "_normal_velocity",
+                        lambda cache, dt: np.where(np.arange(cache.n) == 3, bad, 0.0))
+    with pytest.raises(StepRejected):
+        fl.step(state, fl.FlowConfig(dt=1e-4, end_time=1.0))
+
+
+def test_resample_matches_per_coordinate_splines():
+    v = geo.make_wavy_circle(1.0, 0.05, 3, 512).vertices
+    closed = np.vstack([v, v[:1]])
+    s = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(closed, axis=0), axis=1))])
+    s_new = s[-1] * np.arange(512) / 512
+    expected = np.column_stack([
+        CubicSpline(s, closed[:, k], bc_type="periodic")(s_new) for k in (0, 1)])
+    np.testing.assert_array_equal(fl._resample_uniform(v), expected)

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from surfdiff import geometry as geo
 from surfdiff.errors import AmbiguousNesting, DegenerateEdge, SelfIntersection
@@ -52,6 +55,16 @@ def test_degenerate_edge_rejected():
     v[10] = v[9] + 1e-15
     with pytest.raises(DegenerateEdge):
         geo.PolyCurve([geo.Component(v, 1)])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_vertex_rejected(bad):
+    v = geo.make_circle((0, 0), 1.0, 64).vertices.copy()
+    v[5, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        geo.PolyCurve([geo.Component(v, 1)])
+    with pytest.raises(ValueError, match="finite"):
+        geo.PolyCurve([v])
 
 
 def test_orientation_area_consistency():
@@ -347,8 +360,69 @@ def test_curve_file_rejects_duplicate_endpoint(tmp_path):
         geo.read_curve_file(path)
 
 
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+def test_curve_file_rejects_non_finite(tmp_path, token):
+    path = tmp_path / "nan.txt"
+    v = geo.make_circle((0, 0), 1.0, 16).vertices
+    lines = [f"{float(x)!r} {float(y)!r}" for x, y in v]
+    lines[3] = f"{token} 0.5"
+    path.write_text("component 0 +1\n" + "\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="finite"):
+        geo.read_curve_file(path)
+
+
 def test_curve_file_rejects_bad_header(tmp_path):
     path = tmp_path / "bad2.txt"
     path.write_text("loop 0 1\n0 0\n1 0\n0 1\n")
     with pytest.raises(ValueError):
         geo.read_curve_file(path)
+
+
+# ---------------------------------------------------------------------------
+# diameter: rotating calipers against all pairs
+# ---------------------------------------------------------------------------
+
+ORACLE = settings(max_examples=60, deadline=None, database=None)
+
+
+def _brute_diameter(points):
+    return float(np.sqrt(np.sum((points[:, None] - points[None]) ** 2, axis=-1)).max())
+
+
+def _assert_diameter_exact(points):
+    exact = _brute_diameter(points)
+    assert abs(geo._diameter(points) - exact) <= 1e-15 * exact
+
+
+@ORACLE
+@given(arrays(np.float64, st.tuples(st.integers(3, 200), st.just(2)),
+              elements=st.floats(-1e3, 1e3, allow_subnormal=False)))
+def test_diameter_random_clouds(points):
+    _assert_diameter_exact(points)
+
+
+@ORACLE
+@given(st.integers(3, 600), st.floats(1e-3, 1e3), st.floats(0.0, 2 * np.pi),
+       st.floats(-10.0, 10.0), st.booleans())
+def test_diameter_regular_ngons(n, radius, phase, shift, clockwise):
+    t = phase + 2 * np.pi * np.arange(n) / n
+    points = shift + radius * np.column_stack([np.cos(t), np.sin(t)])
+    _assert_diameter_exact(points[::-1] if clockwise else points)
+
+
+@ORACLE
+@given(st.integers(3, 600), st.floats(1.0, 1e3), st.floats(0.0, np.pi),
+       st.integers(0, 2**32 - 1))
+def test_diameter_elongated_ellipses(n, aspect, angle, seed):
+    # dense sampling of an elongated convex curve, where a neighbour-only
+    # caliper walk misses the farthest pair
+    t = np.sort(np.random.default_rng(seed).uniform(0.0, 2 * np.pi, n))
+    c, s = np.cos(angle), np.sin(angle)
+    points = np.column_stack([aspect * np.cos(t), np.sin(t)]) @ np.array([[c, s], [-s, c]])
+    _assert_diameter_exact(points)
+
+
+def test_diameter_collinear_and_coincident():
+    line = np.outer(np.array([0.0, 3.0, 1.0, -2.0, 0.5]), [1.0, 2.0])
+    assert geo._diameter(line) == pytest.approx(5.0 * np.sqrt(5.0), rel=1e-15)
+    assert geo._diameter(np.ones((4, 2))) == 0.0
