@@ -171,6 +171,7 @@ class AnalyticCircles:
             raise ValueError("need at least one circle")
         self.circles = list(circles)
         self.stationary = True
+        self._boundaries: dict[int, PolyCurve] = {}
 
     def query(self, points: np.ndarray, t: float = 0.0):
         points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -208,10 +209,13 @@ class AnalyticCircles:
         return s, grad, foot, kappa_foot
 
     def boundary_curve(self, t: float, n: int) -> PolyCurve:
+        """The circles as n-gons; time-independent, so built once per n."""
         from .geometry import make_circle
 
-        return PolyCurve([make_circle(c.center, c.radius, n, c.orientation)
-                          for c in self.circles])
+        if n not in self._boundaries:
+            self._boundaries[n] = PolyCurve([make_circle(c.center, c.radius, n, c.orientation)
+                                             for c in self.circles])
+        return self._boundaries[n]
 
     def admissible_delta(self) -> float:
         reach = min(c.radius for c in self.circles)

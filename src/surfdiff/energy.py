@@ -3,9 +3,13 @@
 The relative energy is the tilt excess int (1 - nu . xi) over the evolving
 curve; the bulk error weighs the symmetric difference between the evolving
 and reference regions by the truncated signed distance.  The bulk integral
-runs on one shared quadtree for both regions so cells away from either
-boundary cancel exactly; boundary cells are clipped to exact polygons once
-they are small enough and integrated with a degree-5 triangle rule.
+runs on one quadtree shared by both regions and refined level-synchronously:
+each level is a set of cell arrays and (cell, edge) candidate arrays, so
+cells away from either boundary cancel exactly after one batched crossing
+test, and boundary cells are clipped (candidate edges only) once they are
+small enough and integrated with a degree-5 triangle rule.  Off the delta
+tube of the reference the weight is known exactly, vartheta = delta *
+(1 - 2 chi_B), and is not evaluated.
 
 All inequality checkers report slack and never clamp: a negative slack is a
 finding, not an error.
@@ -27,8 +31,12 @@ from .geometry import (
     VertexField,
     dds,
     field_mean,
+    _bucket_pairs,
+    _buckets,
+    _segments,
+    crossing_parity,
     integrate,
-    points_in_component,
+    region_contains,
 )
 from .poisson import nu_dot_B_potential, velocity_potential
 
@@ -75,179 +83,311 @@ def relative_energy(caches: list[GeometryCache], calib: Calibration,
 
 
 # ---------------------------------------------------------------------------
-# polygon forest region adapter for the shared quadtree
+# bulk error: level-synchronous quadtree over both regions
 # ---------------------------------------------------------------------------
 
-class _Forest:
-    def __init__(self, curve: PolyCurve):
-        self.components = [(c.vertices, c.orientation) for c in curve.components]
-        starts, ends = [], []
-        for v, _ in self.components:
-            starts.append(v)
-            ends.append(np.roll(v, -1, axis=0))
-        self.seg_lo = np.minimum(np.vstack(starts), np.vstack(ends))
-        self.seg_hi = np.maximum(np.vstack(starts), np.vstack(ends))
-        self.curve = curve
-
-    def candidates(self, idx, lo, hi):
-        sel = ~((self.seg_hi[idx, 0] < lo[0]) | (self.seg_lo[idx, 0] > hi[0]) |
-                (self.seg_hi[idx, 1] < lo[1]) | (self.seg_lo[idx, 1] > hi[1]))
-        return idx[sel]
-
-    def contains(self, point) -> bool:
-        inside = 0
-        p = np.asarray(point, dtype=float)[None, :]
-        for v, _ in self.components:
-            inside += int(points_in_component(p, v)[0])
-        return inside % 2 == 1
-
-    def clip_to_cell(self, lo, hi):
-        """Clip every component to the cell; returns (vertices, sign) loops."""
-        out = []
-        for v, orient in self.components:
-            clipped = _clip_rect(v, lo, hi)
-            if len(clipped) >= 3:
-                out.append((clipped, orient))
-        return out
+_CHILD = np.array([[0, 0], [1, 0], [0, 1], [1, 1]], dtype=bool)
+_TUBE_LEVEL_MAX = 9     # finest grid of the off-tube test: 512 x 512 cells
 
 
-def _clip_rect(poly: np.ndarray, lo, hi) -> np.ndarray:
-    """Sutherland-Hodgman clip of a closed polygon by an axis-aligned box."""
-    pts = poly
-    for axis, bound, keep_less in ((0, lo[0], False), (0, hi[0], True),
-                                   (1, lo[1], False), (1, hi[1], True)):
-        if len(pts) == 0:
-            return pts
-        prev = np.roll(pts, 1, axis=0)
-        if keep_less:
-            cur_in = pts[:, axis] <= bound
-            prev_in = prev[:, axis] <= bound
-        else:
-            cur_in = pts[:, axis] >= bound
-            prev_in = prev[:, axis] >= bound
-        crossing = cur_in != prev_in
-        denom = pts[:, axis] - prev[:, axis]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            tpar = np.where(crossing, (bound - prev[:, axis]) / denom, 0.0)
-        inter = prev + tpar[:, None] * (pts - prev)
-        counts = crossing.astype(int) + cur_in.astype(int)
-        total = int(counts.sum())
-        if total == 0:
-            return np.empty((0, 2))
-        out = np.empty((total, 2))
-        offs = np.concatenate([[0], np.cumsum(counts)[:-1]])
-        out[offs[crossing]] = inter[crossing]
-        pos_cur = offs + crossing.astype(int)
-        out[pos_cur[cur_in]] = pts[cur_in]
-        pts = out
-    return pts
+class _Region:
+    """One side of the bulk integral: a curve's edges, flattened, and its sign."""
+
+    def __init__(self, curve: PolyCurve, sign: float):
+        self.starts, self.ends, self.comp_of, local = _segments(curve)
+        idx = np.arange(len(local))
+        counts = np.array([c.n for c in curve.components])
+        self.prev_edge = np.where(local == 0, idx + counts[self.comp_of] - 1, idx - 1)
+        self.orientation = np.array([c.orientation for c in curve.components], dtype=float)
+        self.ncomp = curve.ncomponents
+        self.seg_lo = np.minimum(self.starts, self.ends)
+        self.seg_hi = np.maximum(self.starts, self.ends)
+        self.xbuckets = _buckets(self.seg_lo[:, 0], self.seg_hi[:, 0])
+        self.sign = sign
+
+    def meets(self, seg, lo, hi):
+        """Whether the bounding box of edge seg[i] meets the closed cell [lo[i], hi[i]]."""
+        return ~((self.seg_hi[seg, 0] < lo[:, 0]) | (self.seg_lo[seg, 0] > hi[:, 0])
+                 | (self.seg_hi[seg, 1] < lo[:, 1]) | (self.seg_lo[seg, 1] > hi[:, 1]))
+
+    def parity(self, points):
+        """Crossing parity of every component at every point, (n, ncomp)."""
+        return crossing_parity(points, self.starts, self.ends, self.comp_of, self.ncomp)
 
 
-def _triangle_fan(poly: np.ndarray):
-    """Fan decomposition around the centroid with signed areas.
+class _Tube:
+    """Conservative test for cells within delta of the reference edges.
 
-    Exact for any simple polygon: signed triangle contributions cancel
-    outside and add up inside.
+    Each reference edge's bounding box, inflated by delta, is marked on a
+    uniform grid over the root square.  A cell that meets no marked grid cell
+    is at L-inf distance, hence Euclidean distance, more than delta from
+    every edge, and there vartheta = delta * (1 - 2 chi_B) exactly.
     """
-    origin = poly.mean(axis=0)
-    a = poly
-    b = np.roll(poly, -1, axis=0)
-    cross = ((a[:, 0] - origin[0]) * (b[:, 1] - origin[1])
-             - (a[:, 1] - origin[1]) * (b[:, 0] - origin[0]))
+
+    def __init__(self, region: _Region, delta: float, root_lo, span: float, level: int):
+        n = 1 << level
+        self.root_lo, self.cell, self.n = root_lo, span / n, n
+        i0 = self._index(region.seg_lo - delta)
+        i1 = self._index(region.seg_hi + delta) + 1
+
+        def stamp(ix, iy):
+            return np.bincount(ix * (n + 1) + iy, minlength=(n + 1) ** 2).reshape(n + 1, n + 1)
+
+        cover = (stamp(i0[:, 0], i0[:, 1]) - stamp(i1[:, 0], i0[:, 1])
+                 - stamp(i0[:, 0], i1[:, 1]) + stamp(i1[:, 0], i1[:, 1]))
+        self.table = np.zeros((n + 1, n + 1), dtype=np.int64)
+        self.table[1:, 1:] = (cover.cumsum(0).cumsum(1)[:n, :n] > 0).cumsum(0).cumsum(1)
+
+    def _index(self, x, shift=0.0):
+        """Grid cell of each coordinate; the shift absorbs rounding at grid lines."""
+        grid = np.floor((x - self.root_lo) / self.cell + shift)
+        return np.clip(grid, 0, self.n - 1).astype(np.int64)
+
+    def __call__(self, lo, hi):
+        """Whether each cell [lo[i], hi[i]] may lie within delta of the reference."""
+        i0 = self._index(lo, 1e-6)
+        i1 = np.maximum(self._index(hi, -1e-6), i0)
+        tab = self.table
+        hits = (tab[i1[:, 0] + 1, i1[:, 1] + 1] - tab[i0[:, 0], i1[:, 1] + 1]
+                - tab[i1[:, 0] + 1, i0[:, 1]] + tab[i0[:, 0], i0[:, 1]])
+        return hits > 0
+
+
+def _cyclic_neighbours(gid):
+    """Previous and next index of each vertex within its polygon, cyclically."""
+    first = np.r_[True, gid[1:] != gid[:-1]]
+    last = np.r_[gid[1:] != gid[:-1], True]
+    prev = np.arange(len(gid)) - 1
+    prev[first] = np.nonzero(last)[0]
+    nxt = np.arange(len(gid)) + 1
+    nxt[last] = np.nonzero(first)[0]
+    return prev, nxt
+
+
+def _clip_polygons(pts, gid, lo, hi):
+    """Sutherland-Hodgman clip of many closed polygons, each by its own box.
+
+    ``pts`` holds the polygons one after another and ``gid`` the polygon of
+    each vertex (nondecreasing); polygon g is clipped by [lo[g], hi[g]].
+    The arithmetic is that of a one-polygon clip, vertex for vertex.
+    """
+    for axis, bounds, keep_less in ((0, lo, False), (0, hi, True),
+                                    (1, lo, False), (1, hi, True)):
+        if len(pts) == 0:
+            break
+        prev, _ = _cyclic_neighbours(gid)
+        bound = bounds[gid, axis]
+        cur_in = pts[:, axis] <= bound if keep_less else pts[:, axis] >= bound
+        crossing = cur_in != cur_in[prev]
+        p = pts[prev]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tpar = np.where(crossing, (bound - p[:, axis]) / (pts[:, axis] - p[:, axis]), 0.0)
+        inter = p + tpar[:, None] * (pts - p)
+        counts = crossing.astype(np.int64) + cur_in
+        offs = np.cumsum(counts) - counts
+        out = np.empty((int(counts.sum()), 2))
+        out[offs[crossing]] = inter[crossing]
+        out[(offs + crossing)[cur_in]] = pts[cur_in]
+        pts, gid = out, np.repeat(gid, counts)
+    return pts, gid
+
+
+def _candidate_polygons(region: _Region, cells, seg, lo, hi):
+    """Per (cell, component) with candidate edges, the polygon to clip in its place.
+
+    It keeps the candidate edges and every edge of the component whose
+    x-range holds the cell's lo or hi x, and joins consecutive kept edges by
+    a straight chord.  Between kept edges the polygon changes side of neither
+    vertical cell line and never meets the cell, so it stays in one slab
+    (left, right, or above or below the cell), as does the chord; the
+    Sutherland-Hodgman stages then drop the same points and create the same
+    crossings as for the whole polygon.  The clip output is the whole
+    polygon's, up to the choice of its first vertex.
+
+    Returns the polygon vertices, their group and per group its cell and
+    component (group key = cell * ncomp + component).
+    """
+    ncomp, nseg = region.ncomp, len(region.starts)
+    key = cells * ncomp + region.comp_of[seg]
+    groups = np.unique(key)
+    q = np.concatenate([lo[:, 0], hi[:, 0]])
+    k, s = _bucket_pairs(region.xbuckets, q)
+    key_s = np.tile(np.arange(len(lo)), 2)[k] * ncomp + region.comp_of[s]
+    stab = ((region.seg_lo[s, 0] <= q[k]) & (q[k] <= region.seg_hi[s, 0])
+            & np.isin(key_s, groups))
+    code = np.unique(np.concatenate([key, key_s[stab]]) * nseg
+                     + np.concatenate([seg, s[stab]]))
+    e = code % nseg
+    g = np.searchsorted(groups, code // nseg)
+    prev, _ = _cyclic_neighbours(g)
+    chain_start = e[prev] != region.prev_edge[e]
+    count = 1 + chain_start
+    offs = np.cumsum(count) - count
+    pts = np.empty((int(count.sum()), 2))
+    pts[offs[chain_start]] = region.starts[e[chain_start]]
+    pts[offs + chain_start] = region.ends[e]
+    return pts, np.repeat(g, count), groups
+
+
+def _triangle_fans(pts, gid):
+    """Centroid fan of each polygon: origin, a, b and the signed area per triangle."""
+    n_g = np.bincount(gid)
+    origin = np.column_stack([np.bincount(gid, pts[:, 0]), np.bincount(gid, pts[:, 1])])
+    origin = (origin / np.maximum(n_g, 1)[:, None])[gid]
+    _, nxt = _cyclic_neighbours(gid)
+    a, b = pts, pts[nxt]
+    cross = ((a[:, 0] - origin[:, 0]) * (b[:, 1] - origin[:, 1])
+             - (a[:, 1] - origin[:, 1]) * (b[:, 0] - origin[:, 0]))
     return origin, a, b, 0.5 * cross
+
+
+def _clip_cells(regions, pairs, lo, hi, parity):
+    """Triangle fans of both regions' pieces in clip cells [lo[i], hi[i]].
+
+    A component with candidate edges in a cell is clipped (see
+    :func:`_candidate_polygons`); one without holds the whole cell or none
+    of it, by its parity at the cell centre.  Each piece is weighted by its
+    own signed area times the region sign, so clockwise holes subtract.
+    Returns the cell, origin, a, b and weight of every triangle.
+    """
+    out = []
+    whole = np.zeros(len(lo))
+    for region, (cells, seg), par in zip(regions, pairs, parity):
+        has = np.zeros((len(lo), region.ncomp), dtype=bool)
+        if len(cells):
+            pts, gid, groups = _candidate_polygons(region, cells, seg, lo, hi)
+            has.flat[groups] = True
+            gcell = groups // region.ncomp
+            pts, gid = _clip_polygons(pts, gid, lo[gcell], hi[gcell])
+            keep = np.bincount(gid, minlength=len(groups))[gid] >= 3
+            pts, gid = pts[keep], gid[keep]
+            origin, a, b, area = _triangle_fans(pts, gid)
+            out.append((gcell[gid], origin, a, b, area * region.sign))
+        whole += region.sign * ((par & ~has) @ region.orientation)
+    cells = np.nonzero(whole)[0]
+    if len(cells):
+        corners = np.stack([lo[cells], np.column_stack([hi[cells, 0], lo[cells, 1]]),
+                            hi[cells], np.column_stack([lo[cells, 0], hi[cells, 1]])], axis=1)
+        gid = np.repeat(np.arange(len(cells)), 4)
+        origin, a, b, area = _triangle_fans(corners.reshape(-1, 2), gid)
+        out.append((cells[gid], origin, a, b, area * whole[cells][gid]))
+    return [np.concatenate(col) for col in zip(*out)] if out else None
+
+
+def _renumber(pairs, keep, ncells):
+    """The (cell, edge) pairs of the cells ``keep``, cells renumbered by position in it."""
+    cells, seg = pairs
+    rank = np.full(ncells, -1)
+    rank[keep] = np.arange(len(keep))
+    sel = rank[cells] >= 0
+    return rank[cells[sel]], seg[sel]
 
 
 def bulk_error(curve: PolyCurve, calib: Calibration, t: float = 0.0,
                max_depth: int = 12, reference_resolution: int = 4096) -> float:
     """int (chi_curve - chi_reference) * vartheta over the plane.
 
-    Shared quadtree over both regions: cells interior to both or exterior to
-    both cancel exactly; mixed cells integrate vartheta with tensor Gauss
-    after refinement against the tube width; boundary cells are clipped to
-    exact polygons and integrated with a degree-5 triangle rule.  Geometry
-    is resolved first, the weight is evaluated afterwards in large batches.
+    One quadtree over both regions, refined a level at a time: every level
+    holds its cells as arrays and one (cell, edge) candidate array per
+    region, filtered by one bounding-box test.  Cells with no candidate edge
+    take both regions' parity from one batched crossing test; where the
+    parities differ the cell is integrated with 3x3 tensor Gauss on
+    subcells no larger than delta/2, elsewhere it cancels.  Cells with
+    candidates are split down to delta/4 (or max_depth), then clipped and
+    integrated with a degree-5 triangle rule on a centroid fan.  vartheta is
+    evaluated afterwards in large batches, and not at all in cells farther
+    than delta from every reference edge, where it is delta * (1 - 2 chi_B).
     """
     if isinstance(calib.reference, AnalyticCircles):
         ref_curve = calib.reference.boundary_curve(t, reference_resolution)
     else:
         ref_curve = calib.reference.curve_at(t)
-    fa = _Forest(curve)
-    fb = _Forest(ref_curve)
+    delta = calib.delta
+    regions = (_Region(curve, 1.0), _Region(ref_curve, -1.0))
 
-    vert_all = np.vstack([v for v, _ in fa.components]
-                         + [v for v, _ in fb.components])
-    lo = vert_all.min(axis=0) - 0.1 * calib.delta
-    hi = vert_all.max(axis=0) + 0.1 * calib.delta
+    vert_all = np.vstack([r.starts for r in regions])
+    lo = vert_all.min(axis=0) - 0.1 * delta
+    hi = vert_all.max(axis=0) + 0.1 * delta
     span = float(np.max(hi - lo))
     center = 0.5 * (lo + hi)
-    lo = center - 0.5 * span
-    hi = center + 0.5 * span
+    lo = (center - 0.5 * span)[None, :]
+    hi = (center + 0.5 * span)[None, :]
 
-    clip_size = 0.25 * calib.delta
-    smooth_size = 0.5 * calib.delta
+    clip_size = 0.25 * delta
+    smooth_size = 0.5 * delta
+    tube_level = int(np.clip(np.ceil(np.log2(span / clip_size)), 0,
+                             min(max_depth, _TUBE_LEVEL_MAX)))
+    tube = _Tube(regions[1], delta, lo[0], span, tube_level)
 
-    quad_cells = []      # (x0, y0, size, sign)
-    tri_parts = []       # (origin, a, b, signed_area * overall_sign)
+    # sign: 0 for a cell still being refined, +-1 for a cell in A \ B or B \ A
+    sign = np.zeros(1)
+    pairs = [(np.zeros(len(r.starts), dtype=np.int64), np.arange(len(r.starts)))
+             for r in regions]
+    quads = []          # (lower corner, size, sign, fixed weight or nan)
+    tris = []           # (origin, a, b, signed weight, fixed weight or nan)
+    depth = 0
+    while len(lo):
+        size = hi[:, 0] - lo[:, 0]
+        has = np.zeros(len(lo), dtype=bool)
+        for k, region in enumerate(regions):
+            cells, seg = pairs[k]
+            keep = region.meets(seg, lo[cells], hi[cells])
+            pairs[k] = (cells[keep], seg[keep])
+            has[pairs[k][0]] = True
+        active = sign == 0
+        empty = active & ~has
+        clip = active & has & ((size <= clip_size) | (depth >= max_depth))
+        query = np.nonzero(empty | clip)[0]
+        if len(query):
+            parity = [r.parity(0.5 * (lo[query] + hi[query])) for r in regions]
+            in_a, in_b = (p.sum(axis=1) % 2 == 1 for p in parity)
+            qe = empty[query]
+            sign[query[qe]] = in_a[qe].astype(float) - in_b[qe]
+            qc = ~qe
+            if np.any(qc):
+                clip_idx = query[qc]
+                pieces = _clip_cells(regions, [_renumber(p, clip_idx, len(lo)) for p in pairs],
+                                     lo[clip_idx], hi[clip_idx], [p[qc] for p in parity])
+                if pieces is not None:
+                    cell, origin, a, b, w = pieces
+                    off = np.where(tube(lo[clip_idx], hi[clip_idx]), np.nan,
+                                   delta * (1.0 - 2.0 * in_b[qc]))
+                    tris.append((origin, a, b, w, off[cell]))
+        smooth = sign != 0
+        done = smooth & (size <= smooth_size)
+        if np.any(done):
+            off = np.where(tube(lo[done], hi[done]), np.nan, delta * sign[done])
+            quads.append((lo[done], size[done], sign[done], off))
 
-    def emit_smooth(clo, size, sign):
-        if size > smooth_size:
-            half = 0.5 * size
-            for dx in (0.0, half):
-                for dy in (0.0, half):
-                    emit_smooth(clo + np.array([dx, dy]), half, sign)
-        else:
-            quad_cells.append((clo[0], clo[1], size, sign))
-
-    def emit_clip(clo, chi_):
-        for forest, overall in ((fa, 1.0), (fb, -1.0)):
-            for poly, orient in forest.clip_to_cell(clo, chi_):
-                origin, a, b, areas = _triangle_fan(poly)
-                tri_parts.append((origin, a, b, areas * orient * overall))
-
-    def recurse(clo, chi_, cand_a, cand_b, depth):
-        cand_a = fa.candidates(cand_a, clo, chi_)
-        cand_b = fb.candidates(cand_b, clo, chi_)
-        size = chi_[0] - clo[0]
-        if len(cand_a) == 0 and len(cand_b) == 0:
-            center_pt = 0.5 * (clo + chi_)
-            in_a = fa.contains(center_pt)
-            in_b = fb.contains(center_pt)
-            if in_a != in_b:
-                emit_smooth(clo, size, 1.0 if in_a else -1.0)
-            return
-        if size <= clip_size or depth >= max_depth:
-            emit_clip(clo, chi_)
-            return
-        mid = 0.5 * (clo + chi_)
-        for (x0, y0, x1, y1) in ((clo[0], clo[1], mid[0], mid[1]),
-                                 (mid[0], clo[1], chi_[0], mid[1]),
-                                 (clo[0], mid[1], mid[0], chi_[1]),
-                                 (mid[0], mid[1], chi_[0], chi_[1])):
-            recurse(np.array([x0, y0]), np.array([x1, y1]),
-                    cand_a, cand_b, depth + 1)
-
-    recurse(lo, hi, np.arange(len(fa.seg_lo)), np.arange(len(fb.seg_lo)), 0)
+        split = np.nonzero((active & has & ~clip) | (smooth & ~done))[0]
+        for k, p in enumerate(pairs):
+            cells, seg = _renumber(p, split, len(lo))
+            pairs[k] = (((4 * cells)[:, None] + np.arange(4)).ravel(), np.repeat(seg, 4))
+        mid = 0.5 * (lo[split] + hi[split])
+        lo, hi = (np.where(_CHILD, mid[:, None, :], lo[split][:, None, :]).reshape(-1, 2),
+                  np.where(_CHILD, hi[split][:, None, :], mid[:, None, :]).reshape(-1, 2))
+        sign = np.repeat(sign[split], 4)
+        depth += 1
 
     total = 0.0
-    if quad_cells:
-        qc = np.array([(x, y, s) for x, y, s, _ in quad_cells])
-        signs = np.array([sgn for _, _, _, sgn in quad_cells])
-        pts = np.empty((len(qc), len(_G9W), 2))
-        pts[:, :, 0] = qc[:, 0][:, None] + np.outer(qc[:, 2], _G9X)
-        pts[:, :, 1] = qc[:, 1][:, None] + np.outer(qc[:, 2], _G9Y)
-        vals = calib.vartheta_at(pts.reshape(-1, 2), t).reshape(len(qc), -1)
-        total += float(np.sum(signs * qc[:, 2]**2 * (vals @ _G9W)))
-    if tri_parts:
-        origins = np.concatenate([np.repeat(o[None, :], len(a), axis=0)
-                                  for o, a, b, w in tri_parts])
-        aa = np.concatenate([a for _, a, _, _ in tri_parts])
-        bb = np.concatenate([b for _, _, b, _ in tri_parts])
-        ww = np.concatenate([w for _, _, _, w in tri_parts])
-        pts = (origins[None, :, :] * _T7_BARY[:, 0, None, None]
-               + aa[None, :, :] * _T7_BARY[:, 1, None, None]
-               + bb[None, :, :] * _T7_BARY[:, 2, None, None])
-        vals = calib.vartheta_at(pts.reshape(-1, 2), t).reshape(len(_T7_W), -1)
-        total += float(np.sum((_T7_W @ vals) * ww))
+    if quads:
+        x0, size, sgn, off = (np.concatenate(col) for col in zip(*quads))
+        pts = np.empty((len(size), len(_G9W), 2))
+        pts[:, :, 0] = x0[:, 0][:, None] + np.outer(size, _G9X)
+        pts[:, :, 1] = x0[:, 1][:, None] + np.outer(size, _G9Y)
+        vals = np.repeat(off[:, None], len(_G9W), axis=1)
+        near = np.isnan(off)
+        vals[near] = calib.vartheta_at(pts[near].reshape(-1, 2), t).reshape(-1, len(_G9W))
+        total += float(np.sum(sgn * size**2 * (vals @ _G9W)))
+    if tris:
+        origin, a, b, w, off = (np.concatenate(col) for col in zip(*tris))
+        pts = (origin[None, :, :] * _T7_BARY[:, 0, None, None]
+               + a[None, :, :] * _T7_BARY[:, 1, None, None]
+               + b[None, :, :] * _T7_BARY[:, 2, None, None])
+        vals = np.repeat(off[None, :], len(_T7_W), axis=0)
+        near = np.isnan(off)
+        vals[:, near] = calib.vartheta_at(pts[:, near].reshape(-1, 2), t).reshape(len(_T7_W), -1)
+        total += float(np.sum((_T7_W @ vals) * w))
     return total
 
 
@@ -265,13 +405,8 @@ def bulk_error_montecarlo(curve: PolyCurve, calib: Calibration, t: float = 0.0,
     rng = np.random.default_rng(seed)
     pts = rng.uniform(lo, hi, size=(n_samples, 2))
     area = float(np.prod(hi - lo))
-    chi_a = np.zeros(n_samples, dtype=int)
-    for c in curve.components:
-        chi_a += points_in_component(pts, c.vertices).astype(int)
-    chi_b = np.zeros(n_samples, dtype=int)
-    for c in ref_curve.components:
-        chi_b += points_in_component(pts, c.vertices).astype(int)
-    diff = (chi_a % 2).astype(float) - (chi_b % 2).astype(float)
+    diff = (region_contains(curve, pts).astype(float)
+            - region_contains(ref_curve, pts).astype(float))
     vals = diff * calib.vartheta_at(pts, t)
     mean = float(np.mean(vals))
     stderr = float(np.std(vals) / np.sqrt(n_samples))

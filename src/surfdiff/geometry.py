@@ -429,36 +429,79 @@ def check_embedded(curve: PolyCurve) -> None:
 # point-in-polygon and region classification
 # ---------------------------------------------------------------------------
 
-def points_in_component(points: np.ndarray, vertices: np.ndarray) -> np.ndarray:
-    """Crossing-number test, vectorized over query points (chunked)."""
-    points = np.atleast_2d(points)
-    n = len(vertices)
-    chunk = max(1, int(4e6 / max(n, 1)))
-    out = np.empty(len(points), dtype=bool)
-    v0 = vertices
-    v1 = np.roll(vertices, -1, axis=0)
-    dy = v1[:, 1] - v0[:, 1]
-    dx = v1[:, 0] - v0[:, 0]
-    for a in range(0, len(points), chunk):
-        x = points[a:a + chunk, 0]
-        y = points[a:a + chunk, 1]
-        # half-open rule keeps vertices from double counting
-        cond = (v0[None, :, 1] > y[:, None]) != (v1[None, :, 1] > y[:, None])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = (y[:, None] - v0[None, :, 1]) / dy[None, :]
-        xi = v0[None, :, 0] + t * dx[None, :]
-        crossings = np.sum(cond & (xi > x[:, None]), axis=1)
-        out[a:a + chunk] = crossings % 2 == 1
+def _buckets(lo: np.ndarray, hi: np.ndarray):
+    """Uniform buckets over [min lo, max hi]; interval i is listed in every bucket it meets.
+
+    Returns (base, top, width, start, items): bucket b holds the interval ids
+    items[start[b]:start[b + 1]].  Bucket indices are monotone in the value,
+    so an interval holding q always shares q's bucket.
+    """
+    nb = max(1, len(lo))
+    base, top = float(lo.min()), float(hi.max())
+    width = (top - base) / nb or 1.0
+    b0 = np.minimum(((lo - base) / width).astype(np.int64), nb - 1)
+    span = np.minimum(((hi - base) / width).astype(np.int64), nb - 1) - b0 + 1
+    first = np.cumsum(span) - span
+    bucket = np.repeat(b0 - first, span) + np.arange(span.sum())
+    order = np.argsort(bucket, kind="stable")
+    start = np.searchsorted(bucket[order], np.arange(nb + 1))
+    return base, top, width, start, np.repeat(np.arange(len(lo)), span)[order]
+
+
+def _bucket_pairs(buckets, q: np.ndarray):
+    """(query, interval) index pairs sharing a bucket: a superset of lo <= q <= hi."""
+    base, top, width, start, items = buckets
+    k = np.nonzero((q >= base) & (q <= top))[0]
+    b = np.minimum(((q[k] - base) / width).astype(np.int64), len(start) - 2)
+    cnt = start[b + 1] - start[b]
+    pos = np.repeat(start[b] - (np.cumsum(cnt) - cnt), cnt) + np.arange(cnt.sum())
+    return np.repeat(k, cnt), items[pos]
+
+
+_PARITY_CHUNK = 1 << 14     # query points per batch of the crossing test
+
+
+def crossing_parity(points: np.ndarray, starts: np.ndarray, ends: np.ndarray,
+                    group: np.ndarray | None = None, ngroups: int = 1) -> np.ndarray:
+    """Even-odd parity of +x ray crossings, per point and per edge group.
+
+    Edges are bucketed by their y-range (E. Haines, "Point in Polygon
+    Strategies", Graphics Gems IV, 1994), so each point tests only the edges
+    whose y-range spans it.  The half-open rule min(y0, y1) <= y < max(y0, y1)
+    keeps a vertex on the ray from counting twice.  Returns (n, ngroups) bool;
+    ``group`` maps each edge to its group (all edges in group 0 by default).
+    """
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    out = np.zeros((len(points), ngroups), dtype=bool)
+    sel = np.nonzero(starts[:, 1] != ends[:, 1])[0]   # horizontal edges never cross
+    if len(sel) == 0:
+        return out
+    group = np.zeros(len(starts), dtype=np.int64) if group is None else group
+    y0, y1 = starts[sel, 1], ends[sel, 1]
+    buckets = _buckets(np.minimum(y0, y1), np.maximum(y0, y1))
+    for a in range(0, len(points), _PARITY_CHUNK):
+        pts = points[a:a + _PARITY_CHUNK]
+        k, e = _bucket_pairs(buckets, pts[:, 1])
+        e = sel[e]
+        v0, v1 = starts[e], ends[e]
+        x, y = pts[k, 0], pts[k, 1]
+        cond = (v0[:, 1] > y) != (v1[:, 1] > y)
+        t = (y - v0[:, 1]) / (v1[:, 1] - v0[:, 1])
+        hit = cond & (v0[:, 0] + t * (v1[:, 0] - v0[:, 0]) > x)
+        counts = np.bincount(k[hit] * ngroups + group[e[hit]], minlength=len(pts) * ngroups)
+        out[a:a + _PARITY_CHUNK] = (counts % 2 == 1).reshape(len(pts), ngroups)
     return out
+
+
+def points_in_component(points: np.ndarray, vertices: np.ndarray) -> np.ndarray:
+    """Crossing-number test of points against one closed polygon."""
+    return crossing_parity(points, vertices, np.roll(vertices, -1, axis=0))[:, 0]
 
 
 def region_contains(curve: PolyCurve, points: np.ndarray) -> np.ndarray:
     """Even-odd membership of points in the region enclosed by the forest."""
-    points = np.atleast_2d(points)
-    inside = np.zeros(len(points), dtype=int)
-    for c in curve.components:
-        inside += points_in_component(points, c.vertices).astype(int)
-    return inside % 2 == 1
+    starts, ends, _, _ = _segments(curve)
+    return crossing_parity(points, starts, ends)[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -556,38 +599,6 @@ def intrinsic_distance(cache_a: GeometryCache, i: int,
     si, sj = cache_a.arc_positions[i], cache_a.arc_positions[j]
     d = abs(si - sj)
     return float(min(d, cache_a.length - d))
-
-
-def intrinsic_ball_measure(cache: GeometryCache, i: int, r: float) -> float:
-    """Arc measure of the intrinsic ball of radius r around vertex i.
-
-    Computed by arc accumulation in both directions from the center; on a
-    single closed curve this is min(2r, L) exactly.  Balls are intrinsic:
-    other components never contribute (their distance is infinite).
-    """
-    if r <= 0.0:
-        return 0.0
-    return float(min(2.0 * r, cache.length))
-
-
-def density_ratio_bound(cache: GeometryCache, n_centers: int = 32,
-                        n_radii: int = 12) -> float:
-    """sup over sampled centers and dyadic radii of H^1(ball)/(2r).
-
-    The metric underlying the balls is the intrinsic path distance, so for a
-    closed curve the ratio never exceeds 1.  (An extrinsic variant, with
-    Euclidean balls, would see hairpins inflate the ratio; it is deliberately
-    not used here.)
-    """
-    best = 0.0
-    centers = np.linspace(0, cache.n - 1, min(n_centers, cache.n)).astype(int)
-    for i in centers:
-        for k in range(n_radii):
-            r = cache.diameter * 0.5 ** k
-            if r <= 0:
-                continue
-            best = max(best, intrinsic_ball_measure(cache, i, r) / (2.0 * r))
-    return best
 
 
 def poincare_ratio(cache: GeometryCache, u: VertexField, p: float) -> float:

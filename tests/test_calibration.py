@@ -325,3 +325,9 @@ def test_xi_alignment_product_bound(circle_calibration):
         geo.PolyCurve([geo.make_wavy_circle(1.0, 0.08, 4, 256)]))
     rep = circle_calibration.pointwise_tilt_check(caches)
     assert rep.slack_xi_product >= -1e-12
+
+
+def test_analytic_boundary_built_once_per_resolution():
+    ref = cb.AnalyticCircles([cb.CircleSpec((0.0, 0.0), 1.0)])
+    assert ref.boundary_curve(0.0, 64) is ref.boundary_curve(0.3, 64)
+    assert ref.boundary_curve(0.0, 128).components[0].n == 128

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from surfdiff import calibration as cb
 from surfdiff import energy as en
@@ -7,6 +10,7 @@ from surfdiff import extension as ex
 from surfdiff import geometry as geo
 from surfdiff.errors import DegenerateInitialData, NonStationaryReference
 
+from bulk_oracle import bulk_error_recursive, clip_rect, shoelace
 from conftest import vertex_angles
 
 
@@ -133,6 +137,103 @@ def test_bulk_error_polygon_reference():
     f_mc, se = en.bulk_error_montecarlo(curve, calib, n_samples=2 * 10**5)
     assert abs(f_mc - f) <= 3.0 * se
     assert f > 0
+
+
+def test_bulk_error_clockwise_hole_subtracts(circle_calibration):
+    # annulus 0.95 < r < 1.05 (outer boundary plus a clockwise hole) against
+    # the unit disk: the hole's disk r < 0.95 lies in B \ A, where
+    # (chi_A - chi_B) * vartheta = -theta(r - 1) > 0
+    curve = geo.PolyCurve([geo.make_circle((0, 0), 1.05, 1024),
+                           geo.make_circle((0, 0), 0.95, 1024, -1)])
+    f = en.bulk_error(curve, circle_calibration)
+    theta = circle_calibration.profile.theta
+    radial = lambda r: 2 * np.pi * r * float(theta(r - 1.0))
+    exact = (quad(radial, 1.0, 1.05, epsabs=1e-14)[0]
+             - quad(radial, 0.0, 0.95, points=[0.75, 0.875], epsabs=1e-14)[0])
+    assert abs(f - exact) <= 1e-4 * exact
+    f_mc, se = en.bulk_error_montecarlo(curve, circle_calibration, n_samples=4 * 10**5)
+    assert abs(f_mc - f) <= 3.0 * se
+
+
+# ---------------------------------------------------------------------------
+# bulk error against the recursive reference implementation
+# ---------------------------------------------------------------------------
+
+def _star(center, radius, n, rng, amp, orientation=1):
+    ang = 2 * np.pi * np.arange(n) / n
+    modes = np.arange(2, 5)
+    coef = rng.uniform(-1, 1, len(modes))
+    coef *= amp / max(np.abs(coef).sum(), 1e-12)
+    phase = rng.uniform(0, 2 * np.pi, len(modes))
+    r = radius * (1 + np.cos(np.outer(ang, modes) + phase) @ coef)
+    v = np.asarray(center) + np.column_stack([r * np.cos(ang), r * np.sin(ang)])
+    return geo.Component(v if orientation > 0 else v[::-1], orientation)
+
+
+def _random_forest(seed):
+    """A star-shaped body with one clockwise hole and up to three bubbles."""
+    rng = np.random.default_rng(seed)
+    comps = [_star(rng.uniform(-0.03, 0.03, 2), rng.uniform(0.94, 1.06),
+                   int(rng.integers(96, 160)), rng, 0.08)]
+    rho, phi = rng.uniform(0, 0.4), rng.uniform(0, 2 * np.pi)
+    comps.append(_star((rho * np.cos(phi), rho * np.sin(phi)), rng.uniform(0.15, 0.35),
+                       int(rng.integers(48, 96)), rng, 0.1, orientation=-1))
+    for j in range(int(rng.integers(0, 4))):
+        phi = 2 * np.pi * j / 3 + rng.uniform(-0.3, 0.3)
+        dist = rng.uniform(1.3, 2.2)
+        comps.append(_star((dist * np.cos(phi), dist * np.sin(phi)),
+                           rng.uniform(0.02, 0.08), int(rng.integers(24, 33)), rng, 0.1))
+    return geo.PolyCurve(comps)
+
+
+_REFERENCES = {
+    "circle": lambda: cb.Calibration(cb.AnalyticCircles([cb.CircleSpec((0.0, 0.0), 1.0)]), 0.25),
+    "polygon": lambda: cb.Calibration(cb.PolygonReference(
+        curve=geo.PolyCurve([geo.make_ellipse(1.1, 0.9, 256)]))),
+}
+
+
+@pytest.mark.parametrize("reference", sorted(_REFERENCES))
+@settings(max_examples=8, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_bulk_error_matches_recursive_oracle(reference, seed):
+    calib = _REFERENCES[reference]()
+    curve = _random_forest(seed)
+    f = en.bulk_error(curve, calib, reference_resolution=512)
+    oracle = bulk_error_recursive(curve, calib, reference_resolution=512)
+    assert abs(f - oracle) <= 1e-12 * abs(oracle) + 1e-14
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), clockwise=st.booleans())
+def test_candidate_clip_equals_full_polygon_clip(seed, clockwise):
+    rng = np.random.default_rng(seed)
+    comp = _star((0, 0), 1.0, int(rng.integers(16, 513)), rng, 0.3,
+                 orientation=-1 if clockwise else 1)
+    # a clockwise loop is a hole: give it an enclosing outer boundary, whose
+    # edges come first in the flattened arrays
+    comps = [geo.make_circle((0, 0), 3.0, 64), comp] if clockwise else [comp]
+    region = en._Region(geo.PolyCurve(comps), 1.0)
+    mine = np.nonzero(region.comp_of == len(comps) - 1)[0]
+    poly = comp.vertices
+    for _ in range(10):
+        ang = rng.uniform(0, 2 * np.pi)
+        size = rng.uniform(0.005, 0.8)
+        lo = rng.uniform(0.6, 1.2) * np.array([np.cos(ang), np.sin(ang)]) - rng.uniform(0, size, 2)
+        hi = lo + size
+        seg = mine[region.meets(mine, lo[None], hi[None])]
+        full = clip_rect(poly, lo, hi)
+        if len(seg) == 0:
+            continue
+        pts, gid, _ = en._candidate_polygons(region, np.zeros(len(seg), dtype=np.int64),
+                                              seg, lo[None], hi[None])
+        pts, _ = en._clip_polygons(pts, gid, lo[None], hi[None])
+        assert len(pts) == len(full)
+        if len(full):
+            # the same vertices in the same cyclic order, from another start
+            assert any(np.array_equal(np.roll(full, -k, axis=0), pts) for k in range(len(full)))
+            area = abs(shoelace(full))
+            assert abs(shoelace(pts) - shoelace(full)) <= 1e-14 * max(area, size**2)
 
 
 # ---------------------------------------------------------------------------

@@ -230,40 +230,6 @@ def test_intrinsic_distance_across_components():
     assert geo.intrinsic_distance(ca, 0, cb, 0) == float("inf")
 
 
-def _hairpin(gap=0.05, length=2.0, n_side=120, n_cap=24):
-    """Two parallel segments joined by semicircular caps."""
-    r = gap / 2
-    top = np.column_stack([np.linspace(length, 0.0, n_side, endpoint=False),
-                           np.full(n_side, r)])
-    left = np.column_stack([
-        -r * np.sin(np.linspace(0, np.pi, n_cap, endpoint=False)) * np.cos(0 * np.pi),
-        r * np.cos(np.linspace(0, np.pi, n_cap, endpoint=False))])
-    bottom = np.column_stack([np.linspace(0.0, length, n_side, endpoint=False),
-                              np.full(n_side, -r)])
-    right = np.column_stack([
-        length + r * np.sin(np.linspace(0, np.pi, n_cap, endpoint=False)),
-        -r * np.cos(np.linspace(0, np.pi, n_cap, endpoint=False))])
-    pts = np.vstack([top, left, bottom, right])
-    return geo.PolyCurve([geo.Component(pts, 1)])
-
-
-def test_density_ratio_circle(unit_circle_256):
-    _, caches = unit_circle_256
-    ratio = geo.density_ratio_bound(caches[0])
-    assert abs(ratio - 1.0) <= 1e-12
-
-
-def test_density_ratio_hairpin_intrinsic():
-    # extrinsically the two sides almost coincide, but the intrinsic ratio
-    # stays at 1: direct arc-length count on the polyline
-    curve = _hairpin()
-    cache = geo.build_geometry(curve)[0]
-    ratio = geo.density_ratio_bound(cache)
-    assert abs(ratio - 1.0) <= 1e-12
-    # oracle on one explicit ball: measure of radius-r ball is min(2r, L)
-    assert geo.intrinsic_ball_measure(cache, 5, 0.3) == pytest.approx(0.6)
-
-
 # ---------------------------------------------------------------------------
 # Poincare ratio
 # ---------------------------------------------------------------------------
@@ -426,3 +392,42 @@ def test_diameter_collinear_and_coincident():
     line = np.outer(np.array([0.0, 3.0, 1.0, -2.0, 0.5]), [1.0, 2.0])
     assert geo._diameter(line) == pytest.approx(5.0 * np.sqrt(5.0), rel=1e-15)
     assert geo._diameter(np.ones((4, 2))) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# point in polygon: bucketed crossing test against the winding number
+# ---------------------------------------------------------------------------
+
+def _winding(points, vertices):
+    rel = vertices[None, :, :] - points[:, None, :]
+    ang = np.arctan2(rel[..., 1], rel[..., 0])
+    dang = np.diff(np.concatenate([ang, ang[:, :1]], axis=1), axis=1)
+    dang = (dang + np.pi) % (2 * np.pi) - np.pi
+    return np.rint(dang.sum(axis=1) / (2 * np.pi)).astype(int)
+
+
+@ORACLE
+@given(st.integers(3, 80), st.integers(0, 2**32 - 1), st.booleans())
+def test_points_in_component_star_polygons(n, seed, clockwise):
+    rng = np.random.default_rng(seed)
+    ang = np.sort(rng.uniform(0, 2 * np.pi, n))
+    rad = rng.uniform(0.2, 1.0, n)
+    verts = np.column_stack([rad * np.cos(ang), rad * np.sin(ang)])
+    if clockwise:
+        verts = verts[::-1]
+    # random points plus points at every vertex height, where the half-open
+    # rule decides whether the ray through a vertex counts once or not at all
+    pts = np.vstack([rng.uniform(-1.1, 1.1, (200, 2)),
+                     np.column_stack([rng.uniform(-1.1, 1.1, n), verts[:, 1]])])
+    near = geo._point_segment_dist(pts[:, None, :], verts[None],
+                                   np.roll(verts, -1, axis=0)[None]).min(axis=1)
+    pts = pts[near > 1e-9]
+    inside = geo.points_in_component(pts, verts)
+    assert np.array_equal(inside, _winding(pts, verts) != 0)
+    # grouped form: per-edge-group parity with a second, shifted copy
+    other = verts + [0.5, 0.25]
+    starts = np.vstack([verts, other])
+    ends = np.vstack([np.roll(verts, -1, axis=0), np.roll(other, -1, axis=0)])
+    grouped = geo.crossing_parity(pts, starts, ends, np.repeat([0, 1], n), 2)
+    assert np.array_equal(grouped[:, 0], inside)
+    assert np.array_equal(grouped[:, 1], _winding(pts, other) != 0)
