@@ -33,7 +33,6 @@ from .geometry import (
     field_mean,
     _bucket_pairs,
     _buckets,
-    _segments,
     crossing_parity,
     integrate,
     region_contains,
@@ -94,7 +93,7 @@ class _Region:
     """One side of the bulk integral: a curve's edges, flattened, and its sign."""
 
     def __init__(self, curve: PolyCurve, sign: float):
-        self.starts, self.ends, self.comp_of, local = _segments(curve)
+        self.starts, self.ends, self.comp_of, local = curve.segments
         idx = np.arange(len(local))
         counts = np.array([c.n for c in curve.components])
         self.prev_edge = np.where(local == 0, idx + counts[self.comp_of] - 1, idx - 1)

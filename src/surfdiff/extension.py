@@ -15,6 +15,7 @@ estimates consume.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -90,25 +91,30 @@ class BField:
     # -- low-level evaluators -------------------------------------------------
 
     def _grad_potential(self, points):
-        """Gradient of the single-layer sum over the upsampled quadrature."""
-        out = np.zeros_like(points)
-        chunk = max(1, int(4e6 / max(len(self.fine_points), 1)))
-        for a in range(0, len(points), chunk):
-            p = points[a:a + chunk]
-            rel = p[:, None, :] - self.fine_points[None, :, :]
-            r2 = np.maximum(np.sum(rel * rel, axis=2), 1e-300)
-            coef = -(self.fine_charge / (2.0 * np.pi))[None, :] / r2
-            out[a:a + chunk] = np.sum(coef[:, :, None] * rel, axis=1)
-        return out
+        """Gradient of the single-layer sum over the upsampled quadrature.
+
+        In complex form, with z = x + iy, sources w_j and c_j = -q_j / (2 pi),
+        the gradient of sum_j c_j log|z - w_j| is conj(sum_j c_j / (z - w_j)):
+        one complex reciprocal and one matrix-vector product per chunk.
+        """
+        z = points[:, 0] + 1j * points[:, 1]
+        w = self.fine_points[:, 0] + 1j * self.fine_points[:, 1]
+        c = (-self.fine_charge / (2.0 * np.pi)).astype(complex)
+        g = np.empty(len(z), dtype=complex)
+        chunk = max(1, (1 << 20) // max(len(w), 1))
+        for a in range(0, len(z), chunk):
+            g[a:a + chunk] = np.reciprocal(z[a:a + chunk, None] - w[None, :]) @ c
+        return np.column_stack([g.real, -g.imag])
+
+    @cached_property
+    def _arc_table(self):
+        """Arc position of every vertex and length of its outgoing edge, stacked."""
+        return (np.concatenate([c.arc_positions for c in self.caches]),
+                np.concatenate([c.edge_lengths for c in self.caches]))
 
     def _foot_arc_raw(self, seg, tpar):
-        arc = np.empty(len(seg))
-        for k, cache in enumerate(self.caches):
-            sel = self.index.seg_comp[seg] == k
-            if np.any(sel):
-                loc = self.index.seg_local[seg[sel]]
-                arc[sel] = cache.arc_positions[loc] + tpar[sel] * cache.edge_lengths[loc]
-        return arc
+        arc, h = self._arc_table
+        return arc[seg] + tpar * h[seg]
 
     def smooth_foot(self, points, s_poly, seg, tpar):
         """Newton-refined closest point on the position splines.

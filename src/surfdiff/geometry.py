@@ -109,6 +109,23 @@ class PolyCurve:
     def ncomponents(self) -> int:
         return len(self.components)
 
+    @cached_property
+    def segments(self):
+        """Edges of all components, flattened: starts, ends, component, local index.
+
+        Built once per curve (``components`` is only assigned in
+        ``__init__``) and shared by every reader, so the arrays are read-only.
+        """
+        comps = self.components
+        n = np.array([c.n for c in comps])
+        comp_of = np.repeat(np.arange(len(comps)), n)
+        local_of = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+        out = (np.vstack([c.vertices for c in comps]),
+               np.vstack([np.roll(c.vertices, -1, axis=0) for c in comps]), comp_of, local_of)
+        for a in out:
+            a.flags.writeable = False
+        return out
+
     def signed_area(self) -> float:
         return sum(c.signed_area() for c in self.components)
 
@@ -377,16 +394,6 @@ def _segment_segment_dist(a0, a1, b0, b1):
     return np.where(proper, 0.0, d)
 
 
-def _segments(curve: PolyCurve):
-    """Edges of all components, flattened: starts, ends, component, local index."""
-    comps = curve.components
-    n = np.array([c.n for c in comps])
-    comp_of = np.repeat(np.arange(len(comps)), n)
-    local_of = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
-    return (np.vstack([c.vertices for c in comps]),
-            np.vstack([np.roll(c.vertices, -1, axis=0) for c in comps]), comp_of, local_of)
-
-
 def check_embedded(curve: PolyCurve) -> None:
     """Reject self-crossing components and touching component pairs.
 
@@ -394,7 +401,7 @@ def check_embedded(curve: PolyCurve) -> None:
     exact segment-pair distance tests at tolerance SIMPLICITY_TOL_REL times
     the diameter: the cached one of a single component, else of all vertices.
     """
-    starts, ends, comp_of, local_of = _segments(curve)
+    starts, ends, comp_of, local_of = curve.segments
     one = curve.ncomponents == 1
     tol = SIMPLICITY_TOL_REL * (curve.components[0].diameter if one else _diameter(starts))
     hmax = np.linalg.norm(ends - starts, axis=1).max()
@@ -500,7 +507,7 @@ def points_in_component(points: np.ndarray, vertices: np.ndarray) -> np.ndarray:
 
 def region_contains(curve: PolyCurve, points: np.ndarray) -> np.ndarray:
     """Even-odd membership of points in the region enclosed by the forest."""
-    starts, ends, _, _ = _segments(curve)
+    starts, ends, _, _ = curve.segments
     return crossing_parity(points, starts, ends)[:, 0]
 
 
@@ -621,8 +628,25 @@ def poincare_ratio(cache: GeometryCache, u: VertexField, p: float) -> float:
 # fast closest-point queries against a polygonal forest
 # ---------------------------------------------------------------------------
 
+_QUERY_PAIRS = 1 << 16      # (point, candidate segment) pairs per closest-segment batch
+
+
 class CurveIndex:
-    """k-d tree accelerated closest-point and signed-distance queries.
+    """Closest-point and signed-distance queries against a polygonal forest.
+
+    A k-d tree holds the segment midpoints.  The k nearest midpoints of a
+    point (k = 8 first) name its candidate segments, evaluated in one
+    vectorised (points x k) pass.  Any other segment has its midpoint at
+    least d_k (the k-th midpoint distance) away and its points within half
+    its length of that midpoint, so it is at least d_k - h_max/2 away: the
+    best candidate is the closest segment when its distance is at most that.
+    Points failing this guard are queried again with k four times larger,
+    up to every segment.
+
+    The distance returned is norm(point - foot) with foot = a + t (b - a),
+    the vector the gradient (point - foot) / s divides, so |grad s| = 1 to
+    rounding even where s is itself at rounding level.  Where two segments
+    are exactly equally close, either may be returned.
 
     Sign convention: negative inside the enclosed region, positive outside,
     matching dist(x, region) - dist(x, complement).
@@ -631,124 +655,89 @@ class CurveIndex:
     def __init__(self, curve: PolyCurve, caches: list[GeometryCache] | None = None):
         self.curve = curve
         self.caches = caches if caches is not None else build_geometry(curve)
-        self.seg_start, self.seg_end, self.seg_comp, self.seg_local = _segments(curve)
-        self.offsets = np.cumsum([0] + [c.n for c in curve.components])
-        self.hmax = float(np.linalg.norm(self.seg_end - self.seg_start, axis=1).max())
-        self.tree = cKDTree(self.seg_start)
-        self._k = min(16, len(self.seg_start))
-
-    def _candidate_segments(self, vert_ids: np.ndarray) -> np.ndarray:
-        prev = np.where(
-            self.seg_local[vert_ids] == 0,
-            vert_ids + np.diff(self.offsets)[self.seg_comp[vert_ids]] - 1,
-            vert_ids - 1,
-        )
-        return np.concatenate([vert_ids, prev])
+        self.seg_start, self.seg_end, self.seg_comp, self.seg_local = curve.segments
+        self.seg_vec = self.seg_end - self.seg_start
+        self.seg_len2 = np.maximum(np.sum(self.seg_vec * self.seg_vec, axis=1), 1e-300)
+        self.hmax = float(np.linalg.norm(self.seg_vec, axis=1).max())
+        ids = np.arange(len(self.seg_comp))
+        last = self.seg_local == np.bincount(self.seg_comp)[self.seg_comp] - 1
+        self.next_of = np.where(last, ids - self.seg_local, ids + 1)
+        self.nu = np.vstack([c.nu for c in self.caches])
+        # sum of the unit normals of the two edges at each vertex: positive
+        # on the vertex's whole normal cone, whatever its turning angle
+        edge_nu = self.seg_vec[:, ::-1] * [1.0, -1.0] / np.sqrt(self.seg_len2)[:, None]
+        prev_of = np.empty_like(self.next_of)
+        prev_of[self.next_of] = ids
+        self.pseudo_nu = edge_nu + edge_nu[prev_of]
+        self.tree = cKDTree(0.5 * (self.seg_start + self.seg_end))
 
     def unsigned(self, points: np.ndarray):
         """Distance, foot point, global segment id and on-edge parameter."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        dk, idx = self.tree.query(points, k=self._k)
-        if self._k == 1:
-            dk = dk[:, None]
-            idx = idx[:, None]
-        npts = len(points)
-        best_d = np.full(npts, np.inf)
-        best_seg = np.zeros(npts, dtype=int)
-        best_t = np.zeros(npts)
-        for col in range(self._k):
-            segs = self._candidate_segments(idx[:, col])
-            for segsel in (segs[:npts], segs[npts:]):
-                a = self.seg_start[segsel]
-                b = self.seg_end[segsel]
-                ab = b - a
-                denom = np.maximum(np.sum(ab * ab, axis=1), 1e-300)
-                t = np.clip(np.sum((points - a) * ab, axis=1) / denom, 0.0, 1.0)
-                foot = a + t[:, None] * ab
-                d = np.linalg.norm(points - foot, axis=1)
-                take = d < best_d
-                best_d[take] = d[take]
-                best_seg[take] = segsel[take]
-                best_t[take] = t[take]
-        # completeness guard: any missed segment has an endpoint farther than
-        # the k-th neighbour, hence distance >= dk - hmax
-        unsafe = best_d > dk[:, -1] - self.hmax
-        if np.any(unsafe) and self._k < len(self.seg_start):
-            sub = points[unsafe]
-            d_all = _point_segment_dist(
-                sub[:, None, :], self.seg_start[None, :, :], self.seg_end[None, :, :]
-            )
-            seg_all = np.argmin(d_all, axis=1)
-            a = self.seg_start[seg_all]
-            b = self.seg_end[seg_all]
-            ab = b - a
-            denom = np.maximum(np.sum(ab * ab, axis=1), 1e-300)
-            t = np.clip(np.sum((sub - a) * ab, axis=1) / denom, 0.0, 1.0)
-            best_d[unsafe] = np.min(d_all, axis=1)
-            best_seg[unsafe] = seg_all
-            best_t[unsafe] = t
-        foot = (self.seg_start[best_seg]
-                + best_t[:, None] * (self.seg_end[best_seg] - self.seg_start[best_seg]))
-        return best_d, foot, best_seg, best_t
+        nseg = len(self.seg_start)
+        seg = np.empty(len(points), dtype=np.intp)
+        t = np.empty(len(points))
+        todo, k = np.arange(len(points)), min(8, nseg)
+        while len(todo):
+            rows = max(1, _QUERY_PAIRS // k)
+            todo = np.concatenate([self._closest(points, todo[a:a + rows], k, seg, t)
+                                   for a in range(0, len(todo), rows)])
+            k = min(4 * k, nseg)
+        foot = self.seg_start[seg] + t[:, None] * self.seg_vec[seg]
+        return np.linalg.norm(points - foot, axis=1), foot, seg, t
+
+    def _closest(self, points, ids, k, seg, t):
+        """Closest of the k nearest-midpoint segments of points[ids], written
+        into seg and t; returns the ids whose completeness guard fails."""
+        p = points[ids]
+        dk, cand = self.tree.query(p, k=k)
+        a, ab = self.seg_start[cand], self.seg_vec[cand]
+        px, py = p[:, 0, None], p[:, 1, None]
+        tc = np.clip(((px - a[..., 0]) * ab[..., 0] + (py - a[..., 1]) * ab[..., 1])
+                     / self.seg_len2[cand], 0.0, 1.0)
+        rx = px - (a[..., 0] + tc * ab[..., 0])
+        ry = py - (a[..., 1] + tc * ab[..., 1])
+        d2 = rx * rx + ry * ry
+        rows = np.arange(len(ids))
+        j = np.argmin(d2, axis=1)
+        seg[ids] = cand[rows, j]
+        t[ids] = tc[rows, j]
+        if k == len(self.seg_start):
+            return ids[:0]
+        return ids[np.sqrt(d2[rows, j]) > dk[:, -1] - 0.5 * self.hmax]
 
     def signed(self, points: np.ndarray):
         """Signed distance, gradient, foot point and foot segment data.
 
         The sign comes from the side of the nearest segment (material lies
         left of traversal); feet clamped onto a vertex use that vertex's
-        pseudo-normal instead.
+        pseudo-normal, the sum of its two unit edge normals, instead.  Within
+        rounding of the curve the gradient is the normal of the vertex the
+        foot sits on (of the segment's start vertex for interior feet), the
+        same whichever of the two segments meeting there is returned.
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
         d, foot, seg, t = self.unsigned(points)
-        a = self.seg_start[seg]
-        b = self.seg_end[seg]
-        ab = b - a
+        ab = self.seg_vec[seg]
         rel = points - foot
         cross = ab[:, 0] * rel[:, 1] - ab[:, 1] * rel[:, 0]
         # left of tau means inside: s < 0
         sgn = np.where(cross > 0, -1.0, 1.0)
+        # the vertex a clamped foot sits on, else the segment's start vertex
+        vid = np.where(t >= 1.0, self.next_of[seg], seg)
         on_vertex = (t <= 0.0) | (t >= 1.0)
-        if np.any(on_vertex):
-            vid = np.where(t[on_vertex] <= 0.0, seg[on_vertex],
-                           self._next_vertex(seg[on_vertex]))
-            nu = self._vertex_normal(vid)
-            dot = np.sum((points[on_vertex] - foot[on_vertex]) * nu, axis=1)
-            sgn[on_vertex] = np.where(dot >= 0, 1.0, -1.0)
+        dot = np.sum(rel[on_vertex] * self.pseudo_nu[vid[on_vertex]], axis=1)
+        sgn[on_vertex] = np.where(dot >= 0, 1.0, -1.0)
         s = sgn * d
-        grad = np.zeros_like(points)
+        grad = self.nu[vid]
         far = d > 1e-14 * max(1.0, self.hmax)
         grad[far] = rel[far] / (s[far])[:, None]
-        if np.any(~far):
-            vid = seg[~far]
-            grad[~far] = self._vertex_normal(vid)
         return s, grad, foot, seg, t
-
-    def _next_vertex(self, seg_ids):
-        nxt = seg_ids + 1
-        for k in range(self.curve.ncomponents):
-            end = self.offsets[k + 1]
-            nxt = np.where(nxt == end, self.offsets[k], nxt)
-        return nxt
-
-    def _vertex_normal(self, vert_ids):
-        out = np.zeros((len(vert_ids), 2))
-        for k, cache in enumerate(self.caches):
-            sel = self.seg_comp[vert_ids] == k
-            if np.any(sel):
-                out[sel] = cache.nu[self.seg_local[vert_ids[sel]]]
-        return out
 
     def interpolate_vertex_field(self, fields: list[np.ndarray], seg, t):
         """Linear interpolation of per-vertex data along the foot segment."""
-        vals0 = np.empty(len(seg))
-        vals1 = np.empty(len(seg))
-        nxt = self._next_vertex(seg)
-        for k in range(self.curve.ncomponents):
-            sel = self.seg_comp[seg] == k
-            if np.any(sel):
-                vals0[sel] = fields[k][self.seg_local[seg[sel]]]
-                vals1[sel] = fields[k][self.seg_local[nxt[sel]]]
-        return (1.0 - t) * vals0 + t * vals1
+        vals = np.concatenate(fields)
+        return (1.0 - t) * vals[seg] + t * vals[self.next_of[seg]]
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         return region_contains(self.curve, points)

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -251,3 +253,25 @@ def test_wedge_residual_small_and_refining(disk_cos1, circle_calibration):
                                                  circle_calibration))
     assert residuals[-1] <= 1e-2
     assert residuals[0] <= 1e-1
+
+
+def _grad_potential_dense(sources, charges, points):
+    """Real-arithmetic double sum of -q_j/(2 pi) (x - w_j)/|x - w_j|^2."""
+    rel = points[:, None, :] - sources[None, :, :]
+    r2 = np.maximum(np.sum(rel * rel, axis=2), 1e-300)
+    coef = -(charges / (2.0 * np.pi))[None, :] / r2
+    return np.sum(coef[:, :, None] * rel, axis=1)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_grad_potential_matches_dense_sum(seed):
+    rng = np.random.default_rng(seed)
+    sources = rng.uniform(-1.0, 1.0, (1024, 2))
+    charges = rng.normal(size=1024)
+    # more points than one chunk (2**20 // 1024), some within 1e-3 of a source
+    near = sources[rng.integers(0, 1024, 200)] + rng.uniform(-7e-4, 7e-4, (200, 2))
+    points = np.vstack([rng.uniform(-1.5, 1.5, (1400, 2)), near])
+    fake = SimpleNamespace(fine_points=sources, fine_charge=charges)
+    got = ex.BField._grad_potential(fake, points)
+    want = _grad_potential_dense(sources, charges, points)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.linalg.norm(want, axis=1))

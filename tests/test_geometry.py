@@ -431,3 +431,92 @@ def test_points_in_component_star_polygons(n, seed, clockwise):
     grouped = geo.crossing_parity(pts, starts, ends, np.repeat([0, 1], n), 2)
     assert np.array_equal(grouped[:, 0], inside)
     assert np.array_equal(grouped[:, 1], _winding(pts, other) != 0)
+
+
+# ---------------------------------------------------------------------------
+# flattened segments: built once per curve, read-only
+# ---------------------------------------------------------------------------
+
+def test_segments_cached_and_read_only():
+    curve = geo.PolyCurve([geo.make_circle((0.0, 0.0), 1.0, 16),
+                           geo.make_circle((0.0, 0.0), 0.5, 12, orientation=-1)])
+    first, second = curve.segments, curve.segments
+    assert all(a is b for a, b in zip(first, second))
+    starts, ends, comp_of, local_of = first
+    assert np.array_equal(starts[16:], curve.components[1].vertices)
+    assert np.array_equal(ends[:16], np.roll(curve.components[0].vertices, -1, axis=0))
+    assert np.array_equal(comp_of, np.repeat([0, 1], [16, 12]))
+    assert np.array_equal(local_of, np.concatenate([np.arange(16), np.arange(12)]))
+    for arr in first:
+        with pytest.raises(ValueError):
+            arr[0] = arr[1]
+
+
+# ---------------------------------------------------------------------------
+# closest-point index against the dense all-segment minimum
+# ---------------------------------------------------------------------------
+
+def _star(rng, n, center, rmin, rmax, orientation=1):
+    # jittered angles keep every gap below pi, so the polygon is simple and
+    # star-shaped about its centre
+    ang = 2 * np.pi * (np.arange(n) + 0.8 * rng.uniform(size=n)) / n
+    rad = rng.uniform(rmin, rmax, n)
+    v = np.asarray(center) + np.column_stack([rad * np.cos(ang), rad * np.sin(ang)])
+    return geo.Component(v[::-1] if orientation < 0 else v, orientation)
+
+
+def _check_index(curve, pts):
+    index = geo.CurveIndex(curve)
+    starts, ends, _, _ = curve.segments
+    d, foot, seg, t = index.unsigned(pts)
+    dense = geo._point_segment_dist(pts[:, None, :], starts[None], ends[None]).min(axis=1)
+    assert np.all(np.abs(d - dense) <= 1e-15 * np.maximum(1.0, np.linalg.norm(pts, axis=1)))
+    assert np.array_equal(d, np.linalg.norm(pts - foot, axis=1))
+    assert np.array_equal(foot, starts[seg] + t[:, None] * (ends[seg] - starts[seg]))
+    s, grad, _, _, _ = index.signed(pts)
+    assert np.array_equal(np.abs(s), d)
+    clear = d > 1e-9
+    assert np.array_equal((s < 0)[clear], geo.region_contains(curve, pts[clear]))
+    live = d > 1e-14 * max(1.0, index.hmax)
+    assert np.all(np.abs(np.linalg.norm(grad[live], axis=1) - 1.0) <= 1e-12)
+
+
+@ORACLE
+@given(st.integers(8, 60), st.integers(8, 40), st.integers(0, 3),
+       st.integers(0, 2**32 - 1))
+def test_curve_index_star_forests(n_outer, n_hole, n_bubbles, seed):
+    rng = np.random.default_rng(seed)
+    comps = [_star(rng, n_outer, (0.0, 0.0), 0.6, 1.0),
+             _star(rng, n_hole, (0.0, 0.0), 0.15, 0.4, orientation=-1)]
+    for i, phi in enumerate(rng.uniform(0, 2 * np.pi, n_bubbles)):
+        centre = (1.6 + 0.5 * i) * np.array([np.cos(phi), np.sin(phi)])
+        comps.append(_star(rng, int(rng.integers(8, 25)), centre, 0.02, 0.08))
+    curve = geo.PolyCurve(comps)
+    starts, ends, _, _ = curve.segments
+    lo, hi = starts.min(axis=0), starts.max(axis=0)
+    # far points (bounding box inflated by three times its size) exercise
+    # the growing-k retry; vertices, midpoints and points within 1e-13 of an
+    # edge exercise ties and the rounding-level gradient
+    u = rng.uniform(size=(len(starts), 1))
+    jitter = rng.normal(size=starts.shape)
+    near = (starts + u * (ends - starts)
+            + 1e-13 * rng.uniform(-1, 1, (len(starts), 1)) * jitter
+            / np.linalg.norm(jitter, axis=1)[:, None])
+    pts = np.vstack([rng.uniform(lo - 3 * (hi - lo), hi + 3 * (hi - lo), (300, 2)),
+                     starts, 0.5 * (starts + ends), near])
+    _check_index(curve, pts)
+
+
+def test_curve_index_coarse_vertices_on_fine_polygon():
+    # every vertex of the 128-gon is a vertex of the 512-gon: the distance
+    # is exactly zero and the gradient the vertex normal, whichever of the
+    # two segments meeting there is returned
+    fine = geo.PolyCurve([geo.make_ellipse(2.0, 1.0, 512)])
+    coarse = geo.make_ellipse(2.0, 1.0, 128).vertices
+    s, grad, _, _, _ = geo.CurveIndex(fine).signed(coarse)
+    assert np.all(s == 0.0)
+    assert np.array_equal(grad, geo.build_geometry(fine)[0].nu[::4])
+    # with the midpoints of the fine edges, where the distance is at rounding
+    # level and only norm(point - foot) keeps |grad s| at 1
+    starts, ends, _, _ = fine.segments
+    _check_index(fine, np.vstack([coarse, 0.5 * (starts + ends)]))
