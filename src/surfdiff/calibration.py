@@ -10,7 +10,7 @@ are immutable after construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .geometry import (
     GeometryCache,
     PolyCurve,
     build_geometry,
-    region_contains,
+    integrate,
 )
 
 
@@ -70,9 +70,7 @@ class CutoffProfile:
         a, b = 0.5 * delta, delta
         self._zc = _hermite_quintic(a, b, 1.0 - a * a, -2.0 * a, -2.0, 0.0, 0.0, 0.0)
         self._zc_d = _polyder(self._zc)
-        self._zc_dd = _polyder(self._zc_d)
         self._tc = _hermite_quintic(a, b, a, 1.0, 0.0, b, 0.0, 0.0)
-        self._tc_d = _polyder(self._tc)
         self._check_shape()
 
     def zeta(self, s):
@@ -95,16 +93,6 @@ class CutoffProfile:
         out[trans] = _polyval(self._zc_d, sa[trans])
         return sign * out
 
-    def zeta_second(self, s):
-        sa = np.abs(np.asarray(s, dtype=float))
-        out = np.zeros_like(sa)
-        plateau = sa <= 0.5 * self.delta
-        out[plateau] = -2.0
-        trans = (sa > 0.5 * self.delta) & (sa < self.delta)
-        out[trans] = _polyval(self._zc_dd, sa[trans])
-        out[sa >= self.delta] = 0.0
-        return out
-
     def theta(self, s):
         s = np.asarray(s, dtype=float)
         sign = np.sign(s)
@@ -114,14 +102,6 @@ class CutoffProfile:
         out = np.array(out)
         out[trans] = _polyval(self._tc, sa[trans])
         return sign * out
-
-    def theta_prime(self, s):
-        sa = np.abs(np.asarray(s, dtype=float))
-        out = np.where(sa <= 0.5 * self.delta, 1.0, 0.0)
-        trans = (sa > 0.5 * self.delta) & (sa < self.delta)
-        out = np.array(out)
-        out[trans] = _polyval(self._tc_d, sa[trans])
-        return out
 
     def eta(self, s):
         sa = np.abs(np.asarray(s, dtype=float))
@@ -346,28 +326,25 @@ def _admissible_delta_polygonal(curve: PolyCurve, caches: list[GeometryCache]) -
         best = min(best, reach / 4.0)
     for i in range(len(caches)):
         for j in range(i + 1, len(caches)):
-            gap = _polyline_gap(caches[i], caches[j])
+            gap = _polyline_gap(curve, i, j)
             if gap <= 0.0:
                 raise ZeroReach(f"components {i} and {j} touch")
             best = min(best, gap / 4.0)
     return best
 
 
-def _polyline_gap(ca: GeometryCache, cb: GeometryCache) -> float:
+def _polyline_gap(curve: PolyCurve, i: int, j: int) -> float:
+    """Least vertex-to-edge distance between components i and j, both ways."""
     from .geometry import _point_segment_dist
 
-    d1 = _point_segment_dist(
-        ca.vertices[:, None, :], cb.vertices[None, :, :],
-        np.roll(cb.vertices, -1, axis=0)[None, :, :]).min()
-    d2 = _point_segment_dist(
-        cb.vertices[:, None, :], ca.vertices[None, :, :],
-        np.roll(ca.vertices, -1, axis=0)[None, :, :]).min()
+    starts, ends, comp_of, _ = curve.segments
+    a = slice(*np.searchsorted(comp_of, [i, i + 1]))
+    b = slice(*np.searchsorted(comp_of, [j, j + 1]))
+    d1 = _point_segment_dist(starts[a][:, None, :], starts[b][None, :, :],
+                             ends[b][None, :, :]).min()
+    d2 = _point_segment_dist(starts[b][:, None, :], starts[a][None, :, :],
+                             ends[a][None, :, :]).min()
     return float(min(d1, d2))
-
-
-def admissible_delta(reference) -> float:
-    """Largest tube half-width: min(component gaps, reach estimate) / 4."""
-    return reference.admissible_delta()
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +366,30 @@ class PointwiseCheckReport:
     def worst(self) -> float:
         return min(self.slack_normal, self.slack_tangential,
                    self.slack_derivative, self.slack_xi_product)
+
+
+@dataclass(frozen=True)
+class TubeSample:
+    """The tube fields at every vertex of one curve state, from one reference query.
+
+    Per component: the signed distance s, its gradient, xi = zeta(s) grad s,
+    div xi, and the tilt integral int (1 - nu . xi), the component's share
+    of the relative energy.  Every per-sample checker reads these instead of
+    querying the reference again.
+    """
+
+    t: float
+    caches: tuple[GeometryCache, ...]
+    s: tuple[np.ndarray, ...]
+    grad: tuple[np.ndarray, ...]
+    xi: tuple[np.ndarray, ...]
+    div_xi: tuple[np.ndarray, ...]
+    tilt: tuple[float, ...] = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "tilt", tuple(
+            integrate(c, 1.0 - np.sum(c.nu * xi, axis=1))
+            for c, xi in zip(self.caches, self.xi)))
 
 
 class Calibration:
@@ -440,10 +441,36 @@ class Calibration:
 
     # -- tube fields ----------------------------------------------------------
 
+    def _xi(self, s, grad):
+        return self.profile.zeta(s)[:, None] * grad
+
+    def _div_xi(self, s, kf):
+        out = np.zeros(len(s))
+        tube = np.abs(s) < self.delta
+        level = kf[tube] / (1.0 + s[tube] * kf[tube])
+        out[tube] = self.profile.zeta_prime(s[tube]) + self.profile.zeta(s[tube]) * level
+        return out
+
+    def sample(self, caches: list[GeometryCache], t: float = 0.0) -> TubeSample:
+        """The tube fields at the vertices of every component, from one query.
+
+        Each query point is resolved on its own, so the stacked query equals
+        per-component queries bit for bit.
+        """
+        s, grad, _, kf = self.reference.query(np.vstack([c.vertices for c in caches]), t)
+        cut = np.cumsum([c.n for c in caches])[:-1]
+
+        def split(a):
+            a.flags.writeable = False
+            return tuple(np.split(a, cut))
+
+        return TubeSample(t=float(t), caches=tuple(caches), s=split(s), grad=split(grad),
+                          xi=split(self._xi(s, grad)), div_xi=split(self._div_xi(s, kf)))
+
     def xi_at(self, points, t: float = 0.0):
         points = np.atleast_2d(np.asarray(points, dtype=float))
         s, grad, _, _ = self.reference.query(points, t)
-        return self.profile.zeta(s)[:, None] * grad
+        return self._xi(s, grad)
 
     def vartheta_at(self, points, t: float = 0.0):
         return self.profile.theta(self.sdist(points, t))
@@ -466,11 +493,7 @@ class Calibration:
         """zeta'(s) |grad s|^2 + zeta(s) * Laplacian(s); zero outside the tube."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
         s, _, _, kf = self.reference.query(points, t)
-        out = np.zeros(len(points))
-        tube = np.abs(s) < self.delta
-        level = kf[tube] / (1.0 + s[tube] * kf[tube])
-        out[tube] = self.profile.zeta_prime(s[tube]) + self.profile.zeta(s[tube]) * level
-        return out
+        return self._div_xi(s, kf)
 
     def d_sstar(self, func, points, t: float = 0.0, step: float | None = None):
         """Directional derivative along tau* by centered differences."""
@@ -502,7 +525,7 @@ class Calibration:
 
     # -- pointwise inequality checks -----------------------------------------
 
-    def pointwise_tilt_check(self, caches: list[GeometryCache], t: float = 0.0,
+    def pointwise_tilt_check(self, sample: TubeSample,
                               test_functions=None) -> PointwiseCheckReport:
         """Evaluate the tilt inequalities at every vertex inside the 2 delta tube.
 
@@ -512,9 +535,7 @@ class Calibration:
         checked = 0
         skipped = 0
         worst = [np.inf, np.inf, np.inf, np.inf]
-        for cache in caches:
-            pts = cache.vertices
-            s, grad, _, _ = self.reference.query(pts, t)
+        for cache, s, grad in zip(sample.caches, sample.s, sample.grad):
             inside = np.abs(s) < 2.0 * self.delta
             skipped += int(np.sum(~inside))
             if not np.any(inside):
@@ -562,12 +583,3 @@ class Calibration:
             slack_derivative=worst[2],
             slack_xi_product=worst[3],
         )
-
-    # -- region helpers for the bulk integrals --------------------------------
-
-    def region_contains(self, points, t: float = 0.0):
-        if isinstance(self.reference, AnalyticCircles):
-            s, _, _, _ = self.reference.query(points, t)
-            return s < 0
-        curve = self.reference.curve_at(t)
-        return region_contains(curve, points)

@@ -22,7 +22,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -86,6 +86,8 @@ def load_scenario(path) -> Scenario:
     except KeyError as exc:
         raise ValueError(f"{path}: missing section {exc}") from exc
 
+    if sc.get("end_time") is None:
+        raise ValueError(f"{path}: [scenario] needs 'end_time'")
     delta_raw = sc.get("delta", "auto").strip()
     circles = []
     for line in ref.get("circles", "").strip().splitlines():
@@ -99,6 +101,9 @@ def load_scenario(path) -> Scenario:
     if braw:
         for line in braw.splitlines():
             vals = line.split()
+            if len(vals) not in (3, 4) or (vals[0] == "auto" and len(vals) != 3):
+                raise ValueError(
+                    f"{path}: bubble line needs 'auto count r' or 'cx cy r [n]': {line!r}")
             if vals[0] == "auto":
                 bubbles.append(("auto", int(vals[1]), float(vals[2])))
             else:
@@ -317,20 +322,19 @@ def evaluate_run(run: fllib.FlowRun, calib, reference, sample_count: int,
         b_field = None
         if not stationary:
             b_field = b_provider(t)
-        rep = enlib.dissipation_report(state.curve, state.caches, calib, b_field,
-                                       t, state.normal_velocity)
-        check = calib.pointwise_tilt_check(state.caches, t)
+        sample = calib.sample(state.caches, t)
+        rep = enlib.dissipation_report(state.curve, sample, calib, b_field,
+                                       state.normal_velocity)
+        check = calib.pointwise_tilt_check(sample)
         worst["pointwise_slack"] = min(worst["pointwise_slack"], check.worst)
         xi_bound = calib.xi_grad_bound(t)
-        bub = enlib.small_component_area_check(
-            state.caches, lambda p: calib.xi_at(p, t), xi_bound)
+        bub = enlib.small_component_area_check(sample, xi_bound)
         applicable = [b.slack for b in bub if b.applicable]
         if applicable:
             worst["bubble_slack"] = min(worst["bubble_slack"], min(applicable))
         if b_field is not None:
-            nb = enlib.nu_dot_B_sums(state.caches, b_field, calib, t,
-                                     f_value=rep.F, e_value=rep.E,
-                                     curve=state.curve)
+            nb = enlib.nu_dot_B_sums(state.caches, b_field, calib, xi_bound,
+                                     f_value=rep.F, e_value=rep.E)
             worst["nu_dot_B_slack_abs"] = min(worst["nu_dot_B_slack_abs"], nb.slack_abs)
             worst["nu_dot_B_slack_scaled"] = min(worst["nu_dot_B_slack_scaled"],
                                                  nb.slack_scaled)
@@ -347,8 +351,7 @@ def evaluate_run(run: fllib.FlowRun, calib, reference, sample_count: int,
                                      if b_field.sup_norm > 0 else None),
             }
         if stationary:
-            lhs, ratio = enlib.stationary_gradient_ratio(state.caches, calib, t)
-            stationary_ratios.append(ratio)
+            stationary_ratios.append(enlib.stationary_gradient_ratio(rep, calib))
         rep.verdicts["pointwise"] = "PASS" if check.worst >= -1e-12 else "FAIL"
         reports.append(rep)
 
@@ -370,8 +373,9 @@ def evaluate_run(run: fllib.FlowRun, calib, reference, sample_count: int,
     for a, b in zip(run.states[:-1], run.states[1:]):
         if b.normal_velocity is None:
             continue
-        residuals.append(fllib.dissipation_identity_residual(a, b))
-        residuals_half.append(fllib.dissipation_identity_residual(a, b, True))
+        full, half = fllib.dissipation_identity_residual(a, b)
+        residuals.append(full)
+        residuals_half.append(half)
 
     clean = {k: (None if not np.isfinite(v) else float(v)) for k, v in worst.items()}
     return {
@@ -468,7 +472,7 @@ def _suite_calibration():
     checks.append(("projection idempotence", idem <= 1e-8 * calib.delta,
                    f"max = {idem:.1e}"))
     caches = geo.build_geometry(geo.PolyCurve([geo.make_wavy_circle(1.0, 0.05, 3, 256)]))
-    rep = calib.pointwise_tilt_check(caches)
+    rep = calib.pointwise_tilt_check(calib.sample(caches))
     checks.append(("pointwise tilt inequalities", rep.worst >= -1e-12,
                    f"worst slack = {rep.worst:.2e}"))
     return checks
@@ -499,7 +503,8 @@ def _suite_energy():
     ref = cblib.AnalyticCircles([cblib.CircleSpec((0, 0), 1.0)])
     calib = cblib.Calibration(ref, 0.25)
     caches = geo.build_geometry(geo.PolyCurve([geo.make_circle((0, 0), 1.0, 256)]))
-    e0 = enlib.relative_energy(caches, calib)
+    sample = calib.sample(caches)
+    e0 = enlib.relative_energy(sample)
     checks.append(("tilt energy vanishes on reference", abs(e0) <= 1e-10,
                    f"E = {e0:.1e}"))
     eps = 0.05
@@ -508,8 +513,9 @@ def _suite_energy():
     f_exact = 2 * np.pi * (eps**2 / 2 + eps**3 / 3)
     rel = abs(f - f_exact) / f_exact
     checks.append(("annulus bulk formula", rel <= 1e-3, f"rel err = {rel:.1e}"))
-    verd = enlib.small_component_area_check(
-        caches, lambda p: np.tile([1.0, 0.0], (len(p), 1)), 0.0)
+    # xi replaced by a constant unit field: the tilt integral is the length
+    unit = replace(sample, xi=(np.tile([1.0, 0.0], (caches[0].n, 1)),))
+    verd = enlib.small_component_area_check(unit, 0.0)
     checks.append(("small-component area bound", verd[0].slack >= 0,
                    f"slack = {verd[0].slack:.2f}"))
     return checks
@@ -547,14 +553,11 @@ def run_compare(weak_dir: str, strong_dir: str, delta: str, out: str | None) -> 
     reference = cblib.PolygonReference(trajectory=strong_traj)
     dval = None if delta == "auto" else float(delta)
     calib = cblib.Calibration(reference, dval)
+    b_provider = make_b_provider(reference, calib.delta)
     reports = []
     for t, curve in zip(weak_traj.times, weak_traj.curves):
-        caches = geo.build_geometry(curve)
-        ref_curve, ref_caches = reference.geometry_at(t)
-        v_star = [geo.VertexField(c.component_index, v)
-                  for c, v in zip(ref_caches, reference.velocity_at(t))]
-        b_field = exlib.build_B(ref_curve, ref_caches, v_star, calib.delta)
-        reports.append(enlib.dissipation_report(curve, caches, calib, b_field, t,
+        sample = calib.sample(geo.build_geometry(curve), t)
+        reports.append(enlib.dissipation_report(curve, sample, calib, b_provider(t),
                                                 weak_traj.v_at(t)))
     gron = enlib.gronwall_verdict(reports)
     out = out or "compare_out"

@@ -11,8 +11,12 @@ small enough and integrated with a degree-5 triangle rule.  Off the delta
 tube of the reference the weight is known exactly, vartheta = delta *
 (1 - 2 chi_B), and is not evaluated.
 
-All inequality checkers report slack and never clamp: a negative slack is a
-finding, not an error.
+The per-sample checkers read one ``calibration.TubeSample`` of the state:
+the relative energy is the sum of its per-component tilt integrals, which
+the small-component bound reads too, and the dissipation report takes
+div xi from it; the stationary gradient ratio is cross_xi / E of that
+report.  All inequality checkers report slack and never clamp: a negative
+slack is a finding, not an error.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateInitialData, NonStationaryReference
-from .calibration import AnalyticCircles, Calibration
+from .calibration import AnalyticCircles, Calibration, TubeSample
 from .geometry import (
     GeometryCache,
     PolyCurve,
@@ -71,14 +75,12 @@ _T7_W = np.array([0.225,
 # relative energy
 # ---------------------------------------------------------------------------
 
-def relative_energy(caches: list[GeometryCache], calib: Calibration,
-                    t: float = 0.0) -> float:
-    """int over the curve of 1 - nu . xi; vertices beyond the tube add 1."""
-    total = 0.0
-    for cache in caches:
-        xi = calib.xi_at(cache.vertices, t)
-        total += integrate(cache, 1.0 - np.sum(cache.nu * xi, axis=1))
-    return float(total)
+def relative_energy(sample: TubeSample) -> float:
+    """int over the curve of 1 - nu . xi; vertices beyond the tube add 1.
+
+    The sum of the per-component tilt integrals in component order.
+    """
+    return float(sum(sample.tilt))
 
 
 # ---------------------------------------------------------------------------
@@ -439,17 +441,18 @@ CSV_COLUMNS = ["t", "E", "F", "L", "A", "D_H", "D_V",
                "cross1", "cross2", "cross3", "verdicts"]
 
 
-def dissipation_report(curve: PolyCurve, caches: list[GeometryCache],
-                       calib: Calibration, b_field, t: float,
-                       v_fields: list[VertexField] | None,
-                       compute_bulk: bool = True) -> EnergyReport:
-    """Assemble the per-sample energy bookkeeping.
+def dissipation_report(curve: PolyCurve, sample: TubeSample, calib: Calibration,
+                       b_field, v_fields: list[VertexField] | None) -> EnergyReport:
+    """Assemble the per-sample energy bookkeeping of ``curve`` at ``sample.t``.
 
+    ``sample`` holds the tube fields at the vertices of ``curve``.
     ``b_field`` may be None for a stationary reference (B = 0); ``v_fields``
     may be None when no velocity data exists (the D_V family is zero then).
     """
-    e_val = relative_energy(caches, calib, t)
-    f_val = bulk_error(curve, calib, t) if compute_bulk else 0.0
+    t = sample.t
+    caches = sample.caches
+    e_val = relative_energy(sample)
+    f_val = bulk_error(curve, calib, t)
     length = sum(c.length for c in caches)
     area = sum(c.area for c in caches)
 
@@ -461,8 +464,7 @@ def dissipation_report(curve: PolyCurve, caches: list[GeometryCache],
     for k, cache in enumerate(caches):
         dkappa = dds(cache, cache.kappa)
         d_h += integrate(cache, dkappa**2)
-        div_xi = calib.div_xi(cache.vertices, t)
-        ddiv = dds(cache, div_xi)
+        ddiv = dds(cache, sample.div_xi[k])
         cross_xi += integrate(cache, ddiv**2)
         if v_fields is not None:
             vf = v_fields[k]
@@ -586,24 +588,15 @@ class NuDotBReport:
 
 
 def nu_dot_B_sums(caches: list[GeometryCache], b_field, calib: Calibration,
-                  t: float = 0.0, f_value: float | None = None,
-                  e_value: float | None = None, curve: PolyCurve | None = None,
-                  quadrature_floor: float | None = None) -> NuDotBReport:
+                  xi_grad_bound: float, f_value: float, e_value: float) -> NuDotBReport:
     """Check both component-flux inequalities with the constructive constants.
 
     First: sum_i |int nu . B| <= (2R/delta) ||div B||_inf F.  Second: the
     length-normalized sum is bounded by the same quantity times ||B||_inf
     plus 34 ||div B||_inf E, splitting components at length 1/||B||_inf.
     Components failing the diameter hypothesis of the small-component bound
-    are counted, not silently dropped.
+    (``xi_grad_bound`` is sup |grad xi|) are counted, not silently dropped.
     """
-    if curve is None:
-        raise ValueError("curve required")
-    if f_value is None:
-        f_value = bulk_error(curve, calib, t)
-    if e_value is None:
-        e_value = relative_energy(caches, calib, t)
-
     fluxes = np.array([edge_flux(b_field.at, c) for c in caches])
     lengths = np.array([c.length for c in caches])
     sum_abs = float(np.sum(np.abs(fluxes)))
@@ -614,17 +607,15 @@ def nu_dot_B_sums(caches: list[GeometryCache], b_field, calib: Calibration,
     sup_b = b_field.sup_norm
     bound_abs = (2.0 * r_supp / calib.delta) * div_sup * f_value
 
-    xi_lip = calib.xi_grad_bound(t)
     hyp_fail = 0
     for c in caches:
         if sup_b > 0 and c.length <= 1.0 / sup_b:
-            if c.diameter > 1.0 / (2.0 * xi_lip):
+            if c.diameter > 1.0 / (2.0 * xi_grad_bound):
                 hyp_fail += 1
     bound_scaled = sup_b * bound_abs + 34.0 * div_sup * e_value
 
-    if quadrature_floor is None:
-        # 4-point Gauss flux error floor for analytic integrands
-        quadrature_floor = 1e-9 * max(sup_b, 1.0) * float(np.sum(lengths))
+    # 4-point Gauss flux error floor for analytic integrands
+    quadrature_floor = 1e-9 * max(sup_b, 1.0) * float(np.sum(lengths))
     return NuDotBReport(
         sum_abs=sum_abs, sum_scaled=sum_scaled,
         bound_abs=bound_abs, bound_scaled=bound_scaled,
@@ -647,15 +638,13 @@ class BubbleVerdict:
     slack: float
 
 
-def small_component_area_check(caches: list[GeometryCache], xi_eval,
-                       xi_grad_bound: float) -> list[BubbleVerdict]:
+def small_component_area_check(sample: TubeSample,
+                               xi_grad_bound: float) -> list[BubbleVerdict]:
     """length <= 34 int (1 - xi . nu) for components small against 1/(2|grad xi|)."""
     out = []
-    for cache in caches:
+    for cache, tilt in zip(sample.caches, sample.tilt):
         applicable = (xi_grad_bound <= 0.0
                       or cache.diameter <= 1.0 / (2.0 * xi_grad_bound))
-        xi = np.asarray(xi_eval(cache.vertices))
-        tilt = integrate(cache, 1.0 - np.sum(xi * cache.nu, axis=1))
         slack = 34.0 * tilt - cache.length
         out.append(BubbleVerdict(component=cache.component_index,
                                  applicable=bool(applicable),
@@ -669,32 +658,23 @@ def small_component_area_check(caches: list[GeometryCache], xi_eval,
 # stationary-reference gradient bound
 # ---------------------------------------------------------------------------
 
-def stationary_gradient_ratio(caches: list[GeometryCache], calib: Calibration,
-                          t: float = 0.0):
-    """(int |d(div xi)/ds|^2, ratio to E) for a stationary reference.
+def stationary_gradient_ratio(report: EnergyReport, calib: Calibration) -> float:
+    """int |d(div xi)/ds|^2 over E for a stationary reference, from one report.
 
     The bound with a reference-only constant needs the reference curvature
     gradient to vanish; circles qualify, anything else is rejected.
     """
     ref = calib.reference
-    if isinstance(ref, AnalyticCircles):
-        pass
-    else:
+    if not isinstance(ref, AnalyticCircles):
         if not ref.stationary:
             raise NonStationaryReference("reference evolves in time")
-        _, ref_caches = ref.geometry_at(t)
+        _, ref_caches = ref.geometry_at(report.t)
         for cache in ref_caches:
             grad = dds(cache, cache.kappa)
             if np.max(np.abs(grad)) > 1e-3 * max(1.0, np.max(np.abs(cache.kappa))):
                 raise NonStationaryReference(
                     "reference curvature is not constant per component")
-    lhs = 0.0
-    for cache in caches:
-        div_xi = calib.div_xi(cache.vertices, t)
-        lhs += integrate(cache, dds(cache, div_xi)**2)
-    e_val = relative_energy(caches, calib, t)
-    ratio = lhs / e_val if e_val > 0 else 0.0
-    return float(lhs), float(ratio)
+    return report.cross_xi / report.E if report.E > 0 else 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -363,16 +363,15 @@ def make_reference(config: FlowConfig, initial: PolyCurve,
     return run_flow(initial, config, sample_stride, stop_condition).trajectory
 
 
-def dissipation_identity_residual(before: FlowState, after: FlowState,
-                                  half_weighted: bool = False) -> float:
-    """|dL/dt + int |d kappa/ds|^2| across one accepted step.
+def dissipation_identity_residual(before: FlowState,
+                                  after: FlowState) -> tuple[float, float]:
+    """|dL/dt + int |d kappa/ds|^2| across one accepted step, and its half form.
 
-    The dissipation integral is evaluated at the midpoint geometry.  With
-    ``half_weighted`` the relation uses (1/2)(int |d kappa/ds|^2 +
-    int |d phi_V/ds|^2) instead, the form that splits the rate between the
-    curvature gradient and the velocity potential; both are reported by the
-    scenario runner because the discrete scheme need not satisfy either
-    sharply.
+    The dissipation integrals are evaluated at the midpoint geometry.  The
+    half form uses (1/2)(int |d kappa/ds|^2 + int |d phi_V/ds|^2) instead,
+    which splits the rate between the curvature gradient and the velocity
+    potential; the scenario runner reports both because the discrete scheme
+    need not satisfy either sharply.  Returns (full, half).
     """
     dt = after.time - before.time
     if dt <= 0:
@@ -381,17 +380,13 @@ def dissipation_identity_residual(before: FlowState, after: FlowState,
                  for a, b in zip(before.curve.components, after.curve.components)]
     mid_caches = build_geometry(PolyCurve(mid_comps))
     d_h = sum(integrate(c, dds(c, c.kappa) ** 2) for c in mid_caches)
-    if half_weighted:
-        d_v = 0.0
-        for cache, vf in zip(mid_caches, after.normal_velocity or []):
-            vals = vf.values - integrate(cache, vf.values) / cache.length
-            phi = velocity_potential(cache, VertexField(vf.component_id, vals))
-            d_v += integrate(cache, dds(cache, phi.values) ** 2)
-        diss = 0.5 * (d_h + d_v)
-    else:
-        diss = d_h
+    d_v = 0.0
+    for cache, vf in zip(mid_caches, after.normal_velocity or []):
+        vals = vf.values - integrate(cache, vf.values) / cache.length
+        phi = velocity_potential(cache, VertexField(vf.component_id, vals))
+        d_v += integrate(cache, dds(cache, phi.values) ** 2)
     rate = (after.length() - before.length()) / dt
-    return float(abs(rate + diss))
+    return float(abs(rate + d_h)), float(abs(rate + 0.5 * (d_h + d_v)))
 
 
 def volume_drift(trajectory: Trajectory) -> float:

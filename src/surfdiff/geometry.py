@@ -538,22 +538,22 @@ def jordan_decompose(curve: PolyCurve) -> JordanForest:
     """Classify components into nested Jordan boundaries by containment parity."""
     k = curve.ncomponents
     comps = curve.components
-    contains = np.zeros((k, k), dtype=bool)
-    for i in range(k):
-        probe = comps[i].vertices[0]
-        for j in range(k):
-            if i == j:
-                continue
-            d = _point_segment_dist(
-                probe[None, :],
-                comps[j].vertices,
-                np.roll(comps[j].vertices, -1, axis=0),
-            ).min()
-            if d < NESTING_TOL:
-                raise AmbiguousNesting(
-                    f"vertex of component {i} lies within {NESTING_TOL} of component {j}"
-                )
-            contains[j, i] = bool(points_in_component(probe[None, :], comps[j].vertices)[0])
+    starts, ends, comp_of, local_of = curve.segments
+    # probe i is the first vertex of component i; its own component is skipped
+    probes = starts[local_of == 0]
+    off = np.flatnonzero(local_of == 0)
+    dist = np.minimum.reduceat(
+        _point_segment_dist(probes[:, None, :], starts[None, :, :], ends[None, :, :]),
+        off, axis=1)
+    np.fill_diagonal(dist, np.inf)
+    near = np.argwhere(dist < NESTING_TOL)
+    if len(near):
+        i, j = near[0]
+        raise AmbiguousNesting(
+            f"vertex of component {i} lies within {NESTING_TOL} of component {j}"
+        )
+    contains = crossing_parity(probes, starts, ends, comp_of, k).T
+    np.fill_diagonal(contains, False)
 
     depth = contains.sum(axis=0).astype(int)
     parent = [-1] * k
@@ -738,9 +738,6 @@ class CurveIndex:
         """Linear interpolation of per-vertex data along the foot segment."""
         vals = np.concatenate(fields)
         return (1.0 - t) * vals[seg] + t * vals[self.next_of[seg]]
-
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        return region_contains(self.curve, points)
 
 
 # ---------------------------------------------------------------------------

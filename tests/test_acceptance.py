@@ -146,7 +146,7 @@ def test_criterion_03_dissipation_identity_convergence():
     residuals = []
     for dt in (2e-3, 1e-3, 5e-4):
         after = fl.step(state, fl.FlowConfig(dt=dt, end_time=10.0), dt)
-        residuals.append(fl.dissipation_identity_residual(state, after))
+        residuals.append(fl.dissipation_identity_residual(state, after)[0])
     ratios = [fine / coarse for coarse, fine in zip(residuals[:-1], residuals[1:])]
     ok = all(0.35 <= r <= 0.65 for r in ratios)
     _line(3, ok, f"residuals {['%.3e' % r for r in residuals]}, "
@@ -237,7 +237,7 @@ def test_criterion_08_pointwise_inequalities(stationary_scenario,
         for _, s in level["runs"].values():
             worst = min(worst, s["worst_slacks"]["pointwise_slack"])
     shifted = geo.build_geometry(geo.PolyCurve([geo.make_circle((0.05, 0), 1.0, 256)]))
-    rep = circle_calibration.pointwise_tilt_check(shifted)
+    rep = circle_calibration.pointwise_tilt_check(circle_calibration.sample(shifted))
     worst = min(worst, rep.worst)
     _line(8, worst >= -1e-12,
           f"worst pointwise slack over all scenarios {worst:.3e} (>= 0)")
@@ -257,7 +257,7 @@ def test_criterion_09_stationary_stability(stationary_scenario):
     floor = 1e-7
     worst_u = 0.0
     for state in run_u.states[:: max(1, len(run_u.states) // 10)]:
-        e_val = en.relative_energy(state.caches, calib)
+        e_val = en.relative_energy(calib.sample(state.caches))
         f_val = en.bulk_error(state.curve, calib, reference_resolution=1024)
         worst_u = max(worst_u, e_val + f_val)
     ok = (iso <= 1.0001 and gron["verdict"] == "PASS"

@@ -276,7 +276,7 @@ TEST_FUNCTIONS = [
 
 def test_pointwise_check_on_reference(circle_calibration, unit_circle_256):
     _, caches = unit_circle_256
-    rep = circle_calibration.pointwise_tilt_check(caches,
+    rep = circle_calibration.pointwise_tilt_check(circle_calibration.sample(caches),
                                                    test_functions=TEST_FUNCTIONS)
     assert rep.checked == 256
     assert rep.worst >= -1e-12
@@ -284,7 +284,7 @@ def test_pointwise_check_on_reference(circle_calibration, unit_circle_256):
 
 def test_pointwise_check_translated_circle(circle_calibration):
     caches = geo.build_geometry(geo.PolyCurve([geo.make_circle((0.05, 0), 1.0, 256)]))
-    rep = circle_calibration.pointwise_tilt_check(caches,
+    rep = circle_calibration.pointwise_tilt_check(circle_calibration.sample(caches),
                                                    test_functions=TEST_FUNCTIONS)
     assert rep.worst >= -1e-12
     assert rep.skipped == 0
@@ -304,7 +304,8 @@ def test_pointwise_check_random_lipschitz_fields(circle_calibration):
                 a[0] * np.cos(p[:, 0]) + a[2] * p[:, 1],
                 -2 * a[1] * np.sin(2 * p[:, 1]) + a[2] * p[:, 0] + a[3]]),
         ))
-    rep = circle_calibration.pointwise_tilt_check(caches, test_functions=funcs)
+    rep = circle_calibration.pointwise_tilt_check(circle_calibration.sample(caches),
+                                                   test_functions=funcs)
     assert rep.worst >= -1e-12
 
 
@@ -314,7 +315,7 @@ def test_pointwise_check_counts_far_vertices(circle_calibration):
         geo.make_circle((0, 0), 1.0, 64),
         geo.make_circle((4.0, 0), 0.2, 32),
     ]))
-    rep = calib.pointwise_tilt_check(caches)
+    rep = calib.pointwise_tilt_check(calib.sample(caches))
     assert rep.skipped == 32
     assert rep.checked == 64
 
@@ -323,7 +324,7 @@ def test_xi_alignment_product_bound(circle_calibration):
     # xi . (nu - xi) <= zeta (1 - zeta) vertexwise
     caches = geo.build_geometry(
         geo.PolyCurve([geo.make_wavy_circle(1.0, 0.08, 4, 256)]))
-    rep = circle_calibration.pointwise_tilt_check(caches)
+    rep = circle_calibration.pointwise_tilt_check(circle_calibration.sample(caches))
     assert rep.slack_xi_product >= -1e-12
 
 

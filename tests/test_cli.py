@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from surfdiff import calibration as cb
 from surfdiff import cli
 from surfdiff import flow as fl
 from surfdiff import geometry as geo
@@ -71,6 +72,21 @@ def test_load_scenario_missing_section(tmp_path):
     bad = tmp_path / "bad.ini"
     bad.write_text("[scenario]\nname = x\nend_time = 1\n")
     with pytest.raises(ValueError):
+        cli.load_scenario(bad)
+
+
+def test_load_scenario_missing_end_time(tmp_path):
+    bad = tmp_path / "no_end.ini"
+    bad.write_text(STATIONARY_INI.replace("end_time = 0.01\n", ""))
+    with pytest.raises(ValueError, match="end_time"):
+        cli.load_scenario(bad)
+
+
+@pytest.mark.parametrize("line", ["1.5 1.5", "auto 4"])
+def test_load_scenario_short_bubble_line(tmp_path, line):
+    bad = tmp_path / "short_bubble.ini"
+    bad.write_text(STATIONARY_INI + f"bubbles = {line}\n")
+    with pytest.raises(ValueError, match=line):
         cli.load_scenario(bad)
 
 
@@ -159,6 +175,39 @@ def test_verify_unknown_suite():
 def test_verify_cli_exit_codes():
     assert cli.main(["verify", "geometry"]) == 0
     assert cli.main(["verify", "does-not-exist"]) == 2
+
+
+def test_evaluate_run_evaluates_each_sample_once(monkeypatch):
+    # every checker reads one reference query of the sample's vertices, and
+    # each residual pair builds its midpoint geometry once
+    ref = cb.AnalyticCircles([cb.CircleSpec((0.0, 0.0), 1.0)])
+    calib = cb.Calibration(ref, 0.25)
+    curve = geo.PolyCurve([geo.make_wavy_circle(1.0, 0.04, 3, 64, normalize_area=True)])
+    run = fl.run_flow(curve, fl.FlowConfig(dt=1e-4, end_time=0.002), sample_stride=1,
+                      max_samples=40)
+    vertex_sets = [state.curve.components[0].vertices for state in run.states]
+    vertex_queries = []
+    query = ref.query
+
+    def counting_query(points, t=0.0):
+        if any(np.array_equal(points, v) for v in vertex_sets):
+            vertex_queries.append(t)
+        return query(points, t)
+
+    builds = []
+    build = fl.build_geometry
+
+    def counting_build(c):
+        builds.append(c)
+        return build(c)
+
+    monkeypatch.setattr(ref, "query", counting_query)
+    monkeypatch.setattr(fl, "build_geometry", counting_build)
+    cli.evaluate_run(run, calib, ref, 10)
+    assert len(run.states) > 10
+    assert len(vertex_queries) == len(set(vertex_queries)) == 10
+    pairs = sum(state.normal_velocity is not None for state in run.states[1:])
+    assert len(builds) == pairs > 0
 
 
 def test_compare_command(tmp_path):

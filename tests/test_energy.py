@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,7 @@ from conftest import vertex_angles
 
 def test_energy_zero_on_reference(unit_circle_256, circle_calibration):
     _, caches = unit_circle_256
-    assert en.relative_energy(caches, circle_calibration) <= 1e-10
+    assert en.relative_energy(circle_calibration.sample(caches)) <= 1e-10
 
 
 def test_energy_order_h2_for_matching_polygon(circle_calibration):
@@ -29,14 +31,14 @@ def test_energy_order_h2_for_matching_polygon(circle_calibration):
     vals = []
     for n in (128, 256, 512):
         caches = geo.build_geometry(geo.PolyCurve([geo.make_circle((0, 0), 1.0, n)]))
-        vals.append(en.relative_energy(caches, circle_calibration))
+        vals.append(en.relative_energy(circle_calibration.sample(caches)))
     assert all(abs(v) <= 1e-3 for v in vals)
 
 
 def test_energy_translated_circle_vs_dense_oracle(circle_calibration):
     eps = 0.05
     caches = geo.build_geometry(geo.PolyCurve([geo.make_circle((eps, 0), 1.0, 256)]))
-    value = en.relative_energy(caches, circle_calibration)
+    value = en.relative_energy(circle_calibration.sample(caches))
     # dense quadrature oracle with 10^4 points on the analytic shifted circle
     t = 2 * np.pi * np.arange(10**4) / 10**4
     pts = np.column_stack([eps + np.cos(t), np.sin(t)])
@@ -54,8 +56,8 @@ def test_energy_far_bubble_adds_exact_length(circle_calibration):
     base = geo.build_geometry(geo.PolyCurve([geo.make_circle((0, 0), 1.0, 256)]))
     withb = geo.build_geometry(geo.PolyCurve([geo.make_circle((0, 0), 1.0, 256),
                                               geo.make_circle((3, 0), 0.1, 64)]))
-    e_base = en.relative_energy(base, circle_calibration)
-    e_with = en.relative_energy(withb, circle_calibration)
+    e_base = en.relative_energy(circle_calibration.sample(base))
+    e_with = en.relative_energy(circle_calibration.sample(withb))
     assert e_with - e_base == pytest.approx(withb[1].length, abs=1e-14)
 
 
@@ -66,20 +68,20 @@ def test_energy_nonnegative_random_curves(circle_calibration):
         mode = rng.integers(2, 6)
         caches = geo.build_geometry(
             geo.PolyCurve([geo.make_wavy_circle(1.0, amp, int(mode), 128)]))
-        assert en.relative_energy(caches, circle_calibration) >= -1e-12
+        assert en.relative_energy(circle_calibration.sample(caches)) >= -1e-12
 
 
 def test_energy_vanishes_iff_on_reference(circle_calibration):
     # forward: the reference polygon itself sits at the floor
     on_ref = geo.build_geometry(geo.PolyCurve([geo.make_circle((0, 0), 1.0, 256)]))
-    assert en.relative_energy(on_ref, circle_calibration) <= 1e-10
+    assert en.relative_energy(circle_calibration.sample(on_ref)) <= 1e-10
     # converse at discretization tolerance: any displaced or tilted curve
     # carries an excess well above the floor
     for curve in (geo.PolyCurve([geo.make_circle((0.02, 0), 1.0, 256)]),
                   geo.PolyCurve([geo.make_wavy_circle(1.0, 0.02, 3, 256)]),
                   geo.PolyCurve([geo.make_circle((0, 0), 1.03, 256)])):
         caches = geo.build_geometry(curve)
-        assert en.relative_energy(caches, circle_calibration) >= 1e-5
+        assert en.relative_energy(circle_calibration.sample(caches)) >= 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +245,8 @@ def test_candidate_clip_equals_full_polygon_clip(seed, clockwise):
 def test_dissipation_report_stationary(unit_circle_256, circle_calibration):
     curve, caches = unit_circle_256
     v = [geo.VertexField(0, np.zeros(caches[0].n))]
-    rep = en.dissipation_report(curve, caches, circle_calibration, None, 0.0, v)
+    rep = en.dissipation_report(curve, circle_calibration.sample(caches), circle_calibration,
+                                None, v)
     assert rep.E <= 1e-6
     assert rep.F <= 1e-6
     assert rep.D_H <= 1e-6
@@ -256,8 +259,8 @@ def test_dissipation_report_stationary(unit_circle_256, circle_calibration):
 def test_dissipation_dh_matches_bruteforce(circle_calibration):
     curve = geo.PolyCurve([geo.make_wavy_circle(1.0, 0.05, 3, 256)])
     caches = geo.build_geometry(curve)
-    rep = en.dissipation_report(curve, caches, circle_calibration, None, 0.0,
-                                None, compute_bulk=False)
+    rep = en.dissipation_report(curve, circle_calibration.sample(caches), circle_calibration,
+                                None, None)
     # independent quadrature loop
     cache = caches[0]
     total = 0.0
@@ -274,10 +277,9 @@ def test_dissipation_velocity_scaling(unit_circle_256, circle_calibration):
     theta = vertex_angles(caches[0])
     v1 = [geo.VertexField(0, np.cos(2 * theta))]
     v2 = [geo.VertexField(0, 2 * np.cos(2 * theta))]
-    r1 = en.dissipation_report(curve, caches, circle_calibration, None, 0.0, v1,
-                               compute_bulk=False)
-    r2 = en.dissipation_report(curve, caches, circle_calibration, None, 0.0, v2,
-                               compute_bulk=False)
+    sample = circle_calibration.sample(caches)
+    r1 = en.dissipation_report(curve, sample, circle_calibration, None, v1)
+    r2 = en.dissipation_report(curve, sample, circle_calibration, None, v2)
     assert r2.D_V == pytest.approx(4.0 * r1.D_V, rel=1e-12)
 
 
@@ -348,7 +350,7 @@ def test_edge_flux_identity_field(unit_circle_256):
 
 
 def test_nu_dot_b_sums_zero_field(unit_circle_256, circle_calibration):
-    curve, caches = unit_circle_256
+    _, caches = unit_circle_256
 
     class ZeroField:
         support_radius = 10.0
@@ -358,8 +360,8 @@ def test_nu_dot_b_sums_zero_field(unit_circle_256, circle_calibration):
         def at(self, pts):
             return np.zeros_like(np.atleast_2d(pts))
 
-    rep = en.nu_dot_B_sums(caches, ZeroField(), circle_calibration, 0.0,
-                           f_value=0.0, e_value=0.0, curve=curve)
+    rep = en.nu_dot_B_sums(caches, ZeroField(), circle_calibration,
+                           circle_calibration.xi_grad_bound(), f_value=0.0, e_value=0.0)
     assert rep.sum_abs == 0.0
     assert rep.sum_scaled == 0.0
 
@@ -369,8 +371,10 @@ def test_nu_dot_b_sums_with_disk_field(circle_calibration):
     shifted = geo.PolyCurve([geo.make_circle((0.03, 0), 1.0, 256),
                              geo.make_circle((2.6, 0), 0.015, 24)])
     scaches = geo.build_geometry(shifted)
-    rep = en.nu_dot_B_sums(scaches, field, circle_calibration, 0.0,
-                           curve=shifted)
+    rep = en.nu_dot_B_sums(scaches, field, circle_calibration,
+                           circle_calibration.xi_grad_bound(),
+                           f_value=en.bulk_error(shifted, circle_calibration),
+                           e_value=en.relative_energy(circle_calibration.sample(scaches)))
     assert rep.slack_abs >= 0.0
     assert rep.slack_scaled >= 0.0
     assert rep.hypothesis_failures == 0
@@ -388,10 +392,11 @@ def _build_disk_bundle():
 # small-component area bound
 # ---------------------------------------------------------------------------
 
-def test_bubble_lemma_constant_direction(unit_circle_256):
+def test_bubble_lemma_constant_direction(unit_circle_256, circle_calibration):
     _, caches = unit_circle_256
-    verdicts = en.small_component_area_check(
-        caches, lambda p: np.tile([0.3, -0.5], (len(p), 1)), 0.0)
+    constant = replace(circle_calibration.sample(caches),
+                       xi=(np.tile([0.3, -0.5], (caches[0].n, 1)),))
+    verdicts = en.small_component_area_check(constant, 0.0)
     assert verdicts[0].applicable
     assert verdicts[0].slack >= 0.0
     # constant field: the tilt integral equals the length exactly at the
@@ -402,8 +407,7 @@ def test_bubble_lemma_constant_direction(unit_circle_256):
 def test_bubble_lemma_far_tiny_circle(circle_calibration):
     caches = geo.build_geometry(geo.PolyCurve([geo.make_circle((3, 0), 0.01, 24)]))
     verdicts = en.small_component_area_check(
-        caches, lambda p: circle_calibration.xi_at(p),
-        circle_calibration.xi_grad_bound())
+        circle_calibration.sample(caches), circle_calibration.xi_grad_bound())
     assert verdicts[0].applicable
     assert verdicts[0].slack >= 0.0
 
@@ -419,8 +423,7 @@ def test_bubble_lemma_randomized_in_tube(circle_calibration):
         r_b = rng.uniform(0.004, 0.015)
         c = (rad * np.cos(ang), rad * np.sin(ang))
         caches = geo.build_geometry(geo.PolyCurve([geo.make_circle(c, r_b, 24)]))
-        verdicts = en.small_component_area_check(
-            caches, lambda p: circle_calibration.xi_at(p), bound)
+        verdicts = en.small_component_area_check(circle_calibration.sample(caches), bound)
         assert verdicts[0].applicable
         worst = min(worst, verdicts[0].slack)
     assert worst >= 0.0
@@ -431,28 +434,36 @@ def test_bubble_lemma_randomized_in_tube(circle_calibration):
 # ---------------------------------------------------------------------------
 
 def test_lemma32_on_reference(unit_circle_256, circle_calibration):
-    _, caches = unit_circle_256
-    lhs, _ = en.stationary_gradient_ratio(caches, circle_calibration)
+    curve, caches = unit_circle_256
+    rep = en.dissipation_report(curve, circle_calibration.sample(caches), circle_calibration,
+                                None, None)
+    lhs = rep.cross_xi
     assert lhs <= 1e-6
 
 
 def test_lemma32_ratio_bounded_over_sweep(circle_calibration):
     ratios = []
     for amp in (0.01, 0.02, 0.04):
-        caches = geo.build_geometry(
-            geo.PolyCurve([geo.make_wavy_circle(1.0, amp, 3, 256)]))
-        _, ratio = en.stationary_gradient_ratio(caches, circle_calibration)
+        curve = geo.PolyCurve([geo.make_wavy_circle(1.0, amp, 3, 256)])
+        caches = geo.build_geometry(curve)
+        rep = en.dissipation_report(curve, circle_calibration.sample(caches),
+                                    circle_calibration, None, None)
+        ratio = en.stationary_gradient_ratio(rep, circle_calibration)
         ratios.append(ratio)
     assert max(ratios) / min(ratios) <= 4.0
 
 
 def test_lemma32_far_bubble_lowers_ratio(circle_calibration):
-    base = geo.build_geometry(geo.PolyCurve([geo.make_wavy_circle(1.0, 0.02, 3, 256)]))
-    lhs0, ratio0 = en.stationary_gradient_ratio(base, circle_calibration)
-    withb = geo.build_geometry(geo.PolyCurve([
+    def lhs_and_ratio(curve):
+        caches = geo.build_geometry(curve)
+        rep = en.dissipation_report(curve, circle_calibration.sample(caches),
+                                    circle_calibration, None, None)
+        return rep.cross_xi, en.stationary_gradient_ratio(rep, circle_calibration)
+
+    lhs0, ratio0 = lhs_and_ratio(geo.PolyCurve([geo.make_wavy_circle(1.0, 0.02, 3, 256)]))
+    lhs1, ratio1 = lhs_and_ratio(geo.PolyCurve([
         geo.make_wavy_circle(1.0, 0.02, 3, 256),
         geo.make_circle((3, 0), 0.1, 64)]))
-    lhs1, ratio1 = en.stationary_gradient_ratio(withb, circle_calibration)
     assert lhs1 == pytest.approx(lhs0, rel=1e-10)   # xi vanishes on the bubble
     assert ratio1 < ratio0
 
@@ -465,9 +476,11 @@ def test_lemma32_rejects_moving_reference():
     traj = fl.make_reference(cfg, curve, sample_stride=10)
     ref = cb.PolygonReference(trajectory=traj)
     calib = cb.Calibration(ref)
-    caches = geo.build_geometry(geo.PolyCurve([geo.make_ellipse(2.0, 1.0, 64)]))
+    weak = geo.PolyCurve([geo.make_ellipse(2.0, 1.0, 64)])
+    rep = en.dissipation_report(weak, calib.sample(geo.build_geometry(weak)), calib,
+                                None, None)
     with pytest.raises(NonStationaryReference):
-        en.stationary_gradient_ratio(caches, calib)
+        en.stationary_gradient_ratio(rep, calib)
 
 
 # ---------------------------------------------------------------------------

@@ -104,7 +104,7 @@ def test_dissipation_residual_stationary():
     cfg = fl.FlowConfig(dt=1e-3, end_time=1.0)
     s0 = fl.FlowState.initial(curve)
     s1 = fl.step(s0, cfg)
-    assert fl.dissipation_identity_residual(s0, s1) <= 1e-8
+    assert fl.dissipation_identity_residual(s0, s1)[0] <= 1e-8
 
 
 def test_dissipation_sign_every_step(ellipse_run):
@@ -124,7 +124,7 @@ def test_dissipation_residual_halves_with_dt():
     for dt in (2e-3, 1e-3, 5e-4):
         cfg = fl.FlowConfig(dt=dt, end_time=10.0)
         after = fl.step(state, cfg, dt)
-        residuals.append(fl.dissipation_identity_residual(state, after))
+        residuals.append(fl.dissipation_identity_residual(state, after)[0])
     for coarse, fine in zip(residuals[:-1], residuals[1:]):
         assert 0.35 * coarse <= fine <= 0.65 * coarse
 
@@ -134,8 +134,7 @@ def test_half_weighted_residual_reported(ellipse_run):
     a, b = states[-2], states[-1]
     if b.normal_velocity is None:
         pytest.skip("no velocity on sample")
-    full = fl.dissipation_identity_residual(a, b)
-    half = fl.dissipation_identity_residual(a, b, half_weighted=True)
+    full, half = fl.dissipation_identity_residual(a, b)
     assert np.isfinite(full) and np.isfinite(half)
 
 

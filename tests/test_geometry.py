@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -520,3 +520,62 @@ def test_curve_index_coarse_vertices_on_fine_polygon():
     # level and only norm(point - foot) keeps |grad s| at 1
     starts, ends, _, _ = fine.segments
     _check_index(fine, np.vstack([coarse, 0.5 * (starts + ends)]))
+
+
+# ---------------------------------------------------------------------------
+# embeddedness against the brute-force segment clearance
+# ---------------------------------------------------------------------------
+
+def _tipped_star(rng, n, center, flip):
+    # vertex 0 sits at distance 1 along +x (-x when flipped), every other
+    # vertex within 0.9 of the centre: the tip is the component's unique
+    # extreme point in that direction
+    ang = 2 * np.pi * (np.arange(n) + 0.8 * rng.uniform(size=n)) / n
+    ang[0] = 0.0
+    rad = rng.uniform(0.5, 0.9, n)
+    rad[0] = 1.0
+    v = np.column_stack([rad * np.cos(ang), rad * np.sin(ang)])
+    return geo.Component(np.asarray(center) + (-v if flip else v), 1)
+
+
+def _brute_clearance(curve):
+    """Least distance over all segment pairs that are not cyclic neighbours."""
+    starts, ends, comp_of, local_of = curve.segments
+    i, j = np.triu_indices(len(starts), k=1)
+    n = np.bincount(comp_of)[comp_of[i]]
+    gap = np.abs(local_of[i] - local_of[j])
+    adjacent = (comp_of[i] == comp_of[j]) & ((gap <= 1) | (gap >= n - 1))
+    i, j = i[~adjacent], j[~adjacent]
+    return float(geo._segment_segment_dist(starts[i], ends[i], starts[j], ends[j]).min())
+
+
+@ORACLE
+@given(st.integers(8, 40), st.integers(8, 40),
+       st.sampled_from(["gap", "overlap", "twist", "none"]), st.integers(-14, -6),
+       st.integers(0, 2), st.integers(0, 2**32 - 1))
+def test_check_embedded_star_forests(n_a, n_b, inject, exponent, n_bubbles, seed):
+    rng = np.random.default_rng(seed)
+    comps = [_tipped_star(rng, n_a, (0.0, 0.0), False)]
+    if inject != "twist":
+        # a second star faces the first tip to tip across a gap of
+        # 10**exponent, or overlaps it by as much (a crossing)
+        gap = {"none": 0.5, "gap": 10.0 ** exponent, "overlap": -10.0 ** exponent}[inject]
+        comps.append(_tipped_star(rng, n_b, (2.0 + gap, 0.0), True))
+    else:
+        # vertices k and k + 2 swapped: the chords into and out of the
+        # swapped pair interleave in angle, mostly a self-crossing
+        v = comps[0].vertices.copy()
+        k = int(rng.integers(1, n_a - 2))
+        v[[k, k + 2]] = v[[k + 2, k]]
+        comps[0] = geo.Component(v, 1)
+    for i in range(n_bubbles):
+        comps.append(_star(rng, int(rng.integers(8, 25)), (1.0, 2.0 + i), 0.1, 0.3))
+    curve = geo.PolyCurve(comps)
+    tol = geo.SIMPLICITY_TOL_REL * _brute_diameter(curve.segments[0])
+    clearance = _brute_clearance(curve)
+    assume(clearance < 0.1 * tol or clearance > 10.0 * tol)
+    if clearance < tol:
+        with pytest.raises(SelfIntersection):
+            geo.check_embedded(curve)
+    else:
+        geo.check_embedded(curve)
