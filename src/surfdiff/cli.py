@@ -282,7 +282,11 @@ def _quadrature_floor(caches, reference) -> float:
 
 
 def make_b_provider(reference, delta):
-    """Time-keyed cache of extension fields built on the reference."""
+    """Time-keyed cache of extension fields built on the reference.
+
+    One provider can serve every weak run compared against the same
+    reference: runs sampled at the same times then share each field.
+    """
     cache: dict = {}
 
     def provider(t: float):

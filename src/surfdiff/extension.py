@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import NonZeroMean, RankDeficient
 from .geometry import (
@@ -30,7 +29,7 @@ from .geometry import (
     field_mean,
     integrate,
 )
-from .poisson import solve_zero_average
+from .poisson import PeriodicSpline, solve_zero_average
 
 
 def _smoothstep(u):
@@ -38,31 +37,11 @@ def _smoothstep(u):
     return u**3 * (6.0 * u * u - 15.0 * u + 10.0)
 
 
-class _PeriodicSpline:
-    """Periodic cubic interpolation of per-vertex data in arc length."""
-
-    def __init__(self, cache: GeometryCache, values: np.ndarray):
-        s = np.concatenate([cache.arc_positions, [cache.length]])
-        v = np.concatenate([values, values[:1]])
-        self._spline = CubicSpline(s, v, bc_type="periodic")
-        self.length = cache.length
-
-    def __call__(self, s):
-        return self._spline(np.mod(s, self.length))
-
-
-@dataclass
-class _BoundaryData:
-    """Per-component splines of the boundary traces feeding the tube Taylor."""
-
-    g: _PeriodicSpline        # tangential derivative of the potential
-    v: _PeriodicSpline        # normal derivative (the prescribed velocity)
-    dg: _PeriodicSpline
-    dv: _PeriodicSpline
-    ddg: _PeriodicSpline
-    ddv: _PeriodicSpline
-    kappa: _PeriodicSpline
-    dkappa: _PeriodicSpline
+def _arc_spline(caches: list[GeometryCache], values) -> PeriodicSpline:
+    """Periodic cubic interpolant in arc length of stacked per-vertex data."""
+    return PeriodicSpline(np.concatenate([c.arc_positions for c in caches]),
+                          np.array([c.length for c in caches]),
+                          [c.n for c in caches], values)
 
 
 @dataclass
@@ -76,8 +55,11 @@ class BField:
     mu: np.ndarray                   # per-component solvability constants
     fine_points: np.ndarray
     fine_charge: np.ndarray
-    boundary: list[_BoundaryData]
-    pos_splines: list[tuple]         # periodic (x(s), y(s)) per component
+    # boundary traces feeding the tube Taylor, one column each: g (the
+    # tangential derivative of the potential), v (the prescribed normal
+    # velocity), dg, dv, ddg, ddv, kappa, dkappa
+    boundary: PeriodicSpline
+    position: PeriodicSpline         # (x(s), y(s)) of every component
     delta: float
     support_center: np.ndarray
     support_radius: float            # reported R: the field vanishes beyond it
@@ -116,48 +98,30 @@ class BField:
         arc, h = self._arc_table
         return arc[seg] + tpar * h[seg]
 
-    def smooth_foot(self, points, s_poly, seg, tpar):
+    def smooth_foot(self, points, seg, tpar):
         """Newton-refined closest point on the position splines.
 
         The polygon's closest-point map has flat spots in the vertex normal
         fans; projecting onto the interpolating spline removes them, which
         matters wherever the tube expansion or its arc derivative is used.
-        Returns (signed distance, foot arc, component id, tau, nu).
+        ``seg`` and ``tpar`` give each point's polygon foot.  Returns
+        (signed distance, foot arc, component id, tau, nu).
         """
         points = np.atleast_2d(points)
-        arc = self._foot_arc_raw(seg, tpar)
+        a = self._foot_arc_raw(seg, tpar)
         comp = self.index.seg_comp[seg]
-        s_out = np.array(s_poly, dtype=float)
-        tau = np.empty_like(points)
-        nu = np.empty_like(points)
-        for k, (sx, sy) in enumerate(self.pos_splines):
-            sel = comp == k
-            if not np.any(sel):
-                continue
-            length = self.caches[k].length
-            a = arc[sel].copy()
-            p = points[sel]
-            for _ in range(4):
-                am = np.mod(a, length)
-                gx, gy = sx(am), sy(am)
-                dx, dy = sx(am, 1), sy(am, 1)
-                ddx, ddy = sx(am, 2), sy(am, 2)
-                rx, ry = gx - p[:, 0], gy - p[:, 1]
-                f = rx * dx + ry * dy
-                fp = dx * dx + dy * dy + rx * ddx + ry * ddy
-                a = a - f / np.where(np.abs(fp) < 1e-300, 1e-300, fp)
-            am = np.mod(a, length)
-            gx, gy = sx(am), sy(am)
-            dx, dy = sx(am, 1), sy(am, 1)
-            speed = np.sqrt(dx * dx + dy * dy)
-            tt = np.column_stack([dx / speed, dy / speed])
-            nn = np.column_stack([tt[:, 1], -tt[:, 0]])
-            rel = p - np.column_stack([gx, gy])
-            s_out[sel] = np.sum(rel * nn, axis=1)
-            arc[sel] = am
-            tau[sel] = tt
-            nu[sel] = nn
-        return s_out, arc, comp, tau, nu
+        pos = self.position
+        for _ in range(4):
+            (gx, gy), (dx, dy), (ddx, ddy) = (pos(comp, a, k).T for k in (0, 1, 2))
+            rx, ry = gx - points[:, 0], gy - points[:, 1]
+            f = rx * dx + ry * dy
+            fp = dx * dx + dy * dy + rx * ddx + ry * ddy
+            a = a - f / np.where(np.abs(fp) < 1e-300, 1e-300, fp)
+        a = np.mod(a, pos.period[comp])
+        g, d = pos(comp, a), pos(comp, a, 1)
+        tau = d / np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])[:, None]
+        nu = np.column_stack([tau[:, 1], -tau[:, 0]])
+        return np.sum((points - g) * nu, axis=1), a, comp, tau, nu
 
     def _tube_taylor(self, s, arc, comp, tau, nu):
         """Second-order normal Taylor expansion of the interior field.
@@ -166,24 +130,11 @@ class BField:
         tube coordinates, so the expansion has zero divergence at the
         boundary and O(s) divergence beyond.
         """
-        bt = np.empty(len(s))
-        bn = np.empty(len(s))
-        for k, bd in enumerate(self.boundary):
-            sel = comp == k
-            if not np.any(sel):
-                continue
-            a = arc[sel]
-            g, v = bd.g(a), bd.v(a)
-            dg, dv = bd.dg(a), bd.dv(a)
-            ddg, ddv = bd.ddg(a), bd.ddv(a)
-            kap, dkap = bd.kappa(a), bd.dkappa(a)
-            ss = s[sel]
-            bt[sel] = (g + ss * (dv - kap * g)
-                       + ss**2 * (kap**2 * g - kap * dv
-                                  + 0.5 * (-dkap * v - kap * dv - ddg)))
-            bn[sel] = (v + ss * (-kap * v - dg)
-                       + 0.5 * ss**2 * (2.0 * kap**2 * v + 3.0 * kap * dg
-                                        + dkap * g - ddv))
+        g, v, dg, dv, ddg, ddv, kap, dkap = self.boundary(comp, arc).T
+        bt = (g + s * (dv - kap * g)
+              + s**2 * (kap**2 * g - kap * dv + 0.5 * (-dkap * v - kap * dv - ddg)))
+        bn = (v + s * (-kap * v - dg)
+              + 0.5 * s**2 * (2.0 * kap**2 * v + 3.0 * kap * dg + dkap * g - ddv))
         return bt[:, None] * tau + bn[:, None] * nu
 
     def at(self, points) -> np.ndarray:
@@ -205,7 +156,7 @@ class BField:
         nu = np.zeros_like(pts)
         if np.any(band):
             s[band], arc[band], comp[band], tau[band], nu[band] = self.smooth_foot(
-                pts[band], s0[band], seg[band], tpar[band])
+                pts[band], seg[band], tpar[band])
 
         outside = s >= 0.0
         damp = np.zeros(len(pts))
@@ -347,53 +298,32 @@ def build_B(curve: PolyCurve, caches: list[GeometryCache],
     q, mu = _solve_density(caches, v_star)
     offsets = np.cumsum([0] + [c.n for c in caches])
 
-    boundary = []
+    traces = []
     for k, (cache, vf) in enumerate(zip(caches, v_star)):
-        phi = _surface_potential(caches, q, offsets, k)
-        g = dds(cache, phi)
+        g = dds(cache, _surface_potential(caches, q, offsets, k))
         v = vf.values
-        boundary.append(_BoundaryData(
-            g=_PeriodicSpline(cache, g),
-            v=_PeriodicSpline(cache, v),
-            dg=_PeriodicSpline(cache, dds(cache, g)),
-            dv=_PeriodicSpline(cache, dds(cache, v)),
-            ddg=_PeriodicSpline(cache, dds(cache, dds(cache, g))),
-            ddv=_PeriodicSpline(cache, dds(cache, dds(cache, v))),
-            kappa=_PeriodicSpline(cache, cache.kappa),
-            dkappa=_PeriodicSpline(cache, dds(cache, cache.kappa)),
-        ))
+        traces.append(np.column_stack([
+            g, v, dds(cache, g), dds(cache, v), dds(cache, dds(cache, g)),
+            dds(cache, dds(cache, v)), cache.kappa, dds(cache, cache.kappa)]))
 
     if upsample is None:
-        total = sum(c.n for c in caches)
-        upsample = 2 * max(2, int(np.ceil(2048 / total)))
-    fine_pts, fine_charge, pos_splines = [], [], []
-    h_fine = 0.0
-    for k, cache in enumerate(caches):
-        qs = _PeriodicSpline(cache, q[offsets[k]:offsets[k + 1]])
-        s_knots = np.concatenate([cache.arc_positions, [cache.length]])
-        closed = np.vstack([cache.vertices, cache.vertices[:1]])
-        sx = CubicSpline(s_knots, closed[:, 0], bc_type="periodic")
-        sy = CubicSpline(s_knots, closed[:, 1], bc_type="periodic")
-        pos_splines.append((sx, sy))
-        nf = cache.n * upsample
-        sf = cache.length * np.arange(nf) / nf
-        fine_pts.append(np.column_stack([sx(sf), sy(sf)]))
-        fine_charge.append(qs(sf) * (cache.length / nf))
-        h_fine = max(h_fine, cache.length / nf)
-
-    all_v = np.vstack([c.vertices for c in caches])
-    center = all_v.mean(axis=0)
-    sq = np.sum(all_v * all_v, axis=1)
-    diam = float(np.sqrt(max((sq[:, None] + sq[None, :] - 2 * all_v @ all_v.T).max(), 0.0)))
-    support_radius = diam + 10.0 * delta
+        upsample = 2 * max(2, int(np.ceil(2048 / offsets[-1])))
+    position = _arc_spline(caches, np.vstack([c.vertices for c in caches]))
+    period = position.period
+    nf = position.lengths * upsample
+    comp = np.repeat(np.arange(len(caches)), nf)
+    sf = period[comp] * (np.arange(nf.sum()) - np.repeat(np.cumsum(nf) - nf, nf)) / nf[comp]
 
     field = BField(
         curve=curve, caches=caches, index=CurveIndex(curve, caches),
         density=q, mu=mu,
-        fine_points=np.vstack(fine_pts), fine_charge=np.concatenate(fine_charge),
-        boundary=boundary, pos_splines=pos_splines, delta=float(delta),
-        support_center=center, support_radius=support_radius,
-        near_cut=3.0 * h_fine, upsample=upsample,
+        fine_points=position(comp, sf),
+        fine_charge=_arc_spline(caches, q)(comp, sf) * (period / nf)[comp],
+        boundary=_arc_spline(caches, np.vstack(traces)), position=position,
+        delta=float(delta),
+        support_center=np.vstack([c.vertices for c in caches]).mean(axis=0),
+        support_radius=curve.diameter + 10.0 * delta,
+        near_cut=3.0 * float(np.max(period / nf)), upsample=upsample,
     )
     field.bc_residual = _midpoint_bc_residual(field, v_star)
     field.div_sup, field.sup_norm, field.lipschitz = _field_constants(field)
@@ -495,22 +425,16 @@ class StarPotential:
     """Zero-average reference potentials phi* and their tube extension."""
 
     phi_fields: list[VertexField]
-    splines: list[_PeriodicSpline]
-    dphi_splines: list[_PeriodicSpline]
+    spline: PeriodicSpline           # columns phi*, d phi*/ds*
     calib: object
     field: BField
 
     def extension_at(self, points, t: float = 0.0):
         """phi*(closest point) * zeta(s(x))."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        s0, _, _, seg, tpar = self.field.index.signed(points)
-        s, arc, comp, _, _ = self.field.smooth_foot(points, s0, seg, tpar)
-        vals = np.empty(len(points))
-        for k, spline in enumerate(self.splines):
-            sel = comp == k
-            if np.any(sel):
-                vals[sel] = spline(arc[sel])
-        return vals * self.calib.profile.zeta(s)
+        _, _, _, seg, tpar = self.field.index.signed(points)
+        s, arc, comp, _, _ = self.field.smooth_foot(points, seg, tpar)
+        return self.spline(comp, arc)[:, 0] * self.calib.profile.zeta(s)
 
     def chain_rule_residual(self, points, t: float = 0.0) -> float:
         """Tangential-derivative identity residual for the extension.
@@ -522,15 +446,10 @@ class StarPotential:
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
         lhs = self.calib.d_sstar(lambda p: self.extension_at(p, t), points, t)
-        s0, _, _, seg, tpar = self.field.index.signed(points)
-        s, arc, comp, _, _ = self.field.smooth_foot(points, s0, seg, tpar)
-        kf = np.empty(len(points))
-        dphi = np.empty(len(points))
-        for k in range(len(self.splines)):
-            sel = comp == k
-            if np.any(sel):
-                dphi[sel] = self.dphi_splines[k](arc[sel])
-                kf[sel] = self.field.boundary[k].kappa(arc[sel])
+        _, _, _, seg, tpar = self.field.index.signed(points)
+        s, arc, comp, _, _ = self.field.smooth_foot(points, seg, tpar)
+        dphi = self.spline(comp, arc)[:, 1]
+        kf = self.field.boundary(comp, arc)[:, 6]   # kappa
         rhs = self.calib.profile.zeta(s) / (1.0 + s * kf) * dphi
         return float(np.max(np.abs(lhs - rhs)))
 
@@ -538,7 +457,7 @@ class StarPotential:
 def star_potentials(caches: list[GeometryCache], calib, field: BField,
                     v_star: list[VertexField]) -> StarPotential:
     """Solve d^2 phi*/ds*^2 = V* per reference component, zero average."""
-    phi_fields, splines, dsplines = [], [], []
+    phi_fields, traces = [], []
     for cache, vf in zip(caches, v_star):
         mean = field_mean(cache, vf.values)
         scale = max(1.0, float(np.max(np.abs(vf.values))) if len(vf.values) else 1.0)
@@ -546,10 +465,10 @@ def star_potentials(caches: list[GeometryCache], calib, field: BField,
             raise NonZeroMean(f"component {cache.component_index}: mean V* nonzero")
         sol = solve_zero_average(cache, vf)
         phi_fields.append(sol.solution)
-        splines.append(_PeriodicSpline(cache, sol.solution.values))
-        dsplines.append(_PeriodicSpline(cache, dds(cache, sol.solution.values)))
-    return StarPotential(phi_fields=phi_fields, splines=splines,
-                         dphi_splines=dsplines, calib=calib, field=field)
+        traces.append(np.column_stack([sol.solution.values,
+                                       dds(cache, sol.solution.values)]))
+    return StarPotential(phi_fields=phi_fields, spline=_arc_spline(caches, np.vstack(traces)),
+                         calib=calib, field=field)
 
 
 def gauss_wedge_residual(caches: list[GeometryCache], field: BField, calib,

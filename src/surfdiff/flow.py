@@ -22,7 +22,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import SelfIntersection, StepRejected, TopologyChange
 from .geometry import (
@@ -31,13 +30,14 @@ from .geometry import (
     PolyCurve,
     VertexField,
     build_geometry,
+    cycle_neighbours,
     d2ds2,
     dds,
     integrate,
     read_curve_file,
     write_curve_file,
 )
-from .poisson import solve_cyclic_banded, velocity_potential
+from .poisson import PeriodicSpline, solve_cyclic_banded, velocity_potential
 
 DT_MIN_FACTOR = 2.0**-24
 
@@ -79,100 +79,114 @@ class FlowState:
         return sum(c.area for c in self.caches)
 
 
-def _normal_velocity(cache: GeometryCache, dt: float) -> np.ndarray:
-    """Solve (I + dt L (L - diag kappa^2)) w = L kappa as a cyclic banded system.
+def _normal_velocity(caches: list[GeometryCache], dt: float) -> np.ndarray:
+    """Solve (I + dt L (L - diag kappa^2)) w = L kappa for all components at once.
 
-    L is the cyclic tridiagonal arc Laplacian with row-aligned diagonals
-    (lo, mid, up); its product with M = L - diag(kappa^2) is pentadiagonal.
+    The rows are the vertices of every component, stacked.  L is the cyclic
+    tridiagonal arc Laplacian of each component with row-aligned diagonals
+    (lo, mid, up); its product with M = L - diag(kappa^2) is pentadiagonal,
+    so the whole curve is one stacked cyclic banded solve.
     """
-    h = cache.edge_lengths
-    hm = np.roll(h, 1)
-    w = cache.weights
-    mid = -(1.0 / h + 1.0 / hm) / w
+    lengths = [c.n for c in caches]
+    nxt, prv = cycle_neighbours(lengths)
+    x = np.vstack([c.vertices for c in caches])
+    nu = np.vstack([c.nu for c in caches])
+    h = np.concatenate([c.edge_lengths for c in caches])
+    w = np.concatenate([c.weights for c in caches])
+    mid = -(1.0 / h + 1.0 / h[prv]) / w
     up = (1.0 / h) / w
-    lo = (1.0 / hm) / w
+    lo = (1.0 / h[prv]) / w
 
     def lap(f):
-        return lo * np.roll(f, 1) + mid * f + up * np.roll(f, -1)
+        return lo * f[prv] + mid * f + up * f[nxt]
 
-    kappa_pos = -np.sum(cache.nu * np.column_stack([
-        lap(cache.vertices[:, 0]), lap(cache.vertices[:, 1])]), axis=1)
+    kappa_pos = -np.sum(nu * np.column_stack([lap(x[:, 0]), lap(x[:, 1])]), axis=1)
     m = mid - kappa_pos**2
     diags = dt * np.array([
-        lo * np.roll(lo, 1),
-        lo * (np.roll(m, 1) + mid),
-        lo * np.roll(up, 1) + mid * m + up * np.roll(lo, -1),
-        up * (mid + np.roll(m, -1)),
-        up * np.roll(up, -1),
+        lo * lo[prv],
+        lo * (m[prv] + mid),
+        lo * up[prv] + mid * m + up * lo[nxt],
+        up * (mid + m[nxt]),
+        up * up[nxt],
     ])
     diags[2] += 1.0
-    return solve_cyclic_banded(diags, lap(kappa_pos))
+    return solve_cyclic_banded(diags, lap(kappa_pos), lengths)
 
 
-def _area_gradient(vertices: np.ndarray) -> np.ndarray:
-    """Exact gradient of the shoelace area with respect to each vertex."""
-    chord = np.roll(vertices, -1, axis=0) - np.roll(vertices, 1, axis=0)
-    return 0.5 * np.column_stack([-chord[:, 1], chord[:, 0]])
-
-
-def _area_neutral_shift(vertices: np.ndarray, nu: np.ndarray,
-                        w: np.ndarray, dt: float) -> np.ndarray:
-    """Constant normal shift making the step exactly area preserving.
+def _area_neutral_shift(x: np.ndarray, nu: np.ndarray, w: np.ndarray, lengths,
+                        dt: float) -> np.ndarray:
+    """Constant normal shift per component making the step exactly area preserving.
 
     The shoelace area is a quadratic function of the vertex positions, so
-    the displacement d = dt (w - lam) nu changes it by exactly
-    dt * gradA(midpoint) . d.  Solving gradA(x + d/2) . d = 0 for the scalar
-    lam (two Newton iterations on an exactly quadratic function) removes the
-    whole per-move drift.  lam is O(dt |w|^2 h + h^2 |w|), a consistent
-    perturbation of the velocity.
+    the displacement d = dt (w - lam) nu changes a component's area by
+    exactly dt * gradA(midpoint) . d.  Solving gradA(x + d/2) . d = 0 for
+    each component's scalar lam (Newton passes on an exactly quadratic
+    function, all components together) removes the whole per-move drift.
+    lam is O(dt |w|^2 h + h^2 |w|), a consistent perturbation of the velocity.
     """
+    nxt, prv = cycle_neighbours(lengths)
+    first = np.cumsum(lengths) - lengths
+    comp = np.repeat(np.arange(len(first)), lengths)
     d0 = w[:, None] * nu
-    lam = 0.0
+    lam = np.zeros(len(first))
     for _ in range(3):
-        d = dt * (d0 - lam * nu)
-        grad = _area_gradient(vertices + 0.5 * d)
-        f = float(np.sum(grad * d))
+        d = dt * (d0 - lam[comp][:, None] * nu)
+        mid = x + 0.5 * d
+        chord = mid[nxt] - mid[prv]
+        grad = 0.5 * np.column_stack([-chord[:, 1], chord[:, 0]])
+        f = np.add.reduceat(np.sum(grad * d, axis=1), first)
         # df/dlam = -dt * grad(mid).nu up to the midpoint feedback, which
         # the extra passes absorb
-        denom = -dt * float(np.sum(grad * nu))
-        if denom == 0.0:
-            break
-        lam -= f / denom
-    return w - lam
+        denom = -dt * np.add.reduceat(np.sum(grad * nu, axis=1), first)
+        live = denom != 0.0
+        lam[live] -= f[live] / denom[live]
+    return w - lam[comp]
 
 
-def _resample_uniform(vertices: np.ndarray, passes: int = 1) -> np.ndarray:
-    """Redistribute vertices to uniform arc length via a periodic cubic spline.
+def _resample_uniform(x: np.ndarray, lengths, passes: int = 1) -> np.ndarray:
+    """Redistribute every component's vertices to uniform arc length.
 
-    One pass leaves an O(h^3) nonuniformity because the new chord lengths are
-    measured on the new polygon; a few passes reach the fixed point, which
-    the driver uses once for the initial datum.
+    One periodic cubic spline through the stacked vertices, in chord length,
+    is evaluated at equal arc fractions of each component.  One pass leaves
+    an O(h^3) nonuniformity because the new chord lengths are measured on
+    the new polygon; a few passes reach the fixed point, which the driver
+    uses once for the initial datum.
     """
-    n = len(vertices)
+    lengths = np.asarray(lengths)
+    nxt, _ = cycle_neighbours(lengths)
+    first = np.cumsum(lengths) - lengths
+    comp = np.repeat(np.arange(len(lengths)), lengths)
+    local = np.arange(len(x)) - first[comp]
     for _ in range(passes):
-        closed = np.vstack([vertices, vertices[:1]])
-        seg = np.linalg.norm(np.diff(closed, axis=0), axis=1)
-        s = np.concatenate([[0.0], np.cumsum(seg)])
-        spline = CubicSpline(s, closed, bc_type="periodic")
-        vertices = spline(s[-1] * np.arange(n) / n)
-    return vertices
+        # arc length along all components laid end to end, less each start
+        arc = np.cumsum(np.linalg.norm(x[nxt] - x, axis=1))
+        base = np.r_[0.0, arc[first[1:] - 1]]
+        total = arc[first + lengths - 1] - base
+        knots = np.r_[0.0, arc[:-1]] - base[comp]
+        spline = PeriodicSpline(knots, total, lengths, x)
+        x = spline(comp, total[comp] * local / lengths[comp])
+    return x
 
 
 def step(state: FlowState, config: FlowConfig, dt: float | None = None) -> FlowState:
-    """Advance one step of size dt (default config.dt); raises StepRejected."""
+    """Advance one step of size dt (default config.dt); raises StepRejected.
+
+    All components move in one stacked pass: one pentadiagonal solve, one
+    area-neutral shift and one spline resampling.
+    """
     if dt is None:
         dt = config.dt
-    new_components = []
-    velocities = []
+    caches = state.caches
+    lengths = [c.n for c in caches]
+    x = state.curve.segments[0]
+    nu = np.vstack([c.nu for c in caches])
+    split = np.cumsum(lengths)[:-1]
     try:
-        for cache, comp in zip(state.caches, state.curve.components):
-            w = _normal_velocity(cache, dt)
-            w = _area_neutral_shift(cache.vertices, cache.nu, w, dt)
-            moved = cache.vertices + dt * w[:, None] * cache.nu
-            resampled = _resample_uniform(moved)
-            new_components.append(Component(resampled, comp.orientation))
-            velocities.append(VertexField(cache.component_index, w))
-        new_curve = PolyCurve(new_components)
+        w = _normal_velocity(caches, dt)
+        w = _area_neutral_shift(x, nu, w, lengths, dt)
+        moved = _resample_uniform(x + dt * w[:, None] * nu, lengths)
+        new_curve = PolyCurve([Component(v, c.orientation) for v, c
+                               in zip(np.split(moved, split), state.curve.components)])
         new_caches = build_geometry(new_curve)
     except SelfIntersection as exc:
         raise StepRejected(f"self-intersection: {exc}") from exc
@@ -201,7 +215,8 @@ def step(state: FlowState, config: FlowConfig, dt: float | None = None) -> FlowS
         time=state.time + dt,
         step_index=state.step_index + 1,
         caches=new_caches,
-        normal_velocity=velocities,
+        normal_velocity=[VertexField(c.component_index, wk)
+                         for c, wk in zip(caches, np.split(w, split))],
     )
 
 
@@ -281,9 +296,10 @@ def run_flow(initial: PolyCurve, config: FlowConfig, sample_stride: int = 10,
     states are thinned on the fly (stride doubling) to stay within bound.
     """
     if resample_initial:
-        initial = PolyCurve([Component(_resample_uniform(c.vertices, passes=4),
-                                       c.orientation)
-                             for c in initial.components])
+        lengths = [c.n for c in initial.components]
+        resampled = _resample_uniform(initial.segments[0], lengths, passes=4)
+        initial = PolyCurve([Component(v, c.orientation) for v, c in zip(
+            np.split(resampled, np.cumsum(lengths)[:-1]), initial.components)])
     state = FlowState.initial(initial)
     dt = config.dt
     dt_min = config.dt * DT_MIN_FACTOR

@@ -55,7 +55,7 @@ class Component:
     @cached_property
     def diameter(self) -> float:
         """Largest vertex-to-vertex distance, computed once per component."""
-        return _diameter(self.vertices)
+        return float(_diameters([_hull(self.vertices)])[0])
 
     def signed_area(self) -> float:
         x, y = self.vertices[:, 0], self.vertices[:, 1]
@@ -71,7 +71,8 @@ class PolyCurve:
 
     Construction checks the cheap invariants (vertex counts, edges against
     a floor relative to each component's cached diameter, orientation/area
-    consistency, positive total area).  The embeddedness test runs in
+    consistency, positive total area) and sets ``diameter``, the largest
+    vertex-to-vertex distance over all components.  The embeddedness test runs in
     :func:`check_embedded`, which :func:`build_geometry` invokes.
     """
 
@@ -87,22 +88,38 @@ class PolyCurve:
         self._validate()
 
     def _validate(self):
-        total = 0.0
-        for k, c in enumerate(self.components):
+        comps = self.components
+        for k, c in enumerate(comps):
             if c.n < 8:
                 raise ValueError(f"component {k} has {c.n} < 8 vertices")
-            edges = np.roll(c.vertices, -1, axis=0) - c.vertices
-            h = np.linalg.norm(edges, axis=1)
-            diam = c.diameter
-            if diam <= 0.0 or np.any(h <= EDGE_FLOOR_REL * diam):
+        # one caliper pass fills every Component.diameter not yet cached and
+        # the curve's: the hull of the union is the hull of the component
+        # hulls' vertices
+        cached = ["diameter" in c.__dict__ for c in comps]
+        todo = [c for c, done in zip(comps, cached) if not done]
+        hulls = [_hull(c.vertices) for c in todo]
+        if len(comps) > 1:
+            known = [_hull(c.vertices) for c, done in zip(comps, cached) if done]
+            hulls.append(_hull(np.vstack(hulls + known)))
+        diams = _diameters(hulls) if hulls else []
+        for c, d in zip(todo, diams):
+            c.__dict__["diameter"] = float(d)
+        self.diameter = float(diams[-1]) if len(comps) > 1 else comps[0].diameter
+        starts, ends, _, local_of = self.segments
+        first = np.flatnonzero(local_of == 0)
+        diam = np.array([c.diameter for c in comps])
+        h = np.linalg.norm(ends - starts, axis=1)
+        short = (diam <= 0.0) | (np.minimum.reduceat(h, first) <= EDGE_FLOOR_REL * diam)
+        area = 0.5 * np.add.reduceat(starts[:, 0] * ends[:, 1] - ends[:, 0] * starts[:, 1],
+                                     first)
+        flipped = np.sign(area) != [c.orientation for c in comps]
+        if np.any(short | flipped):
+            k = int(np.argmax(short | flipped))
+            if short[k]:
                 raise DegenerateEdge(f"component {k} has an edge below the length floor")
-            area = c.signed_area()
-            if np.sign(area) != c.orientation:
-                raise ValueError(
-                    f"component {k}: signed area {area:.3e} contradicts orientation {c.orientation}"
-                )
-            total += area
-        if total <= 0.0:
+            raise ValueError(f"component {k}: signed area {area[k]:.3e} "
+                             f"contradicts orientation {comps[k].orientation}")
+        if area.sum() <= 0.0:
             raise ValueError("total signed enclosed area must be positive")
 
     @property
@@ -120,8 +137,8 @@ class PolyCurve:
         n = np.array([c.n for c in comps])
         comp_of = np.repeat(np.arange(len(comps)), n)
         local_of = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
-        out = (np.vstack([c.vertices for c in comps]),
-               np.vstack([np.roll(c.vertices, -1, axis=0) for c in comps]), comp_of, local_of)
+        starts = np.vstack([c.vertices for c in comps])
+        out = (starts, starts[cycle_neighbours(n)[0]], comp_of, local_of)
         for a in out:
             a.flags.writeable = False
         return out
@@ -229,69 +246,122 @@ class GeometryCache:
         return self.vertices.shape[0]
 
 
-def _diameter(vertices: np.ndarray) -> float:
-    """Largest vertex distance by rotating calipers (Toussaint 1983).
+def cycle_neighbours(lengths) -> tuple[np.ndarray, np.ndarray]:
+    """Next and previous index of every entry of cycles of these lengths, stacked."""
+    lengths = np.asarray(lengths)
+    ids = np.arange(lengths.sum())
+    first = np.repeat(np.cumsum(lengths) - lengths, lengths)
+    last = first + np.repeat(lengths, lengths) - 1
+    return np.where(ids == last, first, ids + 1), np.where(ids == first, last, ids - 1)
+
+
+def _hull(vertices: np.ndarray) -> np.ndarray:
+    """Convex hull vertices in counter-clockwise order.
+
+    Collinear or coincident input has no hull; its two extremes, found by
+    two farthest-point sweeps, stand in for it (exact on a line).
+    """
+    try:
+        return vertices[ConvexHull(vertices).vertices]
+    except QhullError:
+        far = vertices[np.argmax(np.sum((vertices - vertices[0]) ** 2, axis=1))]
+        return np.array([far, vertices[np.argmax(np.sum((vertices - far) ** 2, axis=1))]])
+
+
+def _diameters(hulls) -> np.ndarray:
+    """Largest vertex distance of each hull, by one rotating-calipers pass
+    over all hulls stacked (Toussaint 1983).
 
     Hull vertex i+1 is antipodal to every vertex from the support of edge i
     (the hull vertex farthest to its left) through the support of edge i+1;
     each range is widened by one vertex against rounding at parallel edges.
-    Collinear input has no hull: two farthest-point sweeps, exact on a line.
+    A two-point hull (collinear input) is its own diameter.
     """
-    try:
-        hull = vertices[ConvexHull(vertices).vertices]
-    except QhullError:
-        far = vertices[np.argmax(np.sum((vertices - vertices[0]) ** 2, axis=1))]
-        return float(np.sqrt(np.max(np.sum((vertices - far) ** 2, axis=1))))
-    m = len(hull)
-    edges = np.roll(hull, -1, axis=0) - hull
-    angle = np.unwrap(np.arctan2(edges[:, 1], edges[:, 0]))
-    support = np.searchsorted(np.concatenate([angle, angle + 2.0 * np.pi]),
-                              angle + np.pi)
-    lo = support - 1
-    counts = np.diff(np.append(support, support[0] + m)) + 3
-    first = np.cumsum(counts) - counts
-    a = np.repeat(np.arange(1, m + 1) % m, counts)
-    b = (np.repeat(lo - first, counts) + np.arange(counts.sum())) % m
-    return float(np.sqrt(np.max(np.sum((hull[a] - hull[b]) ** 2, axis=1))))
-
-
-def _component_cache(idx: int, comp: Component) -> GeometryCache:
-    v = comp.vertices
-    edges = np.roll(v, -1, axis=0) - v
-    h = np.linalg.norm(edges, axis=1)
-    hm = np.roll(h, 1)
-    w = 0.5 * (h + hm)
-    arc = np.concatenate([[0.0], np.cumsum(h)[:-1]])
-
-    chord = np.roll(v, -1, axis=0) - np.roll(v, 1, axis=0)
-    tau = chord / np.linalg.norm(chord, axis=1)[:, None]
-    nu = np.column_stack([tau[:, 1], -tau[:, 0]])
-
-    em = np.roll(edges, 1, axis=0)
-    turn = np.arctan2(em[:, 0] * edges[:, 1] - em[:, 1] * edges[:, 0],
-                      np.sum(em * edges, axis=1))
-    kappa = turn / w
-
-    return GeometryCache(
-        component_index=idx,
-        orientation=comp.orientation,
-        vertices=v,
-        edge_lengths=h,
-        arc_positions=arc,
-        weights=w,
-        tau=tau,
-        nu=nu,
-        kappa=kappa,
-        length=float(np.sum(h)),
-        area=comp.signed_area(),
-        diameter=comp.diameter,
-    )
+    sizes = np.array([len(h) for h in hulls], dtype=np.intp)
+    out = np.zeros(len(hulls))
+    flat = sizes < 3
+    if np.any(flat):
+        ends = np.array([h[[0, -1]] for h in hulls if len(h) < 3])
+        out[flat] = np.sqrt(np.sum((ends[:, 0] - ends[:, 1]) ** 2, axis=1))
+    if np.all(flat):
+        return out
+    pts = np.vstack([h for h in hulls if len(h) >= 3])
+    sizes = sizes[~flat]
+    n = len(pts)
+    ids = np.arange(n)
+    nxt, prv = cycle_neighbours(sizes)
+    hid = np.repeat(np.arange(len(sizes)), sizes)
+    first = np.repeat(np.cumsum(sizes) - sizes, sizes)
+    local = ids - first
+    m = sizes[hid]
+    edges = pts[nxt] - pts
+    raw = np.arctan2(edges[:, 1], edges[:, 0])
+    # unwrap each hull's edge angles from its first edge, as np.unwrap does
+    jump = np.where(local > 0, raw - raw[prv], 0.0)
+    wraps = np.cumsum((jump < -np.pi).astype(np.intp) - (jump > np.pi))
+    angle = raw + 2.0 * np.pi * (wraps - wraps[first])
+    # support[i]: how many of its hull's doubled angles lie below angle[i] + pi,
+    # from one sort of all hulls' doubled angles and targets by (hull, angle),
+    # targets first on ties
+    order = np.lexsort((np.r_[np.ones(2 * n), np.zeros(n)],
+                        np.r_[angle, angle + 2.0 * np.pi, angle + np.pi],
+                        np.r_[hid, hid, hid]))
+    is_target = order >= 2 * n
+    target = order[is_target] - 2 * n
+    support = np.empty(n, dtype=np.intp)
+    support[target] = np.flatnonzero(is_target) - ids - 2 * first[target]
+    counts = support[nxt] + np.where(local == m - 1, m, 0) - support + 3
+    start = np.cumsum(counts) - counts
+    a = np.repeat(first + (local + 1) % m, counts)
+    b = (np.repeat(first, counts)
+         + (np.repeat(support - 1 - start, counts) + np.arange(counts.sum()))
+         % np.repeat(m, counts))
+    d2 = np.sum((pts[a] - pts[b]) ** 2, axis=1)
+    out[~flat] = np.sqrt(np.maximum.reduceat(d2, start[local == 0]))
+    return out
 
 
 def build_geometry(curve: PolyCurve) -> list[GeometryCache]:
-    """Build per-component caches; raises if the curve is not embedded."""
+    """Per-component caches from one pass over the stacked segments.
+
+    Raises if the curve is not embedded.  Every per-vertex array is computed
+    once for all components and sliced; each length and area is a sum over
+    its own component's slice.
+    """
     check_embedded(curve)
-    return [_component_cache(i, c) for i, c in enumerate(curve.components)]
+    v, ends, _, local_of = curve.segments
+    comps = curve.components
+    nxt, prv = cycle_neighbours([c.n for c in comps])
+    edges = ends - v
+    h = np.linalg.norm(edges, axis=1)
+    w = 0.5 * (h + h[prv])
+    chord = ends - v[prv]
+    tau = chord / np.linalg.norm(chord, axis=1)[:, None]
+    nu = np.column_stack([tau[:, 1], -tau[:, 0]])
+    em = edges[prv]
+    turn = np.arctan2(em[:, 0] * edges[:, 1] - em[:, 1] * edges[:, 0],
+                      np.sum(em * edges, axis=1))
+    kappa = turn / w
+    cross = v[:, 0] * ends[:, 1] - ends[:, 0] * v[:, 1]
+    bounds = np.append(np.flatnonzero(local_of == 0), len(v))
+    caches = []
+    for k, c in enumerate(comps):
+        sl = slice(bounds[k], bounds[k + 1])
+        caches.append(GeometryCache(
+            component_index=k,
+            orientation=c.orientation,
+            vertices=c.vertices,
+            edge_lengths=h[sl],
+            arc_positions=np.concatenate([[0.0], np.cumsum(h[sl][:-1])]),
+            weights=w[sl],
+            tau=tau[sl],
+            nu=nu[sl],
+            kappa=kappa[sl],
+            length=float(np.sum(h[sl])),
+            area=float(0.5 * np.sum(cross[sl])),
+            diameter=c.diameter,
+        ))
+    return caches
 
 
 def integrate(cache: GeometryCache, values: np.ndarray) -> float:
@@ -399,11 +469,10 @@ def check_embedded(curve: PolyCurve) -> None:
 
     Uses a uniform grid broad phase sized at twice the longest edge, then
     exact segment-pair distance tests at tolerance SIMPLICITY_TOL_REL times
-    the diameter: the cached one of a single component, else of all vertices.
+    the curve's diameter.
     """
     starts, ends, comp_of, local_of = curve.segments
-    one = curve.ncomponents == 1
-    tol = SIMPLICITY_TOL_REL * (curve.components[0].diameter if one else _diameter(starts))
+    tol = SIMPLICITY_TOL_REL * curve.diameter
     hmax = np.linalg.norm(ends - starts, axis=1).max()
     cell = 2.0 * hmax
 
@@ -659,15 +728,11 @@ class CurveIndex:
         self.seg_vec = self.seg_end - self.seg_start
         self.seg_len2 = np.maximum(np.sum(self.seg_vec * self.seg_vec, axis=1), 1e-300)
         self.hmax = float(np.linalg.norm(self.seg_vec, axis=1).max())
-        ids = np.arange(len(self.seg_comp))
-        last = self.seg_local == np.bincount(self.seg_comp)[self.seg_comp] - 1
-        self.next_of = np.where(last, ids - self.seg_local, ids + 1)
+        self.next_of, prev_of = cycle_neighbours([c.n for c in curve.components])
         self.nu = np.vstack([c.nu for c in self.caches])
         # sum of the unit normals of the two edges at each vertex: positive
         # on the vertex's whole normal cone, whatever its turning angle
         edge_nu = self.seg_vec[:, ::-1] * [1.0, -1.0] / np.sqrt(self.seg_len2)[:, None]
-        prev_of = np.empty_like(self.next_of)
-        prev_of[self.next_of] = ids
         self.pseudo_nu = edge_nu + edge_nu[prev_of]
         self.tree = cKDTree(0.5 * (self.seg_start + self.seg_end))
 

@@ -5,8 +5,10 @@ Solves the cyclic second-difference system d^2/ds^2 phi = f - <f> with
 by a weighted rank-one shift that acts as a bordered mean constraint, so no
 vertex gets pinned and symmetry of the stiffness form is preserved.  The
 cyclic wrap and the shift enter a banded solve through a Woodbury
-correction; that solver, :func:`solve_cyclic_banded`, also takes the flow
-step's pentadiagonal system.
+correction.  That solver, :func:`solve_cyclic_banded`, takes any stack of
+cycles at once: it also solves the flow step's pentadiagonal system for all
+components of a curve, and the knot slopes of :class:`PeriodicSpline`, the
+periodic cubic interpolant of the flow's resampling and the extension field.
 """
 
 from __future__ import annotations
@@ -17,7 +19,15 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .errors import NonZeroMean, SingularSystem
-from .geometry import GeometryCache, VertexField, d2ds2, dds, field_mean, integrate
+from .geometry import (
+    GeometryCache,
+    VertexField,
+    cycle_neighbours,
+    d2ds2,
+    dds,
+    field_mean,
+    integrate,
+)
 
 RESIDUAL_TOL = 1e-9
 
@@ -32,36 +42,93 @@ class PotentialSolve:
     mean_removed: float
 
 
-def solve_cyclic_banded(diags, rhs: np.ndarray, extra=()) -> np.ndarray:
-    """Solve A x = rhs for a cyclic band matrix A plus rank-one terms.
+def solve_cyclic_banded(diags, rhs: np.ndarray, lengths, extra=()) -> np.ndarray:
+    """Solve A x = rhs for stacked cyclic band matrices plus rank-one terms.
 
-    ``diags`` holds 2p+1 row-aligned diagonals of an n x n matrix, n > 2p:
-    ``diags[k][i]`` is the entry A[i, (i + k - p) mod n].  The band inside
-    the matrix goes to a banded LU solve; the 2p rows whose entries wrap
-    around the corners, and the ``extra`` (u, v) pairs adding u v^T to A,
-    enter through a Woodbury correction (Temperton, JCP 19, 1975).
+    A is block diagonal with one n x n cyclic band block per entry n > 2p of
+    ``lengths``.  ``diags`` holds 2p+1 row-aligned diagonals of the stack:
+    ``diags[k][i]`` is the entry of row i in the column k - p places after i
+    around i's own cycle.  The bands inside the blocks go to one banded LU
+    solve; each block's 2p rows whose entries wrap around its corners, and
+    the ``extra`` (u, v) pairs adding u v^T to A, enter through one Woodbury
+    correction (Temperton, JCP 19, 1975).  ``rhs`` is (N,) or (N, m).
     """
     diags = np.asarray(diags, dtype=float)
     p = len(diags) // 2
+    lengths = np.asarray(lengths)
     n = diags.shape[1]
-    rows = np.arange(n)
-    wrapped = np.r_[0:p, n - p:n]
+    start = np.repeat(np.cumsum(lengths) - lengths, lengths)
+    size = np.repeat(lengths, lengths)
+    local = np.arange(n) - start
+    wrapped = np.flatnonzero((local < p) | (local >= size - p))
+    col_of = np.zeros(n, dtype=np.intp)
+    col_of[wrapped] = np.arange(len(wrapped))
     ab = np.zeros((2 * p + 1, n))
-    us = np.zeros((n, 2 * p))
-    us[wrapped, np.arange(2 * p)] = 1.0
-    vs = np.zeros((n, 2 * p))
+    us = np.zeros((n, len(wrapped)))
+    us[wrapped, col_of[wrapped]] = 1.0
+    vs = np.zeros((n, len(wrapped)))
     for k in range(2 * p + 1):
-        cols = rows + k - p
-        inside = (cols >= 0) & (cols < n)
-        ab[2 * p - k, cols[inside]] = diags[k, inside]
-        out = rows[~inside]
-        vs[cols[out] % n, np.searchsorted(wrapped, out)] = diags[k, out]
+        cols = local + k - p
+        inside = (cols >= 0) & (cols < size)
+        ab[2 * p - k, (start + cols)[inside]] = diags[k, inside]
+        out = ~inside
+        vs[start[out] + cols[out] % size[out], col_of[out]] = diags[k, out]
     us = np.column_stack([us, *(u for u, _ in extra)])
     vs = np.column_stack([vs, *(v for _, v in extra)])
-    sol = solve_banded((p, p), ab, np.column_stack([rhs, us]))
-    y, z = sol[:, 0], sol[:, 1:]
+    b = np.reshape(rhs, (n, -1))
+    sol = solve_banded((p, p), ab, np.column_stack([b, us]))
+    y, z = sol[:, :b.shape[1]], sol[:, b.shape[1]:]
     cap = np.eye(us.shape[1]) + vs.T @ z
-    return y - z @ np.linalg.solve(cap, vs.T @ y)
+    return np.reshape(y - z @ np.linalg.solve(cap, vs.T @ y), np.shape(rhs))
+
+
+class PeriodicSpline:
+    """Periodic cubic interpolants of data on stacked cycles.
+
+    Cycle c has knots at the arc positions ``arc`` of its entries, starting
+    at 0 and increasing below its period ``period[c]``.  The knot slopes of
+    every cycle and every data column come from one cyclic tridiagonal
+    solve (de Boor, *A Practical Guide to Splines*, ch. IV); each interval
+    then holds the Hermite cubic of its end values and slopes.  ``values``
+    is (N,) or (N, m); evaluation returns (P,) or (P, m) to match.
+    """
+
+    def __init__(self, arc, period, lengths, values):
+        self.arc = np.asarray(arc, dtype=float)
+        self.period = np.asarray(period, dtype=float)
+        self.lengths = np.asarray(lengths)
+        self.start = np.cumsum(self.lengths) - self.lengths
+        comp = np.repeat(np.arange(len(self.lengths)), self.lengths)
+        nxt, prv = cycle_neighbours(self.lengths)
+        h = np.where(nxt > np.arange(len(nxt)), self.arc[nxt], self.period[comp]) - self.arc
+        y = np.reshape(values, (len(h), -1)).astype(float)
+        slope = (y[nxt] - y) / h[:, None]
+        hp = h[prv]
+        d = solve_cyclic_banded([h, 2.0 * (hp + h), hp],
+                                3.0 * (h[:, None] * slope[prv] + hp[:, None] * slope),
+                                self.lengths)
+        t = (d + d[nxt] - 2.0 * slope) / h[:, None]
+        self.coef = np.stack([t / h[:, None], (slope - d) / h[:, None] - t, d, y])
+        self.shape = np.shape(values)[1:]
+        # interval search over all cycles laid end to end
+        self.offset = np.cumsum(self.period) - self.period
+        self.key = self.arc + self.offset[comp]
+
+    def __call__(self, comp, s, nu: int = 0) -> np.ndarray:
+        """The nu-th derivative (nu <= 2) at arc positions s of cycles comp."""
+        comp = np.asarray(comp)
+        s = np.mod(s, self.period[comp])
+        j = np.searchsorted(self.key, s + self.offset[comp], side="right") - 1
+        j = np.clip(j, self.start[comp], self.start[comp] + self.lengths[comp] - 1)
+        x = (s - self.arc[j])[:, None]
+        c3, c2, c1, c0 = self.coef[:, j]
+        if nu == 0:
+            out = ((c3 * x + c2) * x + c1) * x + c0
+        elif nu == 1:
+            out = (3.0 * c3 * x + 2.0 * c2) * x + c1
+        else:
+            out = 6.0 * c3 * x + 2.0 * c2
+        return np.reshape(out, (len(j), *self.shape))
 
 
 def _stiffness_shifted_solve(cache: GeometryCache, b: np.ndarray) -> np.ndarray:
@@ -77,7 +144,7 @@ def _stiffness_shifted_solve(cache: GeometryCache, b: np.ndarray) -> np.ndarray:
     inv_hm = np.roll(inv_h, 1)
     diags = [-inv_hm, inv_h + inv_hm, -inv_h]
     w = cache.weights
-    return solve_cyclic_banded(diags, b, extra=[(w, w)])
+    return solve_cyclic_banded(diags, b, [cache.n], extra=[(w, w)])
 
 
 def solve_zero_average(cache: GeometryCache, f: VertexField) -> PotentialSolve:

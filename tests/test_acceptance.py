@@ -139,7 +139,7 @@ def test_criterion_02_conservation_laws(ellipse_run_512):
 def test_criterion_03_dissipation_identity_convergence():
     base = geo.make_ellipse(2.0, 1.0, 512).vertices
     state = fl.FlowState.initial(geo.PolyCurve(
-        [geo.Component(fl._resample_uniform(base, passes=4), 1)]))
+        [geo.Component(fl._resample_uniform(base, [len(base)], passes=4), 1)]))
     warm = fl.FlowConfig(dt=1e-4, end_time=1.0)
     for _ in range(20):
         state = fl.step(state, warm, 1e-4)

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import surfdiff
 from surfdiff import calibration as cb
 from surfdiff import cli
 from surfdiff import flow as fl
@@ -238,3 +242,13 @@ def test_report_command(stationary_cfg, tmp_path, capsys):
 
 def test_report_missing_directory(tmp_path):
     assert cli.main(["report", str(tmp_path / "nothing")]) == 2
+
+
+def test_cli_import_leaves_scipy_interpolate_unloaded():
+    # the flow and the extension field fit the in-house periodic spline, so
+    # the set-up of every run no longer pays for importing scipy.interpolate
+    src = os.path.dirname(os.path.dirname(os.path.abspath(surfdiff.__file__)))
+    code = "import sys, surfdiff.cli; print('scipy.interpolate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"

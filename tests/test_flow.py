@@ -4,9 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
+import flow_oracle
 from surfdiff import flow as fl
 from surfdiff import geometry as geo
 from surfdiff.errors import StepRejected, TopologyChange
+
+
+def _resampled(components):
+    """A curve of these components, each at its uniform arc-length fixed point."""
+    return geo.PolyCurve([geo.Component(fl._resample_uniform(c.vertices, [c.n], passes=4),
+                                        c.orientation) for c in components])
 
 
 @pytest.fixture(scope="module")
@@ -87,13 +94,11 @@ def test_volume_drift_within_bound_across_dt():
 
 
 def test_move_stage_exactly_area_neutral():
-    curve = geo.PolyCurve([geo.make_ellipse(2.0, 1.0, 256)])
-    state = fl.FlowState.initial(geo.PolyCurve([geo.Component(
-        fl._resample_uniform(curve.components[0].vertices, passes=4), 1)]))
+    state = fl.FlowState.initial(_resampled([geo.make_ellipse(2.0, 1.0, 256)]))
     cache = state.caches[0]
     for dt in (1e-3, 1e-4, 1e-5):
-        w = fl._normal_velocity(cache, dt)
-        w = fl._area_neutral_shift(cache.vertices, cache.nu, w, dt)
+        w = fl._normal_velocity(state.caches, dt)
+        w = fl._area_neutral_shift(cache.vertices, cache.nu, w, [cache.n], dt)
         moved = cache.vertices + dt * w[:, None] * cache.nu
         drift = abs(geo.Component(moved, 1).signed_area() - cache.area)
         assert drift <= 1e-12 * abs(cache.area)
@@ -113,11 +118,8 @@ def test_dissipation_sign_every_step(ellipse_run):
 
 
 def test_dissipation_residual_halves_with_dt():
-    base = geo.PolyCurve([geo.make_ellipse(2.0, 1.0, 512)])
     cfg_warm = fl.FlowConfig(dt=1e-4, end_time=1.0)
-    state = fl.FlowState.initial(
-        geo.PolyCurve([geo.Component(
-            fl._resample_uniform(base.components[0].vertices, passes=4), 1)]))
+    state = fl.FlowState.initial(_resampled([geo.make_ellipse(2.0, 1.0, 512)]))
     for _ in range(20):
         state = fl.step(state, cfg_warm, 1e-4)
     residuals = []
@@ -251,61 +253,96 @@ def _dense_flow_operator(cache, dt):
     return op, lap @ kappa
 
 
-@settings(max_examples=36, deadline=None, database=None)
-@given(st.sampled_from([8, 24, 128, 512]), st.sampled_from([1e-6, 1e-4, 1e-3, 2e-2]),
-       st.integers(0, 2**32 - 1))
-def test_banded_flow_operator_matches_dense_solve(n, dt, seed):
-    # a jittered mesh: edge ratios stay as bounded as the flow keeps them
-    rng = np.random.default_rng(seed)
+def _jittered_loop(rng, n, center, scale):
     t = 2 * np.pi * (np.arange(n) + rng.uniform(-0.3, 0.3, n)) / n
-    r = 1.0 + 0.2 * np.cos(3 * t + rng.uniform(0, 2 * np.pi))
-    curve = geo.PolyCurve([geo.Component(np.column_stack([2 * r * np.cos(t),
-                                                           r * np.sin(t)]), 1)])
-    cache = geo.build_geometry(curve)[0]
-    op, rhs = _dense_flow_operator(cache, dt)
-    dense = np.linalg.solve(op, rhs)
-    banded = fl._normal_velocity(cache, dt)
-    # L kappa is a fourth difference and cond(op) reaches ~3e6 at n = 512,
-    # dt = 1e-3, and grows in proportion to dt beyond (~3e7 at dt = 2e-2, the
-    # largest step the 512-ellipse flow takes): the two solves differ by up
-    # to ~1e-10 of max |w| at dt = 1e-3 and ~1.3e-9 at dt = 2e-2
-    tol = 1e-9 * max(1.0, dt / 1e-3)
-    assert np.max(np.abs(banded - dense)) <= tol * np.max(np.abs(dense))
+    r = scale * (1.0 + 0.2 * np.cos(3 * t + rng.uniform(0, 2 * np.pi)))
+    return geo.Component(center + np.column_stack([2 * r * np.cos(t), r * np.sin(t)]), 1)
+
+
+@settings(max_examples=36, deadline=None, database=None)
+@given(st.sampled_from([8, 24, 128, 512]), st.lists(st.sampled_from([8, 24, 128]), max_size=3),
+       st.sampled_from([1e-6, 1e-4, 1e-3, 2e-2]), st.integers(0, 2**32 - 1))
+def test_banded_flow_operator_matches_dense_solve(n, bubbles, dt, seed):
+    # jittered meshes: edge ratios stay as bounded as the flow keeps them;
+    # the bubbles, far apart, make the solve a stack of several cycles
+    rng = np.random.default_rng(seed)
+    curve = geo.PolyCurve([_jittered_loop(rng, n, (0.0, 0.0), 1.0)]
+                          + [_jittered_loop(rng, m, (6.0 + 3.0 * k, 0.0), 0.2)
+                             for k, m in enumerate(bubbles)])
+    caches = geo.build_geometry(curve)
+    banded = np.split(fl._normal_velocity(caches, dt), np.cumsum([c.n for c in caches])[:-1])
+    for cache, got in zip(caches, banded):
+        op, rhs = _dense_flow_operator(cache, dt)
+        dense = np.linalg.solve(op, rhs)
+        # L kappa is a fourth difference and cond(op) reaches ~3e6 at n = 512,
+        # dt = 1e-3, and grows in proportion to dt beyond (~3e7 at dt = 2e-2,
+        # the largest step the 512-ellipse flow takes): the two solves differ
+        # by up to ~1e-10 of max |w| at dt = 1e-3 and ~1.3e-9 at dt = 2e-2
+        tol = 1e-9 * max(1.0, dt / 1e-3)
+        assert np.max(np.abs(got - dense)) <= tol * np.max(np.abs(dense))
 
 
 def test_step_computes_diameter_once(monkeypatch):
-    ellipse = geo.make_ellipse(2.0, 1.0, 128).vertices
-    state = fl.FlowState.initial(geo.PolyCurve([geo.Component(
-        fl._resample_uniform(ellipse, passes=4), 1)]))
+    # one batched caliper call per step: one hull per new component, and the
+    # hull of their hulls for the curve's diameter only with several components
     calls = []
-    diameter = geo._diameter
+    diameters = geo._diameters
 
-    def counting(vertices):
-        calls.append(len(vertices))
-        return diameter(vertices)
+    def counting(hulls):
+        calls.append(len(hulls))
+        return diameters(hulls)
 
-    monkeypatch.setattr(geo, "_diameter", counting)
-    fl.step(state, fl.FlowConfig(dt=1e-4, end_time=1.0))
-    assert calls == [128]
+    for bubbles, expected in ((0, 1), (4, 6)):
+        state = fl.FlowState.initial(_resampled(
+            [geo.make_ellipse(2.0, 1.0, 128)]
+            + [geo.make_circle((3.0 + k, 2.0), 0.1, 24) for k in range(bubbles)]))
+        calls.clear()
+        monkeypatch.setattr(geo, "_diameters", counting)
+        fl.step(state, fl.FlowConfig(dt=1e-4, end_time=1.0))
+        monkeypatch.undo()
+        assert calls == [expected]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_velocity_rejects_step(monkeypatch, bad):
-    # a non-finite speed must come back as StepRejected, so that run_flow
-    # retries at half dt instead of aborting on a bare ValueError
-    state = fl.FlowState.initial(geo.PolyCurve([geo.make_ellipse(2.0, 1.0, 64)]))
+    # a non-finite speed out of the stacked solve must come back as
+    # StepRejected, so that run_flow retries at half dt instead of aborting
+    # on a bare ValueError
+    state = fl.FlowState.initial(geo.PolyCurve([geo.make_ellipse(2.0, 1.0, 64),
+                                                geo.make_circle((4.0, 0.0), 0.5, 32)]))
     monkeypatch.setattr(fl, "_normal_velocity",
-                        lambda cache, dt: np.where(np.arange(cache.n) == 3, bad, 0.0))
+                        lambda caches, dt: np.where(np.arange(96) == 70, bad, 0.0))
     with pytest.raises(StepRejected):
         fl.step(state, fl.FlowConfig(dt=1e-4, end_time=1.0))
 
 
 def test_resample_matches_per_coordinate_splines():
+    # scipy's periodic CubicSpline per coordinate, in chord length, is the
+    # oracle of the in-house spline resampling
     v = geo.make_wavy_circle(1.0, 0.05, 3, 512).vertices
     closed = np.vstack([v, v[:1]])
     s = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(closed, axis=0), axis=1))])
     s_new = s[-1] * np.arange(512) / 512
     expected = np.column_stack([
         CubicSpline(s, closed[:, k], bc_type="periodic")(s_new) for k in (0, 1)])
-    np.testing.assert_array_equal(fl._resample_uniform(v), expected)
+    got = fl._resample_uniform(v, [512])
+    assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("dt", [1e-5, 1e-4, 1e-3])
+def test_stacked_step_matches_per_component_step(dt):
+    # a wavy loop and four bubbles of different sizes, stepped at once
+    # against one component after another
+    state = fl.FlowState.initial(_resampled(
+        [geo.make_wavy_circle(1.0, 0.05, 3, 256)]
+        + [geo.make_circle((2.0 + 0.5 * k, 1.5), 0.01 * (k + 1), 24 + 8 * k)
+           for k in range(4)]))
+    new = fl.step(state, fl.FlowConfig(dt=dt, end_time=1.0), dt)
+    velocities, vertices = flow_oracle.step(state, dt)
+    w_max = max(np.max(np.abs(w)) for w in velocities)
+    x_max = max(np.max(np.abs(x)) for x in vertices)
+    for vf, w in zip(new.normal_velocity, velocities):
+        assert np.max(np.abs(vf.values - w)) <= 1e-12 * w_max
+    for comp, x in zip(new.curve.components, vertices):
+        assert np.max(np.abs(comp.vertices - x)) <= 1e-12 * x_max

@@ -355,43 +355,59 @@ def _brute_diameter(points):
     return float(np.sqrt(np.sum((points[:, None] - points[None]) ** 2, axis=-1)).max())
 
 
-def _assert_diameter_exact(points):
-    exact = _brute_diameter(points)
-    assert abs(geo._diameter(points) - exact) <= 1e-15 * exact
+def _assert_diameters_exact(clouds):
+    # all clouds go through one batched caliper pass
+    got = geo._diameters([geo._hull(p) for p in clouds])
+    for p, d in zip(clouds, got):
+        exact = _brute_diameter(p)
+        assert abs(d - exact) <= 1e-15 * exact
 
 
 @ORACLE
-@given(arrays(np.float64, st.tuples(st.integers(3, 200), st.just(2)),
-              elements=st.floats(-1e3, 1e3, allow_subnormal=False)))
-def test_diameter_random_clouds(points):
-    _assert_diameter_exact(points)
+@given(st.lists(arrays(np.float64, st.tuples(st.integers(3, 200), st.just(2)),
+                       elements=st.floats(-1e3, 1e3, allow_subnormal=False)),
+                min_size=1, max_size=4))
+def test_diameter_random_clouds(clouds):
+    _assert_diameters_exact(clouds)
 
 
 @ORACLE
-@given(st.integers(3, 600), st.floats(1e-3, 1e3), st.floats(0.0, 2 * np.pi),
-       st.floats(-10.0, 10.0), st.booleans())
-def test_diameter_regular_ngons(n, radius, phase, shift, clockwise):
-    t = phase + 2 * np.pi * np.arange(n) / n
-    points = shift + radius * np.column_stack([np.cos(t), np.sin(t)])
-    _assert_diameter_exact(points[::-1] if clockwise else points)
+@given(st.lists(st.tuples(st.integers(3, 600), st.floats(1e-3, 1e3), st.floats(0.0, 2 * np.pi),
+                          st.floats(-10.0, 10.0), st.booleans()), min_size=1, max_size=4))
+def test_diameter_regular_ngons(ngons):
+    clouds = []
+    for n, radius, phase, shift, clockwise in ngons:
+        t = phase + 2 * np.pi * np.arange(n) / n
+        points = shift + radius * np.column_stack([np.cos(t), np.sin(t)])
+        clouds.append(points[::-1] if clockwise else points)
+    _assert_diameters_exact(clouds)
 
 
 @ORACLE
-@given(st.integers(3, 600), st.floats(1.0, 1e3), st.floats(0.0, np.pi),
-       st.integers(0, 2**32 - 1))
-def test_diameter_elongated_ellipses(n, aspect, angle, seed):
-    # dense sampling of an elongated convex curve, where a neighbour-only
+@given(st.lists(st.tuples(st.integers(3, 600), st.floats(1.0, 1e3), st.floats(0.0, np.pi),
+                          st.integers(0, 2**32 - 1)), min_size=1, max_size=4))
+def test_diameter_elongated_ellipses(ellipses):
+    # dense sampling of elongated convex curves, where a neighbour-only
     # caliper walk misses the farthest pair
-    t = np.sort(np.random.default_rng(seed).uniform(0.0, 2 * np.pi, n))
-    c, s = np.cos(angle), np.sin(angle)
-    points = np.column_stack([aspect * np.cos(t), np.sin(t)]) @ np.array([[c, s], [-s, c]])
-    _assert_diameter_exact(points)
+    clouds = []
+    for n, aspect, angle, seed in ellipses:
+        t = np.sort(np.random.default_rng(seed).uniform(0.0, 2 * np.pi, n))
+        c, s = np.cos(angle), np.sin(angle)
+        clouds.append(np.column_stack([aspect * np.cos(t), np.sin(t)])
+                      @ np.array([[c, s], [-s, c]]))
+    _assert_diameters_exact(clouds)
 
 
 def test_diameter_collinear_and_coincident():
+    # no Qhull hull: the two extremes stand in, batched with proper hulls
     line = np.outer(np.array([0.0, 3.0, 1.0, -2.0, 0.5]), [1.0, 2.0])
-    assert geo._diameter(line) == pytest.approx(5.0 * np.sqrt(5.0), rel=1e-15)
-    assert geo._diameter(np.ones((4, 2))) == 0.0
+    square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    got = geo._diameters([geo._hull(p) for p in (line, square, np.ones((4, 2)), line[::-1])])
+    assert got[0] == pytest.approx(5.0 * np.sqrt(5.0), rel=1e-15)
+    assert got[1] == np.sqrt(2.0)
+    assert got[2] == 0.0
+    assert got[3] == got[0]
+    assert geo._diameters([geo._hull(np.ones((4, 2)))])[0] == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline
 
 from surfdiff import geometry as geo
 from surfdiff import poisson as po
@@ -189,3 +192,67 @@ def test_uniqueness_up_to_rhs_constant(unit_circle_256):
     np.testing.assert_allclose(a.solution.values, b.solution.values,
                                rtol=0, atol=1e-11)
     assert b.mean_removed == pytest.approx(11.0, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# stacked cyclic banded solver and periodic spline against dense references
+# ---------------------------------------------------------------------------
+
+ORACLE = settings(max_examples=40, deadline=None, database=None)
+
+
+@ORACLE
+@given(st.sampled_from([1, 2]), st.lists(st.sampled_from([8, 512]), min_size=1, max_size=4),
+       st.integers(0, 2), st.integers(1, 2), st.integers(0, 2**32 - 1))
+def test_stacked_cyclic_banded_matches_dense(p, lengths, n_extra, m, seed):
+    # each cycle is a diagonally dominant cyclic band block; the extra
+    # rank-one terms couple the blocks
+    rng = np.random.default_rng(seed)
+    n = sum(lengths)
+    diags = rng.uniform(-1.0, 1.0, (2 * p + 1, n))
+    diags[p] += 2.0 * p + 1.0 + rng.uniform(0.0, 1.0, n)
+    dense = np.zeros((n, n))
+    start = 0
+    for size in lengths:
+        for i in range(size):
+            for k in range(2 * p + 1):
+                dense[start + i, start + (i + k - p) % size] += diags[k, start + i]
+        start += size
+    extra = [(rng.uniform(-1.0, 1.0, n) / np.sqrt(n), rng.uniform(-1.0, 1.0, n) / np.sqrt(n))
+             for _ in range(n_extra)]
+    for u, v in extra:
+        dense += np.outer(u, v)
+    rhs = rng.normal(size=(n, m))
+    exact = np.linalg.solve(dense, rhs)
+    got = po.solve_cyclic_banded(diags, rhs, lengths, extra=extra)
+    assert got.shape == rhs.shape
+    assert np.max(np.abs(got - exact)) <= 1e-12 * np.max(np.abs(exact))
+    flat = po.solve_cyclic_banded(diags, rhs[:, 0], lengths, extra=extra)
+    assert np.max(np.abs(flat - exact[:, 0])) <= 1e-12 * np.max(np.abs(exact[:, 0]))
+
+
+@ORACLE
+@given(st.lists(st.tuples(st.integers(8, 200), st.floats(0.1, 10.0), st.floats(0.0, 0.4)),
+                min_size=1, max_size=4),
+       st.integers(0, 2**32 - 1))
+def test_periodic_spline_matches_cubic_spline(cycles, seed):
+    # jittered knots per cycle, two data columns, values and first and
+    # second derivatives at random points (some at knots and past the period)
+    rng = np.random.default_rng(seed)
+    arcs, periods, values, queries = [], [], [], []
+    for k, (n, period, jitter) in enumerate(cycles):
+        knots = period * (np.arange(n) + rng.uniform(-jitter, jitter, n)) / n
+        knots -= knots[0]
+        arcs.append(knots)
+        periods.append(period)
+        values.append(rng.normal(size=(n, 2)))
+        s = np.concatenate([rng.uniform(-period, 2 * period, 50), knots[::7]])
+        queries.append((np.full(len(s), k), s))
+    spline = po.PeriodicSpline(np.concatenate(arcs), np.array(periods),
+                               [len(a) for a in arcs], np.vstack(values))
+    for (comp, s), knots, period, y in zip(queries, arcs, periods, values):
+        ref = CubicSpline(np.r_[knots, period], np.vstack([y, y[:1]]), bc_type="periodic")
+        for nu in (0, 1, 2):
+            exact = ref(np.mod(s, period), nu)
+            got = spline(comp, s, nu)
+            assert np.max(np.abs(got - exact)) <= 1e-13 * np.max(np.abs(exact))
