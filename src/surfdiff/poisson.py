@@ -63,16 +63,16 @@ def solve_cyclic_banded(diags, rhs: np.ndarray, lengths, extra=()) -> np.ndarray
     wrapped = np.flatnonzero((local < p) | (local >= size - p))
     col_of = np.zeros(n, dtype=np.intp)
     col_of[wrapped] = np.arange(len(wrapped))
+    # entry (k, i) sits in column cols[k, i] of i's own cycle
+    k = np.arange(2 * p + 1)[:, None]
+    cols = local + k - p
+    inside = (cols >= 0) & (cols < size)
     ab = np.zeros((2 * p + 1, n))
+    ab[np.broadcast_to(2 * p - k, cols.shape)[inside], (start + cols)[inside]] = diags[inside]
     us = np.zeros((n, len(wrapped)))
-    us[wrapped, col_of[wrapped]] = 1.0
+    us[wrapped, np.arange(len(wrapped))] = 1.0
     vs = np.zeros((n, len(wrapped)))
-    for k in range(2 * p + 1):
-        cols = local + k - p
-        inside = (cols >= 0) & (cols < size)
-        ab[2 * p - k, (start + cols)[inside]] = diags[k, inside]
-        out = ~inside
-        vs[start[out] + cols[out] % size[out], col_of[out]] = diags[k, out]
+    vs[(start + cols % size)[~inside], np.broadcast_to(col_of, cols.shape)[~inside]] = diags[~inside]
     us = np.column_stack([us, *(u for u, _ in extra)])
     vs = np.column_stack([vs, *(v for _, v in extra)])
     b = np.reshape(rhs, (n, -1))
@@ -100,6 +100,7 @@ class PeriodicSpline:
         self.start = np.cumsum(self.lengths) - self.lengths
         comp = np.repeat(np.arange(len(self.lengths)), self.lengths)
         nxt, prv = cycle_neighbours(self.lengths)
+        # interval lengths; each cycle's last interval closes at its period
         h = np.where(nxt > np.arange(len(nxt)), self.arc[nxt], self.period[comp]) - self.arc
         y = np.reshape(values, (len(h), -1)).astype(float)
         slope = (y[nxt] - y) / h[:, None]
