@@ -308,7 +308,8 @@ def build_B(curve: PolyCurve, caches: list[GeometryCache],
 
     if upsample is None:
         upsample = 2 * max(2, int(np.ceil(2048 / offsets[-1])))
-    position = _arc_spline(caches, np.vstack([c.vertices for c in caches]))
+    vertices = np.vstack([c.vertices for c in caches])
+    position = _arc_spline(caches, vertices)
     period = position.period
     nf = position.lengths * upsample
     comp = np.repeat(np.arange(len(caches)), nf)
@@ -321,7 +322,7 @@ def build_B(curve: PolyCurve, caches: list[GeometryCache],
         fine_charge=_arc_spline(caches, q)(comp, sf) * (period / nf)[comp],
         boundary=_arc_spline(caches, np.vstack(traces)), position=position,
         delta=float(delta),
-        support_center=np.vstack([c.vertices for c in caches]).mean(axis=0),
+        support_center=vertices.mean(axis=0),
         support_radius=curve.diameter + 10.0 * delta,
         near_cut=3.0 * float(np.max(period / nf)), upsample=upsample,
     )
