@@ -101,7 +101,7 @@ class PolyCurve:
         if len(comps) > 1:
             known = [_hull(c.vertices) for c, done in zip(comps, cached) if done]
             hulls.append(_hull(np.vstack(hulls + known)))
-        diams = _diameters(hulls) if hulls else []
+        diams = _diameters(hulls)
         for c, d in zip(todo, diams):
             c.__dict__["diameter"] = float(d)
         self.diameter = float(diams[-1]) if len(comps) > 1 else comps[0].diameter
