@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SelfIntersection, StepRejected, TopologyChange
+from .errors import CurveError, SelfIntersection, StepRejected, TopologyChange
 from .geometry import (
     Component,
     GeometryCache,
@@ -190,7 +190,7 @@ def step(state: FlowState, config: FlowConfig, dt: float | None = None) -> FlowS
         new_caches = build_geometry(new_curve)
     except SelfIntersection as exc:
         raise StepRejected(f"self-intersection: {exc}") from exc
-    except ValueError as exc:
+    except (CurveError, ValueError) as exc:
         raise StepRejected(f"invalid geometry: {exc}") from exc
 
     lo, hi = config.remesh_ratio_bounds
@@ -281,6 +281,7 @@ class FlowRun:
     rejected: int
     length_series: list[float]
     area_series: list[float]
+    rejections: dict[str, int]      # rejection count per reason, up to its first ':'
 
 
 def run_flow(initial: PolyCurve, config: FlowConfig, sample_stride: int = 10,
@@ -289,11 +290,12 @@ def run_flow(initial: PolyCurve, config: FlowConfig, sample_stride: int = 10,
     """Drive the flow to end_time with halving-on-rejection dt control.
 
     dt halves on StepRejected and regrows by max_dt_growth after ten
-    consecutive acceptances.  A persisting self-intersection at the dt floor
-    is reported as TopologyChange.  The initial curve is redistributed to
-    uniform arc length once, so that the per-step tangential redistribution
-    starts from its own fixed point.  With ``max_samples`` the recorded
-    states are thinned on the fly (stride doubling) to stay within bound.
+    consecutive acceptances; each rejection is counted under its reason.  A
+    persisting self-intersection at the dt floor is reported as
+    TopologyChange.  The initial curve is redistributed to uniform arc
+    length once, so that the per-step tangential redistribution starts from
+    its own fixed point.  With ``max_samples`` the recorded states are
+    thinned on the fly (stride doubling) to stay within bound.
     """
     if resample_initial:
         lengths = [c.n for c in initial.components]
@@ -305,6 +307,7 @@ def run_flow(initial: PolyCurve, config: FlowConfig, sample_stride: int = 10,
     dt_min = config.dt * DT_MIN_FACTOR
     samples = [state]
     accepted = rejected = 0
+    rejections: dict[str, int] = {}
     streak = 0
     lengths = [state.length()]
     areas = [state.area()]
@@ -319,10 +322,12 @@ def run_flow(initial: PolyCurve, config: FlowConfig, sample_stride: int = 10,
                 raise StepRejected("cumulative area drift exceeded configured bound")
         except StepRejected as exc:
             rejected += 1
+            reason = exc.reason.partition(":")[0]
+            rejections[reason] = rejections.get(reason, 0) + 1
             streak = 0
             dt *= 0.5
             if dt < dt_min:
-                if "self-intersection" in exc.reason:
+                if reason == "self-intersection":
                     raise TopologyChange(
                         f"intersection persists at dt floor (t={state.time:.6g})"
                     ) from exc
@@ -358,7 +363,7 @@ def run_flow(initial: PolyCurve, config: FlowConfig, sample_stride: int = 10,
     )
     return FlowRun(trajectory=traj, states=samples, final=state,
                    accepted=accepted, rejected=rejected,
-                   length_series=lengths, area_series=areas)
+                   length_series=lengths, area_series=areas, rejections=rejections)
 
 
 def _pde_velocity(state: FlowState) -> list[VertexField]:

@@ -70,10 +70,11 @@ class PolyCurve:
     """A forest of disjoint simple closed components, holes included.
 
     Construction checks the cheap invariants (vertex counts, edges against
-    a floor relative to each component's cached diameter, orientation/area
-    consistency, positive total area) and sets ``diameter``, the largest
-    vertex-to-vertex distance over all components.  The embeddedness test runs in
-    :func:`check_embedded`, which :func:`build_geometry` invokes.
+    a floor relative to each component's diameter, orientation/area
+    consistency, positive total area) without a hull; ``diameter``, the
+    largest vertex-to-vertex distance over all components, is computed on
+    first read.  The embeddedness test runs in :func:`check_embedded`, which
+    :func:`build_geometry` invokes.
     """
 
     def __init__(self, components):
@@ -92,24 +93,19 @@ class PolyCurve:
         for k, c in enumerate(comps):
             if c.n < 8:
                 raise ValueError(f"component {k} has {c.n} < 8 vertices")
-        # one caliper pass fills every Component.diameter not yet cached and
-        # the curve's: the hull of the union is the hull of the component
-        # hulls' vertices
-        cached = ["diameter" in c.__dict__ for c in comps]
-        todo = [c for c, done in zip(comps, cached) if not done]
-        hulls = [_hull(c.vertices) for c in todo]
-        if len(comps) > 1:
-            known = [_hull(c.vertices) for c, done in zip(comps, cached) if done]
-            hulls.append(_hull(np.vstack(hulls + known)))
-        diams = _diameters(hulls)
-        for c, d in zip(todo, diams):
-            c.__dict__["diameter"] = float(d)
-        self.diameter = float(diams[-1]) if len(comps) > 1 else comps[0].diameter
         starts, ends, _, local_of = self.segments
         first = np.flatnonzero(local_of == 0)
-        diam = np.array([c.diameter for c in comps])
         h = np.linalg.norm(ends - starts, axis=1)
-        short = (diam <= 0.0) | (np.minimum.reduceat(h, first) <= EDGE_FLOOR_REL * diam)
+        hmin = np.minimum.reduceat(h, first)
+        # the box diagonal bounds the diameter from above, in floating point
+        # too (a caliper distance |p - q| rounds along the same monotone
+        # path), so only a component within the floor of its bound reads its
+        # exact diameter
+        box = np.maximum.reduceat(starts, first) - np.minimum.reduceat(starts, first)
+        short = hmin <= EDGE_FLOOR_REL * np.sqrt(np.sum(box ** 2, axis=1))
+        for k in np.flatnonzero(short):
+            diam = comps[k].diameter
+            short[k] = diam <= 0.0 or hmin[k] <= EDGE_FLOOR_REL * diam
         area = 0.5 * np.add.reduceat(starts[:, 0] * ends[:, 1] - ends[:, 0] * starts[:, 1],
                                      first)
         flipped = np.sign(area) != [c.orientation for c in comps]
@@ -121,6 +117,26 @@ class PolyCurve:
                              f"contradicts orientation {comps[k].orientation}")
         if area.sum() <= 0.0:
             raise ValueError("total signed enclosed area must be positive")
+
+    @cached_property
+    def diameter(self) -> float:
+        """Largest vertex-to-vertex distance over all components, on first read.
+
+        One caliper pass fills every Component.diameter not yet cached and
+        the curve's: the hull of the union is the hull of the component
+        hulls' vertices.
+        """
+        comps = self.components
+        cached = ["diameter" in c.__dict__ for c in comps]
+        todo = [c for c, done in zip(comps, cached) if not done]
+        hulls = [_hull(c.vertices) for c in todo]
+        if len(comps) > 1:
+            known = [_hull(c.vertices) for c, done in zip(comps, cached) if done]
+            hulls.append(_hull(np.vstack(hulls + known)))
+        diams = _diameters(hulls)
+        for c, d in zip(todo, diams):
+            c.__dict__["diameter"] = float(d)
+        return float(diams[-1]) if len(comps) > 1 else comps[0].diameter
 
     @property
     def ncomponents(self) -> int:
@@ -225,7 +241,7 @@ class GeometryCache:
     weights[i] = (edge_lengths[i-1] + edge_lengths[i]) / 2 is the vertex
     quadrature weight; kappa[i] is the turning angle at vertex i divided by
     weights[i], which makes sum(kappa * weights) equal the total turning
-    angle exactly.
+    angle exactly.  ``diameter`` is the component's, computed on first read.
     """
 
     component_index: int
@@ -239,11 +255,15 @@ class GeometryCache:
     kappa: np.ndarray
     length: float
     area: float
-    diameter: float
+    component: Component
 
     @property
     def n(self) -> int:
         return self.vertices.shape[0]
+
+    @property
+    def diameter(self) -> float:
+        return self.component.diameter
 
 
 def cycle_neighbours(lengths) -> tuple[np.ndarray, np.ndarray]:
@@ -359,7 +379,7 @@ def build_geometry(curve: PolyCurve) -> list[GeometryCache]:
             kappa=kappa[sl],
             length=float(np.sum(h[sl])),
             area=float(0.5 * np.sum(cross[sl])),
-            diameter=c.diameter,
+            component=c,
         ))
     return caches
 
@@ -390,51 +410,8 @@ def d2ds2(cache: GeometryCache, values: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# embeddedness: grid broad phase + exact segment tests
+# embeddedness: k-d tree broad phase + exact segment tests
 # ---------------------------------------------------------------------------
-
-def _segment_pair_candidates(starts, ends, cell):
-    """Indices (i, j), i < j, of segments whose bboxes share a grid cell."""
-    lo = np.minimum(starts, ends)
-    hi = np.maximum(starts, ends)
-    i0 = np.floor(lo / cell).astype(np.int64)
-    i1 = np.floor(hi / cell).astype(np.int64)
-    # short segments: bbox spans at most 2 cells per axis
-    keys = []
-    owners = []
-    nseg = len(starts)
-    ids = np.arange(nseg)
-    for dx in (0, 1):
-        for dy in (0, 1):
-            cx = np.where(dx == 0, i0[:, 0], i1[:, 0])
-            cy = np.where(dy == 0, i0[:, 1], i1[:, 1])
-            keys.append(cx * np.int64(0x9E3779B1) + cy)
-            owners.append(ids)
-    keys = np.concatenate(keys)
-    owners = np.concatenate(owners)
-    order = np.lexsort((owners, keys))
-    keys, owners = keys[order], owners[order]
-    dup = np.concatenate([[False], (keys[1:] == keys[:-1]) & (owners[1:] == owners[:-1])])
-    keys, owners = keys[~dup], owners[~dup]
-    # within each equal-key run, pair entries at every positive offset
-    pi, pj = [], []
-    shift = 1
-    while shift < len(keys):
-        same = keys[shift:] == keys[:-shift]
-        if not np.any(same):
-            break
-        pi.append(owners[:-shift][same])
-        pj.append(owners[shift:][same])
-        shift += 1
-    if not pi:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    pi = np.concatenate(pi)
-    pj = np.concatenate(pj)
-    lo = np.minimum(pi, pj)
-    hi = np.maximum(pi, pj)
-    uniq_keys = np.unique(lo * np.int64(nseg) + hi)
-    return uniq_keys // nseg, uniq_keys % nseg
-
 
 def _point_segment_dist(p, a, b):
     ab = b - a
@@ -464,34 +441,54 @@ def _segment_segment_dist(a0, a1, b0, b1):
     return np.where(proper, 0.0, d)
 
 
+def _segment_pairs_within(starts, ends, reach):
+    """Pairs (i, j), i < j, in no set order, among them every segment pair
+    closer than reach.
+
+    Points of a segment lie within half its length h of its midpoint m, so
+    a pair closer than reach has |m_i - m_j| < (h_i + h_j)/2 + reach (the
+    triangle inequality): a k-d tree lists the midpoint pairs within
+    h_max + reach (Bentley 1975), and the per-pair bound filters them.  Both
+    radii carry a slack of 1e-12 of the largest coordinate, far above the
+    rounding of the midpoints, lengths and distances compared.
+    """
+    mid = 0.5 * (starts + ends)
+    h = np.hypot(*(ends - starts).T)
+    reach = reach + 1e-12 * np.abs(starts).max()
+    pi, pj = cKDTree(mid).query_pairs(h.max() + reach, output_type="ndarray").T
+    z = mid[:, 0] + 1j * mid[:, 1]
+    near = np.abs(z[pi] - z[pj]) <= 0.5 * (h[pi] + h[pj]) + reach
+    return pi[near], pj[near]
+
+
 def check_embedded(curve: PolyCurve) -> None:
     """Reject self-crossing components and touching component pairs.
 
-    Uses a uniform grid broad phase sized at twice the longest edge, then
-    exact segment-pair distance tests at tolerance SIMPLICITY_TOL_REL times
-    the curve's diameter.
+    Segment pairs closer than SIMPLICITY_TOL_REL times the curve's
+    bounding-box diagonal come from a k-d tree on the segment midpoints;
+    their exact distances are tested at that tolerance, and only when one
+    falls below it is the curve's diameter computed for the exact
+    tolerance, SIMPLICITY_TOL_REL times the diameter.  The first bad pair
+    in (i, j) order names the error.
     """
     starts, ends, comp_of, local_of = curve.segments
-    tol = SIMPLICITY_TOL_REL * curve.diameter
-    hmax = np.linalg.norm(ends - starts, axis=1).max()
-    cell = 2.0 * hmax
-
-    pi, pj = _segment_pair_candidates(starts, ends, cell)
-    if len(pi) == 0:
-        return
+    dx, dy = np.ptp(starts[:, 0]), np.ptp(starts[:, 1])
+    tol = SIMPLICITY_TOL_REL * np.sqrt(dx * dx + dy * dy)
+    pi, pj = _segment_pairs_within(starts, ends, tol)
     same = comp_of[pi] == comp_of[pj]
     # cyclically adjacent segments of the same component legitimately touch
-    n_arr = np.bincount(comp_of)[comp_of[pi]]
     gap = np.abs(local_of[pi] - local_of[pj])
-    adjacent = same & ((gap <= 1) | (gap >= n_arr - 1))
-    keep = ~adjacent
-    if not np.any(keep):
-        return
+    keep = ~(same & ((gap <= 1) | (gap >= np.bincount(comp_of)[comp_of[pi]] - 1)))
     pi, pj, same = pi[keep], pj[keep], same[keep]
+    if len(pi) == 0:
+        return
     dist = _segment_segment_dist(starts[pi], ends[pi], starts[pj], ends[pj])
     bad = dist < tol
     if np.any(bad):
-        b = int(np.argmax(bad))
+        bad = dist < SIMPLICITY_TOL_REL * curve.diameter
+    if np.any(bad):
+        b = np.flatnonzero(bad)
+        b = b[np.lexsort((pj[b], pi[b]))[0]]
         if same[b]:
             raise SelfIntersection(
                 f"component {comp_of[pi[b]]} self-intersects near segment {local_of[pi[b]]}"

@@ -282,25 +282,37 @@ def test_banded_flow_operator_matches_dense_solve(n, bubbles, dt, seed):
         assert np.max(np.abs(got - dense)) <= tol * np.max(np.abs(dense))
 
 
-def test_step_computes_diameter_once(monkeypatch):
-    # one batched caliper call per step: one hull per new component, and the
-    # hull of their hulls for the curve's diameter only with several components
-    calls = []
-    diameters = geo._diameters
+def test_step_computes_no_diameter(monkeypatch):
+    # validating a new state needs no hull and no caliper pass; the first
+    # read of the curve's diameter makes one caliper call over a hull per
+    # component and, with several components, the hull of their hulls, and
+    # that call fills every cache's diameter too
+    calls = {"_hull": 0, "_diameters": []}
+    hull, diameters = geo._hull, geo._diameters
 
-    def counting(hulls):
-        calls.append(len(hulls))
+    def counting_hull(vertices):
+        calls["_hull"] += 1
+        return hull(vertices)
+
+    def counting_diameters(hulls):
+        calls["_diameters"].append(len(hulls))
         return diameters(hulls)
 
-    for bubbles, expected in ((0, 1), (4, 6)):
+    for bubbles, hulls in ((0, 1), (4, 6)):
         state = fl.FlowState.initial(_resampled(
             [geo.make_ellipse(2.0, 1.0, 128)]
             + [geo.make_circle((3.0 + k, 2.0), 0.1, 24) for k in range(bubbles)]))
-        calls.clear()
-        monkeypatch.setattr(geo, "_diameters", counting)
-        fl.step(state, fl.FlowConfig(dt=1e-4, end_time=1.0))
+        monkeypatch.setattr(geo, "_hull", counting_hull)
+        monkeypatch.setattr(geo, "_diameters", counting_diameters)
+        new = fl.step(state, fl.FlowConfig(dt=1e-4, end_time=1.0))
+        assert calls == {"_hull": 0, "_diameters": []}
+        for _ in range(2):
+            new.curve.diameter
+            for cache in new.caches:
+                cache.diameter
+            assert calls == {"_hull": hulls, "_diameters": [hulls]}
         monkeypatch.undo()
-        assert calls == [expected]
+        calls.update(_hull=0, _diameters=[])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -315,6 +327,36 @@ def test_non_finite_velocity_rejects_step(monkeypatch, bad):
                         lambda caches, dt: np.where(np.arange(96) == 70, bad, 0.0))
     with pytest.raises(StepRejected):
         fl.step(state, fl.FlowConfig(dt=1e-4, end_time=1.0))
+
+
+def test_degenerate_edge_rejects_step(monkeypatch):
+    # a new state failing the edge floor raises DegenerateEdge, a CurveError
+    # and not a ValueError; it must still come back as StepRejected
+    state = fl.FlowState.initial(geo.PolyCurve([geo.make_ellipse(2.0, 1.0, 64)]))
+    resample = fl._resample_uniform
+
+    def repeating(x, lengths, passes=1):
+        x = resample(x, lengths, passes)
+        x[10] = x[9]
+        return x
+
+    monkeypatch.setattr(fl, "_resample_uniform", repeating)
+    with pytest.raises(StepRejected, match="invalid geometry"):
+        fl.step(state, fl.FlowConfig(dt=1e-4, end_time=1.0))
+
+
+def test_rejection_reasons_counted():
+    # a step far too large for a deep mode-7 wave is rejected for several
+    # reasons on the way down and back up; each rejection is counted under
+    # its reason up to the first ':'
+    curve = geo.PolyCurve([geo.make_wavy_circle(1.0, 0.4, 7, 256)])
+    run = fl.run_flow(curve, fl.FlowConfig(dt=1e-2, end_time=1e-2), sample_stride=1000)
+    reasons = {"self-intersection", "invalid geometry", "resampling left edge ratios out of bounds",
+               "length increased", "per-step area drift over budget",
+               "cumulative area drift exceeded configured bound"}
+    assert run.rejected > 0
+    assert sum(run.rejections.values()) == run.rejected
+    assert len(run.rejections) >= 2 and set(run.rejections) <= reasons
 
 
 def test_resample_matches_per_coordinate_splines():

@@ -74,9 +74,11 @@ def test_orientation_area_consistency():
 
 
 def test_self_intersection_detected():
+    # vertices 0 and 32 coincide at the crossing: of the four segment pairs
+    # meeting there, the first in (i, j) order, (0, 31), names the error
     t = 2 * np.pi * np.arange(64) / 64
     fig8 = np.column_stack([np.sin(2 * t), np.sin(t)])
-    with pytest.raises(SelfIntersection):
+    with pytest.raises(SelfIntersection, match="near segment 0$"):
         geo.check_embedded(geo.PolyCurve([geo.Component(fig8, 1)]))
 
 
@@ -542,34 +544,40 @@ def test_curve_index_coarse_vertices_on_fine_polygon():
 # embeddedness against the brute-force segment clearance
 # ---------------------------------------------------------------------------
 
-def _tipped_star(rng, n, center, flip):
+def _tipped_star(rng, n, center, flip, rmin=0.5):
     # vertex 0 sits at distance 1 along +x (-x when flipped), every other
     # vertex within 0.9 of the centre: the tip is the component's unique
     # extreme point in that direction
     ang = 2 * np.pi * (np.arange(n) + 0.8 * rng.uniform(size=n)) / n
     ang[0] = 0.0
-    rad = rng.uniform(0.5, 0.9, n)
+    rad = rng.uniform(rmin, 0.9, n)
     rad[0] = 1.0
     v = np.column_stack([rad * np.cos(ang), rad * np.sin(ang)])
     return geo.Component(np.asarray(center) + (-v if flip else v), 1)
 
 
-def _brute_clearance(curve):
-    """Least distance over all segment pairs that are not cyclic neighbours."""
+def _brute_pairs(curve):
+    """Distances of all segment pairs (i, j), i < j, in (i, j) order, that
+    are not cyclic neighbours."""
     starts, ends, comp_of, local_of = curve.segments
     i, j = np.triu_indices(len(starts), k=1)
     n = np.bincount(comp_of)[comp_of[i]]
     gap = np.abs(local_of[i] - local_of[j])
     adjacent = (comp_of[i] == comp_of[j]) & ((gap <= 1) | (gap >= n - 1))
     i, j = i[~adjacent], j[~adjacent]
-    return float(geo._segment_segment_dist(starts[i], ends[i], starts[j], ends[j]).min())
+    return i, j, geo._segment_segment_dist(starts[i], ends[i], starts[j], ends[j])
+
+
+def _brute_clearance(curve):
+    """Least distance over all segment pairs that are not cyclic neighbours."""
+    return float(_brute_pairs(curve)[2].min())
 
 
 @ORACLE
 @given(st.integers(8, 40), st.integers(8, 40),
        st.sampled_from(["gap", "overlap", "twist", "none"]), st.integers(-14, -6),
-       st.integers(0, 2), st.integers(0, 2**32 - 1))
-def test_check_embedded_star_forests(n_a, n_b, inject, exponent, n_bubbles, seed):
+       st.integers(0, 2), st.sampled_from([1e-3, 1e-2, 1e-1]), st.integers(0, 2**32 - 1))
+def test_check_embedded_star_forests(n_a, n_b, inject, exponent, n_bubbles, radius, seed):
     rng = np.random.default_rng(seed)
     comps = [_tipped_star(rng, n_a, (0.0, 0.0), False)]
     if inject != "twist":
@@ -584,14 +592,104 @@ def test_check_embedded_star_forests(n_a, n_b, inject, exponent, n_bubbles, seed
         k = int(rng.integers(1, n_a - 2))
         v[[k, k + 2]] = v[[k + 2, k]]
         comps[0] = geo.Component(v, 1)
+    # bubbles of radius down to 1e-3, whose edges are far shorter than the
+    # main loop's
     for i in range(n_bubbles):
-        comps.append(_star(rng, int(rng.integers(8, 25)), (1.0, 2.0 + i), 0.1, 0.3))
+        comps.append(_star(rng, int(rng.integers(8, 25)), (1.0, 2.0 + i), radius, 3 * radius))
     curve = geo.PolyCurve(comps)
     tol = geo.SIMPLICITY_TOL_REL * _brute_diameter(curve.segments[0])
+    i, j, dist = _brute_pairs(curve)
+    assume(dist.min() < 0.1 * tol or dist.min() > 10.0 * tol)
+    if dist.min() < tol:
+        # the first pair closer than tol, in (i, j) order, names the error
+        _, _, comp_of, local_of = curve.segments
+        b = np.argmax(dist < tol)
+        ci, cj = comp_of[i[b]], comp_of[j[b]]
+        message = (f"component {ci} self-intersects near segment {local_of[i[b]]}$"
+                   if ci == cj else f"components {ci} and {cj} touch or cross")
+        with pytest.raises(SelfIntersection, match=message):
+            geo.check_embedded(curve)
+    else:
+        geo.check_embedded(curve)
+
+
+# ---------------------------------------------------------------------------
+# bound-then-exact decisions: the box diagonal bounds the diameter, and
+# only the exact diameter decides
+# ---------------------------------------------------------------------------
+
+def _box_diagonal(points):
+    return float(np.linalg.norm(np.ptp(points, axis=0)))
+
+
+@ORACLE
+@given(st.integers(8, 200), st.floats(0.5, 2.0), st.floats(0.0, 2 * np.pi),
+       st.integers(0, 2**32 - 1))
+def test_edge_floor_decided_by_exact_diameter(n, factor, angle, seed):
+    # a vertex inserted on the chord of edge 3, at factor * EDGE_FLOOR_REL
+    # times the exact diameter from vertex 3, leaves the diameter as it is;
+    # the rotation opens a gap of up to sqrt(2) between the diameter and the
+    # box diagonal, inside which only the exact diameter decides
+    rng = np.random.default_rng(seed)
+    v = _star(rng, n, (0.0, 0.0), 0.5, 1.0).vertices
+    c, s = np.cos(angle), np.sin(angle)
+    v = v @ np.array([[c, s], [-s, c]])
+    diam = _brute_diameter(v)
+    step = v[4] - v[3]
+    v = np.insert(v, 4, v[3] + factor * geo.EDGE_FLOOR_REL * diam * step / np.linalg.norm(step),
+                  axis=0)
+    diam = _brute_diameter(v)
+    shortest = np.linalg.norm(np.roll(v, -1, axis=0) - v, axis=1).min()
+    if shortest <= geo.EDGE_FLOOR_REL * diam:
+        with pytest.raises(DegenerateEdge):
+            geo.PolyCurve([geo.Component(v, 1)])
+    else:
+        geo.PolyCurve([geo.Component(v, 1)])
+
+
+@ORACLE
+@given(st.integers(12, 40), st.integers(8, 40), st.sampled_from([0.8, 1.2]),
+       st.integers(0, 3), st.floats(-np.pi / 8, np.pi / 8), st.integers(0, 2**32 - 1))
+def test_clearance_decided_by_exact_diameter(n_a, n_b, factor, quarter, angle, seed):
+    # a round star and one a tenth its size, tip to tip at factor times the
+    # exact tolerance, turned so that the small star points near an axis:
+    # then the box-diagonal tolerance lies above both gaps
+    rng = np.random.default_rng(seed)
+    angle += quarter * np.pi / 2
+    a = _tipped_star(rng, n_a, (0.0, 0.0), False, rmin=0.8).vertices
+    b = [1.1, 0.0] + 0.1 * _tipped_star(rng, n_b, (0.0, 0.0), True).vertices
+    gap = factor * geo.SIMPLICITY_TOL_REL * _brute_diameter(np.vstack([a, b]))
+    c, s = np.cos(angle), np.sin(angle)
+    rot = np.array([[c, s], [-s, c]])
+    curve = geo.PolyCurve([geo.Component(a @ rot, 1),
+                           geo.Component((b + [gap, 0.0]) @ rot, 1)])
+    starts = curve.segments[0]
+    tol = geo.SIMPLICITY_TOL_REL * _brute_diameter(starts)
     clearance = _brute_clearance(curve)
-    assume(clearance < 0.1 * tol or clearance > 10.0 * tol)
+    assert clearance < geo.SIMPLICITY_TOL_REL * _box_diagonal(starts)
+    assert abs(clearance / tol - factor) < 0.01
     if clearance < tol:
         with pytest.raises(SelfIntersection):
             geo.check_embedded(curve)
     else:
         geo.check_embedded(curve)
+
+
+@ORACLE
+@given(st.floats(0.0, 2 * np.pi), st.floats(-1e3, 1e3), st.floats(-1e3, 1e3),
+       st.integers(0, 2**32 - 1))
+def test_segment_pairs_within_keeps_collinear_gaps(angle, ox, oy, seed):
+    # end to end collinear segments make the midpoint bound tight: gaps
+    # within rounding of the reach must survive the k-d radius and the
+    # per-pair filter whenever their computed distance is below the reach
+    rng = np.random.default_rng(seed)
+    m, reach = 64, 1e-7
+    u = np.array([np.cos(angle), np.sin(angle)])
+    base = np.array([ox, oy]) + 3.0 * np.arange(m)[:, None] * [-u[1], u[0]]
+    gap = reach - rng.uniform(0.0, 1e-12, m)
+    starts = np.vstack([base, base + (1.0 + gap)[:, None] * u])
+    ends = np.vstack([base + u, base + (2.0 + gap)[:, None] * u])
+    pi, pj = geo._segment_pairs_within(starts, ends, reach)
+    i, j = np.triu_indices(2 * m, k=1)
+    near = geo._segment_segment_dist(starts[i], ends[i], starts[j], ends[j]) < reach
+    assert set(zip(i[near], j[near])) <= set(zip(pi.tolist(), pj.tolist()))
