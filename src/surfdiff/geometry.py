@@ -442,8 +442,7 @@ def _segment_segment_dist(a0, a1, b0, b1):
 
 
 def _segment_pairs_within(starts, ends, reach):
-    """Pairs (i, j), i < j, in no set order, among them every segment pair
-    closer than reach.
+    """Pairs (i, j), i < j, unordered, among them every segment pair closer than reach.
 
     Points of a segment lie within half its length h of its midpoint m, so
     a pair closer than reach has |m_i - m_j| < (h_i + h_j)/2 + reach (the
@@ -464,12 +463,11 @@ def _segment_pairs_within(starts, ends, reach):
 def check_embedded(curve: PolyCurve) -> None:
     """Reject self-crossing components and touching component pairs.
 
-    Segment pairs closer than SIMPLICITY_TOL_REL times the curve's
-    bounding-box diagonal come from a k-d tree on the segment midpoints;
-    their exact distances are tested at that tolerance, and only when one
-    falls below it is the curve's diameter computed for the exact
-    tolerance, SIMPLICITY_TOL_REL times the diameter.  The first bad pair
-    in (i, j) order names the error.
+    Segment pairs closer than SIMPLICITY_TOL_REL times the curve's box
+    diagonal, an upper bound of its diameter, come from a k-d tree on the
+    segment midpoints; the exact tolerance, SIMPLICITY_TOL_REL times the
+    diameter, is computed only if one of them is that close.  The first bad
+    pair in (i, j) order names the error.
     """
     starts, ends, comp_of, local_of = curve.segments
     dx, dy = np.ptp(starts[:, 0]), np.ptp(starts[:, 1])

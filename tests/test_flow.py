@@ -351,8 +351,9 @@ def test_rejection_reasons_counted():
     # its reason up to the first ':'
     curve = geo.PolyCurve([geo.make_wavy_circle(1.0, 0.4, 7, 256)])
     run = fl.run_flow(curve, fl.FlowConfig(dt=1e-2, end_time=1e-2), sample_stride=1000)
-    reasons = {"self-intersection", "invalid geometry", "resampling left edge ratios out of bounds",
-               "length increased", "per-step area drift over budget",
+    reasons = {"self-intersection", "invalid geometry",
+               "resampling left edge ratios out of bounds", "length increased",
+               "per-step area drift over budget",
                "cumulative area drift exceeded configured bound"}
     assert run.rejected > 0
     assert sum(run.rejections.values()) == run.rejected
