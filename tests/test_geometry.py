@@ -613,14 +613,27 @@ def test_check_embedded_star_forests(n_a, n_b, inject, exponent, n_bubbles, radi
         geo.check_embedded(curve)
 
 
+def test_near_pair_found_at_any_offset():
+    # two tips half the tolerance apart, the gap swept across one period of
+    # twice the longest edge: a uniform grid of that cell size would split
+    # the pair whenever a cell line falls inside the gap
+    rng = np.random.default_rng(3)
+    a = _tipped_star(rng, 24, (0.0, 0.0), False).vertices
+    b = _tipped_star(rng, 24, (2.0, 0.0), True).vertices
+    gap = 0.5 * geo.SIMPLICITY_TOL_REL * _brute_diameter(np.vstack([a, b]))
+    cell = 2 * max(np.linalg.norm(np.roll(v, -1, axis=0) - v, axis=1).max() for v in (a, b))
+    for f in np.linspace(0.0, 1.0, 9):
+        shift = [(5 + f) * cell - 1.0 - 0.5 * gap, 0.0]
+        curve = geo.PolyCurve([geo.Component(a + shift, 1),
+                               geo.Component(b + [gap, 0.0] + shift, 1)])
+        with pytest.raises(SelfIntersection, match="components 0 and 1 touch or cross"):
+            geo.check_embedded(curve)
+
+
 # ---------------------------------------------------------------------------
 # bound-then-exact decisions: the box diagonal bounds the diameter, and
 # only the exact diameter decides
 # ---------------------------------------------------------------------------
-
-def _box_diagonal(points):
-    return float(np.linalg.norm(np.ptp(points, axis=0)))
-
 
 @ORACLE
 @given(st.integers(8, 200), st.floats(0.5, 2.0), st.floats(0.0, 2 * np.pi),
@@ -666,7 +679,7 @@ def test_clearance_decided_by_exact_diameter(n_a, n_b, factor, quarter, angle, s
     starts = curve.segments[0]
     tol = geo.SIMPLICITY_TOL_REL * _brute_diameter(starts)
     clearance = _brute_clearance(curve)
-    assert clearance < geo.SIMPLICITY_TOL_REL * _box_diagonal(starts)
+    assert clearance < geo.SIMPLICITY_TOL_REL * np.linalg.norm(np.ptp(starts, axis=0))
     assert abs(clearance / tol - factor) < 0.01
     if clearance < tol:
         with pytest.raises(SelfIntersection):
