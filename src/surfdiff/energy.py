@@ -38,6 +38,7 @@ from .geometry import (
     _bucket_pairs,
     _buckets,
     crossing_parity,
+    cycle_neighbours,
     integrate,
     region_contains,
 )
@@ -461,6 +462,9 @@ def dissipation_report(curve: PolyCurve, sample: TubeSample, calib: Calibration,
     cross_v_xi = 0.0
     cross_xi = 0.0
     cross_h_b = 0.0
+    if b_field is not None:
+        b_parts = np.split(b_field.at(np.vstack([c.vertices for c in caches])),
+                           np.cumsum([c.n for c in caches])[:-1])
     for k, cache in enumerate(caches):
         dkappa = dds(cache, cache.kappa)
         d_h += integrate(cache, dkappa**2)
@@ -474,7 +478,7 @@ def dissipation_report(curve: PolyCurve, sample: TubeSample, calib: Calibration,
             d_v += integrate(cache, dphi**2)
             cross_v_xi += integrate(cache, (dphi - ddiv)**2)
         if b_field is not None:
-            phi_b = nu_dot_B_potential(cache, b_field.at)
+            phi_b = nu_dot_B_potential(cache, b_parts[k])
             dphib = dds(cache, phi_b.values)
             cross_h_b += integrate(cache, (dkappa - dphib)**2)
         else:
@@ -557,22 +561,23 @@ def gronwall_verdict(reports: list[EnergyReport], floor: float = 1e-7,
 # component-wise boundary flux and the two nu . B sum inequalities
 # ---------------------------------------------------------------------------
 
-def edge_flux(vector_field, cache: GeometryCache) -> float:
-    """int nu . B over one component with 4-point Gauss per edge.
+def edge_flux(vector_field, caches: list[GeometryCache]) -> np.ndarray:
+    """int nu . B over each component, with 4-point Gauss per edge.
 
-    Per-edge quadrature makes the divergence theorem exact for constant
-    fields (the rotated edge vectors telescope), which the checkers rely on.
+    ``vector_field`` is called once, on the Gauss points of every edge of
+    every component.  Per-edge quadrature makes the divergence theorem exact
+    for constant fields (the rotated edge vectors telescope), which the
+    checkers rely on.
     """
-    v = cache.vertices
-    e = np.roll(v, -1, axis=0) - v
+    lengths = [c.n for c in caches]
+    v = np.vstack([c.vertices for c in caches])
+    e = v[cycle_neighbours(lengths)[0]] - v
     elen = np.linalg.norm(e, axis=1)
     nu_e = np.column_stack([e[:, 1], -e[:, 0]]) / elen[:, None]
-    total = 0.0
-    for x, w in zip(_G4X, _G4W):
-        pts = v + x * e
-        vals = np.asarray(vector_field(pts))
-        total += w * np.sum(elen * np.sum(nu_e * vals, axis=1))
-    return float(total)
+    pts = v + _G4X[:, None, None] * e
+    vals = np.reshape(vector_field(np.reshape(pts, (-1, 2))), pts.shape)
+    per_edge = elen * np.sum(nu_e * vals, axis=2)
+    return _G4W @ np.add.reduceat(per_edge, np.cumsum(lengths) - lengths, axis=1)
 
 
 @dataclass
@@ -597,7 +602,7 @@ def nu_dot_B_sums(caches: list[GeometryCache], b_field, calib: Calibration,
     Components failing the diameter hypothesis of the small-component bound
     (``xi_grad_bound`` is sup |grad xi|) are counted, not silently dropped.
     """
-    fluxes = np.array([edge_flux(b_field.at, c) for c in caches])
+    fluxes = edge_flux(b_field.at, caches)
     lengths = np.array([c.length for c in caches])
     sum_abs = float(np.sum(np.abs(fluxes)))
     sum_scaled = float(np.sum(np.abs(fluxes) / lengths))

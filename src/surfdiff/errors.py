@@ -37,6 +37,10 @@ class TopologyChange(Exception):
     """The evolving curve developed an intersection; never handled silently."""
 
 
+class AreaDriftExceeded(Exception):
+    """The cumulative area drift stays over its bound down to the dt floor."""
+
+
 class MedialAxisProximity(Exception):
     """Two closest-point candidates are equidistant; the foot point is ambiguous."""
 

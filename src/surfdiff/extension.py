@@ -25,6 +25,7 @@ from .geometry import (
     GeometryCache,
     PolyCurve,
     VertexField,
+    cycle_neighbours,
     dds,
     field_mean,
     integrate,
@@ -32,9 +33,18 @@ from .geometry import (
 from .poisson import PeriodicSpline, solve_zero_average
 
 
+def _complex(xy):
+    return xy[:, 0] + 1j * xy[:, 1]
+
+
 def _smoothstep(u):
     u = np.clip(u, 0.0, 1.0)
     return u**3 * (6.0 * u * u - 15.0 * u + 10.0)
+
+
+def _smoothstep_slope(u):
+    u = np.clip(u, 0.0, 1.0)
+    return 30.0 * u * u * (1.0 - u) ** 2
 
 
 def _arc_spline(caches: list[GeometryCache], values) -> PeriodicSpline:
@@ -79,8 +89,8 @@ class BField:
         the gradient of sum_j c_j log|z - w_j| is conj(sum_j c_j / (z - w_j)):
         one complex reciprocal and one matrix-vector product per chunk.
         """
-        z = points[:, 0] + 1j * points[:, 1]
-        w = self.fine_points[:, 0] + 1j * self.fine_points[:, 1]
+        z = _complex(points)
+        w = _complex(self.fine_points)
         c = (-self.fine_charge / (2.0 * np.pi)).astype(complex)
         g = np.empty(len(z), dtype=complex)
         chunk = max(1, (1 << 20) // max(len(w), 1))
@@ -123,31 +133,61 @@ class BField:
         nu = np.column_stack([tau[:, 1], -tau[:, 0]])
         return np.sum((points - g) * nu, axis=1), a, comp, tau, nu
 
-    def _tube_taylor(self, s, arc, comp, tau, nu):
+    def _tube_taylor(self, s, arc, comp, tau, nu, div: bool):
         """Second-order normal Taylor expansion of the interior field.
 
         The coefficients follow from differentiating the harmonic equation in
         tube coordinates, so the expansion has zero divergence at the
-        boundary and O(s) divergence beyond.
+        boundary and O(s) divergence beyond.  Returns the field and, with
+        ``div`` (else None), its divergence in those coordinates,
+        (d_a bt / |gamma'| + d_s((1 + K s) bn)) / (1 + K s), with the speed
+        |gamma'| and the curvature K of the position spline the foot lies on.
         """
         g, v, dg, dv, ddg, ddv, kap, dkap = self.boundary(comp, arc).T
         bt = (g + s * (dv - kap * g)
               + s**2 * (kap**2 * g - kap * dv + 0.5 * (-dkap * v - kap * dv - ddg)))
         bn = (v + s * (-kap * v - dg)
               + 0.5 * s**2 * (2.0 * kap**2 * v + 3.0 * kap * dg + dkap * g - ddv))
-        return bt[:, None] * tau + bn[:, None] * nu
+        vals = bt[:, None] * tau + bn[:, None] * nu
+        if not div:
+            return vals, None
+        g1, v1, dg1, dv1, ddg1, _, kap1, dkap1 = self.boundary(comp, arc, 1).T
+        da_bt = (g1 + s * (dv1 - kap1 * g - kap * g1)
+                 + s**2 * (2.0 * kap * kap1 * g + kap**2 * g1 - kap1 * dv - kap * dv1
+                           + 0.5 * (-dkap1 * v - dkap * v1 - kap1 * dv - kap * dv1
+                                    - ddg1)))
+        ds_bn = -kap * v - dg + s * (2.0 * kap**2 * v + 3.0 * kap * dg + dkap * g - ddv)
+        d, dd = self.position(comp, arc, 1), self.position(comp, arc, 2)
+        speed = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
+        curv = (d[:, 0] * dd[:, 1] - d[:, 1] * dd[:, 0]) / speed**3
+        return vals, (da_bt / speed + curv * bn) / (1.0 + curv * s) + ds_bn
 
     def at(self, points) -> np.ndarray:
         """Evaluate B; zero outside the support."""
+        return self._evaluate(points, div=False)[0]
+
+    def at_and_div(self, points) -> tuple[np.ndarray, np.ndarray]:
+        """B and its exact divergence in one pass.
+
+        The far field is harmonic, so it adds no divergence; the tube Taylor
+        field adds its closed form, and each blend weight w(s) adds
+        w'(s) nu . (difference of the two fields it blends), since grad s = nu
+        in the tube.
+        """
+        return self._evaluate(points, div=True)
+
+    def _evaluate(self, points, div: bool):
         points = np.atleast_2d(np.asarray(points, dtype=float))
         out = np.zeros_like(points)
+        div_out = np.zeros(len(points)) if div else None
         r = np.linalg.norm(points - self.support_center, axis=1)
         live = r < self.support_radius
         if not np.any(live):
-            return out
+            return out, div_out
         pts = points[live]
         s0, _, _, seg, tpar = self.index.signed(pts)
         vals = np.zeros_like(pts)
+        divs = np.zeros(len(pts))
         band = np.abs(s0) < 2.5 * self.delta
         s = np.array(s0)
         arc = np.zeros(len(pts))
@@ -158,31 +198,48 @@ class BField:
             s[band], arc[band], comp[band], tau[band], nu[band] = self.smooth_foot(
                 pts[band], seg[band], tpar[band])
 
+        def taylor(sel):
+            return self._tube_taylor(s[sel], arc[sel], comp[sel], tau[sel], nu[sel], div)
+
         outside = s >= 0.0
         damp = np.zeros(len(pts))
         osel = outside & band
         if np.any(osel):
-            damp[osel] = 1.0 - _smoothstep((s[osel] - self.delta) / self.delta)
+            u = (s[osel] - self.delta) / self.delta
+            damp[osel] = 1.0 - _smoothstep(u)
             act = osel & (damp > 0.0)
             if np.any(act):
-                vals[act] = (damp[act][:, None]
-                             * self._tube_taylor(s[act], arc[act], comp[act],
-                                                 tau[act], nu[act]))
+                tt, tdiv = taylor(act)
+                vals[act] = damp[act][:, None] * tt
+                if div:
+                    slope = -_smoothstep_slope(u[act[osel]]) / self.delta
+                    divs[act] = damp[act] * tdiv + slope * np.sum(nu[act] * tt, axis=1)
 
         inside = ~outside
         if np.any(inside):
             w_far = np.ones(len(pts))
-            w_far[inside] = _smoothstep((-s[inside] - self.near_cut) / self.near_cut)
+            u = (-s[inside] - self.near_cut) / self.near_cut
+            w_far[inside] = _smoothstep(u)
             near = inside & (w_far < 1.0)
             if np.any(near):
-                vals[near] += ((1.0 - w_far[near])[:, None]
-                               * self._tube_taylor(s[near], arc[near], comp[near],
-                                                   tau[near], nu[near]))
+                tt, tdiv = taylor(near)
+                vals[near] += (1.0 - w_far[near])[:, None] * tt
+                if div:
+                    divs[near] = (1.0 - w_far[near]) * tdiv
             far = inside & (w_far > 0.0)
             if np.any(far):
-                vals[far] += w_far[far][:, None] * self._grad_potential(pts[far])
+                gg = self._grad_potential(pts[far])
+                vals[far] += w_far[far][:, None] * gg
+            # w_far varies only where it blends both fields
+            blend = near & far & band
+            if div and np.any(blend):
+                slope = -_smoothstep_slope(u[blend[inside]]) / self.near_cut
+                diff = gg[blend[far]] - tt[blend[near]]
+                divs[blend] += slope * np.sum(nu[blend] * diff, axis=1)
         out[live] = vals
-        return out
+        if div:
+            div_out[live] = divs
+        return out, div_out
 
     def divergence(self, points, h: float | None = None) -> np.ndarray:
         """Richardson-extrapolated central-difference divergence of B."""
@@ -211,15 +268,19 @@ class BField:
 # ---------------------------------------------------------------------------
 
 def _neumann_system(caches: list[GeometryCache]):
-    nodes = np.vstack([c.vertices for c in caches])
-    normals = np.vstack([c.nu for c in caches])
+    """Nystrom matrix of the second-kind equation, and the node weights.
+
+    In complex form the kernel -nu_i . (x_i - x_j) / (2 pi |x_i - x_j|^2) is
+    -Re(n_i / (z_i - z_j)) / (2 pi); the diagonal holds the jump 1/2 plus the
+    kernel's curvature limit.
+    """
+    z = _complex(np.vstack([c.vertices for c in caches]))
+    n = _complex(np.vstack([c.nu for c in caches]))
     weights = np.concatenate([c.weights for c in caches])
     kappas = np.concatenate([c.kappa for c in caches])
-    rel = nodes[:, None, :] - nodes[None, :, :]
-    r2 = np.sum(rel * rel, axis=2)
-    np.fill_diagonal(r2, 1.0)
-    kern = -np.sum(normals[:, None, :] * rel, axis=2) / (2.0 * np.pi * r2)
-    a = kern * weights[None, :]
+    dz = z[:, None] - z[None, :]
+    np.fill_diagonal(dz, 1.0)
+    a = (n[:, None] / dz).real * (-weights / (2.0 * np.pi))[None, :]
     np.fill_diagonal(a, 0.5 - weights * kappas / (4.0 * np.pi))
     return a, weights
 
@@ -246,35 +307,21 @@ def _solve_density(caches, v_fields):
     return sol[:m], sol[m:]
 
 
-def _surface_potential(caches, q, offsets, comp: int) -> np.ndarray:
-    """Single-layer potential at the nodes of one component.
+def _surface_potential(caches, q) -> np.ndarray:
+    """Single-layer potential -1/(2 pi) int log|x - y| q(y) dy at every node.
 
-    The log kernel against same-component nodes is split into a smooth
-    chord/arc ratio handled by the trapezoid rule plus the cyclic-arc log
-    whose diagonal panel integral is analytic.
+    Off the diagonal the trapezoid rule sums log|z_i - z_j| w_j q_j.  On the
+    diagonal the kernel is log of the arc distance to leading order, and its
+    integral over the node's own panel, two half edges of length w_i / 2, is
+    analytic.
     """
-    cache = caches[comp]
-    qk = q[offsets[comp]:offsets[comp + 1]]
-    v = cache.vertices
-    rel = v[:, None, :] - v[None, :, :]
-    chord = np.sqrt(np.maximum(np.sum(rel * rel, axis=2), 1e-300))
-    s = cache.arc_positions
-    darc = np.abs(s[:, None] - s[None, :])
-    darc = np.minimum(darc, cache.length - darc)
-    eye = np.eye(cache.n, dtype=bool)
-    chord_safe = np.where(eye, 1.0, chord)
-    darc_safe = np.where(eye, 1.0, darc)
-    log_kernel = np.where(eye, 0.0, np.log(chord_safe / darc_safe) + np.log(darc_safe))
-    phi = (log_kernel * cache.weights[None, :]) @ qk
-    half = 0.5 * cache.weights
-    phi += 2.0 * half * (np.log(half) - 1.0) * qk
-    for j, cj in enumerate(caches):
-        if j == comp:
-            continue
-        qj = q[offsets[j]:offsets[j + 1]]
-        relx = v[:, None, :] - cj.vertices[None, :, :]
-        r = np.sqrt(np.maximum(np.sum(relx * relx, axis=2), 1e-300))
-        phi += (np.log(r) * cj.weights[None, :]) @ qj
+    z = _complex(np.vstack([c.vertices for c in caches]))
+    weights = np.concatenate([c.weights for c in caches])
+    dz = z[:, None] - z[None, :]
+    np.fill_diagonal(dz, 1.0)
+    phi = np.log(np.abs(dz)) @ (weights * q)
+    half = 0.5 * weights
+    phi += 2.0 * half * (np.log(half) - 1.0) * q
     return -phi / (2.0 * np.pi)
 
 
@@ -297,10 +344,11 @@ def build_B(curve: PolyCurve, caches: list[GeometryCache],
 
     q, mu = _solve_density(caches, v_star)
     offsets = np.cumsum([0] + [c.n for c in caches])
+    potential = _surface_potential(caches, q)
 
     traces = []
     for k, (cache, vf) in enumerate(zip(caches, v_star)):
-        g = dds(cache, _surface_potential(caches, q, offsets, k))
+        g = dds(cache, potential[offsets[k]:offsets[k + 1]])
         v = vf.values
         traces.append(np.column_stack([
             g, v, dds(cache, g), dds(cache, v), dds(cache, dds(cache, g)),
@@ -336,33 +384,27 @@ def _midpoint_bc_residual(field: BField, v_star) -> float:
 
     The collocation identity holds at the solve nodes by construction, so
     the honest consistency measure evaluates the jump-corrected flux between
-    them, with the density linearly interpolated (order-2 baseline).
+    them, with the density linearly interpolated (order-2 baseline).  The
+    kernel is the complex form of :func:`_neumann_system`'s, with the normal
+    of the spline chord across each midpoint.
     """
-    nodes = np.vstack([c.vertices for c in field.caches])
-    normals_nodes = np.vstack([c.nu for c in field.caches])
-    weights = np.concatenate([c.weights for c in field.caches])
-    q = field.density
-    offsets = np.cumsum([0] + [c.n for c in field.caches])
+    caches = field.caches
+    z = _complex(np.vstack([c.vertices for c in caches]))
+    weights = np.concatenate([c.weights for c in caches])
+    lengths = [c.n for c in caches]
+    nxt, _ = cycle_neighbours(lengths)
     up = field.upsample
-    worst = 0.0
-    fine_off = 0
-    for k, cache in enumerate(field.caches):
-        nf = cache.n * up
-        fine = field.fine_points[fine_off:fine_off + nf]
-        fine_off += nf
-        mids = fine[up // 2::up]
-        tang = fine[(up // 2 + 1) % nf::up] - fine[up // 2 - 1::up]
-        tang /= np.linalg.norm(tang, axis=1)[:, None]
-        nmid = np.column_stack([tang[:, 1], -tang[:, 0]])
-        rel = mids[:, None, :] - nodes[None, :, :]
-        r2 = np.maximum(np.sum(rel * rel, axis=2), 1e-300)
-        kern = -np.sum(nmid[:, None, :] * rel, axis=2) / (2.0 * np.pi * r2)
-        qk = q[offsets[k]:offsets[k + 1]]
-        q_mid = 0.5 * (qk + np.roll(qk, -1))
-        flux = (kern * weights[None, :]) @ q + 0.5 * q_mid + field.mu[k]
-        v_mid = 0.5 * (v_star[k].values + np.roll(v_star[k].values, -1))
-        worst = max(worst, float(np.max(np.abs(flux - v_mid))))
-    return worst
+    fine = field.fine_points
+    mids = _complex(fine[up // 2::up])
+    tang = _complex(fine[up // 2 + 1::up] - fine[up // 2 - 1::up])
+    nmid = -1j * tang / np.abs(tang)
+    q = field.density
+    q_mid = 0.5 * (q + q[nxt])
+    flux = ((nmid[:, None] / (mids[:, None] - z[None, :])).real
+            @ (-weights * q / (2.0 * np.pi))
+            + 0.5 * q_mid + np.repeat(field.mu, lengths))
+    v = np.concatenate([vf.values for vf in v_star])
+    return float(np.max(np.abs(flux - 0.5 * (v + v[nxt]))))
 
 
 def _field_constants(field: BField):
@@ -374,9 +416,9 @@ def _field_constants(field: BField):
         for d in (-0.8, -0.4, -0.1, 0.1, 0.4, 0.8, 1.2, 1.6, 1.95):
             pts.append(cache.vertices[sel] + d * field.delta * cache.nu[sel])
     pts = np.vstack(pts)
-    sup_b = float(np.max(np.linalg.norm(field.at(pts), axis=1)))
-    div = np.abs(field.divergence(pts))
-    div_sup = float(np.max(div))
+    bvals, div = field.at_and_div(pts)
+    sup_b = float(np.max(np.linalg.norm(bvals, axis=1)))
+    div_sup = float(np.max(np.abs(div)))
     h = 1e-3 * field.delta
     dirs = rng.normal(size=pts.shape)
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
@@ -393,9 +435,8 @@ def _field_constants(field: BField):
 def divergence_decay_profile(field: BField, n_rays: int = 32):
     """|div B| sampled on outward normal rays at delta/8, delta/4, delta/2.
 
-    Returns the least-squares slope of |div B| against distance and the
-    worst ratio |div B| / dist.  Values land at finite-difference noise for
-    this construction; they are measured, not assumed.
+    Returns the least-squares slope of the exact |div B| against distance
+    and the worst ratio |div B| / dist.
     """
     delta = field.delta
     dists = np.array([delta / 8, delta / 4, delta / 2])
@@ -404,7 +445,7 @@ def divergence_decay_profile(field: BField, n_rays: int = 32):
         sel = np.linspace(0, cache.n - 1, n_rays).astype(int)
         for d in dists:
             p = cache.vertices[sel] + d * cache.nu[sel]
-            ys.append(np.abs(field.divergence(p)))
+            ys.append(np.abs(field.at_and_div(p)[1]))
             xs.append(np.full(len(p), d))
     xs = np.concatenate(xs)
     ys = np.concatenate(ys)

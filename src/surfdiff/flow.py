@@ -23,7 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CurveError, SelfIntersection, StepRejected, TopologyChange
+from .errors import (
+    AreaDriftExceeded,
+    CurveError,
+    SelfIntersection,
+    StepRejected,
+    TopologyChange,
+)
 from .geometry import (
     Component,
     GeometryCache,
@@ -290,9 +296,10 @@ def run_flow(initial: PolyCurve, config: FlowConfig, sample_stride: int = 10,
     """Drive the flow to end_time with halving-on-rejection dt control.
 
     dt halves on StepRejected and regrows by max_dt_growth after ten
-    consecutive acceptances; each rejection is counted under its reason.  A
-    persisting self-intersection at the dt floor is reported as
-    TopologyChange.  The initial curve is redistributed to uniform arc
+    consecutive acceptances; each rejection is counted under its reason.  At
+    the dt floor a persisting self-intersection is reported as
+    TopologyChange and a persisting cumulative area drift as
+    AreaDriftExceeded.  The initial curve is redistributed to uniform arc
     length once, so that the per-step tangential redistribution starts from
     its own fixed point.  With ``max_samples`` the recorded states are
     thinned on the fly (stride doubling) to stay within bound.
@@ -318,7 +325,8 @@ def run_flow(initial: PolyCurve, config: FlowConfig, sample_stride: int = 10,
         dt_try = min(dt, config.end_time - state.time)
         try:
             new_state = step(state, config, dt_try)
-            if abs(new_state.area() - area0) > config.area_drift_abort * abs(area0):
+            drift = abs(new_state.area() - area0)
+            if drift > config.area_drift_abort * abs(area0):
                 raise StepRejected("cumulative area drift exceeded configured bound")
         except StepRejected as exc:
             rejected += 1
@@ -330,6 +338,12 @@ def run_flow(initial: PolyCurve, config: FlowConfig, sample_stride: int = 10,
                 if reason == "self-intersection":
                     raise TopologyChange(
                         f"intersection persists at dt floor (t={state.time:.6g})"
+                    ) from exc
+                if reason == "cumulative area drift exceeded configured bound":
+                    raise AreaDriftExceeded(
+                        f"cumulative area drift {drift / abs(area0):.6e} exceeds the "
+                        f"bound {config.area_drift_abort:.6e} at the dt floor "
+                        f"(t={state.time:.6g})"
                     ) from exc
                 raise
             continue

@@ -200,14 +200,13 @@ def h_minus1_norm_sq(caches: list[GeometryCache], v_fields: list[VertexField]) -
     return float(total)
 
 
-def nu_dot_B_potential(cache: GeometryCache, b_eval) -> VertexField:
+def nu_dot_B_potential(cache: GeometryCache, b_vals) -> VertexField:
     """Zero-average potential of nu . B on one component.
 
-    ``b_eval`` maps an (n, 2) array of positions to (n, 2) vectors.  The
+    ``b_vals`` is the (n, 2) array of B at the component's vertices.  The
     component mean of nu . B is subtracted before solving (it need not
     vanish for a general field).
     """
-    bvals = np.asarray(b_eval(cache.vertices), dtype=float)
-    rhs = np.sum(cache.nu * bvals, axis=1)
+    rhs = np.sum(cache.nu * np.asarray(b_vals, dtype=float), axis=1)
     field = VertexField(cache.component_index, rhs)
     return solve_zero_average(cache, field).solution

@@ -10,8 +10,10 @@ from surfdiff import calibration as cb
 from surfdiff import energy as en
 from surfdiff import extension as ex
 from surfdiff import geometry as geo
+from surfdiff import poisson as po
 from surfdiff.errors import DegenerateInitialData, NonStationaryReference
 
+import extension_oracle
 from bulk_oracle import bulk_error_recursive, clip_rect, shoelace
 from conftest import vertex_angles
 
@@ -338,14 +340,14 @@ def test_gronwall_needs_ten_samples():
 
 def test_edge_flux_constant_field_exact(unit_circle_256):
     _, caches = unit_circle_256
-    flux = en.edge_flux(lambda p: np.tile([1.0, 0.0], (len(p), 1)), caches[0])
+    flux, = en.edge_flux(lambda p: np.tile([1.0, 0.0], (len(p), 1)), caches)
     assert abs(flux) <= 1e-14
 
 
 def test_edge_flux_identity_field(unit_circle_256):
     # B(x) = x has divergence 2: flux = 2 * enclosed area exactly for polygons
     _, caches = unit_circle_256
-    flux = en.edge_flux(lambda p: p, caches[0])
+    flux, = en.edge_flux(lambda p: p, caches)
     assert flux == pytest.approx(2.0 * caches[0].area, rel=1e-12)
 
 
@@ -378,6 +380,58 @@ def test_nu_dot_b_sums_with_disk_field(circle_calibration):
     assert rep.slack_abs >= 0.0
     assert rep.slack_scaled >= 0.0
     assert rep.hypothesis_failures == 0
+
+
+class _CountingField:
+    """A BField that counts its ``at`` calls."""
+
+    def __init__(self, field):
+        self.field = field
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(self.field, name)
+
+    def at(self, points):
+        self.calls += 1
+        return self.field.at(points)
+
+
+def test_stacked_checkers_one_B_call_per_sample(circle_calibration):
+    # a wavy loop and four bubbles in the damping band of the unit circle's field
+    field, _, _ = _build_disk_bundle()
+    ang = 0.5 * np.pi * np.arange(4) + 0.3
+    rad = [1.2, 1.28, 1.35, 1.42]
+    curve = geo.PolyCurve(
+        [geo.make_wavy_circle(1.0, 0.03, 3, 128, center=(0.02, 0.0))]
+        + [geo.make_circle((r * np.cos(a), r * np.sin(a)), 0.015, 24)
+           for r, a in zip(rad, ang)])
+    caches = geo.build_geometry(curve)
+    sample = circle_calibration.sample(caches)
+    counting = _CountingField(field)
+    rep = en.dissipation_report(curve, sample, circle_calibration, counting, None)
+    assert counting.calls == 1
+    counting.calls = 0
+    nb = en.nu_dot_B_sums(caches, counting, circle_calibration,
+                          circle_calibration.xi_grad_bound(), f_value=rep.F, e_value=rep.E)
+    assert counting.calls == 1
+
+    fluxes = en.edge_flux(field.at, caches)
+    want = np.array([extension_oracle.edge_flux(field.at, c) for c in caches])
+    assert np.all(want[1:] != 0.0)
+    assert np.max(np.abs(fluxes - want)) <= 1e-15 * np.max(np.abs(want))
+    assert nb.sum_abs == pytest.approx(np.sum(np.abs(want)), rel=1e-15)
+
+    b_vals = field.at(np.vstack([c.vertices for c in caches]))
+    offsets = np.cumsum([0] + [c.n for c in caches])
+    cross = 0.0
+    for k, (cache, phi) in enumerate(zip(
+            caches, extension_oracle.nu_dot_B_potentials(caches, field))):
+        got = po.nu_dot_B_potential(cache, b_vals[offsets[k]:offsets[k + 1]])
+        assert np.max(np.abs(got.values - phi.values)) <= 1e-15 * np.max(np.abs(phi.values))
+        cross += geo.integrate(cache, (geo.dds(cache, cache.kappa)
+                                       - geo.dds(cache, phi.values))**2)
+    assert rep.cross_h_b == pytest.approx(cross, rel=1e-15)
 
 
 def _build_disk_bundle():

@@ -2,8 +2,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import extension_oracle as oracle
 from surfdiff import extension as ex
+from surfdiff import flow as fl
 from surfdiff import geometry as geo
 from surfdiff.errors import NonZeroMean
 
@@ -275,3 +279,116 @@ def test_grad_potential_matches_dense_sum(seed):
     got = ex.BField._grad_potential(fake, points)
     want = _grad_potential_dense(sources, charges, points)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.linalg.norm(want, axis=1))
+
+
+# ---------------------------------------------------------------------------
+# complex-form kernels against their real-arithmetic oracles
+# ---------------------------------------------------------------------------
+
+def _component(k: int, kind: str, n: int, radius: float):
+    """Component k, 4 apart along the x axis, nodes uniform in arc length.
+
+    Uniform nodes, as the flow leaves them, keep every spline midpoint of the
+    boundary residual half an edge from the nodes; a midpoint next to a node
+    costs both the real and the complex kernel their last digits.
+    """
+    center = (4.0 * k, 0.0)
+    if kind == "circle":
+        comp = geo.make_circle(center, radius, n)
+    elif kind == "ellipse":
+        comp = geo.make_ellipse(2.0 * radius, radius, n, center=center)
+    else:
+        comp = geo.make_wavy_circle(radius, 0.2, 3, n, center=center)
+    return geo.Component(fl._resample_uniform(comp.vertices, [n], passes=4), 1)
+
+
+def _mode_velocities(caches, modes):
+    """Zero-mean cos(mode * angle about the component's centroid) per component."""
+    out = []
+    for cache, mode in zip(caches, modes):
+        rel = cache.vertices - cache.vertices.mean(axis=0)
+        vals = np.cos(mode * np.arctan2(rel[:, 1], rel[:, 0]))
+        out.append(geo.VertexField(cache.component_index,
+                                   vals - geo.field_mean(cache, vals)))
+    return out
+
+
+@settings(max_examples=15, deadline=None, database=None)
+@given(st.lists(st.tuples(st.sampled_from(["circle", "ellipse", "wavy"]),
+                          st.integers(8, 64), st.floats(0.01, 1.0), st.integers(1, 5)),
+                min_size=1, max_size=4))
+@example([("ellipse", 512, 1.0, 2)] + [("circle", 24, 0.01, 1)] * 3)
+def test_complex_kernels_match_real_oracles(specs):
+    curve = geo.PolyCurve([_component(k, kind, n, r)
+                           for k, (kind, n, r, _) in enumerate(specs)])
+    caches = geo.build_geometry(curve)
+    v = _mode_velocities(caches, [mode for *_, mode in specs])
+    field = ex.build_B(curve, caches, v, 0.25 * min(r for _, _, r, _ in specs))
+    a, _ = ex._neumann_system(caches)
+    a_ref, _ = oracle.neumann_system(caches)
+    assert np.max(np.abs(a - a_ref)) <= 1e-13 * np.max(np.abs(a_ref))
+    phi = ex._surface_potential(caches, field.density)
+    phi_ref = oracle.surface_potential(caches, field.density)
+    assert np.max(np.abs(phi - phi_ref)) <= 1e-13 * np.max(np.abs(phi_ref))
+    # the residual is a small difference of fluxes of the size of V*, so
+    # it is compared relative to V*
+    res_ref = oracle.midpoint_bc_residual(field, v)
+    v_sup = max(np.max(np.abs(vf.values)) for vf in v)
+    assert abs(ex._midpoint_bc_residual(field, v) - res_ref) <= 1e-13 * v_sup
+
+
+# ---------------------------------------------------------------------------
+# exact divergence against the Richardson quotient
+# ---------------------------------------------------------------------------
+
+def _divergence_case(name):
+    if name.startswith("cos"):
+        return _disk_field(int(name[3:]))[0]
+    if name == "ellipse-flow":
+        # the surface diffusion velocity d^2 kappa / ds^2 of a 2:1 ellipse
+        curve = geo.PolyCurve([geo.make_ellipse(2.0, 1.0, 256)])
+        caches = geo.build_geometry(curve)
+        vals = geo.d2ds2(caches[0], caches[0].kappa)
+        v = [geo.VertexField(0, vals - geo.field_mean(caches[0], vals))]
+        return ex.build_B(curve, caches, v, 0.25)
+    curve = geo.PolyCurve([geo.make_ellipse(1.0, 0.5, 192),
+                           geo.make_circle((2.5, 0.0), 0.5, 128)])
+    caches = geo.build_geometry(curve)
+    return ex.build_B(curve, caches, _mode_velocities(caches, [2, 3]), 0.25)
+
+
+def _band_points(field, n_rays: int = 16):
+    """Rays across the near cut, the tube edge delta and the damping band."""
+    delta, cut = field.delta, field.near_cut
+    dists = [-0.5 * delta, -2.5 * cut, -1.8 * cut, -1.5 * cut, -1.2 * cut, -0.5 * cut,
+             0.1 * delta, 0.5 * delta, 0.95 * delta, delta, 1.05 * delta,
+             1.5 * delta, 1.9 * delta, 1.99 * delta, 2.1 * delta]
+    pts = []
+    for cache in field.caches:
+        sel = np.linspace(0, cache.n - 1, n_rays).astype(int)
+        pts += [cache.vertices[sel] + d * cache.nu[sel] for d in dists]
+    return np.vstack(pts)
+
+
+@pytest.mark.parametrize("case", ["cos1", "cos2", "cos3", "ellipse-flow", "two-component"])
+def test_exact_divergence_matches_richardson(case):
+    field = _divergence_case(case)
+    pts = _band_points(field)
+    b, div = field.at_and_div(pts)
+    np.testing.assert_array_equal(b, field.at(pts))
+    h = 2e-5
+    rich = field.divergence(pts, h)
+    # rich is fourth order in h: |rich(h) - rich(2h)| bounds its error
+    trunc = np.abs(rich - field.divergence(pts, 2.0 * h))
+    scale = np.max(np.abs(div))
+    resolved = trunc < 1e-7 * scale
+    assert np.mean(resolved) >= 0.9
+    assert np.max(np.abs(div - rich)[resolved]) <= 1e-6 * scale
+
+
+def test_exact_divergence_zero_field():
+    curve = geo.PolyCurve([geo.make_circle((0, 0), 1.0, 128)])
+    caches = geo.build_geometry(curve)
+    field = ex.build_B(curve, caches, [geo.VertexField(0, np.zeros(128))], 0.25)
+    b, div = field.at_and_div(_band_points(field))
+    assert not np.any(b) and not np.any(div)

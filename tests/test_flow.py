@@ -7,7 +7,7 @@ from scipy.interpolate import CubicSpline
 import flow_oracle
 from surfdiff import flow as fl
 from surfdiff import geometry as geo
-from surfdiff.errors import StepRejected, TopologyChange
+from surfdiff.errors import AreaDriftExceeded, StepRejected, TopologyChange
 
 
 def _resampled(components):
@@ -358,6 +358,26 @@ def test_rejection_reasons_counted():
     assert run.rejected > 0
     assert sum(run.rejections.values()) == run.rejected
     assert len(run.rejections) >= 2 and set(run.rejections) <= reasons
+
+
+def test_area_drift_at_dt_floor_raises_specific_error(monkeypatch):
+    # each spline resampling moves the area by an amount that does not shrink
+    # with dt, so once the cumulative drift nears its bound every retry fails
+    # and dt halves down to the floor
+    real_step = fl.step
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return real_step(*args, **kwargs)
+
+    monkeypatch.setattr(fl, "step", counted)
+    curve = geo.PolyCurve([geo.make_wavy_circle(1.0, 0.3, 6, 64)])
+    message = r"drift 1\.0\d+e-03 exceeds the bound 1\.000000e-03 at the dt floor \(t="
+    with pytest.raises(AreaDriftExceeded, match=message) as err:
+        fl.run_flow(curve, fl.FlowConfig(dt=1.0, end_time=5.0))
+    assert isinstance(err.value.__cause__, StepRejected)
+    assert len(calls) == 63
 
 
 def test_resample_matches_per_coordinate_splines():

@@ -133,14 +133,14 @@ def test_h_minus1_norm_zero_and_scaling(unit_circle_256):
 def test_nu_dot_b_potential_constant_field(unit_circle_256):
     _, caches = unit_circle_256
     theta = vertex_angles(caches[0])
-    phi = po.nu_dot_B_potential(caches[0], lambda x: np.tile([1.0, 0.0], (len(x), 1)))
+    phi = po.nu_dot_B_potential(caches[0], np.tile([1.0, 0.0], (caches[0].n, 1)))
     assert np.max(np.abs(phi.values + np.cos(theta))) <= 1e-3
 
 
 def test_nu_dot_b_potential_identity_field(unit_circle_256):
     # B(x) = x gives nu . B = 1 on the unit circle: mean removal leaves zero
     _, caches = unit_circle_256
-    phi = po.nu_dot_B_potential(caches[0], lambda x: x)
+    phi = po.nu_dot_B_potential(caches[0], caches[0].vertices)
     assert np.max(np.abs(phi.values)) <= 1e-12
 
 
