@@ -110,6 +110,8 @@ def test_divergence_zero_field():
     field = ex.build_B(curve, caches, [geo.VertexField(0, np.zeros(128))], 0.25)
     slope, ratio = ex.divergence_decay_profile(field)
     assert slope == 0.0 and ratio == 0.0
+    b, div = field.at_and_div(_band_points(field))
+    assert not np.any(b) and not np.any(div)
 
 
 def test_field_constants_reported(disk_cos1):
@@ -384,11 +386,3 @@ def test_exact_divergence_matches_richardson(case):
     resolved = trunc < 1e-7 * scale
     assert np.mean(resolved) >= 0.9
     assert np.max(np.abs(div - rich)[resolved]) <= 1e-6 * scale
-
-
-def test_exact_divergence_zero_field():
-    curve = geo.PolyCurve([geo.make_circle((0, 0), 1.0, 128)])
-    caches = geo.build_geometry(curve)
-    field = ex.build_B(curve, caches, [geo.VertexField(0, np.zeros(128))], 0.25)
-    b, div = field.at_and_div(_band_points(field))
-    assert not np.any(b) and not np.any(div)
