@@ -427,6 +427,24 @@ def _suite_geometry():
     return checks
 
 
+def _flow_solve_gap(caches, dt):
+    """Largest relative gap between the flow step's band solve and a dense solve."""
+    banded = np.split(fllib._normal_velocity(caches, dt), np.cumsum([c.n for c in caches])[:-1])
+    worst = 0.0
+    for cache, got in zip(caches, banded):
+        n, h, w = cache.n, cache.edge_lengths, cache.weights
+        hm = np.roll(h, 1)
+        i = np.arange(n)
+        lap = np.zeros((n, n))
+        lap[i, (i + 1) % n] = 1.0 / (h * w)
+        lap[i, i - 1] = 1.0 / (hm * w)
+        lap[i, i] = -(1.0 / h + 1.0 / hm) / w
+        kappa = -np.sum(cache.nu * (lap @ cache.vertices), axis=1)
+        dense = np.linalg.solve(np.eye(n) + dt * lap @ (lap - np.diag(kappa**2)), lap @ kappa)
+        worst = max(worst, float(np.max(np.abs(got - dense)) / np.max(np.abs(dense))))
+    return worst
+
+
 def _suite_poisson(convergence=False):
     from . import poisson as po
 
@@ -434,9 +452,20 @@ def _suite_poisson(convergence=False):
     curve = geo.PolyCurve([geo.make_circle((0, 0), 1.0, 256)])
     cache = geo.build_geometry(curve)[0]
     theta = np.arctan2(cache.vertices[:, 1], cache.vertices[:, 0])
-    sol = po.solve_zero_average(cache, geo.VertexField(0, np.cos(3 * theta)))
+    sol = po.solve_zero_average([cache], [geo.VertexField(0, np.cos(3 * theta))])[0]
     err = np.sqrt(geo.integrate(cache, (sol.solution.values + np.cos(3 * theta) / 9) ** 2))
     checks.append(("manufactured cos3", err <= 1e-3, f"L2 err = {err:.2e}"))
+    bubbly = geo.build_geometry(geo.PolyCurve(
+        [geo.make_ellipse(2.0, 1.0, 128)]
+        + [geo.make_wavy_circle(0.1, 0.02, 3, 24, (3.0 + 0.5 * k, 2.0)) for k in range(4)]))
+    fields = [geo.VertexField(c.component_index, c.vertices[:, 0] ** 3) for c in bubbly]
+    stacked = po.solve_zero_average(bubbly, fields)
+    alone = [po.solve_zero_average([c], [f])[0] for c, f in zip(bubbly, fields)]
+    gap = max(float(np.max(np.abs(a.solution.values - b.solution.values))
+                    / np.max(np.abs(b.solution.values))) for a, b in zip(stacked, alone))
+    checks.append(("stacked = per-component solves", gap <= 1e-12, f"rel gap = {gap:.1e}"))
+    gap = _flow_solve_gap(bubbly, 1e-3)
+    checks.append(("flow band solve = dense solve", gap <= 1e-9, f"rel gap = {gap:.1e}"))
     rng = np.random.default_rng(3)
     u, v = rng.normal(size=cache.n), rng.normal(size=cache.n)
     lhs = geo.integrate(cache, geo.d2ds2(cache, u) * v)
@@ -451,7 +480,7 @@ def _suite_poisson(convergence=False):
             comp = geo.Component(np.column_stack([np.cos(th), np.sin(th)]), 1)
             cc = geo.build_geometry(geo.PolyCurve([comp]))[0]
             th2 = np.arctan2(cc.vertices[:, 1], cc.vertices[:, 0])
-            ss = po.solve_zero_average(cc, geo.VertexField(0, np.cos(3 * th2)))
+            ss = po.solve_zero_average([cc], [geo.VertexField(0, np.cos(3 * th2))])[0]
             errs.append(np.sqrt(geo.integrate(cc, (ss.solution.values
                                                    + np.cos(3 * th2) / 9) ** 2)))
         r1, r2 = errs[0] / errs[1], errs[1] / errs[2]

@@ -462,24 +462,23 @@ def dissipation_report(curve: PolyCurve, sample: TubeSample, calib: Calibration,
     cross_v_xi = 0.0
     cross_xi = 0.0
     cross_h_b = 0.0
+    if v_fields is not None:
+        phi_v = velocity_potential(caches, [
+            VertexField(vf.component_id, vf.values - field_mean(cache, vf.values))
+            for cache, vf in zip(caches, v_fields)])
     if b_field is not None:
-        b_parts = np.split(b_field.at(np.vstack([c.vertices for c in caches])),
-                           np.cumsum([c.n for c in caches])[:-1])
+        phi_b = nu_dot_B_potential(caches, b_field.at(np.vstack([c.vertices for c in caches])))
     for k, cache in enumerate(caches):
         dkappa = dds(cache, cache.kappa)
         d_h += integrate(cache, dkappa**2)
         ddiv = dds(cache, sample.div_xi[k])
         cross_xi += integrate(cache, ddiv**2)
         if v_fields is not None:
-            vf = v_fields[k]
-            vals = vf.values - field_mean(cache, vf.values)
-            phi_v = velocity_potential(cache, VertexField(vf.component_id, vals))
-            dphi = dds(cache, phi_v.values)
+            dphi = dds(cache, phi_v[k].values)
             d_v += integrate(cache, dphi**2)
             cross_v_xi += integrate(cache, (dphi - ddiv)**2)
         if b_field is not None:
-            phi_b = nu_dot_B_potential(cache, b_parts[k])
-            dphib = dds(cache, phi_b.values)
+            dphib = dds(cache, phi_b[k].values)
             cross_h_b += integrate(cache, (dkappa - dphib)**2)
         else:
             # B = 0 for a stationary reference, so phi_(nu.B) = 0

@@ -18,7 +18,7 @@ class AmbiguousNesting(CurveError):
 
 
 class SingularSystem(Exception):
-    """The periodic Poisson system cannot be solved (component too small)."""
+    """A banded solve failed: too few vertices, a zero pivot or non-finite entries."""
 
 
 class NonZeroMean(Exception):

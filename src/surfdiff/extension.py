@@ -30,7 +30,7 @@ from .geometry import (
     field_mean,
     integrate,
 )
-from .poisson import PeriodicSpline, solve_zero_average
+from .poisson import PeriodicSpline, velocity_potential
 
 
 def _complex(xy):
@@ -71,7 +71,6 @@ class BField:
     boundary: PeriodicSpline
     position: PeriodicSpline         # (x(s), y(s)) of every component
     delta: float
-    support_center: np.ndarray
     support_radius: float            # reported R: the field vanishes beyond it
     near_cut: float                  # interior hand-off to the tube Taylor
     upsample: int
@@ -103,6 +102,18 @@ class BField:
         """Arc position of every vertex and length of its outgoing edge, stacked."""
         return (np.concatenate([c.arc_positions for c in self.caches]),
                 np.concatenate([c.edge_lengths for c in self.caches]))
+
+    @cached_property
+    def _cull_box(self):
+        """Bounds of the reference vertices inflated by 2.5 delta.
+
+        A point outside lies more than 2.5 delta outside the reference
+        region, where the damped tube field is exactly zero, so B and div B
+        vanish there without a closest-segment query.
+        """
+        vertices = np.vstack([c.vertices for c in self.caches])
+        pad = 2.5 * self.delta
+        return vertices.min(axis=0) - pad, vertices.max(axis=0) + pad
 
     def _foot_arc_raw(self, seg, tpar):
         arc, h = self._arc_table
@@ -180,15 +191,16 @@ class BField:
         points = np.atleast_2d(np.asarray(points, dtype=float))
         out = np.zeros_like(points)
         div_out = np.zeros(len(points)) if div else None
-        r = np.linalg.norm(points - self.support_center, axis=1)
-        live = r < self.support_radius
+        lo, hi = self._cull_box
+        live = np.all((points > lo) & (points < hi), axis=1)
         if not np.any(live):
             return out, div_out
         pts = points[live]
         s0, _, _, seg, tpar = self.index.signed(pts)
         vals = np.zeros_like(pts)
         divs = np.zeros(len(pts))
-        band = np.abs(s0) < 2.5 * self.delta
+        # the smooth foot covers the damping band and the interior blend
+        band = np.abs(s0) < max(2.5 * self.delta, 2.0 * self.near_cut)
         s = np.array(s0)
         arc = np.zeros(len(pts))
         comp = np.zeros(len(pts), dtype=int)
@@ -231,7 +243,7 @@ class BField:
                 gg = self._grad_potential(pts[far])
                 vals[far] += w_far[far][:, None] * gg
             # w_far varies only where it blends both fields
-            blend = near & far & band
+            blend = near & far
             if div and np.any(blend):
                 slope = -_smoothstep_slope(u[blend[inside]]) / self.near_cut
                 diff = gg[blend[far]] - tt[blend[near]]
@@ -370,7 +382,6 @@ def build_B(curve: PolyCurve, caches: list[GeometryCache],
         fine_charge=_arc_spline(caches, q)(comp, sf) * (period / nf)[comp],
         boundary=_arc_spline(caches, np.vstack(traces)), position=position,
         delta=float(delta),
-        support_center=vertices.mean(axis=0),
         support_radius=curve.diameter + 10.0 * delta,
         near_cut=3.0 * float(np.max(period / nf)), upsample=upsample,
     )
@@ -380,23 +391,25 @@ def build_B(curve: PolyCurve, caches: list[GeometryCache],
 
 
 def _midpoint_bc_residual(field: BField, v_star) -> float:
-    """sup over spline midpoints of |nu . B_trace - V*|.
+    """sup over edge midpoints of |nu . B_trace - V*|.
 
     The collocation identity holds at the solve nodes by construction, so
     the honest consistency measure evaluates the jump-corrected flux between
-    them, with the density linearly interpolated (order-2 baseline).  The
-    kernel is the complex form of :func:`_neumann_system`'s, with the normal
-    of the spline chord across each midpoint.
+    them, with the density linearly interpolated (order-2 baseline).  Edge
+    k's midpoint is the position spline at arc (a_k + a_{k+1}) / 2, where
+    that interpolation (q_k + q_{k+1}) / 2 belongs, with the spline's
+    normal there.  The kernel is the complex form of
+    :func:`_neumann_system`'s.
     """
     caches = field.caches
     z = _complex(np.vstack([c.vertices for c in caches]))
     weights = np.concatenate([c.weights for c in caches])
     lengths = [c.n for c in caches]
     nxt, _ = cycle_neighbours(lengths)
-    up = field.upsample
-    fine = field.fine_points
-    mids = _complex(fine[up // 2::up])
-    tang = _complex(fine[up // 2 + 1::up] - fine[up // 2 - 1::up])
+    comp = np.repeat(np.arange(len(caches)), lengths)
+    arc = field._foot_arc_raw(np.arange(len(z)), 0.5)
+    mids = _complex(field.position(comp, arc))
+    tang = _complex(field.position(comp, arc, 1))
     nmid = -1j * tang / np.abs(tang)
     q = field.density
     q_mid = 0.5 * (q + q[nxt])
@@ -498,17 +511,10 @@ class StarPotential:
 
 def star_potentials(caches: list[GeometryCache], calib, field: BField,
                     v_star: list[VertexField]) -> StarPotential:
-    """Solve d^2 phi*/ds*^2 = V* per reference component, zero average."""
-    phi_fields, traces = [], []
-    for cache, vf in zip(caches, v_star):
-        mean = field_mean(cache, vf.values)
-        scale = max(1.0, float(np.max(np.abs(vf.values))) if len(vf.values) else 1.0)
-        if abs(mean) > 1e-8 * scale:
-            raise NonZeroMean(f"component {cache.component_index}: mean V* nonzero")
-        sol = solve_zero_average(cache, vf)
-        phi_fields.append(sol.solution)
-        traces.append(np.column_stack([sol.solution.values,
-                                       dds(cache, sol.solution.values)]))
+    """Solve d^2 phi*/ds*^2 = V* with zero average, all components in one solve."""
+    phi_fields = velocity_potential(caches, v_star)
+    traces = [np.column_stack([phi.values, dds(cache, phi.values)])
+              for cache, phi in zip(caches, phi_fields)]
     return StarPotential(phi_fields=phi_fields, spline=_arc_spline(caches, np.vstack(traces)),
                          calib=calib, field=field)
 

@@ -27,6 +27,7 @@ from .errors import (
     AreaDriftExceeded,
     CurveError,
     SelfIntersection,
+    SingularSystem,
     StepRejected,
     TopologyChange,
 )
@@ -43,7 +44,7 @@ from .geometry import (
     read_curve_file,
     write_curve_file,
 )
-from .poisson import PeriodicSpline, solve_cyclic_banded, velocity_potential
+from .poisson import PeriodicSpline, h_minus1_norm_sq, solve_cyclic_banded
 
 DT_MIN_FACTOR = 2.0**-24
 
@@ -196,6 +197,8 @@ def step(state: FlowState, config: FlowConfig, dt: float | None = None) -> FlowS
         new_caches = build_geometry(new_curve)
     except SelfIntersection as exc:
         raise StepRejected(f"self-intersection: {exc}") from exc
+    except SingularSystem as exc:
+        raise StepRejected(f"singular system: {exc}") from exc
     except (CurveError, ValueError) as exc:
         raise StepRejected(f"invalid geometry: {exc}") from exc
 
@@ -416,10 +419,11 @@ def dissipation_identity_residual(before: FlowState,
     mid_caches = build_geometry(PolyCurve(mid_comps))
     d_h = sum(integrate(c, dds(c, c.kappa) ** 2) for c in mid_caches)
     d_v = 0.0
-    for cache, vf in zip(mid_caches, after.normal_velocity or []):
-        vals = vf.values - integrate(cache, vf.values) / cache.length
-        phi = velocity_potential(cache, VertexField(vf.component_id, vals))
-        d_v += integrate(cache, dds(cache, phi.values) ** 2)
+    if after.normal_velocity:
+        centred = [VertexField(vf.component_id,
+                               vf.values - integrate(cache, vf.values) / cache.length)
+                   for cache, vf in zip(mid_caches, after.normal_velocity)]
+        d_v = h_minus1_norm_sq(mid_caches, centred)
     rate = (after.length() - before.length()) / dt
     return float(abs(rate + d_h)), float(abs(rate + 0.5 * (d_h + d_v)))
 

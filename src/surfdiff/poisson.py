@@ -1,29 +1,30 @@
 """Zero-average Poisson solves on closed curve components.
 
 Solves the cyclic second-difference system d^2/ds^2 phi = f - <f> with
-<phi> = 0 on each closed component.  The nullspace of constants is removed
-by a weighted rank-one shift that acts as a bordered mean constraint, so no
-vertex gets pinned and symmetry of the stiffness form is preserved.  The
-cyclic wrap and the shift enter a banded solve through a Woodbury
-correction.  That solver, :func:`solve_cyclic_banded`, takes any stack of
-cycles at once: it also solves the flow step's pentadiagonal system for all
-components of a curve, and the knot slopes of :class:`PeriodicSpline`, the
-periodic cubic interpolant of the flow's resampling and the extension field.
+<phi> = 0 on every closed component of a curve at once.  The cyclic
+stiffness matrix of a component is singular (its nullspace is the
+constants), so vertex 0 of each component is grounded: its row and column
+drop out, the other vertices keep a path tridiagonal system, and the
+weighted mean is subtracted afterwards.  All components go to one call of
+:func:`solve_cyclic_banded`, which takes any stack of cycles: it also
+solves the flow step's pentadiagonal system for all components of a curve,
+and the knot slopes of :class:`PeriodicSpline`, the periodic cubic
+interpolant of the flow's resampling and the extension field.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgbsv
 
 from .errors import NonZeroMean, SingularSystem
 from .geometry import (
     GeometryCache,
     VertexField,
     cycle_neighbours,
-    d2ds2,
     dds,
     field_mean,
     integrate,
@@ -42,44 +43,64 @@ class PotentialSolve:
     mean_removed: float
 
 
-def solve_cyclic_banded(diags, rhs: np.ndarray, lengths, extra=()) -> np.ndarray:
-    """Solve A x = rhs for stacked cyclic band matrices plus rank-one terms.
+@lru_cache(maxsize=32)
+def _band_layout(lengths: tuple, p: int):
+    """Row order and band-storage targets of stacked cycles, interleaved.
+
+    Cycle entry j of a length-n cycle goes to row 0 for j = 0, 2j - 1 for
+    j <= n/2 and 2(n - j) otherwise: the order 0, 1, n-1, 2, n-2, ...  Two
+    entries k places apart around the cycle land at most 2k rows apart, so
+    the corner entries of a cyclic band of half-width p fall inside a plain
+    band of half-width 2p.  Returns ``row`` (the row of every stacked
+    entry), ``order`` (its inverse) and ``target``, the flat index in
+    LAPACK's column-major (6p+1, N) band storage of diagonal entry (k, i).
+    """
+    lengths = np.asarray(lengths)
+    if np.any(lengths <= 2 * p):
+        raise ValueError(f"cycles need more than {2 * p} entries for half-width {p}")
+    n = int(lengths.sum())
+    start = np.repeat(np.cumsum(lengths) - lengths, lengths)
+    size = np.repeat(lengths, lengths)
+    local = np.arange(n) - start
+    row = start + np.maximum(np.where(2 * local <= size, 2 * local - 1,
+                                      2 * (size - local)), 0)
+    order = np.empty(n, dtype=np.intp)
+    order[row] = np.arange(n)
+    k = np.arange(2 * p + 1)[:, None]
+    col = row[start + (local + k - p) % size]
+    # A[r, c] sits at ab[4p + r - c, c] for kl = ku = 2p
+    target = (4 * p + row - col) + (6 * p + 1) * col
+    for shared in (row, order, target):
+        shared.flags.writeable = False
+    return row, order, target
+
+
+def solve_cyclic_banded(diags, rhs: np.ndarray, lengths) -> np.ndarray:
+    """Solve A x = rhs for a stack of cyclic band matrices.
 
     A is block diagonal with one n x n cyclic band block per entry n > 2p of
     ``lengths``.  ``diags`` holds 2p+1 row-aligned diagonals of the stack:
     ``diags[k][i]`` is the entry of row i in the column k - p places after i
-    around i's own cycle.  The bands inside the blocks go to one banded LU
-    solve; each block's 2p rows whose entries wrap around its corners, and
-    the ``extra`` (u, v) pairs adding u v^T to A, enter through one Woodbury
-    correction (Temperton, JCP 19, 1975).  ``rhs`` is (N,) or (N, m).
+    around i's own cycle.  Each cycle is reordered 0, 1, n-1, 2, n-2, ...,
+    which moves its corner entries into a band of half-width 2p, and the
+    whole stack is one LAPACK band LU solve (``dgbsv``) with no corner
+    correction.  ``rhs`` is (N,) or (N, m).  Raises SingularSystem on
+    non-finite entries or a zero pivot.
     """
     diags = np.asarray(diags, dtype=float)
     p = len(diags) // 2
-    lengths = np.asarray(lengths)
     n = diags.shape[1]
-    start = np.repeat(np.cumsum(lengths) - lengths, lengths)
-    size = np.repeat(lengths, lengths)
-    local = np.arange(n) - start
-    wrapped = np.flatnonzero((local < p) | (local >= size - p))
-    col_of = np.zeros(n, dtype=np.intp)
-    col_of[wrapped] = np.arange(len(wrapped))
-    # entry (k, i) sits in column cols[k, i] of i's own cycle
-    k = np.arange(2 * p + 1)[:, None]
-    cols = local + k - p
-    inside = (cols >= 0) & (cols < size)
-    ab = np.zeros((2 * p + 1, n))
-    ab[np.broadcast_to(2 * p - k, cols.shape)[inside], (start + cols)[inside]] = diags[inside]
-    us = np.zeros((n, len(wrapped)))
-    us[wrapped, np.arange(len(wrapped))] = 1.0
-    vs = np.zeros((n, len(wrapped)))
-    vs[(start + cols % size)[~inside], np.broadcast_to(col_of, cols.shape)[~inside]] = diags[~inside]
-    us = np.column_stack([us, *(u for u, _ in extra)])
-    vs = np.column_stack([vs, *(v for _, v in extra)])
     b = np.reshape(rhs, (n, -1))
-    sol = solve_banded((p, p), ab, np.column_stack([b, us]))
-    y, z = sol[:, :b.shape[1]], sol[:, b.shape[1]:]
-    cap = np.eye(us.shape[1]) + vs.T @ z
-    return np.reshape(y - z @ np.linalg.solve(cap, vs.T @ y), np.shape(rhs))
+    if not (np.all(np.isfinite(diags)) and np.all(np.isfinite(b))):
+        raise SingularSystem("non-finite entries in a cyclic band system")
+    row, order, target = _band_layout(tuple(int(m) for m in lengths), p)
+    ab = np.zeros((6 * p + 1) * n)
+    ab[target] = diags
+    _, _, x, info = dgbsv(2 * p, 2 * p, ab.reshape((6 * p + 1, n), order="F"), b[order],
+                          overwrite_ab=1, overwrite_b=1)
+    if info > 0:
+        raise SingularSystem("zero pivot in a cyclic band system")
+    return np.reshape(x[row], np.shape(rhs))
 
 
 class PeriodicSpline:
@@ -132,81 +153,87 @@ class PeriodicSpline:
         return np.reshape(out, (len(j), *self.shape))
 
 
-def _stiffness_shifted_solve(cache: GeometryCache, b: np.ndarray) -> np.ndarray:
-    """Solve (K + w w^T) phi = b where K is the cyclic stiffness matrix.
+def solve_zero_average(caches: list[GeometryCache],
+                       fields: list[VertexField]) -> list[PotentialSolve]:
+    """Solve d^2 phi/ds^2 = f - <f> with <phi> = 0 on every component at once.
 
-    K has rows (-1/h_{i-1}, 1/h_{i-1} + 1/h_i, -1/h_i) with cyclic wrap; its
-    nullspace is the constants.  Because the weights w sum against constants
-    to the length, the shifted system returns exactly the solution of
-    K phi = b with the weighted mean of phi equal to zero, provided b sums
-    to zero.
+    With D the weight diagonal, d2ds2 phi = g is K phi = -D g for the cyclic
+    stiffness matrix K, rows (-1/h_{i-1}, 1/h_{i-1} + 1/h_i, -1/h_i).  The
+    right side sums to zero on each component, so grounding vertex 0 (phi_0
+    = 0, its row dropped) leaves the path tridiagonal system on the other
+    vertices; one stacked solve covers all components, and each then has its
+    weighted mean removed.  A component keeps its own residual check.
     """
-    inv_h = 1.0 / cache.edge_lengths
-    inv_hm = np.roll(inv_h, 1)
-    diags = [-inv_hm, inv_h + inv_hm, -inv_h]
-    w = cache.weights
-    return solve_cyclic_banded(diags, b, [cache.n], extra=[(w, w)])
+    lengths = np.array([c.n for c in caches])
+    for cache, f in zip(caches, fields):
+        if cache.n < 8:
+            raise SingularSystem(f"component {cache.component_index} has < 8 vertices")
+        if len(f.values) != cache.n:
+            raise ValueError("field length does not match component")
+    first = np.cumsum(lengths) - lengths
+    comp = np.repeat(np.arange(len(caches)), lengths)
+    nxt, prv = cycle_neighbours(lengths)
+    h = np.concatenate([c.edge_lengths for c in caches])
+    w = np.concatenate([c.weights for c in caches])
+    total = np.array([c.length for c in caches])
+    vals = np.concatenate([np.asarray(f.values, dtype=float) for f in fields])
+    mean = np.add.reduceat(w * vals, first) / total
+    g = vals - mean[comp]
+    inv_h = 1.0 / h
+    lo, up = -inv_h[prv], -inv_h
+    lo[first + 1] = 0.0
+    up[first + lengths - 1] = 0.0
+    free = np.ones(len(h), dtype=bool)
+    free[first] = False
+    phi = np.zeros(len(h))
+    phi[free] = solve_cyclic_banded([lo[free], (inv_h + inv_h[prv])[free], up[free]],
+                                    (-w * g)[free], lengths - 1)
+    phi -= (np.add.reduceat(w * phi, first) / total)[comp]
+    residual = ((phi[nxt] - phi) / h - (phi - phi[prv]) / h[prv]) / w - g
+    res_norm = np.sqrt(np.add.reduceat(w * residual**2, first))
+    scale = np.sqrt(np.add.reduceat(w * vals**2, first))
+    bad = res_norm > RESIDUAL_TOL * np.maximum(np.where(scale == 0.0, 1.0, scale), 1e-30)
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        raise SingularSystem(f"poisson residual {res_norm[k]:.2e} on component "
+                             f"{caches[k].component_index} exceeds {RESIDUAL_TOL:.0e} * |f|")
+    return [PotentialSolve(rhs=f, solution=VertexField(f.component_id, part),
+                           residual_norm=float(r), mean_removed=float(m))
+            for f, part, r, m in zip(fields, np.split(phi, first[1:]), res_norm, mean)]
 
 
-def solve_zero_average(cache: GeometryCache, f: VertexField) -> PotentialSolve:
-    """Solve d^2 phi/ds^2 = f - <f> with <phi> = 0 on one closed component."""
-    if cache.n < 8:
-        raise SingularSystem(f"component {cache.component_index} has < 8 vertices")
-    vals = np.asarray(f.values, dtype=float)
-    if len(vals) != cache.n:
-        raise ValueError("field length does not match component")
-    mean = field_mean(cache, vals)
-    g = vals - mean
-    # d2ds2 phi = g  <=>  K phi = -D g with D the weight diagonal
-    b = -cache.weights * g
-    phi = _stiffness_shifted_solve(cache, b)
-    residual = d2ds2(cache, phi) - g
-    scale = float(np.sqrt(integrate(cache, vals**2))) or 1.0
-    res_norm = float(np.sqrt(integrate(cache, residual**2)))
-    if res_norm > RESIDUAL_TOL * max(scale, 1e-30):
-        raise SingularSystem(
-            f"poisson residual {res_norm:.2e} exceeds {RESIDUAL_TOL:.0e} * |f|"
-        )
-    return PotentialSolve(
-        rhs=f,
-        solution=VertexField(f.component_id, phi),
-        residual_norm=res_norm,
-        mean_removed=mean,
-    )
-
-
-def velocity_potential(cache: GeometryCache, v: VertexField) -> VertexField:
-    """Zero-average potential of a normal velocity: d^2 phi_V/ds^2 = V.
+def velocity_potential(caches: list[GeometryCache],
+                       v_fields: list[VertexField]) -> list[VertexField]:
+    """Zero-average potentials of a normal velocity: d^2 phi_V/ds^2 = V.
 
     Requires the per-component mean of V to vanish (mass conservation); a
     violation signals broken volume conservation upstream.
     """
-    mean = field_mean(cache, v.values)
-    scale = max(1.0, float(np.max(np.abs(v.values))) if len(v.values) else 1.0)
-    if abs(mean) > 1e-8 * scale:
-        raise NonZeroMean(
-            f"component {v.component_id}: <V> = {mean:.3e} violates volume conservation"
-        )
-    return solve_zero_average(cache, v).solution
+    for cache, v in zip(caches, v_fields):
+        mean = field_mean(cache, v.values)
+        scale = max(1.0, float(np.max(np.abs(v.values))) if len(v.values) else 1.0)
+        if abs(mean) > 1e-8 * scale:
+            raise NonZeroMean(
+                f"component {v.component_id}: <V> = {mean:.3e} violates volume conservation"
+            )
+    return [sol.solution for sol in solve_zero_average(caches, v_fields)]
 
 
 def h_minus1_norm_sq(caches: list[GeometryCache], v_fields: list[VertexField]) -> float:
     """Sum over components of the squared H^-1 seminorm int |d phi_V/ds|^2 ds."""
-    total = 0.0
-    for cache, v in zip(caches, v_fields):
-        phi = velocity_potential(cache, v)
-        grad = dds(cache, phi.values)
-        total += integrate(cache, grad**2)
-    return float(total)
+    return float(sum(integrate(cache, dds(cache, phi.values) ** 2)
+                     for cache, phi in zip(caches, velocity_potential(caches, v_fields))))
 
 
-def nu_dot_B_potential(cache: GeometryCache, b_vals) -> VertexField:
-    """Zero-average potential of nu . B on one component.
+def nu_dot_B_potential(caches: list[GeometryCache], b_vals) -> list[VertexField]:
+    """Zero-average potentials of nu . B on every component.
 
-    ``b_vals`` is the (n, 2) array of B at the component's vertices.  The
-    component mean of nu . B is subtracted before solving (it need not
+    ``b_vals`` is the (N, 2) array of B at the stacked vertices.  The
+    component means of nu . B are subtracted before solving (they need not
     vanish for a general field).
     """
-    rhs = np.sum(cache.nu * np.asarray(b_vals, dtype=float), axis=1)
-    field = VertexField(cache.component_index, rhs)
-    return solve_zero_average(cache, field).solution
+    nu = np.vstack([c.nu for c in caches])
+    rhs = np.sum(nu * np.asarray(b_vals, dtype=float), axis=1)
+    parts = np.split(rhs, np.cumsum([c.n for c in caches])[:-1])
+    fields = [VertexField(c.component_index, part) for c, part in zip(caches, parts)]
+    return [sol.solution for sol in solve_zero_average(caches, fields)]

@@ -67,20 +67,18 @@ def surface_potential(caches, q):
 
 
 def midpoint_bc_residual(field, v_star):
-    """sup over spline midpoints of |nu . B_trace - V*|, one component at a time."""
+    """sup over edge midpoints of |nu . B_trace - V*|, one component at a time."""
     nodes = np.vstack([c.vertices for c in field.caches])
     weights = np.concatenate([c.weights for c in field.caches])
     q = field.density
     offsets = np.cumsum([0] + [c.n for c in field.caches])
-    up = field.upsample
     worst = 0.0
-    fine_off = 0
     for k, cache in enumerate(field.caches):
-        nf = cache.n * up
-        fine = field.fine_points[fine_off:fine_off + nf]
-        fine_off += nf
-        mids = fine[up // 2::up]
-        tang = fine[(up // 2 + 1) % nf::up] - fine[up // 2 - 1::up]
+        ends = np.append(cache.arc_positions[1:], cache.length)
+        arc = 0.5 * (cache.arc_positions + ends)
+        comp = np.full(cache.n, k)
+        mids = field.position(comp, arc)
+        tang = field.position(comp, arc, 1)
         tang /= np.linalg.norm(tang, axis=1)[:, None]
         nmid = np.column_stack([tang[:, 1], -tang[:, 0]])
         rel = mids[:, None, :] - nodes[None, :, :]
@@ -109,4 +107,4 @@ def edge_flux(vector_field, cache):
 
 def nu_dot_B_potentials(caches, b_field):
     """Zero-average potential of nu . B per component, B evaluated per component."""
-    return [nu_dot_B_potential(cache, b_field.at(cache.vertices)) for cache in caches]
+    return [nu_dot_B_potential([cache], b_field.at(cache.vertices))[0] for cache in caches]

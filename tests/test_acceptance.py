@@ -174,7 +174,7 @@ def test_criterion_05_poisson_solver():
         curve = geo.PolyCurve([geo.make_circle((0, 0), 1.0, n)])
         cache = geo.build_geometry(curve)[0]
         theta = vertex_angles(cache)
-        sol = po.solve_zero_average(cache, geo.VertexField(0, np.cos(3 * theta)))
+        sol = po.solve_zero_average([cache], [geo.VertexField(0, np.cos(3 * theta))])[0]
         errs[n] = np.sqrt(geo.integrate(
             cache, (sol.solution.values + np.cos(3 * theta) / 9) ** 2))
     order1 = np.log2(errs[128] / errs[256])

@@ -422,12 +422,10 @@ def test_stacked_checkers_one_B_call_per_sample(circle_calibration):
     assert np.max(np.abs(fluxes - want)) <= 1e-15 * np.max(np.abs(want))
     assert nb.sum_abs == pytest.approx(np.sum(np.abs(want)), rel=1e-15)
 
-    b_vals = field.at(np.vstack([c.vertices for c in caches]))
-    offsets = np.cumsum([0] + [c.n for c in caches])
+    stacked = po.nu_dot_B_potential(caches, field.at(np.vstack([c.vertices for c in caches])))
     cross = 0.0
-    for k, (cache, phi) in enumerate(zip(
-            caches, extension_oracle.nu_dot_B_potentials(caches, field))):
-        got = po.nu_dot_B_potential(cache, b_vals[offsets[k]:offsets[k + 1]])
+    for cache, got, phi in zip(caches, stacked,
+                               extension_oracle.nu_dot_B_potentials(caches, field)):
         assert np.max(np.abs(got.values - phi.values)) <= 1e-15 * np.max(np.abs(phi.values))
         cross += geo.integrate(cache, (geo.dds(cache, cache.kappa)
                                        - geo.dds(cache, phi.values))**2)

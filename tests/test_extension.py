@@ -87,6 +87,35 @@ def test_far_field_vanishes(disk_cos1):
     assert disk_cos1.support_radius == pytest.approx(2.0 + 10 * 0.25, rel=1e-2)
 
 
+def test_points_beyond_inflated_box_skip_the_query(disk_cos1, monkeypatch):
+    # beyond the vertex bounding box inflated by 2.5 delta, B and div B are
+    # exact zeros and the points never reach the closest-segment query
+    field = disk_cos1
+    seen = []
+    signed = field.index.signed
+
+    def recording(points):
+        seen.append(np.array(points))
+        return signed(points)
+
+    monkeypatch.setattr(field.index, "signed", recording)
+    pad = 2.5 * field.delta
+    rng = np.random.default_rng(11)
+    ang = rng.uniform(0.0, 2.0 * np.pi, 200)
+    # outside the box [-1 - pad, 1 + pad]^2, some inside the support disk
+    rad = (1.0 + pad) * np.sqrt(2.0) + rng.uniform(1e-9, 3.0, 200)
+    beyond = np.column_stack([rad * np.cos(ang), rad * np.sin(ang)])
+    beyond[:4] = [[1.0 + pad + 1e-12, 0.0], [0.0, -1.0 - pad], [-1.0 - pad - 1e-9, 0.3],
+                  [0.2, 1.0 + 1.5 * pad]]
+    inside = np.array([[0.0, 0.0], [1.0 + 2.2 * field.delta, 0.0], [0.7, 0.7]])
+    b, div = field.at_and_div(np.vstack([beyond, inside]))
+    assert not np.any(b[:len(beyond)]) and not np.any(div[:len(beyond)])
+    assert not np.any(field.at(beyond))
+    assert len(seen) == 1 and np.array_equal(seen[0], inside)
+    # beyond 2 delta outside the curve the field is zero inside the box too
+    assert not np.any(b[-2])
+
+
 def test_interior_divergence_harmonic(disk_cos1):
     delta = disk_cos1.delta
     # interior points at distance >= delta/4 from the boundary
@@ -225,7 +254,6 @@ def test_wedge_constant_fields_identically_zero():
     # all four terms carry a derivative of B or xi: constant fields vanish
     class ConstantField:
         support_radius = 100.0
-        support_center = np.zeros(2)
 
         def at(self, pts):
             return np.tile([0.7, -0.2], (len(np.atleast_2d(pts)), 1))
@@ -337,6 +365,39 @@ def test_complex_kernels_match_real_oracles(specs):
     res_ref = oracle.midpoint_bc_residual(field, v)
     v_sup = max(np.max(np.abs(vf.values)) for vf in v)
     assert abs(ex._midpoint_bc_residual(field, v) - res_ref) <= 1e-13 * v_sup
+
+
+def test_midpoint_residual_on_parameter_uniform_nodes():
+    # a parameter-uniform 37-gon ellipse puts an arc-uniform midpoint
+    # 2.5e-8 from a node; midpoints at the arc centre of each edge read the
+    # same residual as the arc-uniform copy of that component
+    others = [_component(1, "circle", 24, 0.3), _component(2, "wavy", 40, 0.5),
+              _component(3, "circle", 16, 0.05)]
+    first = geo.make_ellipse(0.1012, 0.0506, 37)
+    residuals = []
+    for comp in (first, geo.Component(fl._resample_uniform(first.vertices, [37], passes=4), 1)):
+        curve = geo.PolyCurve([comp] + others)
+        caches = geo.build_geometry(curve)
+        v = _mode_velocities(caches, [2, 1, 3, 1])
+        field = ex.build_B(curve, caches, v, 0.25 * 0.0506)
+        residuals.append(field.bc_residual)
+        v_sup = max(np.max(np.abs(vf.values)) for vf in v)
+        assert abs(field.bc_residual - oracle.midpoint_bc_residual(field, v)) <= 1e-13 * v_sup
+    assert residuals[0] <= 0.05
+    assert residuals[0] <= 1.5 * residuals[1]
+
+
+def test_interior_blend_continuous_past_the_tube_band():
+    # delta = 0.0025 on a 64-gon: 2 near_cut (9.2e-3) reaches past 2.5 delta,
+    # and the interior blend keeps its smooth foot along the whole ray
+    field, _, caches = _disk_field(1, n=64, delta=0.0025)
+    assert 2.0 * field.near_cut > 2.5 * field.delta
+    s = -np.linspace(0.0055, 0.0075, 41)
+    pts = caches[0].vertices[0] + s[:, None] * caches[0].nu[0]
+    b, div = field.at_and_div(pts)
+    assert np.max(np.abs(np.diff(b[:, 0]))) <= 1e-4
+    assert np.max(np.abs(b[:, 0] - 1.0)) <= 1e-3
+    assert np.max(np.abs(div - field.divergence(pts))) <= 1e-5
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,9 +7,12 @@ from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
 import flow_oracle
+from surfdiff import cli
 from surfdiff import flow as fl
 from surfdiff import geometry as geo
-from surfdiff.errors import AreaDriftExceeded, StepRejected, TopologyChange
+from surfdiff.errors import AreaDriftExceeded, SingularSystem, StepRejected, TopologyChange
+
+from conftest import jittered_loop
 
 
 def _resampled(components):
@@ -240,25 +245,6 @@ def test_flow_config_validation():
 # fast paths against dense or unfused references
 # ---------------------------------------------------------------------------
 
-def _dense_flow_operator(cache, dt):
-    """I + dt L (L - diag kappa^2) and L kappa from a dense arc Laplacian."""
-    n, h, w = cache.n, cache.edge_lengths, cache.weights
-    lap = np.zeros((n, n))
-    for i in range(n):
-        lap[i, (i + 1) % n] += 1.0 / (h[i] * w[i])
-        lap[i, (i - 1) % n] += 1.0 / (h[i - 1] * w[i])
-        lap[i, i] -= (1.0 / h[i] + 1.0 / h[i - 1]) / w[i]
-    kappa = -np.sum(cache.nu * (lap @ cache.vertices), axis=1)
-    op = np.eye(n) + dt * lap @ (lap - np.diag(kappa**2))
-    return op, lap @ kappa
-
-
-def _jittered_loop(rng, n, center, scale):
-    t = 2 * np.pi * (np.arange(n) + rng.uniform(-0.3, 0.3, n)) / n
-    r = scale * (1.0 + 0.2 * np.cos(3 * t + rng.uniform(0, 2 * np.pi)))
-    return geo.Component(center + np.column_stack([2 * r * np.cos(t), r * np.sin(t)]), 1)
-
-
 @settings(max_examples=36, deadline=None, database=None)
 @given(st.sampled_from([8, 24, 128, 512]), st.lists(st.sampled_from([8, 24, 128]), max_size=3),
        st.sampled_from([1e-6, 1e-4, 1e-3, 2e-2]), st.integers(0, 2**32 - 1))
@@ -266,20 +252,15 @@ def test_banded_flow_operator_matches_dense_solve(n, bubbles, dt, seed):
     # jittered meshes: edge ratios stay as bounded as the flow keeps them;
     # the bubbles, far apart, make the solve a stack of several cycles
     rng = np.random.default_rng(seed)
-    curve = geo.PolyCurve([_jittered_loop(rng, n, (0.0, 0.0), 1.0)]
-                          + [_jittered_loop(rng, m, (6.0 + 3.0 * k, 0.0), 0.2)
+    curve = geo.PolyCurve([jittered_loop(rng, n, (0.0, 0.0), 1.0)]
+                          + [jittered_loop(rng, m, (6.0 + 3.0 * k, 0.0), 0.2)
                              for k, m in enumerate(bubbles)])
     caches = geo.build_geometry(curve)
-    banded = np.split(fl._normal_velocity(caches, dt), np.cumsum([c.n for c in caches])[:-1])
-    for cache, got in zip(caches, banded):
-        op, rhs = _dense_flow_operator(cache, dt)
-        dense = np.linalg.solve(op, rhs)
-        # L kappa is a fourth difference and cond(op) reaches ~3e6 at n = 512,
-        # dt = 1e-3, and grows in proportion to dt beyond (~3e7 at dt = 2e-2,
-        # the largest step the 512-ellipse flow takes): the two solves differ
-        # by up to ~1e-10 of max |w| at dt = 1e-3 and ~1.3e-9 at dt = 2e-2
-        tol = 1e-9 * max(1.0, dt / 1e-3)
-        assert np.max(np.abs(got - dense)) <= tol * np.max(np.abs(dense))
+    # L kappa is a fourth difference and cond(op) reaches ~3e6 at n = 512,
+    # dt = 1e-3, and grows in proportion to dt beyond (~3e7 at dt = 2e-2,
+    # the largest step the 512-ellipse flow takes): the two solves differ
+    # by up to ~1e-10 of max |w| at dt = 1e-3 and ~1.3e-9 at dt = 2e-2
+    assert cli._flow_solve_gap(caches, dt) <= 1e-9 * max(1.0, dt / 1e-3)
 
 
 def test_step_computes_no_diameter(monkeypatch):
@@ -327,6 +308,19 @@ def test_non_finite_velocity_rejects_step(monkeypatch, bad):
                         lambda caches, dt: np.where(np.arange(96) == 70, bad, 0.0))
     with pytest.raises(StepRejected):
         fl.step(state, fl.FlowConfig(dt=1e-4, end_time=1.0))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_singular_band_system_rejects_step():
+    # a zero edge length makes the flow operator non-finite: the band solve
+    # raises SingularSystem, and step reports it as StepRejected
+    state = fl.FlowState.initial(geo.PolyCurve([geo.make_ellipse(2.0, 1.0, 64)]))
+    h = state.caches[0].edge_lengths.copy()
+    h[5] = 0.0
+    state.caches[0] = dataclasses.replace(state.caches[0], edge_lengths=h)
+    with pytest.raises(StepRejected, match="singular system: non-finite") as err:
+        fl.step(state, fl.FlowConfig(dt=1e-4, end_time=1.0))
+    assert isinstance(err.value.__cause__, SingularSystem)
 
 
 def test_degenerate_edge_rejects_step(monkeypatch):
