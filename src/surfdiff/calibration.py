@@ -10,6 +10,7 @@ are immutable after construction.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -152,6 +153,7 @@ class AnalyticCircles:
         self.circles = list(circles)
         self.stationary = True
         self._boundaries: dict[int, PolyCurve] = {}
+        self._boundaries_lock = threading.Lock()
 
     def query(self, points: np.ndarray, t: float = 0.0):
         points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -189,13 +191,19 @@ class AnalyticCircles:
         return s, grad, foot, kappa_foot
 
     def boundary_curve(self, t: float, n: int) -> PolyCurve:
-        """The circles as n-gons; time-independent, so built once per n."""
+        """The circles as n-gons; time-independent, so built once per n.
+
+        Concurrent samples ask for the same n at once; the lock keeps them
+        from each building it.
+        """
         from .geometry import make_circle
 
-        if n not in self._boundaries:
-            self._boundaries[n] = PolyCurve([make_circle(c.center, c.radius, n, c.orientation)
-                                             for c in self.circles])
-        return self._boundaries[n]
+        with self._boundaries_lock:
+            if n not in self._boundaries:
+                self._boundaries[n] = PolyCurve([make_circle(c.center, c.radius, n,
+                                                             c.orientation)
+                                                 for c in self.circles])
+            return self._boundaries[n]
 
     def admissible_delta(self) -> float:
         reach = min(c.radius for c in self.circles)
@@ -237,8 +245,15 @@ class PolygonReference:
         return self.trajectory.curve_at(t)
 
     def _state_at(self, t: float):
+        """The geometry, index and per-vertex fields at t, built once per time.
+
+        Samples of one run are evaluated on several threads at once: the
+        state is returned from a local, never re-read from the cache, which
+        another thread may clear in between.
+        """
         key = float(t)
-        if key not in self._cache:
+        state = self._cache.get(key)
+        if state is None:
             curve = self.curve_at(t)
             caches = build_geometry(curve)
             index = CurveIndex(curve, caches)
@@ -252,10 +267,11 @@ class PolygonReference:
                 v_fields = [d2ds2(c, c.kappa) for c in caches]
             else:
                 v_fields = [np.zeros(c.n) for c in caches]
+            state = (curve, caches, index, kappa_fields, v_fields)
             if len(self._cache) > 64:
                 self._cache.clear()
-            self._cache[key] = (curve, caches, index, kappa_fields, v_fields)
-        return self._cache[key]
+            self._cache[key] = state
+        return state
 
     def geometry_at(self, t: float):
         curve, caches, _, _, _ = self._state_at(t)

@@ -21,7 +21,7 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -286,24 +286,84 @@ def make_b_provider(reference, delta):
 
     One provider can serve every weak run compared against the same
     reference: runs sampled at the same times then share each field.
+    Concurrent samples ask for distinct times, so their fields are built
+    in parallel.
     """
     cache: dict = {}
 
     def provider(t: float):
         key = round(float(t), 12)
-        if key not in cache:
+        field = cache.get(key)
+        if field is None:
             ref_curve, ref_caches = reference.geometry_at(t)
             v_star = [geo.VertexField(c.component_index, v)
                       for c, v in zip(ref_caches, reference.velocity_at(t))]
-            cache[key] = exlib.build_B(ref_curve, ref_caches, v_star, delta)
-        return cache[key]
+            field = cache[key] = exlib.build_B(ref_curve, ref_caches, v_star, delta)
+        return field
 
     return provider
 
 
+@dataclass
+class _SampleResult:
+    """What one sample contributes to a run's summary."""
+
+    report: enlib.EnergyReport
+    pointwise_slack: float
+    bubble_slacks: list
+    nu_dot_B: enlib.NuDotBReport | None
+    flux_constants: dict | None
+    stationary_ratio: float | None
+
+
+def _evaluate_sample(state, calib, b_provider, stationary: bool) -> _SampleResult:
+    """Energy report and inequality checks of one sampled state.
+
+    Reads the reference and the calibration and writes nothing shared, so
+    samples can be evaluated on several threads at once.
+    """
+    t = state.time
+    b_field = None if stationary else b_provider(t)
+    sample = calib.sample(state.caches, t)
+    rep = enlib.dissipation_report(state.curve, sample, calib, b_field,
+                                   state.normal_velocity)
+    check = calib.pointwise_tilt_check(sample)
+    xi_bound = calib.xi_grad_bound(t)
+    bub = enlib.small_component_area_check(sample, xi_bound)
+    nb = flux_constants = None
+    if b_field is not None:
+        nb = enlib.nu_dot_B_sums(state.caches, b_field, calib, xi_bound,
+                                 f_value=rep.F, e_value=rep.E)
+        rep.verdicts["nu_dot_B"] = "PASS" if min(nb.slack_abs, nb.slack_scaled) >= 0 else "FAIL"
+        flux_constants = {
+            "support_radius": b_field.support_radius,
+            "div_sup": b_field.div_sup,
+            "sup_norm": b_field.sup_norm,
+            "lipschitz": b_field.lipschitz,
+            "prefactor_abs": 2.0 * b_field.support_radius / calib.delta
+                             * b_field.div_sup,
+            "small_component_factor": 34.0 * b_field.div_sup,
+            "length_threshold": (1.0 / b_field.sup_norm
+                                 if b_field.sup_norm > 0 else None),
+        }
+    ratio = enlib.stationary_gradient_ratio(rep, calib) if stationary else None
+    rep.verdicts["pointwise"] = "PASS" if check.worst >= -1e-12 else "FAIL"
+    return _SampleResult(rep, check.worst, [b.slack for b in bub if b.applicable],
+                         nb, flux_constants, ratio)
+
+
 def evaluate_run(run: fllib.FlowRun, calib, reference, sample_count: int,
                  b_provider=None) -> dict:
-    """Energy reports, inequality verdicts and the Gronwall fit for one run."""
+    """Energy reports, inequality verdicts and the Gronwall fit for one run.
+
+    The sampled states are evaluated concurrently, one thread per CPU the
+    process may run on (at most one per sample): the numpy, LAPACK and k-d
+    tree kernels they spend their time in release the interpreter lock.
+    Results are folded in sample order, so the summary and the reports are
+    the same bit for bit whatever the number of threads.  Each extra sample
+    in flight holds its own working set, about 12 MB on the benchmark's
+    workloads.
+    """
     states = run.states
     if len(states) > sample_count:
         pick = np.unique(np.linspace(0, len(states) - 1, sample_count).astype(int))
@@ -312,6 +372,11 @@ def evaluate_run(run: fllib.FlowRun, calib, reference, sample_count: int,
     stationary = getattr(reference, "stationary", False)
     if not stationary and b_provider is None:
         b_provider = make_b_provider(reference, calib.delta)
+    workers = min(len(states), len(os.sched_getaffinity(0)))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        results = list(pool.map(
+            lambda state: _evaluate_sample(state, calib, b_provider, stationary), states))
+
     reports = []
     worst = {
         "pointwise_slack": np.inf,
@@ -321,43 +386,19 @@ def evaluate_run(run: fllib.FlowRun, calib, reference, sample_count: int,
     }
     flux_constants = None
     stationary_ratios = []
-    for state in states:
-        t = state.time
-        b_field = None
-        if not stationary:
-            b_field = b_provider(t)
-        sample = calib.sample(state.caches, t)
-        rep = enlib.dissipation_report(state.curve, sample, calib, b_field,
-                                       state.normal_velocity)
-        check = calib.pointwise_tilt_check(sample)
-        worst["pointwise_slack"] = min(worst["pointwise_slack"], check.worst)
-        xi_bound = calib.xi_grad_bound(t)
-        bub = enlib.small_component_area_check(sample, xi_bound)
-        applicable = [b.slack for b in bub if b.applicable]
-        if applicable:
-            worst["bubble_slack"] = min(worst["bubble_slack"], min(applicable))
-        if b_field is not None:
-            nb = enlib.nu_dot_B_sums(state.caches, b_field, calib, xi_bound,
-                                     f_value=rep.F, e_value=rep.E)
-            worst["nu_dot_B_slack_abs"] = min(worst["nu_dot_B_slack_abs"], nb.slack_abs)
+    for res in results:
+        worst["pointwise_slack"] = min(worst["pointwise_slack"], res.pointwise_slack)
+        if res.bubble_slacks:
+            worst["bubble_slack"] = min(worst["bubble_slack"], min(res.bubble_slacks))
+        if res.nu_dot_B is not None:
+            worst["nu_dot_B_slack_abs"] = min(worst["nu_dot_B_slack_abs"],
+                                              res.nu_dot_B.slack_abs)
             worst["nu_dot_B_slack_scaled"] = min(worst["nu_dot_B_slack_scaled"],
-                                                 nb.slack_scaled)
-            rep.verdicts["nu_dot_B"] = "PASS" if min(nb.slack_abs, nb.slack_scaled) >= 0 else "FAIL"
-            flux_constants = {
-                "support_radius": b_field.support_radius,
-                "div_sup": b_field.div_sup,
-                "sup_norm": b_field.sup_norm,
-                "lipschitz": b_field.lipschitz,
-                "prefactor_abs": 2.0 * b_field.support_radius / calib.delta
-                                 * b_field.div_sup,
-                "small_component_factor": 34.0 * b_field.div_sup,
-                "length_threshold": (1.0 / b_field.sup_norm
-                                     if b_field.sup_norm > 0 else None),
-            }
-        if stationary:
-            stationary_ratios.append(enlib.stationary_gradient_ratio(rep, calib))
-        rep.verdicts["pointwise"] = "PASS" if check.worst >= -1e-12 else "FAIL"
-        reports.append(rep)
+                                                 res.nu_dot_B.slack_scaled)
+            flux_constants = res.flux_constants
+        if res.stationary_ratio is not None:
+            stationary_ratios.append(res.stationary_ratio)
+        reports.append(res.report)
 
     floor = _quadrature_floor(run.states[0].caches, reference)
     try:

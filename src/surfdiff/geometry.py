@@ -698,14 +698,17 @@ _QUERY_PAIRS = 1 << 16      # (point, candidate segment) pairs per closest-segme
 class CurveIndex:
     """Closest-point and signed-distance queries against a polygonal forest.
 
-    A k-d tree holds the segment midpoints.  The k nearest midpoints of a
-    point (k = 8 first) name its candidate segments, evaluated in one
-    vectorised (points x k) pass.  Any other segment has its midpoint at
-    least d_k (the k-th midpoint distance) away and its points within half
-    its length of that midpoint, so it is at least d_k - h_max/2 away: the
-    best candidate is the closest segment when its distance is at most that.
-    Points failing this guard are queried again with k four times larger,
-    up to every segment.
+    A k-d tree holds the vertices.  The k nearest vertices of a point
+    (k = 4 first) name its candidate segments, the two that meet at each,
+    evaluated in one vectorised (points x 2k) pass.  Any other segment has
+    both endpoints a, b at least d_k (the k-th vertex distance) away.  Its
+    closest point f to p is an endpoint, or the foot of the perpendicular
+    from p; then |p - f|^2 = |p - a|^2 - |f - a|^2 = |p - b|^2 - |f - b|^2,
+    and f lies within h_max/2 of a or of b.  Either way the segment is at
+    least sqrt(d_k^2 - h_max^2/4) away, so the best candidate is the closest
+    segment when its squared distance is at most d_k^2 - h_max^2/4.  Points
+    failing this guard are queried again with k four times larger, up to
+    every vertex.
 
     The distance returned is norm(point - foot) with foot = a + t (b - a),
     the vector the gradient (point - foot) / s divides, so |grad s| = 1 to
@@ -723,34 +726,35 @@ class CurveIndex:
         self.seg_vec = self.seg_end - self.seg_start
         self.seg_len2 = np.maximum(np.sum(self.seg_vec * self.seg_vec, axis=1), 1e-300)
         self.hmax = float(np.linalg.norm(self.seg_vec, axis=1).max())
-        self.next_of, prev_of = cycle_neighbours([c.n for c in curve.components])
+        self.next_of, self.prev_of = cycle_neighbours([c.n for c in curve.components])
         self.nu = np.vstack([c.nu for c in self.caches])
         # sum of the unit normals of the two edges at each vertex: positive
         # on the vertex's whole normal cone, whatever its turning angle
         edge_nu = self.seg_vec[:, ::-1] * [1.0, -1.0] / np.sqrt(self.seg_len2)[:, None]
-        self.pseudo_nu = edge_nu + edge_nu[prev_of]
-        self.tree = cKDTree(0.5 * (self.seg_start + self.seg_end))
+        self.pseudo_nu = edge_nu + edge_nu[self.prev_of]
+        self.tree = cKDTree(self.seg_start)
 
     def unsigned(self, points: np.ndarray):
         """Distance, foot point, global segment id and on-edge parameter."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        nseg = len(self.seg_start)
+        nvert = len(self.seg_start)
         seg = np.empty(len(points), dtype=np.intp)
         t = np.empty(len(points))
-        todo, k = np.arange(len(points)), min(8, nseg)
+        todo, k = np.arange(len(points)), min(4, nvert)
         while len(todo):
-            rows = max(1, _QUERY_PAIRS // k)
+            rows = max(1, _QUERY_PAIRS // (2 * k))
             todo = np.concatenate([self._closest(points, todo[a:a + rows], k, seg, t)
                                    for a in range(0, len(todo), rows)])
-            k = min(4 * k, nseg)
+            k = min(4 * k, nvert)
         foot = self.seg_start[seg] + t[:, None] * self.seg_vec[seg]
         return np.linalg.norm(points - foot, axis=1), foot, seg, t
 
     def _closest(self, points, ids, k, seg, t):
-        """Closest of the k nearest-midpoint segments of points[ids], written
-        into seg and t; returns the ids whose completeness guard fails."""
+        """Closest of the segments at the k nearest vertices of points[ids],
+        written into seg and t; returns the ids whose completeness guard fails."""
         p = points[ids]
-        dk, cand = self.tree.query(p, k=k)
+        dk, near = self.tree.query(p, k=k)
+        cand = np.hstack([near, self.prev_of[near]])
         a, ab = self.seg_start[cand], self.seg_vec[cand]
         px, py = p[:, 0, None], p[:, 1, None]
         tc = np.clip(((px - a[..., 0]) * ab[..., 0] + (py - a[..., 1]) * ab[..., 1])
@@ -764,7 +768,7 @@ class CurveIndex:
         t[ids] = tc[rows, j]
         if k == len(self.seg_start):
             return ids[:0]
-        return ids[np.sqrt(d2[rows, j]) > dk[:, -1] - 0.5 * self.hmax]
+        return ids[d2[rows, j] > dk[:, -1] ** 2 - 0.25 * self.hmax ** 2]
 
     def signed(self, points: np.ndarray):
         """Signed distance, gradient, foot point and foot segment data.

@@ -1,7 +1,12 @@
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
 from surfdiff import calibration as cb
+from surfdiff import flow as fl
 from surfdiff import geometry as geo
 from surfdiff.errors import MedialAxisProximity, ZeroReach
 
@@ -332,3 +337,46 @@ def test_analytic_boundary_built_once_per_resolution():
     ref = cb.AnalyticCircles([cb.CircleSpec((0.0, 0.0), 1.0)])
     assert ref.boundary_curve(0.0, 64) is ref.boundary_curve(0.3, 64)
     assert ref.boundary_curve(0.0, 128).components[0].n == 128
+    # also when concurrent samples ask for it at once
+    start = threading.Barrier(4)
+
+    def build(t):
+        start.wait(timeout=60)
+        return ref.boundary_curve(t, 1 << 15)
+
+    with ThreadPoolExecutor(4) as pool:
+        runs = [pool.submit(build, 0.1 * k) for k in range(4)]
+        curves = [run.result(timeout=60) for run in runs]
+    assert all(c is curves[0] for c in curves)
+
+
+class _YieldingDict(dict):
+    """A dict that hands the interpreter to other threads after each store."""
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        time.sleep(1e-3)
+
+
+def test_polygon_reference_state_on_two_threads():
+    # a run's samples query one reference from several threads; 80 times
+    # overflow the 64-entry state cache, so one thread clears it while the
+    # other is between storing its state and returning it
+    traj = fl.make_reference(fl.FlowConfig(dt=1e-4, end_time=0.002),
+                             geo.PolyCurve([geo.make_ellipse(2.0, 1.0, 64)]),
+                             sample_stride=5)
+    times = np.linspace(traj.times[0], traj.times[-1], 80)
+    serial = cb.PolygonReference(trajectory=traj)
+    want = {t: serial._state_at(t) for t in times}
+    shared = cb.PolygonReference(trajectory=traj)
+    shared._cache = _YieldingDict()
+    with ThreadPoolExecutor(2) as pool:
+        runs = [pool.submit(lambda ts: [(t, shared._state_at(t)) for t in ts], order)
+                for order in (times, times[::-1])]
+        got = [pair for run in runs for pair in run.result(timeout=60)]
+    assert len(got) == 2 * len(times)
+    for t, (_, _, index, kappa, v) in got:
+        _, _, ref_index, ref_kappa, ref_v = want[t]
+        assert np.array_equal(index.seg_start, ref_index.seg_start)
+        for a, b in zip(kappa + v, ref_kappa + ref_v):
+            assert np.array_equal(a, b)

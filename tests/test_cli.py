@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 import surfdiff
 from surfdiff import calibration as cb
 from surfdiff import cli
+from surfdiff import energy as en
 from surfdiff import flow as fl
 from surfdiff import geometry as geo
 
@@ -212,6 +214,40 @@ def test_evaluate_run_evaluates_each_sample_once(monkeypatch):
     assert len(vertex_queries) == len(set(vertex_queries)) == 10
     pairs = sum(state.normal_velocity is not None for state in run.states[1:])
     assert len(builds) == pairs > 0
+
+
+def test_evaluate_run_same_bits_on_one_and_two_threads(monkeypatch, tmp_path):
+    # samples are folded in sample order, so the number of CPUs the process
+    # may use changes no bit of the summary or the reports
+    traj = fl.make_reference(fl.FlowConfig(dt=1e-4, end_time=0.002),
+                             geo.PolyCurve([geo.make_ellipse(2.0, 1.0, 128)]),
+                             sample_stride=5)
+    ref = cb.PolygonReference(trajectory=traj)
+    calib = cb.Calibration(ref)
+    weak = geo.PolyCurve([geo.make_ellipse(2.0, 1.0, 32),
+                          geo.make_circle((3.0, 0.0), 0.01, 12),
+                          geo.make_circle((0.0, 2.0), 0.01, 12)])
+    run = fl.run_flow(weak, fl.FlowConfig(dt=1e-4, end_time=0.002), sample_stride=1,
+                      max_samples=40)
+    evaluate_sample = cli._evaluate_sample
+    outputs = []
+    for cpus in ({0}, {0, 1}):
+        threads = set()
+
+        def on_thread(*args):
+            threads.add(threading.get_ident())
+            return evaluate_sample(*args)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        monkeypatch.setattr(cli, "_evaluate_sample", on_thread)
+        summary = cli.evaluate_run(run, calib, ref, 6)
+        assert len(threads) == len(cpus)
+        assert summary["flux_constants"] is not None
+        path = tmp_path / f"reports_{len(cpus)}.csv"
+        en.reports_to_csv(summary.pop("_reports"), path)
+        outputs.append((json.dumps(summary, sort_keys=True, default=float),
+                        path.read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 def test_compare_command(tmp_path):
