@@ -470,7 +470,10 @@ def _suite_geometry():
 
 def _flow_solve_gap(caches, dt):
     """Largest relative gap between the flow step's band solve and a dense solve."""
-    banded = np.split(fllib._normal_velocity(caches, dt), np.cumsum([c.n for c in caches])[:-1])
+    stacked = [np.concatenate([getattr(c, a) for c in caches])
+               for a in ("vertices", "nu", "edge_lengths", "weights")]
+    lengths = [c.n for c in caches]
+    banded = np.split(fllib._normal_velocity(*stacked, lengths, dt), np.cumsum(lengths)[:-1])
     worst = 0.0
     for cache, got in zip(caches, banded):
         n, h, w = cache.n, cache.edge_lengths, cache.weights

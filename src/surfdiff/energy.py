@@ -38,7 +38,7 @@ from .geometry import (
     _bucket_pairs,
     _buckets,
     crossing_parity,
-    cycle_neighbours,
+    cycle_layout,
     integrate,
     region_contains,
 )
@@ -568,15 +568,15 @@ def edge_flux(vector_field, caches: list[GeometryCache]) -> np.ndarray:
     for constant fields (the rotated edge vectors telescope), which the
     checkers rely on.
     """
-    lengths = [c.n for c in caches]
+    lay = cycle_layout(tuple(c.n for c in caches))
     v = np.vstack([c.vertices for c in caches])
-    e = v[cycle_neighbours(lengths)[0]] - v
+    e = v[lay.nxt] - v
     elen = np.linalg.norm(e, axis=1)
     nu_e = np.column_stack([e[:, 1], -e[:, 0]]) / elen[:, None]
     pts = v + _G4X[:, None, None] * e
     vals = np.reshape(vector_field(np.reshape(pts, (-1, 2))), pts.shape)
     per_edge = elen * np.sum(nu_e * vals, axis=2)
-    return _G4W @ np.add.reduceat(per_edge, np.cumsum(lengths) - lengths, axis=1)
+    return _G4W @ np.add.reduceat(per_edge, lay.first, axis=1)
 
 
 @dataclass

@@ -25,7 +25,7 @@ from .geometry import (
     GeometryCache,
     PolyCurve,
     VertexField,
-    cycle_neighbours,
+    cycle_layout,
     dds,
     field_mean,
     integrate,
@@ -404,9 +404,8 @@ def _midpoint_bc_residual(field: BField, v_star) -> float:
     caches = field.caches
     z = _complex(np.vstack([c.vertices for c in caches]))
     weights = np.concatenate([c.weights for c in caches])
-    lengths = [c.n for c in caches]
-    nxt, _ = cycle_neighbours(lengths)
-    comp = np.repeat(np.arange(len(caches)), lengths)
+    lengths = tuple(c.n for c in caches)
+    nxt, _, _, comp = cycle_layout(lengths)[:4]
     arc = field._foot_arc_raw(np.arange(len(z)), 0.5)
     mids = _complex(field.position(comp, arc))
     tang = _complex(field.position(comp, arc, 1))

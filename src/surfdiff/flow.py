@@ -37,7 +37,7 @@ from .geometry import (
     PolyCurve,
     VertexField,
     build_geometry,
-    cycle_neighbours,
+    cycle_layout,
     d2ds2,
     dds,
     integrate,
@@ -86,20 +86,17 @@ class FlowState:
         return sum(c.area for c in self.caches)
 
 
-def _normal_velocity(caches: list[GeometryCache], dt: float) -> np.ndarray:
+def _normal_velocity(x: np.ndarray, nu: np.ndarray, h: np.ndarray, w: np.ndarray,
+                     lengths, dt: float) -> np.ndarray:
     """Solve (I + dt L (L - diag kappa^2)) w = L kappa for all components at once.
 
-    The rows are the vertices of every component, stacked.  L is the cyclic
-    tridiagonal arc Laplacian of each component with row-aligned diagonals
-    (lo, mid, up); its product with M = L - diag(kappa^2) is pentadiagonal,
-    so the whole curve is one stacked cyclic banded solve.
+    The rows are the vertices of every component, stacked (positions, normals,
+    edge lengths, weights; ``lengths`` are the vertex counts).  L is the
+    cyclic tridiagonal arc Laplacian of each component with row-aligned
+    diagonals (lo, mid, up); its product with M = L - diag(kappa^2) is
+    pentadiagonal, so the whole curve is one stacked cyclic banded solve.
     """
-    lengths = [c.n for c in caches]
-    nxt, prv = cycle_neighbours(lengths)
-    x = np.vstack([c.vertices for c in caches])
-    nu = np.vstack([c.nu for c in caches])
-    h = np.concatenate([c.edge_lengths for c in caches])
-    w = np.concatenate([c.weights for c in caches])
+    nxt, prv = cycle_layout(tuple(lengths))[:2]
     mid = -(1.0 / h + 1.0 / h[prv]) / w
     up = (1.0 / h) / w
     lo = (1.0 / h[prv]) / w
@@ -124,30 +121,32 @@ def _area_neutral_shift(x: np.ndarray, nu: np.ndarray, w: np.ndarray, lengths,
                         dt: float) -> np.ndarray:
     """Constant normal shift per component making the step exactly area preserving.
 
-    The shoelace area is a quadratic function of the vertex positions, so
-    the displacement d = dt (w - lam) nu changes a component's area by
-    exactly dt * gradA(midpoint) . d.  Solving gradA(x + d/2) . d = 0 for
-    each component's scalar lam (Newton passes on an exactly quadratic
-    function, all components together) removes the whole per-move drift.
-    lam is O(dt |w|^2 h + h^2 |w|), a consistent perturbation of the velocity.
+    The shoelace area is quadratic in the vertices, so a move d changes a
+    component's area by exactly B(x + d/2, d), with the symmetric form
+    B(y, z) = 1/2 sum z[i] x (y[i+1] - y[i-1]).  For d = P + lam Q, with
+    P = dt w nu and Q = -dt nu, that is c0 + c1 lam + c2 lam^2 with
+    c0 = B(x + P/2, P), c1 = B(x + P, Q) and c2 = B(Q, Q)/2.  lam is the
+    root nearest 0, -2 c0 / (c1 + sign(c1) sqrt(c1^2 - 4 c0 c2)) without
+    cancellation; with no real root the vertex -c1 / (2 c2), with c1 = c2 =
+    0 zero.  lam is O(dt |w|^2 h + h^2 |w|), a consistent perturbation of
+    the velocity.
     """
-    nxt, prv = cycle_neighbours(lengths)
-    first = np.cumsum(lengths) - lengths
-    comp = np.repeat(np.arange(len(first)), lengths)
-    d0 = w[:, None] * nu
-    lam = np.zeros(len(first))
-    for _ in range(3):
-        d = dt * (d0 - lam[comp][:, None] * nu)
-        mid = x + 0.5 * d
-        chord = mid[nxt] - mid[prv]
-        grad = 0.5 * np.column_stack([-chord[:, 1], chord[:, 0]])
-        f = np.add.reduceat(np.sum(grad * d, axis=1), first)
-        # df/dlam = -dt * grad(mid).nu up to the midpoint feedback, which
-        # the extra passes absorb
-        denom = -dt * np.add.reduceat(np.sum(grad * nu, axis=1), first)
-        live = denom != 0.0
-        lam[live] -= f[live] / denom[live]
-    return w - lam[comp]
+    lay = cycle_layout(tuple(lengths))
+    p = dt * w[:, None] * nu
+    q = -dt * nu
+
+    def form(y, z):
+        chord = y[lay.nxt] - y[lay.prv]
+        return 0.5 * np.add.reduceat(z[:, 0] * chord[:, 1] - z[:, 1] * chord[:, 0],
+                                     lay.first)
+
+    c0, c1, c2 = form(x + 0.5 * p, p), form(x + p, q), 0.5 * form(q, q)
+    disc = c1 * c1 - 4.0 * c0 * c2
+    root = c1 + np.copysign(np.sqrt(np.abs(disc)), c1)
+    lam = np.zeros(len(c0))
+    np.divide(-2.0 * c0, root, out=lam, where=root != 0.0)
+    np.divide(-0.5 * c1, c2, out=lam, where=disc < 0.0)
+    return w - lam[lay.comp]
 
 
 def _resample_uniform(x: np.ndarray, lengths, passes: int = 1) -> np.ndarray:
@@ -159,19 +158,16 @@ def _resample_uniform(x: np.ndarray, lengths, passes: int = 1) -> np.ndarray:
     the new polygon; a few passes reach the fixed point, which the driver
     uses once for the initial datum.
     """
+    lay = cycle_layout(tuple(lengths))
     lengths = np.asarray(lengths)
-    nxt, _ = cycle_neighbours(lengths)
-    first = np.cumsum(lengths) - lengths
-    comp = np.repeat(np.arange(len(lengths)), lengths)
-    local = np.arange(len(x)) - first[comp]
     for _ in range(passes):
         # arc length along all components laid end to end, less each start
-        arc = np.cumsum(np.linalg.norm(x[nxt] - x, axis=1))
-        base = np.r_[0.0, arc[first[1:] - 1]]
-        total = arc[first + lengths - 1] - base
-        knots = np.r_[0.0, arc[:-1]] - base[comp]
+        arc = np.cumsum(np.linalg.norm(x[lay.nxt] - x, axis=1))
+        base = np.concatenate(([0.0], arc[lay.split - 1]))
+        total = arc[lay.first + lengths - 1] - base
+        knots = np.concatenate(([0.0], arc[:-1])) - base[lay.comp]
         spline = PeriodicSpline(knots, total, lengths, x)
-        x = spline(comp, total[comp] * local / lengths[comp])
+        x = spline(lay.comp, total[lay.comp] * lay.local / lengths[lay.comp])
     return x
 
 
@@ -184,12 +180,13 @@ def step(state: FlowState, config: FlowConfig, dt: float | None = None) -> FlowS
     if dt is None:
         dt = config.dt
     caches = state.caches
-    lengths = [c.n for c in caches]
+    lengths = tuple(c.n for c in caches)
+    split = cycle_layout(lengths).split
     x = state.curve.segments[0]
     nu = np.vstack([c.nu for c in caches])
-    split = np.cumsum(lengths)[:-1]
     try:
-        w = _normal_velocity(caches, dt)
+        w = _normal_velocity(x, nu, np.concatenate([c.edge_lengths for c in caches]),
+                             np.concatenate([c.weights for c in caches]), lengths, dt)
         w = _area_neutral_shift(x, nu, w, lengths, dt)
         moved = _resample_uniform(x + dt * w[:, None] * nu, lengths)
         new_curve = PolyCurve([Component(v, c.orientation) for v, c
@@ -308,10 +305,10 @@ def run_flow(initial: PolyCurve, config: FlowConfig, sample_stride: int = 10,
     thinned on the fly (stride doubling) to stay within bound.
     """
     if resample_initial:
-        lengths = [c.n for c in initial.components]
-        resampled = _resample_uniform(initial.segments[0], lengths, passes=4)
+        counts = tuple(c.n for c in initial.components)
+        resampled = _resample_uniform(initial.segments[0], counts, passes=4)
         initial = PolyCurve([Component(v, c.orientation) for v, c in zip(
-            np.split(resampled, np.cumsum(lengths)[:-1]), initial.components)])
+            np.split(resampled, cycle_layout(counts).split), initial.components)])
     state = FlowState.initial(initial)
     dt = config.dt
     dt_min = config.dt * DT_MIN_FACTOR
@@ -370,22 +367,22 @@ def run_flow(initial: PolyCurve, config: FlowConfig, sample_stride: int = 10,
     if samples[-1] is not state:
         samples.append(state)
 
-    traj = Trajectory(
-        times=np.array([s.time for s in samples]),
-        curves=[s.curve for s in samples],
-        kappa_fields=[[VertexField(c.component_index, c.kappa.copy())
-                       for c in s.caches] for s in samples],
-        v_fields=[_pde_velocity(s) for s in samples],
-        area0=area0,
-    )
-    return FlowRun(trajectory=traj, states=samples, final=state,
+    return FlowRun(trajectory=_trajectory(samples, area0), states=samples, final=state,
                    accepted=accepted, rejected=rejected,
                    length_series=lengths, area_series=areas, rejections=rejections)
 
 
-def _pde_velocity(state: FlowState) -> list[VertexField]:
-    """Spatial normal velocity d^2 kappa/ds^2 evaluated on the state geometry."""
-    return [VertexField(c.component_index, d2ds2(c, c.kappa)) for c in state.caches]
+def _trajectory(states: list[FlowState], area0: float) -> Trajectory:
+    """The trajectory of these states, with their curvature and PDE velocity d^2 kappa/ds^2."""
+    return Trajectory(
+        times=np.array([s.time for s in states]),
+        curves=[s.curve for s in states],
+        kappa_fields=[[VertexField(c.component_index, c.kappa.copy()) for c in s.caches]
+                      for s in states],
+        v_fields=[[VertexField(c.component_index, d2ds2(c, c.kappa)) for c in s.caches]
+                  for s in states],
+        area0=area0,
+    )
 
 
 def make_reference(config: FlowConfig, initial: PolyCurve,
@@ -463,14 +460,6 @@ def load_trajectory(directory) -> Trajectory:
         for row in reader:
             times.append(float(row[0]))
             curves.append(read_curve_file(os.path.join(directory, row[1])))
-    states = [FlowState(curve=c, time=t, step_index=k,
-                        caches=build_geometry(c))
+    states = [FlowState(curve=c, time=t, step_index=k, caches=build_geometry(c))
               for k, (t, c) in enumerate(zip(times, curves))]
-    return Trajectory(
-        times=np.array(times),
-        curves=curves,
-        kappa_fields=[[VertexField(cc.component_index, cc.kappa.copy())
-                       for cc in s.caches] for s in states],
-        v_fields=[_pde_velocity(s) for s in states],
-        area0=states[0].area() if states else 0.0,
-    )
+    return _trajectory(states, states[0].area() if states else 0.0)

@@ -10,8 +10,9 @@ is shared by every other module.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError, cKDTree
@@ -149,15 +150,11 @@ class PolyCurve:
         Built once per curve (``components`` is only assigned in
         ``__init__``) and shared by every reader, so the arrays are read-only.
         """
-        comps = self.components
-        n = np.array([c.n for c in comps])
-        comp_of = np.repeat(np.arange(len(comps)), n)
-        local_of = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
-        starts = np.vstack([c.vertices for c in comps])
-        out = (starts, starts[cycle_neighbours(n)[0]], comp_of, local_of)
-        for a in out:
-            a.flags.writeable = False
-        return out
+        lay = cycle_layout(tuple(c.n for c in self.components))
+        starts = np.vstack([c.vertices for c in self.components])
+        ends = starts[lay.nxt]
+        starts.flags.writeable = ends.flags.writeable = False
+        return starts, ends, lay.comp, lay.local
 
     def signed_area(self) -> float:
         return sum(c.signed_area() for c in self.components)
@@ -266,13 +263,30 @@ class GeometryCache:
         return self.component.diameter
 
 
-def cycle_neighbours(lengths) -> tuple[np.ndarray, np.ndarray]:
-    """Next and previous index of every entry of cycles of these lengths, stacked."""
-    lengths = np.asarray(lengths)
-    ids = np.arange(lengths.sum())
-    first = np.repeat(np.cumsum(lengths) - lengths, lengths)
-    last = first + np.repeat(lengths, lengths) - 1
-    return np.where(ids == last, first, ids + 1), np.where(ids == first, last, ids - 1)
+CycleLayout = namedtuple("CycleLayout", "nxt prv first comp local split")
+
+
+@lru_cache(maxsize=32)
+def cycle_layout(lengths: tuple) -> CycleLayout:
+    """Read-only index arrays of cycles of these lengths, stacked end to end.
+
+    ``nxt``, ``prv``: every entry's cyclic neighbours; ``comp``, ``local``:
+    its cycle and its place there; ``first``, ``split``: the offsets of
+    ``np.add.reduceat`` and ``np.split``.  A flow run has one or two length
+    tuples, so all its steps share one set of arrays.
+    """
+    counts = np.asarray(lengths, dtype=np.intp)
+    first = np.cumsum(counts) - counts
+    comp = np.repeat(np.arange(len(counts)), counts)
+    ids = np.arange(counts.sum())
+    start = first[comp]
+    last = start + counts[comp] - 1
+    lay = CycleLayout(nxt=np.where(ids == last, start, ids + 1),
+                      prv=np.where(ids == start, last, ids - 1),
+                      first=first, comp=comp, local=ids - start, split=first[1:])
+    for a in lay:
+        a.flags.writeable = False
+    return lay
 
 
 def _hull(vertices: np.ndarray) -> np.ndarray:
@@ -309,15 +323,16 @@ def _diameters(hulls) -> np.ndarray:
     sizes = sizes[~flat]
     n = len(pts)
     ids = np.arange(n)
-    nxt, prv = cycle_neighbours(sizes)
+    # hull sizes differ on every call, so cycle_layout's cache would not hit
     hid = np.repeat(np.arange(len(sizes)), sizes)
     first = np.repeat(np.cumsum(sizes) - sizes, sizes)
     local = ids - first
     m = sizes[hid]
+    nxt = np.where(local == m - 1, first, ids + 1)
     edges = pts[nxt] - pts
     raw = np.arctan2(edges[:, 1], edges[:, 0])
     # unwrap each hull's edge angles from its first edge, as np.unwrap does
-    jump = np.where(local > 0, raw - raw[prv], 0.0)
+    jump = np.where(local > 0, raw - np.roll(raw, 1), 0.0)
     wraps = np.cumsum((jump < -np.pi).astype(np.intp) - (jump > np.pi))
     angle = raw + 2.0 * np.pi * (wraps - wraps[first])
     # support[i]: how many of its hull's doubled angles lie below angle[i] + pi,
@@ -349,24 +364,23 @@ def build_geometry(curve: PolyCurve) -> list[GeometryCache]:
     its own component's slice.
     """
     check_embedded(curve)
-    v, ends, _, local_of = curve.segments
+    v, ends, _, _ = curve.segments
     comps = curve.components
-    nxt, prv = cycle_neighbours([c.n for c in comps])
+    lay = cycle_layout(tuple(c.n for c in comps))
     edges = ends - v
     h = np.linalg.norm(edges, axis=1)
-    w = 0.5 * (h + h[prv])
-    chord = ends - v[prv]
+    w = 0.5 * (h + h[lay.prv])
+    chord = ends - v[lay.prv]
     tau = chord / np.linalg.norm(chord, axis=1)[:, None]
     nu = np.column_stack([tau[:, 1], -tau[:, 0]])
-    em = edges[prv]
+    em = edges[lay.prv]
     turn = np.arctan2(em[:, 0] * edges[:, 1] - em[:, 1] * edges[:, 0],
                       np.sum(em * edges, axis=1))
     kappa = turn / w
     cross = v[:, 0] * ends[:, 1] - ends[:, 0] * v[:, 1]
-    bounds = np.append(np.flatnonzero(local_of == 0), len(v))
     caches = []
     for k, c in enumerate(comps):
-        sl = slice(bounds[k], bounds[k + 1])
+        sl = slice(lay.first[k], lay.first[k] + c.n)
         caches.append(GeometryCache(
             component_index=k,
             orientation=c.orientation,
@@ -726,7 +740,7 @@ class CurveIndex:
         self.seg_vec = self.seg_end - self.seg_start
         self.seg_len2 = np.maximum(np.sum(self.seg_vec * self.seg_vec, axis=1), 1e-300)
         self.hmax = float(np.linalg.norm(self.seg_vec, axis=1).max())
-        self.next_of, self.prev_of = cycle_neighbours([c.n for c in curve.components])
+        self.next_of, self.prev_of = cycle_layout(tuple(c.n for c in curve.components))[:2]
         self.nu = np.vstack([c.nu for c in self.caches])
         # sum of the unit normals of the two edges at each vertex: positive
         # on the vertex's whole normal cone, whatever its turning angle
@@ -813,8 +827,7 @@ def write_curve_file(curve: PolyCurve, path) -> None:
     with open(path, "w") as fh:
         for k, c in enumerate(curve.components):
             fh.write(f"component {k} {c.orientation:+d}\n")
-            for x, y in c.vertices:
-                fh.write(f"{float(x)!r} {float(y)!r}\n")
+            fh.write("".join(f"{x!r} {y!r}\n" for x, y in c.vertices.tolist()))
             fh.write("\n")
 
 

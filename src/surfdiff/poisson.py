@@ -24,7 +24,7 @@ from .errors import NonZeroMean, SingularSystem
 from .geometry import (
     GeometryCache,
     VertexField,
-    cycle_neighbours,
+    cycle_layout,
     dds,
     field_mean,
     integrate,
@@ -91,7 +91,7 @@ def solve_cyclic_banded(diags, rhs: np.ndarray, lengths) -> np.ndarray:
     p = len(diags) // 2
     n = diags.shape[1]
     b = np.reshape(rhs, (n, -1))
-    if not (np.all(np.isfinite(diags)) and np.all(np.isfinite(b))):
+    if not (np.isfinite(diags).all() and np.isfinite(b).all()):
         raise SingularSystem("non-finite entries in a cyclic band system")
     row, order, target = _band_layout(tuple(int(m) for m in lengths), p)
     ab = np.zeros((6 * p + 1) * n)
@@ -118,9 +118,7 @@ class PeriodicSpline:
         self.arc = np.asarray(arc, dtype=float)
         self.period = np.asarray(period, dtype=float)
         self.lengths = np.asarray(lengths)
-        self.start = np.cumsum(self.lengths) - self.lengths
-        comp = np.repeat(np.arange(len(self.lengths)), self.lengths)
-        nxt, prv = cycle_neighbours(self.lengths)
+        nxt, prv, self.start, comp = cycle_layout(tuple(int(m) for m in lengths))[:4]
         # interval lengths; each cycle's last interval closes at its period
         h = np.where(nxt > np.arange(len(nxt)), self.arc[nxt], self.period[comp]) - self.arc
         y = np.reshape(values, (len(h), -1)).astype(float)
@@ -170,9 +168,7 @@ def solve_zero_average(caches: list[GeometryCache],
             raise SingularSystem(f"component {cache.component_index} has < 8 vertices")
         if len(f.values) != cache.n:
             raise ValueError("field length does not match component")
-    first = np.cumsum(lengths) - lengths
-    comp = np.repeat(np.arange(len(caches)), lengths)
-    nxt, prv = cycle_neighbours(lengths)
+    nxt, prv, first, comp = cycle_layout(tuple(c.n for c in caches))[:4]
     h = np.concatenate([c.edge_lengths for c in caches])
     w = np.concatenate([c.weights for c in caches])
     total = np.array([c.length for c in caches])

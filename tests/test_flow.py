@@ -102,11 +102,85 @@ def test_move_stage_exactly_area_neutral():
     state = fl.FlowState.initial(_resampled([geo.make_ellipse(2.0, 1.0, 256)]))
     cache = state.caches[0]
     for dt in (1e-3, 1e-4, 1e-5):
-        w = fl._normal_velocity(state.caches, dt)
+        w = fl._normal_velocity(cache.vertices, cache.nu, cache.edge_lengths, cache.weights,
+                                [cache.n], dt)
         w = fl._area_neutral_shift(cache.vertices, cache.nu, w, [cache.n], dt)
         moved = cache.vertices + dt * w[:, None] * cache.nu
         drift = abs(geo.Component(moved, 1).signed_area() - cache.area)
         assert drift <= 1e-12 * abs(cache.area)
+
+
+def _shoelace(v):
+    """Signed area about the first vertex, so that its rounding scales with the loop."""
+    v = v - v[0]
+    return 0.5 * np.sum(v[:, 0] * np.roll(v[:, 1], -1) - np.roll(v[:, 0], -1) * v[:, 1])
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.floats(0.0, 0.2), st.integers(2, 7), st.integers(32, 256), st.integers(8, 48),
+       st.lists(st.tuples(st.floats(0.01, 0.3), st.integers(8, 48)), max_size=3),
+       st.floats(-6.0, -2.0))
+def test_closed_form_shift_matches_newton_oracle(amp, mode, n, hole, bubbles, log_dt):
+    # a wavy loop, one clockwise hole inside it and bubbles to its right
+    comps = ([geo.make_wavy_circle(1.0, amp, mode, n), geo.make_circle((0.1, 0.05), 0.2, hole, -1)]
+             + [geo.make_circle((3.0 + k, 1.0), r, m) for k, (r, m) in enumerate(bubbles)])
+    caches = fl.FlowState.initial(geo.PolyCurve(comps)).caches
+    stacked = [np.concatenate([getattr(c, a) for c in caches])
+               for a in ("vertices", "nu", "edge_lengths", "weights")]
+    lengths = [c.n for c in caches]
+    dt = 10.0 ** log_dt
+    w = fl._normal_velocity(*stacked, lengths, dt)
+    split = np.cumsum(lengths)[:-1]
+    for cache, wc, got in zip(caches, np.split(w, split),
+                              np.split(fl._area_neutral_shift(stacked[0], stacked[1], w, lengths, dt),
+                                       split)):
+        # three Newton passes leave up to 1e-5 of |w| in lam on the largest
+        # steps; the unchanged oracle applied four times (twelve passes)
+        # reaches its fixed point.  lam is a weighted mean of w, so its
+        # rounding scales with |w|.
+        want = wc
+        for _ in range(4):
+            want = flow_oracle.area_neutral_shift(cache.vertices, cache.nu, want, dt)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(wc))
+        moved = cache.vertices + dt * got[:, None] * cache.nu
+        assert abs(_shoelace(moved) - _shoelace(cache.vertices)) <= 1e-12 * abs(cache.area)
+
+
+def test_closed_form_shift_without_real_root_takes_vertex():
+    # the rotation field nu = J x with w = 1 + cos 2t: the area change
+    # c0 + c1 lam + c2 lam^2, fitted from three exact shoelace areas, has no
+    # real root, and the shift is its vertex -c1 / (2 c2)
+    x = geo.make_circle((0.0, 0.0), 1.0, 16).vertices
+    nu = np.column_stack([-x[:, 1], x[:, 0]])
+    w = 1.0 + np.cos(2.0 * np.arctan2(x[:, 1], x[:, 0]))
+    dt = 0.1
+    change = [_shoelace(x + dt * (w - lam)[:, None] * nu) - _shoelace(x) for lam in (-1, 0, 1)]
+    c0, c1, c2 = change[1], 0.5 * (change[2] - change[0]), 0.5 * (change[2] + change[0]) - change[1]
+    assert c1 * c1 - 4.0 * c0 * c2 < -1e-3
+    lam = w - fl._area_neutral_shift(x, nu, w, [16], dt)
+    np.testing.assert_allclose(lam, -c1 / (2.0 * c2), rtol=1e-12)
+
+
+def test_closed_form_shift_zero_when_area_does_not_depend_on_lam():
+    # a constant nu translates the shifted loop, which leaves its area alone:
+    # c1 = c2 = 0 exactly on this integer octagon, c0 does not vanish, and
+    # the shift is 0
+    x = np.array([[2, 0], [3, 1], [3, 2], [2, 3], [1, 3], [0, 2], [0, 1], [1, 0]], dtype=float)
+    nu = np.tile([1.0, 0.0], (8, 1))
+    w = np.array([1.0, 2.0, 0.0, -1.0, 3.0, 1.0, 0.0, 2.0])
+    assert _shoelace(x + 0.5 * w[:, None] * nu) != _shoelace(x)
+    np.testing.assert_array_equal(fl._area_neutral_shift(x, nu, w, [8], 0.5), w)
+
+
+def test_run_flow_builds_one_cycle_layout():
+    # every step of a run reads the same cached index arrays; a step that
+    # rebuilt them for a new tuple would add misses
+    curve = geo.PolyCurve([geo.make_ellipse(2.0, 1.0, 67), geo.make_circle((4.0, 0.0), 0.5, 29),
+                           geo.make_circle((0.0, 3.0), 0.3, 23)])
+    before = geo.cycle_layout.cache_info().misses
+    run = fl.run_flow(curve, fl.FlowConfig(dt=1e-4, end_time=2e-3), sample_stride=5)
+    assert run.accepted >= 10
+    assert geo.cycle_layout.cache_info().misses - before <= 1
 
 
 def test_dissipation_residual_stationary():
@@ -305,7 +379,7 @@ def test_non_finite_velocity_rejects_step(monkeypatch, bad):
     state = fl.FlowState.initial(geo.PolyCurve([geo.make_ellipse(2.0, 1.0, 64),
                                                 geo.make_circle((4.0, 0.0), 0.5, 32)]))
     monkeypatch.setattr(fl, "_normal_velocity",
-                        lambda caches, dt: np.where(np.arange(96) == 70, bad, 0.0))
+                        lambda *args: np.where(np.arange(96) == 70, bad, 0.0))
     with pytest.raises(StepRejected):
         fl.step(state, fl.FlowConfig(dt=1e-4, end_time=1.0))
 

@@ -7,7 +7,7 @@ from hypothesis.extra.numpy import arrays
 from surfdiff import geometry as geo
 from surfdiff.errors import AmbiguousNesting, DegenerateEdge, SelfIntersection
 
-from conftest import vertex_angles
+from conftest import jittered_loop, vertex_angles
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +300,27 @@ def test_smooth_sampling_curvature_order():
     assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.2)
 
 
+@settings(max_examples=30, deadline=None, database=None)
+@given(st.lists(st.integers(1, 40), min_size=1, max_size=6))
+def test_cycle_layout_matches_per_cycle_construction(lengths):
+    lay = geo.cycle_layout(tuple(lengths))
+    nxt, prv, comp, local, first = [], [], [], [], []
+    for k, n in enumerate(lengths):
+        start = sum(lengths[:k])
+        first.append(start)
+        for j in range(n):
+            nxt.append(start + (j + 1) % n)
+            prv.append(start + (j - 1) % n)
+            comp.append(k)
+            local.append(j)
+    for got, want in ((lay.nxt, nxt), (lay.prv, prv), (lay.comp, comp), (lay.local, local),
+                      (lay.first, first), (lay.split, first[1:])):
+        np.testing.assert_array_equal(got, want)
+    for a in lay:
+        with pytest.raises(ValueError):
+            a[...] = 0
+
+
 # ---------------------------------------------------------------------------
 # curve file round trip
 # ---------------------------------------------------------------------------
@@ -314,6 +335,29 @@ def test_curve_file_roundtrip(tmp_path):
     for a, b in zip(curve.components, back.components):
         assert a.orientation == b.orientation
         np.testing.assert_array_equal(a.vertices, b.vertices)
+
+
+def test_curve_file_bytes_match_per_vertex_writer(tmp_path):
+    def per_vertex_writer(curve, path):
+        with open(path, "w") as fh:
+            for k, c in enumerate(curve.components):
+                fh.write(f"component {k} {c.orientation:+d}\n")
+                for x, y in c.vertices:
+                    fh.write(f"{float(x)!r} {float(y)!r}\n")
+                fh.write("\n")
+
+    outer = geo.make_circle((0, 0), 1e17, 8).vertices.copy()
+    outer[2, 0] = -0.0
+    hole = geo.make_circle((0, 0), 1.0, 8, -1).vertices.copy()
+    hole[6, 0] = 1e-300
+    holed = geo.PolyCurve([geo.Component(outer, 1), geo.Component(hole, -1)])
+    loop = geo.PolyCurve([jittered_loop(np.random.default_rng(3), 512, np.zeros(2), 1.0)])
+    for k, curve in enumerate((holed, loop)):
+        geo.write_curve_file(curve, tmp_path / f"new{k}.txt")
+        per_vertex_writer(curve, tmp_path / f"old{k}.txt")
+        assert (tmp_path / f"new{k}.txt").read_bytes() == (tmp_path / f"old{k}.txt").read_bytes()
+    text = (tmp_path / "new0.txt").read_bytes()
+    assert b"\n-0.0 1e+17\n" in text and b"\n1e-300 1.0\n" in text
 
 
 def test_curve_file_rejects_duplicate_endpoint(tmp_path):
