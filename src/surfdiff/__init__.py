@@ -6,14 +6,13 @@ from .extension import BField, build_B
 from .flow import FlowConfig, FlowState, Trajectory, make_reference, run_flow, step
 from .geometry import (
     Component,
-    GeometryCache,
+    CurveGeometry,
     PolyCurve,
-    VertexField,
     build_geometry,
     read_curve_file,
     write_curve_file,
 )
-from .poisson import PotentialSolve, solve_zero_average, velocity_potential
+from .poisson import solve_zero_average, velocity_potential
 
 __version__ = "0.1.0"
 
@@ -23,15 +22,13 @@ __all__ = [
     "Calibration",
     "CircleSpec",
     "Component",
+    "CurveGeometry",
     "CutoffProfile",
     "EnergyReport",
     "FlowConfig",
     "FlowState",
-    "GeometryCache",
     "PolyCurve",
-    "PotentialSolve",
     "Trajectory",
-    "VertexField",
     "build_B",
     "build_geometry",
     "bulk_error",

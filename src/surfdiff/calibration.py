@@ -16,13 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MedialAxisProximity, ZeroReach
-from .geometry import (
-    CurveIndex,
-    GeometryCache,
-    PolyCurve,
-    build_geometry,
-    integrate,
-)
+from .geometry import CurveGeometry, CurveIndex, PolyCurve, build_geometry, d2ds2, integrate
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +239,7 @@ class PolygonReference:
         return self.trajectory.curve_at(t)
 
     def _state_at(self, t: float):
-        """The geometry, index and per-vertex fields at t, built once per time.
+        """The geometry, index and PDE velocity at t, built once per time.
 
         Samples of one run are evaluated on several threads at once: the
         state is returned from a local, never re-read from the cache, which
@@ -255,37 +249,28 @@ class PolygonReference:
         state = self._cache.get(key)
         if state is None:
             curve = self.curve_at(t)
-            caches = build_geometry(curve)
-            index = CurveIndex(curve, caches)
-            kappa_fields = [c.kappa for c in caches]
-            if self.trajectory is not None:
-                # spatial PDE velocity of the interpolated geometry; the
-                # discrete second derivative has exactly zero weighted mean,
-                # which the Neumann solvability check requires
-                from .geometry import d2ds2
-
-                v_fields = [d2ds2(c, c.kappa) for c in caches]
-            else:
-                v_fields = [np.zeros(c.n) for c in caches]
-            state = (curve, caches, index, kappa_fields, v_fields)
+            geom = build_geometry(curve)
+            # spatial PDE velocity of the interpolated geometry; the discrete
+            # second derivative has exactly zero weighted mean, which the
+            # Neumann solvability check requires
+            v = (d2ds2(geom, geom.kappa) if self.trajectory is not None
+                 else np.zeros(len(geom.kappa)))
+            state = (geom, CurveIndex(curve, geom), v)
             if len(self._cache) > 64:
                 self._cache.clear()
             self._cache[key] = state
         return state
 
-    def geometry_at(self, t: float):
-        curve, caches, _, _, _ = self._state_at(t)
-        return curve, caches
+    def geometry_at(self, t: float) -> CurveGeometry:
+        return self._state_at(t)[0]
 
-    def velocity_at(self, t: float):
-        _, caches, _, _, v_fields = self._state_at(t)
-        return [vf for vf in v_fields]
+    def velocity_at(self, t: float) -> np.ndarray:
+        return self._state_at(t)[2]
 
     def query(self, points: np.ndarray, t: float = 0.0):
-        _, _, index, kappa_fields, _ = self._state_at(t)
+        geom, index, _ = self._state_at(t)
         s, grad, foot, seg, tpar = index.signed(points)
-        kappa_foot = index.interpolate_vertex_field(kappa_fields, seg, tpar)
-        return s, grad, foot, kappa_foot
+        return s, grad, foot, index.interpolate_vertex_field(geom.kappa, seg, tpar)
 
     def admissible_delta(self, nt: int = 9) -> float:
         if self.trajectory is None:
@@ -295,29 +280,24 @@ class PolygonReference:
             times = np.linspace(tt[0], tt[-1], nt)
         best = np.inf
         for t in times:
-            curve, caches = self.geometry_at(t)
-            best = min(best, _admissible_delta_polygonal(curve, caches))
+            best = min(best, _admissible_delta_polygonal(self.geometry_at(t)))
         return float(best)
 
 
-def _facing_self_gap(cache: GeometryCache) -> float:
+def _facing_self_gap(geom: CurveGeometry, k: int) -> float:
     """Min distance between curve points whose normals face along the chord.
 
     Operationalizes "self-distance between non-adjacent arcs": pairs are
     counted only if the connecting chord is nearly parallel to both normals,
     which singles out bottlenecks and ignores the trivially-near neighbours
-    along the curve.
+    along component k.
     """
-    v = cache.vertices
-    nu = cache.nu
-    arc = cache.arc_positions
-    length = cache.length
-    n = cache.n
+    length, n = geom.length[k], geom.layout.counts[k]
     step = max(1, n // 256)
-    idx = np.arange(0, n, step)
-    vi = v[idx]
-    ni = nu[idx]
-    si = arc[idx]
+    idx = geom.layout.first[k] + np.arange(0, n, step)
+    vi = geom.vertices[idx]
+    ni = geom.nu[idx]
+    si = geom.arc_positions[idx]
     rel = vi[None, :, :] - vi[:, None, :]
     d = np.linalg.norm(rel, axis=-1)
     darc = np.abs(si[None, :] - si[:, None])
@@ -333,16 +313,16 @@ def _facing_self_gap(cache: GeometryCache) -> float:
     return float(d[facing].min())
 
 
-def _admissible_delta_polygonal(curve: PolyCurve, caches: list[GeometryCache]) -> float:
+def _admissible_delta_polygonal(geom: CurveGeometry) -> float:
     best = np.inf
-    for cache in caches:
-        kmax = float(np.max(np.abs(cache.kappa)))
-        reach = 1.0 / kmax if kmax > 0 else np.inf
-        reach = min(reach, 0.5 * _facing_self_gap(cache))
+    kmax = np.maximum.reduceat(np.abs(geom.kappa), geom.layout.first)
+    for k in range(len(kmax)):
+        reach = 1.0 / kmax[k] if kmax[k] > 0 else np.inf
+        reach = min(reach, 0.5 * _facing_self_gap(geom, k))
         best = min(best, reach / 4.0)
-    for i in range(len(caches)):
-        for j in range(i + 1, len(caches)):
-            gap = _polyline_gap(curve, i, j)
+    for i in range(len(kmax)):
+        for j in range(i + 1, len(kmax)):
+            gap = _polyline_gap(geom.curve, i, j)
             if gap <= 0.0:
                 raise ZeroReach(f"components {i} and {j} touch")
             best = min(best, gap / 4.0)
@@ -388,24 +368,26 @@ class PointwiseCheckReport:
 class TubeSample:
     """The tube fields at every vertex of one curve state, from one reference query.
 
-    Per component: the signed distance s, its gradient, xi = zeta(s) grad s,
-    div xi, and the tilt integral int (1 - nu . xi), the component's share
-    of the relative energy.  Every per-sample checker reads these instead of
-    querying the reference again.
+    Stacked over the vertices of ``geometry``: the signed distance s, its
+    gradient, xi = zeta(s) grad s and div xi; per component, the tilt
+    integral int (1 - nu . xi), the component's share of the relative
+    energy.  Every per-sample checker reads these instead of querying the
+    reference again.
     """
 
     t: float
-    caches: tuple[GeometryCache, ...]
-    s: tuple[np.ndarray, ...]
-    grad: tuple[np.ndarray, ...]
-    xi: tuple[np.ndarray, ...]
-    div_xi: tuple[np.ndarray, ...]
-    tilt: tuple[float, ...] = field(init=False)
+    geometry: CurveGeometry
+    s: np.ndarray
+    grad: np.ndarray
+    xi: np.ndarray
+    div_xi: np.ndarray
+    tilt: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "tilt", tuple(
-            integrate(c, 1.0 - np.sum(c.nu * xi, axis=1))
-            for c, xi in zip(self.caches, self.xi)))
+        tilt = integrate(self.geometry, 1.0 - np.sum(self.geometry.nu * self.xi, axis=1))
+        for a in (self.s, self.grad, self.xi, self.div_xi, tilt):
+            a.flags.writeable = False
+        object.__setattr__(self, "tilt", tilt)
 
 
 class Calibration:
@@ -467,21 +449,11 @@ class Calibration:
         out[tube] = self.profile.zeta_prime(s[tube]) + self.profile.zeta(s[tube]) * level
         return out
 
-    def sample(self, caches: list[GeometryCache], t: float = 0.0) -> TubeSample:
-        """The tube fields at the vertices of every component, from one query.
-
-        Each query point is resolved on its own, so the stacked query equals
-        per-component queries bit for bit.
-        """
-        s, grad, _, kf = self.reference.query(np.vstack([c.vertices for c in caches]), t)
-        cut = np.cumsum([c.n for c in caches])[:-1]
-
-        def split(a):
-            a.flags.writeable = False
-            return tuple(np.split(a, cut))
-
-        return TubeSample(t=float(t), caches=tuple(caches), s=split(s), grad=split(grad),
-                          xi=split(self._xi(s, grad)), div_xi=split(self._div_xi(s, kf)))
+    def sample(self, geom: CurveGeometry, t: float = 0.0) -> TubeSample:
+        """The tube fields at the vertices of every component, from one query."""
+        s, grad, _, kf = self.reference.query(geom.vertices, t)
+        return TubeSample(t=float(t), geometry=geom, s=s, grad=grad,
+                          xi=self._xi(s, grad), div_xi=self._div_xi(s, kf))
 
     def xi_at(self, points, t: float = 0.0):
         points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -531,8 +503,7 @@ class Calibration:
         if isinstance(self.reference, AnalyticCircles):
             kmax = max(abs(c.orientation / c.radius) for c in self.reference.circles)
         else:
-            _, caches = self.reference.geometry_at(t)
-            kmax = max(float(np.max(np.abs(c.kappa))) for c in caches)
+            kmax = float(np.max(np.abs(self.reference.geometry_at(t).kappa)))
         grid = np.linspace(-self.delta, self.delta, 2001)
         zp = np.abs(self.profile.zeta_prime(grid))
         z = self.profile.zeta(grid)
@@ -548,52 +519,29 @@ class Calibration:
         ``test_functions`` is a list of (u, grad_u) callables on (n, 2) arrays
         used for the derivative-replacement inequality.
         """
-        checked = 0
-        skipped = 0
-        worst = [np.inf, np.inf, np.inf, np.inf]
-        for cache, s, grad in zip(sample.caches, sample.s, sample.grad):
-            inside = np.abs(s) < 2.0 * self.delta
-            skipped += int(np.sum(~inside))
-            if not np.any(inside):
-                continue
-            checked += int(np.sum(inside))
-            nu = cache.nu[inside]
-            tau = cache.tau[inside]
-            ss = s[inside]
-            gs = grad[inside]
+        inside = np.abs(sample.s) < 2.0 * self.delta
+        checked = int(np.sum(inside))
+        worst = [np.inf] * 4
+        if checked:
+            geom = sample.geometry
+            nu, tau = geom.nu[inside], geom.tau[inside]
+            ss, gs = sample.s[inside], sample.grad[inside]
             zeta = self.profile.zeta(ss)
-            eta = self.profile.eta(ss)
-            nu_star = eta[:, None] * gs
+            nu_star = self.profile.eta(ss)[:, None] * gs
             tau_star = np.column_stack([-nu_star[:, 1], nu_star[:, 0]])
             xi = zeta[:, None] * gs
-            nu_dot_xi = np.sum(nu * xi, axis=1)
-            rhs = 2.0 * (1.0 - nu_dot_xi)
-
-            lhs1 = zeta * np.sum((nu - nu_star) ** 2, axis=1)
-            worst[0] = min(worst[0], float(np.min(rhs - lhs1)))
-
-            lhs2 = np.sum(tau * gs, axis=1) ** 2
-            worst[1] = min(worst[1], float(np.min(rhs - lhs2)))
-
-            if test_functions:
-                for _, grad_u in test_functions:
-                    gu = np.asarray(grad_u(cache.vertices[inside]))
-                    du_s = np.sum(tau * gu, axis=1)
-                    du_star = np.sum(tau_star * gu, axis=1)
-                    lhs3 = zeta * (du_s - du_star) ** 2
-                    rhs3 = (np.sum(gu * gu, axis=1)
-                            * zeta * np.sum((tau - tau_star) ** 2, axis=1))
-                    worst[2] = min(worst[2], float(np.min(rhs3 - lhs3)))
-
-            lhs4 = np.sum(xi * (nu - xi), axis=1)
-            rhs4 = zeta * (1.0 - zeta)
-            worst[3] = min(worst[3], float(np.min(rhs4 - lhs4)))
-
-        if not test_functions:
-            worst[2] = np.inf
+            rhs = 2.0 * (1.0 - np.sum(nu * xi, axis=1))
+            worst[0] = float(np.min(rhs - zeta * np.sum((nu - nu_star) ** 2, axis=1)))
+            worst[1] = float(np.min(rhs - np.sum(tau * gs, axis=1) ** 2))
+            for _, grad_u in test_functions or ():
+                gu = np.asarray(grad_u(geom.vertices[inside]))
+                lhs3 = zeta * (np.sum(tau * gu, axis=1) - np.sum(tau_star * gu, axis=1)) ** 2
+                rhs3 = np.sum(gu * gu, axis=1) * zeta * np.sum((tau - tau_star) ** 2, axis=1)
+                worst[2] = min(worst[2], float(np.min(rhs3 - lhs3)))
+            worst[3] = float(np.min(zeta * (1.0 - zeta) - np.sum(xi * (nu - xi), axis=1)))
         return PointwiseCheckReport(
             checked=checked,
-            skipped=skipped,
+            skipped=len(inside) - checked,
             slack_normal=worst[0],
             slack_tangential=worst[1],
             slack_derivative=worst[2],

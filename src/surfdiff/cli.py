@@ -153,7 +153,7 @@ def _place_bubbles(rng, spec_list, reference, delta, existing: geo.PolyCurve):
     """Seeded disjoint bubble placement outside the calibration tube."""
     comps = list(existing.components)
     placed = []
-    verts = np.vstack([c.vertices for c in comps])
+    verts = existing.segments[0]
     lo = verts.min(axis=0)
     hi = verts.max(axis=0)
     span = hi - lo
@@ -259,26 +259,19 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None,
     return summary
 
 
-def _quadrature_floor(caches, reference) -> float:
+def _quadrature_floor(geom, reference) -> float:
     """Resolution floor for E+F between nominally identical regions.
 
     A polygon inscribed in the reference keeps a bulge band of width about
     h^2/8 per edge; the distance-weighted volume of those slivers bounds the
     unavoidable bulk-error residue.
     """
-    bulge = 0.0
-    total_len = 0.0
-    for cache in caches:
-        h = float(np.max(cache.edge_lengths))
-        bulge = max(bulge, h * h / 8.0)
-        total_len += cache.length
-    ref_bulge = 0.0
+    h = float(np.max(geom.edge_lengths))
+    bulge = h * h / 8.0
     if not isinstance(reference, cblib.AnalyticCircles):
-        _, ref_caches = reference.geometry_at(0.0)
-        for cache in ref_caches:
-            h = float(np.max(cache.edge_lengths))
-            ref_bulge = max(ref_bulge, h * h / 8.0)
-    return 2.0 * total_len * (bulge + ref_bulge) ** 2 + 1e-10
+        h = float(np.max(reference.geometry_at(0.0).edge_lengths))
+        bulge += h * h / 8.0
+    return 2.0 * float(sum(geom.length)) * bulge ** 2 + 1e-10
 
 
 def make_b_provider(reference, delta):
@@ -295,10 +288,8 @@ def make_b_provider(reference, delta):
         key = round(float(t), 12)
         field = cache.get(key)
         if field is None:
-            ref_curve, ref_caches = reference.geometry_at(t)
-            v_star = [geo.VertexField(c.component_index, v)
-                      for c, v in zip(ref_caches, reference.velocity_at(t))]
-            field = cache[key] = exlib.build_B(ref_curve, ref_caches, v_star, delta)
+            field = cache[key] = exlib.build_B(reference.geometry_at(t),
+                                               reference.velocity_at(t), delta)
         return field
 
     return provider
@@ -324,7 +315,7 @@ def _evaluate_sample(state, calib, b_provider, stationary: bool) -> _SampleResul
     """
     t = state.time
     b_field = None if stationary else b_provider(t)
-    sample = calib.sample(state.caches, t)
+    sample = calib.sample(state.geometry, t)
     rep = enlib.dissipation_report(state.curve, sample, calib, b_field,
                                    state.normal_velocity)
     check = calib.pointwise_tilt_check(sample)
@@ -332,7 +323,7 @@ def _evaluate_sample(state, calib, b_provider, stationary: bool) -> _SampleResul
     bub = enlib.small_component_area_check(sample, xi_bound)
     nb = flux_constants = None
     if b_field is not None:
-        nb = enlib.nu_dot_B_sums(state.caches, b_field, calib, xi_bound,
+        nb = enlib.nu_dot_B_sums(state.geometry, b_field, calib, xi_bound,
                                  f_value=rep.F, e_value=rep.E)
         rep.verdicts["nu_dot_B"] = "PASS" if min(nb.slack_abs, nb.slack_scaled) >= 0 else "FAIL"
         flux_constants = {
@@ -400,7 +391,7 @@ def evaluate_run(run: fllib.FlowRun, calib, reference, sample_count: int,
             stationary_ratios.append(res.stationary_ratio)
         reports.append(res.report)
 
-    floor = _quadrature_floor(run.states[0].caches, reference)
+    floor = _quadrature_floor(run.states[0].geometry, reference)
     try:
         gron = enlib.gronwall_verdict(reports, floor=floor)
         gron_info = {
@@ -447,11 +438,11 @@ def evaluate_run(run: fllib.FlowRun, calib, reference, sample_count: int,
 def _suite_geometry():
     checks = []
     curve = geo.PolyCurve([geo.make_circle((0, 0), 1.0, 256)])
-    cache = geo.build_geometry(curve)[0]
-    checks.append(("circle curvature", float(np.max(np.abs(cache.kappa - 1.0))) <= 1e-3,
-                   f"max|kappa-1| = {np.max(np.abs(cache.kappa - 1.0)):.2e}"))
-    checks.append(("gauss-bonnet", geo.gauss_bonnet_residual(cache) <= 1e-3,
-                   f"residual = {geo.gauss_bonnet_residual(cache):.2e}"))
+    geom = geo.build_geometry(curve)
+    checks.append(("circle curvature", float(np.max(np.abs(geom.kappa - 1.0))) <= 1e-3,
+                   f"max|kappa-1| = {np.max(np.abs(geom.kappa - 1.0)):.2e}"))
+    residual = float(geo.gauss_bonnet_residual(geom)[0])
+    checks.append(("gauss-bonnet", residual <= 1e-3, f"residual = {residual:.2e}"))
     ann = geo.PolyCurve([geo.make_circle((0, 0), 2.0, 256),
                          geo.make_circle((0, 0), 1.0, 256, -1)])
     forest = geo.jordan_decompose(ann)
@@ -459,61 +450,63 @@ def _suite_geometry():
                    str(forest.boundaries)))
     per = abs(forest.total_perimeter(ann) - ann.length())
     checks.append(("perimeter additivity", per == 0.0, f"diff = {per:.1e}"))
-    theta = np.arctan2(cache.vertices[:, 1], cache.vertices[:, 0])
-    ratio = geo.poincare_ratio(cache, geo.VertexField(0, np.cos(theta)), 2)
+    theta = np.arctan2(geom.vertices[:, 1], geom.vertices[:, 0])
+    ratio = float(geo.poincare_ratio(geom, np.cos(theta), 2)[0])
     checks.append(("poincare cos", abs(ratio - 0.25) <= 1e-3, f"ratio = {ratio:.6f}"))
-    f = np.sin(3 * cache.arc_positions)
-    tele = abs(geo.integrate(cache, geo.dds(cache, f)))
+    f = np.sin(3 * geom.arc_positions)
+    tele = abs(float(geo.integrate(geom, geo.dds(geom, f))[0]))
     checks.append(("closed-curve derivative sum", tele <= 1e-12, f"{tele:.1e}"))
     return checks
 
 
-def _flow_solve_gap(caches, dt):
+def _flow_solve_gap(geom, dt):
     """Largest relative gap between the flow step's band solve and a dense solve."""
-    stacked = [np.concatenate([getattr(c, a) for c in caches])
-               for a in ("vertices", "nu", "edge_lengths", "weights")]
-    lengths = [c.n for c in caches]
-    banded = np.split(fllib._normal_velocity(*stacked, lengths, dt), np.cumsum(lengths)[:-1])
+    lay = geom.layout
+    banded = fllib._normal_velocity(geom.vertices, geom.nu, geom.edge_lengths, geom.weights,
+                                    lay.counts, dt)
     worst = 0.0
-    for cache, got in zip(caches, banded):
-        n, h, w = cache.n, cache.edge_lengths, cache.weights
+    for a, n in zip(lay.first, lay.counts):
+        part = slice(a, a + n)
+        h, w = geom.edge_lengths[part], geom.weights[part]
         hm = np.roll(h, 1)
         i = np.arange(n)
         lap = np.zeros((n, n))
         lap[i, (i + 1) % n] = 1.0 / (h * w)
         lap[i, i - 1] = 1.0 / (hm * w)
         lap[i, i] = -(1.0 / h + 1.0 / hm) / w
-        kappa = -np.sum(cache.nu * (lap @ cache.vertices), axis=1)
+        kappa = -np.sum(geom.nu[part] * (lap @ geom.vertices[part]), axis=1)
         dense = np.linalg.solve(np.eye(n) + dt * lap @ (lap - np.diag(kappa**2)), lap @ kappa)
-        worst = max(worst, float(np.max(np.abs(got - dense)) / np.max(np.abs(dense))))
+        worst = max(worst, float(np.max(np.abs(banded[part] - dense)) / np.max(np.abs(dense))))
     return worst
 
 
 def _suite_poisson(convergence=False):
     from . import poisson as po
 
+    def cos3_error(geom):
+        theta = np.arctan2(geom.vertices[:, 1], geom.vertices[:, 0])
+        phi = po.solve_zero_average(geom, np.cos(3 * theta))
+        return float(np.sqrt(geo.integrate(geom, (phi + np.cos(3 * theta) / 9) ** 2))[0])
+
     checks = []
-    curve = geo.PolyCurve([geo.make_circle((0, 0), 1.0, 256)])
-    cache = geo.build_geometry(curve)[0]
-    theta = np.arctan2(cache.vertices[:, 1], cache.vertices[:, 0])
-    sol = po.solve_zero_average([cache], [geo.VertexField(0, np.cos(3 * theta))])[0]
-    err = np.sqrt(geo.integrate(cache, (sol.solution.values + np.cos(3 * theta) / 9) ** 2))
+    geom = geo.build_geometry(geo.PolyCurve([geo.make_circle((0, 0), 1.0, 256)]))
+    err = cos3_error(geom)
     checks.append(("manufactured cos3", err <= 1e-3, f"L2 err = {err:.2e}"))
-    bubbly = geo.build_geometry(geo.PolyCurve(
+    bubbly = geo.PolyCurve(
         [geo.make_ellipse(2.0, 1.0, 128)]
-        + [geo.make_wavy_circle(0.1, 0.02, 3, 24, (3.0 + 0.5 * k, 2.0)) for k in range(4)]))
-    fields = [geo.VertexField(c.component_index, c.vertices[:, 0] ** 3) for c in bubbly]
-    stacked = po.solve_zero_average(bubbly, fields)
-    alone = [po.solve_zero_average([c], [f])[0] for c, f in zip(bubbly, fields)]
-    gap = max(float(np.max(np.abs(a.solution.values - b.solution.values))
-                    / np.max(np.abs(b.solution.values))) for a, b in zip(stacked, alone))
+        + [geo.make_wavy_circle(0.1, 0.02, 3, 24, (3.0 + 0.5 * k, 2.0)) for k in range(4)])
+    stacked = po.solve_zero_average(geo.build_geometry(bubbly), bubbly.segments[0][:, 0] ** 3)
+    alone = [po.solve_zero_average(geo.build_geometry(geo.PolyCurve([c])), c.vertices[:, 0] ** 3)
+             for c in bubbly.components]
+    gap = max(float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+              for a, b in zip(np.split(stacked, bubbly.layout.split), alone))
     checks.append(("stacked = per-component solves", gap <= 1e-12, f"rel gap = {gap:.1e}"))
-    gap = _flow_solve_gap(bubbly, 1e-3)
+    gap = _flow_solve_gap(geo.build_geometry(bubbly), 1e-3)
     checks.append(("flow band solve = dense solve", gap <= 1e-9, f"rel gap = {gap:.1e}"))
     rng = np.random.default_rng(3)
-    u, v = rng.normal(size=cache.n), rng.normal(size=cache.n)
-    lhs = geo.integrate(cache, geo.d2ds2(cache, u) * v)
-    rhs = geo.integrate(cache, u * geo.d2ds2(cache, v))
+    u, v = rng.normal(size=256), rng.normal(size=256)
+    lhs = geo.integrate(geom, geo.d2ds2(geom, u) * v)[0]
+    rhs = geo.integrate(geom, u * geo.d2ds2(geom, v))[0]
     rel = abs(lhs - rhs) / max(abs(lhs), 1e-30)
     checks.append(("self-adjointness", rel <= 1e-10, f"rel = {rel:.1e}"))
     if convergence:
@@ -522,11 +515,7 @@ def _suite_poisson(convergence=False):
             uu = 2 * np.pi * np.arange(n) / n
             th = uu + 0.3 * np.sin(uu)
             comp = geo.Component(np.column_stack([np.cos(th), np.sin(th)]), 1)
-            cc = geo.build_geometry(geo.PolyCurve([comp]))[0]
-            th2 = np.arctan2(cc.vertices[:, 1], cc.vertices[:, 0])
-            ss = po.solve_zero_average([cc], [geo.VertexField(0, np.cos(3 * th2))])[0]
-            errs.append(np.sqrt(geo.integrate(cc, (ss.solution.values
-                                                   + np.cos(3 * th2) / 9) ** 2)))
+            errs.append(cos3_error(geo.build_geometry(geo.PolyCurve([comp]))))
         r1, r2 = errs[0] / errs[1], errs[1] / errs[2]
         ok = 3.2 <= r1 <= 4.8 and 3.2 <= r2 <= 4.8
         checks.append(("order-2 convergence", ok, f"ratios = {r1:.2f}, {r2:.2f}"))
@@ -548,8 +537,8 @@ def _suite_calibration():
     idem = float(np.max(np.linalg.norm(calib.proj(proj) - proj, axis=1)))
     checks.append(("projection idempotence", idem <= 1e-8 * calib.delta,
                    f"max = {idem:.1e}"))
-    caches = geo.build_geometry(geo.PolyCurve([geo.make_wavy_circle(1.0, 0.05, 3, 256)]))
-    rep = calib.pointwise_tilt_check(calib.sample(caches))
+    geom = geo.build_geometry(geo.PolyCurve([geo.make_wavy_circle(1.0, 0.05, 3, 256)]))
+    rep = calib.pointwise_tilt_check(calib.sample(geom))
     checks.append(("pointwise tilt inequalities", rep.worst >= -1e-12,
                    f"worst slack = {rep.worst:.2e}"))
     return checks
@@ -559,9 +548,8 @@ def _suite_extension():
     checks = []
     n = 128
     curve = geo.PolyCurve([geo.make_circle((0, 0), 1.0, n)])
-    caches = geo.build_geometry(curve)
-    theta = np.arctan2(caches[0].vertices[:, 1], caches[0].vertices[:, 0])
-    b = exlib.build_B(curve, caches, [geo.VertexField(0, np.cos(theta))], 0.25)
+    geom = geo.build_geometry(curve)
+    b = exlib.build_B(geom, np.cos(np.arctan2(geom.vertices[:, 1], geom.vertices[:, 0])), 0.25)
     checks.append(("boundary condition", b.bc_residual <= 1e-2,
                    f"sup residual = {b.bc_residual:.2e}"))
     interior = np.array([[0.0, 0.0], [0.5, 0.3], [0.9375, 0.0]])
@@ -579,8 +567,7 @@ def _suite_energy():
     checks = []
     ref = cblib.AnalyticCircles([cblib.CircleSpec((0, 0), 1.0)])
     calib = cblib.Calibration(ref, 0.25)
-    caches = geo.build_geometry(geo.PolyCurve([geo.make_circle((0, 0), 1.0, 256)]))
-    sample = calib.sample(caches)
+    sample = calib.sample(geo.build_geometry(geo.PolyCurve([geo.make_circle((0, 0), 1.0, 256)])))
     e0 = enlib.relative_energy(sample)
     checks.append(("tilt energy vanishes on reference", abs(e0) <= 1e-10,
                    f"E = {e0:.1e}"))
@@ -591,7 +578,7 @@ def _suite_energy():
     rel = abs(f - f_exact) / f_exact
     checks.append(("annulus bulk formula", rel <= 1e-3, f"rel err = {rel:.1e}"))
     # xi replaced by a constant unit field: the tilt integral is the length
-    unit = replace(sample, xi=(np.tile([1.0, 0.0], (caches[0].n, 1)),))
+    unit = replace(sample, xi=np.tile([1.0, 0.0], (256, 1)))
     verd = enlib.small_component_area_check(unit, 0.0)
     checks.append(("small-component area bound", verd[0].slack >= 0,
                    f"slack = {verd[0].slack:.2f}"))

@@ -30,15 +30,13 @@ import numpy as np
 from .errors import DegenerateInitialData, NonStationaryReference
 from .calibration import AnalyticCircles, Calibration, TubeSample
 from .geometry import (
-    GeometryCache,
+    CurveGeometry,
     PolyCurve,
-    VertexField,
     dds,
     field_mean,
     _bucket_pairs,
     _buckets,
     crossing_parity,
-    cycle_layout,
     integrate,
     region_contains,
 )
@@ -79,9 +77,9 @@ _T7_W = np.array([0.225,
 def relative_energy(sample: TubeSample) -> float:
     """int over the curve of 1 - nu . xi; vertices beyond the tube add 1.
 
-    The sum of the per-component tilt integrals in component order.
+    The sum of the per-component tilt integrals.
     """
-    return float(sum(sample.tilt))
+    return float(np.sum(sample.tilt))
 
 
 # ---------------------------------------------------------------------------
@@ -90,16 +88,15 @@ def relative_energy(sample: TubeSample) -> float:
 
 _CHILD = np.array([[0, 0], [1, 0], [0, 1], [1, 1]], dtype=bool)
 _TUBE_LEVEL_MAX = 9     # finest grid of the off-tube test: 512 x 512 cells
+_MAX_DEPTH = 12         # finest quadtree level of the bulk integral
 
 
 class _Region:
     """One side of the bulk integral: a curve's edges, flattened, and its sign."""
 
     def __init__(self, curve: PolyCurve, sign: float):
-        self.starts, self.ends, self.comp_of, local = curve.segments
-        idx = np.arange(len(local))
-        counts = np.array([c.n for c in curve.components])
-        self.prev_edge = np.where(local == 0, idx + counts[self.comp_of] - 1, idx - 1)
+        self.starts, self.ends, self.comp_of, _ = curve.segments
+        self.prev_edge = curve.layout.prv
         self.orientation = np.array([c.orientation for c in curve.components], dtype=float)
         self.ncomp = curve.ncomponents
         self.seg_lo = np.minimum(self.starts, self.ends)
@@ -286,7 +283,7 @@ def _renumber(pairs, keep, ncells):
 
 
 def bulk_error(curve: PolyCurve, calib: Calibration, t: float = 0.0,
-               max_depth: int = 12, reference_resolution: int = 4096) -> float:
+               reference_resolution: int = 4096) -> float:
     """int (chi_curve - chi_reference) * vartheta over the plane.
 
     One quadtree over both regions, refined a level at a time: every level
@@ -295,7 +292,7 @@ def bulk_error(curve: PolyCurve, calib: Calibration, t: float = 0.0,
     take both regions' parity from one batched crossing test; where the
     parities differ the cell is integrated with 3x3 tensor Gauss on
     subcells no larger than delta/2, elsewhere it cancels.  Cells with
-    candidates are split down to delta/4 (or max_depth), then clipped and
+    candidates are split down to delta/4 (or _MAX_DEPTH), then clipped and
     integrated with a degree-5 triangle rule on a centroid fan.  vartheta is
     evaluated afterwards in large batches, and not at all in cells farther
     than delta from every reference edge, where it is delta * (1 - 2 chi_B).
@@ -318,7 +315,7 @@ def bulk_error(curve: PolyCurve, calib: Calibration, t: float = 0.0,
     clip_size = 0.25 * delta
     smooth_size = 0.5 * delta
     tube_level = int(np.clip(np.ceil(np.log2(span / clip_size)), 0,
-                             min(max_depth, _TUBE_LEVEL_MAX)))
+                             min(_MAX_DEPTH, _TUBE_LEVEL_MAX)))
     tube = _Tube(regions[1], delta, lo[0], span, tube_level)
 
     # sign: 0 for a cell still being refined, +-1 for a cell in A \ B or B \ A
@@ -338,7 +335,7 @@ def bulk_error(curve: PolyCurve, calib: Calibration, t: float = 0.0,
             has[pairs[k][0]] = True
         active = sign == 0
         empty = active & ~has
-        clip = active & has & ((size <= clip_size) | (depth >= max_depth))
+        clip = active & has & ((size <= clip_size) | (depth >= _MAX_DEPTH))
         query = np.nonzero(empty | clip)[0]
         if len(query):
             parity = [r.parity(0.5 * (lo[query] + hi[query])) for r in regions]
@@ -400,8 +397,7 @@ def bulk_error_montecarlo(curve: PolyCurve, calib: Calibration, t: float = 0.0,
         ref_curve = calib.reference.boundary_curve(t, 1024)
     else:
         ref_curve = calib.reference.curve_at(t)
-    vert_all = np.vstack([c.vertices for c in curve.components]
-                         + [c.vertices for c in ref_curve.components])
+    vert_all = np.vstack([curve.segments[0], ref_curve.segments[0]])
     lo = vert_all.min(axis=0) - 0.1
     hi = vert_all.max(axis=0) + 0.1
     rng = np.random.default_rng(seed)
@@ -443,50 +439,33 @@ CSV_COLUMNS = ["t", "E", "F", "L", "A", "D_H", "D_V",
 
 
 def dissipation_report(curve: PolyCurve, sample: TubeSample, calib: Calibration,
-                       b_field, v_fields: list[VertexField] | None) -> EnergyReport:
+                       b_field, v_fields: np.ndarray | None) -> EnergyReport:
     """Assemble the per-sample energy bookkeeping of ``curve`` at ``sample.t``.
 
     ``sample`` holds the tube fields at the vertices of ``curve``.
-    ``b_field`` may be None for a stationary reference (B = 0); ``v_fields``
-    may be None when no velocity data exists (the D_V family is zero then).
+    ``b_field`` may be None for a stationary reference (B = 0); the stacked
+    velocity ``v_fields`` may be None when no velocity data exists (the D_V
+    family is zero then).
     """
     t = sample.t
-    caches = sample.caches
-    e_val = relative_energy(sample)
-    f_val = bulk_error(curve, calib, t)
-    length = sum(c.length for c in caches)
-    area = sum(c.area for c in caches)
-
-    d_h = 0.0
-    d_v = 0.0
-    cross_v_xi = 0.0
-    cross_xi = 0.0
-    cross_h_b = 0.0
+    geom = sample.geometry
+    dkappa = dds(geom, geom.kappa)
+    ddiv = dds(geom, sample.div_xi)
+    d_v = cross_v_xi = 0.0
     if v_fields is not None:
-        phi_v = velocity_potential(caches, [
-            VertexField(vf.component_id, vf.values - field_mean(cache, vf.values))
-            for cache, vf in zip(caches, v_fields)])
-    if b_field is not None:
-        phi_b = nu_dot_B_potential(caches, b_field.at(np.vstack([c.vertices for c in caches])))
-    for k, cache in enumerate(caches):
-        dkappa = dds(cache, cache.kappa)
-        d_h += integrate(cache, dkappa**2)
-        ddiv = dds(cache, sample.div_xi[k])
-        cross_xi += integrate(cache, ddiv**2)
-        if v_fields is not None:
-            dphi = dds(cache, phi_v[k].values)
-            d_v += integrate(cache, dphi**2)
-            cross_v_xi += integrate(cache, (dphi - ddiv)**2)
-        if b_field is not None:
-            dphib = dds(cache, phi_b[k].values)
-            cross_h_b += integrate(cache, (dkappa - dphib)**2)
-        else:
-            # B = 0 for a stationary reference, so phi_(nu.B) = 0
-            cross_h_b += integrate(cache, dkappa**2)
-    return EnergyReport(t=float(t), E=e_val, F=f_val, L=float(length),
-                        A=float(area), D_H=float(d_h), D_V=float(d_v),
-                        cross_v_xi=float(cross_v_xi), cross_xi=float(cross_xi),
-                        cross_h_b=float(cross_h_b))
+        phi_v = velocity_potential(geom, v_fields - field_mean(geom, v_fields)[geom.layout.comp])
+        dphi = dds(geom, phi_v)
+        d_v = np.sum(integrate(geom, dphi**2))
+        cross_v_xi = np.sum(integrate(geom, (dphi - ddiv)**2))
+    # B = 0 for a stationary reference, so phi_(nu.B) = 0
+    dphib = 0.0 if b_field is None else dds(
+        geom, nu_dot_B_potential(geom, b_field.at(geom.vertices)))
+    return EnergyReport(t=float(t), E=relative_energy(sample), F=bulk_error(curve, calib, t),
+                        L=float(sum(geom.length)), A=float(sum(geom.area)),
+                        D_H=float(np.sum(integrate(geom, dkappa**2))), D_V=float(d_v),
+                        cross_v_xi=float(cross_v_xi),
+                        cross_xi=float(np.sum(integrate(geom, ddiv**2))),
+                        cross_h_b=float(np.sum(integrate(geom, (dkappa - dphib)**2))))
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +539,7 @@ def gronwall_verdict(reports: list[EnergyReport], floor: float = 1e-7,
 # component-wise boundary flux and the two nu . B sum inequalities
 # ---------------------------------------------------------------------------
 
-def edge_flux(vector_field, caches: list[GeometryCache]) -> np.ndarray:
+def edge_flux(vector_field, geom: CurveGeometry) -> np.ndarray:
     """int nu . B over each component, with 4-point Gauss per edge.
 
     ``vector_field`` is called once, on the Gauss points of every edge of
@@ -568,15 +547,14 @@ def edge_flux(vector_field, caches: list[GeometryCache]) -> np.ndarray:
     for constant fields (the rotated edge vectors telescope), which the
     checkers rely on.
     """
-    lay = cycle_layout(tuple(c.n for c in caches))
-    v = np.vstack([c.vertices for c in caches])
-    e = v[lay.nxt] - v
-    elen = np.linalg.norm(e, axis=1)
+    starts, ends, _, _ = geom.curve.segments
+    e = ends - starts
+    elen = geom.edge_lengths
     nu_e = np.column_stack([e[:, 1], -e[:, 0]]) / elen[:, None]
-    pts = v + _G4X[:, None, None] * e
+    pts = starts + _G4X[:, None, None] * e
     vals = np.reshape(vector_field(np.reshape(pts, (-1, 2))), pts.shape)
     per_edge = elen * np.sum(nu_e * vals, axis=2)
-    return _G4W @ np.add.reduceat(per_edge, lay.first, axis=1)
+    return _G4W @ np.add.reduceat(per_edge, geom.layout.first, axis=1)
 
 
 @dataclass
@@ -591,7 +569,7 @@ class NuDotBReport:
     floor: float
 
 
-def nu_dot_B_sums(caches: list[GeometryCache], b_field, calib: Calibration,
+def nu_dot_B_sums(geom: CurveGeometry, b_field, calib: Calibration,
                   xi_grad_bound: float, f_value: float, e_value: float) -> NuDotBReport:
     """Check both component-flux inequalities with the constructive constants.
 
@@ -601,8 +579,8 @@ def nu_dot_B_sums(caches: list[GeometryCache], b_field, calib: Calibration,
     Components failing the diameter hypothesis of the small-component bound
     (``xi_grad_bound`` is sup |grad xi|) are counted, not silently dropped.
     """
-    fluxes = edge_flux(b_field.at, caches)
-    lengths = np.array([c.length for c in caches])
+    fluxes = edge_flux(b_field.at, geom)
+    lengths = geom.length
     sum_abs = float(np.sum(np.abs(fluxes)))
     sum_scaled = float(np.sum(np.abs(fluxes) / lengths))
 
@@ -611,11 +589,9 @@ def nu_dot_B_sums(caches: list[GeometryCache], b_field, calib: Calibration,
     sup_b = b_field.sup_norm
     bound_abs = (2.0 * r_supp / calib.delta) * div_sup * f_value
 
-    hyp_fail = 0
-    for c in caches:
-        if sup_b > 0 and c.length <= 1.0 / sup_b:
-            if c.diameter > 1.0 / (2.0 * xi_grad_bound):
-                hyp_fail += 1
+    small = np.flatnonzero(lengths <= 1.0 / sup_b) if sup_b > 0 else []
+    hyp_fail = sum(geom.curve.components[k].diameter > 1.0 / (2.0 * xi_grad_bound)
+                   for k in small)
     bound_scaled = sup_b * bound_abs + 34.0 * div_sup * e_value
 
     # 4-point Gauss flux error floor for analytic integrands
@@ -645,17 +621,13 @@ class BubbleVerdict:
 def small_component_area_check(sample: TubeSample,
                                xi_grad_bound: float) -> list[BubbleVerdict]:
     """length <= 34 int (1 - xi . nu) for components small against 1/(2|grad xi|)."""
-    out = []
-    for cache, tilt in zip(sample.caches, sample.tilt):
-        applicable = (xi_grad_bound <= 0.0
-                      or cache.diameter <= 1.0 / (2.0 * xi_grad_bound))
-        slack = 34.0 * tilt - cache.length
-        out.append(BubbleVerdict(component=cache.component_index,
-                                 applicable=bool(applicable),
-                                 length=cache.length,
-                                 tilt_integral=float(tilt),
-                                 slack=float(slack)))
-    return out
+    geom = sample.geometry
+    return [BubbleVerdict(component=k,
+                          applicable=bool(xi_grad_bound <= 0.0
+                                          or comp.diameter <= 1.0 / (2.0 * xi_grad_bound)),
+                          length=float(geom.length[k]), tilt_integral=float(sample.tilt[k]),
+                          slack=float(34.0 * sample.tilt[k] - geom.length[k]))
+            for k, comp in enumerate(geom.curve.components)]
 
 
 # ---------------------------------------------------------------------------
@@ -672,12 +644,12 @@ def stationary_gradient_ratio(report: EnergyReport, calib: Calibration) -> float
     if not isinstance(ref, AnalyticCircles):
         if not ref.stationary:
             raise NonStationaryReference("reference evolves in time")
-        _, ref_caches = ref.geometry_at(report.t)
-        for cache in ref_caches:
-            grad = dds(cache, cache.kappa)
-            if np.max(np.abs(grad)) > 1e-3 * max(1.0, np.max(np.abs(cache.kappa))):
-                raise NonStationaryReference(
-                    "reference curvature is not constant per component")
+        geom = ref.geometry_at(report.t)
+        first = geom.layout.first
+        grad = np.maximum.reduceat(np.abs(dds(geom, geom.kappa)), first)
+        if np.any(grad > 1e-3 * np.maximum(1.0, np.maximum.reduceat(np.abs(geom.kappa),
+                                                                    first))):
+            raise NonStationaryReference("reference curvature is not constant per component")
     return report.cross_xi / report.E if report.E > 0 else 0.0
 
 

@@ -20,16 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NonZeroMean, RankDeficient
-from .geometry import (
-    CurveIndex,
-    GeometryCache,
-    PolyCurve,
-    VertexField,
-    cycle_layout,
-    dds,
-    field_mean,
-    integrate,
-)
+from .geometry import CurveGeometry, CurveIndex, dds, field_mean, integrate
 from .poisson import PeriodicSpline, velocity_potential
 
 
@@ -47,19 +38,16 @@ def _smoothstep_slope(u):
     return 30.0 * u * u * (1.0 - u) ** 2
 
 
-def _arc_spline(caches: list[GeometryCache], values) -> PeriodicSpline:
+def _arc_spline(geom: CurveGeometry, values) -> PeriodicSpline:
     """Periodic cubic interpolant in arc length of stacked per-vertex data."""
-    return PeriodicSpline(np.concatenate([c.arc_positions for c in caches]),
-                          np.array([c.length for c in caches]),
-                          [c.n for c in caches], values)
+    return PeriodicSpline(geom.arc_positions, geom.length, geom.layout.counts, values)
 
 
 @dataclass
 class BField:
     """Velocity extension evaluator; immutable after build."""
 
-    curve: PolyCurve
-    caches: list[GeometryCache]
+    geometry: CurveGeometry
     index: CurveIndex
     density: np.ndarray
     mu: np.ndarray                   # per-component solvability constants
@@ -73,7 +61,6 @@ class BField:
     delta: float
     support_radius: float            # reported R: the field vanishes beyond it
     near_cut: float                  # interior hand-off to the tube Taylor
-    upsample: int
     bc_residual: float = 0.0
     div_sup: float = 0.0
     sup_norm: float = 0.0
@@ -98,12 +85,6 @@ class BField:
         return np.column_stack([g.real, -g.imag])
 
     @cached_property
-    def _arc_table(self):
-        """Arc position of every vertex and length of its outgoing edge, stacked."""
-        return (np.concatenate([c.arc_positions for c in self.caches]),
-                np.concatenate([c.edge_lengths for c in self.caches]))
-
-    @cached_property
     def _cull_box(self):
         """Bounds of the reference vertices inflated by 2.5 delta.
 
@@ -111,13 +92,12 @@ class BField:
         region, where the damped tube field is exactly zero, so B and div B
         vanish there without a closest-segment query.
         """
-        vertices = np.vstack([c.vertices for c in self.caches])
+        vertices = self.geometry.vertices
         pad = 2.5 * self.delta
         return vertices.min(axis=0) - pad, vertices.max(axis=0) + pad
 
     def _foot_arc_raw(self, seg, tpar):
-        arc, h = self._arc_table
-        return arc[seg] + tpar * h[seg]
+        return self.geometry.arc_positions[seg] + tpar * self.geometry.edge_lengths[seg]
 
     def smooth_foot(self, points, seg, tpar):
         """Newton-refined closest point on the position splines.
@@ -279,37 +259,35 @@ class BField:
 # construction
 # ---------------------------------------------------------------------------
 
-def _neumann_system(caches: list[GeometryCache]):
+def _neumann_system(geom: CurveGeometry):
     """Nystrom matrix of the second-kind equation, and the node weights.
 
     In complex form the kernel -nu_i . (x_i - x_j) / (2 pi |x_i - x_j|^2) is
     -Re(n_i / (z_i - z_j)) / (2 pi); the diagonal holds the jump 1/2 plus the
     kernel's curvature limit.
     """
-    z = _complex(np.vstack([c.vertices for c in caches]))
-    n = _complex(np.vstack([c.nu for c in caches]))
-    weights = np.concatenate([c.weights for c in caches])
-    kappas = np.concatenate([c.kappa for c in caches])
+    z = _complex(geom.vertices)
+    n = _complex(geom.nu)
+    weights = geom.weights
     dz = z[:, None] - z[None, :]
     np.fill_diagonal(dz, 1.0)
     a = (n[:, None] / dz).real * (-weights / (2.0 * np.pi))[None, :]
-    np.fill_diagonal(a, 0.5 - weights * kappas / (4.0 * np.pi))
+    np.fill_diagonal(a, 0.5 - weights * geom.kappa / (4.0 * np.pi))
     return a, weights
 
 
-def _solve_density(caches, v_fields):
-    a, weights = _neumann_system(caches)
+def _solve_density(geom: CurveGeometry, v_star):
+    """The density and per-component constants, the mean constraints bordered in."""
+    a, weights = _neumann_system(geom)
     m = a.shape[0]
-    k = len(caches)
-    offsets = np.cumsum([0] + [c.n for c in caches])
-    sys = np.zeros((m + k, m + k))
-    rhs = np.zeros(m + k)
+    rows = np.arange(m)
+    border = m + geom.layout.comp
+    sys = np.zeros((m + len(geom.length),) * 2)
     sys[:m, :m] = a
-    for c in range(k):
-        sl = slice(offsets[c], offsets[c + 1])
-        sys[sl, m + c] = 1.0
-        sys[m + c, sl] = weights[sl]
-        rhs[sl] = v_fields[c].values
+    sys[rows, border] = 1.0
+    sys[border, rows] = weights
+    rhs = np.zeros(len(sys))
+    rhs[:m] = v_star
     try:
         sol = np.linalg.solve(sys, rhs)
     except np.linalg.LinAlgError as exc:
@@ -319,7 +297,7 @@ def _solve_density(caches, v_fields):
     return sol[:m], sol[m:]
 
 
-def _surface_potential(caches, q) -> np.ndarray:
+def _surface_potential(geom: CurveGeometry, q) -> np.ndarray:
     """Single-layer potential -1/(2 pi) int log|x - y| q(y) dy at every node.
 
     Off the diagonal the trapezoid rule sums log|z_i - z_j| w_j q_j.  On the
@@ -327,8 +305,8 @@ def _surface_potential(caches, q) -> np.ndarray:
     integral over the node's own panel, two half edges of length w_i / 2, is
     analytic.
     """
-    z = _complex(np.vstack([c.vertices for c in caches]))
-    weights = np.concatenate([c.weights for c in caches])
+    z = _complex(geom.vertices)
+    weights = geom.weights
     dz = z[:, None] - z[None, :]
     np.fill_diagonal(dz, 1.0)
     phi = np.log(np.abs(dz)) @ (weights * q)
@@ -337,53 +315,44 @@ def _surface_potential(caches, q) -> np.ndarray:
     return -phi / (2.0 * np.pi)
 
 
-def build_B(curve: PolyCurve, caches: list[GeometryCache],
-            v_star: list[VertexField], delta: float,
-            upsample: int | None = None) -> BField:
-    """Construct the extension field; rejects incompatible velocity data.
+def build_B(geom: CurveGeometry, v_star: np.ndarray, delta: float) -> BField:
+    """Construct the extension field of the stacked velocity ``v_star``.
 
     Per-component means of V* must vanish to 1e-8 relative to the component
-    L1 norm, the discrete Neumann compatibility condition.
+    L1 norm, the discrete Neumann compatibility condition; the first
+    component that fails it is named.  The single layer is resampled at
+    4 or more points per node and at least 4096 over the curve.
     """
-    for cache, vf in zip(caches, v_star):
-        mean = field_mean(cache, vf.values)
-        l1 = integrate(cache, np.abs(vf.values))
-        if abs(mean) * cache.length > 1e-8 * max(l1, 1e-30):
-            raise NonZeroMean(
-                f"component {cache.component_index}: mean(V*) = {mean:.3e} "
-                "violates the Neumann compatibility condition"
-            )
+    v_star = np.asarray(v_star, dtype=float)
+    mean = field_mean(geom, v_star)
+    bad = np.abs(mean) * geom.length > 1e-8 * np.maximum(integrate(geom, np.abs(v_star)),
+                                                          1e-30)
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        raise NonZeroMean(f"component {k}: mean(V*) = {mean[k]:.3e} "
+                          "violates the Neumann compatibility condition")
 
-    q, mu = _solve_density(caches, v_star)
-    offsets = np.cumsum([0] + [c.n for c in caches])
-    potential = _surface_potential(caches, q)
+    q, mu = _solve_density(geom, v_star)
+    g = dds(geom, _surface_potential(geom, q))
+    traces = [g, v_star, dds(geom, g), dds(geom, v_star), dds(geom, dds(geom, g)),
+              dds(geom, dds(geom, v_star)), geom.kappa, dds(geom, geom.kappa)]
 
-    traces = []
-    for k, (cache, vf) in enumerate(zip(caches, v_star)):
-        g = dds(cache, potential[offsets[k]:offsets[k + 1]])
-        v = vf.values
-        traces.append(np.column_stack([
-            g, v, dds(cache, g), dds(cache, v), dds(cache, dds(cache, g)),
-            dds(cache, dds(cache, v)), cache.kappa, dds(cache, cache.kappa)]))
-
-    if upsample is None:
-        upsample = 2 * max(2, int(np.ceil(2048 / offsets[-1])))
-    vertices = np.vstack([c.vertices for c in caches])
-    position = _arc_spline(caches, vertices)
+    upsample = 2 * max(2, int(np.ceil(2048 / len(q))))
+    position = _arc_spline(geom, geom.vertices)
     period = position.period
     nf = position.lengths * upsample
-    comp = np.repeat(np.arange(len(caches)), nf)
+    comp = np.repeat(np.arange(len(period)), nf)
     sf = period[comp] * (np.arange(nf.sum()) - np.repeat(np.cumsum(nf) - nf, nf)) / nf[comp]
 
     field = BField(
-        curve=curve, caches=caches, index=CurveIndex(curve, caches),
+        geometry=geom, index=CurveIndex(geom.curve, geom),
         density=q, mu=mu,
         fine_points=position(comp, sf),
-        fine_charge=_arc_spline(caches, q)(comp, sf) * (period / nf)[comp],
-        boundary=_arc_spline(caches, np.vstack(traces)), position=position,
+        fine_charge=_arc_spline(geom, q)(comp, sf) * (period / nf)[comp],
+        boundary=_arc_spline(geom, np.column_stack(traces)), position=position,
         delta=float(delta),
-        support_radius=curve.diameter + 10.0 * delta,
-        near_cut=3.0 * float(np.max(period / nf)), upsample=upsample,
+        support_radius=geom.curve.diameter + 10.0 * delta,
+        near_cut=3.0 * float(np.max(period / nf)),
     )
     field.bc_residual = _midpoint_bc_residual(field, v_star)
     field.div_sup, field.sup_norm, field.lipschitz = _field_constants(field)
@@ -401,11 +370,9 @@ def _midpoint_bc_residual(field: BField, v_star) -> float:
     normal there.  The kernel is the complex form of
     :func:`_neumann_system`'s.
     """
-    caches = field.caches
-    z = _complex(np.vstack([c.vertices for c in caches]))
-    weights = np.concatenate([c.weights for c in caches])
-    lengths = tuple(c.n for c in caches)
-    nxt, _, _, comp = cycle_layout(lengths)[:4]
+    geom = field.geometry
+    nxt, comp = geom.layout.nxt, geom.layout.comp
+    z = _complex(geom.vertices)
     arc = field._foot_arc_raw(np.arange(len(z)), 0.5)
     mids = _complex(field.position(comp, arc))
     tang = _complex(field.position(comp, arc, 1))
@@ -413,21 +380,28 @@ def _midpoint_bc_residual(field: BField, v_star) -> float:
     q = field.density
     q_mid = 0.5 * (q + q[nxt])
     flux = ((nmid[:, None] / (mids[:, None] - z[None, :])).real
-            @ (-weights * q / (2.0 * np.pi))
-            + 0.5 * q_mid + np.repeat(field.mu, lengths))
-    v = np.concatenate([vf.values for vf in v_star])
-    return float(np.max(np.abs(flux - 0.5 * (v + v[nxt]))))
+            @ (-geom.weights * q / (2.0 * np.pi))
+            + 0.5 * q_mid + field.mu[comp])
+    return float(np.max(np.abs(flux - 0.5 * (v_star + v_star[nxt]))))
+
+
+def _normal_rays(geom: CurveGeometry, n_rays: int, dists) -> np.ndarray:
+    """Points at each distance along the normals of n_rays spread vertices per component.
+
+    Ordered by component, then distance, then vertex.
+    """
+    lay = geom.layout
+    sel = lay.first[:, None] + np.linspace(0, lay.counts - 1, n_rays).T.astype(int)
+    pts = (geom.vertices[sel][:, None]
+           + np.asarray(dists)[:, None, None] * geom.nu[sel][:, None])
+    return pts.reshape(-1, 2)
 
 
 def _field_constants(field: BField):
     """Sampled sup norms: |div B|, |B|, and a difference-quotient Lipschitz bound."""
     rng = np.random.default_rng(1234)
-    pts = []
-    for cache in field.caches:
-        sel = np.linspace(0, cache.n - 1, 24).astype(int)
-        for d in (-0.8, -0.4, -0.1, 0.1, 0.4, 0.8, 1.2, 1.6, 1.95):
-            pts.append(cache.vertices[sel] + d * field.delta * cache.nu[sel])
-    pts = np.vstack(pts)
+    pts = _normal_rays(field.geometry, 24, field.delta * np.array(
+        [-0.8, -0.4, -0.1, 0.1, 0.4, 0.8, 1.2, 1.6, 1.95]))
     bvals, div = field.at_and_div(pts)
     sup_b = float(np.max(np.linalg.norm(bvals, axis=1)))
     div_sup = float(np.max(np.abs(div)))
@@ -450,17 +424,9 @@ def divergence_decay_profile(field: BField, n_rays: int = 32):
     Returns the least-squares slope of the exact |div B| against distance
     and the worst ratio |div B| / dist.
     """
-    delta = field.delta
-    dists = np.array([delta / 8, delta / 4, delta / 2])
-    xs, ys = [], []
-    for cache in field.caches:
-        sel = np.linspace(0, cache.n - 1, n_rays).astype(int)
-        for d in dists:
-            p = cache.vertices[sel] + d * cache.nu[sel]
-            ys.append(np.abs(field.at_and_div(p)[1]))
-            xs.append(np.full(len(p), d))
-    xs = np.concatenate(xs)
-    ys = np.concatenate(ys)
+    dists = field.delta / np.array([8.0, 4.0, 2.0])
+    xs = np.tile(np.repeat(dists, n_rays), len(field.geometry.length))
+    ys = np.abs(field.at_and_div(_normal_rays(field.geometry, n_rays, dists))[1])
     slope = float(np.sum(xs * ys) / np.sum(xs * xs))
     ratio = float(np.max(ys / xs))
     return slope, ratio
@@ -478,7 +444,7 @@ def trivial_extension_Bbar(calib, field: BField, points, t: float = 0.0):
 class StarPotential:
     """Zero-average reference potentials phi* and their tube extension."""
 
-    phi_fields: list[VertexField]
+    phi: np.ndarray                  # stacked
     spline: PeriodicSpline           # columns phi*, d phi*/ds*
     calib: object
     field: BField
@@ -508,17 +474,14 @@ class StarPotential:
         return float(np.max(np.abs(lhs - rhs)))
 
 
-def star_potentials(caches: list[GeometryCache], calib, field: BField,
-                    v_star: list[VertexField]) -> StarPotential:
+def star_potentials(geom: CurveGeometry, calib, field: BField, v_star) -> StarPotential:
     """Solve d^2 phi*/ds*^2 = V* with zero average, all components in one solve."""
-    phi_fields = velocity_potential(caches, v_star)
-    traces = [np.column_stack([phi.values, dds(cache, phi.values)])
-              for cache, phi in zip(caches, phi_fields)]
-    return StarPotential(phi_fields=phi_fields, spline=_arc_spline(caches, np.vstack(traces)),
+    phi = velocity_potential(geom, v_star)
+    return StarPotential(phi=phi, spline=_arc_spline(geom, np.column_stack([phi, dds(geom, phi)])),
                          calib=calib, field=field)
 
 
-def gauss_wedge_residual(caches: list[GeometryCache], field: BField, calib,
+def gauss_wedge_residual(geom: CurveGeometry, field: BField, calib,
                          t: float = 0.0, fd_step: float | None = None) -> float:
     """|curve integral of nu . (div of the wedge of B and xi)|.
 
@@ -528,20 +491,16 @@ def gauss_wedge_residual(caches: list[GeometryCache], field: BField, calib,
     """
     if fd_step is None:
         fd_step = 1e-4 * calib.delta
-    total = 0.0
-    for cache in caches:
-        pts = cache.vertices
-        nu = cache.nu
-        xi = calib.xi_at(pts, t)
-        bvals = field.at(pts)
-        div_xi = calib.div_xi(pts, t)
-        div_b = field.divergence(pts)
-        xi_grad_b = field.grad_along(xi, pts, fd_step)
-        b_grad_xi = (calib.xi_at(pts + fd_step * bvals, t)
-                     - calib.xi_at(pts - fd_step * bvals, t)) / (2.0 * fd_step)
-        integrand = (div_xi * np.sum(nu * bvals, axis=1)
-                     + np.sum(nu * xi_grad_b, axis=1)
-                     - div_b * np.sum(nu * xi, axis=1)
-                     - np.sum(nu * b_grad_xi, axis=1))
-        total += integrate(cache, integrand)
-    return float(abs(total))
+    pts, nu = geom.vertices, geom.nu
+    xi = calib.xi_at(pts, t)
+    bvals = field.at(pts)
+    div_xi = calib.div_xi(pts, t)
+    div_b = field.divergence(pts)
+    xi_grad_b = field.grad_along(xi, pts, fd_step)
+    b_grad_xi = (calib.xi_at(pts + fd_step * bvals, t)
+                 - calib.xi_at(pts - fd_step * bvals, t)) / (2.0 * fd_step)
+    integrand = (div_xi * np.sum(nu * bvals, axis=1)
+                 + np.sum(nu * xi_grad_b, axis=1)
+                 - div_b * np.sum(nu * xi, axis=1)
+                 - np.sum(nu * b_grad_xi, axis=1))
+    return float(abs(np.sum(integrate(geom, integrand))))

@@ -32,14 +32,14 @@ from .errors import (
     TopologyChange,
 )
 from .geometry import (
-    Component,
-    GeometryCache,
+    CurveGeometry,
     PolyCurve,
-    VertexField,
     build_geometry,
+    cycle_arc,
     cycle_layout,
     d2ds2,
     dds,
+    field_mean,
     integrate,
     read_curve_file,
     write_curve_file,
@@ -47,6 +47,7 @@ from .geometry import (
 from .poisson import PeriodicSpline, h_minus1_norm_sq, solve_cyclic_banded
 
 DT_MIN_FACTOR = 2.0**-24
+REMESH_RATIO_BOUNDS = (0.5, 2.0)    # edge length over its component's mean, after a step
 
 
 @dataclass
@@ -54,7 +55,6 @@ class FlowConfig:
     dt: float
     end_time: float
     max_dt_growth: float = 1.2
-    remesh_ratio_bounds: tuple[float, float] = (0.5, 2.0)
     area_drift_abort: float = 1e-3
 
     def __post_init__(self):
@@ -62,9 +62,6 @@ class FlowConfig:
             raise ValueError("dt must be positive")
         if not (1.0 <= self.max_dt_growth <= 1.2):
             raise ValueError("max_dt_growth must lie in [1.0, 1.2]")
-        lo, hi = self.remesh_ratio_bounds
-        if not (0.0 < lo < 1.0 < hi):
-            raise ValueError("remesh_ratio_bounds must straddle 1")
 
 
 @dataclass
@@ -72,18 +69,21 @@ class FlowState:
     curve: PolyCurve
     time: float
     step_index: int
-    caches: list[GeometryCache]
-    normal_velocity: list[VertexField] | None = None
+    geometry: CurveGeometry
+    normal_velocity: np.ndarray | None = None    # stacked, of the step that led here
 
     @classmethod
     def initial(cls, curve: PolyCurve) -> "FlowState":
-        return cls(curve=curve, time=0.0, step_index=0, caches=build_geometry(curve))
+        return cls(curve=curve, time=0.0, step_index=0, geometry=build_geometry(curve))
+
+    # the totals are added one component at a time: np.sum pairs them from
+    # 8 components on, which would move the sums the step's tests compare
 
     def length(self) -> float:
-        return sum(c.length for c in self.caches)
+        return float(sum(self.geometry.length))
 
     def area(self) -> float:
-        return sum(c.area for c in self.caches)
+        return float(sum(self.geometry.area))
 
 
 def _normal_velocity(x: np.ndarray, nu: np.ndarray, h: np.ndarray, w: np.ndarray,
@@ -159,15 +159,10 @@ def _resample_uniform(x: np.ndarray, lengths, passes: int = 1) -> np.ndarray:
     uses once for the initial datum.
     """
     lay = cycle_layout(tuple(lengths))
-    lengths = np.asarray(lengths)
     for _ in range(passes):
-        # arc length along all components laid end to end, less each start
-        arc = np.cumsum(np.linalg.norm(x[lay.nxt] - x, axis=1))
-        base = np.concatenate(([0.0], arc[lay.split - 1]))
-        total = arc[lay.first + lengths - 1] - base
-        knots = np.concatenate(([0.0], arc[:-1])) - base[lay.comp]
-        spline = PeriodicSpline(knots, total, lengths, x)
-        x = spline(lay.comp, total[lay.comp] * lay.local / lengths[lay.comp])
+        knots, total = cycle_arc(np.linalg.norm(x[lay.nxt] - x, axis=1), lay)
+        spline = PeriodicSpline(knots, total, lay.counts, x)
+        x = spline(lay.comp, total[lay.comp] * lay.local / lay.counts[lay.comp])
     return x
 
 
@@ -179,19 +174,15 @@ def step(state: FlowState, config: FlowConfig, dt: float | None = None) -> FlowS
     """
     if dt is None:
         dt = config.dt
-    caches = state.caches
-    lengths = tuple(c.n for c in caches)
-    split = cycle_layout(lengths).split
-    x = state.curve.segments[0]
-    nu = np.vstack([c.nu for c in caches])
+    geom = state.geometry
+    lay = geom.layout
+    x, nu = geom.vertices, geom.nu
     try:
-        w = _normal_velocity(x, nu, np.concatenate([c.edge_lengths for c in caches]),
-                             np.concatenate([c.weights for c in caches]), lengths, dt)
-        w = _area_neutral_shift(x, nu, w, lengths, dt)
-        moved = _resample_uniform(x + dt * w[:, None] * nu, lengths)
-        new_curve = PolyCurve([Component(v, c.orientation) for v, c
-                               in zip(np.split(moved, split), state.curve.components)])
-        new_caches = build_geometry(new_curve)
+        w = _normal_velocity(x, nu, geom.edge_lengths, geom.weights, lay.counts, dt)
+        w = _area_neutral_shift(x, nu, w, lay.counts, dt)
+        new_curve = state.curve.with_vertices(
+            _resample_uniform(x + dt * w[:, None] * nu, lay.counts))
+        new_geom = build_geometry(new_curve)
     except SelfIntersection as exc:
         raise StepRejected(f"self-intersection: {exc}") from exc
     except SingularSystem as exc:
@@ -199,31 +190,21 @@ def step(state: FlowState, config: FlowConfig, dt: float | None = None) -> FlowS
     except (CurveError, ValueError) as exc:
         raise StepRejected(f"invalid geometry: {exc}") from exc
 
-    lo, hi = config.remesh_ratio_bounds
-    for cache in new_caches:
-        ratios = cache.edge_lengths / np.mean(cache.edge_lengths)
-        if ratios.min() < lo or ratios.max() > hi:
-            raise StepRejected("resampling left edge ratios out of bounds")
+    ratios = new_geom.edge_lengths / (new_geom.length / lay.counts)[lay.comp]
+    if ratios.min() < REMESH_RATIO_BOUNDS[0] or ratios.max() > REMESH_RATIO_BOUNDS[1]:
+        raise StepRejected("resampling left edge ratios out of bounds")
 
-    new_len = sum(c.length for c in new_caches)
-    old_len = state.length()
-    if new_len > old_len * (1.0 + 1e-13):
+    new_state = FlowState(curve=new_curve, time=state.time + dt,
+                          step_index=state.step_index + 1, geometry=new_geom,
+                          normal_velocity=w)
+    if new_state.length() > state.length() * (1.0 + 1e-13):
         raise StepRejected("length increased")
 
-    area_new = sum(c.area for c in new_caches)
     area_old = state.area()
     budget = 0.05 * config.area_drift_abort * abs(area_old)
-    if abs(area_new - area_old) > budget:
+    if abs(new_state.area() - area_old) > budget:
         raise StepRejected("per-step area drift over budget")
-
-    return FlowState(
-        curve=new_curve,
-        time=state.time + dt,
-        step_index=state.step_index + 1,
-        caches=new_caches,
-        normal_velocity=[VertexField(c.component_index, wk)
-                         for c, wk in zip(caches, np.split(w, split))],
-    )
+    return new_state
 
 
 @dataclass
@@ -237,8 +218,7 @@ class Trajectory:
 
     times: np.ndarray
     curves: list[PolyCurve]
-    kappa_fields: list[list[VertexField]]
-    v_fields: list[list[VertexField]]
+    v_fields: list[np.ndarray]      # stacked, per sample
     area0: float = 0.0
 
     def __post_init__(self):
@@ -260,22 +240,14 @@ class Trajectory:
         j0, j1, lam = self._bracket(t)
         if lam == 0.0:
             return self.curves[j0]
-        comps = []
-        for ca, cb in zip(self.curves[j0].components, self.curves[j1].components):
-            comps.append(Component((1 - lam) * ca.vertices + lam * cb.vertices,
-                                   ca.orientation))
-        return PolyCurve(comps)
+        a, b = self.curves[j0], self.curves[j1]
+        return a.with_vertices((1 - lam) * a.segments[0] + lam * b.segments[0])
 
-    def _interp_fields(self, bank, t):
+    def v_at(self, t: float) -> np.ndarray:
         j0, j1, lam = self._bracket(t)
-        out = []
-        for fa, fb in zip(bank[j0], bank[j1] if lam > 0 else bank[j0]):
-            vals = (1 - lam) * fa.values + lam * fb.values if lam > 0 else fa.values
-            out.append(VertexField(fa.component_id, vals))
-        return out
-
-    def v_at(self, t: float) -> list[VertexField]:
-        return self._interp_fields(self.v_fields, t)
+        if lam == 0.0:
+            return self.v_fields[j0]
+        return (1 - lam) * self.v_fields[j0] + lam * self.v_fields[j1]
 
 
 @dataclass
@@ -305,10 +277,8 @@ def run_flow(initial: PolyCurve, config: FlowConfig, sample_stride: int = 10,
     thinned on the fly (stride doubling) to stay within bound.
     """
     if resample_initial:
-        counts = tuple(c.n for c in initial.components)
-        resampled = _resample_uniform(initial.segments[0], counts, passes=4)
-        initial = PolyCurve([Component(v, c.orientation) for v, c in zip(
-            np.split(resampled, cycle_layout(counts).split), initial.components)])
+        initial = initial.with_vertices(
+            _resample_uniform(initial.segments[0], initial.layout.counts, passes=4))
     state = FlowState.initial(initial)
     dt = config.dt
     dt_min = config.dt * DT_MIN_FACTOR
@@ -373,16 +343,11 @@ def run_flow(initial: PolyCurve, config: FlowConfig, sample_stride: int = 10,
 
 
 def _trajectory(states: list[FlowState], area0: float) -> Trajectory:
-    """The trajectory of these states, with their curvature and PDE velocity d^2 kappa/ds^2."""
-    return Trajectory(
-        times=np.array([s.time for s in states]),
-        curves=[s.curve for s in states],
-        kappa_fields=[[VertexField(c.component_index, c.kappa.copy()) for c in s.caches]
-                      for s in states],
-        v_fields=[[VertexField(c.component_index, d2ds2(c, c.kappa)) for c in s.caches]
-                  for s in states],
-        area0=area0,
-    )
+    """The trajectory of these states, with their PDE velocity d^2 kappa/ds^2."""
+    return Trajectory(times=np.array([s.time for s in states]),
+                      curves=[s.curve for s in states],
+                      v_fields=[d2ds2(s.geometry, s.geometry.kappa) for s in states],
+                      area0=area0)
 
 
 def make_reference(config: FlowConfig, initial: PolyCurve,
@@ -391,8 +356,7 @@ def make_reference(config: FlowConfig, initial: PolyCurve,
 
     The caller supplies the high-resolution initial curve (at least four
     times the resolution of any run that will be compared against it).
-    Per-sample curvature and velocity fields ride along for the calibration
-    and extension constructions; trajectories are numerically smooth in the
+    Per-sample velocity fields ride along for the extension construction; trajectories are numerically smooth in the
     sense of being resolution-tested, no regularity class is certified.
     """
     return run_flow(initial, config, sample_stride, stop_condition).trajectory
@@ -411,24 +375,20 @@ def dissipation_identity_residual(before: FlowState,
     dt = after.time - before.time
     if dt <= 0:
         raise ValueError("states must be consecutive accepted steps")
-    mid_comps = [Component(0.5 * (a.vertices + b.vertices), a.orientation)
-                 for a, b in zip(before.curve.components, after.curve.components)]
-    mid_caches = build_geometry(PolyCurve(mid_comps))
-    d_h = sum(integrate(c, dds(c, c.kappa) ** 2) for c in mid_caches)
+    mid = build_geometry(before.curve.with_vertices(
+        0.5 * (before.geometry.vertices + after.geometry.vertices)))
+    d_h = float(np.sum(integrate(mid, dds(mid, mid.kappa) ** 2)))
     d_v = 0.0
-    if after.normal_velocity:
-        centred = [VertexField(vf.component_id,
-                               vf.values - integrate(cache, vf.values) / cache.length)
-                   for cache, vf in zip(mid_caches, after.normal_velocity)]
-        d_v = h_minus1_norm_sq(mid_caches, centred)
+    if after.normal_velocity is not None:
+        v = after.normal_velocity
+        d_v = h_minus1_norm_sq(mid, v - field_mean(mid, v)[mid.layout.comp])
     rate = (after.length() - before.length()) / dt
     return float(abs(rate + d_h)), float(abs(rate + 0.5 * (d_h + d_v)))
 
 
 def volume_drift(trajectory: Trajectory) -> float:
     """Max relative enclosed-area drift over the trajectory samples."""
-    areas = np.array([sum(c.signed_area() for c in curve.components)
-                      for curve in trajectory.curves])
+    areas = np.array([curve.signed_area() for curve in trajectory.curves])
     return float(np.max(np.abs(areas - areas[0])) / abs(areas[0]))
 
 
@@ -460,6 +420,6 @@ def load_trajectory(directory) -> Trajectory:
         for row in reader:
             times.append(float(row[0]))
             curves.append(read_curve_file(os.path.join(directory, row[1])))
-    states = [FlowState(curve=c, time=t, step_index=k, caches=build_geometry(c))
+    states = [FlowState(curve=c, time=t, step_index=k, geometry=build_geometry(c))
               for k, (t, c) in enumerate(zip(times, curves))]
     return _trajectory(states, states[0].area() if states else 0.0)

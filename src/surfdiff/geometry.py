@@ -94,10 +94,9 @@ class PolyCurve:
         for k, c in enumerate(comps):
             if c.n < 8:
                 raise ValueError(f"component {k} has {c.n} < 8 vertices")
-        starts, ends, _, local_of = self.segments
-        first = np.flatnonzero(local_of == 0)
-        h = np.linalg.norm(ends - starts, axis=1)
-        hmin = np.minimum.reduceat(h, first)
+        starts, ends, _, _ = self.segments
+        first = self.layout.first
+        hmin = np.minimum.reduceat(self.edge_lengths, first)
         # the box diagonal bounds the diameter from above, in floating point
         # too (a caliper distance |p - q| rounds along the same monotone
         # path), so only a component within the floor of its bound reads its
@@ -144,17 +143,35 @@ class PolyCurve:
         return len(self.components)
 
     @cached_property
+    def layout(self) -> "CycleLayout":
+        """The cycle index arrays of the components, stacked in order."""
+        return cycle_layout(tuple(c.n for c in self.components))
+
+    @cached_property
     def segments(self):
         """Edges of all components, flattened: starts, ends, component, local index.
 
         Built once per curve (``components`` is only assigned in
         ``__init__``) and shared by every reader, so the arrays are read-only.
         """
-        lay = cycle_layout(tuple(c.n for c in self.components))
+        lay = self.layout
         starts = np.vstack([c.vertices for c in self.components])
         ends = starts[lay.nxt]
         starts.flags.writeable = ends.flags.writeable = False
         return starts, ends, lay.comp, lay.local
+
+    @cached_property
+    def edge_lengths(self) -> np.ndarray:
+        """Length of every edge of ``segments``, measured once per curve; read-only."""
+        starts, ends, _, _ = self.segments
+        h = np.linalg.norm(ends - starts, axis=1)
+        h.flags.writeable = False
+        return h
+
+    def with_vertices(self, vertices) -> "PolyCurve":
+        """The curve at these stacked vertices, its components' orientations kept."""
+        return PolyCurve([Component(v, c.orientation) for v, c
+                          in zip(np.split(vertices, self.layout.split), self.components)])
 
     def signed_area(self) -> float:
         return sum(c.signed_area() for c in self.components)
@@ -163,26 +180,11 @@ class PolyCurve:
         return sum(c.length() for c in self.components)
 
     def translated(self, shift) -> "PolyCurve":
-        shift = np.asarray(shift, dtype=float)
-        return PolyCurve([Component(c.vertices + shift, c.orientation)
-                          for c in self.components])
+        return self.with_vertices(self.segments[0] + np.asarray(shift, dtype=float))
 
     def rotated(self, angle: float) -> "PolyCurve":
         c, s = np.cos(angle), np.sin(angle)
-        rot = np.array([[c, -s], [s, c]])
-        return PolyCurve([Component(c_.vertices @ rot.T, c_.orientation)
-                          for c_ in self.components])
-
-
-@dataclass(frozen=True)
-class VertexField:
-    """Scalar samples aligned with one component's vertices."""
-
-    component_id: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
+        return self.with_vertices(self.segments[0] @ np.array([[c, -s], [s, c]]).T)
 
 
 # ---------------------------------------------------------------------------
@@ -227,43 +229,10 @@ def make_wavy_circle(radius, amplitude, mode, n, center=(0.0, 0.0),
 
 
 # ---------------------------------------------------------------------------
-# geometry cache and discrete calculus
+# stacked geometry and discrete calculus
 # ---------------------------------------------------------------------------
 
-@dataclass
-class GeometryCache:
-    """Per-vertex differential geometry of one component.
-
-    edge_lengths[i] is the edge from vertex i to i+1 (cyclic);
-    weights[i] = (edge_lengths[i-1] + edge_lengths[i]) / 2 is the vertex
-    quadrature weight; kappa[i] is the turning angle at vertex i divided by
-    weights[i], which makes sum(kappa * weights) equal the total turning
-    angle exactly.  ``diameter`` is the component's, computed on first read.
-    """
-
-    component_index: int
-    orientation: int
-    vertices: np.ndarray
-    edge_lengths: np.ndarray
-    arc_positions: np.ndarray
-    weights: np.ndarray
-    tau: np.ndarray
-    nu: np.ndarray
-    kappa: np.ndarray
-    length: float
-    area: float
-    component: Component
-
-    @property
-    def n(self) -> int:
-        return self.vertices.shape[0]
-
-    @property
-    def diameter(self) -> float:
-        return self.component.diameter
-
-
-CycleLayout = namedtuple("CycleLayout", "nxt prv first comp local split")
+CycleLayout = namedtuple("CycleLayout", "nxt prv first comp local split counts")
 
 
 @lru_cache(maxsize=32)
@@ -272,8 +241,9 @@ def cycle_layout(lengths: tuple) -> CycleLayout:
 
     ``nxt``, ``prv``: every entry's cyclic neighbours; ``comp``, ``local``:
     its cycle and its place there; ``first``, ``split``: the offsets of
-    ``np.add.reduceat`` and ``np.split``.  A flow run has one or two length
-    tuples, so all its steps share one set of arrays.
+    ``np.add.reduceat`` and ``np.split``; ``counts``: the lengths.  A flow
+    run has one or two length tuples, so all its steps share one set of
+    arrays.
     """
     counts = np.asarray(lengths, dtype=np.intp)
     first = np.cumsum(counts) - counts
@@ -283,10 +253,56 @@ def cycle_layout(lengths: tuple) -> CycleLayout:
     last = start + counts[comp] - 1
     lay = CycleLayout(nxt=np.where(ids == last, start, ids + 1),
                       prv=np.where(ids == start, last, ids - 1),
-                      first=first, comp=comp, local=ids - start, split=first[1:])
+                      first=first, comp=comp, local=ids - start, split=first[1:],
+                      counts=counts)
     for a in lay:
         a.flags.writeable = False
     return lay
+
+
+def cycle_arc(h: np.ndarray, lay: CycleLayout):
+    """Arc position of every entry from its cycle's first, and each cycle's total.
+
+    ``h[i]`` is the step from entry i to its successor.  One cumulative sum
+    runs over all cycles laid end to end; each cycle's start is subtracted.
+    """
+    arc = np.cumsum(h)
+    base = np.concatenate(([0.0], arc[lay.split - 1]))
+    return (np.concatenate(([0.0], arc[:-1])) - base[lay.comp],
+            arc[lay.first + lay.counts - 1] - base)
+
+
+@dataclass(frozen=True)
+class CurveGeometry:
+    """Per-vertex differential geometry of a curve, every component stacked.
+
+    The per-vertex arrays run over ``curve.segments``: ``vertices`` is its
+    starts array and ``edge_lengths`` the curve's own, and ``layout`` gives
+    each vertex's cyclic neighbours and component.  edge_lengths[i] is the
+    edge from vertex i to its successor; weights[i] is the half-sum of the
+    edges at vertex i, its quadrature weight; kappa[i] is the turning angle
+    at vertex i divided by weights[i], which makes each component's
+    sum(kappa * weights) its total turning angle exactly.  arc_positions
+    restart at 0 in each component; ``length`` and ``area`` hold one entry
+    per component.  Every array is read-only, so threads may share it.
+    """
+
+    curve: PolyCurve
+    layout: CycleLayout
+    vertices: np.ndarray
+    edge_lengths: np.ndarray
+    arc_positions: np.ndarray
+    weights: np.ndarray
+    tau: np.ndarray
+    nu: np.ndarray
+    kappa: np.ndarray
+    length: np.ndarray
+    area: np.ndarray
+
+    def __post_init__(self):
+        for a in (self.vertices, self.edge_lengths, self.arc_positions, self.weights,
+                  self.tau, self.nu, self.kappa, self.length, self.area):
+            a.flags.writeable = False
 
 
 def _hull(vertices: np.ndarray) -> np.ndarray:
@@ -356,71 +372,58 @@ def _diameters(hulls) -> np.ndarray:
     return out
 
 
-def build_geometry(curve: PolyCurve) -> list[GeometryCache]:
-    """Per-component caches from one pass over the stacked segments.
+def build_geometry(curve: PolyCurve) -> CurveGeometry:
+    """The stacked geometry of every component, from one pass over the segments.
 
-    Raises if the curve is not embedded.  Every per-vertex array is computed
-    once for all components and sliced; each length and area is a sum over
-    its own component's slice.
+    Raises if the curve is not embedded.  Each length and area is its own
+    component's slice summed by ``np.sum`` (``np.add.reduceat`` adds in
+    another order), the sums the flow's length and area tests read.
     """
     check_embedded(curve)
     v, ends, _, _ = curve.segments
-    comps = curve.components
-    lay = cycle_layout(tuple(c.n for c in comps))
+    lay = curve.layout
+    h = curve.edge_lengths
     edges = ends - v
-    h = np.linalg.norm(edges, axis=1)
     w = 0.5 * (h + h[lay.prv])
     chord = ends - v[lay.prv]
     tau = chord / np.linalg.norm(chord, axis=1)[:, None]
-    nu = np.column_stack([tau[:, 1], -tau[:, 0]])
     em = edges[lay.prv]
     turn = np.arctan2(em[:, 0] * edges[:, 1] - em[:, 1] * edges[:, 0],
                       np.sum(em * edges, axis=1))
-    kappa = turn / w
     cross = v[:, 0] * ends[:, 1] - ends[:, 0] * v[:, 1]
-    caches = []
-    for k, c in enumerate(comps):
-        sl = slice(lay.first[k], lay.first[k] + c.n)
-        caches.append(GeometryCache(
-            component_index=k,
-            orientation=c.orientation,
-            vertices=c.vertices,
-            edge_lengths=h[sl],
-            arc_positions=np.concatenate([[0.0], np.cumsum(h[sl][:-1])]),
-            weights=w[sl],
-            tau=tau[sl],
-            nu=nu[sl],
-            kappa=kappa[sl],
-            length=float(np.sum(h[sl])),
-            area=float(0.5 * np.sum(cross[sl])),
-            component=c,
-        ))
-    return caches
+    parts = [slice(a, a + n) for a, n in zip(lay.first, lay.counts)]
+    return CurveGeometry(
+        curve=curve, layout=lay, vertices=v, edge_lengths=h,
+        arc_positions=cycle_arc(h, lay)[0], weights=w, tau=tau,
+        nu=np.column_stack([tau[:, 1], -tau[:, 0]]), kappa=turn / w,
+        length=np.array([np.sum(h[p]) for p in parts]),
+        area=np.array([0.5 * np.sum(cross[p]) for p in parts]))
 
 
-def integrate(cache: GeometryCache, values: np.ndarray) -> float:
-    """Vertex-weighted quadrature of a per-vertex field over the component."""
-    return float(np.dot(cache.weights, values))
+def integrate(geom: CurveGeometry, values: np.ndarray) -> np.ndarray:
+    """Vertex-weighted quadrature of a stacked field over each component, (K,)."""
+    return np.add.reduceat(geom.weights * values, geom.layout.first)
 
 
-def field_mean(cache: GeometryCache, values: np.ndarray) -> float:
-    return integrate(cache, values) / cache.length
+def field_mean(geom: CurveGeometry, values: np.ndarray) -> np.ndarray:
+    return integrate(geom, values) / geom.length
 
 
-def dds(cache: GeometryCache, values: np.ndarray) -> np.ndarray:
+def dds(geom: CurveGeometry, values: np.ndarray) -> np.ndarray:
     """Cyclic centered arc-length derivative with nonuniform weights."""
     values = np.asarray(values, dtype=float)
-    return (np.roll(values, -1, axis=0) - np.roll(values, 1, axis=0)) / (2.0 * cache.weights)
+    lay = geom.layout
+    return (values[lay.nxt] - values[lay.prv]) / (2.0 * geom.weights)
 
 
-def d2ds2(cache: GeometryCache, values: np.ndarray) -> np.ndarray:
+def d2ds2(geom: CurveGeometry, values: np.ndarray) -> np.ndarray:
     """Cyclic three-point second arc derivative on the nonuniform grid."""
     values = np.asarray(values, dtype=float)
-    h = cache.edge_lengths
-    hm = np.roll(h, 1)
-    fwd = (np.roll(values, -1, axis=0) - values) / h
-    bwd = (values - np.roll(values, 1, axis=0)) / hm
-    return (fwd - bwd) / cache.weights
+    lay = geom.layout
+    h = geom.edge_lengths
+    fwd = (values[lay.nxt] - values) / h
+    bwd = (values - values[lay.prv]) / h[lay.prv]
+    return (fwd - bwd) / geom.weights
 
 
 # ---------------------------------------------------------------------------
@@ -455,18 +458,18 @@ def _segment_segment_dist(a0, a1, b0, b1):
     return np.where(proper, 0.0, d)
 
 
-def _segment_pairs_within(starts, ends, reach):
+def _segment_pairs_within(starts, ends, h, reach):
     """Pairs (i, j), i < j, unordered, among them every segment pair closer than reach.
 
-    Points of a segment lie within half its length h of its midpoint m, so
-    a pair closer than reach has |m_i - m_j| < (h_i + h_j)/2 + reach (the
-    triangle inequality): a k-d tree lists the midpoint pairs within
-    h_max + reach (Bentley 1975), and the per-pair bound filters them.  Both
-    radii carry a slack of 1e-12 of the largest coordinate, far above the
-    rounding of the midpoints, lengths and distances compared.
+    Points of a segment lie within half its length h (``h`` holds them) of
+    its midpoint m, so a pair closer than reach has |m_i - m_j| <
+    (h_i + h_j)/2 + reach (the triangle inequality): a k-d tree lists the
+    midpoint pairs within h_max + reach (Bentley 1975), and the per-pair
+    bound filters them.  Both radii carry a slack of 1e-12 of the largest
+    coordinate, far above the rounding of the midpoints, lengths and
+    distances compared.
     """
     mid = 0.5 * (starts + ends)
-    h = np.hypot(*(ends - starts).T)
     reach = reach + 1e-12 * np.abs(starts).max()
     pi, pj = cKDTree(mid).query_pairs(h.max() + reach, output_type="ndarray").T
     z = mid[:, 0] + 1j * mid[:, 1]
@@ -486,7 +489,7 @@ def check_embedded(curve: PolyCurve) -> None:
     starts, ends, comp_of, local_of = curve.segments
     dx, dy = np.ptp(starts[:, 0]), np.ptp(starts[:, 1])
     tol = SIMPLICITY_TOL_REL * np.sqrt(dx * dx + dy * dy)
-    pi, pj = _segment_pairs_within(starts, ends, tol)
+    pi, pj = _segment_pairs_within(starts, ends, curve.edge_lengths, tol)
     same = comp_of[pi] == comp_of[pj]
     # cyclically adjacent segments of the same component legitimately touch
     gap = np.abs(local_of[pi] - local_of[pj])
@@ -616,10 +619,10 @@ def jordan_decompose(curve: PolyCurve) -> JordanForest:
     """Classify components into nested Jordan boundaries by containment parity."""
     k = curve.ncomponents
     comps = curve.components
-    starts, ends, comp_of, local_of = curve.segments
+    starts, ends, comp_of, _ = curve.segments
     # probe i is the first vertex of component i; its own component is skipped
-    probes = starts[local_of == 0]
-    off = np.flatnonzero(local_of == 0)
+    off = curve.layout.first
+    probes = starts[off]
     dist = np.minimum.reduceat(
         _point_segment_dist(probes[:, None, :], starts[None, :, :], ends[None, :, :]),
         off, axis=1)
@@ -665,41 +668,34 @@ def jordan_decompose(curve: PolyCurve) -> JordanForest:
 # scalar diagnostics
 # ---------------------------------------------------------------------------
 
-def gauss_bonnet_residual(cache: GeometryCache) -> float:
-    """|sum(kappa ds) - orientation * 2 pi| for one component."""
-    total = integrate(cache, cache.kappa)
-    return float(abs(total - cache.orientation * 2.0 * np.pi))
+def gauss_bonnet_residual(geom: CurveGeometry) -> np.ndarray:
+    """|sum(kappa ds) - orientation * 2 pi| for each component, (K,)."""
+    orientation = np.array([c.orientation for c in geom.curve.components])
+    return np.abs(integrate(geom, geom.kappa) - orientation * 2.0 * np.pi)
 
 
-def intrinsic_distance(cache_a: GeometryCache, i: int,
-                       cache_b: GeometryCache | None = None,
-                       j: int | None = None) -> float:
-    """Shorter arc between two vertices; inf across distinct components."""
-    if cache_b is None:
-        cache_b = cache_a
-    if j is None:
-        raise ValueError("target vertex index required")
-    if cache_a is not cache_b and cache_a.component_index != cache_b.component_index:
+def intrinsic_distance(geom: CurveGeometry, i: int, j: int) -> float:
+    """Shorter arc between stacked vertices i and j; inf across distinct components."""
+    k = geom.layout.comp[i]
+    if geom.layout.comp[j] != k:
         return float("inf")
-    si, sj = cache_a.arc_positions[i], cache_a.arc_positions[j]
-    d = abs(si - sj)
-    return float(min(d, cache_a.length - d))
+    d = abs(geom.arc_positions[i] - geom.arc_positions[j])
+    return float(min(d, geom.length[k] - d))
 
 
-def poincare_ratio(cache: GeometryCache, u: VertexField, p: float) -> float:
-    """||u - <u>||_p^p / (diam^p ||du/ds||_p^p); zero for constant fields."""
+def poincare_ratio(geom: CurveGeometry, u: np.ndarray, p: float) -> np.ndarray:
+    """||u - <u>||_p^p / (diam^p ||du/ds||_p^p) per component; zero for constant fields."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    vals = u.values
-    if len(vals) != cache.n:
-        raise ValueError("field length does not match component")
-    centered = vals - field_mean(cache, vals)
-    num = integrate(cache, np.abs(centered) ** p)
-    grad = dds(cache, vals)
-    den = cache.diameter ** p * integrate(cache, np.abs(grad) ** p)
-    if den <= 1e-300 * max(1.0, num):
-        return 0.0
-    return float(num / den)
+    u = np.asarray(u, dtype=float)
+    if u.shape != geom.weights.shape:
+        raise ValueError("field length does not match the curve")
+    num = integrate(geom, np.abs(u - field_mean(geom, u)[geom.layout.comp]) ** p)
+    diam = np.array([c.diameter for c in geom.curve.components])
+    den = diam ** p * integrate(geom, np.abs(dds(geom, u)) ** p)
+    ratio = np.zeros(len(num))
+    np.divide(num, den, out=ratio, where=den > 1e-300 * np.maximum(1.0, num))
+    return ratio
 
 
 # ---------------------------------------------------------------------------
@@ -733,15 +729,15 @@ class CurveIndex:
     matching dist(x, region) - dist(x, complement).
     """
 
-    def __init__(self, curve: PolyCurve, caches: list[GeometryCache] | None = None):
+    def __init__(self, curve: PolyCurve, geometry: CurveGeometry | None = None):
         self.curve = curve
-        self.caches = caches if caches is not None else build_geometry(curve)
+        self.geometry = geometry if geometry is not None else build_geometry(curve)
         self.seg_start, self.seg_end, self.seg_comp, self.seg_local = curve.segments
         self.seg_vec = self.seg_end - self.seg_start
         self.seg_len2 = np.maximum(np.sum(self.seg_vec * self.seg_vec, axis=1), 1e-300)
-        self.hmax = float(np.linalg.norm(self.seg_vec, axis=1).max())
-        self.next_of, self.prev_of = cycle_layout(tuple(c.n for c in curve.components))[:2]
-        self.nu = np.vstack([c.nu for c in self.caches])
+        self.hmax = float(curve.edge_lengths.max())
+        self.next_of, self.prev_of = curve.layout[:2]
+        self.nu = self.geometry.nu
         # sum of the unit normals of the two edges at each vertex: positive
         # on the vertex's whole normal cone, whatever its turning angle
         edge_nu = self.seg_vec[:, ::-1] * [1.0, -1.0] / np.sqrt(self.seg_len2)[:, None]
@@ -812,10 +808,9 @@ class CurveIndex:
         grad[far] = rel[far] / (s[far])[:, None]
         return s, grad, foot, seg, t
 
-    def interpolate_vertex_field(self, fields: list[np.ndarray], seg, t):
-        """Linear interpolation of per-vertex data along the foot segment."""
-        vals = np.concatenate(fields)
-        return (1.0 - t) * vals[seg] + t * vals[self.next_of[seg]]
+    def interpolate_vertex_field(self, values: np.ndarray, seg, t):
+        """Linear interpolation of stacked per-vertex data along the foot segment."""
+        return (1.0 - t) * values[seg] + t * values[self.next_of[seg]]
 
 
 # ---------------------------------------------------------------------------

@@ -14,33 +14,15 @@ interpolant of the flow's resampling and the extension field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy.linalg.lapack import dgbsv
 
 from .errors import NonZeroMean, SingularSystem
-from .geometry import (
-    GeometryCache,
-    VertexField,
-    cycle_layout,
-    dds,
-    field_mean,
-    integrate,
-)
+from .geometry import CurveGeometry, cycle_layout, dds, field_mean, integrate
 
 RESIDUAL_TOL = 1e-9
-
-
-@dataclass
-class PotentialSolve:
-    """Result of one zero-average solve on a component."""
-
-    rhs: VertexField
-    solution: VertexField
-    residual_norm: float
-    mean_removed: float
 
 
 @lru_cache(maxsize=32)
@@ -151,30 +133,26 @@ class PeriodicSpline:
         return np.reshape(out, (len(j), *self.shape))
 
 
-def solve_zero_average(caches: list[GeometryCache],
-                       fields: list[VertexField]) -> list[PotentialSolve]:
+def solve_zero_average(geom: CurveGeometry, values) -> np.ndarray:
     """Solve d^2 phi/ds^2 = f - <f> with <phi> = 0 on every component at once.
 
-    With D the weight diagonal, d2ds2 phi = g is K phi = -D g for the cyclic
-    stiffness matrix K, rows (-1/h_{i-1}, 1/h_{i-1} + 1/h_i, -1/h_i).  The
-    right side sums to zero on each component, so grounding vertex 0 (phi_0
-    = 0, its row dropped) leaves the path tridiagonal system on the other
-    vertices; one stacked solve covers all components, and each then has its
-    weighted mean removed.  A component keeps its own residual check.
+    ``values`` is the stacked f.  With D the weight diagonal, d2ds2 phi = g
+    is K phi = -D g for the cyclic stiffness matrix K, rows (-1/h_{i-1},
+    1/h_{i-1} + 1/h_i, -1/h_i).  The right side sums to zero on each
+    component, so grounding vertex 0 (phi_0 = 0, its row dropped) leaves the
+    path tridiagonal system on the other vertices; one stacked solve covers
+    all components, and each then has its weighted mean removed.  Each
+    component keeps its own residual check; the first failing one is named.
     """
-    lengths = np.array([c.n for c in caches])
-    for cache, f in zip(caches, fields):
-        if cache.n < 8:
-            raise SingularSystem(f"component {cache.component_index} has < 8 vertices")
-        if len(f.values) != cache.n:
-            raise ValueError("field length does not match component")
-    nxt, prv, first, comp = cycle_layout(tuple(c.n for c in caches))[:4]
-    h = np.concatenate([c.edge_lengths for c in caches])
-    w = np.concatenate([c.weights for c in caches])
-    total = np.array([c.length for c in caches])
-    vals = np.concatenate([np.asarray(f.values, dtype=float) for f in fields])
-    mean = np.add.reduceat(w * vals, first) / total
-    g = vals - mean[comp]
+    nxt, prv, first, comp, _, _, lengths = geom.layout
+    small = lengths < 8
+    if np.any(small):
+        raise SingularSystem(f"component {int(np.argmax(small))} has < 8 vertices")
+    vals = np.asarray(values, dtype=float)
+    if vals.shape != geom.weights.shape:
+        raise ValueError("field length does not match the curve")
+    h, w = geom.edge_lengths, geom.weights
+    g = vals - field_mean(geom, vals)[comp]
     inv_h = 1.0 / h
     lo, up = -inv_h[prv], -inv_h
     lo[first + 1] = 0.0
@@ -184,52 +162,44 @@ def solve_zero_average(caches: list[GeometryCache],
     phi = np.zeros(len(h))
     phi[free] = solve_cyclic_banded([lo[free], (inv_h + inv_h[prv])[free], up[free]],
                                     (-w * g)[free], lengths - 1)
-    phi -= (np.add.reduceat(w * phi, first) / total)[comp]
+    phi -= field_mean(geom, phi)[comp]
     residual = ((phi[nxt] - phi) / h - (phi - phi[prv]) / h[prv]) / w - g
-    res_norm = np.sqrt(np.add.reduceat(w * residual**2, first))
-    scale = np.sqrt(np.add.reduceat(w * vals**2, first))
+    res_norm = np.sqrt(integrate(geom, residual**2))
+    scale = np.sqrt(integrate(geom, vals**2))
     bad = res_norm > RESIDUAL_TOL * np.maximum(np.where(scale == 0.0, 1.0, scale), 1e-30)
     if np.any(bad):
         k = int(np.argmax(bad))
         raise SingularSystem(f"poisson residual {res_norm[k]:.2e} on component "
-                             f"{caches[k].component_index} exceeds {RESIDUAL_TOL:.0e} * |f|")
-    return [PotentialSolve(rhs=f, solution=VertexField(f.component_id, part),
-                           residual_norm=float(r), mean_removed=float(m))
-            for f, part, r, m in zip(fields, np.split(phi, first[1:]), res_norm, mean)]
+                             f"{k} exceeds {RESIDUAL_TOL:.0e} * |f|")
+    return phi
 
 
-def velocity_potential(caches: list[GeometryCache],
-                       v_fields: list[VertexField]) -> list[VertexField]:
-    """Zero-average potentials of a normal velocity: d^2 phi_V/ds^2 = V.
+def velocity_potential(geom: CurveGeometry, v) -> np.ndarray:
+    """Zero-average potentials of a stacked normal velocity: d^2 phi_V/ds^2 = V.
 
     Requires the per-component mean of V to vanish (mass conservation); a
     violation signals broken volume conservation upstream.
     """
-    for cache, v in zip(caches, v_fields):
-        mean = field_mean(cache, v.values)
-        scale = max(1.0, float(np.max(np.abs(v.values))) if len(v.values) else 1.0)
-        if abs(mean) > 1e-8 * scale:
-            raise NonZeroMean(
-                f"component {v.component_id}: <V> = {mean:.3e} violates volume conservation"
-            )
-    return [sol.solution for sol in solve_zero_average(caches, v_fields)]
+    v = np.asarray(v, dtype=float)
+    mean = field_mean(geom, v)
+    bad = np.abs(mean) > 1e-8 * np.maximum(1.0, np.maximum.reduceat(np.abs(v),
+                                                                     geom.layout.first))
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        raise NonZeroMean(f"component {k}: <V> = {mean[k]:.3e} violates volume conservation")
+    return solve_zero_average(geom, v)
 
 
-def h_minus1_norm_sq(caches: list[GeometryCache], v_fields: list[VertexField]) -> float:
+def h_minus1_norm_sq(geom: CurveGeometry, v) -> float:
     """Sum over components of the squared H^-1 seminorm int |d phi_V/ds|^2 ds."""
-    return float(sum(integrate(cache, dds(cache, phi.values) ** 2)
-                     for cache, phi in zip(caches, velocity_potential(caches, v_fields))))
+    return float(np.sum(integrate(geom, dds(geom, velocity_potential(geom, v)) ** 2)))
 
 
-def nu_dot_B_potential(caches: list[GeometryCache], b_vals) -> list[VertexField]:
+def nu_dot_B_potential(geom: CurveGeometry, b_vals) -> np.ndarray:
     """Zero-average potentials of nu . B on every component.
 
     ``b_vals`` is the (N, 2) array of B at the stacked vertices.  The
     component means of nu . B are subtracted before solving (they need not
     vanish for a general field).
     """
-    nu = np.vstack([c.nu for c in caches])
-    rhs = np.sum(nu * np.asarray(b_vals, dtype=float), axis=1)
-    parts = np.split(rhs, np.cumsum([c.n for c in caches])[:-1])
-    fields = [VertexField(c.component_index, part) for c, part in zip(caches, parts)]
-    return [sol.solution for sol in solve_zero_average(caches, fields)]
+    return solve_zero_average(geom, np.sum(geom.nu * np.asarray(b_vals, dtype=float), axis=1))

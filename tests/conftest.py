@@ -8,8 +8,7 @@ from surfdiff import geometry as geo
 @pytest.fixture(scope="session")
 def unit_circle_256():
     curve = geo.PolyCurve([geo.make_circle((0.0, 0.0), 1.0, 256)])
-    caches = geo.build_geometry(curve)
-    return curve, caches
+    return curve, geo.build_geometry(curve)
 
 
 @pytest.fixture(scope="session")
@@ -18,8 +17,8 @@ def circle_calibration():
     return cb.Calibration(ref, 0.25)
 
 
-def vertex_angles(cache):
-    return np.arctan2(cache.vertices[:, 1], cache.vertices[:, 0])
+def vertex_angles(geom):
+    return np.arctan2(geom.vertices[:, 1], geom.vertices[:, 0])
 
 
 def jittered_loop(rng, n, center, scale):

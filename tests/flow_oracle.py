@@ -2,7 +2,8 @@
 
 Each component gets its own pentadiagonal solve, its own area-neutral shift
 and its own periodic ``scipy.interpolate.CubicSpline`` resampling, one
-component after another.  Only the tests import this module.
+component after another, on its slice of the state's ``CurveGeometry``.
+Only the tests import this module.
 """
 
 import numpy as np
@@ -10,12 +11,12 @@ from scipy.interpolate import CubicSpline
 
 from surfdiff.poisson import solve_cyclic_banded
 
+from geometry_oracle import parts
 
-def normal_velocity(cache, dt):
+
+def normal_velocity(x, nu, h, w, dt):
     """Solve (I + dt L (L - diag kappa^2)) w = L kappa on one component."""
-    h = cache.edge_lengths
     hm = np.roll(h, 1)
-    w = cache.weights
     mid = -(1.0 / h + 1.0 / hm) / w
     up = (1.0 / h) / w
     lo = (1.0 / hm) / w
@@ -23,8 +24,7 @@ def normal_velocity(cache, dt):
     def lap(f):
         return lo * np.roll(f, 1) + mid * f + up * np.roll(f, -1)
 
-    kappa_pos = -np.sum(cache.nu * np.column_stack([
-        lap(cache.vertices[:, 0]), lap(cache.vertices[:, 1])]), axis=1)
+    kappa_pos = -np.sum(nu * np.column_stack([lap(x[:, 0]), lap(x[:, 1])]), axis=1)
     m = mid - kappa_pos**2
     diags = dt * np.array([
         lo * np.roll(lo, 1),
@@ -34,14 +34,18 @@ def normal_velocity(cache, dt):
         up * np.roll(up, -1),
     ])
     diags[2] += 1.0
-    return solve_cyclic_banded(diags, lap(kappa_pos), [cache.n])
+    return solve_cyclic_banded(diags, lap(kappa_pos), [len(x)])
 
 
 def area_neutral_shift(vertices, nu, w, dt):
-    """The constant normal shift of one component making its move area neutral."""
+    """The constant normal shift of one component making its move area neutral.
+
+    Newton's method on the shoelace area change, run to its fixed point: it
+    stops once an update is at most 1e-15 of max |w|, or after 50 passes.
+    """
     d0 = w[:, None] * nu
     lam = 0.0
-    for _ in range(3):
+    for _ in range(50):
         d = dt * (d0 - lam * nu)
         mid = vertices + 0.5 * d
         chord = np.roll(mid, -1, axis=0) - np.roll(mid, 1, axis=0)
@@ -50,7 +54,10 @@ def area_neutral_shift(vertices, nu, w, dt):
         denom = -dt * float(np.sum(grad * nu))
         if denom == 0.0:
             break
-        lam -= f / denom
+        update = f / denom
+        lam -= update
+        if abs(update) <= 1e-15 * np.max(np.abs(w)):
+            break
     return w - lam
 
 
@@ -68,10 +75,12 @@ def resample_uniform(vertices, passes=1):
 
 def step(state, dt):
     """Per-component normal velocities and resampled vertices of one step."""
+    geom = state.geometry
     velocities, vertices = [], []
-    for cache in state.caches:
-        w = normal_velocity(cache, dt)
-        w = area_neutral_shift(cache.vertices, cache.nu, w, dt)
+    for part in parts(geom):
+        x, nu = geom.vertices[part], geom.nu[part]
+        w = normal_velocity(x, nu, geom.edge_lengths[part], geom.weights[part], dt)
+        w = area_neutral_shift(x, nu, w, dt)
         velocities.append(w)
-        vertices.append(resample_uniform(cache.vertices + dt * w[:, None] * cache.nu))
+        vertices.append(resample_uniform(x + dt * w[:, None] * nu))
     return velocities, vertices

@@ -10,15 +10,15 @@ d^2 phi/ds^2 = f - <f>.  Only the tests import this module.
 import numpy as np
 
 
-def zero_average_potential(cache, f):
+def zero_average_potential(edge_lengths, weights, f):
     """Zero-average phi with d^2 phi/ds^2 = f - <f> on one component, densely."""
-    n, w = cache.n, cache.weights
-    inv_h = 1.0 / cache.edge_lengths
+    n, w = len(weights), weights
+    inv_h = 1.0 / edge_lengths
     inv_hm = np.roll(inv_h, 1)
     i = np.arange(n)
     stiffness = np.zeros((n, n))
     stiffness[i, i] = inv_h + inv_hm
     stiffness[i, (i + 1) % n] = -inv_h
     stiffness[i, i - 1] = -inv_hm
-    g = f - np.dot(w, f) / cache.length
+    g = f - np.dot(w, f) / np.sum(edge_lengths)
     return np.linalg.solve(stiffness + np.outer(w, w), -w * g)

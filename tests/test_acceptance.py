@@ -160,9 +160,9 @@ def test_criterion_04_gauss_bonnet_everywhere(ellipse_run_512, stationary_scenar
     for state in (ellipse_run_512.final, ellipse_run_512.states[0],
                   run_s.final, run_s.states[0]):
         forest = geo.jordan_decompose(state.curve)
+        residuals = geo.gauss_bonnet_residual(state.geometry)
         for cid, _sign in forest.boundaries:
-            cache = state.caches[cid]
-            worst = max(worst, geo.gauss_bonnet_residual(cache))
+            worst = max(worst, residuals[cid])
             count += 1
     _line(4, worst <= 1e-3,
           f"{count} Jordan components, worst residual {worst:.2e} (<=1e-3)")
@@ -172,11 +172,10 @@ def test_criterion_05_poisson_solver():
     errs = {}
     for n in (128, 256, 512):
         curve = geo.PolyCurve([geo.make_circle((0, 0), 1.0, n)])
-        cache = geo.build_geometry(curve)[0]
-        theta = vertex_angles(cache)
-        sol = po.solve_zero_average([cache], [geo.VertexField(0, np.cos(3 * theta))])[0]
-        errs[n] = np.sqrt(geo.integrate(
-            cache, (sol.solution.values + np.cos(3 * theta) / 9) ** 2))
+        geom = geo.build_geometry(curve)
+        theta = vertex_angles(geom)
+        phi = po.solve_zero_average(geom, np.cos(3 * theta))
+        errs[n] = np.sqrt(geo.integrate(geom, (phi + np.cos(3 * theta) / 9) ** 2))[0]
     order1 = np.log2(errs[128] / errs[256])
     order2 = np.log2(errs[256] / errs[512])
     ok = errs[256] <= 1e-3 and abs(order1 - 2) <= 0.4 and abs(order2 - 2) <= 0.4
@@ -188,9 +187,8 @@ def test_criterion_06_extension_field():
     n = 128
     delta = 0.25
     curve = geo.PolyCurve([geo.make_circle((0, 0), 1.0, n)])
-    caches = geo.build_geometry(curve)
-    theta = vertex_angles(caches[0])
-    field = ex.build_B(curve, caches, [geo.VertexField(0, np.cos(theta))], delta)
+    geom = geo.build_geometry(curve)
+    field = ex.build_B(geom, np.cos(vertex_angles(geom)), delta)
     ang = np.linspace(0, 2 * np.pi, 24, endpoint=False)
     interior = []
     for d in (delta / 4, delta / 2, 0.8):
@@ -215,11 +213,10 @@ def test_criterion_07_bubble_lemma_randomized(circle_calibration):
         rad = rng.uniform(0.3, 2.0)
         r_b = rng.uniform(0.004, 0.015)
         center = (rad * np.cos(ang), rad * np.sin(ang))
-        cache = geo.build_geometry(
-            geo.PolyCurve([geo.make_circle(center, r_b, 24)]))[0]
-        xi = calib.xi_at(cache.vertices)
-        tilt = geo.integrate(cache, 1.0 - np.sum(xi * cache.nu, axis=1))
-        slack = 34.0 * tilt - cache.length
+        geom = geo.build_geometry(geo.PolyCurve([geo.make_circle(center, r_b, 24)]))
+        xi = calib.xi_at(geom.vertices)
+        tilt = geo.integrate(geom, 1.0 - np.sum(xi * geom.nu, axis=1))[0]
+        slack = 34.0 * tilt - geom.length[0]
         worst = min(worst, slack)
         violations += int(slack < 0)
     _line(7, violations == 0,
@@ -257,7 +254,7 @@ def test_criterion_09_stationary_stability(stationary_scenario):
     floor = 1e-7
     worst_u = 0.0
     for state in run_u.states[:: max(1, len(run_u.states) // 10)]:
-        e_val = en.relative_energy(calib.sample(state.caches))
+        e_val = en.relative_energy(calib.sample(state.geometry))
         f_val = en.bulk_error(state.curve, calib, reference_resolution=1024)
         worst_u = max(worst_u, e_val + f_val)
     ok = (iso <= 1.0001 and gron["verdict"] == "PASS"
@@ -313,9 +310,8 @@ def test_criterion_11_component_flux_inequalities(weak_strong_bundle):
 def test_criterion_12_wedge_closedness(circle_calibration):
     m = 512
     curve = geo.PolyCurve([geo.make_circle((0, 0), 1.0, m)])
-    caches = geo.build_geometry(curve)
-    theta = vertex_angles(caches[0])
-    field = ex.build_B(curve, caches, [geo.VertexField(0, np.cos(theta))], 0.25)
+    geom = geo.build_geometry(curve)
+    field = ex.build_B(geom, np.cos(vertex_angles(geom)), 0.25)
     residuals = []
     for n in (128, 256, 512):
         wavy = geo.build_geometry(
@@ -330,14 +326,14 @@ def test_criterion_12_wedge_closedness(circle_calibration):
 def test_criterion_13_poincare_constant(circle_calibration):
     rng = np.random.Generator(np.random.Philox(5))
 
-    def random_field(cache, rng):
-        theta = np.arctan2(cache.vertices[:, 1] - cache.vertices[:, 1].mean(),
-                           cache.vertices[:, 0] - cache.vertices[:, 0].mean())
-        vals = np.zeros(cache.n)
+    def random_field(geom, rng):
+        theta = np.arctan2(geom.vertices[:, 1] - geom.vertices[:, 1].mean(),
+                           geom.vertices[:, 0] - geom.vertices[:, 0].mean())
+        vals = np.zeros(len(theta))
         for k in range(1, 9):
             a, b = rng.normal(size=2)
             vals += a * np.cos(k * theta) + b * np.sin(k * theta)
-        return geo.VertexField(cache.component_index, vals)
+        return vals
 
     shapes = {
         "circle": lambda n: geo.make_circle((0, 0), 1.0, n),
@@ -347,24 +343,22 @@ def test_criterion_13_poincare_constant(circle_calibration):
     # calibration set: dense resolution, pure modes plus random superpositions
     c_cal = 0.0
     for make in shapes.values():
-        cache = geo.build_geometry(geo.PolyCurve([make(1024)]))[0]
-        theta = np.arctan2(cache.vertices[:, 1], cache.vertices[:, 0])
+        geom = geo.build_geometry(geo.PolyCurve([make(1024)]))
+        theta = np.arctan2(geom.vertices[:, 1], geom.vertices[:, 0])
         for k in range(1, 9):
             for vals in (np.cos(k * theta), np.sin(k * theta)):
-                c_cal = max(c_cal, geo.poincare_ratio(
-                    cache, geo.VertexField(0, vals), 2))
+                c_cal = max(c_cal, geo.poincare_ratio(geom, vals, 2)[0])
         for _ in range(60):
-            c_cal = max(c_cal, geo.poincare_ratio(cache, random_field(cache, rng), 2))
+            c_cal = max(c_cal, geo.poincare_ratio(geom, random_field(geom, rng), 2)[0])
     bound = 1.05 * c_cal
     worst = 0.0
     for make in shapes.values():
-        cache = geo.build_geometry(geo.PolyCurve([make(256)]))[0]
+        geom = geo.build_geometry(geo.PolyCurve([make(256)]))
         for _ in range(200):
-            worst = max(worst, geo.poincare_ratio(cache, random_field(cache, rng), 2))
+            worst = max(worst, geo.poincare_ratio(geom, random_field(geom, rng), 2)[0])
     # the exact value 1/4 for the first mode on the unit circle
-    cache = geo.build_geometry(geo.PolyCurve([geo.make_circle((0, 0), 1.0, 256)]))[0]
-    theta = vertex_angles(cache)
-    exact = geo.poincare_ratio(cache, geo.VertexField(0, np.cos(theta)), 2)
+    geom = geo.build_geometry(geo.PolyCurve([geo.make_circle((0, 0), 1.0, 256)]))
+    exact = geo.poincare_ratio(geom, np.cos(vertex_angles(geom)), 2)[0]
     ok = worst <= bound and abs(exact - 0.25) <= 1e-3
     _line(13, ok, f"600 random fields max ratio {worst:.4f} <= {bound:.4f}, "
           f"cos mode ratio {exact:.6f} (1/4 +- 1e-3)")

@@ -280,16 +280,16 @@ TEST_FUNCTIONS = [
 
 
 def test_pointwise_check_on_reference(circle_calibration, unit_circle_256):
-    _, caches = unit_circle_256
-    rep = circle_calibration.pointwise_tilt_check(circle_calibration.sample(caches),
+    _, geom = unit_circle_256
+    rep = circle_calibration.pointwise_tilt_check(circle_calibration.sample(geom),
                                                    test_functions=TEST_FUNCTIONS)
     assert rep.checked == 256
     assert rep.worst >= -1e-12
 
 
 def test_pointwise_check_translated_circle(circle_calibration):
-    caches = geo.build_geometry(geo.PolyCurve([geo.make_circle((0.05, 0), 1.0, 256)]))
-    rep = circle_calibration.pointwise_tilt_check(circle_calibration.sample(caches),
+    geom = geo.build_geometry(geo.PolyCurve([geo.make_circle((0.05, 0), 1.0, 256)]))
+    rep = circle_calibration.pointwise_tilt_check(circle_calibration.sample(geom),
                                                    test_functions=TEST_FUNCTIONS)
     assert rep.worst >= -1e-12
     assert rep.skipped == 0
@@ -297,7 +297,7 @@ def test_pointwise_check_translated_circle(circle_calibration):
 
 def test_pointwise_check_random_lipschitz_fields(circle_calibration):
     rng = np.random.default_rng(3)
-    caches = geo.build_geometry(
+    geom = geo.build_geometry(
         geo.PolyCurve([geo.make_wavy_circle(1.0, 0.05, 3, 256)]))
     funcs = []
     for _ in range(5):
@@ -309,27 +309,27 @@ def test_pointwise_check_random_lipschitz_fields(circle_calibration):
                 a[0] * np.cos(p[:, 0]) + a[2] * p[:, 1],
                 -2 * a[1] * np.sin(2 * p[:, 1]) + a[2] * p[:, 0] + a[3]]),
         ))
-    rep = circle_calibration.pointwise_tilt_check(circle_calibration.sample(caches),
+    rep = circle_calibration.pointwise_tilt_check(circle_calibration.sample(geom),
                                                    test_functions=funcs)
     assert rep.worst >= -1e-12
 
 
 def test_pointwise_check_counts_far_vertices(circle_calibration):
     calib = circle_calibration
-    caches = geo.build_geometry(geo.PolyCurve([
+    geom = geo.build_geometry(geo.PolyCurve([
         geo.make_circle((0, 0), 1.0, 64),
         geo.make_circle((4.0, 0), 0.2, 32),
     ]))
-    rep = calib.pointwise_tilt_check(calib.sample(caches))
+    rep = calib.pointwise_tilt_check(calib.sample(geom))
     assert rep.skipped == 32
     assert rep.checked == 64
 
 
 def test_xi_alignment_product_bound(circle_calibration):
     # xi . (nu - xi) <= zeta (1 - zeta) vertexwise
-    caches = geo.build_geometry(
+    geom = geo.build_geometry(
         geo.PolyCurve([geo.make_wavy_circle(1.0, 0.08, 4, 256)]))
-    rep = circle_calibration.pointwise_tilt_check(circle_calibration.sample(caches))
+    rep = circle_calibration.pointwise_tilt_check(circle_calibration.sample(geom))
     assert rep.slack_xi_product >= -1e-12
 
 
@@ -375,8 +375,8 @@ def test_polygon_reference_state_on_two_threads():
                 for order in (times, times[::-1])]
         got = [pair for run in runs for pair in run.result(timeout=60)]
     assert len(got) == 2 * len(times)
-    for t, (_, _, index, kappa, v) in got:
-        _, _, ref_index, ref_kappa, ref_v = want[t]
+    for t, (geom, index, v) in got:
+        ref_geom, ref_index, ref_v = want[t]
         assert np.array_equal(index.seg_start, ref_index.seg_start)
-        for a, b in zip(kappa + v, ref_kappa + ref_v):
-            assert np.array_equal(a, b)
+        assert np.array_equal(geom.kappa, ref_geom.kappa)
+        assert np.array_equal(v, ref_v)

@@ -15,6 +15,12 @@ from surfdiff import flow as fl
 from surfdiff import geometry as geo
 
 
+def test_every_exported_name_resolves():
+    assert len(set(surfdiff.__all__)) == len(surfdiff.__all__)
+    for name in surfdiff.__all__:
+        assert getattr(surfdiff, name) is not None
+
+
 STATIONARY_INI = """\
 [scenario]
 name = mini-stationary

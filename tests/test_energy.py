@@ -14,6 +14,7 @@ from surfdiff import poisson as po
 from surfdiff.errors import DegenerateInitialData, NonStationaryReference
 
 import extension_oracle
+from geometry_oracle import parts
 from bulk_oracle import bulk_error_recursive, clip_rect, shoelace
 from conftest import vertex_angles
 
@@ -23,8 +24,8 @@ from conftest import vertex_angles
 # ---------------------------------------------------------------------------
 
 def test_energy_zero_on_reference(unit_circle_256, circle_calibration):
-    _, caches = unit_circle_256
-    assert en.relative_energy(circle_calibration.sample(caches)) <= 1e-10
+    _, geom = unit_circle_256
+    assert en.relative_energy(circle_calibration.sample(geom)) <= 1e-10
 
 
 def test_energy_order_h2_for_matching_polygon(circle_calibration):
@@ -32,15 +33,15 @@ def test_energy_order_h2_for_matching_polygon(circle_calibration):
     # the normal mismatch of the discrete curve, O(h^2) per vertex
     vals = []
     for n in (128, 256, 512):
-        caches = geo.build_geometry(geo.PolyCurve([geo.make_circle((0, 0), 1.0, n)]))
-        vals.append(en.relative_energy(circle_calibration.sample(caches)))
+        geom = geo.build_geometry(geo.PolyCurve([geo.make_circle((0, 0), 1.0, n)]))
+        vals.append(en.relative_energy(circle_calibration.sample(geom)))
     assert all(abs(v) <= 1e-3 for v in vals)
 
 
 def test_energy_translated_circle_vs_dense_oracle(circle_calibration):
     eps = 0.05
-    caches = geo.build_geometry(geo.PolyCurve([geo.make_circle((eps, 0), 1.0, 256)]))
-    value = en.relative_energy(circle_calibration.sample(caches))
+    geom = geo.build_geometry(geo.PolyCurve([geo.make_circle((eps, 0), 1.0, 256)]))
+    value = en.relative_energy(circle_calibration.sample(geom))
     # dense quadrature oracle with 10^4 points on the analytic shifted circle
     t = 2 * np.pi * np.arange(10**4) / 10**4
     pts = np.column_stack([eps + np.cos(t), np.sin(t)])
@@ -60,7 +61,7 @@ def test_energy_far_bubble_adds_exact_length(circle_calibration):
                                               geo.make_circle((3, 0), 0.1, 64)]))
     e_base = en.relative_energy(circle_calibration.sample(base))
     e_with = en.relative_energy(circle_calibration.sample(withb))
-    assert e_with - e_base == pytest.approx(withb[1].length, abs=1e-14)
+    assert e_with - e_base == pytest.approx(withb.length[1], abs=1e-14)
 
 
 def test_energy_nonnegative_random_curves(circle_calibration):
@@ -68,9 +69,9 @@ def test_energy_nonnegative_random_curves(circle_calibration):
     for _ in range(10):
         amp = rng.uniform(0, 0.1)
         mode = rng.integers(2, 6)
-        caches = geo.build_geometry(
+        geom = geo.build_geometry(
             geo.PolyCurve([geo.make_wavy_circle(1.0, amp, int(mode), 128)]))
-        assert en.relative_energy(circle_calibration.sample(caches)) >= -1e-12
+        assert en.relative_energy(circle_calibration.sample(geom)) >= -1e-12
 
 
 def test_energy_vanishes_iff_on_reference(circle_calibration):
@@ -82,8 +83,8 @@ def test_energy_vanishes_iff_on_reference(circle_calibration):
     for curve in (geo.PolyCurve([geo.make_circle((0.02, 0), 1.0, 256)]),
                   geo.PolyCurve([geo.make_wavy_circle(1.0, 0.02, 3, 256)]),
                   geo.PolyCurve([geo.make_circle((0, 0), 1.03, 256)])):
-        caches = geo.build_geometry(curve)
-        assert en.relative_energy(circle_calibration.sample(caches)) >= 1e-5
+        geom = geo.build_geometry(curve)
+        assert en.relative_energy(circle_calibration.sample(geom)) >= 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -245,10 +246,9 @@ def test_candidate_clip_equals_full_polygon_clip(seed, clockwise):
 # ---------------------------------------------------------------------------
 
 def test_dissipation_report_stationary(unit_circle_256, circle_calibration):
-    curve, caches = unit_circle_256
-    v = [geo.VertexField(0, np.zeros(caches[0].n))]
-    rep = en.dissipation_report(curve, circle_calibration.sample(caches), circle_calibration,
-                                None, v)
+    curve, geom = unit_circle_256
+    rep = en.dissipation_report(curve, circle_calibration.sample(geom), circle_calibration,
+                                None, np.zeros(256))
     assert rep.E <= 1e-6
     assert rep.F <= 1e-6
     assert rep.D_H <= 1e-6
@@ -260,26 +260,26 @@ def test_dissipation_report_stationary(unit_circle_256, circle_calibration):
 
 def test_dissipation_dh_matches_bruteforce(circle_calibration):
     curve = geo.PolyCurve([geo.make_wavy_circle(1.0, 0.05, 3, 256)])
-    caches = geo.build_geometry(curve)
-    rep = en.dissipation_report(curve, circle_calibration.sample(caches), circle_calibration,
+    geom = geo.build_geometry(curve)
+    rep = en.dissipation_report(curve, circle_calibration.sample(geom), circle_calibration,
                                 None, None)
     # independent quadrature loop
-    cache = caches[0]
+    n, kappa, w = 256, geom.kappa, geom.weights
     total = 0.0
-    for i in range(cache.n):
-        ip, im = (i + 1) % cache.n, (i - 1) % cache.n
-        grad = (cache.kappa[ip] - cache.kappa[im]) / (2 * cache.weights[i])
-        total += cache.weights[i] * grad**2
+    for i in range(n):
+        ip, im = (i + 1) % n, (i - 1) % n
+        grad = (kappa[ip] - kappa[im]) / (2 * w[i])
+        total += w[i] * grad**2
     assert rep.D_H == pytest.approx(total, rel=1e-6)
     assert rep.D_H > 0
 
 
 def test_dissipation_velocity_scaling(unit_circle_256, circle_calibration):
-    curve, caches = unit_circle_256
-    theta = vertex_angles(caches[0])
-    v1 = [geo.VertexField(0, np.cos(2 * theta))]
-    v2 = [geo.VertexField(0, 2 * np.cos(2 * theta))]
-    sample = circle_calibration.sample(caches)
+    curve, geom = unit_circle_256
+    theta = vertex_angles(geom)
+    v1 = np.cos(2 * theta)
+    v2 = 2 * np.cos(2 * theta)
+    sample = circle_calibration.sample(geom)
     r1 = en.dissipation_report(curve, sample, circle_calibration, None, v1)
     r2 = en.dissipation_report(curve, sample, circle_calibration, None, v2)
     assert r2.D_V == pytest.approx(4.0 * r1.D_V, rel=1e-12)
@@ -339,20 +339,20 @@ def test_gronwall_needs_ten_samples():
 # ---------------------------------------------------------------------------
 
 def test_edge_flux_constant_field_exact(unit_circle_256):
-    _, caches = unit_circle_256
-    flux, = en.edge_flux(lambda p: np.tile([1.0, 0.0], (len(p), 1)), caches)
+    _, geom = unit_circle_256
+    flux, = en.edge_flux(lambda p: np.tile([1.0, 0.0], (len(p), 1)), geom)
     assert abs(flux) <= 1e-14
 
 
 def test_edge_flux_identity_field(unit_circle_256):
     # B(x) = x has divergence 2: flux = 2 * enclosed area exactly for polygons
-    _, caches = unit_circle_256
-    flux, = en.edge_flux(lambda p: p, caches)
-    assert flux == pytest.approx(2.0 * caches[0].area, rel=1e-12)
+    _, geom = unit_circle_256
+    flux, = en.edge_flux(lambda p: p, geom)
+    assert flux == pytest.approx(2.0 * geom.area[0], rel=1e-12)
 
 
 def test_nu_dot_b_sums_zero_field(unit_circle_256, circle_calibration):
-    _, caches = unit_circle_256
+    _, geom = unit_circle_256
 
     class ZeroField:
         support_radius = 10.0
@@ -362,21 +362,21 @@ def test_nu_dot_b_sums_zero_field(unit_circle_256, circle_calibration):
         def at(self, pts):
             return np.zeros_like(np.atleast_2d(pts))
 
-    rep = en.nu_dot_B_sums(caches, ZeroField(), circle_calibration,
+    rep = en.nu_dot_B_sums(geom, ZeroField(), circle_calibration,
                            circle_calibration.xi_grad_bound(), f_value=0.0, e_value=0.0)
     assert rep.sum_abs == 0.0
     assert rep.sum_scaled == 0.0
 
 
 def test_nu_dot_b_sums_with_disk_field(circle_calibration):
-    field, curve, caches = _build_disk_bundle()
+    field, curve, geom = _build_disk_bundle()
     shifted = geo.PolyCurve([geo.make_circle((0.03, 0), 1.0, 256),
                              geo.make_circle((2.6, 0), 0.015, 24)])
-    scaches = geo.build_geometry(shifted)
-    rep = en.nu_dot_B_sums(scaches, field, circle_calibration,
+    sgeom = geo.build_geometry(shifted)
+    rep = en.nu_dot_B_sums(sgeom, field, circle_calibration,
                            circle_calibration.xi_grad_bound(),
                            f_value=en.bulk_error(shifted, circle_calibration),
-                           e_value=en.relative_energy(circle_calibration.sample(scaches)))
+                           e_value=en.relative_energy(circle_calibration.sample(sgeom)))
     assert rep.slack_abs >= 0.0
     assert rep.slack_scaled >= 0.0
     assert rep.hypothesis_failures == 0
@@ -406,38 +406,36 @@ def test_stacked_checkers_one_B_call_per_sample(circle_calibration):
         [geo.make_wavy_circle(1.0, 0.03, 3, 128, center=(0.02, 0.0))]
         + [geo.make_circle((r * np.cos(a), r * np.sin(a)), 0.015, 24)
            for r, a in zip(rad, ang)])
-    caches = geo.build_geometry(curve)
-    sample = circle_calibration.sample(caches)
+    geom = geo.build_geometry(curve)
+    sample = circle_calibration.sample(geom)
     counting = _CountingField(field)
     rep = en.dissipation_report(curve, sample, circle_calibration, counting, None)
     assert counting.calls == 1
     counting.calls = 0
-    nb = en.nu_dot_B_sums(caches, counting, circle_calibration,
+    nb = en.nu_dot_B_sums(geom, counting, circle_calibration,
                           circle_calibration.xi_grad_bound(), f_value=rep.F, e_value=rep.E)
     assert counting.calls == 1
 
-    fluxes = en.edge_flux(field.at, caches)
-    want = np.array([extension_oracle.edge_flux(field.at, c) for c in caches])
+    fluxes = en.edge_flux(field.at, geom)
+    want = np.array([extension_oracle.edge_flux(field.at, c.vertices) for c in curve.components])
     assert np.all(want[1:] != 0.0)
     assert np.max(np.abs(fluxes - want)) <= 1e-15 * np.max(np.abs(want))
     assert nb.sum_abs == pytest.approx(np.sum(np.abs(want)), rel=1e-15)
 
-    stacked = po.nu_dot_B_potential(caches, field.at(np.vstack([c.vertices for c in caches])))
-    cross = 0.0
-    for cache, got, phi in zip(caches, stacked,
-                               extension_oracle.nu_dot_B_potentials(caches, field)):
-        assert np.max(np.abs(got.values - phi.values)) <= 1e-15 * np.max(np.abs(phi.values))
-        cross += geo.integrate(cache, (geo.dds(cache, cache.kappa)
-                                       - geo.dds(cache, phi.values))**2)
+    stacked = po.nu_dot_B_potential(geom, field.at(geom.vertices))
+    phis = extension_oracle.nu_dot_B_potentials(curve, field)
+    for part, phi in zip(parts(geom), phis):
+        assert np.max(np.abs(stacked[part] - phi)) <= 1e-15 * np.max(np.abs(phi))
+    cross = np.sum(geo.integrate(geom, (geo.dds(geom, geom.kappa)
+                                        - geo.dds(geom, np.concatenate(phis)))**2))
     assert rep.cross_h_b == pytest.approx(cross, rel=1e-15)
 
 
 def _build_disk_bundle():
     curve = geo.PolyCurve([geo.make_circle((0, 0), 1.0, 128)])
-    caches = geo.build_geometry(curve)
-    theta = vertex_angles(caches[0])
-    field = ex.build_B(curve, caches, [geo.VertexField(0, np.cos(theta))], 0.25)
-    return field, curve, caches
+    geom = geo.build_geometry(curve)
+    field = ex.build_B(geom, np.cos(vertex_angles(geom)), 0.25)
+    return field, curve, geom
 
 
 # ---------------------------------------------------------------------------
@@ -445,21 +443,21 @@ def _build_disk_bundle():
 # ---------------------------------------------------------------------------
 
 def test_bubble_lemma_constant_direction(unit_circle_256, circle_calibration):
-    _, caches = unit_circle_256
-    constant = replace(circle_calibration.sample(caches),
-                       xi=(np.tile([0.3, -0.5], (caches[0].n, 1)),))
+    _, geom = unit_circle_256
+    constant = replace(circle_calibration.sample(geom),
+                       xi=np.tile([0.3, -0.5], (256, 1)))
     verdicts = en.small_component_area_check(constant, 0.0)
     assert verdicts[0].applicable
     assert verdicts[0].slack >= 0.0
     # constant field: the tilt integral equals the length exactly at the
     # quadrature level, so the slack is 33x the length
-    assert verdicts[0].slack == pytest.approx(33 * caches[0].length, rel=1e-10)
+    assert verdicts[0].slack == pytest.approx(33 * geom.length[0], rel=1e-10)
 
 
 def test_bubble_lemma_far_tiny_circle(circle_calibration):
-    caches = geo.build_geometry(geo.PolyCurve([geo.make_circle((3, 0), 0.01, 24)]))
+    geom = geo.build_geometry(geo.PolyCurve([geo.make_circle((3, 0), 0.01, 24)]))
     verdicts = en.small_component_area_check(
-        circle_calibration.sample(caches), circle_calibration.xi_grad_bound())
+        circle_calibration.sample(geom), circle_calibration.xi_grad_bound())
     assert verdicts[0].applicable
     assert verdicts[0].slack >= 0.0
 
@@ -474,8 +472,8 @@ def test_bubble_lemma_randomized_in_tube(circle_calibration):
         rad = 1.0 + rng.uniform(-0.2, 0.2)
         r_b = rng.uniform(0.004, 0.015)
         c = (rad * np.cos(ang), rad * np.sin(ang))
-        caches = geo.build_geometry(geo.PolyCurve([geo.make_circle(c, r_b, 24)]))
-        verdicts = en.small_component_area_check(circle_calibration.sample(caches), bound)
+        geom = geo.build_geometry(geo.PolyCurve([geo.make_circle(c, r_b, 24)]))
+        verdicts = en.small_component_area_check(circle_calibration.sample(geom), bound)
         assert verdicts[0].applicable
         worst = min(worst, verdicts[0].slack)
     assert worst >= 0.0
@@ -486,8 +484,8 @@ def test_bubble_lemma_randomized_in_tube(circle_calibration):
 # ---------------------------------------------------------------------------
 
 def test_lemma32_on_reference(unit_circle_256, circle_calibration):
-    curve, caches = unit_circle_256
-    rep = en.dissipation_report(curve, circle_calibration.sample(caches), circle_calibration,
+    curve, geom = unit_circle_256
+    rep = en.dissipation_report(curve, circle_calibration.sample(geom), circle_calibration,
                                 None, None)
     lhs = rep.cross_xi
     assert lhs <= 1e-6
@@ -497,8 +495,8 @@ def test_lemma32_ratio_bounded_over_sweep(circle_calibration):
     ratios = []
     for amp in (0.01, 0.02, 0.04):
         curve = geo.PolyCurve([geo.make_wavy_circle(1.0, amp, 3, 256)])
-        caches = geo.build_geometry(curve)
-        rep = en.dissipation_report(curve, circle_calibration.sample(caches),
+        geom = geo.build_geometry(curve)
+        rep = en.dissipation_report(curve, circle_calibration.sample(geom),
                                     circle_calibration, None, None)
         ratio = en.stationary_gradient_ratio(rep, circle_calibration)
         ratios.append(ratio)
@@ -507,8 +505,8 @@ def test_lemma32_ratio_bounded_over_sweep(circle_calibration):
 
 def test_lemma32_far_bubble_lowers_ratio(circle_calibration):
     def lhs_and_ratio(curve):
-        caches = geo.build_geometry(curve)
-        rep = en.dissipation_report(curve, circle_calibration.sample(caches),
+        geom = geo.build_geometry(curve)
+        rep = en.dissipation_report(curve, circle_calibration.sample(geom),
                                     circle_calibration, None, None)
         return rep.cross_xi, en.stationary_gradient_ratio(rep, circle_calibration)
 

@@ -12,28 +12,25 @@ from surfdiff import geometry as geo
 from surfdiff.errors import NonZeroMean
 
 from conftest import vertex_angles
+from geometry_oracle import parts
 
 
 def _disk_field(k: int, n: int = 128, delta: float = 0.25):
     """B field for the harmonic family: V* = cos(k theta) on the unit circle
     gives the interior potential rho^k cos(k theta) / k."""
     curve = geo.PolyCurve([geo.make_circle((0, 0), 1.0, n)])
-    caches = geo.build_geometry(curve)
-    theta = vertex_angles(caches[0])
-    v = [geo.VertexField(0, np.cos(k * theta))]
-    return ex.build_B(curve, caches, v, delta), curve, caches
+    geom = geo.build_geometry(curve)
+    return ex.build_B(geom, np.cos(k * vertex_angles(geom)), delta), curve, geom
 
 
 @pytest.fixture(scope="module")
 def disk_cos1():
-    field, curve, caches = _disk_field(1)
-    return field
+    return _disk_field(1)[0]
 
 
 @pytest.fixture(scope="module")
 def disk_cos2():
-    field, curve, caches = _disk_field(2)
-    return field
+    return _disk_field(2)[0]
 
 
 def test_boundary_condition_sup(disk_cos1):
@@ -65,19 +62,16 @@ def test_interior_field_cos2(disk_cos2):
 
 
 def test_zero_velocity_zero_field():
-    curve = geo.PolyCurve([geo.make_circle((0, 0), 1.0, 128)])
-    caches = geo.build_geometry(curve)
-    field = ex.build_B(curve, caches, [geo.VertexField(0, np.zeros(128))], 0.25)
+    geom = geo.build_geometry(geo.PolyCurve([geo.make_circle((0, 0), 1.0, 128)]))
+    field = ex.build_B(geom, np.zeros(128), 0.25)
     pts = np.array([[0.5, 0.2], [1.01, 0.0], [1.4, 0.3], [3.0, 0.0]])
     assert np.max(np.abs(field.at(pts))) == 0.0
 
 
 def test_compatibility_rejection():
-    curve = geo.PolyCurve([geo.make_circle((0, 0), 1.0, 128)])
-    caches = geo.build_geometry(curve)
-    theta = vertex_angles(caches[0])
+    geom = geo.build_geometry(geo.PolyCurve([geo.make_circle((0, 0), 1.0, 128)]))
     with pytest.raises(NonZeroMean):
-        ex.build_B(curve, caches, [geo.VertexField(0, np.cos(theta) + 0.1)], 0.25)
+        ex.build_B(geom, np.cos(vertex_angles(geom)) + 0.1, 0.25)
 
 
 def test_far_field_vanishes(disk_cos1):
@@ -134,9 +128,8 @@ def test_divergence_decay_profile(disk_cos1):
 
 
 def test_divergence_zero_field():
-    curve = geo.PolyCurve([geo.make_circle((0, 0), 1.0, 128)])
-    caches = geo.build_geometry(curve)
-    field = ex.build_B(curve, caches, [geo.VertexField(0, np.zeros(128))], 0.25)
+    geom = geo.build_geometry(geo.PolyCurve([geo.make_circle((0, 0), 1.0, 128)]))
+    field = ex.build_B(geom, np.zeros(128), 0.25)
     slope, ratio = ex.divergence_decay_profile(field)
     assert slope == 0.0 and ratio == 0.0
     b, div = field.at_and_div(_band_points(field))
@@ -205,23 +198,19 @@ def test_b_minus_bbar_linear_in_distance(disk_cos2, circle_calibration):
 # ---------------------------------------------------------------------------
 
 def test_star_potential_stationary_zero(circle_calibration):
-    curve = geo.PolyCurve([geo.make_circle((0, 0), 1.0, 128)])
-    caches = geo.build_geometry(curve)
-    zero = [geo.VertexField(0, np.zeros(128))]
-    field = ex.build_B(curve, caches, zero, 0.25)
-    sp = ex.star_potentials(caches, circle_calibration, field, zero)
-    assert np.max(np.abs(sp.phi_fields[0].values)) <= 1e-14
+    geom = geo.build_geometry(geo.PolyCurve([geo.make_circle((0, 0), 1.0, 128)]))
+    field = ex.build_B(geom, np.zeros(128), 0.25)
+    sp = ex.star_potentials(geom, circle_calibration, field, np.zeros(128))
+    assert np.max(np.abs(sp.phi)) <= 1e-14
     pts = np.array([[1.05, 0.0], [0.5, 0.5]])
     assert np.max(np.abs(sp.extension_at(pts))) <= 1e-14
 
 
 def test_star_potential_cos2(disk_cos2, circle_calibration):
-    caches = disk_cos2.caches
-    theta = vertex_angles(caches[0])
-    v = [geo.VertexField(0, np.cos(2 * theta))]
-    sp = ex.star_potentials(caches, circle_calibration, disk_cos2, v)
-    exact = -np.cos(2 * theta) / 4
-    assert np.max(np.abs(sp.phi_fields[0].values - exact)) <= 1e-3
+    geom = disk_cos2.geometry
+    theta = vertex_angles(geom)
+    sp = ex.star_potentials(geom, circle_calibration, disk_cos2, np.cos(2 * theta))
+    assert np.max(np.abs(sp.phi + np.cos(2 * theta) / 4)) <= 1e-3
 
 
 def test_chain_rule_identity_refines_second_order(circle_calibration):
@@ -229,10 +218,9 @@ def test_chain_rule_identity_refines_second_order(circle_calibration):
     ang = np.linspace(0, 2 * np.pi, 40, endpoint=False)
     pts = np.column_stack([1.06 * np.cos(ang), 1.06 * np.sin(ang)])
     for n in (64, 128, 256):
-        field, curve, caches = _disk_field(2, n=n)
-        theta = vertex_angles(caches[0])
-        v = [geo.VertexField(0, np.cos(2 * theta))]
-        sp = ex.star_potentials(caches, circle_calibration, field, v)
+        field, _, geom = _disk_field(2, n=n)
+        v = np.cos(2 * vertex_angles(geom))
+        sp = ex.star_potentials(geom, circle_calibration, field, v)
         residuals.append(sp.chain_rule_residual(pts))
     assert residuals[0] / residuals[1] >= 2.5
     assert residuals[1] / residuals[2] >= 2.5
@@ -243,9 +231,8 @@ def test_chain_rule_identity_refines_second_order(circle_calibration):
 # ---------------------------------------------------------------------------
 
 def test_wedge_zero_field(circle_calibration):
-    curve = geo.PolyCurve([geo.make_circle((0, 0), 1.0, 128)])
-    caches = geo.build_geometry(curve)
-    field = ex.build_B(curve, caches, [geo.VertexField(0, np.zeros(128))], 0.25)
+    geom = geo.build_geometry(geo.PolyCurve([geo.make_circle((0, 0), 1.0, 128)]))
+    field = ex.build_B(geom, np.zeros(128), 0.25)
     wavy = geo.build_geometry(geo.PolyCurve([geo.make_wavy_circle(1.0, 0.05, 3, 256)]))
     assert ex.gauss_wedge_residual(wavy, field, circle_calibration) == 0.0
 
@@ -273,18 +260,16 @@ def test_wedge_constant_fields_identically_zero():
         def div_xi(self, pts, t=0.0):
             return np.zeros(len(np.atleast_2d(pts)))
 
-    caches = geo.build_geometry(geo.PolyCurve([geo.make_wavy_circle(1.0, 0.1, 5, 128)]))
-    res = ex.gauss_wedge_residual(caches, ConstantField(), ConstantCalib())
+    geom = geo.build_geometry(geo.PolyCurve([geo.make_wavy_circle(1.0, 0.1, 5, 128)]))
+    res = ex.gauss_wedge_residual(geom, ConstantField(), ConstantCalib())
     assert res <= 1e-12
 
 
 def test_wedge_residual_small_and_refining(disk_cos1, circle_calibration):
     residuals = []
     for n in (128, 256, 512):
-        caches = geo.build_geometry(
-            geo.PolyCurve([geo.make_wavy_circle(1.0, 0.05, 3, n)]))
-        residuals.append(ex.gauss_wedge_residual(caches, disk_cos1,
-                                                 circle_calibration))
+        geom = geo.build_geometry(geo.PolyCurve([geo.make_wavy_circle(1.0, 0.05, 3, n)]))
+        residuals.append(ex.gauss_wedge_residual(geom, disk_cos1, circle_calibration))
     assert residuals[-1] <= 1e-2
     assert residuals[0] <= 1e-1
 
@@ -332,15 +317,13 @@ def _component(k: int, kind: str, n: int, radius: float):
     return geo.Component(fl._resample_uniform(comp.vertices, [n], passes=4), 1)
 
 
-def _mode_velocities(caches, modes):
-    """Zero-mean cos(mode * angle about the component's centroid) per component."""
-    out = []
-    for cache, mode in zip(caches, modes):
-        rel = cache.vertices - cache.vertices.mean(axis=0)
-        vals = np.cos(mode * np.arctan2(rel[:, 1], rel[:, 0]))
-        out.append(geo.VertexField(cache.component_index,
-                                   vals - geo.field_mean(cache, vals)))
-    return out
+def _mode_velocities(geom, modes):
+    """Zero-mean cos(mode * angle about the component's centroid) per component, stacked."""
+    vals = np.empty(len(geom.weights))
+    for part, mode in zip(parts(geom), modes):
+        rel = geom.vertices[part] - geom.vertices[part].mean(axis=0)
+        vals[part] = np.cos(mode * np.arctan2(rel[:, 1], rel[:, 0]))
+    return vals - geo.field_mean(geom, vals)[geom.layout.comp]
 
 
 @settings(max_examples=15, deadline=None, database=None)
@@ -351,19 +334,19 @@ def _mode_velocities(caches, modes):
 def test_complex_kernels_match_real_oracles(specs):
     curve = geo.PolyCurve([_component(k, kind, n, r)
                            for k, (kind, n, r, _) in enumerate(specs)])
-    caches = geo.build_geometry(curve)
-    v = _mode_velocities(caches, [mode for *_, mode in specs])
-    field = ex.build_B(curve, caches, v, 0.25 * min(r for _, _, r, _ in specs))
-    a, _ = ex._neumann_system(caches)
-    a_ref, _ = oracle.neumann_system(caches)
+    geom = geo.build_geometry(curve)
+    v = _mode_velocities(geom, [mode for *_, mode in specs])
+    field = ex.build_B(geom, v, 0.25 * min(r for _, _, r, _ in specs))
+    a, _ = ex._neumann_system(geom)
+    a_ref, _ = oracle.neumann_system(geom)
     assert np.max(np.abs(a - a_ref)) <= 1e-13 * np.max(np.abs(a_ref))
-    phi = ex._surface_potential(caches, field.density)
-    phi_ref = oracle.surface_potential(caches, field.density)
+    phi = ex._surface_potential(geom, field.density)
+    phi_ref = oracle.surface_potential(geom, field.density)
     assert np.max(np.abs(phi - phi_ref)) <= 1e-13 * np.max(np.abs(phi_ref))
     # the residual is a small difference of fluxes of the size of V*, so
     # it is compared relative to V*
     res_ref = oracle.midpoint_bc_residual(field, v)
-    v_sup = max(np.max(np.abs(vf.values)) for vf in v)
+    v_sup = np.max(np.abs(v))
     assert abs(ex._midpoint_bc_residual(field, v) - res_ref) <= 1e-13 * v_sup
 
 
@@ -377,11 +360,11 @@ def test_midpoint_residual_on_parameter_uniform_nodes():
     residuals = []
     for comp in (first, geo.Component(fl._resample_uniform(first.vertices, [37], passes=4), 1)):
         curve = geo.PolyCurve([comp] + others)
-        caches = geo.build_geometry(curve)
-        v = _mode_velocities(caches, [2, 1, 3, 1])
-        field = ex.build_B(curve, caches, v, 0.25 * 0.0506)
+        geom = geo.build_geometry(curve)
+        v = _mode_velocities(geom, [2, 1, 3, 1])
+        field = ex.build_B(geom, v, 0.25 * 0.0506)
         residuals.append(field.bc_residual)
-        v_sup = max(np.max(np.abs(vf.values)) for vf in v)
+        v_sup = np.max(np.abs(v))
         assert abs(field.bc_residual - oracle.midpoint_bc_residual(field, v)) <= 1e-13 * v_sup
     assert residuals[0] <= 0.05
     assert residuals[0] <= 1.5 * residuals[1]
@@ -390,10 +373,10 @@ def test_midpoint_residual_on_parameter_uniform_nodes():
 def test_interior_blend_continuous_past_the_tube_band():
     # delta = 0.0025 on a 64-gon: 2 near_cut (9.2e-3) reaches past 2.5 delta,
     # and the interior blend keeps its smooth foot along the whole ray
-    field, _, caches = _disk_field(1, n=64, delta=0.0025)
+    field, _, geom = _disk_field(1, n=64, delta=0.0025)
     assert 2.0 * field.near_cut > 2.5 * field.delta
     s = -np.linspace(0.0055, 0.0075, 41)
-    pts = caches[0].vertices[0] + s[:, None] * caches[0].nu[0]
+    pts = geom.vertices[0] + s[:, None] * geom.nu[0]
     b, div = field.at_and_div(pts)
     assert np.max(np.abs(np.diff(b[:, 0]))) <= 1e-4
     assert np.max(np.abs(b[:, 0] - 1.0)) <= 1e-3
@@ -409,15 +392,12 @@ def _divergence_case(name):
         return _disk_field(int(name[3:]))[0]
     if name == "ellipse-flow":
         # the surface diffusion velocity d^2 kappa / ds^2 of a 2:1 ellipse
-        curve = geo.PolyCurve([geo.make_ellipse(2.0, 1.0, 256)])
-        caches = geo.build_geometry(curve)
-        vals = geo.d2ds2(caches[0], caches[0].kappa)
-        v = [geo.VertexField(0, vals - geo.field_mean(caches[0], vals))]
-        return ex.build_B(curve, caches, v, 0.25)
-    curve = geo.PolyCurve([geo.make_ellipse(1.0, 0.5, 192),
-                           geo.make_circle((2.5, 0.0), 0.5, 128)])
-    caches = geo.build_geometry(curve)
-    return ex.build_B(curve, caches, _mode_velocities(caches, [2, 3]), 0.25)
+        geom = geo.build_geometry(geo.PolyCurve([geo.make_ellipse(2.0, 1.0, 256)]))
+        vals = geo.d2ds2(geom, geom.kappa)
+        return ex.build_B(geom, vals - geo.field_mean(geom, vals), 0.25)
+    geom = geo.build_geometry(geo.PolyCurve([geo.make_ellipse(1.0, 0.5, 192),
+                                             geo.make_circle((2.5, 0.0), 0.5, 128)]))
+    return ex.build_B(geom, _mode_velocities(geom, [2, 3]), 0.25)
 
 
 def _band_points(field, n_rays: int = 16):
@@ -426,11 +406,7 @@ def _band_points(field, n_rays: int = 16):
     dists = [-0.5 * delta, -2.5 * cut, -1.8 * cut, -1.5 * cut, -1.2 * cut, -0.5 * cut,
              0.1 * delta, 0.5 * delta, 0.95 * delta, delta, 1.05 * delta,
              1.5 * delta, 1.9 * delta, 1.99 * delta, 2.1 * delta]
-    pts = []
-    for cache in field.caches:
-        sel = np.linspace(0, cache.n - 1, n_rays).astype(int)
-        pts += [cache.vertices[sel] + d * cache.nu[sel] for d in dists]
-    return np.vstack(pts)
+    return ex._normal_rays(field.geometry, n_rays, dists)
 
 
 @pytest.mark.parametrize("case", ["cos1", "cos2", "cos3", "ellipse-flow", "two-component"])

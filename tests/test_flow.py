@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
 import flow_oracle
+from geometry_oracle import parts
 from surfdiff import cli
 from surfdiff import flow as fl
 from surfdiff import geometry as geo
@@ -99,15 +100,14 @@ def test_volume_drift_within_bound_across_dt():
 
 
 def test_move_stage_exactly_area_neutral():
-    state = fl.FlowState.initial(_resampled([geo.make_ellipse(2.0, 1.0, 256)]))
-    cache = state.caches[0]
+    geom = fl.FlowState.initial(_resampled([geo.make_ellipse(2.0, 1.0, 256)])).geometry
     for dt in (1e-3, 1e-4, 1e-5):
-        w = fl._normal_velocity(cache.vertices, cache.nu, cache.edge_lengths, cache.weights,
-                                [cache.n], dt)
-        w = fl._area_neutral_shift(cache.vertices, cache.nu, w, [cache.n], dt)
-        moved = cache.vertices + dt * w[:, None] * cache.nu
-        drift = abs(geo.Component(moved, 1).signed_area() - cache.area)
-        assert drift <= 1e-12 * abs(cache.area)
+        w = fl._normal_velocity(geom.vertices, geom.nu, geom.edge_lengths, geom.weights,
+                                [256], dt)
+        w = fl._area_neutral_shift(geom.vertices, geom.nu, w, [256], dt)
+        moved = geom.vertices + dt * w[:, None] * geom.nu
+        drift = abs(geo.Component(moved, 1).signed_area() - geom.area[0])
+        assert drift <= 1e-12 * abs(geom.area[0])
 
 
 def _shoelace(v):
@@ -124,26 +124,19 @@ def test_closed_form_shift_matches_newton_oracle(amp, mode, n, hole, bubbles, lo
     # a wavy loop, one clockwise hole inside it and bubbles to its right
     comps = ([geo.make_wavy_circle(1.0, amp, mode, n), geo.make_circle((0.1, 0.05), 0.2, hole, -1)]
              + [geo.make_circle((3.0 + k, 1.0), r, m) for k, (r, m) in enumerate(bubbles)])
-    caches = fl.FlowState.initial(geo.PolyCurve(comps)).caches
-    stacked = [np.concatenate([getattr(c, a) for c in caches])
-               for a in ("vertices", "nu", "edge_lengths", "weights")]
-    lengths = [c.n for c in caches]
+    geom = fl.FlowState.initial(geo.PolyCurve(comps)).geometry
+    x, nu, lengths = geom.vertices, geom.nu, geom.layout.counts
     dt = 10.0 ** log_dt
-    w = fl._normal_velocity(*stacked, lengths, dt)
-    split = np.cumsum(lengths)[:-1]
-    for cache, wc, got in zip(caches, np.split(w, split),
-                              np.split(fl._area_neutral_shift(stacked[0], stacked[1], w, lengths, dt),
-                                       split)):
-        # three Newton passes leave up to 1e-5 of |w| in lam on the largest
-        # steps; the unchanged oracle applied four times (twelve passes)
-        # reaches its fixed point.  lam is a weighted mean of w, so its
-        # rounding scales with |w|.
-        want = wc
-        for _ in range(4):
-            want = flow_oracle.area_neutral_shift(cache.vertices, cache.nu, want, dt)
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(wc))
-        moved = cache.vertices + dt * got[:, None] * cache.nu
-        assert abs(_shoelace(moved) - _shoelace(cache.vertices)) <= 1e-12 * abs(cache.area)
+    w = fl._normal_velocity(x, nu, geom.edge_lengths, geom.weights, lengths, dt)
+    shifted = fl._area_neutral_shift(x, nu, w, lengths, dt)
+    for k, part in enumerate(parts(geom)):
+        # the oracle runs Newton to its fixed point; lam is a weighted mean
+        # of w, so its rounding scales with |w|
+        want = flow_oracle.area_neutral_shift(x[part], nu[part], w[part], dt)
+        got = shifted[part]
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(w[part]))
+        moved = x[part] + dt * got[:, None] * nu[part]
+        assert abs(_shoelace(moved) - _shoelace(x[part])) <= 1e-12 * abs(geom.area[k])
 
 
 def test_closed_form_shift_without_real_root_takes_vertex():
@@ -291,7 +284,7 @@ def test_make_reference_ellipse_length_decreases():
     lengths = [c.length() for c in traj.curves]
     assert all(b < a for a, b in zip(lengths[:-1], lengths[1:]))
     # velocity fields ride along
-    assert len(traj.v_at(traj.times[-1])) == 1
+    assert traj.v_at(traj.times[-1]).shape == (128,)
 
 
 def test_trajectory_export_roundtrip(tmp_path):
@@ -311,8 +304,6 @@ def test_flow_config_validation():
         fl.FlowConfig(dt=-1.0, end_time=1.0)
     with pytest.raises(ValueError):
         fl.FlowConfig(dt=1e-3, end_time=1.0, max_dt_growth=1.5)
-    with pytest.raises(ValueError):
-        fl.FlowConfig(dt=1e-3, end_time=1.0, remesh_ratio_bounds=(1.2, 2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -329,19 +320,19 @@ def test_banded_flow_operator_matches_dense_solve(n, bubbles, dt, seed):
     curve = geo.PolyCurve([jittered_loop(rng, n, (0.0, 0.0), 1.0)]
                           + [jittered_loop(rng, m, (6.0 + 3.0 * k, 0.0), 0.2)
                              for k, m in enumerate(bubbles)])
-    caches = geo.build_geometry(curve)
+    geom = geo.build_geometry(curve)
     # L kappa is a fourth difference and cond(op) reaches ~3e6 at n = 512,
     # dt = 1e-3, and grows in proportion to dt beyond (~3e7 at dt = 2e-2,
     # the largest step the 512-ellipse flow takes): the two solves differ
     # by up to ~1e-10 of max |w| at dt = 1e-3 and ~1.3e-9 at dt = 2e-2
-    assert cli._flow_solve_gap(caches, dt) <= 1e-9 * max(1.0, dt / 1e-3)
+    assert cli._flow_solve_gap(geom, dt) <= 1e-9 * max(1.0, dt / 1e-3)
 
 
 def test_step_computes_no_diameter(monkeypatch):
     # validating a new state needs no hull and no caliper pass; the first
     # read of the curve's diameter makes one caliper call over a hull per
     # component and, with several components, the hull of their hulls, and
-    # that call fills every cache's diameter too
+    # that call fills every component's diameter too
     calls = {"_hull": 0, "_diameters": []}
     hull, diameters = geo._hull, geo._diameters
 
@@ -363,8 +354,8 @@ def test_step_computes_no_diameter(monkeypatch):
         assert calls == {"_hull": 0, "_diameters": []}
         for _ in range(2):
             new.curve.diameter
-            for cache in new.caches:
-                cache.diameter
+            for comp in new.curve.components:
+                comp.diameter
             assert calls == {"_hull": hulls, "_diameters": [hulls]}
         monkeypatch.undo()
         calls.update(_hull=0, _diameters=[])
@@ -389,9 +380,9 @@ def test_singular_band_system_rejects_step():
     # a zero edge length makes the flow operator non-finite: the band solve
     # raises SingularSystem, and step reports it as StepRejected
     state = fl.FlowState.initial(geo.PolyCurve([geo.make_ellipse(2.0, 1.0, 64)]))
-    h = state.caches[0].edge_lengths.copy()
+    h = state.geometry.edge_lengths.copy()
     h[5] = 0.0
-    state.caches[0] = dataclasses.replace(state.caches[0], edge_lengths=h)
+    state.geometry = dataclasses.replace(state.geometry, edge_lengths=h)
     with pytest.raises(StepRejected, match="singular system: non-finite") as err:
         fl.step(state, fl.FlowConfig(dt=1e-4, end_time=1.0))
     assert isinstance(err.value.__cause__, SingularSystem)
@@ -461,7 +452,7 @@ def test_resample_matches_per_coordinate_splines():
     assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
-@pytest.mark.parametrize("dt", [1e-5, 1e-4, 1e-3])
+@pytest.mark.parametrize("dt", [1e-5, 1e-4, 1e-3, 1e-2])
 def test_stacked_step_matches_per_component_step(dt):
     # a wavy loop and four bubbles of different sizes, stepped at once
     # against one component after another
@@ -473,7 +464,7 @@ def test_stacked_step_matches_per_component_step(dt):
     velocities, vertices = flow_oracle.step(state, dt)
     w_max = max(np.max(np.abs(w)) for w in velocities)
     x_max = max(np.max(np.abs(x)) for x in vertices)
-    for vf, w in zip(new.normal_velocity, velocities):
-        assert np.max(np.abs(vf.values - w)) <= 1e-12 * w_max
+    for got, w in zip(np.split(new.normal_velocity, new.curve.layout.split), velocities):
+        assert np.max(np.abs(got - w)) <= 1e-12 * w_max
     for comp, x in zip(new.curve.components, vertices):
         assert np.max(np.abs(comp.vertices - x)) <= 1e-12 * x_max

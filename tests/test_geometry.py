@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -7,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 from surfdiff import geometry as geo
 from surfdiff.errors import AmbiguousNesting, DegenerateEdge, SelfIntersection
 
+import geometry_oracle as oracle
 from conftest import jittered_loop, vertex_angles
 
 
@@ -15,34 +18,32 @@ from conftest import jittered_loop, vertex_angles
 # ---------------------------------------------------------------------------
 
 def test_circle_curvature_and_measures(unit_circle_256):
-    _, caches = unit_circle_256
-    cache = caches[0]
-    assert np.max(np.abs(cache.kappa - 1.0)) <= 1e-3
-    assert abs(cache.length - 2 * np.pi) <= 1e-3
-    assert abs(cache.area - np.pi) <= 1e-3
-    assert np.max(np.abs(np.linalg.norm(cache.tau, axis=1) - 1.0)) <= 1e-12
-    assert np.max(np.abs(np.sum(cache.tau * cache.nu, axis=1))) <= 1e-12
+    _, geom = unit_circle_256
+    assert np.max(np.abs(geom.kappa - 1.0)) <= 1e-3
+    assert abs(geom.length[0] - 2 * np.pi) <= 1e-3
+    assert abs(geom.area[0] - np.pi) <= 1e-3
+    assert np.max(np.abs(np.linalg.norm(geom.tau, axis=1) - 1.0)) <= 1e-12
+    assert np.max(np.abs(np.sum(geom.tau * geom.nu, axis=1))) <= 1e-12
 
 
 def test_clockwise_hole_flips_signs():
     curve = geo.PolyCurve([geo.make_circle((0, 0), 2.0, 256),
                            geo.make_circle((0, 0), 1.0, 256, orientation=-1)])
-    caches = geo.build_geometry(curve)
-    hole = caches[1]
-    assert np.max(np.abs(hole.kappa + 1.0)) <= 1e-3
-    assert hole.area < 0
-    assert abs(hole.area + np.pi) <= 1e-3
+    geom = geo.build_geometry(curve)
+    assert np.max(np.abs(geom.kappa[256:] + 1.0)) <= 1e-3
+    assert geom.area[1] < 0
+    assert abs(geom.area[1] + np.pi) <= 1e-3
 
 
 def test_ellipse_curvature_matches_analytic():
     # kappa(t) = a b / (a^2 sin^2 t + b^2 cos^2 t)^(3/2)
     a, b, n = 2.0, 1.0, 512
     curve = geo.PolyCurve([geo.make_ellipse(a, b, n)])
-    cache = geo.build_geometry(curve)[0]
+    geom = geo.build_geometry(curve)
     t = 2 * np.pi * np.arange(n) / n
     exact = a * b / (a**2 * np.sin(t) ** 2 + b**2 * np.cos(t) ** 2) ** 1.5
-    assert abs(cache.kappa[0] - a / b**2) <= 0.01 * (a / b**2)
-    assert np.max(np.abs(cache.kappa - exact) / exact) <= 0.01
+    assert abs(geom.kappa[0] - a / b**2) <= 0.01 * (a / b**2)
+    assert np.max(np.abs(geom.kappa - exact) / exact) <= 0.01
 
 
 def test_vertex_count_floor():
@@ -94,8 +95,8 @@ def test_touching_components_detected():
 # ---------------------------------------------------------------------------
 
 def test_gauss_bonnet_circle(unit_circle_256):
-    _, caches = unit_circle_256
-    assert geo.gauss_bonnet_residual(caches[0]) <= 1e-3
+    _, geom = unit_circle_256
+    assert geo.gauss_bonnet_residual(geom)[0] <= 1e-3
 
 
 def test_turning_angle_sum_exact_for_any_polygon():
@@ -104,15 +105,13 @@ def test_turning_angle_sum_exact_for_any_polygon():
     r = 1.0 + 0.15 * np.cos(4 * t) + 0.1 * np.sin(7 * t) + 0.02 * rng.normal(size=128)
     curve = geo.PolyCurve([geo.Component(
         np.column_stack([r * np.cos(t), r * np.sin(t)]), 1)])
-    cache = geo.build_geometry(curve)[0]
-    assert geo.gauss_bonnet_residual(cache) <= 1e-10
+    assert geo.gauss_bonnet_residual(geo.build_geometry(curve))[0] <= 1e-10
 
 
 def test_gauss_bonnet_two_disjoint_circles():
     curve = geo.PolyCurve([geo.make_circle((0, 0), 1.0, 256),
                            geo.make_circle((4, 0), 1.0, 256)])
-    for cache in geo.build_geometry(curve):
-        assert geo.gauss_bonnet_residual(cache) <= 1e-3
+    assert np.all(geo.gauss_bonnet_residual(geo.build_geometry(curve)) <= 1e-3)
 
 
 def test_gauss_bonnet_refinement_rate():
@@ -120,8 +119,7 @@ def test_gauss_bonnet_refinement_rate():
     res = []
     for n in (64, 128, 256):
         curve = geo.PolyCurve([geo.make_wavy_circle(1.0, 0.1, 3, n)])
-        cache = geo.build_geometry(curve)[0]
-        res.append(geo.gauss_bonnet_residual(cache))
+        res.append(geo.gauss_bonnet_residual(geo.build_geometry(curve))[0])
     assert res[0] <= 1e-3 * (256 / 64) ** 2
     assert all(r <= 1e-10 for r in res)  # turning angles telescope exactly
 
@@ -200,36 +198,33 @@ def test_jordan_ambiguous_probe():
 # ---------------------------------------------------------------------------
 
 def test_intrinsic_distance_antipodal(unit_circle_256):
-    _, caches = unit_circle_256
-    cache = caches[0]
-    d = geo.intrinsic_distance(cache, 0, cache, 128)
+    _, geom = unit_circle_256
+    d = geo.intrinsic_distance(geom, 0, 128)
     assert abs(d - np.pi) <= 1e-3
 
 
 def test_intrinsic_distance_adjacent(unit_circle_256):
-    _, caches = unit_circle_256
-    cache = caches[0]
-    assert abs(geo.intrinsic_distance(cache, 3, cache, 4)
-               - cache.edge_lengths[3]) <= 1e-14
+    _, geom = unit_circle_256
+    assert abs(geo.intrinsic_distance(geom, 3, 4) - geom.edge_lengths[3]) <= 1e-14
 
 
 def test_intrinsic_distance_quarter_brute_force():
     n = 64
     curve = geo.PolyCurve([geo.make_circle((0, 0), 1.0, n)])
-    cache = geo.build_geometry(curve)[0]
+    geom = geo.build_geometry(curve)
     i, j = 0, n // 4
     # brute force: min of the two arc sums
-    fwd = np.sum(cache.edge_lengths[i:j])
-    bwd = cache.length - fwd
-    assert abs(geo.intrinsic_distance(cache, i, cache, j) - min(fwd, bwd)) <= 1e-14
-    assert abs(min(fwd, bwd) - cache.length / 4) <= 1e-12
+    fwd = np.sum(geom.edge_lengths[i:j])
+    bwd = geom.length[0] - fwd
+    assert abs(geo.intrinsic_distance(geom, i, j) - min(fwd, bwd)) <= 1e-14
+    assert abs(min(fwd, bwd) - geom.length[0] / 4) <= 1e-12
 
 
 def test_intrinsic_distance_across_components():
     curve = geo.PolyCurve([geo.make_circle((0, 0), 1.0, 64),
                            geo.make_circle((4, 0), 1.0, 64)])
-    ca, cb = geo.build_geometry(curve)
-    assert geo.intrinsic_distance(ca, 0, cb, 0) == float("inf")
+    # vertex 64 is the first of the second circle
+    assert geo.intrinsic_distance(geo.build_geometry(curve), 0, 64) == float("inf")
 
 
 # ---------------------------------------------------------------------------
@@ -237,35 +232,31 @@ def test_intrinsic_distance_across_components():
 # ---------------------------------------------------------------------------
 
 def test_poincare_cos_exact(unit_circle_256):
-    _, caches = unit_circle_256
-    cache = caches[0]
-    u = geo.VertexField(0, np.cos(vertex_angles(cache)))
-    assert abs(geo.poincare_ratio(cache, u, 2) - 0.25) <= 1e-3
+    _, geom = unit_circle_256
+    assert abs(geo.poincare_ratio(geom, np.cos(vertex_angles(geom)), 2)[0] - 0.25) <= 1e-3
 
 
 def test_poincare_constant_field(unit_circle_256):
-    _, caches = unit_circle_256
-    u = geo.VertexField(0, np.full(caches[0].n, 3.7))
-    assert geo.poincare_ratio(caches[0], u, 2) == 0.0
+    _, geom = unit_circle_256
+    assert geo.poincare_ratio(geom, np.full(256, 3.7), 2)[0] == 0.0
 
 
 def test_poincare_sawtooth_vs_direct_quadrature(unit_circle_256):
-    _, caches = unit_circle_256
-    cache = caches[0]
-    vals = cache.arc_positions - cache.length / 2
-    u = geo.VertexField(0, vals)
-    ratio = geo.poincare_ratio(cache, u, 2)
+    curve, geom = unit_circle_256
+    vals = geom.arc_positions - geom.length[0] / 2
+    ratio = geo.poincare_ratio(geom, vals, 2)[0]
     # independent oracle: plain trapezoid loops
-    mean = float(np.dot(cache.weights, vals) / cache.length)
+    n, w = len(vals), geom.weights
+    mean = float(np.dot(w, vals) / geom.length[0])
     num = 0.0
     den = 0.0
-    for i in range(cache.n):
-        num += cache.weights[i] * (vals[i] - mean) ** 2
-        ip, im = (i + 1) % cache.n, (i - 1) % cache.n
-        grad = (vals[ip] - vals[im]) / (2 * cache.weights[i])
-        den += cache.weights[i] * grad ** 2
+    for i in range(n):
+        num += w[i] * (vals[i] - mean) ** 2
+        ip, im = (i + 1) % n, (i - 1) % n
+        grad = (vals[ip] - vals[im]) / (2 * w[i])
+        den += w[i] * grad ** 2
     # the sawtooth derivative misbehaves only at the wrap vertex
-    assert ratio == pytest.approx(num / (cache.diameter ** 2 * den), rel=1e-12)
+    assert ratio == pytest.approx(num / (curve.diameter ** 2 * den), rel=1e-12)
     assert np.isfinite(ratio) and ratio > 0
 
 
@@ -274,30 +265,50 @@ def test_poincare_sawtooth_vs_direct_quadrature(unit_circle_256):
 # ---------------------------------------------------------------------------
 
 def test_closed_curve_derivative_telescopes(unit_circle_256):
-    _, caches = unit_circle_256
-    cache = caches[0]
+    _, geom = unit_circle_256
     rng = np.random.default_rng(2)
     for _ in range(5):
-        f = rng.normal(size=cache.n)
-        assert abs(geo.integrate(cache, geo.dds(cache, f))) <= 1e-11 * max(
+        f = rng.normal(size=256)
+        assert abs(geo.integrate(geom, geo.dds(geom, f))[0]) <= 1e-11 * max(
             1.0, np.abs(f).max())
 
 
 def test_perimeter_additivity():
     curve = geo.PolyCurve([geo.make_circle((0, 0), 1.0, 64),
                            geo.make_circle((5, 0), 2.0, 128)])
-    caches = geo.build_geometry(curve)
-    assert curve.length() == sum(c.length for c in caches)
+    assert curve.length() == sum(geo.build_geometry(curve).length)
 
 
 def test_smooth_sampling_curvature_order():
     errs = []
     for n in (64, 128, 256):
-        cache = geo.build_geometry(
-            geo.PolyCurve([geo.make_circle((0, 0), 1.0, n)]))[0]
-        errs.append(np.max(np.abs(cache.kappa - 1.0)))
+        geom = geo.build_geometry(geo.PolyCurve([geo.make_circle((0, 0), 1.0, n)]))
+        errs.append(np.max(np.abs(geom.kappa - 1.0)))
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.2)
     assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.2)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.lists(st.integers(8, 200), min_size=1, max_size=4), st.integers(0, 2**32 - 1))
+def test_stacked_calculus_matches_per_component_definitions(sizes, seed):
+    # the stacked derivatives gather the same neighbours as np.roll on each
+    # component, so they agree bit for bit; the quadrature sums in another
+    # order, so it agrees to rounding of the integral of |f|
+    rng = np.random.default_rng(seed)
+    geom = geo.build_geometry(geo.PolyCurve(
+        [jittered_loop(rng, n, (12.0 * k, 0.0), 1.0 + 0.5 * k) for k, n in enumerate(sizes)]))
+    f = rng.normal(size=len(geom.weights))
+    first, second = geo.dds(geom, f), geo.d2ds2(geom, f)
+    total, mean = geo.integrate(geom, f), geo.field_mean(geom, f)
+    for k, part in enumerate(oracle.parts(geom)):
+        w, h, fk = geom.weights[part], geom.edge_lengths[part], f[part]
+        assert np.array_equal(first[part], oracle.dds(w, fk))
+        assert np.array_equal(second[part], oracle.d2ds2(h, w, fk))
+        scale = oracle.integrate(w, np.abs(fk))
+        assert abs(total[k] - oracle.integrate(w, fk)) <= 1e-14 * scale
+        assert abs(mean[k] - oracle.field_mean(w, geom.length[k], fk)) \
+            <= 1e-14 * scale / geom.length[k]
+        assert geom.length[k] == np.sum(h)
 
 
 @settings(max_examples=30, deadline=None, database=None)
@@ -514,6 +525,23 @@ def test_segments_cached_and_read_only():
             arr[0] = arr[1]
 
 
+def test_curve_geometry_read_only_and_shares_the_curve_arrays():
+    # the samples of a run are evaluated on several threads that share
+    # these arrays; the vertices and edge lengths are the curve's own
+    curve = geo.PolyCurve([geo.make_circle((0.0, 0.0), 1.0, 16),
+                           geo.make_circle((0.0, 0.0), 0.5, 12, orientation=-1)])
+    geom = geo.build_geometry(curve)
+    assert geom.vertices is curve.segments[0]
+    assert geom.edge_lengths is curve.edge_lengths
+    assert geom.layout is curve.layout
+    arrays = [getattr(geom, f.name) for f in dataclasses.fields(geom)
+              if f.name not in ("curve", "layout")] + list(geom.layout)
+    assert len(arrays) == 9 + 7
+    for arr in arrays:
+        with pytest.raises(ValueError):
+            arr[0] = arr[-1]
+
+
 # ---------------------------------------------------------------------------
 # closest-point index against the dense all-segment minimum
 # ---------------------------------------------------------------------------
@@ -577,7 +605,7 @@ def test_curve_index_coarse_vertices_on_fine_polygon():
     coarse = geo.make_ellipse(2.0, 1.0, 128).vertices
     s, grad, _, _, _ = geo.CurveIndex(fine).signed(coarse)
     assert np.all(s == 0.0)
-    assert np.array_equal(grad, geo.build_geometry(fine)[0].nu[::4])
+    assert np.array_equal(grad, geo.build_geometry(fine).nu[::4])
     # with the midpoints of the fine edges, where the distance is at rounding
     # level and only norm(point - foot) keeps |grad s| at 1
     starts, ends, _, _ = fine.segments
@@ -746,7 +774,8 @@ def test_segment_pairs_within_keeps_collinear_gaps(angle, ox, oy, seed):
     gap = reach - rng.uniform(0.0, 1e-12, m)
     starts = np.vstack([base, base + (1.0 + gap)[:, None] * u])
     ends = np.vstack([base + u, base + (2.0 + gap)[:, None] * u])
-    pi, pj = geo._segment_pairs_within(starts, ends, reach)
+    pi, pj = geo._segment_pairs_within(starts, ends, np.linalg.norm(ends - starts, axis=1),
+                                       reach)
     i, j = np.triu_indices(2 * m, k=1)
     near = geo._segment_segment_dist(starts[i], ends[i], starts[j], ends[j]) < reach
     assert set(zip(i[near], j[near])) <= set(zip(pi.tolist(), pj.tolist()))

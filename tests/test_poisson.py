@@ -9,6 +9,7 @@ from surfdiff import poisson as po
 from surfdiff.errors import NonZeroMean, SingularSystem
 
 import poisson_oracle
+from geometry_oracle import parts
 from conftest import jittered_loop, vertex_angles
 
 
@@ -16,24 +17,21 @@ def _graded_circle(n, jitter=0.3):
     u = 2 * np.pi * np.arange(n) / n
     th = u + jitter * np.sin(u)
     return geo.build_geometry(geo.PolyCurve([
-        geo.Component(np.column_stack([np.cos(th), np.sin(th)]), 1)]))[0]
+        geo.Component(np.column_stack([np.cos(th), np.sin(th)]), 1)]))
 
 
 def test_manufactured_cos3(unit_circle_256):
-    _, caches = unit_circle_256
-    cache = caches[0]
-    theta = vertex_angles(cache)
-    sol = po.solve_zero_average([cache], [geo.VertexField(0, np.cos(3 * theta))])[0]
-    err = np.sqrt(geo.integrate(cache, (sol.solution.values + np.cos(3 * theta) / 9) ** 2))
+    _, geom = unit_circle_256
+    theta = vertex_angles(geom)
+    phi = po.solve_zero_average(geom, np.cos(3 * theta))
+    err = np.sqrt(geo.integrate(geom, (phi + np.cos(3 * theta) / 9) ** 2))[0]
     assert err <= 1e-3
-    assert abs(geo.field_mean(cache, sol.solution.values)) <= 1e-10 * max(
-        1.0, np.abs(sol.solution.values).max())
+    assert abs(geo.field_mean(geom, phi)[0]) <= 1e-10 * max(1.0, np.abs(phi).max())
 
 
 def test_zero_rhs_gives_zero(unit_circle_256):
-    _, caches = unit_circle_256
-    sol = po.solve_zero_average([caches[0]], [geo.VertexField(0, np.zeros(caches[0].n))])[0]
-    assert np.max(np.abs(sol.solution.values)) <= 1e-14
+    _, geom = unit_circle_256
+    assert np.max(np.abs(po.solve_zero_average(geom, np.zeros(256)))) <= 1e-14
 
 
 @pytest.mark.parametrize("radius,k", [(2.0, 2), (0.5, 4), (3.0, 1)])
@@ -48,151 +46,134 @@ def test_scaled_circle_eigenfunctions(radius, k):
 
     n = 256
     curve = geo.PolyCurve([geo.make_circle((0, 0), radius, n)])
-    cache = geo.build_geometry(curve)[0]
-    theta = vertex_angles(cache)
-    sol = po.solve_zero_average([cache], [geo.VertexField(0, np.cos(k * theta))])[0]
+    geom = geo.build_geometry(curve)
+    theta = vertex_angles(geom)
+    phi = po.solve_zero_average(geom, np.cos(k * theta))
     exact = -radius**2 / k**2 * np.cos(k * theta)
-    err = np.sqrt(geo.integrate(cache, (sol.solution.values - exact) ** 2))
-    assert err <= 5e-3 * radius**2 / k**2 * np.sqrt(cache.length)
+    err = np.sqrt(geo.integrate(geom, (phi - exact) ** 2))[0]
+    assert err <= 5e-3 * radius**2 / k**2 * np.sqrt(geom.length[0])
 
 
 def test_residual_contract(unit_circle_256):
-    _, caches = unit_circle_256
-    cache = caches[0]
+    _, geom = unit_circle_256
     rng = np.random.default_rng(0)
-    sol = po.solve_zero_average([cache], [geo.VertexField(0, rng.normal(size=cache.n))])[0]
-    assert sol.residual_norm <= 1e-9 * np.sqrt(geo.integrate(
-        cache, sol.rhs.values**2))
+    f = rng.normal(size=256)
+    residual = geo.d2ds2(geom, po.solve_zero_average(geom, f)) - (f - geo.field_mean(geom, f))
+    assert np.sqrt(geo.integrate(geom, residual**2)) <= 1e-9 * np.sqrt(geo.integrate(geom, f**2))
 
 
 def test_velocity_potential_double_solve_identity():
     # V = d^2 kappa/ds^2 on a wavy curve: phi_V recovers kappa - <kappa>,
     # verified through the discrete second-derivative oracle
-    cache = geo.build_geometry(
-        geo.PolyCurve([geo.make_wavy_circle(1.0, 0.03, 3, 256)]))[0]
-    v_vals = geo.d2ds2(cache, cache.kappa)
-    phi = po.velocity_potential([cache], [geo.VertexField(0, v_vals)])[0]
-    expected = cache.kappa - geo.field_mean(cache, cache.kappa)
-    err = np.sqrt(geo.integrate(cache, (phi.values - expected) ** 2))
+    geom = geo.build_geometry(geo.PolyCurve([geo.make_wavy_circle(1.0, 0.03, 3, 256)]))
+    v_vals = geo.d2ds2(geom, geom.kappa)
+    phi = po.velocity_potential(geom, v_vals)
+    expected = geom.kappa - geo.field_mean(geom, geom.kappa)
+    err = np.sqrt(geo.integrate(geom, (phi - expected) ** 2))[0]
     assert err <= 1e-8 * max(1.0, np.abs(expected).max())
     # oracle direction: applying d2ds2 to phi returns the mean-free rhs
-    residual = geo.d2ds2(cache, phi.values) - (v_vals - geo.field_mean(cache, v_vals))
+    residual = geo.d2ds2(geom, phi) - (v_vals - geo.field_mean(geom, v_vals))
     assert np.max(np.abs(residual)) <= 1e-8 * max(1.0, np.abs(v_vals).max())
 
 
 def test_velocity_potential_zero(unit_circle_256):
-    _, caches = unit_circle_256
-    phi = po.velocity_potential([caches[0]], [geo.VertexField(0, np.zeros(caches[0].n))])[0]
-    assert np.max(np.abs(phi.values)) <= 1e-14
+    _, geom = unit_circle_256
+    assert np.max(np.abs(po.velocity_potential(geom, np.zeros(256)))) <= 1e-14
 
 
 def test_velocity_potential_cos1(unit_circle_256):
-    _, caches = unit_circle_256
-    cache = caches[0]
-    theta = vertex_angles(cache)
-    phi = po.velocity_potential([cache], [geo.VertexField(0, np.cos(theta))])[0]
-    assert np.max(np.abs(phi.values + np.cos(theta))) <= 1e-3
+    _, geom = unit_circle_256
+    theta = vertex_angles(geom)
+    phi = po.velocity_potential(geom, np.cos(theta))
+    assert np.max(np.abs(phi + np.cos(theta))) <= 1e-3
 
 
 def test_velocity_potential_rejects_nonzero_mean(unit_circle_256):
-    _, caches = unit_circle_256
+    _, geom = unit_circle_256
     with pytest.raises(NonZeroMean):
-        po.velocity_potential([caches[0]], [geo.VertexField(0, np.ones(caches[0].n))])
+        po.velocity_potential(geom, np.ones(256))
 
 
 def test_singular_below_vertex_floor():
-    cache = geo.build_geometry(geo.PolyCurve([geo.make_circle((0, 0), 1.0, 8)]))[0]
-    cache.n  # 8 vertices is the floor; fabricate a smaller cache
+    geom = geo.build_geometry(geo.PolyCurve([geo.make_circle((0, 0), 1.0, 8)]))
+    # 8 vertices is the floor; fabricate a smaller geometry
     import dataclasses
 
-    small = dataclasses.replace(cache)
-    small.vertices = cache.vertices[:6]
-    small.edge_lengths = cache.edge_lengths[:6]
-    small.weights = cache.weights[:6]
+    small = dataclasses.replace(geom, layout=geo.cycle_layout((6,)),
+                                vertices=geom.vertices[:6], edge_lengths=geom.edge_lengths[:6],
+                                weights=geom.weights[:6])
     with pytest.raises(SingularSystem):
-        po.solve_zero_average([small], [geo.VertexField(0, np.zeros(6))])
+        po.solve_zero_average(small, np.zeros(6))
 
 
 @pytest.mark.parametrize("k", [1, 2, 5])
 def test_h_minus1_norm_eigenvalues(unit_circle_256, k):
     # quadrature oracle: d phi/ds = sin(k theta)/k, integral = pi/k^2
-    _, caches = unit_circle_256
-    theta = vertex_angles(caches[0])
-    value = po.h_minus1_norm_sq(caches, [geo.VertexField(0, np.cos(k * theta))])
+    _, geom = unit_circle_256
+    value = po.h_minus1_norm_sq(geom, np.cos(k * vertex_angles(geom)))
     assert value == pytest.approx(np.pi / k**2, rel=5e-3)
 
 
 def test_h_minus1_norm_zero_and_scaling(unit_circle_256):
-    _, caches = unit_circle_256
-    theta = vertex_angles(caches[0])
-    assert po.h_minus1_norm_sq(caches, [geo.VertexField(0, np.zeros(caches[0].n))]) == 0.0
-    v1 = po.h_minus1_norm_sq(caches, [geo.VertexField(0, np.cos(2 * theta))])
-    v2 = po.h_minus1_norm_sq(caches, [geo.VertexField(0, 2 * np.cos(2 * theta))])
+    _, geom = unit_circle_256
+    theta = vertex_angles(geom)
+    assert po.h_minus1_norm_sq(geom, np.zeros(256)) == 0.0
+    v1 = po.h_minus1_norm_sq(geom, np.cos(2 * theta))
+    v2 = po.h_minus1_norm_sq(geom, 2 * np.cos(2 * theta))
     assert v2 == pytest.approx(4.0 * v1, rel=1e-12)
 
 
 def test_nu_dot_b_potential_constant_field(unit_circle_256):
-    _, caches = unit_circle_256
-    theta = vertex_angles(caches[0])
-    phi = po.nu_dot_B_potential([caches[0]], np.tile([1.0, 0.0], (caches[0].n, 1)))[0]
-    assert np.max(np.abs(phi.values + np.cos(theta))) <= 1e-3
+    _, geom = unit_circle_256
+    phi = po.nu_dot_B_potential(geom, np.tile([1.0, 0.0], (256, 1)))
+    assert np.max(np.abs(phi + np.cos(vertex_angles(geom)))) <= 1e-3
 
 
 def test_nu_dot_b_potential_identity_field(unit_circle_256):
     # B(x) = x gives nu . B = 1 on the unit circle: mean removal leaves zero
-    _, caches = unit_circle_256
-    phi = po.nu_dot_B_potential([caches[0]], caches[0].vertices)[0]
-    assert np.max(np.abs(phi.values)) <= 1e-12
+    _, geom = unit_circle_256
+    assert np.max(np.abs(po.nu_dot_B_potential(geom, geom.vertices))) <= 1e-12
 
 
 def test_self_adjointness(unit_circle_256):
-    _, caches = unit_circle_256
-    cache = caches[0]
+    _, geom = unit_circle_256
     rng = np.random.default_rng(4)
     for _ in range(5):
-        u = rng.normal(size=cache.n)
-        v = rng.normal(size=cache.n)
-        lhs = geo.integrate(cache, geo.d2ds2(cache, u) * v)
-        rhs = geo.integrate(cache, u * geo.d2ds2(cache, v))
+        u = rng.normal(size=256)
+        v = rng.normal(size=256)
+        lhs = geo.integrate(geom, geo.d2ds2(geom, u) * v)[0]
+        rhs = geo.integrate(geom, u * geo.d2ds2(geom, v))[0]
         assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
 
 
 def test_convergence_order_two():
     errs = []
     for n in (64, 128, 256):
-        cache = _graded_circle(n)
-        theta = vertex_angles(cache)
-        sol = po.solve_zero_average([cache], [geo.VertexField(0, np.cos(3 * theta))])[0]
-        errs.append(np.sqrt(geo.integrate(
-            cache, (sol.solution.values + np.cos(3 * theta) / 9) ** 2)))
+        geom = _graded_circle(n)
+        theta = vertex_angles(geom)
+        phi = po.solve_zero_average(geom, np.cos(3 * theta))
+        errs.append(np.sqrt(geo.integrate(geom, (phi + np.cos(3 * theta) / 9) ** 2))[0])
     assert 3.2 <= errs[0] / errs[1] <= 4.8
     assert 3.2 <= errs[1] / errs[2] <= 4.8
 
 
 def test_energy_identity(unit_circle_256):
     # int (d phi/ds)^2 = int phi (<f> - f) up to quadrature consistency
-    _, caches = unit_circle_256
-    cache = caches[0]
-    theta = vertex_angles(cache)
+    _, geom = unit_circle_256
+    theta = vertex_angles(geom)
     f = np.cos(2 * theta) + 0.3 * np.sin(5 * theta)
-    sol = po.solve_zero_average([cache], [geo.VertexField(0, f)])[0]
-    phi = sol.solution.values
-    lhs = geo.integrate(cache, geo.dds(cache, phi) ** 2)
-    rhs = geo.integrate(cache, phi * (geo.field_mean(cache, f) - f))
+    phi = po.solve_zero_average(geom, f)
+    lhs = geo.integrate(geom, geo.dds(geom, phi) ** 2)[0]
+    rhs = geo.integrate(geom, phi * (geo.field_mean(geom, f) - f))[0]
     assert lhs == pytest.approx(rhs, rel=2e-3)
     assert lhs > 0
 
 
 def test_uniqueness_up_to_rhs_constant(unit_circle_256):
-    _, caches = unit_circle_256
-    cache = caches[0]
-    theta = vertex_angles(cache)
-    f = np.cos(4 * theta)
-    a = po.solve_zero_average([cache], [geo.VertexField(0, f)])[0]
-    b = po.solve_zero_average([cache], [geo.VertexField(0, f + 11.0)])[0]
-    np.testing.assert_allclose(a.solution.values, b.solution.values,
-                               rtol=0, atol=1e-11)
-    assert b.mean_removed == pytest.approx(11.0, rel=1e-12)
+    _, geom = unit_circle_256
+    f = np.cos(4 * vertex_angles(geom))
+    np.testing.assert_allclose(po.solve_zero_average(geom, f),
+                               po.solve_zero_average(geom, f + 11.0), rtol=0, atol=1e-11)
 
 
 # ---------------------------------------------------------------------------
@@ -290,17 +271,15 @@ def test_stacked_poisson_matches_rank_one_shift(sizes, seed):
     # the grounded stacked solve against the dense rank-one-shift solve of
     # each component alone
     rng = np.random.default_rng(seed)
-    caches = geo.build_geometry(geo.PolyCurve(
+    geom = geo.build_geometry(geo.PolyCurve(
         [jittered_loop(rng, n, (12.0 * k, 0.0), 1.0 + 0.5 * k) for k, n in enumerate(sizes)]))
-    fields = [geo.VertexField(c.component_index, rng.normal(size=c.n)
-                              + np.cos(2 * np.pi * c.arc_positions / c.length))
-              for c in caches]
-    sols = po.solve_zero_average(caches, fields)
-    for cache, f, sol in zip(caches, fields, sols):
-        want = poisson_oracle.zero_average_potential(cache, f.values)
-        got = sol.solution.values
-        assert sol.solution.component_id == f.component_id
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    f = (rng.normal(size=len(geom.weights))
+         + np.cos(2 * np.pi * geom.arc_positions / geom.length[geom.layout.comp]))
+    got = po.solve_zero_average(geom, f)
+    for part in parts(geom):
+        want = poisson_oracle.zero_average_potential(geom.edge_lengths[part],
+                                                     geom.weights[part], f[part])
+        assert np.max(np.abs(got[part] - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 @ORACLE
