@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MedialAxisProximity, ZeroReach
+from .errors import ZeroReach
 from .geometry import CurveGeometry, CurveIndex, PolyCurve, build_geometry, d2ds2, integrate
 
 
@@ -412,30 +412,6 @@ class Calibration:
 
     def query(self, points, t: float = 0.0):
         return self.reference.query(points, t)
-
-    def signed_distance(self, point, t: float = 0.0, strict: bool = False):
-        """Signed distance, gradient and foot point of a single query.
-
-        With ``strict`` the query raises MedialAxisProximity when two foot
-        candidates are equidistant within 1e-10 (possible only outside the
-        admissible tube); otherwise the first minimizer is returned, which
-        is all the tube evaluators ever need.
-        """
-        point = np.asarray(point, dtype=float)
-        s, grad, foot, _ = self.reference.query(point[None, :], t)
-        if strict and abs(s[0]) > self.delta:
-            self._ambiguity_probe(point, abs(s[0]), t)
-        return float(s[0]), grad[0], foot[0]
-
-    def _ambiguity_probe(self, point, d0, t):
-        probe = point[None, :] + d0 * 1e-3 * np.array(
-            [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-        _, _, feet, _ = self.reference.query(probe, t)
-        spread = np.linalg.norm(feet - feet[0], axis=1).max()
-        if spread > 10.0 * d0 * 1e-3 and spread > 1e-8:
-            raise MedialAxisProximity(
-                f"foot point ambiguous near {point}: candidates {spread:.2e} apart"
-            )
 
     # -- tube fields ----------------------------------------------------------
 

@@ -8,6 +8,12 @@ a JSON verdict summary; ``verify`` runs a named invariant suite without any
 flow; ``compare`` evaluates a recorded weak trajectory against a recorded
 strong one; ``report`` summarizes a finished output directory.
 
+``simulate`` and ``compare`` share one evaluation path: the sampled weak
+states go through :func:`evaluate_run`, the outputs through
+:func:`write_outputs`, and :func:`passed` decides the exit status.  Only
+``simulate`` has a flow run, so only its summary holds the flow diagnostics
+(length monotonicity, area drift, dissipation-identity residuals).
+
 Outputs are bit-identical across repeated runs with the same config and
 seed: randomness flows from a single 64-bit seed through a counter-based
 generator and floats are serialized with repr.
@@ -200,7 +206,6 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None,
         seed = scenario.seed
     rng = np.random.Generator(np.random.Philox(seed))
     out = out_dir or scenario.out or os.path.join("runs", scenario.name)
-    os.makedirs(out, exist_ok=True)
 
     # reference
     if scenario.ref_kind == "circles":
@@ -243,7 +248,8 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None,
     run = fllib.run_flow(weak_curve, cfg, sample_stride=1,
                          max_samples=4 * scenario.sample_count)
 
-    summary = evaluate_run(run, calib, reference, scenario.sample_count)
+    summary = evaluate_run(run.states, calib, reference, scenario.sample_count)
+    summary.update(_flow_diagnostics(run))
     summary["scenario"] = scenario.name
     summary["seed"] = seed
     summary["bubbles"] = [list(map(float, b)) for b in bubbles_placed]
@@ -252,11 +258,26 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None,
     summary["rejected_steps"] = run.rejected
 
     fllib.export_trajectory(run.trajectory, os.path.join(out, "trajectory"))
+    write_outputs(summary, out)
+    return summary
+
+
+def write_outputs(summary: dict, out: str) -> None:
+    """Write ``reports.csv`` and ``summary.json``; pops the reports off the summary."""
+    os.makedirs(out, exist_ok=True)
     enlib.reports_to_csv(summary.pop("_reports"), os.path.join(out, "reports.csv"))
     with open(os.path.join(out, "summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True, default=float)
         fh.write("\n")
-    return summary
+
+
+def passed(summary: dict) -> bool:
+    """A PASS Gronwall verdict and no worst slack below -1e-12.
+
+    Exact algebraic identities may round a hair below zero.
+    """
+    ok = str(summary["gronwall"]["verdict"]).startswith("PASS")
+    return ok and all(v is None or v >= -1e-12 for v in summary["worst_slacks"].values())
 
 
 def _quadrature_floor(geom, reference) -> float:
@@ -343,19 +364,21 @@ def _evaluate_sample(state, calib, b_provider, stationary: bool) -> _SampleResul
                          nb, flux_constants, ratio)
 
 
-def evaluate_run(run: fllib.FlowRun, calib, reference, sample_count: int,
+def evaluate_run(states: list, calib, reference, sample_count: int,
                  b_provider=None) -> dict:
-    """Energy reports, inequality verdicts and the Gronwall fit for one run.
+    """Energy reports, inequality verdicts and the Gronwall fit of sampled states.
 
-    The sampled states are evaluated concurrently, one thread per CPU the
-    process may run on (at most one per sample): the numpy, LAPACK and k-d
-    tree kernels they spend their time in release the interpreter lock.
-    Results are folded in sample order, so the summary and the reports are
-    the same bit for bit whatever the number of threads.  Each extra sample
-    in flight holds its own working set, about 12 MB on the benchmark's
-    workloads.
+    ``states`` are ``flow.FlowState``s in time order, each with the normal
+    velocity its D_V terms read; at most ``sample_count`` of them, spread
+    evenly, are evaluated.  They are evaluated concurrently, one thread per
+    CPU the process may run on (at most one per sample): the numpy, LAPACK
+    and k-d tree kernels they spend their time in release the interpreter
+    lock.  Results are folded in sample order, so the summary and the
+    reports are the same bit for bit whatever the number of threads.  Each
+    extra sample in flight holds its own working set, about 12 MB on the
+    benchmark's workloads.
     """
-    states = run.states
+    floor = _quadrature_floor(states[0].geometry, reference)
     if len(states) > sample_count:
         pick = np.unique(np.linspace(0, len(states) - 1, sample_count).astype(int))
         states = [states[i] for i in pick]
@@ -391,7 +414,6 @@ def evaluate_run(run: fllib.FlowRun, calib, reference, sample_count: int,
             stationary_ratios.append(res.stationary_ratio)
         reports.append(res.report)
 
-    floor = _quadrature_floor(run.states[0].geometry, reference)
     try:
         gron = enlib.gronwall_verdict(reports, floor=floor)
         gron_info = {
@@ -404,6 +426,18 @@ def evaluate_run(run: fllib.FlowRun, calib, reference, sample_count: int,
     except ValueError as exc:
         gron_info = {"verdict": "SKIPPED-SHORT", "detail": str(exc)}
 
+    clean = {k: (None if not np.isfinite(v) else float(v)) for k, v in worst.items()}
+    return {
+        "_reports": reports,
+        "gronwall": gron_info,
+        "worst_slacks": clean,
+        "flux_constants": flux_constants,
+        "stationary_gradient_ratio_max": max(stationary_ratios) if stationary_ratios else None,
+    }
+
+
+def _flow_diagnostics(run: fllib.FlowRun) -> dict:
+    """Length monotonicity, area drift and the mean dissipation-identity residuals of a run."""
     residuals = []
     residuals_half = []
     for a, b in zip(run.states[:-1], run.states[1:]):
@@ -412,14 +446,7 @@ def evaluate_run(run: fllib.FlowRun, calib, reference, sample_count: int,
         full, half = fllib.dissipation_identity_residual(a, b)
         residuals.append(full)
         residuals_half.append(half)
-
-    clean = {k: (None if not np.isfinite(v) else float(v)) for k, v in worst.items()}
     return {
-        "_reports": reports,
-        "gronwall": gron_info,
-        "worst_slacks": clean,
-        "flux_constants": flux_constants,
-        "stationary_gradient_ratio_max": max(stationary_ratios) if stationary_ratios else None,
         "length_monotone": bool(np.all(np.diff(run.length_series)
                                        <= 1e-13 * run.length_series[0])),
         "area_drift": float(np.max(np.abs(np.array(run.area_series)
@@ -612,26 +639,27 @@ def run_suite(name: str) -> int:
 # ---------------------------------------------------------------------------
 
 def run_compare(weak_dir: str, strong_dir: str, delta: str, out: str | None) -> int:
-    weak_traj = fllib.load_trajectory(weak_dir)
-    strong_traj = fllib.load_trajectory(strong_dir)
-    reference = cblib.PolygonReference(trajectory=strong_traj)
-    dval = None if delta == "auto" else float(delta)
-    calib = cblib.Calibration(reference, dval)
-    b_provider = make_b_provider(reference, calib.delta)
-    reports = []
-    for t, curve in zip(weak_traj.times, weak_traj.curves):
-        sample = calib.sample(geo.build_geometry(curve), t)
-        reports.append(enlib.dissipation_report(curve, sample, calib, b_provider(t),
-                                                weak_traj.v_at(t)))
-    gron = enlib.gronwall_verdict(reports)
-    out = out or "compare_out"
-    os.makedirs(out, exist_ok=True)
-    enlib.reports_to_csv(reports, os.path.join(out, "reports.csv"))
-    enlib.summary_json(os.path.join(out, "summary.json"), "compare", None, gron,
-                       {"delta": calib.delta})
-    print(f"gronwall {gron.verdict}: C_fit = {gron.c_fit:.4g} "
-          f"(integral form {gron.c_integral:.4g})")
-    return 0 if gron.verdict.startswith("PASS") else 1
+    """Evaluate a recorded weak trajectory against a recorded strong one.
+
+    Every weak sample is a flow state whose velocity is the PDE velocity
+    d^2 kappa/ds^2 of its recorded curve; the states go through
+    :func:`evaluate_run` and the outputs through :func:`write_outputs`, as a
+    ``simulate`` run's do.  Returns 0 when the run passes, else 1.
+    """
+    weak = fllib.load_trajectory(weak_dir)
+    reference = cblib.PolygonReference(trajectory=fllib.load_trajectory(strong_dir))
+    calib = cblib.Calibration(reference, None if delta == "auto" else float(delta))
+    states = []
+    for k, (t, curve) in enumerate(zip(weak.times, weak.curves)):
+        geom = geo.build_geometry(curve)
+        states.append(fllib.FlowState(curve=curve, time=float(t), step_index=k, geometry=geom,
+                                      normal_velocity=geo.d2ds2(geom, geom.kappa)))
+    summary = evaluate_run(states, calib, reference, len(states))
+    summary["delta"] = calib.delta
+    write_outputs(summary, out or "compare_out")
+    ok = passed(summary)
+    print(f"{'PASS' if ok else 'FAIL'} compare: gronwall {summary['gronwall']['verdict']}")
+    return 0 if ok else 1
 
 
 def run_report(directory: str) -> int:
@@ -657,15 +685,7 @@ def run_report(directory: str) -> int:
 def _simulate_one(args_tuple):
     path, out, seed = args_tuple
     scenario = load_scenario(path)
-    summary = run_scenario(scenario, out_dir=out, seed=seed)
-    gron = summary.get("gronwall", {})
-    ok = str(gron.get("verdict", "")).startswith("PASS")
-    slacks = summary.get("worst_slacks", {})
-    for v in slacks.values():
-        # exact algebraic identities may round a hair below zero
-        if v is not None and v < -1e-12:
-            ok = False
-    return scenario.name, ok
+    return scenario.name, passed(run_scenario(scenario, out_dir=out, seed=seed))
 
 
 def main(argv=None) -> int:

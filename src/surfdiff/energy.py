@@ -22,7 +22,6 @@ slack is a finding, not an error.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,8 +36,8 @@ from .geometry import (
     _bucket_pairs,
     _buckets,
     crossing_parity,
+    cycle_index,
     integrate,
-    region_contains,
 )
 from .poisson import nu_dot_B_potential, velocity_potential
 
@@ -152,15 +151,11 @@ class _Tube:
         return hits > 0
 
 
-def _cyclic_neighbours(gid):
-    """Previous and next index of each vertex within its polygon, cyclically."""
-    first = np.r_[True, gid[1:] != gid[:-1]]
-    last = np.r_[gid[1:] != gid[:-1], True]
-    prev = np.arange(len(gid)) - 1
-    prev[first] = np.nonzero(last)[0]
-    nxt = np.arange(len(gid)) + 1
-    nxt[last] = np.nonzero(first)[0]
-    return prev, nxt
+def _polygon_layout(gid):
+    """Cycle layout of polygons stored one after another; ``gid`` (nondecreasing)
+    names each vertex's polygon."""
+    n_g = np.bincount(gid)
+    return cycle_index(n_g[n_g > 0])
 
 
 def _clip_polygons(pts, gid, lo, hi):
@@ -174,7 +169,7 @@ def _clip_polygons(pts, gid, lo, hi):
                                     (1, lo, False), (1, hi, True)):
         if len(pts) == 0:
             break
-        prev, _ = _cyclic_neighbours(gid)
+        prev = _polygon_layout(gid).prv
         bound = bounds[gid, axis]
         cur_in = pts[:, axis] <= bound if keep_less else pts[:, axis] >= bound
         crossing = cur_in != cur_in[prev]
@@ -218,7 +213,7 @@ def _candidate_polygons(region: _Region, cells, seg, lo, hi):
                      + np.concatenate([seg, s[stab]]))
     e = code % nseg
     g = np.searchsorted(groups, code // nseg)
-    prev, _ = _cyclic_neighbours(g)
+    prev = _polygon_layout(g).prv
     chain_start = e[prev] != region.prev_edge[e]
     count = 1 + chain_start
     offs = np.cumsum(count) - count
@@ -233,8 +228,7 @@ def _triangle_fans(pts, gid):
     n_g = np.bincount(gid)
     origin = np.column_stack([np.bincount(gid, pts[:, 0]), np.bincount(gid, pts[:, 1])])
     origin = (origin / np.maximum(n_g, 1)[:, None])[gid]
-    _, nxt = _cyclic_neighbours(gid)
-    a, b = pts, pts[nxt]
+    a, b = pts, pts[cycle_index(n_g[n_g > 0]).nxt]
     cross = ((a[:, 0] - origin[:, 0]) * (b[:, 1] - origin[:, 1])
              - (a[:, 1] - origin[:, 1]) * (b[:, 0] - origin[:, 0]))
     return origin, a, b, 0.5 * cross
@@ -390,27 +384,6 @@ def bulk_error(curve: PolyCurve, calib: Calibration, t: float = 0.0,
     return total
 
 
-def bulk_error_montecarlo(curve: PolyCurve, calib: Calibration, t: float = 0.0,
-                          n_samples: int = 10**6, seed: int = 7):
-    """Monte Carlo estimate of the bulk error and its standard error."""
-    if isinstance(calib.reference, AnalyticCircles):
-        ref_curve = calib.reference.boundary_curve(t, 1024)
-    else:
-        ref_curve = calib.reference.curve_at(t)
-    vert_all = np.vstack([curve.segments[0], ref_curve.segments[0]])
-    lo = vert_all.min(axis=0) - 0.1
-    hi = vert_all.max(axis=0) + 0.1
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(lo, hi, size=(n_samples, 2))
-    area = float(np.prod(hi - lo))
-    diff = (region_contains(curve, pts).astype(float)
-            - region_contains(ref_curve, pts).astype(float))
-    vals = diff * calib.vartheta_at(pts, t)
-    mean = float(np.mean(vals))
-    stderr = float(np.std(vals) / np.sqrt(n_samples))
-    return mean * area, stderr * area
-
-
 # ---------------------------------------------------------------------------
 # dissipation functionals
 # ---------------------------------------------------------------------------
@@ -439,12 +412,12 @@ CSV_COLUMNS = ["t", "E", "F", "L", "A", "D_H", "D_V",
 
 
 def dissipation_report(curve: PolyCurve, sample: TubeSample, calib: Calibration,
-                       b_field, v_fields: np.ndarray | None) -> EnergyReport:
+                       b_field, velocity: np.ndarray | None) -> EnergyReport:
     """Assemble the per-sample energy bookkeeping of ``curve`` at ``sample.t``.
 
     ``sample`` holds the tube fields at the vertices of ``curve``.
     ``b_field`` may be None for a stationary reference (B = 0); the stacked
-    velocity ``v_fields`` may be None when no velocity data exists (the D_V
+    normal ``velocity`` may be None when no velocity data exists (the D_V
     family is zero then).
     """
     t = sample.t
@@ -452,8 +425,8 @@ def dissipation_report(curve: PolyCurve, sample: TubeSample, calib: Calibration,
     dkappa = dds(geom, geom.kappa)
     ddiv = dds(geom, sample.div_xi)
     d_v = cross_v_xi = 0.0
-    if v_fields is not None:
-        phi_v = velocity_potential(geom, v_fields - field_mean(geom, v_fields)[geom.layout.comp])
+    if velocity is not None:
+        phi_v = velocity_potential(geom, velocity - field_mean(geom, velocity)[geom.layout.comp])
         dphi = dds(geom, phi_v)
         d_v = np.sum(integrate(geom, dphi**2))
         cross_v_xi = np.sum(integrate(geom, (dphi - ddiv)**2))
@@ -590,8 +563,8 @@ def nu_dot_B_sums(geom: CurveGeometry, b_field, calib: Calibration,
     bound_abs = (2.0 * r_supp / calib.delta) * div_sup * f_value
 
     small = np.flatnonzero(lengths <= 1.0 / sup_b) if sup_b > 0 else []
-    hyp_fail = sum(geom.curve.components[k].diameter > 1.0 / (2.0 * xi_grad_bound)
-                   for k in small)
+    hyp_fail = (int(np.sum(geom.curve.diameters[small] > 1.0 / (2.0 * xi_grad_bound)))
+                if len(small) else 0)
     bound_scaled = sup_b * bound_abs + 34.0 * div_sup * e_value
 
     # 4-point Gauss flux error floor for analytic integrands
@@ -622,12 +595,12 @@ def small_component_area_check(sample: TubeSample,
                                xi_grad_bound: float) -> list[BubbleVerdict]:
     """length <= 34 int (1 - xi . nu) for components small against 1/(2|grad xi|)."""
     geom = sample.geometry
-    return [BubbleVerdict(component=k,
-                          applicable=bool(xi_grad_bound <= 0.0
-                                          or comp.diameter <= 1.0 / (2.0 * xi_grad_bound)),
+    applicable = (np.ones(len(geom.length), dtype=bool) if xi_grad_bound <= 0.0
+                  else geom.curve.diameters <= 1.0 / (2.0 * xi_grad_bound))
+    return [BubbleVerdict(component=k, applicable=bool(applicable[k]),
                           length=float(geom.length[k]), tilt_integral=float(sample.tilt[k]),
                           slack=float(34.0 * sample.tilt[k] - geom.length[k]))
-            for k, comp in enumerate(geom.curve.components)]
+            for k in range(len(geom.length))]
 
 
 # ---------------------------------------------------------------------------
@@ -654,7 +627,7 @@ def stationary_gradient_ratio(report: EnergyReport, calib: Calibration) -> float
 
 
 # ---------------------------------------------------------------------------
-# CSV / JSON export
+# CSV export
 # ---------------------------------------------------------------------------
 
 def reports_to_csv(reports: list[EnergyReport], path) -> None:
@@ -664,23 +637,3 @@ def reports_to_csv(reports: list[EnergyReport], path) -> None:
         for r in reports:
             flags = ";".join(f"{k}={v}" for k, v in sorted(r.verdicts.items()))
             writer.writerow([repr(float(x)) for x in r.as_row()] + [flags])
-
-
-def summary_json(path, scenario_name: str, seed, gronwall: GronwallResult | None,
-                 extra: dict) -> None:
-    payload = {
-        "scenario": scenario_name,
-        "seed": seed,
-        "gronwall": None if gronwall is None else {
-            "C_fit": gronwall.c_fit,
-            "C_integral": gronwall.c_integral,
-            "verdict": gronwall.verdict,
-            "floor": gronwall.floor,
-            "initial": gronwall.initial,
-            "series": gronwall.series,
-        },
-    }
-    payload.update(extra)
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -41,10 +41,6 @@ class AreaDriftExceeded(Exception):
     """The cumulative area drift stays over its bound down to the dt floor."""
 
 
-class MedialAxisProximity(Exception):
-    """Two closest-point candidates are equidistant; the foot point is ambiguous."""
-
-
 class ZeroReach(Exception):
     """Reference components touch; no admissible tube width exists."""
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import NonZeroMean, RankDeficient
 from .geometry import CurveGeometry, CurveIndex, dds, field_mean, integrate
-from .poisson import PeriodicSpline, velocity_potential
+from .poisson import PeriodicSpline
 
 
 def _complex(xy):
@@ -415,71 +415,8 @@ def _field_constants(field: BField):
 
 
 # ---------------------------------------------------------------------------
-# derived checkers and constructions
+# derived checkers
 # ---------------------------------------------------------------------------
-
-def divergence_decay_profile(field: BField, n_rays: int = 32):
-    """|div B| sampled on outward normal rays at delta/8, delta/4, delta/2.
-
-    Returns the least-squares slope of the exact |div B| against distance
-    and the worst ratio |div B| / dist.
-    """
-    dists = field.delta / np.array([8.0, 4.0, 2.0])
-    xs = np.tile(np.repeat(dists, n_rays), len(field.geometry.length))
-    ys = np.abs(field.at_and_div(_normal_rays(field.geometry, n_rays, dists))[1])
-    slope = float(np.sum(xs * ys) / np.sum(xs * xs))
-    ratio = float(np.max(ys / xs))
-    return slope, ratio
-
-
-def trivial_extension_Bbar(calib, field: BField, points, t: float = 0.0):
-    """eta(s(x)) * B(closest point): the tube pullback of the boundary values."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    s = calib.sdist(points, t)
-    feet = calib.proj(points, t)
-    return calib.profile.eta(s)[:, None] * field.at(feet)
-
-
-@dataclass
-class StarPotential:
-    """Zero-average reference potentials phi* and their tube extension."""
-
-    phi: np.ndarray                  # stacked
-    spline: PeriodicSpline           # columns phi*, d phi*/ds*
-    calib: object
-    field: BField
-
-    def extension_at(self, points, t: float = 0.0):
-        """phi*(closest point) * zeta(s(x))."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        _, _, _, seg, tpar = self.field.index.signed(points)
-        s, arc, comp, _, _ = self.field.smooth_foot(points, seg, tpar)
-        return self.spline(comp, arc)[:, 0] * self.calib.profile.zeta(s)
-
-    def chain_rule_residual(self, points, t: float = 0.0) -> float:
-        """Tangential-derivative identity residual for the extension.
-
-        d/ds* of the extension equals zeta(s)/(1 + s kappa_foot) times the
-        reference derivative pulled back through the projection; the factor
-        is the arc-length contraction of the closest-point map (verified by
-        the finite-difference oracle).
-        """
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        lhs = self.calib.d_sstar(lambda p: self.extension_at(p, t), points, t)
-        _, _, _, seg, tpar = self.field.index.signed(points)
-        s, arc, comp, _, _ = self.field.smooth_foot(points, seg, tpar)
-        dphi = self.spline(comp, arc)[:, 1]
-        kf = self.field.boundary(comp, arc)[:, 6]   # kappa
-        rhs = self.calib.profile.zeta(s) / (1.0 + s * kf) * dphi
-        return float(np.max(np.abs(lhs - rhs)))
-
-
-def star_potentials(geom: CurveGeometry, calib, field: BField, v_star) -> StarPotential:
-    """Solve d^2 phi*/ds*^2 = V* with zero average, all components in one solve."""
-    phi = velocity_potential(geom, v_star)
-    return StarPotential(phi=phi, spline=_arc_spline(geom, np.column_stack([phi, dds(geom, phi)])),
-                         calib=calib, field=field)
-
 
 def gauss_wedge_residual(geom: CurveGeometry, field: BField, calib,
                          t: float = 0.0, fd_step: float | None = None) -> float:

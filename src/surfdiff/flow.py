@@ -37,7 +37,6 @@ from .geometry import (
     build_geometry,
     cycle_arc,
     cycle_layout,
-    d2ds2,
     dds,
     field_mean,
     integrate,
@@ -209,7 +208,7 @@ def step(state: FlowState, config: FlowConfig, dt: float | None = None) -> FlowS
 
 @dataclass
 class Trajectory:
-    """Recorded flow states with linear interpolation between samples.
+    """Sample times and curves of a flow, linearly interpolated between samples.
 
     Vertices correspond index by index across samples; the per-step
     redistribution keeps every component at uniform arc-length fractions, so
@@ -218,41 +217,28 @@ class Trajectory:
 
     times: np.ndarray
     curves: list[PolyCurve]
-    v_fields: list[np.ndarray]      # stacked, per sample
-    area0: float = 0.0
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
         if len(self.times) > 1 and np.any(np.diff(self.times) <= 0):
             raise ValueError("sample times must be strictly increasing")
 
-    def _bracket(self, t: float):
-        t = float(np.clip(t, self.times[0], self.times[-1]))
-        j = int(np.searchsorted(self.times, t, side="right") - 1)
-        j = min(max(j, 0), len(self.times) - 2) if len(self.times) > 1 else 0
-        if len(self.times) == 1:
-            return 0, 0, 0.0
-        t0, t1 = self.times[j], self.times[j + 1]
-        lam = 0.0 if t1 == t0 else (t - t0) / (t1 - t0)
-        return j, j + 1, lam
-
     def curve_at(self, t: float) -> PolyCurve:
-        j0, j1, lam = self._bracket(t)
+        times = self.times
+        if len(times) == 1:
+            return self.curves[0]
+        t = float(np.clip(t, times[0], times[-1]))
+        j = min(max(int(np.searchsorted(times, t, side="right") - 1), 0), len(times) - 2)
+        t0, t1 = times[j], times[j + 1]
+        lam = (t - t0) / (t1 - t0)
         if lam == 0.0:
-            return self.curves[j0]
-        a, b = self.curves[j0], self.curves[j1]
+            return self.curves[j]
+        a, b = self.curves[j], self.curves[j + 1]
         return a.with_vertices((1 - lam) * a.segments[0] + lam * b.segments[0])
-
-    def v_at(self, t: float) -> np.ndarray:
-        j0, j1, lam = self._bracket(t)
-        if lam == 0.0:
-            return self.v_fields[j0]
-        return (1 - lam) * self.v_fields[j0] + lam * self.v_fields[j1]
 
 
 @dataclass
 class FlowRun:
-    trajectory: Trajectory
     states: list[FlowState]
     final: FlowState
     accepted: int
@@ -260,6 +246,11 @@ class FlowRun:
     length_series: list[float]
     area_series: list[float]
     rejections: dict[str, int]      # rejection count per reason, up to its first ':'
+
+    @property
+    def trajectory(self) -> Trajectory:
+        return Trajectory(times=[s.time for s in self.states],
+                          curves=[s.curve for s in self.states])
 
 
 def run_flow(initial: PolyCurve, config: FlowConfig, sample_stride: int = 10,
@@ -288,15 +279,15 @@ def run_flow(initial: PolyCurve, config: FlowConfig, sample_stride: int = 10,
     streak = 0
     lengths = [state.length()]
     areas = [state.area()]
-    area0 = state.area()
+    area_start = state.area()
     stride = sample_stride
 
     while state.time < config.end_time - 1e-14 * config.end_time:
         dt_try = min(dt, config.end_time - state.time)
         try:
             new_state = step(state, config, dt_try)
-            drift = abs(new_state.area() - area0)
-            if drift > config.area_drift_abort * abs(area0):
+            drift = abs(new_state.area() - area_start)
+            if drift > config.area_drift_abort * abs(area_start):
                 raise StepRejected("cumulative area drift exceeded configured bound")
         except StepRejected as exc:
             rejected += 1
@@ -311,7 +302,7 @@ def run_flow(initial: PolyCurve, config: FlowConfig, sample_stride: int = 10,
                     ) from exc
                 if reason == "cumulative area drift exceeded configured bound":
                     raise AreaDriftExceeded(
-                        f"cumulative area drift {drift / abs(area0):.6e} exceeds the "
+                        f"cumulative area drift {drift / abs(area_start):.6e} exceeds the "
                         f"bound {config.area_drift_abort:.6e} at the dt floor "
                         f"(t={state.time:.6g})"
                     ) from exc
@@ -337,17 +328,8 @@ def run_flow(initial: PolyCurve, config: FlowConfig, sample_stride: int = 10,
     if samples[-1] is not state:
         samples.append(state)
 
-    return FlowRun(trajectory=_trajectory(samples, area0), states=samples, final=state,
-                   accepted=accepted, rejected=rejected,
+    return FlowRun(states=samples, final=state, accepted=accepted, rejected=rejected,
                    length_series=lengths, area_series=areas, rejections=rejections)
-
-
-def _trajectory(states: list[FlowState], area0: float) -> Trajectory:
-    """The trajectory of these states, with their PDE velocity d^2 kappa/ds^2."""
-    return Trajectory(times=np.array([s.time for s in states]),
-                      curves=[s.curve for s in states],
-                      v_fields=[d2ds2(s.geometry, s.geometry.kappa) for s in states],
-                      area0=area0)
 
 
 def make_reference(config: FlowConfig, initial: PolyCurve,
@@ -356,8 +338,8 @@ def make_reference(config: FlowConfig, initial: PolyCurve,
 
     The caller supplies the high-resolution initial curve (at least four
     times the resolution of any run that will be compared against it).
-    Per-sample velocity fields ride along for the extension construction; trajectories are numerically smooth in the
-    sense of being resolution-tested, no regularity class is certified.
+    Trajectories are numerically smooth in the sense of being
+    resolution-tested, no regularity class is certified.
     """
     return run_flow(initial, config, sample_stride, stop_condition).trajectory
 
@@ -384,12 +366,6 @@ def dissipation_identity_residual(before: FlowState,
         d_v = h_minus1_norm_sq(mid, v - field_mean(mid, v)[mid.layout.comp])
     rate = (after.length() - before.length()) / dt
     return float(abs(rate + d_h)), float(abs(rate + 0.5 * (d_h + d_v)))
-
-
-def volume_drift(trajectory: Trajectory) -> float:
-    """Max relative enclosed-area drift over the trajectory samples."""
-    areas = np.array([curve.signed_area() for curve in trajectory.curves])
-    return float(np.max(np.abs(areas - areas[0])) / abs(areas[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -420,6 +396,6 @@ def load_trajectory(directory) -> Trajectory:
         for row in reader:
             times.append(float(row[0]))
             curves.append(read_curve_file(os.path.join(directory, row[1])))
-    states = [FlowState(curve=c, time=t, step_index=k, geometry=build_geometry(c))
-              for k, (t, c) in enumerate(zip(times, curves))]
-    return _trajectory(states, states[0].area() if states else 0.0)
+    if not times:
+        raise ValueError(f"{index_path} lists no samples")
+    return Trajectory(times=times, curves=curves)

@@ -53,11 +53,6 @@ class Component:
     def n(self) -> int:
         return self.vertices.shape[0]
 
-    @cached_property
-    def diameter(self) -> float:
-        """Largest vertex-to-vertex distance, computed once per component."""
-        return float(_diameters([_hull(self.vertices)])[0])
-
     def signed_area(self) -> float:
         x, y = self.vertices[:, 0], self.vertices[:, 1]
         return float(0.5 * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
@@ -72,8 +67,8 @@ class PolyCurve:
 
     Construction checks the cheap invariants (vertex counts, edges against
     a floor relative to each component's diameter, orientation/area
-    consistency, positive total area) without a hull; ``diameter``, the
-    largest vertex-to-vertex distance over all components, is computed on
+    consistency, positive total area) without a hull; ``diameters`` (one
+    per component) and ``diameter`` (over all components) are computed on
     first read.  The embeddedness test runs in :func:`check_embedded`, which
     :func:`build_geometry` invokes.
     """
@@ -103,9 +98,9 @@ class PolyCurve:
         # exact diameter
         box = np.maximum.reduceat(starts, first) - np.minimum.reduceat(starts, first)
         short = hmin <= EDGE_FLOOR_REL * np.sqrt(np.sum(box ** 2, axis=1))
-        for k in np.flatnonzero(short):
-            diam = comps[k].diameter
-            short[k] = diam <= 0.0 or hmin[k] <= EDGE_FLOOR_REL * diam
+        if np.any(short):
+            diam = self.diameters
+            short &= (diam <= 0.0) | (hmin <= EDGE_FLOOR_REL * diam)
         area = 0.5 * np.add.reduceat(starts[:, 0] * ends[:, 1] - ends[:, 0] * starts[:, 1],
                                      first)
         flipped = np.sign(area) != [c.orientation for c in comps]
@@ -119,24 +114,28 @@ class PolyCurve:
             raise ValueError("total signed enclosed area must be positive")
 
     @cached_property
-    def diameter(self) -> float:
-        """Largest vertex-to-vertex distance over all components, on first read.
+    def _calipers(self) -> np.ndarray:
+        """Each component's diameter and, with several components, the curve's.
 
-        One caliper pass fills every Component.diameter not yet cached and
-        the curve's: the hull of the union is the hull of the component
-        hulls' vertices.
+        One caliper pass on first read: the hull of the union is the hull of
+        the component hulls' vertices.
         """
-        comps = self.components
-        cached = ["diameter" in c.__dict__ for c in comps]
-        todo = [c for c, done in zip(comps, cached) if not done]
-        hulls = [_hull(c.vertices) for c in todo]
-        if len(comps) > 1:
-            known = [_hull(c.vertices) for c, done in zip(comps, cached) if done]
-            hulls.append(_hull(np.vstack(hulls + known)))
+        hulls = [_hull(c.vertices) for c in self.components]
+        if len(hulls) > 1:
+            hulls.append(_hull(np.vstack(hulls)))
         diams = _diameters(hulls)
-        for c, d in zip(todo, diams):
-            c.__dict__["diameter"] = float(d)
-        return float(diams[-1]) if len(comps) > 1 else comps[0].diameter
+        diams.flags.writeable = False
+        return diams
+
+    @property
+    def diameters(self) -> np.ndarray:
+        """Largest vertex-to-vertex distance of each component, (K,), read-only."""
+        return self._calipers[:self.ncomponents]
+
+    @property
+    def diameter(self) -> float:
+        """Largest vertex-to-vertex distance over all components."""
+        return float(self._calipers[-1])
 
     @property
     def ncomponents(self) -> int:
@@ -178,9 +177,6 @@ class PolyCurve:
 
     def length(self) -> float:
         return sum(c.length() for c in self.components)
-
-    def translated(self, shift) -> "PolyCurve":
-        return self.with_vertices(self.segments[0] + np.asarray(shift, dtype=float))
 
     def rotated(self, angle: float) -> "PolyCurve":
         c, s = np.cos(angle), np.sin(angle)
@@ -235,15 +231,14 @@ def make_wavy_circle(radius, amplitude, mode, n, center=(0.0, 0.0),
 CycleLayout = namedtuple("CycleLayout", "nxt prv first comp local split counts")
 
 
-@lru_cache(maxsize=32)
-def cycle_layout(lengths: tuple) -> CycleLayout:
+def cycle_index(lengths) -> CycleLayout:
     """Read-only index arrays of cycles of these lengths, stacked end to end.
 
     ``nxt``, ``prv``: every entry's cyclic neighbours; ``comp``, ``local``:
     its cycle and its place there; ``first``, ``split``: the offsets of
-    ``np.add.reduceat`` and ``np.split``; ``counts``: the lengths.  A flow
-    run has one or two length tuples, so all its steps share one set of
-    arrays.
+    ``np.add.reduceat`` and ``np.split``; ``counts``: the lengths.  Not
+    cached: callers whose lengths change on every call (hulls, clipped
+    polygons) use it directly.
     """
     counts = np.asarray(lengths, dtype=np.intp)
     first = np.cumsum(counts) - counts
@@ -258,6 +253,16 @@ def cycle_layout(lengths: tuple) -> CycleLayout:
     for a in lay:
         a.flags.writeable = False
     return lay
+
+
+@lru_cache(maxsize=32)
+def cycle_layout(lengths: tuple) -> CycleLayout:
+    """:func:`cycle_index` of a tuple of lengths, cached.
+
+    A flow run has one or two length tuples, so all its steps share one set
+    of arrays.
+    """
+    return cycle_index(lengths)
 
 
 def cycle_arc(h: np.ndarray, lay: CycleLayout):
@@ -339,12 +344,10 @@ def _diameters(hulls) -> np.ndarray:
     sizes = sizes[~flat]
     n = len(pts)
     ids = np.arange(n)
-    # hull sizes differ on every call, so cycle_layout's cache would not hit
-    hid = np.repeat(np.arange(len(sizes)), sizes)
-    first = np.repeat(np.cumsum(sizes) - sizes, sizes)
-    local = ids - first
+    lay = cycle_index(sizes)
+    hid, local, nxt = lay.comp, lay.local, lay.nxt
+    first = lay.first[hid]
     m = sizes[hid]
-    nxt = np.where(local == m - 1, first, ids + 1)
     edges = pts[nxt] - pts
     raw = np.arctan2(edges[:, 1], edges[:, 0])
     # unwrap each hull's edge angles from its first edge, as np.unwrap does
@@ -674,15 +677,6 @@ def gauss_bonnet_residual(geom: CurveGeometry) -> np.ndarray:
     return np.abs(integrate(geom, geom.kappa) - orientation * 2.0 * np.pi)
 
 
-def intrinsic_distance(geom: CurveGeometry, i: int, j: int) -> float:
-    """Shorter arc between stacked vertices i and j; inf across distinct components."""
-    k = geom.layout.comp[i]
-    if geom.layout.comp[j] != k:
-        return float("inf")
-    d = abs(geom.arc_positions[i] - geom.arc_positions[j])
-    return float(min(d, geom.length[k] - d))
-
-
 def poincare_ratio(geom: CurveGeometry, u: np.ndarray, p: float) -> np.ndarray:
     """||u - <u>||_p^p / (diam^p ||du/ds||_p^p) per component; zero for constant fields."""
     if p < 1:
@@ -691,8 +685,7 @@ def poincare_ratio(geom: CurveGeometry, u: np.ndarray, p: float) -> np.ndarray:
     if u.shape != geom.weights.shape:
         raise ValueError("field length does not match the curve")
     num = integrate(geom, np.abs(u - field_mean(geom, u)[geom.layout.comp]) ** p)
-    diam = np.array([c.diameter for c in geom.curve.components])
-    den = diam ** p * integrate(geom, np.abs(dds(geom, u)) ** p)
+    den = geom.curve.diameters ** p * integrate(geom, np.abs(dds(geom, u)) ** p)
     ratio = np.zeros(len(num))
     np.divide(num, den, out=ratio, where=den > 1e-300 * np.maximum(1.0, num))
     return ratio
@@ -842,7 +835,8 @@ def read_curve_file(path) -> PolyCurve:
         comp = Component(np.array([[float(a) for a in ln.split()] for ln in lines[1:]]),
                          int(head[2]))
         v = comp.vertices
-        if comp.n >= 2 and np.linalg.norm(v[0] - v[-1]) <= EDGE_FLOOR_REL * comp.diameter:
+        if comp.n >= 2 and (np.linalg.norm(v[0] - v[-1])
+                            <= EDGE_FLOOR_REL * _diameters([_hull(v)])[0]):
             raise ValueError("curve blocks must not repeat the first vertex")
         comps.append(comp)
     return PolyCurve(comps)

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.linalg.lapack import dgbsv
 
 from .errors import NonZeroMean, SingularSystem
-from .geometry import CurveGeometry, cycle_layout, dds, field_mean, integrate
+from .geometry import CurveGeometry, cycle_index, cycle_layout, dds, field_mean, integrate
 
 RESIDUAL_TOL = 1e-9
 
@@ -37,13 +37,11 @@ def _band_layout(lengths: tuple, p: int):
     entry), ``order`` (its inverse) and ``target``, the flat index in
     LAPACK's column-major (6p+1, N) band storage of diagonal entry (k, i).
     """
-    lengths = np.asarray(lengths)
-    if np.any(lengths <= 2 * p):
+    lay = cycle_index(lengths)
+    if np.any(lay.counts <= 2 * p):
         raise ValueError(f"cycles need more than {2 * p} entries for half-width {p}")
-    n = int(lengths.sum())
-    start = np.repeat(np.cumsum(lengths) - lengths, lengths)
-    size = np.repeat(lengths, lengths)
-    local = np.arange(n) - start
+    n = len(lay.comp)
+    start, size, local = lay.first[lay.comp], lay.counts[lay.comp], lay.local
     row = start + np.maximum(np.where(2 * local <= size, 2 * local - 1,
                                       2 * (size - local)), 0)
     order = np.empty(n, dtype=np.intp)

@@ -5,14 +5,15 @@ the brute-force side of the comparison: one Python call per cell, a full
 crossing test per empty cell and component, and a Sutherland-Hodgman clip of
 every vertex of every component in each boundary cell.  One change from the
 original: a clipped piece is weighted by its own signed area times the
-region sign, so a clockwise hole subtracts its part of the cell.
+region sign, so a clockwise hole subtracts its part of the cell.  The Monte
+Carlo estimate at the end is the second, independent cross-check.
 """
 
 import numpy as np
 
 from surfdiff.calibration import AnalyticCircles
 from surfdiff.energy import _G9W, _G9X, _G9Y, _T7_BARY, _T7_W
-from surfdiff.geometry import points_in_component
+from surfdiff.geometry import points_in_component, region_contains
 
 
 def clip_rect(poly, lo, hi):
@@ -163,3 +164,23 @@ def bulk_error_recursive(curve, calib, t=0.0, max_depth=12, reference_resolution
         vals = calib.vartheta_at(pts.reshape(-1, 2), t).reshape(len(_T7_W), -1)
         total += float(np.sum((_T7_W @ vals) * ww))
     return total
+
+
+def bulk_error_montecarlo(curve, calib, t=0.0, n_samples=10**6, seed=7):
+    """Monte Carlo estimate of the bulk error and its standard error."""
+    if isinstance(calib.reference, AnalyticCircles):
+        ref_curve = calib.reference.boundary_curve(t, 1024)
+    else:
+        ref_curve = calib.reference.curve_at(t)
+    vert_all = np.vstack([curve.segments[0], ref_curve.segments[0]])
+    lo = vert_all.min(axis=0) - 0.1
+    hi = vert_all.max(axis=0) + 0.1
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(lo, hi, size=(n_samples, 2))
+    area = float(np.prod(hi - lo))
+    diff = (region_contains(curve, pts).astype(float)
+            - region_contains(ref_curve, pts).astype(float))
+    vals = diff * calib.vartheta_at(pts, t)
+    mean = float(np.mean(vals))
+    stderr = float(np.std(vals) / np.sqrt(n_samples))
+    return mean * area, stderr * area

@@ -3,14 +3,19 @@ complex-form kernels and of ``energy``'s stacked B checkers.
 
 Each function is the loop the package ran before its kernels moved to complex
 arithmetic and before the checkers evaluated B once per sample, reading one
-component's slice of the stacked geometry at a time.  Only the tests import
+component's slice of the stacked geometry at a time.  The constructions at
+the end (the divergence decay profile, the trivial extension and the
+reference potentials) are checked by the tests only.  Only the tests import
 this module.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from surfdiff.geometry import PolyCurve, build_geometry
-from surfdiff.poisson import nu_dot_B_potential
+from surfdiff.extension import BField, _arc_spline, _normal_rays
+from surfdiff.geometry import PolyCurve, build_geometry, dds
+from surfdiff.poisson import PeriodicSpline, nu_dot_B_potential, velocity_potential
 
 from geometry_oracle import parts
 
@@ -70,9 +75,9 @@ def midpoint_bc_residual(field, v_star):
     nodes, weights, q = geom.vertices, geom.weights, field.density
     worst = 0.0
     for k, part in enumerate(parts(geom)):
-        start = geom.arc_positions[part]
-        ends = np.append(start[1:], geom.length[k])
-        arc = 0.5 * (start + ends)
+        # half an edge past each node, as the package computes it: the
+        # arc midpoint 0.5 * (start + end) differs from it by rounding
+        arc = geom.arc_positions[part] + 0.5 * geom.edge_lengths[part]
         comp = np.full(len(arc), k)
         mids = field.position(comp, arc)
         tang = field.position(comp, arc, 1)
@@ -109,3 +114,66 @@ def nu_dot_B_potentials(curve, b_field):
         geom = build_geometry(PolyCurve([comp]))
         out.append(nu_dot_B_potential(geom, b_field.at(geom.vertices)))
     return out
+
+
+def divergence_decay_profile(field: BField, n_rays: int = 32):
+    """|div B| sampled on outward normal rays at delta/8, delta/4, delta/2.
+
+    Returns the least-squares slope of the exact |div B| against distance
+    and the worst ratio |div B| / dist.
+    """
+    dists = field.delta / np.array([8.0, 4.0, 2.0])
+    xs = np.tile(np.repeat(dists, n_rays), len(field.geometry.length))
+    ys = np.abs(field.at_and_div(_normal_rays(field.geometry, n_rays, dists))[1])
+    slope = float(np.sum(xs * ys) / np.sum(xs * xs))
+    ratio = float(np.max(ys / xs))
+    return slope, ratio
+
+
+def trivial_extension_Bbar(calib, field: BField, points, t: float = 0.0):
+    """eta(s(x)) * B(closest point): the tube pullback of the boundary values."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    s = calib.sdist(points, t)
+    feet = calib.proj(points, t)
+    return calib.profile.eta(s)[:, None] * field.at(feet)
+
+
+@dataclass
+class StarPotential:
+    """Zero-average reference potentials phi* and their tube extension."""
+
+    phi: np.ndarray                  # stacked
+    spline: PeriodicSpline           # columns phi*, d phi*/ds*
+    calib: object
+    field: BField
+
+    def extension_at(self, points, t: float = 0.0):
+        """phi*(closest point) * zeta(s(x))."""
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        _, _, _, seg, tpar = self.field.index.signed(points)
+        s, arc, comp, _, _ = self.field.smooth_foot(points, seg, tpar)
+        return self.spline(comp, arc)[:, 0] * self.calib.profile.zeta(s)
+
+    def chain_rule_residual(self, points, t: float = 0.0) -> float:
+        """Tangential-derivative identity residual for the extension.
+
+        d/ds* of the extension equals zeta(s)/(1 + s kappa_foot) times the
+        reference derivative pulled back through the projection; the factor
+        is the arc-length contraction of the closest-point map (verified by
+        the finite-difference oracle).
+        """
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        lhs = self.calib.d_sstar(lambda p: self.extension_at(p, t), points, t)
+        _, _, _, seg, tpar = self.field.index.signed(points)
+        s, arc, comp, _, _ = self.field.smooth_foot(points, seg, tpar)
+        dphi = self.spline(comp, arc)[:, 1]
+        kf = self.field.boundary(comp, arc)[:, 6]   # kappa
+        rhs = self.calib.profile.zeta(s) / (1.0 + s * kf) * dphi
+        return float(np.max(np.abs(lhs - rhs)))
+
+
+def star_potentials(geom, calib, field: BField, v_star) -> StarPotential:
+    """Solve d^2 phi*/ds*^2 = V* with zero average, all components in one solve."""
+    phi = velocity_potential(geom, v_star)
+    return StarPotential(phi=phi, spline=_arc_spline(geom, np.column_stack([phi, dds(geom, phi)])),
+                         calib=calib, field=field)

@@ -3,7 +3,8 @@
 Each component gets its own pentadiagonal solve, its own area-neutral shift
 and its own periodic ``scipy.interpolate.CubicSpline`` resampling, one
 component after another, on its slice of the state's ``CurveGeometry``.
-Only the tests import this module.
+``volume_drift`` measures a trajectory's area drift for the tests.  Only
+the tests import this module.
 """
 
 import numpy as np
@@ -84,3 +85,9 @@ def step(state, dt):
         velocities.append(w)
         vertices.append(resample_uniform(x + dt * w[:, None] * nu))
     return velocities, vertices
+
+
+def volume_drift(trajectory):
+    """Max relative enclosed-area drift over the trajectory samples."""
+    areas = np.array([curve.signed_area() for curve in trajectory.curves])
+    return float(np.max(np.abs(areas - areas[0])) / abs(areas[0]))

@@ -3,7 +3,8 @@
 Each function is the ``np.roll`` / ``np.dot`` definition on one component's
 arrays that the package used while it kept one geometry object per
 component; ``parts`` slices a stacked ``CurveGeometry`` into its
-components.  Only the tests import this module.
+components.  ``intrinsic_distance`` and ``translated`` are checked or used
+by the tests only.  Only the tests import this module.
 """
 
 import numpy as np
@@ -30,3 +31,17 @@ def d2ds2(edge_lengths, weights, values):
     fwd = (np.roll(values, -1, axis=0) - values) / edge_lengths
     bwd = (values - np.roll(values, 1, axis=0)) / np.roll(edge_lengths, 1)
     return (fwd - bwd) / weights
+
+
+def intrinsic_distance(geom, i, j):
+    """Shorter arc between stacked vertices i and j; inf across distinct components."""
+    k = geom.layout.comp[i]
+    if geom.layout.comp[j] != k:
+        return float("inf")
+    d = abs(geom.arc_positions[i] - geom.arc_positions[j])
+    return float(min(d, geom.length[k] - d))
+
+
+def translated(curve, shift):
+    """The curve moved by ``shift``, its components' orientations kept."""
+    return curve.with_vertices(curve.segments[0] + np.asarray(shift, dtype=float))

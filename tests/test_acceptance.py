@@ -17,6 +17,8 @@ from surfdiff import flow as fl
 from surfdiff import geometry as geo
 from surfdiff import poisson as po
 
+import bulk_oracle
+import extension_oracle
 from conftest import vertex_angles
 
 
@@ -48,7 +50,7 @@ def stationary_scenario():
     stop = lambda s: s.length() ** 2 / (4 * np.pi * abs(s.area())) <= 1.0001
     run = fl.run_flow(curve, cfg, sample_stride=1, max_samples=48,
                       stop_condition=stop)
-    summary = cli.evaluate_run(run, calib, ref, sample_count=14)
+    summary = cli.evaluate_run(run.states, calib, ref, sample_count=14)
     return run, calib, ref, summary
 
 
@@ -88,7 +90,7 @@ def weak_strong_bundle():
             weak = geo.PolyCurve(comps)
             cfg = fl.FlowConfig(dt=dt, end_time=horizon, area_drift_abort=1e-3)
             run = fl.run_flow(weak, cfg, sample_stride=1, max_samples=40)
-            summary = cli.evaluate_run(run, calib, reference, sample_count=12,
+            summary = cli.evaluate_run(run.states, calib, reference, sample_count=12,
                                        b_provider=provider)
             runs[k] = (run, summary)
         out[dt] = {"reference": reference, "calib": calib, "runs": runs}
@@ -195,7 +197,7 @@ def test_criterion_06_extension_field():
         interior.append(np.column_stack([(1 - d) * np.cos(ang),
                                          (1 - d) * np.sin(ang)]))
     div_int = float(np.max(np.abs(field.divergence(np.vstack(interior)))))
-    slope, ratio = ex.divergence_decay_profile(field)
+    slope, ratio = extension_oracle.divergence_decay_profile(field)
     ok = field.bc_residual <= 1e-2 and div_int <= 1e-6 and ratio <= 1.0
     _line(6, ok, f"sup|nu.B - V| {field.bc_residual:.2e} (<=1e-2), "
           f"interior |div| {div_int:.2e} (<=1e-6), ray ratio {ratio:.3f} bounded")
@@ -370,7 +372,7 @@ def test_criterion_14_bulk_error_oracles(circle_calibration, stationary_scenario
     f = en.bulk_error(curve, circle_calibration)
     exact = 2 * np.pi * (eps**2 / 2 + eps**3 / 3)
     rel = abs(f - exact) / exact
-    f_mc, se = en.bulk_error_montecarlo(curve, circle_calibration,
+    f_mc, se = bulk_oracle.bulk_error_montecarlo(curve, circle_calibration,
                                         n_samples=10**6)
     sigma_annulus = abs(f_mc - f) / se
     # scenario states against their calibrations
@@ -378,7 +380,7 @@ def test_criterion_14_bulk_error_oracles(circle_calibration, stationary_scenario
     worst_sigma = sigma_annulus
     for state in (run.states[0], run.final):
         fv = en.bulk_error(state.curve, calib)
-        fm, sm = en.bulk_error_montecarlo(state.curve, calib, n_samples=2 * 10**5)
+        fm, sm = bulk_oracle.bulk_error_montecarlo(state.curve, calib, n_samples=2 * 10**5)
         worst_sigma = max(worst_sigma, abs(fm - fv) / sm)
     ok = rel <= 1e-4 and worst_sigma <= 3.0
     _line(14, ok, f"annulus formula rel err {rel:.2e} (<=1e-4), "

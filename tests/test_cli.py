@@ -215,7 +215,8 @@ def test_evaluate_run_evaluates_each_sample_once(monkeypatch):
 
     monkeypatch.setattr(ref, "query", counting_query)
     monkeypatch.setattr(fl, "build_geometry", counting_build)
-    cli.evaluate_run(run, calib, ref, 10)
+    cli.evaluate_run(run.states, calib, ref, 10)
+    cli._flow_diagnostics(run)
     assert len(run.states) > 10
     assert len(vertex_queries) == len(set(vertex_queries)) == 10
     pairs = sum(state.normal_velocity is not None for state in run.states[1:])
@@ -246,7 +247,7 @@ def test_evaluate_run_same_bits_on_one_and_two_threads(monkeypatch, tmp_path):
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
         monkeypatch.setattr(cli, "_evaluate_sample", on_thread)
-        summary = cli.evaluate_run(run, calib, ref, 6)
+        summary = cli.evaluate_run(run.states, calib, ref, 6)
         assert len(threads) == len(cpus)
         assert summary["flux_constants"] is not None
         path = tmp_path / f"reports_{len(cpus)}.csv"
@@ -270,6 +271,54 @@ def test_compare_command(tmp_path):
     assert code == 0
     summary = json.loads((tmp_path / "cmp" / "summary.json").read_text())
     assert summary["gronwall"]["verdict"].startswith("PASS")
+
+
+def _export_short_runs(tmp_path, weak_samples=None):
+    """A strong and a weak ellipse trajectory over t <= 0.002, exported; the weak
+    one cut to its first ``weak_samples`` samples."""
+    cfg = fl.FlowConfig(dt=1e-4, end_time=0.002)
+    strong = fl.make_reference(cfg, geo.PolyCurve([geo.make_ellipse(2.0, 1.0, 128)]),
+                               sample_stride=2)
+    weak = fl.make_reference(cfg, geo.PolyCurve([geo.make_ellipse(2.0, 1.0, 32)]),
+                             sample_stride=1)
+    if weak_samples is not None:
+        weak = fl.Trajectory(times=weak.times[:weak_samples], curves=weak.curves[:weak_samples])
+    fl.export_trajectory(strong, tmp_path / "strong")
+    fl.export_trajectory(weak, tmp_path / "weak")
+    return str(tmp_path / "weak"), str(tmp_path / "strong")
+
+
+def test_compare_short_trajectory_is_skipped(tmp_path, capsys):
+    # fewer than 10 samples allow no Gronwall fit: the verdict is written
+    # and the command fails, as a short simulate run does
+    weak, strong = _export_short_runs(tmp_path, weak_samples=5)
+    assert cli.main(["compare", weak, strong, "--out", str(tmp_path / "cmp")]) == 1
+    summary = json.loads((tmp_path / "cmp" / "summary.json").read_text())
+    assert summary["gronwall"]["verdict"] == "SKIPPED-SHORT"
+    assert "FAIL compare" in capsys.readouterr().out
+
+
+def test_compare_reports_equal_direct_dissipation_reports(tmp_path):
+    # each weak sample is evaluated with the PDE velocity d^2 kappa/ds^2 of
+    # its recorded curve, the same bits as a direct dissipation report
+    weak, strong = _export_short_runs(tmp_path)
+    out = tmp_path / "cmp"
+    cli.main(["compare", weak, strong, "--out", str(out)])
+    rows = (out / "reports.csv").read_text().splitlines()[1:]
+    reference = cb.PolygonReference(trajectory=fl.load_trajectory(strong))
+    calib = cb.Calibration(reference)
+    provider = cli.make_b_provider(reference, calib.delta)
+    traj = fl.load_trajectory(weak)
+    assert len(rows) == len(traj.times) >= 10
+    for row, t, curve in zip(rows, traj.times, traj.curves):
+        geom = geo.build_geometry(curve)
+        rep = en.dissipation_report(curve, calib.sample(geom, t), calib, provider(t),
+                                    geo.d2ds2(geom, geom.kappa))
+        t_, e, f, _, _, _, d_v = map(float, row.split(",")[:7])
+        assert (t_, e, f, d_v) == (rep.t, rep.E, rep.F, rep.D_V)
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["worst_slacks"]["pointwise_slack"] is not None
+    assert summary["flux_constants"] is not None
 
 
 def test_report_command(stationary_cfg, tmp_path, capsys):

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from surfdiff.errors import DegenerateInitialData, NonStationaryReference
 
 import extension_oracle
 from geometry_oracle import parts
-from bulk_oracle import bulk_error_recursive, clip_rect, shoelace
+from bulk_oracle import bulk_error_montecarlo, bulk_error_recursive, clip_rect, shoelace
 from conftest import vertex_angles
 
 
@@ -129,7 +130,7 @@ def test_bulk_error_montecarlo_agreement(circle_calibration):
     eps = 0.05
     curve = geo.PolyCurve([geo.make_circle((0, 0), 1.0 + eps, 512)])
     f = en.bulk_error(curve, circle_calibration, reference_resolution=1024)
-    f_mc, se = en.bulk_error_montecarlo(curve, circle_calibration,
+    f_mc, se = bulk_error_montecarlo(curve, circle_calibration,
                                         n_samples=2 * 10**5)
     assert abs(f_mc - f) <= 3.0 * se
 
@@ -139,7 +140,7 @@ def test_bulk_error_polygon_reference():
     calib = cb.Calibration(pref)
     curve = geo.PolyCurve([geo.make_circle((0.05, 0), 1.0, 256)])
     f = en.bulk_error(curve, calib)
-    f_mc, se = en.bulk_error_montecarlo(curve, calib, n_samples=2 * 10**5)
+    f_mc, se = bulk_error_montecarlo(curve, calib, n_samples=2 * 10**5)
     assert abs(f_mc - f) <= 3.0 * se
     assert f > 0
 
@@ -156,7 +157,7 @@ def test_bulk_error_clockwise_hole_subtracts(circle_calibration):
     exact = (quad(radial, 1.0, 1.05, epsabs=1e-14)[0]
              - quad(radial, 0.0, 0.95, points=[0.75, 0.875], epsabs=1e-14)[0])
     assert abs(f - exact) <= 1e-4 * exact
-    f_mc, se = en.bulk_error_montecarlo(curve, circle_calibration, n_samples=4 * 10**5)
+    f_mc, se = bulk_error_montecarlo(curve, circle_calibration, n_samples=4 * 10**5)
     assert abs(f_mc - f) <= 3.0 * se
 
 
@@ -429,6 +430,38 @@ def test_stacked_checkers_one_B_call_per_sample(circle_calibration):
     cross = np.sum(geo.integrate(geom, (geo.dds(geom, geom.kappa)
                                         - geo.dds(geom, np.concatenate(phis)))**2))
     assert rep.cross_h_b == pytest.approx(cross, rel=1e-15)
+
+
+def test_sample_checkers_make_one_caliper_pass_per_curve(monkeypatch, circle_calibration):
+    # the small-component bound, the flux hypothesis count and the Poincare
+    # ratio all read the diameters of one 9-component state: one caliper
+    # call over its 9 component hulls and their union's, with every
+    # component's diameter the same bits as a one-hull pass gives
+    curve = geo.PolyCurve([geo.make_ellipse(1.2, 0.9, 128)]
+                          + [geo.make_circle((3.0, -1.75 + 0.5 * k), 0.01, 24)
+                             for k in range(8)])
+    calls = []
+    diameters = geo._diameters
+
+    def counting_diameters(hulls):
+        calls.append(len(hulls))
+        return diameters(hulls)
+
+    monkeypatch.setattr(geo, "_diameters", counting_diameters)
+    sample = circle_calibration.sample(geo.build_geometry(curve))
+    xi_bound = circle_calibration.xi_grad_bound()
+    bubbles = en.small_component_area_check(sample, xi_bound)
+    field = SimpleNamespace(at=np.zeros_like, support_radius=3.0, div_sup=1.0, sup_norm=1.0)
+    nb = en.nu_dot_B_sums(sample.geometry, field, circle_calibration, xi_bound,
+                          f_value=1.0, e_value=1.0)
+    geo.poincare_ratio(sample.geometry, sample.s, 2)
+    assert calls == [10]
+    one_by_one = [diameters([geo._hull(c.vertices)])[0] for c in curve.components]
+    assert np.array_equal(curve.diameters, one_by_one)
+    limit = 1.0 / (2.0 * xi_bound)
+    assert [b.applicable for b in bubbles] == [d <= limit for d in one_by_one]
+    small = sample.geometry.length <= 1.0
+    assert nb.hypothesis_failures == sum(d > limit for d, k in zip(one_by_one, small) if k)
 
 
 def _build_disk_bundle():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
 import flow_oracle
-from geometry_oracle import parts
+from geometry_oracle import parts, translated
 from surfdiff import cli
 from surfdiff import flow as fl
 from surfdiff import geometry as geo
@@ -74,7 +74,7 @@ def test_ellipse_isoperimetric_monotone(ellipse_run):
 def test_ellipse_area_conserved(ellipse_run):
     areas = np.array(ellipse_run.area_series)
     assert np.max(np.abs(areas - areas[0])) / areas[0] <= 1e-4
-    assert fl.volume_drift(ellipse_run.trajectory) <= 1e-4
+    assert flow_oracle.volume_drift(ellipse_run.trajectory) <= 1e-4
 
 
 def test_wavy_circle_volume_drift():
@@ -82,7 +82,7 @@ def test_wavy_circle_volume_drift():
                                                 normalize_area=True)])
     cfg = fl.FlowConfig(dt=1e-4, end_time=0.02, area_drift_abort=1e-4)
     run = fl.run_flow(curve, cfg, sample_stride=20)
-    assert fl.volume_drift(run.trajectory) <= 1e-4
+    assert flow_oracle.volume_drift(run.trajectory) <= 1e-4
 
 
 def test_volume_drift_within_bound_across_dt():
@@ -215,7 +215,7 @@ def test_half_weighted_residual_reported(ellipse_run):
 def test_equivariance_under_rigid_motion():
     base = geo.PolyCurve([geo.make_wavy_circle(1.0, 0.05, 3, 128)])
     angle, shift = 0.7, np.array([1.3, -0.4])
-    moved = base.rotated(angle).translated(shift)
+    moved = translated(base.rotated(angle), shift)
     cfg = fl.FlowConfig(dt=1e-4, end_time=1.0)
     s_base = fl.step(fl.FlowState.initial(base), cfg)
     s_moved = fl.step(fl.FlowState.initial(moved), cfg)
@@ -283,8 +283,6 @@ def test_make_reference_ellipse_length_decreases():
     traj = fl.make_reference(cfg, curve, sample_stride=5)
     lengths = [c.length() for c in traj.curves]
     assert all(b < a for a, b in zip(lengths[:-1], lengths[1:]))
-    # velocity fields ride along
-    assert traj.v_at(traj.times[-1]).shape == (128,)
 
 
 def test_trajectory_export_roundtrip(tmp_path):
@@ -297,6 +295,12 @@ def test_trajectory_export_roundtrip(tmp_path):
     for a, b in zip(traj.curves, back.curves):
         np.testing.assert_array_equal(a.components[0].vertices,
                                       b.components[0].vertices)
+
+
+def test_load_trajectory_rejects_an_empty_index(tmp_path):
+    (tmp_path / "index.csv").write_text("t,filename\n")
+    with pytest.raises(ValueError, match="no samples"):
+        fl.load_trajectory(tmp_path)
 
 
 def test_flow_config_validation():
@@ -332,7 +336,7 @@ def test_step_computes_no_diameter(monkeypatch):
     # validating a new state needs no hull and no caliper pass; the first
     # read of the curve's diameter makes one caliper call over a hull per
     # component and, with several components, the hull of their hulls, and
-    # that call fills every component's diameter too
+    # that call gives every component's diameter too
     calls = {"_hull": 0, "_diameters": []}
     hull, diameters = geo._hull, geo._diameters
 
@@ -354,8 +358,7 @@ def test_step_computes_no_diameter(monkeypatch):
         assert calls == {"_hull": 0, "_diameters": []}
         for _ in range(2):
             new.curve.diameter
-            for comp in new.curve.components:
-                comp.diameter
+            new.curve.diameters
             assert calls == {"_hull": hulls, "_diameters": [hulls]}
         monkeypatch.undo()
         calls.update(_hull=0, _diameters=[])

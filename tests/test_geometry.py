@@ -199,13 +199,13 @@ def test_jordan_ambiguous_probe():
 
 def test_intrinsic_distance_antipodal(unit_circle_256):
     _, geom = unit_circle_256
-    d = geo.intrinsic_distance(geom, 0, 128)
+    d = oracle.intrinsic_distance(geom, 0, 128)
     assert abs(d - np.pi) <= 1e-3
 
 
 def test_intrinsic_distance_adjacent(unit_circle_256):
     _, geom = unit_circle_256
-    assert abs(geo.intrinsic_distance(geom, 3, 4) - geom.edge_lengths[3]) <= 1e-14
+    assert abs(oracle.intrinsic_distance(geom, 3, 4) - geom.edge_lengths[3]) <= 1e-14
 
 
 def test_intrinsic_distance_quarter_brute_force():
@@ -216,7 +216,7 @@ def test_intrinsic_distance_quarter_brute_force():
     # brute force: min of the two arc sums
     fwd = np.sum(geom.edge_lengths[i:j])
     bwd = geom.length[0] - fwd
-    assert abs(geo.intrinsic_distance(geom, i, j) - min(fwd, bwd)) <= 1e-14
+    assert abs(oracle.intrinsic_distance(geom, i, j) - min(fwd, bwd)) <= 1e-14
     assert abs(min(fwd, bwd) - geom.length[0] / 4) <= 1e-12
 
 
@@ -224,7 +224,7 @@ def test_intrinsic_distance_across_components():
     curve = geo.PolyCurve([geo.make_circle((0, 0), 1.0, 64),
                            geo.make_circle((4, 0), 1.0, 64)])
     # vertex 64 is the first of the second circle
-    assert geo.intrinsic_distance(geo.build_geometry(curve), 0, 64) == float("inf")
+    assert oracle.intrinsic_distance(geo.build_geometry(curve), 0, 64) == float("inf")
 
 
 # ---------------------------------------------------------------------------
