@@ -5,7 +5,8 @@ polygonal trajectory sample), the C^2 cutoff profiles, and the derived
 fields: the calibration vector xi, the truncated distance, the closest-point
 projection, extended normals/curvatures, and the tangential derivative along
 the reference.  Everything is evaluated pointwise and vectorized; objects
-are immutable after construction.
+are immutable after construction.  The calibration also owns the velocity
+extension B of the reference, built once per reference time.
 """
 
 from __future__ import annotations
@@ -14,9 +15,11 @@ import threading
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial.polynomial import polyder, polyval
 
 from .errors import ZeroReach
-from .geometry import CurveGeometry, CurveIndex, PolyCurve, build_geometry, d2ds2, integrate
+from .extension import BField, build_B
+from .geometry import CurveGeometry, PolyCurve, build_geometry, d2ds2, integrate
 
 
 # ---------------------------------------------------------------------------
@@ -38,17 +41,6 @@ def _hermite_quintic(a, b, va, da, dda, vb, db, ddb):
     return np.linalg.solve(m, rhs)
 
 
-def _polyval(coeffs, x):
-    out = np.zeros_like(x, dtype=float)
-    for k in range(len(coeffs) - 1, -1, -1):
-        out = out * x + coeffs[k]
-    return out
-
-
-def _polyder(coeffs):
-    return np.array([k * coeffs[k] for k in range(1, len(coeffs))])
-
-
 class CutoffProfile:
     """The three C^2 profiles driving the tube constructions.
 
@@ -64,7 +56,7 @@ class CutoffProfile:
         self.delta = float(delta)
         a, b = 0.5 * delta, delta
         self._zc = _hermite_quintic(a, b, 1.0 - a * a, -2.0 * a, -2.0, 0.0, 0.0, 0.0)
-        self._zc_d = _polyder(self._zc)
+        self._zc_d = polyder(self._zc)
         self._tc = _hermite_quintic(a, b, a, 1.0, 0.0, b, 0.0, 0.0)
         self._check_shape()
 
@@ -74,7 +66,7 @@ class CutoffProfile:
         plateau = s <= 0.5 * self.delta
         out[plateau] = 1.0 - s[plateau] ** 2
         trans = (s > 0.5 * self.delta) & (s < self.delta)
-        out[trans] = _polyval(self._zc, s[trans])
+        out[trans] = polyval(s[trans], self._zc)
         return out
 
     def zeta_prime(self, s):
@@ -85,7 +77,7 @@ class CutoffProfile:
         plateau = sa <= 0.5 * self.delta
         out[plateau] = -2.0 * sa[plateau]
         trans = (sa > 0.5 * self.delta) & (sa < self.delta)
-        out[trans] = _polyval(self._zc_d, sa[trans])
+        out[trans] = polyval(sa[trans], self._zc_d)
         return sign * out
 
     def theta(self, s):
@@ -95,7 +87,7 @@ class CutoffProfile:
         out = np.where(sa <= 0.5 * self.delta, sa, self.delta)
         trans = (sa > 0.5 * self.delta) & (sa < self.delta)
         out = np.array(out)
-        out[trans] = _polyval(self._tc, sa[trans])
+        out[trans] = polyval(sa[trans], self._tc)
         return sign * out
 
     def eta(self, s):
@@ -233,13 +225,8 @@ class PolygonReference:
         self.stationary = trajectory is None
         self._cache: dict[float, tuple] = {}
 
-    def curve_at(self, t: float) -> PolyCurve:
-        if self.static_curve is not None:
-            return self.static_curve
-        return self.trajectory.curve_at(t)
-
     def _state_at(self, t: float):
-        """The geometry, index and PDE velocity at t, built once per time.
+        """The geometry and PDE velocity at t, built once per time.
 
         Samples of one run are evaluated on several threads at once: the
         state is returned from a local, never re-read from the cache, which
@@ -248,29 +235,32 @@ class PolygonReference:
         key = float(t)
         state = self._cache.get(key)
         if state is None:
-            curve = self.curve_at(t)
-            geom = build_geometry(curve)
+            geom = build_geometry(self.static_curve if self.trajectory is None
+                                  else self.trajectory.curve_at(t))
             # spatial PDE velocity of the interpolated geometry; the discrete
             # second derivative has exactly zero weighted mean, which the
             # Neumann solvability check requires
             v = (d2ds2(geom, geom.kappa) if self.trajectory is not None
                  else np.zeros(len(geom.kappa)))
-            state = (geom, CurveIndex(curve, geom), v)
+            state = (geom, v)
             if len(self._cache) > 64:
                 self._cache.clear()
             self._cache[key] = state
         return state
 
+    def curve_at(self, t: float) -> PolyCurve:
+        return self._state_at(t)[0].curve
+
     def geometry_at(self, t: float) -> CurveGeometry:
         return self._state_at(t)[0]
 
     def velocity_at(self, t: float) -> np.ndarray:
-        return self._state_at(t)[2]
+        return self._state_at(t)[1]
 
     def query(self, points: np.ndarray, t: float = 0.0):
-        geom, index, _ = self._state_at(t)
-        s, grad, foot, seg, tpar = index.signed(points)
-        return s, grad, foot, index.interpolate_vertex_field(geom.kappa, seg, tpar)
+        geom = self._state_at(t)[0]
+        s, grad, foot, seg, tpar = geom.index.signed(points)
+        return s, grad, foot, geom.index.interpolate_vertex_field(geom.kappa, seg, tpar)
 
     def admissible_delta(self, nt: int = 9) -> float:
         if self.trajectory is None:
@@ -391,7 +381,11 @@ class TubeSample:
 
 
 class Calibration:
-    """Evaluator bundle for the tube fields around a reference solution."""
+    """The calibration around a reference solution: the tube fields and B.
+
+    xi and the other tube fields are evaluated pointwise from reference
+    queries; the velocity extension B is built once per reference time.
+    """
 
     def __init__(self, reference, delta: float | None = None):
         self.reference = reference
@@ -403,6 +397,24 @@ class Calibration:
         self.delta = float(delta)
         self.delta_max = float(dmax)
         self.profile = CutoffProfile(self.delta)
+        self._b_fields: dict[float, BField] = {}
+
+    def b_field(self, t: float) -> BField | None:
+        """The velocity extension B at t, built once per time; None if stationary.
+
+        Every run evaluated with this calibration at the same time shares the
+        field.  Concurrent samples ask for distinct times, so their fields
+        are built in parallel; a time asked on two threads at once may be
+        built twice, and each caller gets the field it built or found.
+        """
+        if self.reference.stationary:
+            return None
+        key = round(float(t), 12)
+        b = self._b_fields.get(key)
+        if b is None:
+            b = self._b_fields[key] = build_B(self.reference.geometry_at(t),
+                                              self.reference.velocity_at(t), self.delta)
+        return b
 
     # -- raw distance fields ------------------------------------------------
 
@@ -439,15 +451,6 @@ class Calibration:
     def vartheta_at(self, points, t: float = 0.0):
         return self.profile.theta(self.sdist(points, t))
 
-    def nu_star_at(self, points, t: float = 0.0):
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        s, grad, _, _ = self.reference.query(points, t)
-        return self.profile.eta(s)[:, None] * grad
-
-    def tau_star_at(self, points, t: float = 0.0):
-        nu = self.nu_star_at(points, t)
-        return np.column_stack([-nu[:, 1], nu[:, 0]])
-
     def proj(self, points, t: float = 0.0):
         points = np.atleast_2d(np.asarray(points, dtype=float))
         s, grad, _, _ = self.reference.query(points, t)
@@ -458,16 +461,6 @@ class Calibration:
         points = np.atleast_2d(np.asarray(points, dtype=float))
         s, _, _, kf = self.reference.query(points, t)
         return self._div_xi(s, kf)
-
-    def d_sstar(self, func, points, t: float = 0.0, step: float | None = None):
-        """Directional derivative along tau* by centered differences."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        if step is None:
-            step = 1e-5 * self.delta
-        tau = self.tau_star_at(points, t)
-        fp = np.asarray(func(points + step * tau))
-        fm = np.asarray(func(points - step * tau))
-        return (fp - fm) / (2.0 * step)
 
     def xi_grad_bound(self, t: float = 0.0) -> float:
         """sup |grad xi| over the tube, from the 1-d profile and curvature range.

@@ -199,6 +199,11 @@ def _place_bubbles(rng, spec_list, reference, delta, existing: geo.PolyCurve):
 # the scenario pipeline
 # ---------------------------------------------------------------------------
 
+# the lowest inequality slack that passes: exact algebraic identities may
+# round a hair below zero
+SLACK_FLOOR = -1e-12
+
+
 def run_scenario(scenario: Scenario, out_dir: str | None = None,
                  seed: int | None = None) -> dict:
     """Run one scenario end to end; returns the summary dictionary."""
@@ -248,7 +253,7 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None,
     run = fllib.run_flow(weak_curve, cfg, sample_stride=1,
                          max_samples=4 * scenario.sample_count)
 
-    summary = evaluate_run(run.states, calib, reference, scenario.sample_count)
+    summary = evaluate_run(run.states, calib, scenario.sample_count)
     summary.update(_flow_diagnostics(run))
     summary["scenario"] = scenario.name
     summary["seed"] = seed
@@ -272,12 +277,9 @@ def write_outputs(summary: dict, out: str) -> None:
 
 
 def passed(summary: dict) -> bool:
-    """A PASS Gronwall verdict and no worst slack below -1e-12.
-
-    Exact algebraic identities may round a hair below zero.
-    """
+    """A PASS Gronwall verdict and no worst slack below SLACK_FLOOR."""
     ok = str(summary["gronwall"]["verdict"]).startswith("PASS")
-    return ok and all(v is None or v >= -1e-12 for v in summary["worst_slacks"].values())
+    return ok and all(v is None or v >= SLACK_FLOOR for v in summary["worst_slacks"].values())
 
 
 def _quadrature_floor(geom, reference) -> float:
@@ -295,58 +297,29 @@ def _quadrature_floor(geom, reference) -> float:
     return 2.0 * float(sum(geom.length)) * bulge ** 2 + 1e-10
 
 
-def make_b_provider(reference, delta):
-    """Time-keyed cache of extension fields built on the reference.
+def _evaluate_sample(state, calib):
+    """Energy report, worst slacks, flux constants and stationary ratio of one state.
 
-    One provider can serve every weak run compared against the same
-    reference: runs sampled at the same times then share each field.
-    Concurrent samples ask for distinct times, so their fields are built
-    in parallel.
-    """
-    cache: dict = {}
-
-    def provider(t: float):
-        key = round(float(t), 12)
-        field = cache.get(key)
-        if field is None:
-            field = cache[key] = exlib.build_B(reference.geometry_at(t),
-                                               reference.velocity_at(t), delta)
-        return field
-
-    return provider
-
-
-@dataclass
-class _SampleResult:
-    """What one sample contributes to a run's summary."""
-
-    report: enlib.EnergyReport
-    pointwise_slack: float
-    bubble_slacks: list
-    nu_dot_B: enlib.NuDotBReport | None
-    flux_constants: dict | None
-    stationary_ratio: float | None
-
-
-def _evaluate_sample(state, calib, b_provider, stationary: bool) -> _SampleResult:
-    """Energy report and inequality checks of one sampled state.
-
-    Reads the reference and the calibration and writes nothing shared, so
-    samples can be evaluated on several threads at once.
+    Reads the reference and the calibration and writes nothing shared but
+    the calibration's B cache, so samples can be evaluated on several
+    threads at once.  A slack with nothing to check is inf; the flux
+    constants exist only with B, the ratio only on a stationary reference.
     """
     t = state.time
-    b_field = None if stationary else b_provider(t)
+    b_field = calib.b_field(t)
     sample = calib.sample(state.geometry, t)
     rep = enlib.dissipation_report(state.curve, sample, calib, b_field,
                                    state.normal_velocity)
     check = calib.pointwise_tilt_check(sample)
+    rep.verdicts["pointwise"] = "PASS" if check.worst >= SLACK_FLOOR else "FAIL"
     xi_bound = calib.xi_grad_bound(t)
-    bub = enlib.small_component_area_check(sample, xi_bound)
+    bubbles = enlib.small_component_area_check(sample, xi_bound)
     nb = flux_constants = None
     if b_field is not None:
         nb = enlib.nu_dot_B_sums(state.geometry, b_field, calib, xi_bound,
                                  f_value=rep.F, e_value=rep.E)
-        rep.verdicts["nu_dot_B"] = "PASS" if min(nb.slack_abs, nb.slack_scaled) >= 0 else "FAIL"
+        rep.verdicts["nu_dot_B"] = ("PASS" if min(nb.slack_abs, nb.slack_scaled) >= SLACK_FLOOR
+                                    else "FAIL")
         flux_constants = {
             "support_radius": b_field.support_radius,
             "div_sup": b_field.div_sup,
@@ -358,64 +331,42 @@ def _evaluate_sample(state, calib, b_provider, stationary: bool) -> _SampleResul
             "length_threshold": (1.0 / b_field.sup_norm
                                  if b_field.sup_norm > 0 else None),
         }
-    ratio = enlib.stationary_gradient_ratio(rep, calib) if stationary else None
-    rep.verdicts["pointwise"] = "PASS" if check.worst >= -1e-12 else "FAIL"
-    return _SampleResult(rep, check.worst, [b.slack for b in bub if b.applicable],
-                         nb, flux_constants, ratio)
+    slacks = {
+        "pointwise_slack": check.worst,
+        "bubble_slack": min((b.slack for b in bubbles if b.applicable), default=np.inf),
+        "nu_dot_B_slack_abs": np.inf if nb is None else nb.slack_abs,
+        "nu_dot_B_slack_scaled": np.inf if nb is None else nb.slack_scaled,
+    }
+    ratio = (enlib.stationary_gradient_ratio(rep, calib) if calib.reference.stationary
+             else None)
+    return rep, slacks, flux_constants, ratio
 
 
-def evaluate_run(states: list, calib, reference, sample_count: int,
-                 b_provider=None) -> dict:
+def evaluate_run(states: list, calib, sample_count: int) -> dict:
     """Energy reports, inequality verdicts and the Gronwall fit of sampled states.
 
     ``states`` are ``flow.FlowState``s in time order, each with the normal
     velocity its D_V terms read; at most ``sample_count`` of them, spread
-    evenly, are evaluated.  They are evaluated concurrently, one thread per
-    CPU the process may run on (at most one per sample): the numpy, LAPACK
-    and k-d tree kernels they spend their time in release the interpreter
-    lock.  Results are folded in sample order, so the summary and the
-    reports are the same bit for bit whatever the number of threads.  Each
-    extra sample in flight holds its own working set, about 12 MB on the
-    benchmark's workloads.
+    evenly, are evaluated against ``calib``.  They are evaluated
+    concurrently, one thread per CPU the process may run on (at most one per
+    sample): the numpy, LAPACK and k-d tree kernels they spend their time in
+    release the interpreter lock.  Results are folded in sample order, so
+    the summary and the reports are the same bit for bit whatever the
+    number of threads.  Each extra sample in flight holds its own working
+    set, about 12 MB on the benchmark's workloads.
     """
-    floor = _quadrature_floor(states[0].geometry, reference)
+    floor = _quadrature_floor(states[0].geometry, calib.reference)
     if len(states) > sample_count:
         pick = np.unique(np.linspace(0, len(states) - 1, sample_count).astype(int))
         states = [states[i] for i in pick]
 
-    stationary = getattr(reference, "stationary", False)
-    if not stationary and b_provider is None:
-        b_provider = make_b_provider(reference, calib.delta)
     workers = min(len(states), len(os.sched_getaffinity(0)))
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(
-            lambda state: _evaluate_sample(state, calib, b_provider, stationary), states))
-
-    reports = []
-    worst = {
-        "pointwise_slack": np.inf,
-        "bubble_slack": np.inf,
-        "nu_dot_B_slack_abs": np.inf,
-        "nu_dot_B_slack_scaled": np.inf,
-    }
-    flux_constants = None
-    stationary_ratios = []
-    for res in results:
-        worst["pointwise_slack"] = min(worst["pointwise_slack"], res.pointwise_slack)
-        if res.bubble_slacks:
-            worst["bubble_slack"] = min(worst["bubble_slack"], min(res.bubble_slacks))
-        if res.nu_dot_B is not None:
-            worst["nu_dot_B_slack_abs"] = min(worst["nu_dot_B_slack_abs"],
-                                              res.nu_dot_B.slack_abs)
-            worst["nu_dot_B_slack_scaled"] = min(worst["nu_dot_B_slack_scaled"],
-                                                 res.nu_dot_B.slack_scaled)
-            flux_constants = res.flux_constants
-        if res.stationary_ratio is not None:
-            stationary_ratios.append(res.stationary_ratio)
-        reports.append(res.report)
+        reports, slacks, fluxes, ratios = zip(*pool.map(
+            lambda state: _evaluate_sample(state, calib), states))
 
     try:
-        gron = enlib.gronwall_verdict(reports, floor=floor)
+        gron = enlib.gronwall_verdict(list(reports), floor=floor)
         gron_info = {
             "C_fit": gron.c_fit, "C_integral": gron.c_integral,
             "verdict": gron.verdict, "initial": gron.initial,
@@ -426,18 +377,22 @@ def evaluate_run(states: list, calib, reference, sample_count: int,
     except ValueError as exc:
         gron_info = {"verdict": "SKIPPED-SHORT", "detail": str(exc)}
 
-    clean = {k: (None if not np.isfinite(v) else float(v)) for k, v in worst.items()}
+    worst = {key: min(s[key] for s in slacks) for key in slacks[0]}
     return {
-        "_reports": reports,
+        "_reports": list(reports),
         "gronwall": gron_info,
-        "worst_slacks": clean,
-        "flux_constants": flux_constants,
-        "stationary_gradient_ratio_max": max(stationary_ratios) if stationary_ratios else None,
+        "worst_slacks": {k: float(v) if np.isfinite(v) else None for k, v in worst.items()},
+        "flux_constants": fluxes[-1],
+        "stationary_gradient_ratio_max": None if ratios[0] is None else max(ratios),
     }
 
 
 def _flow_diagnostics(run: fllib.FlowRun) -> dict:
-    """Length monotonicity, area drift and the mean dissipation-identity residuals of a run."""
+    """Length monotonicity, area drift and the mean dissipation-identity residuals of a run.
+
+    The residuals pair neighbouring recorded states, which are as many
+    accepted steps apart as the run's sample stride when they were recorded.
+    """
     residuals = []
     residuals_half = []
     for a, b in zip(run.states[:-1], run.states[1:]):
@@ -654,7 +609,7 @@ def run_compare(weak_dir: str, strong_dir: str, delta: str, out: str | None) -> 
         geom = geo.build_geometry(curve)
         states.append(fllib.FlowState(curve=curve, time=float(t), step_index=k, geometry=geom,
                                       normal_velocity=geo.d2ds2(geom, geom.kappa)))
-    summary = evaluate_run(states, calib, reference, len(states))
+    summary = evaluate_run(states, calib, len(states))
     summary["delta"] = calib.delta
     write_outputs(summary, out or "compare_out")
     ok = passed(summary)

@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NonZeroMean, RankDeficient
-from .geometry import CurveGeometry, CurveIndex, dds, field_mean, integrate
+from .geometry import CurveGeometry, dds, field_mean, integrate
 from .poisson import PeriodicSpline
 
 
@@ -48,7 +48,6 @@ class BField:
     """Velocity extension evaluator; immutable after build."""
 
     geometry: CurveGeometry
-    index: CurveIndex
     density: np.ndarray
     mu: np.ndarray                   # per-component solvability constants
     fine_points: np.ndarray
@@ -110,7 +109,7 @@ class BField:
         """
         points = np.atleast_2d(points)
         a = self._foot_arc_raw(seg, tpar)
-        comp = self.index.seg_comp[seg]
+        comp = self.geometry.index.seg_comp[seg]
         pos = self.position
         for _ in range(4):
             (gx, gy), (dx, dy), (ddx, ddy) = (pos(comp, a, k).T for k in (0, 1, 2))
@@ -176,7 +175,7 @@ class BField:
         if not np.any(live):
             return out, div_out
         pts = points[live]
-        s0, _, _, seg, tpar = self.index.signed(pts)
+        s0, _, _, seg, tpar = self.geometry.index.signed(pts)
         vals = np.zeros_like(pts)
         divs = np.zeros(len(pts))
         # the smooth foot covers the damping band and the interior blend
@@ -345,8 +344,7 @@ def build_B(geom: CurveGeometry, v_star: np.ndarray, delta: float) -> BField:
     sf = period[comp] * (np.arange(nf.sum()) - np.repeat(np.cumsum(nf) - nf, nf)) / nf[comp]
 
     field = BField(
-        geometry=geom, index=CurveIndex(geom.curve, geom),
-        density=q, mu=mu,
+        geometry=geom, density=q, mu=mu,
         fine_points=position(comp, sf),
         fine_charge=_arc_spline(geom, q)(comp, sf) * (period / nf)[comp],
         boundary=_arc_spline(geom, np.column_stack(traces)), position=position,

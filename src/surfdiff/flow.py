@@ -239,8 +239,7 @@ class Trajectory:
 
 @dataclass
 class FlowRun:
-    states: list[FlowState]
-    final: FlowState
+    states: list[FlowState]         # recorded states; the last is the final state
     accepted: int
     rejected: int
     length_series: list[float]
@@ -328,7 +327,7 @@ def run_flow(initial: PolyCurve, config: FlowConfig, sample_stride: int = 10,
     if samples[-1] is not state:
         samples.append(state)
 
-    return FlowRun(states=samples, final=state, accepted=accepted, rejected=rejected,
+    return FlowRun(states=samples, accepted=accepted, rejected=rejected,
                    length_series=lengths, area_series=areas, rejections=rejections)
 
 
@@ -346,17 +345,20 @@ def make_reference(config: FlowConfig, initial: PolyCurve,
 
 def dissipation_identity_residual(before: FlowState,
                                   after: FlowState) -> tuple[float, float]:
-    """|dL/dt + int |d kappa/ds|^2| across one accepted step, and its half form.
+    """|dL/dt + int |d kappa/ds|^2| between two states of a run, and its half form.
 
-    The dissipation integrals are evaluated at the midpoint geometry.  The
-    half form uses (1/2)(int |d kappa/ds|^2 + int |d phi_V/ds|^2) instead,
-    which splits the rate between the curvature gradient and the velocity
-    potential; the scenario runner reports both because the discrete scheme
-    need not satisfy either sharply.  Returns (full, half).
+    dL/dt is the difference quotient between the two states, which may be
+    one or more accepted steps apart; the velocity term reads ``after``'s
+    normal velocity, that of its own last step.  The dissipation integrals
+    are evaluated at the midpoint geometry.  The half form uses
+    (1/2)(int |d kappa/ds|^2 + int |d phi_V/ds|^2) instead, which splits the
+    rate between the curvature gradient and the velocity potential; the
+    scenario runner reports both because the discrete scheme need not
+    satisfy either sharply.  Returns (full, half).
     """
     dt = after.time - before.time
     if dt <= 0:
-        raise ValueError("states must be consecutive accepted steps")
+        raise ValueError("after must be later than before")
     mid = build_geometry(before.curve.with_vertices(
         0.5 * (before.geometry.vertices + after.geometry.vertices)))
     d_h = float(np.sum(integrate(mid, dds(mid, mid.kappa) ** 2)))

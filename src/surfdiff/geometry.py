@@ -309,6 +309,11 @@ class CurveGeometry:
                   self.tau, self.nu, self.kappa, self.length, self.area):
             a.flags.writeable = False
 
+    @cached_property
+    def index(self) -> "CurveIndex":
+        """The closest-point index of the curve, built on first read."""
+        return CurveIndex(self)
+
 
 def _hull(vertices: np.ndarray) -> np.ndarray:
     """Convex hull vertices in counter-clockwise order.
@@ -589,12 +594,6 @@ def points_in_component(points: np.ndarray, vertices: np.ndarray) -> np.ndarray:
     return crossing_parity(points, vertices, np.roll(vertices, -1, axis=0))[:, 0]
 
 
-def region_contains(curve: PolyCurve, points: np.ndarray) -> np.ndarray:
-    """Even-odd membership of points in the region enclosed by the forest."""
-    starts, ends, _, _ = curve.segments
-    return crossing_parity(points, starts, ends)[:, 0]
-
-
 # ---------------------------------------------------------------------------
 # Jordan decomposition
 # ---------------------------------------------------------------------------
@@ -722,15 +721,14 @@ class CurveIndex:
     matching dist(x, region) - dist(x, complement).
     """
 
-    def __init__(self, curve: PolyCurve, geometry: CurveGeometry | None = None):
-        self.curve = curve
-        self.geometry = geometry if geometry is not None else build_geometry(curve)
+    def __init__(self, geometry: CurveGeometry):
+        curve = geometry.curve
         self.seg_start, self.seg_end, self.seg_comp, self.seg_local = curve.segments
         self.seg_vec = self.seg_end - self.seg_start
         self.seg_len2 = np.maximum(np.sum(self.seg_vec * self.seg_vec, axis=1), 1e-300)
         self.hmax = float(curve.edge_lengths.max())
         self.next_of, self.prev_of = curve.layout[:2]
-        self.nu = self.geometry.nu
+        self.nu = geometry.nu
         # sum of the unit normals of the two edges at each vertex: positive
         # on the vertex's whole normal cone, whatever its turning angle
         edge_nu = self.seg_vec[:, ::-1] * [1.0, -1.0] / np.sqrt(self.seg_len2)[:, None]

@@ -13,7 +13,7 @@ import numpy as np
 
 from surfdiff.calibration import AnalyticCircles
 from surfdiff.energy import _G9W, _G9X, _G9Y, _T7_BARY, _T7_W
-from surfdiff.geometry import points_in_component, region_contains
+from surfdiff.geometry import crossing_parity, points_in_component
 
 
 def clip_rect(poly, lo, hi):
@@ -178,8 +178,8 @@ def bulk_error_montecarlo(curve, calib, t=0.0, n_samples=10**6, seed=7):
     rng = np.random.default_rng(seed)
     pts = rng.uniform(lo, hi, size=(n_samples, 2))
     area = float(np.prod(hi - lo))
-    diff = (region_contains(curve, pts).astype(float)
-            - region_contains(ref_curve, pts).astype(float))
+    diff = (crossing_parity(pts, *curve.segments[:2])[:, 0].astype(float)
+            - crossing_parity(pts, *ref_curve.segments[:2])[:, 0].astype(float))
     vals = diff * calib.vartheta_at(pts, t)
     mean = float(np.mean(vals))
     stderr = float(np.std(vals) / np.sqrt(n_samples))

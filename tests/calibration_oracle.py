@@ -1,4 +1,5 @@
-"""Single-point signed distance with the medial-axis ambiguity probe.
+"""Single-point signed distance with the medial-axis ambiguity probe, and
+finite differences along the extended reference tangent.
 
 The tube evaluators query the reference in batches and never need to know
 whether a foot point is ambiguous; the tests check that a strict single
@@ -36,3 +37,27 @@ def _ambiguity_probe(calib, point, d0, t):
         raise MedialAxisProximity(
             f"foot point ambiguous near {point}: candidates {spread:.2e} apart"
         )
+
+
+def nu_star_at(calib, points, t=0.0):
+    """The extended reference normal eta(s) grad s."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    s, grad, _, _ = calib.reference.query(points, t)
+    return calib.profile.eta(s)[:, None] * grad
+
+
+def tau_star_at(calib, points, t=0.0):
+    """The extended reference tangent, nu* turned a quarter counter-clockwise."""
+    nu = nu_star_at(calib, points, t)
+    return np.column_stack([-nu[:, 1], nu[:, 0]])
+
+
+def d_sstar(calib, func, points, t=0.0, step=None):
+    """Directional derivative along tau* by centered differences."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    if step is None:
+        step = 1e-5 * calib.delta
+    tau = tau_star_at(calib, points, t)
+    fp = np.asarray(func(points + step * tau))
+    fm = np.asarray(func(points - step * tau))
+    return (fp - fm) / (2.0 * step)

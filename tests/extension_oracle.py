@@ -17,6 +17,7 @@ from surfdiff.extension import BField, _arc_spline, _normal_rays
 from surfdiff.geometry import PolyCurve, build_geometry, dds
 from surfdiff.poisson import PeriodicSpline, nu_dot_B_potential, velocity_potential
 
+from calibration_oracle import d_sstar
 from geometry_oracle import parts
 
 # 4-point Gauss-Legendre on [0, 1]
@@ -150,7 +151,7 @@ class StarPotential:
     def extension_at(self, points, t: float = 0.0):
         """phi*(closest point) * zeta(s(x))."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        _, _, _, seg, tpar = self.field.index.signed(points)
+        _, _, _, seg, tpar = self.field.geometry.index.signed(points)
         s, arc, comp, _, _ = self.field.smooth_foot(points, seg, tpar)
         return self.spline(comp, arc)[:, 0] * self.calib.profile.zeta(s)
 
@@ -163,8 +164,8 @@ class StarPotential:
         the finite-difference oracle).
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        lhs = self.calib.d_sstar(lambda p: self.extension_at(p, t), points, t)
-        _, _, _, seg, tpar = self.field.index.signed(points)
+        lhs = d_sstar(self.calib, lambda p: self.extension_at(p, t), points, t)
+        _, _, _, seg, tpar = self.field.geometry.index.signed(points)
         s, arc, comp, _, _ = self.field.smooth_foot(points, seg, tpar)
         dphi = self.spline(comp, arc)[:, 1]
         kf = self.field.boundary(comp, arc)[:, 6]   # kappa

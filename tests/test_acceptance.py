@@ -50,7 +50,7 @@ def stationary_scenario():
     stop = lambda s: s.length() ** 2 / (4 * np.pi * abs(s.area())) <= 1.0001
     run = fl.run_flow(curve, cfg, sample_stride=1, max_samples=48,
                       stop_condition=stop)
-    summary = cli.evaluate_run(run.states, calib, ref, sample_count=14)
+    summary = cli.evaluate_run(run.states, calib, sample_count=14)
     return run, calib, ref, summary
 
 
@@ -82,7 +82,6 @@ def weak_strong_bundle():
                                  sample_stride=5)
         reference = cb.PolygonReference(trajectory=traj)
         calib = cb.Calibration(reference)
-        provider = cli.make_b_provider(reference, calib.delta)
         runs = {}
         for k in (0, 2, 4, 8):
             comps = [geo.make_ellipse(2.0, 1.0, 128)]
@@ -90,8 +89,7 @@ def weak_strong_bundle():
             weak = geo.PolyCurve(comps)
             cfg = fl.FlowConfig(dt=dt, end_time=horizon, area_drift_abort=1e-3)
             run = fl.run_flow(weak, cfg, sample_stride=1, max_samples=40)
-            summary = cli.evaluate_run(run.states, calib, reference, sample_count=12,
-                                       b_provider=provider)
+            summary = cli.evaluate_run(run.states, calib, sample_count=12)
             runs[k] = (run, summary)
         out[dt] = {"reference": reference, "calib": calib, "runs": runs}
     return out
@@ -159,8 +157,8 @@ def test_criterion_04_gauss_bonnet_everywhere(ellipse_run_512, stationary_scenar
     run_s, _, _, _ = stationary_scenario
     worst = 0.0
     count = 0
-    for state in (ellipse_run_512.final, ellipse_run_512.states[0],
-                  run_s.final, run_s.states[0]):
+    for state in (ellipse_run_512.states[-1], ellipse_run_512.states[0],
+                  run_s.states[-1], run_s.states[0]):
         forest = geo.jordan_decompose(state.curve)
         residuals = geo.gauss_bonnet_residual(state.geometry)
         for cid, _sign in forest.boundaries:
@@ -244,7 +242,7 @@ def test_criterion_08_pointwise_inequalities(stationary_scenario,
 
 def test_criterion_09_stationary_stability(stationary_scenario):
     run, calib, ref, summary = stationary_scenario
-    iso = run.final.length() ** 2 / (4 * np.pi * abs(run.final.area()))
+    iso = run.states[-1].length() ** 2 / (4 * np.pi * abs(run.states[-1].area()))
     gron = summary["gronwall"]
     series = gron["series"]
     decays = series[-1] <= series[0]
@@ -378,7 +376,7 @@ def test_criterion_14_bulk_error_oracles(circle_calibration, stationary_scenario
     # scenario states against their calibrations
     run, calib, _, _ = stationary_scenario
     worst_sigma = sigma_annulus
-    for state in (run.states[0], run.final):
+    for state in (run.states[0], run.states[-1]):
         fv = en.bulk_error(state.curve, calib)
         fm, sm = bulk_oracle.bulk_error_montecarlo(state.curve, calib, n_samples=2 * 10**5)
         worst_sigma = max(worst_sigma, abs(fm - fv) / sm)

@@ -209,10 +209,10 @@ def test_d_sstar_identities(circle_calibration):
     calib = circle_calibration
     pts = np.array([[1.05 * np.cos(0.8), 1.05 * np.sin(0.8)]])
     # tangential derivative of the signed distance vanishes
-    val = calib.d_sstar(lambda p: calib.sdist(p), pts)
+    val = calibration_oracle.d_sstar(calib, lambda p: calib.sdist(p), pts)
     assert abs(val[0]) <= 1e-8
     # same for the cutoff composed with the distance
-    val2 = calib.d_sstar(lambda p: calib.profile.zeta(calib.sdist(p)), pts)
+    val2 = calibration_oracle.d_sstar(calib, lambda p: calib.profile.zeta(calib.sdist(p)), pts)
     assert abs(val2[0]) <= 1e-8
 
 
@@ -222,7 +222,7 @@ def test_d_sstar_projection_jacobian(circle_calibration, s0):
     # equals 1 - s * (level-set curvature at the point)
     calib = circle_calibration
     pts = np.array([[(1 + s0) * np.cos(1.3), (1 + s0) * np.sin(1.3)]])
-    jac = calib.d_sstar(lambda p: calib.proj(p), pts)
+    jac = calibration_oracle.d_sstar(calib, lambda p: calib.proj(p), pts)
     mag = np.linalg.norm(jac[0])
     assert mag == pytest.approx(1.0 / (1.0 + s0), rel=1e-6)
     level = 1.0 / (1.0 + s0)
@@ -378,8 +378,32 @@ def test_polygon_reference_state_on_two_threads():
                 for order in (times, times[::-1])]
         got = [pair for run in runs for pair in run.result(timeout=60)]
     assert len(got) == 2 * len(times)
-    for t, (geom, index, v) in got:
-        ref_geom, ref_index, ref_v = want[t]
-        assert np.array_equal(index.seg_start, ref_index.seg_start)
+    for t, (geom, v) in got:
+        ref_geom, ref_v = want[t]
+        assert np.array_equal(geom.index.seg_start, ref_geom.index.seg_start)
         assert np.array_equal(geom.kappa, ref_geom.kappa)
         assert np.array_equal(v, ref_v)
+
+
+def test_b_field_on_two_threads():
+    # samples of one run ask the calibration for B from several threads; a
+    # time asked on both at once may be built twice, but each caller gets a
+    # field with the serial field's values
+    traj = fl.make_reference(fl.FlowConfig(dt=1e-4, end_time=0.002),
+                             geo.PolyCurve([geo.make_ellipse(2.0, 1.0, 64)]),
+                             sample_stride=5)
+    times = np.linspace(traj.times[0], traj.times[-1], 6)
+    serial = cb.Calibration(cb.PolygonReference(trajectory=traj))
+    want = {t: serial.b_field(t) for t in times}
+    shared = cb.Calibration(cb.PolygonReference(trajectory=traj))
+    shared._b_fields = _YieldingDict()
+    with ThreadPoolExecutor(2) as pool:
+        runs = [pool.submit(lambda ts: [(t, shared.b_field(t)) for t in ts], order)
+                for order in (times, times[::-1])]
+        got = [pair for run in runs for pair in run.result(timeout=60)]
+    assert len(got) == 2 * len(times)
+    for t, b in got:
+        assert np.array_equal(b.density, want[t].density)
+        assert (b.div_sup, b.sup_norm, b.lipschitz) == (want[t].div_sup, want[t].sup_norm,
+                                                        want[t].lipschitz)
+    assert all(shared.b_field(t) is shared.b_field(t) for t in times)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -215,7 +216,7 @@ def test_evaluate_run_evaluates_each_sample_once(monkeypatch):
 
     monkeypatch.setattr(ref, "query", counting_query)
     monkeypatch.setattr(fl, "build_geometry", counting_build)
-    cli.evaluate_run(run.states, calib, ref, 10)
+    cli.evaluate_run(run.states, calib, 10)
     cli._flow_diagnostics(run)
     assert len(run.states) > 10
     assert len(vertex_queries) == len(set(vertex_queries)) == 10
@@ -247,7 +248,7 @@ def test_evaluate_run_same_bits_on_one_and_two_threads(monkeypatch, tmp_path):
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
         monkeypatch.setattr(cli, "_evaluate_sample", on_thread)
-        summary = cli.evaluate_run(run.states, calib, ref, 6)
+        summary = cli.evaluate_run(run.states, calib, 6)
         assert len(threads) == len(cpus)
         assert summary["flux_constants"] is not None
         path = tmp_path / f"reports_{len(cpus)}.csv"
@@ -255,6 +256,96 @@ def test_evaluate_run_same_bits_on_one_and_two_threads(monkeypatch, tmp_path):
         outputs.append((json.dumps(summary, sort_keys=True, default=float),
                         path.read_bytes()))
     assert outputs[0] == outputs[1]
+
+
+@pytest.fixture(scope="module")
+def short_flow_pair():
+    """A 128-vertex ellipse flow trajectory and a 32-vertex weak run beside it,
+    both to t = 0.002."""
+    cfg = fl.FlowConfig(dt=1e-4, end_time=0.002)
+    traj = fl.make_reference(cfg, geo.PolyCurve([geo.make_ellipse(2.0, 1.0, 128)]),
+                             sample_stride=5)
+    run = fl.run_flow(geo.PolyCurve([geo.make_ellipse(2.0, 1.0, 32)]), cfg, sample_stride=1,
+                      max_samples=40)
+    return traj, run
+
+
+def test_evaluate_run_builds_each_reference_time_once(short_flow_pair, monkeypatch):
+    # a sample's reference state is interpolated once, and its closest-point
+    # index serves both the tube query and B
+    traj, run = short_flow_pair
+    curve_at_times = []
+    curve_at = fl.Trajectory.curve_at
+
+    def counting_curve_at(self, t):
+        curve_at_times.append(float(t))
+        return curve_at(self, t)
+
+    indexed = []
+    init = geo.CurveIndex.__init__
+
+    def counting_init(self, geometry):
+        indexed.append(geometry)
+        init(self, geometry)
+
+    monkeypatch.setattr(fl.Trajectory, "curve_at", counting_curve_at)
+    monkeypatch.setattr(geo.CurveIndex, "__init__", counting_init)
+    calib = cb.Calibration(cb.PolygonReference(trajectory=traj))
+    summary = cli.evaluate_run(run.states, calib, 6)
+    sample_times = {report.t for report in summary["_reports"]}
+    assert len(sample_times) == 6
+    assert len(curve_at_times) == len(set(curve_at_times))
+    assert sample_times <= set(curve_at_times)
+    assert len(indexed) == len({id(g) for g in indexed}) == 6
+    assert {id(g) for g in indexed} == {id(calib.reference.geometry_at(t))
+                                        for t in sample_times}
+
+
+def test_b_field_is_built_once_per_time(short_flow_pair, monkeypatch):
+    # the calibration owns B: repeat calls and a second run evaluated with the
+    # same calibration share each time's field
+    traj, run = short_flow_pair
+    built = []
+    build_B = cb.build_B
+
+    def counting_build(*args):
+        built.append(build_B(*args))
+        return built[-1]
+
+    monkeypatch.setattr(cb, "build_B", counting_build)
+    calib = cb.Calibration(cb.PolygonReference(trajectory=traj))
+    first = cli.evaluate_run(run.states, calib, 6)
+    times = [report.t for report in first["_reports"]]
+    fields = [calib.b_field(t) for t in times]
+    second = cli.evaluate_run(run.states, calib, 6)
+    assert len(built) == 6
+    assert all(calib.b_field(t) is b for t, b in zip(times, fields))
+    assert {id(b) for b in fields} == {id(b) for b in built}
+    assert second["flux_constants"] == first["flux_constants"]
+
+
+def test_b_field_is_none_on_analytic_circles():
+    calib = cb.Calibration(cb.AnalyticCircles([cb.CircleSpec((0.0, 0.0), 1.0)]), 0.25)
+    assert calib.b_field(0.0) is None
+    assert calib.b_field(0.5) is None
+
+
+def test_slack_a_hair_below_zero_passes(short_flow_pair, monkeypatch):
+    # the nu . B verdict flag, the pointwise flag and the run's pass rule
+    # all read one floor: a slack rounding to -1e-13 passes everywhere
+    traj, run = short_flow_pair
+    nu_dot_B_sums = en.nu_dot_B_sums
+
+    def hair_below(*args, **kwargs):
+        return dataclasses.replace(nu_dot_B_sums(*args, **kwargs), slack_abs=-1e-13)
+
+    monkeypatch.setattr(en, "nu_dot_B_sums", hair_below)
+    calib = cb.Calibration(cb.PolygonReference(trajectory=traj))
+    summary = cli.evaluate_run(run.states, calib, 10)
+    assert summary["worst_slacks"]["nu_dot_B_slack_abs"] == -1e-13
+    assert summary["gronwall"]["verdict"].startswith("PASS")
+    assert all(report.verdicts["nu_dot_B"] == "PASS" for report in summary["_reports"])
+    assert cli.passed(summary)
 
 
 def test_compare_command(tmp_path):
@@ -307,12 +398,11 @@ def test_compare_reports_equal_direct_dissipation_reports(tmp_path):
     rows = (out / "reports.csv").read_text().splitlines()[1:]
     reference = cb.PolygonReference(trajectory=fl.load_trajectory(strong))
     calib = cb.Calibration(reference)
-    provider = cli.make_b_provider(reference, calib.delta)
     traj = fl.load_trajectory(weak)
     assert len(rows) == len(traj.times) >= 10
     for row, t, curve in zip(rows, traj.times, traj.curves):
         geom = geo.build_geometry(curve)
-        rep = en.dissipation_report(curve, calib.sample(geom, t), calib, provider(t),
+        rep = en.dissipation_report(curve, calib.sample(geom, t), calib, calib.b_field(t),
                                     geo.d2ds2(geom, geom.kappa))
         t_, e, f, _, _, _, d_v = map(float, row.split(",")[:7])
         assert (t_, e, f, d_v) == (rep.t, rep.E, rep.F, rep.D_V)

@@ -86,13 +86,13 @@ def test_points_beyond_inflated_box_skip_the_query(disk_cos1, monkeypatch):
     # exact zeros and the points never reach the closest-segment query
     field = disk_cos1
     seen = []
-    signed = field.index.signed
+    signed = field.geometry.index.signed
 
     def recording(points):
         seen.append(np.array(points))
         return signed(points)
 
-    monkeypatch.setattr(field.index, "signed", recording)
+    monkeypatch.setattr(field.geometry.index, "signed", recording)
     pad = 2.5 * field.delta
     rng = np.random.default_rng(11)
     ang = rng.uniform(0.0, 2.0 * np.pi, 200)

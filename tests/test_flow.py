@@ -233,7 +233,7 @@ def test_step_rejected_then_retried_at_smaller_dt():
     cfg = fl.FlowConfig(dt=2e-3, end_time=2e-3, area_drift_abort=3e-5)
     run = fl.run_flow(curve, cfg, sample_stride=1000)
     assert run.rejected > 0
-    assert run.final.time == pytest.approx(2e-3)
+    assert run.states[-1].time == pytest.approx(2e-3)
 
 
 def test_topology_change_reported(monkeypatch):

@@ -556,7 +556,7 @@ def _star(rng, n, center, rmin, rmax, orientation=1):
 
 
 def _check_index(curve, pts):
-    index = geo.CurveIndex(curve)
+    index = geo.build_geometry(curve).index
     starts, ends, _, _ = curve.segments
     d, foot, seg, t = index.unsigned(pts)
     dense = geo._point_segment_dist(pts[:, None, :], starts[None], ends[None]).min(axis=1)
@@ -566,7 +566,7 @@ def _check_index(curve, pts):
     s, grad, _, _, _ = index.signed(pts)
     assert np.array_equal(np.abs(s), d)
     clear = d > 1e-9
-    assert np.array_equal((s < 0)[clear], geo.region_contains(curve, pts[clear]))
+    assert np.array_equal((s < 0)[clear], geo.crossing_parity(pts[clear], starts, ends)[:, 0])
     live = d > 1e-14 * max(1.0, index.hmax)
     assert np.all(np.abs(np.linalg.norm(grad[live], axis=1) - 1.0) <= 1e-12)
 
@@ -603,7 +603,7 @@ def test_curve_index_coarse_vertices_on_fine_polygon():
     # two segments meeting there is returned
     fine = geo.PolyCurve([geo.make_ellipse(2.0, 1.0, 512)])
     coarse = geo.make_ellipse(2.0, 1.0, 128).vertices
-    s, grad, _, _, _ = geo.CurveIndex(fine).signed(coarse)
+    s, grad, _, _, _ = geo.build_geometry(fine).index.signed(coarse)
     assert np.all(s == 0.0)
     assert np.array_equal(grad, geo.build_geometry(fine).nu[::4])
     # with the midpoints of the fine edges, where the distance is at rounding
