@@ -11,15 +11,21 @@ extension B of the reference, built once per reference time.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.polynomial import polyder, polyval
+from numpy.polynomial.polynomial import polyder, polyint, polyval
 
 from .errors import ZeroReach
 from .extension import BField, build_B
-from .geometry import CurveGeometry, PolyCurve, build_geometry, d2ds2, integrate
+from .geometry import (
+    CurveGeometry,
+    PolyCurve,
+    build_geometry,
+    d2ds2,
+    integrate,
+    jordan_decompose,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -58,6 +64,12 @@ class CutoffProfile:
         self._zc = _hermite_quintic(a, b, 1.0 - a * a, -2.0 * a, -2.0, 0.0, 0.0, 0.0)
         self._zc_d = polyder(self._zc)
         self._tc = _hermite_quintic(a, b, a, 1.0, 0.0, b, 0.0, 0.0)
+        # antiderivatives of theta and r theta on the quintic piece, shifted
+        # to continue r^2/2 and r^3/3 at delta/2
+        self._m1c = polyint(self._tc)
+        self._m1c[0] += 0.5 * a * a - polyval(a, self._m1c)
+        self._m2c = polyint(np.concatenate([[0.0], self._tc]))
+        self._m2c[0] += a**3 / 3.0 - polyval(a, self._m2c)
         self._check_shape()
 
     def zeta(self, s):
@@ -89,6 +101,20 @@ class CutoffProfile:
         out = np.array(out)
         out[trans] = polyval(sa[trans], self._tc)
         return sign * out
+
+    def theta_moments(self, s):
+        """int_0^s theta(r) dr (even in s) and int_0^s r theta(r) dr (odd), in closed form."""
+        s = np.asarray(s, dtype=float)
+        d = self.delta
+        u = np.abs(s)
+        m1, m2 = np.array(0.5 * u * u), np.array(u**3 / 3.0)
+        trans = (u > 0.5 * d) & (u < d)
+        m1[trans] = polyval(u[trans], self._m1c)
+        m2[trans] = polyval(u[trans], self._m2c)
+        flat = u >= d
+        m1[flat] = polyval(d, self._m1c) + d * (u[flat] - d)
+        m2[flat] = polyval(d, self._m2c) + 0.5 * d * (u[flat] ** 2 - d * d)
+        return m1, np.sign(s) * m2
 
     def eta(self, s):
         sa = np.abs(np.asarray(s, dtype=float))
@@ -124,6 +150,25 @@ class CutoffProfile:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
+class ReferenceLoops:
+    """Per reference component, the data the bulk error's face term reads.
+
+    ``point`` is a point on the loop and ``normal`` the unit grad s there;
+    ``area`` is signed (positive counter-clockwise); ``kappa_integral`` is
+    int kappa ds with the curvature the reference query returns; ``parent``
+    names the tightest enclosing loop, -1 at the roots.
+    """
+
+    orientation: np.ndarray
+    length: np.ndarray
+    area: np.ndarray
+    kappa_integral: np.ndarray
+    parent: np.ndarray
+    point: np.ndarray
+    normal: np.ndarray
+
+
+@dataclass(frozen=True)
 class CircleSpec:
     center: tuple[float, float]
     radius: float
@@ -138,8 +183,6 @@ class AnalyticCircles:
             raise ValueError("need at least one circle")
         self.circles = list(circles)
         self.stationary = True
-        self._boundaries: dict[int, PolyCurve] = {}
-        self._boundaries_lock = threading.Lock()
 
     def query(self, points: np.ndarray, t: float = 0.0):
         points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -176,20 +219,24 @@ class AnalyticCircles:
             kappa_foot[sel] = c.orientation / c.radius
         return s, grad, foot, kappa_foot
 
-    def boundary_curve(self, t: float, n: int) -> PolyCurve:
-        """The circles as n-gons; time-independent, so built once per n.
+    def bisector_crossings(self, points: np.ndarray, a: np.ndarray, b: np.ndarray,
+                           t: float = 0.0):
+        """Circles have smooth tube fields: no segment needs cutting."""
+        return np.zeros(0, dtype=np.intp), np.zeros(0)
 
-        Concurrent samples ask for the same n at once; the lock keeps them
-        from each building it.
-        """
-        from .geometry import make_circle
-
-        with self._boundaries_lock:
-            if n not in self._boundaries:
-                self._boundaries[n] = PolyCurve([make_circle(c.center, c.radius, n,
-                                                             c.orientation)
-                                                 for c in self.circles])
-            return self._boundaries[n]
+    def loops(self, t: float = 0.0) -> ReferenceLoops:
+        center = np.array([c.center for c in self.circles], dtype=float)
+        r = np.array([c.radius for c in self.circles], dtype=float)
+        o = np.array([c.orientation for c in self.circles], dtype=float)
+        # inside[i, j]: circle i lies inside circle j
+        inside = (np.linalg.norm(center[:, None] - center[None], axis=2) + r[:, None]
+                  < r[None, :])
+        parent = np.where(inside.any(axis=1),
+                          np.argmin(np.where(inside, r[None, :], np.inf), axis=1), -1)
+        return ReferenceLoops(orientation=o, length=2.0 * np.pi * r, area=o * np.pi * r * r,
+                              kappa_integral=2.0 * np.pi * o, parent=parent,
+                              point=center + r[:, None] * [1.0, 0.0],
+                              normal=o[:, None] * [1.0, 0.0])
 
     def admissible_delta(self) -> float:
         reach = min(c.radius for c in self.circles)
@@ -226,12 +273,7 @@ class PolygonReference:
         self._cache: dict[float, tuple] = {}
 
     def _state_at(self, t: float):
-        """The geometry and PDE velocity at t, built once per time.
-
-        Samples of one run are evaluated on several threads at once: the
-        state is returned from a local, never re-read from the cache, which
-        another thread may clear in between.
-        """
+        """The geometry and PDE velocity at t, built once per time."""
         key = float(t)
         state = self._cache.get(key)
         if state is None:
@@ -261,6 +303,25 @@ class PolygonReference:
         geom = self._state_at(t)[0]
         s, grad, foot, seg, tpar = geom.index.signed(points)
         return s, grad, foot, geom.index.interpolate_vertex_field(geom.kappa, seg, tpar)
+
+    def bisector_crossings(self, points: np.ndarray, a: np.ndarray, b: np.ndarray,
+                           t: float = 0.0):
+        """Where the segments points[a] -> points[b] cross a corner's bisector at t.
+
+        See :meth:`CurveIndex.bisector_crossings`: the tube fields jump
+        there, so a quadrature along the segments cuts them at these
+        parameters.
+        """
+        return self.geometry_at(t).index.bisector_crossings(points, a, b)
+
+    def loops(self, t: float = 0.0) -> ReferenceLoops:
+        geom = self.geometry_at(t)
+        first = geom.layout.first
+        return ReferenceLoops(
+            orientation=np.array([c.orientation for c in geom.curve.components], dtype=float),
+            length=geom.length, area=geom.area, kappa_integral=integrate(geom, geom.kappa),
+            parent=np.array(jordan_decompose(geom.curve).parent), point=geom.vertices[first],
+            normal=geom.nu[first])
 
     def admissible_delta(self, nt: int = 9) -> float:
         if self.trajectory is None:
@@ -403,9 +464,7 @@ class Calibration:
         """The velocity extension B at t, built once per time; None if stationary.
 
         Every run evaluated with this calibration at the same time shares the
-        field.  Concurrent samples ask for distinct times, so their fields
-        are built in parallel; a time asked on two threads at once may be
-        built twice, and each caller gets the field it built or found.
+        field.
         """
         if self.reference.stationary:
             return None

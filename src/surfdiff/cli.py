@@ -27,7 +27,7 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -300,10 +300,8 @@ def _quadrature_floor(geom, reference) -> float:
 def _evaluate_sample(state, calib):
     """Energy report, worst slacks, flux constants and stationary ratio of one state.
 
-    Reads the reference and the calibration and writes nothing shared but
-    the calibration's B cache, so samples can be evaluated on several
-    threads at once.  A slack with nothing to check is inf; the flux
-    constants exist only with B, the ratio only on a stationary reference.
+    A slack with nothing to check is inf; the flux constants exist only
+    with B, the ratio only on a stationary reference.
     """
     t = state.time
     b_field = calib.b_field(t)
@@ -347,23 +345,17 @@ def evaluate_run(states: list, calib, sample_count: int) -> dict:
 
     ``states`` are ``flow.FlowState``s in time order, each with the normal
     velocity its D_V terms read; at most ``sample_count`` of them, spread
-    evenly, are evaluated against ``calib``.  They are evaluated
-    concurrently, one thread per CPU the process may run on (at most one per
-    sample): the numpy, LAPACK and k-d tree kernels they spend their time in
-    release the interpreter lock.  Results are folded in sample order, so
-    the summary and the reports are the same bit for bit whatever the
-    number of threads.  Each extra sample in flight holds its own working
-    set, about 12 MB on the benchmark's workloads.
+    evenly, are evaluated against ``calib``, one after another in time
+    order.  ``flux_constants_final`` holds the B-field constants of the last
+    sample, while each worst slack is the minimum over all samples.
     """
     floor = _quadrature_floor(states[0].geometry, calib.reference)
     if len(states) > sample_count:
         pick = np.unique(np.linspace(0, len(states) - 1, sample_count).astype(int))
         states = [states[i] for i in pick]
 
-    workers = min(len(states), len(os.sched_getaffinity(0)))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        reports, slacks, fluxes, ratios = zip(*pool.map(
-            lambda state: _evaluate_sample(state, calib), states))
+    reports, slacks, fluxes, ratios = zip(*(_evaluate_sample(state, calib)
+                                             for state in states))
 
     try:
         gron = enlib.gronwall_verdict(list(reports), floor=floor)
@@ -382,7 +374,7 @@ def evaluate_run(states: list, calib, sample_count: int) -> dict:
         "_reports": list(reports),
         "gronwall": gron_info,
         "worst_slacks": {k: float(v) if np.isfinite(v) else None for k, v in worst.items()},
-        "flux_constants": fluxes[-1],
+        "flux_constants_final": fluxes[-1],
         "stationary_gradient_ratio_max": None if ratios[0] is None else max(ratios),
     }
 
@@ -555,7 +547,7 @@ def _suite_energy():
                    f"E = {e0:.1e}"))
     eps = 0.05
     big = geo.PolyCurve([geo.make_circle((0, 0), 1.0 + eps, 1024)])
-    f = enlib.bulk_error(big, calib, reference_resolution=1024)
+    f = enlib.bulk_error(calib.sample(geo.build_geometry(big)), calib)
     f_exact = 2 * np.pi * (eps**2 / 2 + eps**3 / 3)
     rel = abs(f - f_exact) / f_exact
     checks.append(("annulus bulk formula", rel <= 1e-3, f"rel err = {rel:.1e}"))

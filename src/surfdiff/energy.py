@@ -2,14 +2,12 @@
 
 The relative energy is the tilt excess int (1 - nu . xi) over the evolving
 curve; the bulk error weighs the symmetric difference between the evolving
-and reference regions by the truncated signed distance.  The bulk integral
-runs on one quadtree shared by both regions and refined level-synchronously:
-each level is a set of cell arrays and (cell, edge) candidate arrays, so
-cells away from either boundary cancel exactly after one batched crossing
-test, and boundary cells are clipped (candidate edges only) once they are
-small enough and integrated with a degree-5 triangle rule.  Off the delta
-tube of the reference the weight is known exactly, vartheta = delta *
-(1 - 2 chi_B), and is not evaluated.
+and reference regions by the truncated signed distance vartheta = theta(s).
+The bulk error is a line integral over the evolving curve's edges: in tube
+coordinates around the reference, fields whose divergence is vartheta (or
+delta - |vartheta|) are known in closed form, and the parts of the plane
+they do not reach are faces of constant vartheta whose terms are closed
+form in the reference's lengths, areas and total curvatures.
 
 The per-sample checkers read one ``calibration.TubeSample`` of the state:
 the relative energy is the sum of its per-component tilt integrals, which
@@ -26,19 +24,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateInitialData, NonStationaryReference
-from .calibration import AnalyticCircles, Calibration, TubeSample
-from .geometry import (
-    CurveGeometry,
-    PolyCurve,
-    dds,
-    field_mean,
-    _bucket_pairs,
-    _buckets,
-    crossing_parity,
-    cycle_index,
-    integrate,
+from .errors import (
+    BandExceeded,
+    DegenerateInitialData,
+    NonStationaryReference,
+    ReferenceEnclosed,
 )
+from .calibration import AnalyticCircles, Calibration, TubeSample
+from .geometry import CurveGeometry, PolyCurve, crossing_parity, dds, field_mean, integrate
 from .poisson import nu_dot_B_potential, velocity_potential
 
 # 4-point Gauss-Legendre on [0, 1]
@@ -47,27 +40,12 @@ _G4X = 0.5 + 0.5 * np.array([-0.8611363115940526, -0.3399810435848563,
 _G4W = 0.5 * np.array([0.3478548451374538, 0.6521451548625461,
                        0.6521451548625461, 0.3478548451374538])
 
-# 3x3 tensor Gauss on [0, 1]^2
-_g3 = np.array([0.5 - 0.5 * np.sqrt(0.6), 0.5, 0.5 + 0.5 * np.sqrt(0.6)])
-_w3 = np.array([5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0])
-_G9X, _G9Y = np.meshgrid(_g3, _g3)
-_G9X, _G9Y = _G9X.ravel(), _G9Y.ravel()
-_G9W = np.outer(_w3, _w3).ravel()
-
-# Dunavant degree-5 7-point rule on the reference triangle
-_T7_BARY = np.array([
-    [1 / 3, 1 / 3, 1 / 3],
-    [0.0597158717897698, 0.4701420641051151, 0.4701420641051151],
-    [0.4701420641051151, 0.0597158717897698, 0.4701420641051151],
-    [0.4701420641051151, 0.4701420641051151, 0.0597158717897698],
-    [0.7974269853530873, 0.1012865073234563, 0.1012865073234563],
-    [0.1012865073234563, 0.7974269853530873, 0.1012865073234563],
-    [0.1012865073234563, 0.1012865073234563, 0.7974269853530873],
-])
-_T7_W = np.array([0.225,
-                  0.1323941527885062, 0.1323941527885062, 0.1323941527885062,
-                  0.1259391805448271, 0.1259391805448271, 0.1259391805448271])
-
+# 6-point Gauss-Legendre on [0, 1], the bulk error's rule per edge
+_BULK_X = 0.5 + 0.5 * np.array([-0.9324695142031521, -0.6612093864662645,
+                                -0.2386191860831969, 0.2386191860831969,
+                                0.6612093864662645, 0.9324695142031521])
+_BULK_W = 0.5 * np.array([0.1713244923791704, 0.3607615730481386, 0.4679139345726910,
+                          0.4679139345726910, 0.3607615730481386, 0.1713244923791704])
 
 # ---------------------------------------------------------------------------
 # relative energy
@@ -82,305 +60,155 @@ def relative_energy(sample: TubeSample) -> float:
 
 
 # ---------------------------------------------------------------------------
-# bulk error: level-synchronous quadtree over both regions
+# bulk error: a line integral over the evolving curve
 # ---------------------------------------------------------------------------
 
-_CHILD = np.array([[0, 0], [1, 0], [0, 1], [1, 1]], dtype=bool)
-_TUBE_LEVEL_MAX = 9     # finest grid of the off-tube test: 512 x 512 cells
-_MAX_DEPTH = 12         # finest quadtree level of the bulk integral
+def bulk_error(sample: TubeSample, calib: Calibration) -> float:
+    """int (chi_curve - chi_reference) * vartheta over the plane, as a line integral.
 
+    ``sample`` is the curve state with its signed distances at the vertices.
+    Let kappa be the reference curvature at the foot point and
+    G(s, kappa) = int_0^s theta(r) (1 + r kappa) dr, closed form from the
+    profile's polynomial pieces.  Phi = G / (1 + s kappa) grad s has
+    div Phi = vartheta wherever tube coordinates hold (|s| below the reach,
+    which an admissible delta keeps at least 4 delta) and vanishes on the
+    reference.  With o_k the orientations, chi_curve = sum_k o_k chi_int(k)
+    (each orientation matches its nesting depth), so each component k adds
+    o_k int_int(k) vartheta.  Its kind is read from bounds on |s| along its
+    edges: s is 1-Lipschitz, so between two points at distance l with |s|
+    = a and b, (a + b - l)/2 <= |s| <= (a + b + l)/2.  The points are the
+    vertices and, on every edge that is queried, the quadrature points.
 
-class _Region:
-    """One side of the bulk integral: a curve's edges, flattened, and its sign."""
+    * side components stay clear of the reference (|s| > 0 by the bounds)
+      and enclose none of its components, so s has one sign sigma inside
+      them.  Such a component adds sigma delta A (A its signed area) plus
+      the flux of K(|s|, sigma kappa) / (1 + s kappa) grad s, where
+      K(u, k) = int_u^delta (delta - theta(r)) (1 + r k) dr: on that side
+      the field has divergence vartheta - sigma delta and is zero for
+      |s| >= delta, so edges at |s| >= delta (all of a far component's)
+      need no query.
+    * band components are all others; they must stay within |s| < 2 delta
+      and add the flux of Phi through them.
+    * face terms: off the band |s| < 2 delta, the band components' sum
+      minus chi_reference is an integer c_j on the face inside reference
+      component j, read at one parity probe 3 delta inside it.  Where
+      c_j != 0 the face adds c_j times (the flux of Phi into it through its
+      offset curves + sigma_j delta |face|), closed form by Steiner's
+      formula in the length, signed area and int kappa ds of the loop and
+      its direct children.
 
-    def __init__(self, curve: PolyCurve, sign: float):
-        self.starts, self.ends, self.comp_of, _ = curve.segments
-        self.prev_edge = curve.layout.prv
-        self.orientation = np.array([c.orientation for c in curve.components], dtype=float)
-        self.ncomp = curve.ncomponents
-        self.seg_lo = np.minimum(self.starts, self.ends)
-        self.seg_hi = np.maximum(self.starts, self.ends)
-        self.xbuckets = _buckets(self.seg_lo[:, 0], self.seg_hi[:, 0])
-        self.sign = sign
+    Every flux is a 6-point Gauss-Legendre sum per piece of edge, from one
+    reference query.  Edges are cut in four where their |s| range may hold
+    delta/2 or delta, the joints of theta, and where they cross a polygon
+    reference's corner bisector: grad s jumps across it on the inside of
+    the turn and turns through the corner's angle near it outside.  On
+    analytic circles F is exact up to quadrature; on a polygon reference it
+    integrates over a tube whose curvature is interpolated along the edges,
+    a discretization of the reference.
 
-    def meets(self, seg, lo, hi):
-        """Whether the bounding box of edge seg[i] meets the closed cell [lo[i], hi[i]]."""
-        return ~((self.seg_hi[seg, 0] < lo[:, 0]) | (self.seg_lo[seg, 0] > hi[:, 0])
-                 | (self.seg_hi[seg, 1] < lo[:, 1]) | (self.seg_lo[seg, 1] > hi[:, 1]))
-
-    def parity(self, points):
-        """Crossing parity of every component at every point, (n, ncomp)."""
-        return crossing_parity(points, self.starts, self.ends, self.comp_of, self.ncomp)
-
-
-class _Tube:
-    """Conservative test for cells within delta of the reference edges.
-
-    Each reference edge's bounding box, inflated by delta, is marked on a
-    uniform grid over the root square.  A cell that meets no marked grid cell
-    is at L-inf distance, hence Euclidean distance, more than delta from
-    every edge, and there vartheta = delta * (1 - 2 chi_B) exactly.
+    Raises :class:`BandExceeded` when a component that may meet the
+    reference reaches |s| >= 2 delta, and :class:`ReferenceEnclosed` when a
+    component clear of the reference encloses a reference component and
+    reaches |s| >= 2 delta.
     """
+    delta, profile, t = calib.delta, calib.profile, sample.t
+    geom = sample.geometry
+    curve, lay = geom.curve, geom.layout
+    loops = calib.reference.loops(t)
+    starts, ends, comp_of, _ = curve.segments
+    orientation = np.array([c.orientation for c in curve.components])
+    a_vert = np.abs(sample.s)
+    h = geom.edge_lengths
+    edge_lo = 0.5 * (a_vert + a_vert[lay.nxt] - h)
+    edge_hi = 0.5 * (a_vert + a_vert[lay.nxt] + h)
+    encloses = crossing_parity(loops.point, starts, ends, comp_of,
+                               curve.ncomponents).any(axis=0)
+    # clear by the vertex bounds alone: only edges that may reach |s| < delta
+    # are queried
+    sure = (np.minimum.reduceat(edge_lo, lay.first) > 0) & ~encloses
+    edges = np.nonzero(~sure[comp_of] | (edge_lo < delta))[0]
 
-    def __init__(self, region: _Region, delta: float, root_lo, span: float, level: int):
-        n = 1 << level
-        self.root_lo, self.cell, self.n = root_lo, span / n, n
-        i0 = self._index(region.seg_lo - delta)
-        i1 = self._index(region.seg_hi + delta) + 1
+    # cut points along each queried edge, as (row in edges, parameter):
+    # both ends, quarters where theta'' may jump, crossings of grad s jumps
+    joint = np.nonzero((((edge_lo < 0.5 * delta) & (edge_hi > 0.5 * delta))
+                        | ((edge_lo < delta) & (edge_hi > delta)))[edges])[0]
+    rows = np.arange(len(edges))
+    kink, u_kink = calib.reference.bisector_crossings(geom.vertices, edges,
+                                                      lay.nxt[edges], t)
+    row = np.concatenate([rows, rows, np.repeat(joint, 3), kink])
+    u = np.concatenate([np.zeros(len(edges)), np.ones(len(edges)),
+                        np.tile([0.25, 0.5, 0.75], len(joint)), u_kink])
+    order = np.lexsort((u, row))
+    row, u = row[order], u[order]
+    cut = np.nonzero(row[1:] == row[:-1])[0]
+    piece, u0, du = edges[row[cut]], u[cut], u[cut + 1] - u[cut]
 
-        def stamp(ix, iy):
-            return np.bincount(ix * (n + 1) + iy, minlength=(n + 1) ** 2).reshape(n + 1, n + 1)
+    x, w = _BULK_X, _BULK_W
+    e = ends[piece] - starts[piece]
+    d = du[:, None] * e
+    frac = u0 + x[:, None] * du
+    pts = starts[piece] + frac[:, :, None] * e
+    s, grad, _, kappa = calib.query(pts.reshape(-1, 2), t)
+    s, kappa = s.reshape(len(x), -1), kappa.reshape(len(x), -1)
+    grad = grad.reshape(pts.shape)
 
-        cover = (stamp(i0[:, 0], i0[:, 1]) - stamp(i1[:, 0], i0[:, 1])
-                 - stamp(i0[:, 0], i1[:, 1]) + stamp(i1[:, 0], i1[:, 1]))
-        self.table = np.zeros((n + 1, n + 1), dtype=np.int64)
-        self.table[1:, 1:] = (cover.cumsum(0).cumsum(1)[:n, :n] > 0).cumsum(0).cumsum(1)
+    # bounds on |s| between consecutive points along each queried edge: its
+    # start, the quadrature points of its pieces in order, its end
+    pt_edge = np.concatenate([edges, np.repeat(piece, len(x)), edges])
+    pt_u = np.concatenate([np.zeros(len(edges)), frac.T.ravel(), np.ones(len(edges))])
+    pt_a = np.concatenate([a_vert[edges], np.abs(s).T.ravel(), a_vert[lay.nxt[edges]]])
+    order = np.lexsort((pt_u, pt_edge))
+    pt_edge, pt_u, pt_a = pt_edge[order], pt_u[order], pt_a[order]
+    link = np.nonzero(pt_edge[1:] == pt_edge[:-1])[0]
+    span = 0.5 * (pt_u[link + 1] - pt_u[link]) * h[pt_edge[link]]
+    mid = 0.5 * (pt_a[link] + pt_a[link + 1])
+    lo = np.full(curve.ncomponents, np.inf)
+    hi = np.zeros(curve.ncomponents)
+    np.minimum.at(lo, comp_of[pt_edge[link]], mid - span)
+    np.maximum.at(hi, comp_of[pt_edge[link]], mid + span)
 
-    def _index(self, x, shift=0.0):
-        """Grid cell of each coordinate; the shift absorbs rounding at grid lines."""
-        grid = np.floor((x - self.root_lo) / self.cell + shift)
-        return np.clip(grid, 0, self.n - 1).astype(np.int64)
+    clear = sure | (lo > 0)
+    side = clear & ~encloses
+    over = ~side & (hi >= 2.0 * delta)
+    if np.any(over & clear):
+        raise ReferenceEnclosed(f"component {np.argmax(over & clear)} encloses a reference "
+                                f"component and reaches |s| = {hi[over & clear].max():.3g} "
+                                f">= 2 delta = {2.0 * delta:.3g}")
+    if np.any(over):
+        raise BandExceeded(f"component {np.argmax(over)} may meet the reference and reaches "
+                           f"|s| = {hi[over].max():.3g} >= 2 delta = {2.0 * delta:.3g}")
+    sigma = np.sign(sample.s[lay.first])
+    area = 0.5 * np.add.reduceat(starts[:, 0] * ends[:, 1] - ends[:, 0] * starts[:, 1],
+                                 lay.first)
+    total = delta * float(np.sum((sigma * area)[side]))
 
-    def __call__(self, lo, hi):
-        """Whether each cell [lo[i], hi[i]] may lie within delta of the reference."""
-        i0 = self._index(lo, 1e-6)
-        i1 = np.maximum(self._index(hi, -1e-6), i0)
-        tab = self.table
-        hits = (tab[i1[:, 0] + 1, i1[:, 1] + 1] - tab[i0[:, 0], i1[:, 1] + 1]
-                - tab[i1[:, 0] + 1, i0[:, 1]] + tab[i0[:, 0], i0[:, 1]])
-        return hits > 0
+    # K(|s|, sigma kappa) = a0 + sigma kappa b0 - sigma delta (s + kappa s^2 / 2) + G(s, kappa)
+    m1, m2 = profile.theta_moments(delta)
+    a0, b0 = delta**2 - m1, 0.5 * delta**3 - m2
+    m1, m2 = profile.theta_moments(s)
+    g = m1 + kappa * m2
+    on_side = side[comp_of[piece]]
+    sig = sigma[comp_of[piece]]
+    k_side = a0 + sig * kappa * b0 - sig * delta * (s + 0.5 * kappa * s * s) + g
+    val = np.where(on_side, np.where(np.abs(s) < delta, k_side, 0.0), g)
+    flux = val / (1.0 + s * kappa) * (grad[..., 0] * d[:, 1] - grad[..., 1] * d[:, 0])
+    total += float(np.sum(w @ flux))
 
-
-def _polygon_layout(gid):
-    """Cycle layout of polygons stored one after another; ``gid`` (nondecreasing)
-    names each vertex's polygon."""
-    n_g = np.bincount(gid)
-    return cycle_index(n_g[n_g > 0])
-
-
-def _clip_polygons(pts, gid, lo, hi):
-    """Sutherland-Hodgman clip of many closed polygons, each by its own box.
-
-    ``pts`` holds the polygons one after another and ``gid`` the polygon of
-    each vertex (nondecreasing); polygon g is clipped by [lo[g], hi[g]].
-    The arithmetic is that of a one-polygon clip, vertex for vertex.
-    """
-    for axis, bounds, keep_less in ((0, lo, False), (0, hi, True),
-                                    (1, lo, False), (1, hi, True)):
-        if len(pts) == 0:
-            break
-        prev = _polygon_layout(gid).prv
-        bound = bounds[gid, axis]
-        cur_in = pts[:, axis] <= bound if keep_less else pts[:, axis] >= bound
-        crossing = cur_in != cur_in[prev]
-        p = pts[prev]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            tpar = np.where(crossing, (bound - p[:, axis]) / (pts[:, axis] - p[:, axis]), 0.0)
-        inter = p + tpar[:, None] * (pts - p)
-        counts = crossing.astype(np.int64) + cur_in
-        offs = np.cumsum(counts) - counts
-        out = np.empty((int(counts.sum()), 2))
-        out[offs[crossing]] = inter[crossing]
-        out[(offs + crossing)[cur_in]] = pts[cur_in]
-        pts, gid = out, np.repeat(gid, counts)
-    return pts, gid
-
-
-def _candidate_polygons(region: _Region, cells, seg, lo, hi):
-    """Per (cell, component) with candidate edges, the polygon to clip in its place.
-
-    It keeps the candidate edges and every edge of the component whose
-    x-range holds the cell's lo or hi x, and joins consecutive kept edges by
-    a straight chord.  Between kept edges the polygon changes side of neither
-    vertical cell line and never meets the cell, so it stays in one slab
-    (left, right, or above or below the cell), as does the chord; the
-    Sutherland-Hodgman stages then drop the same points and create the same
-    crossings as for the whole polygon.  The clip output is the whole
-    polygon's, up to the choice of its first vertex.
-
-    Returns the polygon vertices, their group and per group its cell and
-    component (group key = cell * ncomp + component).
-    """
-    ncomp, nseg = region.ncomp, len(region.starts)
-    key = cells * ncomp + region.comp_of[seg]
-    groups = np.unique(key)
-    q = np.concatenate([lo[:, 0], hi[:, 0]])
-    k, s = _bucket_pairs(region.xbuckets, q)
-    key_s = np.tile(np.arange(len(lo)), 2)[k] * ncomp + region.comp_of[s]
-    stab = ((region.seg_lo[s, 0] <= q[k]) & (q[k] <= region.seg_hi[s, 0])
-            & np.isin(key_s, groups))
-    code = np.unique(np.concatenate([key, key_s[stab]]) * nseg
-                     + np.concatenate([seg, s[stab]]))
-    e = code % nseg
-    g = np.searchsorted(groups, code // nseg)
-    prev = _polygon_layout(g).prv
-    chain_start = e[prev] != region.prev_edge[e]
-    count = 1 + chain_start
-    offs = np.cumsum(count) - count
-    pts = np.empty((int(count.sum()), 2))
-    pts[offs[chain_start]] = region.starts[e[chain_start]]
-    pts[offs + chain_start] = region.ends[e]
-    return pts, np.repeat(g, count), groups
-
-
-def _triangle_fans(pts, gid):
-    """Centroid fan of each polygon: origin, a, b and the signed area per triangle."""
-    n_g = np.bincount(gid)
-    origin = np.column_stack([np.bincount(gid, pts[:, 0]), np.bincount(gid, pts[:, 1])])
-    origin = (origin / np.maximum(n_g, 1)[:, None])[gid]
-    a, b = pts, pts[cycle_index(n_g[n_g > 0]).nxt]
-    cross = ((a[:, 0] - origin[:, 0]) * (b[:, 1] - origin[:, 1])
-             - (a[:, 1] - origin[:, 1]) * (b[:, 0] - origin[:, 0]))
-    return origin, a, b, 0.5 * cross
-
-
-def _clip_cells(regions, pairs, lo, hi, parity):
-    """Triangle fans of both regions' pieces in clip cells [lo[i], hi[i]].
-
-    A component with candidate edges in a cell is clipped (see
-    :func:`_candidate_polygons`); one without holds the whole cell or none
-    of it, by its parity at the cell centre.  Each piece is weighted by its
-    own signed area times the region sign, so clockwise holes subtract.
-    Returns the cell, origin, a, b and weight of every triangle.
-    """
-    out = []
-    whole = np.zeros(len(lo))
-    for region, (cells, seg), par in zip(regions, pairs, parity):
-        has = np.zeros((len(lo), region.ncomp), dtype=bool)
-        if len(cells):
-            pts, gid, groups = _candidate_polygons(region, cells, seg, lo, hi)
-            has.flat[groups] = True
-            gcell = groups // region.ncomp
-            pts, gid = _clip_polygons(pts, gid, lo[gcell], hi[gcell])
-            keep = np.bincount(gid, minlength=len(groups))[gid] >= 3
-            pts, gid = pts[keep], gid[keep]
-            origin, a, b, area = _triangle_fans(pts, gid)
-            out.append((gcell[gid], origin, a, b, area * region.sign))
-        whole += region.sign * ((par & ~has) @ region.orientation)
-    cells = np.nonzero(whole)[0]
-    if len(cells):
-        corners = np.stack([lo[cells], np.column_stack([hi[cells, 0], lo[cells, 1]]),
-                            hi[cells], np.column_stack([lo[cells, 0], hi[cells, 1]])], axis=1)
-        gid = np.repeat(np.arange(len(cells)), 4)
-        origin, a, b, area = _triangle_fans(corners.reshape(-1, 2), gid)
-        out.append((cells[gid], origin, a, b, area * whole[cells][gid]))
-    return [np.concatenate(col) for col in zip(*out)] if out else None
-
-
-def _renumber(pairs, keep, ncells):
-    """The (cell, edge) pairs of the cells ``keep``, cells renumbered by position in it."""
-    cells, seg = pairs
-    rank = np.full(ncells, -1)
-    rank[keep] = np.arange(len(keep))
-    sel = rank[cells] >= 0
-    return rank[cells[sel]], seg[sel]
-
-
-def bulk_error(curve: PolyCurve, calib: Calibration, t: float = 0.0,
-               reference_resolution: int = 4096) -> float:
-    """int (chi_curve - chi_reference) * vartheta over the plane.
-
-    One quadtree over both regions, refined a level at a time: every level
-    holds its cells as arrays and one (cell, edge) candidate array per
-    region, filtered by one bounding-box test.  Cells with no candidate edge
-    take both regions' parity from one batched crossing test; where the
-    parities differ the cell is integrated with 3x3 tensor Gauss on
-    subcells no larger than delta/2, elsewhere it cancels.  Cells with
-    candidates are split down to delta/4 (or _MAX_DEPTH), then clipped and
-    integrated with a degree-5 triangle rule on a centroid fan.  vartheta is
-    evaluated afterwards in large batches, and not at all in cells farther
-    than delta from every reference edge, where it is delta * (1 - 2 chi_B).
-    """
-    if isinstance(calib.reference, AnalyticCircles):
-        ref_curve = calib.reference.boundary_curve(t, reference_resolution)
-    else:
-        ref_curve = calib.reference.curve_at(t)
-    delta = calib.delta
-    regions = (_Region(curve, 1.0), _Region(ref_curve, -1.0))
-
-    vert_all = np.vstack([r.starts for r in regions])
-    lo = vert_all.min(axis=0) - 0.1 * delta
-    hi = vert_all.max(axis=0) + 0.1 * delta
-    span = float(np.max(hi - lo))
-    center = 0.5 * (lo + hi)
-    lo = (center - 0.5 * span)[None, :]
-    hi = (center + 0.5 * span)[None, :]
-
-    clip_size = 0.25 * delta
-    smooth_size = 0.5 * delta
-    tube_level = int(np.clip(np.ceil(np.log2(span / clip_size)), 0,
-                             min(_MAX_DEPTH, _TUBE_LEVEL_MAX)))
-    tube = _Tube(regions[1], delta, lo[0], span, tube_level)
-
-    # sign: 0 for a cell still being refined, +-1 for a cell in A \ B or B \ A
-    sign = np.zeros(1)
-    pairs = [(np.zeros(len(r.starts), dtype=np.int64), np.arange(len(r.starts)))
-             for r in regions]
-    quads = []          # (lower corner, size, sign, fixed weight or nan)
-    tris = []           # (origin, a, b, signed weight, fixed weight or nan)
-    depth = 0
-    while len(lo):
-        size = hi[:, 0] - lo[:, 0]
-        has = np.zeros(len(lo), dtype=bool)
-        for k, region in enumerate(regions):
-            cells, seg = pairs[k]
-            keep = region.meets(seg, lo[cells], hi[cells])
-            pairs[k] = (cells[keep], seg[keep])
-            has[pairs[k][0]] = True
-        active = sign == 0
-        empty = active & ~has
-        clip = active & has & ((size <= clip_size) | (depth >= _MAX_DEPTH))
-        query = np.nonzero(empty | clip)[0]
-        if len(query):
-            parity = [r.parity(0.5 * (lo[query] + hi[query])) for r in regions]
-            in_a, in_b = (p.sum(axis=1) % 2 == 1 for p in parity)
-            qe = empty[query]
-            sign[query[qe]] = in_a[qe].astype(float) - in_b[qe]
-            qc = ~qe
-            if np.any(qc):
-                clip_idx = query[qc]
-                pieces = _clip_cells(regions, [_renumber(p, clip_idx, len(lo)) for p in pairs],
-                                     lo[clip_idx], hi[clip_idx], [p[qc] for p in parity])
-                if pieces is not None:
-                    cell, origin, a, b, w = pieces
-                    off = np.where(tube(lo[clip_idx], hi[clip_idx]), np.nan,
-                                   delta * (1.0 - 2.0 * in_b[qc]))
-                    tris.append((origin, a, b, w, off[cell]))
-        smooth = sign != 0
-        done = smooth & (size <= smooth_size)
-        if np.any(done):
-            off = np.where(tube(lo[done], hi[done]), np.nan, delta * sign[done])
-            quads.append((lo[done], size[done], sign[done], off))
-
-        split = np.nonzero((active & has & ~clip) | (smooth & ~done))[0]
-        for k, p in enumerate(pairs):
-            cells, seg = _renumber(p, split, len(lo))
-            pairs[k] = (((4 * cells)[:, None] + np.arange(4)).ravel(), np.repeat(seg, 4))
-        mid = 0.5 * (lo[split] + hi[split])
-        lo, hi = (np.where(_CHILD, mid[:, None, :], lo[split][:, None, :]).reshape(-1, 2),
-                  np.where(_CHILD, hi[split][:, None, :], mid[:, None, :]).reshape(-1, 2))
-        sign = np.repeat(sign[split], 4)
-        depth += 1
-
-    total = 0.0
-    if quads:
-        x0, size, sgn, off = (np.concatenate(col) for col in zip(*quads))
-        pts = np.empty((len(size), len(_G9W), 2))
-        pts[:, :, 0] = x0[:, 0][:, None] + np.outer(size, _G9X)
-        pts[:, :, 1] = x0[:, 1][:, None] + np.outer(size, _G9Y)
-        vals = np.repeat(off[:, None], len(_G9W), axis=1)
-        near = np.isnan(off)
-        vals[near] = calib.vartheta_at(pts[near].reshape(-1, 2), t).reshape(-1, len(_G9W))
-        total += float(np.sum(sgn * size**2 * (vals @ _G9W)))
-    if tris:
-        origin, a, b, w, off = (np.concatenate(col) for col in zip(*tris))
-        pts = (origin[None, :, :] * _T7_BARY[:, 0, None, None]
-               + a[None, :, :] * _T7_BARY[:, 1, None, None]
-               + b[None, :, :] * _T7_BARY[:, 2, None, None])
-        vals = np.repeat(off[None, :], len(_T7_W), axis=0)
-        near = np.isnan(off)
-        vals[:, near] = calib.vartheta_at(pts[:, near].reshape(-1, 2), t).reshape(len(_T7_W), -1)
-        total += float(np.sum((_T7_W @ vals) * w))
+    # one probe 3 delta into the geometric inside of each reference loop
+    probes = loops.point - 3.0 * delta * loops.orientation[:, None] * loops.normal
+    band = ~side[comp_of]
+    c = (crossing_parity(probes, starts[band], ends[band], comp_of[band], curve.ncomponents)
+         @ orientation - 0.5 * (1.0 + loops.orientation))
+    if np.any(c):
+        # sigma_j delta |face| + the flux into the face, summed over the
+        # loop and its children: o_j a0 L - b0 int kappa - delta A
+        own = np.column_stack([loops.length, loops.area, loops.kappa_integral])
+        face = own.copy()
+        child = loops.parent >= 0
+        np.add.at(face, loops.parent[child], own[child])
+        length, signed, turn = face.T
+        total += float(np.sum(c * (loops.orientation * a0 * length - b0 * turn
+                                   - delta * signed)))
     return total
 
 
@@ -433,7 +261,8 @@ def dissipation_report(curve: PolyCurve, sample: TubeSample, calib: Calibration,
     # B = 0 for a stationary reference, so phi_(nu.B) = 0
     dphib = 0.0 if b_field is None else dds(
         geom, nu_dot_B_potential(geom, b_field.at(geom.vertices)))
-    return EnergyReport(t=float(t), E=relative_energy(sample), F=bulk_error(curve, calib, t),
+    return EnergyReport(t=float(t), E=relative_energy(sample),
+                        F=bulk_error(sample, calib),
                         L=float(sum(geom.length)), A=float(sum(geom.area)),
                         D_H=float(np.sum(integrate(geom, dkappa**2))), D_V=float(d_v),
                         cross_v_xi=float(cross_v_xi),

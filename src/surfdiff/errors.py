@@ -17,6 +17,19 @@ class AmbiguousNesting(CurveError):
     """A probe vertex sits too close to another component to classify nesting."""
 
 
+class OrientationMismatch(CurveError):
+    """A component's orientation contradicts its nesting depth (outer +1, hole -1)."""
+
+
+class BandExceeded(CurveError):
+    """A component that may meet the reference reaches |s| >= 2 delta."""
+
+
+class ReferenceEnclosed(CurveError):
+    """A component clear of the reference encloses a reference component and
+    reaches |s| >= 2 delta."""
+
+
 class SingularSystem(Exception):
     """A banded solve failed: too few vertices, a zero pivot or non-finite entries."""
 

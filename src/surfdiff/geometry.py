@@ -20,6 +20,7 @@ from scipy.spatial import ConvexHull, QhullError, cKDTree
 from .errors import (
     AmbiguousNesting,
     DegenerateEdge,
+    OrientationMismatch,
     SelfIntersection,
 )
 
@@ -618,7 +619,11 @@ class JordanForest:
 
 
 def jordan_decompose(curve: PolyCurve) -> JordanForest:
-    """Classify components into nested Jordan boundaries by containment parity."""
+    """Classify components into nested Jordan boundaries by containment parity.
+
+    Raises :class:`OrientationMismatch` for a component whose orientation is
+    not the one its nesting depth asks for.
+    """
     k = curve.ncomponents
     comps = curve.components
     starts, ends, comp_of, _ = curve.segments
@@ -650,7 +655,7 @@ def jordan_decompose(curve: PolyCurve) -> JordanForest:
         sign = +1 if depth[i] % 2 == 0 else -1
         expected = +1 if sign > 0 else -1
         if comps[i].orientation != expected:
-            raise ValueError(
+            raise OrientationMismatch(
                 f"component {i} at nesting depth {depth[i]} should have orientation "
                 f"{expected}, got {comps[i].orientation}"
             )
@@ -728,6 +733,7 @@ class CurveIndex:
         self.seg_len2 = np.maximum(np.sum(self.seg_vec * self.seg_vec, axis=1), 1e-300)
         self.hmax = float(curve.edge_lengths.max())
         self.next_of, self.prev_of = curve.layout[:2]
+        self.seg_first, self.seg_count = curve.layout.first, curve.layout.counts
         self.nu = geometry.nu
         # sum of the unit normals of the two edges at each vertex: positive
         # on the vertex's whole normal cone, whatever its turning angle
@@ -770,6 +776,38 @@ class CurveIndex:
         if k == len(self.seg_start):
             return ids[:0]
         return ids[d2[rows, j] > dk[:, -1] ** 2 - 0.25 * self.hmax ** 2]
+
+    def bisector_crossings(self, points: np.ndarray, a: np.ndarray, b: np.ndarray):
+        """Where the segments points[a] -> points[b] cross a vertex's bisector.
+
+        The line through a vertex along its pseudo-normal bisects the angle
+        of the two edges there.  On the inside of the turn, where their
+        strips overlap, the gradient of the distance jumps across it; on
+        the outside it turns through the whole angle within the vertex's
+        fan, which is narrow near the vertex.  The vertices tried are
+        those passed on the shorter way round from the nearest segment of
+        points[a] to that of points[b].  Returns, per crossing, its index
+        into ``a`` and its parameter in (0, 1) along the segment.
+        """
+        _, _, seg, _ = self.unsigned(points)
+        ia, ib = seg[a], seg[b]
+        comp = self.seg_comp[ia]
+        n = self.seg_count[comp]
+        fwd = (self.seg_local[ib] - self.seg_local[ia]) % n
+        steps = np.where(self.seg_comp[ib] == comp, np.minimum(fwd, n - fwd), 0)
+        back = fwd > n - fwd
+        row = np.repeat(np.arange(len(a)), steps)
+        k = 1 + np.arange(len(row)) - np.repeat(np.cumsum(steps) - steps, steps)
+        # forward, the vertex after the segment; backward, its own start
+        local = (self.seg_local[ia][row] + np.where(back[row], 1 - k, k)) % n[row]
+        vid = self.seg_first[comp[row]] + local
+        p0, d = points[a[row]], points[b[row]] - points[a[row]]
+        m, rel = self.pseudo_nu[vid], self.seg_start[vid] - p0
+        den = d[:, 0] * m[:, 1] - d[:, 1] * m[:, 0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u = (rel[:, 0] * m[:, 1] - rel[:, 1] * m[:, 0]) / den
+        keep = (u > 0.0) & (u < 1.0)
+        return row[keep], u[keep]
 
     def signed(self, points: np.ndarray):
         """Signed distance, gradient, foot point and foot segment data.
@@ -819,7 +857,8 @@ def write_curve_file(curve: PolyCurve, path) -> None:
 
 def read_curve_file(path) -> PolyCurve:
     """Parse the block format; closure is implicit and duplicated endpoints
-    are rejected."""
+    are rejected, as is an orientation that contradicts its nesting depth
+    (:class:`OrientationMismatch`)."""
     comps = []
     with open(path) as fh:
         blocks = fh.read().split("\n\n")
@@ -837,4 +876,6 @@ def read_curve_file(path) -> PolyCurve:
                             <= EDGE_FLOOR_REL * _diameters([_hull(v)])[0]):
             raise ValueError("curve blocks must not repeat the first vertex")
         comps.append(comp)
-    return PolyCurve(comps)
+    curve = PolyCurve(comps)
+    jordan_decompose(curve)
+    return curve

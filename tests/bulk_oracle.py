@@ -1,19 +1,56 @@
-"""Reference implementation of the bulk error for the oracle tests.
+"""Area-quadrature oracles of the bulk error for the oracle tests.
 
-This is the recursive quadtree that ``energy.bulk_error`` replaced, kept as
-the brute-force side of the comparison: one Python call per cell, a full
-crossing test per empty cell and component, and a Sutherland-Hodgman clip of
-every vertex of every component in each boundary cell.  One change from the
-original: a clipped piece is weighted by its own signed area times the
-region sign, so a clockwise hole subtracts its part of the cell.  The Monte
-Carlo estimate at the end is the second, independent cross-check.
+``energy.bulk_error`` is a line integral over the evolving curve.  The
+oracle here integrates over the plane instead, on a recursive quadtree over
+both regions: one Python call per cell, a full crossing test per empty cell
+and component, and a Sutherland-Hodgman clip of every vertex of every
+component in each boundary cell, integrated with 3x3 tensor Gauss on
+smooth cells and a degree-5 triangle rule on clipped pieces.  Cells and
+triangles whose |s| range may hold delta/2 or delta, where theta'' jumps,
+are cut to about delta/64 first, so no rule straddles a joint at full size.
+A clipped piece is weighted by its own signed area times the region sign,
+so a clockwise hole subtracts its part of the cell.  An analytic-circle
+reference enters as regular n-gons.  The Monte Carlo estimate at the end is
+the second, independent cross-check.
 """
 
 import numpy as np
 
 from surfdiff.calibration import AnalyticCircles
-from surfdiff.energy import _G9W, _G9X, _G9Y, _T7_BARY, _T7_W
-from surfdiff.geometry import crossing_parity, points_in_component
+from surfdiff.geometry import PolyCurve, crossing_parity, make_circle, points_in_component
+
+# 3x3 tensor Gauss on [0, 1]^2
+_g3 = np.array([0.5 - 0.5 * np.sqrt(0.6), 0.5, 0.5 + 0.5 * np.sqrt(0.6)])
+_w3 = np.array([5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0])
+_G9X, _G9Y = (g.ravel() for g in np.meshgrid(_g3, _g3))
+_G9W = np.outer(_w3, _w3).ravel()
+
+# Dunavant degree-5 7-point rule on the reference triangle
+_T7_BARY = np.array([
+    [1 / 3, 1 / 3, 1 / 3],
+    [0.0597158717897698, 0.4701420641051151, 0.4701420641051151],
+    [0.4701420641051151, 0.0597158717897698, 0.4701420641051151],
+    [0.4701420641051151, 0.4701420641051151, 0.0597158717897698],
+    [0.7974269853530873, 0.1012865073234563, 0.1012865073234563],
+    [0.1012865073234563, 0.7974269853530873, 0.1012865073234563],
+    [0.1012865073234563, 0.1012865073234563, 0.7974269853530873],
+])
+_T7_W = np.array([0.225,
+                  0.1323941527885062, 0.1323941527885062, 0.1323941527885062,
+                  0.1259391805448271, 0.1259391805448271, 0.1259391805448271])
+
+# pieces that straddle |s| = delta/2 or delta are cut down to this size
+# (over delta) before the Gauss rules run
+_JOINT_SIZE = 1.0 / 64.0
+
+
+def reference_curve(calib, t, n):
+    """The reference at t as a curve; analytic circles become regular n-gons."""
+    ref = calib.reference
+    if isinstance(ref, AnalyticCircles):
+        return PolyCurve([make_circle(c.center, c.radius, n, c.orientation)
+                          for c in ref.circles])
+    return ref.curve_at(t)
 
 
 def clip_rect(poly, lo, hi):
@@ -48,11 +85,6 @@ def clip_rect(poly, lo, hi):
     return pts
 
 
-def shoelace(poly):
-    x, y = poly[:, 0], poly[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
-
-
 def _triangle_fan(poly):
     origin = poly.mean(axis=0)
     a = poly
@@ -85,12 +117,8 @@ class _Forest:
 
 def bulk_error_recursive(curve, calib, t=0.0, max_depth=12, reference_resolution=4096):
     """int (chi_curve - chi_reference) * vartheta by cell-at-a-time recursion."""
-    if isinstance(calib.reference, AnalyticCircles):
-        ref_curve = calib.reference.boundary_curve(t, reference_resolution)
-    else:
-        ref_curve = calib.reference.curve_at(t)
     fa = _Forest(curve)
-    fb = _Forest(ref_curve)
+    fb = _Forest(reference_curve(calib, t, reference_resolution))
 
     vert_all = np.vstack(fa.components + fb.components)
     lo = vert_all.min(axis=0) - 0.1 * calib.delta
@@ -147,6 +175,7 @@ def bulk_error_recursive(curve, calib, t=0.0, max_depth=12, reference_resolution
     if quad_cells:
         qc = np.array([(x, y, s) for x, y, s, _ in quad_cells])
         signs = np.array([sgn for _, _, _, sgn in quad_cells])
+        qc, signs = _refine_squares(qc, signs, calib, t)
         pts = np.empty((len(qc), len(_G9W), 2))
         pts[:, :, 0] = qc[:, 0][:, None] + np.outer(qc[:, 2], _G9X)
         pts[:, :, 1] = qc[:, 1][:, None] + np.outer(qc[:, 2], _G9Y)
@@ -158,6 +187,7 @@ def bulk_error_recursive(curve, calib, t=0.0, max_depth=12, reference_resolution
         aa = np.concatenate([a for _, a, _, _ in tri_parts])
         bb = np.concatenate([b for _, _, b, _ in tri_parts])
         ww = np.concatenate([w for _, _, _, w in tri_parts])
+        origins, aa, bb, ww = _refine_triangles(origins, aa, bb, ww, calib, t)
         pts = (origins[None, :, :] * _T7_BARY[:, 0, None, None]
                + aa[None, :, :] * _T7_BARY[:, 1, None, None]
                + bb[None, :, :] * _T7_BARY[:, 2, None, None])
@@ -166,12 +196,45 @@ def bulk_error_recursive(curve, calib, t=0.0, max_depth=12, reference_resolution
     return total
 
 
+def _near_joint(center, radius, calib, t):
+    """Pieces whose |s| range may hold delta/2 or delta, where theta'' jumps."""
+    a = np.abs(calib.sdist(center, t))
+    return ((np.abs(a - 0.5 * calib.delta) < radius)
+            | (np.abs(a - calib.delta) < radius)) & (radius > _JOINT_SIZE * calib.delta)
+
+
+def _refine_squares(qc, signs, calib, t):
+    """Quarter the cells that straddle a joint of theta, down to _JOINT_SIZE delta."""
+    while True:
+        cut = _near_joint(qc[:, :2] + 0.5 * qc[:, 2:], np.sqrt(0.5) * qc[:, 2], calib, t)
+        if not np.any(cut):
+            return qc, signs
+        half = 0.5 * qc[cut, 2]
+        kids = [np.column_stack([qc[cut, 0] + dx * half, qc[cut, 1] + dy * half, half])
+                for dx in (0, 1) for dy in (0, 1)]
+        qc = np.vstack([qc[~cut]] + kids)
+        signs = np.concatenate([signs[~cut]] + [signs[cut]] * 4)
+
+
+def _refine_triangles(o, a, b, w, calib, t):
+    """Split into four the triangles that straddle a joint of theta."""
+    while True:
+        c = (o + a + b) / 3.0
+        radius = np.max([np.hypot(*(v - c).T) for v in (o, a, b)], axis=0)
+        cut = _near_joint(c, radius, calib, t)
+        if not np.any(cut):
+            return o, a, b, w
+        oc, ac, bc = o[cut], a[cut], b[cut]
+        mab, mbo, moa = 0.5 * (ac + bc), 0.5 * (bc + oc), 0.5 * (oc + ac)
+        o = np.vstack([o[~cut], oc, moa, mbo, moa])
+        a = np.vstack([a[~cut], moa, ac, mab, mab])
+        b = np.vstack([b[~cut], mbo, mab, bc, mbo])
+        w = np.concatenate([w[~cut]] + [0.25 * w[cut]] * 4)
+
+
 def bulk_error_montecarlo(curve, calib, t=0.0, n_samples=10**6, seed=7):
     """Monte Carlo estimate of the bulk error and its standard error."""
-    if isinstance(calib.reference, AnalyticCircles):
-        ref_curve = calib.reference.boundary_curve(t, 1024)
-    else:
-        ref_curve = calib.reference.curve_at(t)
+    ref_curve = reference_curve(calib, t, 1024)
     vert_all = np.vstack([curve.segments[0], ref_curve.segments[0]])
     lo = vert_all.min(axis=0) - 0.1
     hi = vert_all.max(axis=0) + 0.1

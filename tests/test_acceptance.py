@@ -254,9 +254,8 @@ def test_criterion_09_stationary_stability(stationary_scenario):
     floor = 1e-7
     worst_u = 0.0
     for state in run_u.states[:: max(1, len(run_u.states) // 10)]:
-        e_val = en.relative_energy(calib.sample(state.geometry))
-        f_val = en.bulk_error(state.curve, calib, reference_resolution=1024)
-        worst_u = max(worst_u, e_val + f_val)
+        sample = calib.sample(state.geometry)
+        worst_u = max(worst_u, en.relative_energy(sample) + en.bulk_error(sample, calib))
     ok = (iso <= 1.0001 and gron["verdict"] == "PASS"
           and np.isfinite(gron["C_fit"]) and decays and worst_u <= 10 * floor)
     _line(9, ok, f"iso {iso:.6f}, C_fit {gron['C_fit']:.3g} finite, "
@@ -367,7 +366,8 @@ def test_criterion_13_poincare_constant(circle_calibration):
 def test_criterion_14_bulk_error_oracles(circle_calibration, stationary_scenario):
     eps = 0.05
     curve = geo.PolyCurve([geo.make_circle((0, 0), 1.0 + eps, 2048)])
-    f = en.bulk_error(curve, circle_calibration)
+    f = en.bulk_error(circle_calibration.sample(geo.build_geometry(curve)),
+                      circle_calibration)
     exact = 2 * np.pi * (eps**2 / 2 + eps**3 / 3)
     rel = abs(f - exact) / exact
     f_mc, se = bulk_oracle.bulk_error_montecarlo(curve, circle_calibration,
@@ -377,7 +377,7 @@ def test_criterion_14_bulk_error_oracles(circle_calibration, stationary_scenario
     run, calib, _, _ = stationary_scenario
     worst_sigma = sigma_annulus
     for state in (run.states[0], run.states[-1]):
-        fv = en.bulk_error(state.curve, calib)
+        fv = en.bulk_error(calib.sample(state.geometry), calib)
         fm, sm = bulk_oracle.bulk_error_montecarlo(state.curve, calib, n_samples=2 * 10**5)
         worst_sigma = max(worst_sigma, abs(fm - fv) / sm)
     ok = rel <= 1e-4 and worst_sigma <= 3.0

@@ -1,9 +1,9 @@
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from surfdiff import calibration as cb
 from surfdiff import flow as fl
@@ -74,6 +74,18 @@ class TestProfiles:
         assert np.all(np.isfinite(ratio))
         assert prof.zeta_prime(np.array([0.0]))[0] == 0.0
         assert prof.zeta_prime_slope < np.inf
+
+    def test_theta_moments_match_quadrature(self, prof):
+        # the closed forms behind the bulk error's flux fields, on every
+        # piece of theta and on both sides of zero
+        for s in (0.05, 0.125, 0.2, 0.25, 0.7, -0.17, -0.6):
+            m1, m2 = prof.theta_moments(np.array([s]))
+            lo, hi = sorted((0.0, s))
+            want = [quad(lambda r: float(prof.theta(r)) * r**k, lo, hi,
+                         points=[p for p in (-0.25, -0.125, 0.125, 0.25) if lo < p < hi],
+                         epsabs=1e-16)[0] * np.sign(s) for k in (0, 1)]
+            assert m1[0] == pytest.approx(want[0], rel=1e-12, abs=1e-17)
+            assert m2[0] == pytest.approx(want[1], rel=1e-12, abs=1e-17)
 
     def test_one_minus_zeta_dominates_square(self, prof):
         # needed by the tilt-excess comparison on the support of zeta
@@ -334,23 +346,6 @@ def test_xi_alignment_product_bound(circle_calibration):
         geo.PolyCurve([geo.make_wavy_circle(1.0, 0.08, 4, 256)]))
     rep = circle_calibration.pointwise_tilt_check(circle_calibration.sample(geom))
     assert rep.slack_xi_product >= -1e-12
-
-
-def test_analytic_boundary_built_once_per_resolution():
-    ref = cb.AnalyticCircles([cb.CircleSpec((0.0, 0.0), 1.0)])
-    assert ref.boundary_curve(0.0, 64) is ref.boundary_curve(0.3, 64)
-    assert ref.boundary_curve(0.0, 128).components[0].n == 128
-    # also when concurrent samples ask for it at once
-    start = threading.Barrier(4)
-
-    def build(t):
-        start.wait(timeout=60)
-        return ref.boundary_curve(t, 1 << 15)
-
-    with ThreadPoolExecutor(4) as pool:
-        runs = [pool.submit(build, 0.1 * k) for k in range(4)]
-        curves = [run.result(timeout=60) for run in runs]
-    assert all(c is curves[0] for c in curves)
 
 
 class _YieldingDict(dict):

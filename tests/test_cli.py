@@ -224,38 +224,30 @@ def test_evaluate_run_evaluates_each_sample_once(monkeypatch):
     assert len(builds) == pairs > 0
 
 
-def test_evaluate_run_same_bits_on_one_and_two_threads(monkeypatch, tmp_path):
-    # samples are folded in sample order, so the number of CPUs the process
-    # may use changes no bit of the summary or the reports
+def test_evaluate_run_evaluates_samples_in_order_on_the_calling_thread(monkeypatch):
     traj = fl.make_reference(fl.FlowConfig(dt=1e-4, end_time=0.002),
                              geo.PolyCurve([geo.make_ellipse(2.0, 1.0, 128)]),
                              sample_stride=5)
-    ref = cb.PolygonReference(trajectory=traj)
-    calib = cb.Calibration(ref)
+    calib = cb.Calibration(cb.PolygonReference(trajectory=traj))
     weak = geo.PolyCurve([geo.make_ellipse(2.0, 1.0, 32),
                           geo.make_circle((3.0, 0.0), 0.01, 12),
                           geo.make_circle((0.0, 2.0), 0.01, 12)])
     run = fl.run_flow(weak, fl.FlowConfig(dt=1e-4, end_time=0.002), sample_stride=1,
                       max_samples=40)
     evaluate_sample = cli._evaluate_sample
-    outputs = []
-    for cpus in ({0}, {0, 1}):
-        threads = set()
+    calls = []
 
-        def on_thread(*args):
-            threads.add(threading.get_ident())
-            return evaluate_sample(*args)
+    def recorded(state, calib_):
+        calls.append((threading.get_ident(), state.time))
+        return evaluate_sample(state, calib_)
 
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
-        monkeypatch.setattr(cli, "_evaluate_sample", on_thread)
-        summary = cli.evaluate_run(run.states, calib, 6)
-        assert len(threads) == len(cpus)
-        assert summary["flux_constants"] is not None
-        path = tmp_path / f"reports_{len(cpus)}.csv"
-        en.reports_to_csv(summary.pop("_reports"), path)
-        outputs.append((json.dumps(summary, sort_keys=True, default=float),
-                        path.read_bytes()))
-    assert outputs[0] == outputs[1]
+    monkeypatch.setattr(cli, "_evaluate_sample", recorded)
+    summary = cli.evaluate_run(run.states, calib, 6)
+    assert {ident for ident, _ in calls} == {threading.get_ident()}
+    times = [t for _, t in calls]
+    assert len(times) == 6 and times == sorted(times)
+    assert [r.t for r in summary["_reports"]] == times
+    assert summary["flux_constants_final"] is not None
 
 
 @pytest.fixture(scope="module")
@@ -321,7 +313,7 @@ def test_b_field_is_built_once_per_time(short_flow_pair, monkeypatch):
     assert len(built) == 6
     assert all(calib.b_field(t) is b for t, b in zip(times, fields))
     assert {id(b) for b in fields} == {id(b) for b in built}
-    assert second["flux_constants"] == first["flux_constants"]
+    assert second["flux_constants_final"] == first["flux_constants_final"]
 
 
 def test_b_field_is_none_on_analytic_circles():
@@ -408,7 +400,7 @@ def test_compare_reports_equal_direct_dissipation_reports(tmp_path):
         assert (t_, e, f, d_v) == (rep.t, rep.E, rep.F, rep.D_V)
     summary = json.loads((out / "summary.json").read_text())
     assert summary["worst_slacks"]["pointwise_slack"] is not None
-    assert summary["flux_constants"] is not None
+    assert summary["flux_constants_final"] is not None
 
 
 def test_report_command(stationary_cfg, tmp_path, capsys):

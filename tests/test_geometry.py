@@ -7,7 +7,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from surfdiff import geometry as geo
-from surfdiff.errors import AmbiguousNesting, DegenerateEdge, SelfIntersection
+from surfdiff.errors import (
+    AmbiguousNesting,
+    DegenerateEdge,
+    OrientationMismatch,
+    SelfIntersection,
+)
 
 import geometry_oracle as oracle
 from conftest import jittered_loop, vertex_angles
@@ -391,6 +396,16 @@ def test_curve_file_rejects_non_finite(tmp_path, token):
     lines[3] = f"{token} 0.5"
     path.write_text("component 0 +1\n" + "\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="finite"):
+        geo.read_curve_file(path)
+
+
+def test_curve_file_rejects_orientation_against_nesting(tmp_path):
+    # a counter-clockwise loop inside a counter-clockwise loop: the inner one
+    # sits at nesting depth 1, where a hole runs clockwise
+    path = tmp_path / "nested.txt"
+    geo.write_curve_file(geo.PolyCurve([geo.make_circle((0, 0), 2.0, 64),
+                                        geo.make_circle((0, 0), 1.0, 32)]), path)
+    with pytest.raises(OrientationMismatch, match="orientation"):
         geo.read_curve_file(path)
 
 
