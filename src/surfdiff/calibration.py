@@ -2,9 +2,9 @@
 
 Builds the signed distance to a reference curve (analytic circles or a
 polygonal trajectory sample), the C^2 cutoff profiles, and the derived
-fields: the calibration vector xi, the truncated distance, the closest-point
-projection, extended normals/curvatures, and the tangential derivative along
-the reference.  Everything is evaluated pointwise and vectorized; objects
+fields a run reads: the calibration vector xi and its divergence at the
+vertices of a curve state, the truncated distance, and the pointwise tilt
+inequalities.  Everything is evaluated pointwise and vectorized; objects
 are immutable after construction.  The calibration also owns the velocity
 extension B of the reference, built once per reference time.
 """
@@ -502,24 +502,8 @@ class Calibration:
         return TubeSample(t=float(t), geometry=geom, s=s, grad=grad,
                           xi=self._xi(s, grad), div_xi=self._div_xi(s, kf))
 
-    def xi_at(self, points, t: float = 0.0):
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        s, grad, _, _ = self.reference.query(points, t)
-        return self._xi(s, grad)
-
     def vartheta_at(self, points, t: float = 0.0):
         return self.profile.theta(self.sdist(points, t))
-
-    def proj(self, points, t: float = 0.0):
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        s, grad, _, _ = self.reference.query(points, t)
-        return points - s[:, None] * grad
-
-    def div_xi(self, points, t: float = 0.0):
-        """zeta'(s) |grad s|^2 + zeta(s) * Laplacian(s); zero outside the tube."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        s, _, _, kf = self.reference.query(points, t)
-        return self._div_xi(s, kf)
 
     def xi_grad_bound(self, t: float = 0.0) -> float:
         """sup |grad xi| over the tube, from the 1-d profile and curvature range.

@@ -1,12 +1,14 @@
-"""Scenario runner and verification harness.
+"""Scenario runner, trajectory comparison and run reports.
 
 Scenarios are INI files (configparser sections as nested tables) describing
 a reference (analytic circles, a curve file, or a fine flow run), a weak run
 (resolution, perturbation, seeded bubbles), the tube width and the time
-horizon.  ``simulate`` produces trajectory exports, an energy-report CSV and
-a JSON verdict summary; ``verify`` runs a named invariant suite without any
-flow; ``compare`` evaluates a recorded weak trajectory against a recorded
-strong one; ``report`` summarizes a finished output directory.
+horizon; ``;`` starts an inline comment, and an unknown key or a missing
+key of the reference kind is rejected when the file is loaded.
+``simulate`` produces trajectory exports, an energy-report CSV and a JSON
+verdict summary; ``compare`` evaluates a recorded weak trajectory against a
+recorded strong one; ``report`` summarizes a finished output directory.
+The invariant suite is the test suite (``pytest tests/test_acceptance.py``).
 
 ``simulate`` and ``compare`` share one evaluation path: the sampled weak
 states go through :func:`evaluate_run`, the outputs through
@@ -28,13 +30,12 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import calibration as cblib
 from . import energy as enlib
-from . import extension as exlib
 from . import flow as fllib
 from . import geometry as geo
 from .errors import DegenerateInitialData
@@ -80,8 +81,19 @@ def _parse_shape(text: str) -> tuple:
     raise ValueError(f"unknown shape {text!r}")
 
 
+# the keys each section may hold, and the key each reference kind needs
+SECTION_KEYS = {
+    "scenario": {"name", "seed", "delta", "end_time", "sample_count", "out"},
+    "reference": {"kind", "circles", "file", "shape", "resolution", "dt"},
+    "weak": {"shape", "resolution", "perturb_amplitude", "perturb_mode", "bubbles", "dt",
+             "max_dt_growth", "area_drift_abort"},
+}
+KIND_KEY = {"circles": "circles", "file": "file", "flow": "shape"}
+
+
 def load_scenario(path) -> Scenario:
-    cp = configparser.ConfigParser()
+    """Read a scenario file; unknown keys and a reference kind without its key are errors."""
+    cp = configparser.ConfigParser(inline_comment_prefixes=(";",))
     read = cp.read(path)
     if not read:
         raise FileNotFoundError(path)
@@ -91,6 +103,16 @@ def load_scenario(path) -> Scenario:
         weak = cp["weak"]
     except KeyError as exc:
         raise ValueError(f"{path}: missing section {exc}") from exc
+    for section, known in SECTION_KEYS.items():
+        for key in cp[section]:
+            if key not in known:
+                raise ValueError(f"{path}: [{section}] unknown key {key!r}")
+    kind = ref.get("kind")
+    if kind not in KIND_KEY:
+        raise ValueError(f"{path}: [reference] 'kind' must be one of "
+                         f"{', '.join(KIND_KEY)}, got {kind!r}")
+    if not ref.get(KIND_KEY[kind]):
+        raise ValueError(f"{path}: [reference] kind = {kind} needs {KIND_KEY[kind]!r}")
 
     if sc.get("end_time") is None:
         raise ValueError(f"{path}: [scenario] needs 'end_time'")
@@ -123,7 +145,7 @@ def load_scenario(path) -> Scenario:
         end_time=sc.getfloat("end_time"),
         sample_count=sc.getint("sample_count", 12),
         out=sc.get("out", ""),
-        ref_kind=ref.get("kind"),
+        ref_kind=kind,
         ref_circles=circles,
         ref_file=ref.get("file", None),
         ref_shape=_parse_shape(ref["shape"]) if ref.get("shape") else None,
@@ -406,182 +428,6 @@ def _flow_diagnostics(run: fllib.FlowRun) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# verification suites (no flow)
-# ---------------------------------------------------------------------------
-
-def _suite_geometry():
-    checks = []
-    curve = geo.PolyCurve([geo.make_circle((0, 0), 1.0, 256)])
-    geom = geo.build_geometry(curve)
-    checks.append(("circle curvature", float(np.max(np.abs(geom.kappa - 1.0))) <= 1e-3,
-                   f"max|kappa-1| = {np.max(np.abs(geom.kappa - 1.0)):.2e}"))
-    residual = float(geo.gauss_bonnet_residual(geom)[0])
-    checks.append(("gauss-bonnet", residual <= 1e-3, f"residual = {residual:.2e}"))
-    ann = geo.PolyCurve([geo.make_circle((0, 0), 2.0, 256),
-                         geo.make_circle((0, 0), 1.0, 256, -1)])
-    forest = geo.jordan_decompose(ann)
-    checks.append(("jordan annulus", forest.boundaries == [(0, 1), (1, -1)],
-                   str(forest.boundaries)))
-    per = abs(forest.total_perimeter(ann) - ann.length())
-    checks.append(("perimeter additivity", per == 0.0, f"diff = {per:.1e}"))
-    theta = np.arctan2(geom.vertices[:, 1], geom.vertices[:, 0])
-    ratio = float(geo.poincare_ratio(geom, np.cos(theta), 2)[0])
-    checks.append(("poincare cos", abs(ratio - 0.25) <= 1e-3, f"ratio = {ratio:.6f}"))
-    f = np.sin(3 * geom.arc_positions)
-    tele = abs(float(geo.integrate(geom, geo.dds(geom, f))[0]))
-    checks.append(("closed-curve derivative sum", tele <= 1e-12, f"{tele:.1e}"))
-    return checks
-
-
-def _flow_solve_gap(geom, dt):
-    """Largest relative gap between the flow step's band solve and a dense solve."""
-    lay = geom.layout
-    banded = fllib._normal_velocity(geom.vertices, geom.nu, geom.edge_lengths, geom.weights,
-                                    lay.counts, dt)
-    worst = 0.0
-    for a, n in zip(lay.first, lay.counts):
-        part = slice(a, a + n)
-        h, w = geom.edge_lengths[part], geom.weights[part]
-        hm = np.roll(h, 1)
-        i = np.arange(n)
-        lap = np.zeros((n, n))
-        lap[i, (i + 1) % n] = 1.0 / (h * w)
-        lap[i, i - 1] = 1.0 / (hm * w)
-        lap[i, i] = -(1.0 / h + 1.0 / hm) / w
-        kappa = -np.sum(geom.nu[part] * (lap @ geom.vertices[part]), axis=1)
-        dense = np.linalg.solve(np.eye(n) + dt * lap @ (lap - np.diag(kappa**2)), lap @ kappa)
-        worst = max(worst, float(np.max(np.abs(banded[part] - dense)) / np.max(np.abs(dense))))
-    return worst
-
-
-def _suite_poisson(convergence=False):
-    from . import poisson as po
-
-    def cos3_error(geom):
-        theta = np.arctan2(geom.vertices[:, 1], geom.vertices[:, 0])
-        phi = po.solve_zero_average(geom, np.cos(3 * theta))
-        return float(np.sqrt(geo.integrate(geom, (phi + np.cos(3 * theta) / 9) ** 2))[0])
-
-    checks = []
-    geom = geo.build_geometry(geo.PolyCurve([geo.make_circle((0, 0), 1.0, 256)]))
-    err = cos3_error(geom)
-    checks.append(("manufactured cos3", err <= 1e-3, f"L2 err = {err:.2e}"))
-    bubbly = geo.PolyCurve(
-        [geo.make_ellipse(2.0, 1.0, 128)]
-        + [geo.make_wavy_circle(0.1, 0.02, 3, 24, (3.0 + 0.5 * k, 2.0)) for k in range(4)])
-    stacked = po.solve_zero_average(geo.build_geometry(bubbly), bubbly.segments[0][:, 0] ** 3)
-    alone = [po.solve_zero_average(geo.build_geometry(geo.PolyCurve([c])), c.vertices[:, 0] ** 3)
-             for c in bubbly.components]
-    gap = max(float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
-              for a, b in zip(np.split(stacked, bubbly.layout.split), alone))
-    checks.append(("stacked = per-component solves", gap <= 1e-12, f"rel gap = {gap:.1e}"))
-    gap = _flow_solve_gap(geo.build_geometry(bubbly), 1e-3)
-    checks.append(("flow band solve = dense solve", gap <= 1e-9, f"rel gap = {gap:.1e}"))
-    rng = np.random.default_rng(3)
-    u, v = rng.normal(size=256), rng.normal(size=256)
-    lhs = geo.integrate(geom, geo.d2ds2(geom, u) * v)[0]
-    rhs = geo.integrate(geom, u * geo.d2ds2(geom, v))[0]
-    rel = abs(lhs - rhs) / max(abs(lhs), 1e-30)
-    checks.append(("self-adjointness", rel <= 1e-10, f"rel = {rel:.1e}"))
-    if convergence:
-        errs = []
-        for n in (64, 128, 256):
-            uu = 2 * np.pi * np.arange(n) / n
-            th = uu + 0.3 * np.sin(uu)
-            comp = geo.Component(np.column_stack([np.cos(th), np.sin(th)]), 1)
-            errs.append(cos3_error(geo.build_geometry(geo.PolyCurve([comp]))))
-        r1, r2 = errs[0] / errs[1], errs[1] / errs[2]
-        ok = 3.2 <= r1 <= 4.8 and 3.2 <= r2 <= 4.8
-        checks.append(("order-2 convergence", ok, f"ratios = {r1:.2f}, {r2:.2f}"))
-    return checks
-
-
-def _suite_calibration():
-    checks = []
-    ref = cblib.AnalyticCircles([cblib.CircleSpec((0, 0), 1.0)])
-    calib = cblib.Calibration(ref, 0.25)
-    rng = np.random.default_rng(5)
-    ang = rng.uniform(0, 2 * np.pi, 1000)
-    rad = 1 + rng.uniform(-0.24, 0.24, 1000)
-    pts = np.column_stack([rad * np.cos(ang), rad * np.sin(ang)])
-    _, grad, _, _ = calib.query(pts)
-    eik = float(np.max(np.abs(np.linalg.norm(grad, axis=1) - 1)))
-    checks.append(("eikonal", eik <= 1e-8, f"max deviation = {eik:.1e}"))
-    proj = calib.proj(pts)
-    idem = float(np.max(np.linalg.norm(calib.proj(proj) - proj, axis=1)))
-    checks.append(("projection idempotence", idem <= 1e-8 * calib.delta,
-                   f"max = {idem:.1e}"))
-    geom = geo.build_geometry(geo.PolyCurve([geo.make_wavy_circle(1.0, 0.05, 3, 256)]))
-    rep = calib.pointwise_tilt_check(calib.sample(geom))
-    checks.append(("pointwise tilt inequalities", rep.worst >= -1e-12,
-                   f"worst slack = {rep.worst:.2e}"))
-    return checks
-
-
-def _suite_extension():
-    checks = []
-    n = 128
-    curve = geo.PolyCurve([geo.make_circle((0, 0), 1.0, n)])
-    geom = geo.build_geometry(curve)
-    b = exlib.build_B(geom, np.cos(np.arctan2(geom.vertices[:, 1], geom.vertices[:, 0])), 0.25)
-    checks.append(("boundary condition", b.bc_residual <= 1e-2,
-                   f"sup residual = {b.bc_residual:.2e}"))
-    interior = np.array([[0.0, 0.0], [0.5, 0.3], [0.9375, 0.0]])
-    div = float(np.max(np.abs(b.divergence(interior))))
-    checks.append(("interior harmonicity", div <= 1e-6, f"max |div| = {div:.1e}"))
-    ref = cblib.AnalyticCircles([cblib.CircleSpec((0, 0), 1.0)])
-    calib = cblib.Calibration(ref, 0.25)
-    wav = geo.build_geometry(geo.PolyCurve([geo.make_wavy_circle(1.0, 0.05, 3, 256)]))
-    res = exlib.gauss_wedge_residual(wav, b, calib)
-    checks.append(("closed-form flux identity", res <= 1e-2, f"residual = {res:.2e}"))
-    return checks
-
-
-def _suite_energy():
-    checks = []
-    ref = cblib.AnalyticCircles([cblib.CircleSpec((0, 0), 1.0)])
-    calib = cblib.Calibration(ref, 0.25)
-    sample = calib.sample(geo.build_geometry(geo.PolyCurve([geo.make_circle((0, 0), 1.0, 256)])))
-    e0 = enlib.relative_energy(sample)
-    checks.append(("tilt energy vanishes on reference", abs(e0) <= 1e-10,
-                   f"E = {e0:.1e}"))
-    eps = 0.05
-    big = geo.PolyCurve([geo.make_circle((0, 0), 1.0 + eps, 1024)])
-    f = enlib.bulk_error(calib.sample(geo.build_geometry(big)), calib)
-    f_exact = 2 * np.pi * (eps**2 / 2 + eps**3 / 3)
-    rel = abs(f - f_exact) / f_exact
-    checks.append(("annulus bulk formula", rel <= 1e-3, f"rel err = {rel:.1e}"))
-    # xi replaced by a constant unit field: the tilt integral is the length
-    unit = replace(sample, xi=np.tile([1.0, 0.0], (256, 1)))
-    verd = enlib.small_component_area_check(unit, 0.0)
-    checks.append(("small-component area bound", verd[0].slack >= 0,
-                   f"slack = {verd[0].slack:.2f}"))
-    return checks
-
-
-SUITES = {
-    "geometry": _suite_geometry,
-    "poisson": lambda: _suite_poisson(False),
-    "poisson-convergence": lambda: _suite_poisson(True),
-    "calibration": _suite_calibration,
-    "extension": _suite_extension,
-    "energy": _suite_energy,
-}
-
-
-def run_suite(name: str) -> int:
-    if name not in SUITES:
-        print(f"unknown suite {name!r}; available: {', '.join(sorted(SUITES))}",
-              file=sys.stderr)
-        return 2
-    failures = 0
-    for label, ok, detail in SUITES[name]():
-        print(f"{'PASS' if ok else 'FAIL'} {name}/{label} ({detail})")
-        failures += 0 if ok else 1
-    return 1 if failures else 0
-
-
-# ---------------------------------------------------------------------------
 # compare and report
 # ---------------------------------------------------------------------------
 
@@ -646,9 +492,6 @@ def main(argv=None) -> int:
     p_sim.add_argument("--seed", type=int, default=None)
     p_sim.add_argument("--jobs", type=int, default=1)
 
-    p_ver = sub.add_parser("verify", help="run a named invariant suite")
-    p_ver.add_argument("suite")
-
     p_cmp = sub.add_parser("compare", help="weak vs strong trajectory")
     p_cmp.add_argument("weak")
     p_cmp.add_argument("strong")
@@ -660,8 +503,6 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
 
-    if args.command == "verify":
-        return run_suite(args.suite)
     if args.command == "compare":
         return run_compare(args.weak, args.strong, args.delta, args.out)
     if args.command == "report":

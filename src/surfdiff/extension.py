@@ -9,7 +9,9 @@ it continues by a second-order tube Taylor expansion of the interior trace,
 damped to zero beyond twice the tube width.  The result is C^1 across the
 boundary, has div B = 0 on the closed region and O(dist) outside, is
 globally Lipschitz and compactly supported -- the properties the stability
-estimates consume.
+estimates consume.  ``BField.at_and_div`` returns B and its exact divergence
+in one pass; ``BField.divergence`` is a Richardson difference quotient of B
+that cross-checks it.
 """
 
 from __future__ import annotations
@@ -247,12 +249,6 @@ class BField:
 
         return (4.0 * div_fd(0.5 * h) - div_fd(h)) / 3.0
 
-    def grad_along(self, directions, points, h: float) -> np.ndarray:
-        """(a . grad) B by centered differences along the vectors a."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        a = np.atleast_2d(directions)
-        return (self.at(points + h * a) - self.at(points - h * a)) / (2.0 * h)
-
 
 # ---------------------------------------------------------------------------
 # construction
@@ -410,32 +406,3 @@ def _field_constants(field: BField):
                           axis=1) / (2 * h)
     lip = float(np.max(quot)) if len(quot) else 0.0
     return div_sup, sup_b, lip
-
-
-# ---------------------------------------------------------------------------
-# derived checkers
-# ---------------------------------------------------------------------------
-
-def gauss_wedge_residual(geom: CurveGeometry, field: BField, calib,
-                         t: float = 0.0, fd_step: float | None = None) -> float:
-    """|curve integral of nu . (div of the wedge of B and xi)|.
-
-    Exact differential forms are closed, so the continuum value is zero; the
-    returned magnitude measures the discretization error.  All derivatives
-    of B and xi come from centered differences of the evaluators.
-    """
-    if fd_step is None:
-        fd_step = 1e-4 * calib.delta
-    pts, nu = geom.vertices, geom.nu
-    xi = calib.xi_at(pts, t)
-    bvals = field.at(pts)
-    div_xi = calib.div_xi(pts, t)
-    div_b = field.divergence(pts)
-    xi_grad_b = field.grad_along(xi, pts, fd_step)
-    b_grad_xi = (calib.xi_at(pts + fd_step * bvals, t)
-                 - calib.xi_at(pts - fd_step * bvals, t)) / (2.0 * fd_step)
-    integrand = (div_xi * np.sum(nu * bvals, axis=1)
-                 + np.sum(nu * xi_grad_b, axis=1)
-                 - div_b * np.sum(nu * xi, axis=1)
-                 - np.sum(nu * b_grad_xi, axis=1))
-    return float(abs(np.sum(integrate(geom, integrand))))

@@ -253,8 +253,7 @@ class FlowRun:
 
 
 def run_flow(initial: PolyCurve, config: FlowConfig, sample_stride: int = 10,
-             stop_condition=None, resample_initial: bool = True,
-             max_samples: int | None = None) -> FlowRun:
+             stop_condition=None, max_samples: int | None = None) -> FlowRun:
     """Drive the flow to end_time with halving-on-rejection dt control.
 
     dt halves on StepRejected and regrows by max_dt_growth after ten
@@ -266,9 +265,8 @@ def run_flow(initial: PolyCurve, config: FlowConfig, sample_stride: int = 10,
     its own fixed point.  With ``max_samples`` the recorded states are
     thinned on the fly (stride doubling) to stay within bound.
     """
-    if resample_initial:
-        initial = initial.with_vertices(
-            _resample_uniform(initial.segments[0], initial.layout.counts, passes=4))
+    initial = initial.with_vertices(
+        _resample_uniform(initial.segments[0], initial.layout.counts, passes=4))
     state = FlowState.initial(initial)
     dt = config.dt
     dt_min = config.dt * DT_MIN_FACTOR

@@ -5,7 +5,10 @@ stored counter-clockwise with orientation +1, holes clockwise with -1, so
 the enclosed material always lies to the left of traversal and the outward
 normal is the tangent rotated by -90 degrees.  All per-vertex calculus
 (arc weights, centered derivatives, turning-angle curvature) lives here and
-is shared by every other module.
+is shared by every other module.  A curve read from a file has its nesting
+checked once (:func:`jordan_decompose`): a component whose orientation
+contradicts its nesting depth is rejected there, and the flow never changes
+nesting.
 """
 
 from __future__ import annotations
@@ -603,19 +606,13 @@ def points_in_component(points: np.ndarray, vertices: np.ndarray) -> np.ndarray:
 class JordanForest:
     """Nesting structure of the component forest.
 
-    boundaries[k] = (component_id, sign) with sign +1 for outer Jordan
-    curves (even nesting depth) and -1 for inner ones; parent[k] is the
-    index of the tightest enclosing component or -1 at the roots; regions
-    lists, per outer boundary, the ids of its direct holes.
+    depth[k] is the number of components enclosing component k (even for
+    outer Jordan curves, odd for holes); parent[k] is the index of the
+    tightest enclosing component, or -1 at the roots.
     """
 
-    boundaries: list[tuple[int, int]]
     parent: list[int]
     depth: list[int]
-    regions: list[tuple[int, list[int]]]
-
-    def total_perimeter(self, curve: PolyCurve) -> float:
-        return sum(curve.components[cid].length() for cid, _ in self.boundaries)
 
 
 def jordan_decompose(curve: PolyCurve) -> JordanForest:
@@ -649,50 +646,14 @@ def jordan_decompose(curve: PolyCurve) -> JordanForest:
         holders = [j for j in range(k) if contains[j, i]]
         if holders:
             parent[i] = max(holders, key=lambda j: depth[j])
-
-    boundaries = []
-    for i in range(k):
-        sign = +1 if depth[i] % 2 == 0 else -1
-        expected = +1 if sign > 0 else -1
+        expected = +1 if depth[i] % 2 == 0 else -1
         if comps[i].orientation != expected:
             raise OrientationMismatch(
                 f"component {i} at nesting depth {depth[i]} should have orientation "
                 f"{expected}, got {comps[i].orientation}"
             )
-        boundaries.append((i, sign))
 
-    regions = []
-    for i in range(k):
-        if depth[i] % 2 == 0:
-            holes = [j for j in range(k) if parent[j] == i]
-            regions.append((i, holes))
-
-    return JordanForest(boundaries=boundaries, parent=parent,
-                        depth=[int(d) for d in depth], regions=regions)
-
-
-# ---------------------------------------------------------------------------
-# scalar diagnostics
-# ---------------------------------------------------------------------------
-
-def gauss_bonnet_residual(geom: CurveGeometry) -> np.ndarray:
-    """|sum(kappa ds) - orientation * 2 pi| for each component, (K,)."""
-    orientation = np.array([c.orientation for c in geom.curve.components])
-    return np.abs(integrate(geom, geom.kappa) - orientation * 2.0 * np.pi)
-
-
-def poincare_ratio(geom: CurveGeometry, u: np.ndarray, p: float) -> np.ndarray:
-    """||u - <u>||_p^p / (diam^p ||du/ds||_p^p) per component; zero for constant fields."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    u = np.asarray(u, dtype=float)
-    if u.shape != geom.weights.shape:
-        raise ValueError("field length does not match the curve")
-    num = integrate(geom, np.abs(u - field_mean(geom, u)[geom.layout.comp]) ** p)
-    den = geom.curve.diameters ** p * integrate(geom, np.abs(dds(geom, u)) ** p)
-    ratio = np.zeros(len(num))
-    np.divide(num, den, out=ratio, where=den > 1e-300 * np.maximum(1.0, num))
-    return ratio
+    return JordanForest(parent=parent, depth=[int(d) for d in depth])
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
-"""Single-point signed distance with the medial-axis ambiguity probe, and
-finite differences along the extended reference tangent.
+"""Single-point signed distance with the medial-axis ambiguity probe,
+pointwise tube fields, and finite differences along the extended reference
+tangent.
 
 The tube evaluators query the reference in batches and never need to know
 whether a foot point is ambiguous; the tests check that a strict single
-query far outside the tube detects it.  Only the tests import this module.
+query far outside the tube detects it.  ``xi_at``, ``div_xi`` and ``proj``
+evaluate the tube fields at arbitrary points from ``calib.query`` and
+``calib.profile``; a run reads xi and div xi at curve vertices only, through
+``Calibration.sample``.  Only the tests import this module.
 """
 
 import numpy as np
@@ -61,3 +65,32 @@ def d_sstar(calib, func, points, t=0.0, step=None):
     fp = np.asarray(func(points + step * tau))
     fm = np.asarray(func(points - step * tau))
     return (fp - fm) / (2.0 * step)
+
+
+def xi_at(calib, points, t=0.0):
+    """The calibration vector zeta(s) grad s."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    s, grad, _, _ = calib.query(points, t)
+    return calib.profile.zeta(s)[:, None] * grad
+
+
+def div_xi(calib, points, t=0.0):
+    """zeta'(s) |grad s|^2 + zeta(s) * Laplacian(s); zero outside the tube.
+
+    The Laplacian of s is the curvature of its level set, kappa / (1 + s kappa)
+    with kappa the reference curvature at the foot point.
+    """
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    s, _, _, kf = calib.query(points, t)
+    out = np.zeros(len(s))
+    tube = np.abs(s) < calib.delta
+    st, kt = s[tube], kf[tube]
+    out[tube] = calib.profile.zeta_prime(st) + calib.profile.zeta(st) * kt / (1.0 + st * kt)
+    return out
+
+
+def proj(calib, points, t=0.0):
+    """The closest point on the reference, x - s grad s."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    s, grad, _, _ = calib.query(points, t)
+    return points - s[:, None] * grad

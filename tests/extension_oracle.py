@@ -4,9 +4,9 @@ complex-form kernels and of ``energy``'s stacked B checkers.
 Each function is the loop the package ran before its kernels moved to complex
 arithmetic and before the checkers evaluated B once per sample, reading one
 component's slice of the stacked geometry at a time.  The constructions at
-the end (the divergence decay profile, the trivial extension and the
-reference potentials) are checked by the tests only.  Only the tests import
-this module.
+the end (the divergence decay profile, the trivial extension, the reference
+potentials and the wedge-flux closedness residual) are checked by the tests
+only.  Only the tests import this module.
 """
 
 from dataclasses import dataclass
@@ -14,10 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from surfdiff.extension import BField, _arc_spline, _normal_rays
-from surfdiff.geometry import PolyCurve, build_geometry, dds
+from surfdiff.geometry import PolyCurve, build_geometry, dds, integrate
 from surfdiff.poisson import PeriodicSpline, nu_dot_B_potential, velocity_potential
 
-from calibration_oracle import d_sstar
+from calibration_oracle import d_sstar, div_xi, proj, xi_at
 from geometry_oracle import parts
 
 # 4-point Gauss-Legendre on [0, 1]
@@ -135,7 +135,7 @@ def trivial_extension_Bbar(calib, field: BField, points, t: float = 0.0):
     """eta(s(x)) * B(closest point): the tube pullback of the boundary values."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     s = calib.sdist(points, t)
-    feet = calib.proj(points, t)
+    feet = proj(calib, points, t)
     return calib.profile.eta(s)[:, None] * field.at(feet)
 
 
@@ -178,3 +178,33 @@ def star_potentials(geom, calib, field: BField, v_star) -> StarPotential:
     phi = velocity_potential(geom, v_star)
     return StarPotential(phi=phi, spline=_arc_spline(geom, np.column_stack([phi, dds(geom, phi)])),
                          calib=calib, field=field)
+
+
+def grad_along(field, directions, points, h):
+    """(a . grad) B by centered differences along the vectors a."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    a = np.atleast_2d(directions)
+    return (field.at(points + h * a) - field.at(points - h * a)) / (2.0 * h)
+
+
+def gauss_wedge_residual(geom, field, calib, t=0.0, fd_step=None):
+    """|curve integral of nu . (div of the wedge of B and xi)|.
+
+    Exact differential forms are closed, so the continuum value is zero; the
+    returned magnitude measures the discretization error.  All derivatives
+    of B and xi come from centered differences of the evaluators.
+    """
+    if fd_step is None:
+        fd_step = 1e-4 * calib.delta
+    pts, nu = geom.vertices, geom.nu
+    xi = xi_at(calib, pts, t)
+    bvals = field.at(pts)
+    div_b = field.divergence(pts)
+    xi_grad_b = grad_along(field, xi, pts, fd_step)
+    b_grad_xi = (xi_at(calib, pts + fd_step * bvals, t)
+                 - xi_at(calib, pts - fd_step * bvals, t)) / (2.0 * fd_step)
+    integrand = (div_xi(calib, pts, t) * np.sum(nu * bvals, axis=1)
+                 + np.sum(nu * xi_grad_b, axis=1)
+                 - div_b * np.sum(nu * xi, axis=1)
+                 - np.sum(nu * b_grad_xi, axis=1))
+    return float(abs(np.sum(integrate(geom, integrand))))

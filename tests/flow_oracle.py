@@ -3,13 +3,15 @@
 Each component gets its own pentadiagonal solve, its own area-neutral shift
 and its own periodic ``scipy.interpolate.CubicSpline`` resampling, one
 component after another, on its slice of the state's ``CurveGeometry``.
-``volume_drift`` measures a trajectory's area drift for the tests.  Only
-the tests import this module.
+``volume_drift`` measures a trajectory's area drift for the tests, and
+``flow_solve_gap`` checks the stacked band solve against a dense solve.
+Only the tests import this module.
 """
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
+from surfdiff.flow import _normal_velocity
 from surfdiff.poisson import solve_cyclic_banded
 
 from geometry_oracle import parts
@@ -91,3 +93,24 @@ def volume_drift(trajectory):
     """Max relative enclosed-area drift over the trajectory samples."""
     areas = np.array([curve.signed_area() for curve in trajectory.curves])
     return float(np.max(np.abs(areas - areas[0])) / abs(areas[0]))
+
+
+def flow_solve_gap(geom, dt):
+    """Largest relative gap between the flow step's band solve and a dense solve."""
+    lay = geom.layout
+    banded = _normal_velocity(geom.vertices, geom.nu, geom.edge_lengths, geom.weights,
+                              lay.counts, dt)
+    worst = 0.0
+    for part in parts(geom):
+        n = part.stop - part.start
+        h, w = geom.edge_lengths[part], geom.weights[part]
+        hm = np.roll(h, 1)
+        i = np.arange(n)
+        lap = np.zeros((n, n))
+        lap[i, (i + 1) % n] = 1.0 / (h * w)
+        lap[i, i - 1] = 1.0 / (hm * w)
+        lap[i, i] = -(1.0 / h + 1.0 / hm) / w
+        kappa = -np.sum(geom.nu[part] * (lap @ geom.vertices[part]), axis=1)
+        dense = np.linalg.solve(np.eye(n) + dt * lap @ (lap - np.diag(kappa**2)), lap @ kappa)
+        worst = max(worst, float(np.max(np.abs(banded[part] - dense)) / np.max(np.abs(dense))))
+    return worst

@@ -3,11 +3,14 @@
 Each function is the ``np.roll`` / ``np.dot`` definition on one component's
 arrays that the package used while it kept one geometry object per
 component; ``parts`` slices a stacked ``CurveGeometry`` into its
-components.  ``intrinsic_distance`` and ``translated`` are checked or used
-by the tests only.  Only the tests import this module.
+components.  ``intrinsic_distance``, ``translated``, the Gauss-Bonnet
+residual and the Poincare ratio are checked or used by the tests only.
+Only the tests import this module.
 """
 
 import numpy as np
+
+from surfdiff import geometry as geo
 
 
 def parts(geom):
@@ -45,3 +48,23 @@ def intrinsic_distance(geom, i, j):
 def translated(curve, shift):
     """The curve moved by ``shift``, its components' orientations kept."""
     return curve.with_vertices(curve.segments[0] + np.asarray(shift, dtype=float))
+
+
+def gauss_bonnet_residual(geom):
+    """|sum(kappa ds) - orientation * 2 pi| for each component, (K,)."""
+    orientation = np.array([c.orientation for c in geom.curve.components])
+    return np.abs(geo.integrate(geom, geom.kappa) - orientation * 2.0 * np.pi)
+
+
+def poincare_ratio(geom, u, p):
+    """||u - <u>||_p^p / (diam^p ||du/ds||_p^p) per component; zero for constant fields."""
+    if p < 1:
+        raise ValueError("p must be >= 1")
+    u = np.asarray(u, dtype=float)
+    if u.shape != geom.weights.shape:
+        raise ValueError("field length does not match the curve")
+    num = geo.integrate(geom, np.abs(u - geo.field_mean(geom, u)[geom.layout.comp]) ** p)
+    den = geom.curve.diameters ** p * geo.integrate(geom, np.abs(geo.dds(geom, u)) ** p)
+    ratio = np.zeros(len(num))
+    np.divide(num, den, out=ratio, where=den > 1e-300 * np.maximum(1.0, num))
+    return ratio

@@ -103,6 +103,48 @@ def test_load_scenario_short_bubble_line(tmp_path, line):
         cli.load_scenario(bad)
 
 
+def test_load_scenario_readme_example(tmp_path):
+    # the INI block of the README, verbatim, inline ';' comments included
+    readme = open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")).read()
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "readme.ini"
+    path.write_text(block)
+    sc = cli.load_scenario(path)
+    assert sc.name == "stationary-circle-perturbed"
+    assert (sc.seed, sc.delta, sc.end_time, sc.sample_count) == (42, 0.25, 0.05, 12)
+    assert sc.ref_kind == "circles"
+    assert sc.ref_circles == [cb.CircleSpec((0.0, 0.0), 1.0, 1)]
+    assert sc.weak_shape == ("circle", 1.0)
+    assert (sc.weak_resolution, sc.weak_perturb_amplitude, sc.weak_perturb_mode) == (256, 0.05, 3)
+    assert sc.weak_bubbles == [("auto", 4, 0.01)]
+    assert sc.weak_dt == 1e-4
+
+
+def test_load_scenario_rejects_unknown_key(tmp_path):
+    bad = tmp_path / "typo.ini"
+    bad.write_text(STATIONARY_INI + "max_dt_grwoth = 1.0\n")
+    with pytest.raises(ValueError, match=r"typo\.ini: \[weak\] unknown key 'max_dt_grwoth'"):
+        cli.load_scenario(bad)
+
+
+@pytest.mark.parametrize("kind, key", [("flow", "shape"), ("file", "file"),
+                                       ("circles", "circles")])
+def test_load_scenario_rejects_reference_kind_without_its_key(tmp_path, kind, key):
+    bad = tmp_path / "no_key.ini"
+    bad.write_text(STATIONARY_INI.replace("kind = circles\ncircles = 0 0 1 1\n",
+                                          f"kind = {kind}\n"))
+    with pytest.raises(ValueError,
+                       match=rf"no_key\.ini: \[reference\] kind = {kind} needs '{key}'"):
+        cli.load_scenario(bad)
+
+
+def test_load_scenario_rejects_unknown_reference_kind(tmp_path):
+    bad = tmp_path / "kind.ini"
+    bad.write_text(STATIONARY_INI.replace("kind = circles", "kind = polygon"))
+    with pytest.raises(ValueError, match=r"\[reference\] 'kind' must be one of .*'polygon'"):
+        cli.load_scenario(bad)
+
+
 def test_simulate_stationary_end_to_end(stationary_cfg, tmp_path):
     out = tmp_path / "out"
     code = cli.main(["simulate", str(stationary_cfg), "--out", str(out)])
@@ -142,20 +184,6 @@ def test_simulate_bubbles_disjoint_and_recorded(tmp_path):
         assert abs(np.hypot(cx, cy) - 1.0) > 2 * 0.25
 
 
-def test_verify_suites_pass(capsys):
-    for suite in ("geometry", "poisson", "calibration", "energy"):
-        assert cli.run_suite(suite) == 0
-    out = capsys.readouterr().out
-    assert "PASS geometry/circle curvature" in out
-    assert "FAIL" not in out
-
-
-def test_verify_poisson_convergence(capsys):
-    assert cli.run_suite("poisson-convergence") == 0
-    out = capsys.readouterr().out
-    assert "order-2 convergence" in out
-
-
 def test_identical_initial_data_uniqueness(tmp_path):
     ini = STATIONARY_INI.replace("perturb_amplitude = 0.04",
                                  "perturb_amplitude = 0.0")
@@ -180,14 +208,11 @@ def test_simulate_jobs_flag(stationary_cfg, tmp_path):
     assert (out / "stat2" / "summary.json").exists()
 
 
-def test_verify_unknown_suite():
-    assert cli.run_suite("nope") == 2
-    assert cli.run_suite("") == 2
-
-
-def test_verify_cli_exit_codes():
-    assert cli.main(["verify", "geometry"]) == 0
-    assert cli.main(["verify", "does-not-exist"]) == 2
+def test_verify_command_is_gone():
+    # the invariant suite is tests/test_acceptance.py; argparse rejects the old command
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "geometry"])
+    assert exc.value.code == 2
 
 
 def test_evaluate_run_evaluates_each_sample_once(monkeypatch):

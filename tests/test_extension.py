@@ -234,7 +234,7 @@ def test_wedge_zero_field(circle_calibration):
     geom = geo.build_geometry(geo.PolyCurve([geo.make_circle((0, 0), 1.0, 128)]))
     field = ex.build_B(geom, np.zeros(128), 0.25)
     wavy = geo.build_geometry(geo.PolyCurve([geo.make_wavy_circle(1.0, 0.05, 3, 256)]))
-    assert ex.gauss_wedge_residual(wavy, field, circle_calibration) == 0.0
+    assert oracle.gauss_wedge_residual(wavy, field, circle_calibration) == 0.0
 
 
 def test_wedge_constant_fields_identically_zero():
@@ -248,20 +248,17 @@ def test_wedge_constant_fields_identically_zero():
         def divergence(self, pts, h=None):
             return np.zeros(len(np.atleast_2d(pts)))
 
-        def grad_along(self, a, pts, h):
-            return np.zeros_like(np.atleast_2d(pts))
-
     class ConstantCalib:
+        # s = 0 and a flat level set everywhere: xi = zeta(0) grad s = (0, 0.4)
         delta = 0.25
+        profile = SimpleNamespace(zeta=np.ones_like, zeta_prime=np.zeros_like)
 
-        def xi_at(self, pts, t=0.0):
-            return np.tile([0.0, 0.4], (len(np.atleast_2d(pts)), 1))
-
-        def div_xi(self, pts, t=0.0):
-            return np.zeros(len(np.atleast_2d(pts)))
+        def query(self, pts, t=0.0):
+            n = len(np.atleast_2d(pts))
+            return np.zeros(n), np.tile([0.0, 0.4], (n, 1)), None, np.zeros(n)
 
     geom = geo.build_geometry(geo.PolyCurve([geo.make_wavy_circle(1.0, 0.1, 5, 128)]))
-    res = ex.gauss_wedge_residual(geom, ConstantField(), ConstantCalib())
+    res = oracle.gauss_wedge_residual(geom, ConstantField(), ConstantCalib())
     assert res <= 1e-12
 
 
@@ -269,7 +266,7 @@ def test_wedge_residual_small_and_refining(disk_cos1, circle_calibration):
     residuals = []
     for n in (128, 256, 512):
         geom = geo.build_geometry(geo.PolyCurve([geo.make_wavy_circle(1.0, 0.05, 3, n)]))
-        residuals.append(ex.gauss_wedge_residual(geom, disk_cos1, circle_calibration))
+        residuals.append(oracle.gauss_wedge_residual(geom, disk_cos1, circle_calibration))
     assert residuals[-1] <= 1e-2
     assert residuals[0] <= 1e-1
 

@@ -8,7 +8,6 @@ from scipy.interpolate import CubicSpline
 
 import flow_oracle
 from geometry_oracle import parts, translated
-from surfdiff import cli
 from surfdiff import flow as fl
 from surfdiff import geometry as geo
 from surfdiff.errors import AreaDriftExceeded, SingularSystem, StepRejected, TopologyChange
@@ -329,7 +328,7 @@ def test_banded_flow_operator_matches_dense_solve(n, bubbles, dt, seed):
     # dt = 1e-3, and grows in proportion to dt beyond (~3e7 at dt = 2e-2,
     # the largest step the 512-ellipse flow takes): the two solves differ
     # by up to ~1e-10 of max |w| at dt = 1e-3 and ~1.3e-9 at dt = 2e-2
-    assert cli._flow_solve_gap(geom, dt) <= 1e-9 * max(1.0, dt / 1e-3)
+    assert flow_oracle.flow_solve_gap(geom, dt) <= 1e-9 * max(1.0, dt / 1e-3)
 
 
 def test_step_computes_no_diameter(monkeypatch):

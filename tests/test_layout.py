@@ -1,0 +1,102 @@
+"""The package holds what a run calls.
+
+Every ``def`` and ``class`` in ``src/surfdiff`` must be named somewhere else
+in the package: test-only helpers belong in ``tests/*_oracle.py``.  The
+benchmark is a caller too: a name its modules read counts as used, and the
+functions its tracer wraps (``perfbench/tracer.py`` ``TARGETS``, attribute
+paths given as strings) are exempt.  Both are read with ``ast``, never
+imported.
+"""
+
+import ast
+import os
+
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+PACKAGE = os.path.join(ROOT, "src", "surfdiff")
+PERFBENCH = os.path.join(ROOT, "perfbench")
+TRACER = os.path.join(PERFBENCH, "tracer.py")
+
+
+def _names_used(tree):
+    """Every identifier a tree reads: names, attributes and imported names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def _definitions(tree):
+    """(dotted path, node) of every def and class, methods as Class.name."""
+    def walk(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                path = prefix + child.name
+                yield path, child
+                yield from walk(child, path + ".")
+            else:
+                yield from walk(child, prefix)
+    yield from walk(tree, "")
+
+
+def _parse_dir(directory):
+    """Module name -> syntax tree of every non-test ``.py`` file in a directory."""
+    return {fname[:-3]: ast.parse(open(os.path.join(directory, fname)).read())
+            for fname in sorted(os.listdir(directory))
+            if fname.endswith(".py") and not fname.startswith("test_")}
+
+
+def _tracer_targets():
+    """(module, attribute path) of each ``TARGETS`` entry, read without importing."""
+    tree = ast.parse(open(TRACER).read())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets):
+            return {(entry.elts[1].value, entry.elts[2].value) for entry in node.value.elts}
+    raise AssertionError("perfbench/tracer.py defines no TARGETS")
+
+
+def unused_definitions(package=PACKAGE, exempt=frozenset(), callers=()):
+    """Dotted paths of the definitions whose name appears nowhere else in the package.
+
+    ``exempt`` holds (module, dotted path) pairs; a name read by one of the
+    ``callers`` trees counts as used.
+    """
+    trees = _parse_dir(package)
+    used = {}
+    for tree in [*trees.values(), *callers]:
+        for name in _names_used(tree):
+            used[name] = used.get(name, 0) + 1
+    unused = []
+    for module, tree in trees.items():
+        for path, node in _definitions(tree):
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if (module, path) in exempt:
+                continue
+            inside = sum(1 for n in _names_used(node) if n == name)
+            if used.get(name, 0) - inside == 0:
+                unused.append(f"{module}.{path}")
+    return unused
+
+
+def test_src_holds_only_what_runs():
+    bench = _parse_dir(PERFBENCH)
+    assert unused_definitions(exempt=_tracer_targets(), callers=bench.values()) == []
+
+
+def test_guard_flags_a_helper_nothing_calls(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "class Shape:\n"
+        "    def area(self):\n        return 1.0\n\n"
+        "    def spare(self):\n        return self.spare_value\n\n"
+        "def lonely(n):\n    return lonely(n - 1) if n else 0\n\n"
+        "def used():\n    return Shape().area()\n")
+    (tmp_path / "b.py").write_text("from .a import used\n\nVALUE = used()\n")
+    assert unused_definitions(str(tmp_path)) == ["a.Shape.spare", "a.lonely"]
+    assert unused_definitions(str(tmp_path), exempt={("a", "lonely")}) == ["a.Shape.spare"]
+    caller = ast.parse("import a\n\na.Shape().spare()\n")
+    assert unused_definitions(str(tmp_path), callers=[caller]) == ["a.lonely"]
