@@ -346,19 +346,16 @@ def _facing_self_gap(geom: CurveGeometry, k: int) -> float:
     length, n = geom.length[k], geom.layout.counts[k]
     step = max(1, n // 256)
     idx = geom.layout.first[k] + np.arange(0, n, step)
-    vi = geom.vertices[idx]
-    ni = geom.nu[idx]
-    si = geom.arc_positions[idx]
-    rel = vi[None, :, :] - vi[:, None, :]
-    d = np.linalg.norm(rel, axis=-1)
+    (x, y), (nx, ny), si = geom.vertices[idx].T, geom.nu[idx].T, geom.arc_positions[idx]
+    dx, dy = x[None, :] - x[:, None], y[None, :] - y[:, None]
+    d = np.sqrt(dx * dx + dy * dy)
     darc = np.abs(si[None, :] - si[:, None])
     darc = np.minimum(darc, length - darc)
-    mean_h = length / n
-    with np.errstate(invalid="ignore", divide="ignore"):
-        u = rel / np.maximum(d, 1e-300)[..., None]
-    a1 = np.abs(np.sum(u * ni[:, None, :], axis=-1))
-    a2 = np.abs(np.sum(u * ni[None, :, :], axis=-1))
-    facing = (a1 > 0.9) & (a2 > 0.9) & (darc > 8.0 * mean_h * step) & (d > 0)
+    dd = np.maximum(d, 1e-300)
+    ux, uy = dx / dd, dy / dd
+    a1 = np.abs(ux * nx[:, None] + uy * ny[:, None])
+    a2 = np.abs(ux * nx[None, :] + uy * ny[None, :])
+    facing = (a1 > 0.9) & (a2 > 0.9) & (darc > 8.0 * (length / n) * step) & (d > 0)
     if not np.any(facing):
         return np.inf
     return float(d[facing].min())

@@ -244,9 +244,8 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None,
         ref_datum = None
     elif scenario.ref_kind == "flow":
         datum = _build_shape(scenario.ref_shape, scenario.ref_resolution)
-        cfg = fllib.FlowConfig(dt=scenario.ref_dt, end_time=scenario.end_time,
-                               max_dt_growth=scenario.max_dt_growth,
-                               area_drift_abort=scenario.area_drift_abort)
+        # the reference takes only its dt and the horizon, never [weak] settings
+        cfg = fllib.FlowConfig(dt=scenario.ref_dt, end_time=scenario.end_time)
         traj = fllib.make_reference(cfg, geo.PolyCurve([datum]), sample_stride=5)
         reference = cblib.PolygonReference(trajectory=traj)
         ref_datum = scenario.ref_shape

@@ -54,6 +54,10 @@ class AreaDriftExceeded(Exception):
     """The cumulative area drift stays over its bound down to the dt floor."""
 
 
+class DtFloorReached(Exception):
+    """A flow step is still rejected at the dt floor, for any other reason."""
+
+
 class ZeroReach(Exception):
     """Reference components touch; no admissible tube width exists."""
 

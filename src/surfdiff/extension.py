@@ -3,7 +3,8 @@
 Given a reference curve and a zero-mean normal velocity per component, the
 harmonic potential with that Neumann data is represented by a single-layer
 density solved from the second-kind boundary integral equation (Nystrom
-collocation, dense, per-component mean constraints bordered in).  The
+collocation, dense, per-component mean constraints bordered in); its
+pairwise kernels run in real arithmetic over cache-sized row blocks.  The
 extension field B is that gradient on the closed reference region; outside
 it continues by a second-order tube Taylor expansion of the interior trace,
 damped to zero beyond twice the tube width.  The result is C^1 across the
@@ -20,14 +21,26 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg.lapack import dgesv
 
 from .errors import NonZeroMean, RankDeficient
 from .geometry import CurveGeometry, dds, field_mean, integrate
 from .poisson import PeriodicSpline
 
 
-def _complex(xy):
-    return xy[:, 0] + 1j * xy[:, 1]
+def _pair_blocks(targets, sources):
+    """Row blocks (rows, dx, dy, r2) of about 2**14 target-source pairs, with
+    dx = x_i - y_j, dy likewise and r2 = dx^2 + dy^2: each 128 KB temporary
+    stays in cache, and each row is formed from its own target alone."""
+    sx, sy = np.ascontiguousarray(sources.T)
+    step = max(1, (1 << 14) // max(len(sx), 1))
+    for a in range(0, len(targets), step):
+        rows = slice(a, a + step)
+        dx = targets[rows, 0, None] - sx
+        dy = targets[rows, 1, None] - sy
+        r2 = dx * dx
+        r2 += dy * dy
+        yield rows, dx, dy, r2
 
 
 def _smoothstep(u):
@@ -72,18 +85,18 @@ class BField:
     def _grad_potential(self, points):
         """Gradient of the single-layer sum over the upsampled quadrature.
 
-        In complex form, with z = x + iy, sources w_j and c_j = -q_j / (2 pi),
-        the gradient of sum_j c_j log|z - w_j| is conj(sum_j c_j / (z - w_j)):
-        one complex reciprocal and one matrix-vector product per chunk.
+        With sources w_j and c_j = -q_j / (2 pi), the gradient of
+        sum_j c_j log|x - w_j| is sum_j c_j (x - w_j) / |x - w_j|^2.  Each row
+        is reduced on its own (einsum, not a BLAS product), so a point's
+        value does not depend on the other points of the call.
         """
-        z = _complex(points)
-        w = _complex(self.fine_points)
-        c = (-self.fine_charge / (2.0 * np.pi)).astype(complex)
-        g = np.empty(len(z), dtype=complex)
-        chunk = max(1, (1 << 20) // max(len(w), 1))
-        for a in range(0, len(z), chunk):
-            g[a:a + chunk] = np.reciprocal(z[a:a + chunk, None] - w[None, :]) @ c
-        return np.column_stack([g.real, -g.imag])
+        c = -self.fine_charge / (2.0 * np.pi)
+        g = np.empty((len(points), 2))
+        for rows, dx, dy, r2 in _pair_blocks(points, self.fine_points):
+            cr = c / r2
+            g[rows, 0] = np.einsum("ij,ij->i", dx, cr)
+            g[rows, 1] = np.einsum("ij,ij->i", dy, cr)
+        return g
 
     @cached_property
     def _cull_box(self):
@@ -257,16 +270,16 @@ class BField:
 def _neumann_system(geom: CurveGeometry):
     """Nystrom matrix of the second-kind equation, and the node weights.
 
-    In complex form the kernel -nu_i . (x_i - x_j) / (2 pi |x_i - x_j|^2) is
-    -Re(n_i / (z_i - z_j)) / (2 pi); the diagonal holds the jump 1/2 plus the
-    kernel's curvature limit.
+    Off the diagonal the kernel is -nu_i . (x_i - x_j) / (2 pi |x_i - x_j|^2)
+    times w_j; the diagonal holds the jump 1/2 plus the kernel's curvature
+    limit.
     """
-    z = _complex(geom.vertices)
-    n = _complex(geom.nu)
-    weights = geom.weights
-    dz = z[:, None] - z[None, :]
-    np.fill_diagonal(dz, 1.0)
-    a = (n[:, None] / dz).real * (-weights / (2.0 * np.pi))[None, :]
+    nodes, nu, weights = geom.vertices, geom.nu, geom.weights
+    a = np.empty((len(nodes),) * 2)
+    cw = -weights / (2.0 * np.pi)
+    for rows, dx, dy, r2 in _pair_blocks(nodes, nodes):
+        np.fill_diagonal(r2[:, rows], 1.0)
+        a[rows] = (nu[rows, 0, None] * dx + nu[rows, 1, None] * dy) / r2 * cw
     np.fill_diagonal(a, 0.5 - weights * geom.kappa / (4.0 * np.pi))
     return a, weights
 
@@ -277,16 +290,16 @@ def _solve_density(geom: CurveGeometry, v_star):
     m = a.shape[0]
     rows = np.arange(m)
     border = m + geom.layout.comp
-    sys = np.zeros((m + len(geom.length),) * 2)
+    sys = np.zeros((m + len(geom.length),) * 2, order="F")
     sys[:m, :m] = a
     sys[rows, border] = 1.0
     sys[border, rows] = weights
     rhs = np.zeros(len(sys))
     rhs[:m] = v_star
-    try:
-        sol = np.linalg.solve(sys, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise RankDeficient(f"boundary integral system singular: {exc}") from exc
+    # LAPACK in place on the Fortran-ordered system: no copy of the matrix
+    _, _, sol, info = dgesv(sys, rhs, overwrite_a=1, overwrite_b=1)
+    if info > 0:
+        raise RankDeficient(f"boundary integral system singular: zero pivot {info}")
     if not np.all(np.isfinite(sol)):
         raise RankDeficient("boundary integral solve produced non-finite density")
     return sol[:m], sol[m:]
@@ -295,16 +308,16 @@ def _solve_density(geom: CurveGeometry, v_star):
 def _surface_potential(geom: CurveGeometry, q) -> np.ndarray:
     """Single-layer potential -1/(2 pi) int log|x - y| q(y) dy at every node.
 
-    Off the diagonal the trapezoid rule sums log|z_i - z_j| w_j q_j.  On the
+    Off the diagonal the trapezoid rule sums log|x_i - x_j| w_j q_j.  On the
     diagonal the kernel is log of the arc distance to leading order, and its
     integral over the node's own panel, two half edges of length w_i / 2, is
     analytic.
     """
-    z = _complex(geom.vertices)
-    weights = geom.weights
-    dz = z[:, None] - z[None, :]
-    np.fill_diagonal(dz, 1.0)
-    phi = np.log(np.abs(dz)) @ (weights * q)
+    nodes, weights = geom.vertices, geom.weights
+    phi = np.empty(len(nodes))
+    for rows, _, _, r2 in _pair_blocks(nodes, nodes):
+        np.fill_diagonal(r2[:, rows], 1.0)
+        phi[rows] = 0.5 * np.log(r2) @ (weights * q)
     half = 0.5 * weights
     phi += 2.0 * half * (np.log(half) - 1.0) * q
     return -phi / (2.0 * np.pi)
@@ -361,21 +374,21 @@ def _midpoint_bc_residual(field: BField, v_star) -> float:
     them, with the density linearly interpolated (order-2 baseline).  Edge
     k's midpoint is the position spline at arc (a_k + a_{k+1}) / 2, where
     that interpolation (q_k + q_{k+1}) / 2 belongs, with the spline's
-    normal there.  The kernel is the complex form of
-    :func:`_neumann_system`'s.
+    normal there.  The kernel is :func:`_neumann_system`'s.
     """
     geom = field.geometry
     nxt, comp = geom.layout.nxt, geom.layout.comp
-    z = _complex(geom.vertices)
-    arc = field._foot_arc_raw(np.arange(len(z)), 0.5)
-    mids = _complex(field.position(comp, arc))
-    tang = _complex(field.position(comp, arc, 1))
-    nmid = -1j * tang / np.abs(tang)
+    arc = field._foot_arc_raw(np.arange(len(comp)), 0.5)
+    mids = field.position(comp, arc)
+    tang = field.position(comp, arc, 1)
+    nmid = np.column_stack([tang[:, 1], -tang[:, 0]]) / np.hypot(tang[:, 0], tang[:, 1])[:, None]
     q = field.density
+    cq = -geom.weights * q / (2.0 * np.pi)
+    flux = np.empty(len(comp))
+    for rows, dx, dy, r2 in _pair_blocks(mids, geom.vertices):
+        flux[rows] = (nmid[rows, 0, None] * dx + nmid[rows, 1, None] * dy) / r2 @ cq
     q_mid = 0.5 * (q + q[nxt])
-    flux = ((nmid[:, None] / (mids[:, None] - z[None, :])).real
-            @ (-geom.weights * q / (2.0 * np.pi))
-            + 0.5 * q_mid + field.mu[comp])
+    flux = flux + 0.5 * q_mid + field.mu[comp]
     return float(np.max(np.abs(flux - 0.5 * (v_star + v_star[nxt]))))
 
 
@@ -396,13 +409,14 @@ def _field_constants(field: BField):
     rng = np.random.default_rng(1234)
     pts = _normal_rays(field.geometry, 24, field.delta * np.array(
         [-0.8, -0.4, -0.1, 0.1, 0.4, 0.8, 1.2, 1.6, 1.95]))
-    bvals, div = field.at_and_div(pts)
-    sup_b = float(np.max(np.linalg.norm(bvals, axis=1)))
-    div_sup = float(np.max(np.abs(div)))
     h = 1e-3 * field.delta
     dirs = rng.normal(size=pts.shape)
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    quot = np.linalg.norm(field.at(pts + h * dirs) - field.at(pts - h * dirs),
-                          axis=1) / (2 * h)
+    # one call: each point's B is independent of the rest of its batch
+    b, div = field.at_and_div(np.vstack([pts, pts + h * dirs, pts - h * dirs]))
+    bvals, plus, minus = np.split(b, 3)
+    sup_b = float(np.max(np.linalg.norm(bvals, axis=1)))
+    div_sup = float(np.max(np.abs(div[:len(pts)])))
+    quot = np.linalg.norm(plus - minus, axis=1) / (2 * h)
     lip = float(np.max(quot)) if len(quot) else 0.0
     return div_sup, sup_b, lip

@@ -26,6 +26,7 @@ import numpy as np
 from .errors import (
     AreaDriftExceeded,
     CurveError,
+    DtFloorReached,
     SelfIntersection,
     SingularSystem,
     StepRejected,
@@ -259,11 +260,12 @@ def run_flow(initial: PolyCurve, config: FlowConfig, sample_stride: int = 10,
     dt halves on StepRejected and regrows by max_dt_growth after ten
     consecutive acceptances; each rejection is counted under its reason.  At
     the dt floor a persisting self-intersection is reported as
-    TopologyChange and a persisting cumulative area drift as
-    AreaDriftExceeded.  The initial curve is redistributed to uniform arc
-    length once, so that the per-step tangential redistribution starts from
-    its own fixed point.  With ``max_samples`` the recorded states are
-    thinned on the fly (stride doubling) to stay within bound.
+    TopologyChange, a persisting cumulative area drift as AreaDriftExceeded
+    and any other persisting rejection as DtFloorReached.  The initial curve
+    is redistributed to uniform arc length once, so that the per-step
+    tangential redistribution starts from its own fixed point.  With
+    ``max_samples`` the recorded states are thinned on the fly (stride
+    doubling) to stay within bound.
     """
     initial = initial.with_vertices(
         _resample_uniform(initial.segments[0], initial.layout.counts, passes=4))
@@ -303,7 +305,9 @@ def run_flow(initial: PolyCurve, config: FlowConfig, sample_stride: int = 10,
                         f"bound {config.area_drift_abort:.6e} at the dt floor "
                         f"(t={state.time:.6g})"
                     ) from exc
-                raise
+                raise DtFloorReached(
+                    f"step rejected at the dt floor (t={state.time:.6g}): {exc.reason}"
+                ) from exc
             continue
 
         state = new_state

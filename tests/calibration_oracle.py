@@ -1,6 +1,6 @@
 """Single-point signed distance with the medial-axis ambiguity probe,
-pointwise tube fields, and finite differences along the extended reference
-tangent.
+pointwise tube fields, finite differences along the extended reference
+tangent, and the facing self-gap from (m, m, 2) chord arrays.
 
 The tube evaluators query the reference in batches and never need to know
 whether a foot point is ambiguous; the tests check that a strict single
@@ -94,3 +94,28 @@ def proj(calib, points, t=0.0):
     points = np.atleast_2d(np.asarray(points, dtype=float))
     s, grad, _, _ = calib.query(points, t)
     return points - s[:, None] * grad
+
+
+def facing_self_gap(geom, k):
+    """``calibration._facing_self_gap`` as the package ran it before its
+    chords were split into x and y arrays: (m, m, 2) chords, their norms and
+    unit vectors, and dot products with both normals summed over the last axis."""
+    length, n = geom.length[k], geom.layout.counts[k]
+    step = max(1, n // 256)
+    idx = geom.layout.first[k] + np.arange(0, n, step)
+    vi = geom.vertices[idx]
+    ni = geom.nu[idx]
+    si = geom.arc_positions[idx]
+    rel = vi[None, :, :] - vi[:, None, :]
+    d = np.linalg.norm(rel, axis=-1)
+    darc = np.abs(si[None, :] - si[:, None])
+    darc = np.minimum(darc, length - darc)
+    mean_h = length / n
+    with np.errstate(invalid="ignore", divide="ignore"):
+        u = rel / np.maximum(d, 1e-300)[..., None]
+    a1 = np.abs(np.sum(u * ni[:, None, :], axis=-1))
+    a2 = np.abs(np.sum(u * ni[None, :, :], axis=-1))
+    facing = (a1 > 0.9) & (a2 > 0.9) & (darc > 8.0 * mean_h * step) & (d > 0)
+    if not np.any(facing):
+        return np.inf
+    return float(d[facing].min())

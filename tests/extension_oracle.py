@@ -1,12 +1,14 @@
-"""Real-arithmetic, per-component kernels: the references of ``extension``'s
-complex-form kernels and of ``energy``'s stacked B checkers.
+"""Dense, per-component kernels: the references of ``extension``'s row-block
+kernels and of ``energy``'s stacked B checkers.
 
-Each function is the loop the package ran before its kernels moved to complex
-arithmetic and before the checkers evaluated B once per sample, reading one
-component's slice of the stacked geometry at a time.  The constructions at
-the end (the divergence decay profile, the trivial extension, the reference
-potentials and the wedge-flux closedness residual) are checked by the tests
-only.  Only the tests import this module.
+The first functions form each pairwise kernel in full from (m, m, 2)
+differences, reading one component's slice of the stacked geometry at a time,
+as the package did before its kernels ran over row blocks and before the
+checkers evaluated B once per sample.  ``field_constants`` is the three-call
+form of ``extension._field_constants``.  The constructions at the end (the
+divergence decay profile, the trivial extension, the reference potentials and
+the wedge-flux closedness residual) are checked by the tests only.  Only the
+tests import this module.
 """
 
 from dataclasses import dataclass
@@ -93,6 +95,24 @@ def midpoint_bc_residual(field, v_star):
         v_mid = 0.5 * (v_star[part] + np.roll(v_star[part], -1))
         worst = max(worst, float(np.max(np.abs(flux - v_mid))))
     return worst
+
+
+def field_constants(field):
+    """(sup |div B|, sup |B|, Lipschitz quotient) from one ``at_and_div`` call
+    on the ray points and one ``at`` call on each side of them."""
+    rng = np.random.default_rng(1234)
+    pts = _normal_rays(field.geometry, 24, field.delta * np.array(
+        [-0.8, -0.4, -0.1, 0.1, 0.4, 0.8, 1.2, 1.6, 1.95]))
+    bvals, div = field.at_and_div(pts)
+    sup_b = float(np.max(np.linalg.norm(bvals, axis=1)))
+    div_sup = float(np.max(np.abs(div)))
+    h = 1e-3 * field.delta
+    dirs = rng.normal(size=pts.shape)
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    quot = np.linalg.norm(field.at(pts + h * dirs) - field.at(pts - h * dirs),
+                          axis=1) / (2 * h)
+    lip = float(np.max(quot)) if len(quot) else 0.0
+    return div_sup, sup_b, lip
 
 
 def edge_flux(vector_field, v):

@@ -136,6 +136,24 @@ def test_admissible_delta_annulus():
     assert ref.admissible_delta() == pytest.approx(min(gap / 4, 1.0 / 4), rel=1e-3)
 
 
+def test_facing_self_gap_matches_dense_oracle():
+    # the acceptance bundle's flow reference at the times admissible_delta
+    # reads, then wavy loops with bottlenecks, at vertex strides 1, 2 and 3
+    cfg = fl.FlowConfig(dt=1e-4, end_time=0.06, area_drift_abort=1e-3)
+    traj = fl.make_reference(cfg, geo.PolyCurve([geo.make_ellipse(2, 1, 512)]),
+                             sample_stride=5)
+    ref = cb.PolygonReference(trajectory=traj)
+    geoms = [ref.geometry_at(t) for t in np.linspace(traj.times[0], traj.times[-1], 9)]
+    geoms += [geo.build_geometry(geo.PolyCurve([geo.make_wavy_circle(1.0, amp, mode, n)]))
+              for amp, mode, n in [(0.3, 2, 200), (0.45, 2, 600), (0.2, 5, 900),
+                                   (0.35, 3, 257)]]
+    gaps = []
+    for geom in geoms:
+        gaps.append(cb._facing_self_gap(geom, 0))
+        assert gaps[-1] == calibration_oracle.facing_self_gap(geom, 0)
+    assert np.all(np.isfinite(gaps))
+
+
 def test_zero_reach_on_touching_circles():
     ref = cb.AnalyticCircles([cb.CircleSpec((0, 0), 1.0),
                               cb.CircleSpec((2.0, 0), 1.0)])

@@ -64,6 +64,27 @@ dt = 1e-4
 """
 
 
+FLOW_REF_INI = """\
+[scenario]
+name = mini-flow
+seed = 3
+end_time = 0.002
+sample_count = 10
+
+[reference]
+kind = flow
+shape = ellipse 2 1
+resolution = 256
+dt = 5e-5
+
+[weak]
+resolution = 64
+dt = 1e-4
+max_dt_growth = 1.0
+area_drift_abort = 1e-13
+"""
+
+
 @pytest.fixture()
 def stationary_cfg(tmp_path):
     path = tmp_path / "stat.ini"
@@ -213,6 +234,27 @@ def test_verify_command_is_gone():
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "geometry"])
     assert exc.value.code == 2
+
+
+def test_flow_reference_ignores_weak_run_settings(tmp_path, monkeypatch):
+    # [weak] max_dt_growth and area_drift_abort set the weak run only: the
+    # reference flow takes its own dt and the horizon
+    path = tmp_path / "flow.ini"
+    path.write_text(FLOW_REF_INI)
+    scenario = cli.load_scenario(path)
+    seen = []
+
+    class Reached(Exception):
+        pass
+
+    def capture(config, initial, sample_stride=10, stop_condition=None):
+        seen.append(config)
+        raise Reached
+
+    monkeypatch.setattr(fl, "make_reference", capture)
+    with pytest.raises(Reached):
+        cli.run_scenario(scenario, out_dir=str(tmp_path / "out"))
+    assert seen == [fl.FlowConfig(dt=5e-5, end_time=0.002)]
 
 
 def test_evaluate_run_evaluates_each_sample_once(monkeypatch):

@@ -543,11 +543,32 @@ def test_stacked_checkers_one_B_call_per_sample(circle_calibration):
                           circle_calibration.xi_grad_bound(), f_value=rep.F, e_value=rep.E)
     assert counting.calls == 1
 
-    fluxes = en.edge_flux(field.at, geom)
+    seen = []
+
+    def recording(points):
+        seen.append(points)
+        return field.at(points)
+
+    fluxes = en.edge_flux(recording, geom)
+    # the stacked call's B is the per-component calls' B, bit for bit
+    comp_of = geom.curve.segments[2]
+    gauss = seen[0].reshape(4, -1, 2)
+    stacked_b = field.at(seen[0]).reshape(gauss.shape)
+    for k in range(len(curve.components)):
+        own = gauss[:, comp_of == k]
+        assert np.array_equal(field.at(own.reshape(-1, 2)).reshape(own.shape),
+                              stacked_b[:, comp_of == k])
+    # so the fluxes differ by summation order alone, bounded by the sum of
+    # the magnitudes of each component's terms w_g |e| nu . B
+    starts, ends, _, _ = geom.curve.segments
+    e = ends - starts
+    nu_e = np.column_stack([e[:, 1], -e[:, 0]]) / geom.edge_lengths[:, None]
+    terms = np.abs(en._G4W[:, None] * geom.edge_lengths * np.sum(nu_e * stacked_b, axis=2))
+    scale = np.add.reduceat(terms.sum(axis=0), geom.layout.first)
     want = np.array([extension_oracle.edge_flux(field.at, c.vertices) for c in curve.components])
     assert np.all(want[1:] != 0.0)
-    assert np.max(np.abs(fluxes - want)) <= 1e-15 * np.max(np.abs(want))
-    assert nb.sum_abs == pytest.approx(np.sum(np.abs(want)), rel=1e-15)
+    assert np.all(np.abs(fluxes - want) <= 1e-15 * scale)
+    assert abs(nb.sum_abs - np.sum(np.abs(want))) <= 1e-15 * np.sum(scale)
 
     stacked = po.nu_dot_B_potential(geom, field.at(geom.vertices))
     phis = extension_oracle.nu_dot_B_potentials(curve, field)

@@ -9,7 +9,7 @@ import extension_oracle as oracle
 from surfdiff import extension as ex
 from surfdiff import flow as fl
 from surfdiff import geometry as geo
-from surfdiff.errors import NonZeroMean
+from surfdiff.errors import NonZeroMean, RankDeficient
 
 from conftest import vertex_angles
 from geometry_oracle import parts
@@ -72,6 +72,14 @@ def test_compatibility_rejection():
     geom = geo.build_geometry(geo.PolyCurve([geo.make_circle((0, 0), 1.0, 128)]))
     with pytest.raises(NonZeroMean):
         ex.build_B(geom, np.cos(vertex_angles(geom)) + 0.1, 0.25)
+
+
+def test_singular_density_system_is_rank_deficient(monkeypatch):
+    # a zero Nystrom block leaves only the border: the bordered system is singular
+    geom = geo.build_geometry(geo.PolyCurve([geo.make_circle((0, 0), 1.0, 16)]))
+    monkeypatch.setattr(ex, "_neumann_system", lambda g: (np.zeros((16, 16)), g.weights))
+    with pytest.raises(RankDeficient, match="singular"):
+        ex._solve_density(geom, np.cos(vertex_angles(geom)))
 
 
 def test_far_field_vanishes(disk_cos1):
@@ -284,7 +292,8 @@ def test_grad_potential_matches_dense_sum(seed):
     rng = np.random.default_rng(seed)
     sources = rng.uniform(-1.0, 1.0, (1024, 2))
     charges = rng.normal(size=1024)
-    # more points than one chunk (2**20 // 1024), some within 1e-3 of a source
+    # more points than one row block (2**14 // 1024 = 16 rows), some within
+    # 1e-3 of a source
     near = sources[rng.integers(0, 1024, 200)] + rng.uniform(-7e-4, 7e-4, (200, 2))
     points = np.vstack([rng.uniform(-1.5, 1.5, (1400, 2)), near])
     fake = SimpleNamespace(fine_points=sources, fine_charge=charges)
@@ -293,8 +302,36 @@ def test_grad_potential_matches_dense_sum(seed):
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.linalg.norm(want, axis=1))
 
 
+def _batch_points(rng, count):
+    """Points inside, across and outside the unit disk's tube, in random order."""
+    rad = np.concatenate([rng.uniform(0.0, 0.95, count // 2),
+                          rng.uniform(0.95, 1.6, count - count // 2)])
+    ang = rng.uniform(0.0, 2.0 * np.pi, count)
+    return rng.permutation(np.column_stack([rad * np.cos(ang), rad * np.sin(ang)]))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_b_does_not_depend_on_its_batch(disk_cos1, seed):
+    # 4096 fine sources give row blocks of 4 points; 203 points, half of
+    # them deep inside where the far field runs, fill many blocks and end in
+    # a partial one
+    rng = np.random.default_rng(seed)
+    points = _batch_points(rng, 203)
+    cuts = np.sort(rng.choice(np.arange(1, len(points)), 4, replace=False))
+    subsets = np.split(rng.permutation(len(points)), cuts)
+    assert len(disk_cos1.fine_points) == 4096
+    stacked_b = disk_cos1.at(points)
+    stacked_b2, stacked_div = disk_cos1.at_and_div(points)
+    assert np.array_equal(stacked_b, stacked_b2)
+    for sub in subsets:
+        assert np.array_equal(disk_cos1.at(points[sub]), stacked_b[sub])
+        b, div = disk_cos1.at_and_div(points[sub])
+        assert np.array_equal(b, stacked_b[sub])
+        assert np.array_equal(div, stacked_div[sub])
+
+
 # ---------------------------------------------------------------------------
-# complex-form kernels against their real-arithmetic oracles
+# row-block kernels against their dense pairwise oracles
 # ---------------------------------------------------------------------------
 
 def _component(k: int, kind: str, n: int, radius: float):
@@ -302,7 +339,7 @@ def _component(k: int, kind: str, n: int, radius: float):
 
     Uniform nodes, as the flow leaves them, keep every spline midpoint of the
     boundary residual half an edge from the nodes; a midpoint next to a node
-    costs both the real and the complex kernel their last digits.
+    costs both the block kernel and its oracle their last digits.
     """
     center = (4.0 * k, 0.0)
     if kind == "circle":
@@ -329,7 +366,7 @@ def _mode_velocities(geom, modes):
                 min_size=1, max_size=4))
 @example([("ellipse", 512, 1.0, 2)] + [("circle", 24, 0.01, 1)] * 3)
 @example([("circle", 8, 1.0, 1), ("ellipse", 19, 0.01, 1)])
-def test_complex_kernels_match_real_oracles(specs):
+def test_block_kernels_match_dense_oracles(specs):
     curve = geo.PolyCurve([_component(k, kind, n, r)
                            for k, (kind, n, r, _) in enumerate(specs)])
     geom = geo.build_geometry(curve)
@@ -346,6 +383,22 @@ def test_complex_kernels_match_real_oracles(specs):
     res_ref = oracle.midpoint_bc_residual(field, v)
     v_sup = np.max(np.abs(v))
     assert abs(ex._midpoint_bc_residual(field, v) - res_ref) <= 1e-13 * v_sup
+
+
+@pytest.mark.parametrize("specs", [
+    [("circle", 128, 1.0, 1)],
+    [("ellipse", 512, 1.0, 2)] + [("circle", 24, 0.01, 1)] * 3,
+    [("wavy", 64, 0.5, 3), ("ellipse", 19, 0.2, 1)],
+])
+def test_field_constants_match_three_call_oracle(specs):
+    curve = geo.PolyCurve([_component(k, kind, n, r)
+                           for k, (kind, n, r, _) in enumerate(specs)])
+    geom = geo.build_geometry(curve)
+    v = _mode_velocities(geom, [mode for *_, mode in specs])
+    field = ex.build_B(geom, v, 0.25 * min(r for _, _, r, _ in specs))
+    want = oracle.field_constants(field)
+    assert (field.div_sup, field.sup_norm, field.lipschitz) == want
+    assert ex._field_constants(field) == want
 
 
 def test_midpoint_residual_on_parameter_uniform_nodes():

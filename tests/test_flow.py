@@ -10,7 +10,8 @@ import flow_oracle
 from geometry_oracle import parts, translated
 from surfdiff import flow as fl
 from surfdiff import geometry as geo
-from surfdiff.errors import AreaDriftExceeded, SingularSystem, StepRejected, TopologyChange
+from surfdiff.errors import (AreaDriftExceeded, DtFloorReached, SingularSystem, StepRejected,
+                             TopologyChange)
 
 from conftest import jittered_loop
 
@@ -247,6 +248,17 @@ def test_topology_change_reported(monkeypatch):
     monkeypatch.setattr(fl, "step", always_intersecting)
     with pytest.raises(TopologyChange):
         fl.run_flow(curve, cfg, sample_stride=10)
+
+
+def test_other_rejection_at_dt_floor_is_typed():
+    # a per-step drift budget of 1e-13 of the area rejects every step down to
+    # the dt floor; the reason and the time come with a typed error
+    curve = geo.PolyCurve([geo.make_ellipse(2.0, 1.0, 256)])
+    cfg = fl.FlowConfig(dt=1e-4, end_time=0.002, area_drift_abort=1e-13)
+    with pytest.raises(DtFloorReached,
+                       match=r"dt floor \(t=0\): per-step area drift over budget") as err:
+        fl.run_flow(curve, cfg)
+    assert isinstance(err.value.__cause__, StepRejected)
 
 
 def test_trajectory_interpolation_self_convergence():
