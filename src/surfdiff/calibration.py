@@ -318,7 +318,7 @@ class PolygonReference:
         geom = self.geometry_at(t)
         first = geom.layout.first
         return ReferenceLoops(
-            orientation=np.array([c.orientation for c in geom.curve.components], dtype=float),
+            orientation=geom.curve.orientations.astype(float),
             length=geom.length, area=geom.area, kappa_integral=integrate(geom, geom.kappa),
             parent=np.array(jordan_decompose(geom.curve).parent), point=geom.vertices[first],
             normal=geom.nu[first])

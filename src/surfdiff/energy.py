@@ -116,7 +116,7 @@ def bulk_error(sample: TubeSample, calib: Calibration) -> float:
     curve, lay = geom.curve, geom.layout
     loops = calib.reference.loops(t)
     starts, ends, comp_of, _ = curve.segments
-    orientation = np.array([c.orientation for c in curve.components])
+    orientation = curve.orientations
     a_vert = np.abs(sample.s)
     h = geom.edge_lengths
     edge_lo = 0.5 * (a_vert + a_vert[lay.nxt] - h)

@@ -55,7 +55,7 @@ def _smoothstep_slope(u):
 
 def _arc_spline(geom: CurveGeometry, values) -> PeriodicSpline:
     """Periodic cubic interpolant in arc length of stacked per-vertex data."""
-    return PeriodicSpline(geom.arc_positions, geom.length, geom.layout.counts, values)
+    return PeriodicSpline(geom.arc_positions, geom.length, geom.curve.counts, values)
 
 
 @dataclass

@@ -42,6 +42,7 @@ from .geometry import (
     field_mean,
     integrate,
     read_curve_file,
+    row_norms,
     write_curve_file,
 )
 from .poisson import PeriodicSpline, h_minus1_norm_sq, solve_cyclic_banded
@@ -87,16 +88,17 @@ class FlowState:
 
 
 def _normal_velocity(x: np.ndarray, nu: np.ndarray, h: np.ndarray, w: np.ndarray,
-                     lengths, dt: float) -> np.ndarray:
+                     counts: tuple, dt: float) -> np.ndarray:
     """Solve (I + dt L (L - diag kappa^2)) w = L kappa for all components at once.
 
     The rows are the vertices of every component, stacked (positions, normals,
-    edge lengths, weights; ``lengths`` are the vertex counts).  L is the
-    cyclic tridiagonal arc Laplacian of each component with row-aligned
-    diagonals (lo, mid, up); its product with M = L - diag(kappa^2) is
-    pentadiagonal, so the whole curve is one stacked cyclic banded solve.
+    edge lengths, weights; ``counts`` are the vertex counts, the key of their
+    cached cycle layout).  L is the cyclic tridiagonal arc Laplacian of each
+    component with row-aligned diagonals (lo, mid, up); its product with
+    M = L - diag(kappa^2) is pentadiagonal, so the whole curve is one stacked
+    cyclic banded solve.
     """
-    nxt, prv = cycle_layout(tuple(lengths))[:2]
+    nxt, prv = cycle_layout(tuple(counts))[:2]
     mid = -(1.0 / h + 1.0 / h[prv]) / w
     up = (1.0 / h) / w
     lo = (1.0 / h[prv]) / w
@@ -114,10 +116,10 @@ def _normal_velocity(x: np.ndarray, nu: np.ndarray, h: np.ndarray, w: np.ndarray
         up * up[nxt],
     ])
     diags[2] += 1.0
-    return solve_cyclic_banded(diags, lap(kappa_pos), lengths)
+    return solve_cyclic_banded(diags, lap(kappa_pos), counts)
 
 
-def _area_neutral_shift(x: np.ndarray, nu: np.ndarray, w: np.ndarray, lengths,
+def _area_neutral_shift(x: np.ndarray, nu: np.ndarray, w: np.ndarray, counts: tuple,
                         dt: float) -> np.ndarray:
     """Constant normal shift per component making the step exactly area preserving.
 
@@ -131,12 +133,13 @@ def _area_neutral_shift(x: np.ndarray, nu: np.ndarray, w: np.ndarray, lengths,
     0 zero.  lam is O(dt |w|^2 h + h^2 |w|), a consistent perturbation of
     the velocity.
     """
-    lay = cycle_layout(tuple(lengths))
+    lay = cycle_layout(tuple(counts))
     p = dt * w[:, None] * nu
     q = -dt * nu
 
     def form(y, z):
-        chord = y[lay.nxt] - y[lay.prv]
+        # np.take gathers rows several times faster than fancy indexing
+        chord = np.take(y, lay.nxt, axis=0) - np.take(y, lay.prv, axis=0)
         return 0.5 * np.add.reduceat(z[:, 0] * chord[:, 1] - z[:, 1] * chord[:, 0],
                                      lay.first)
 
@@ -149,7 +152,7 @@ def _area_neutral_shift(x: np.ndarray, nu: np.ndarray, w: np.ndarray, lengths,
     return w - lam[lay.comp]
 
 
-def _resample_uniform(x: np.ndarray, lengths, passes: int = 1) -> np.ndarray:
+def _resample_uniform(x: np.ndarray, counts: tuple, passes: int = 1) -> np.ndarray:
     """Redistribute every component's vertices to uniform arc length.
 
     One periodic cubic spline through the stacked vertices, in chord length,
@@ -158,10 +161,11 @@ def _resample_uniform(x: np.ndarray, lengths, passes: int = 1) -> np.ndarray:
     the new polygon; a few passes reach the fixed point, which the driver
     uses once for the initial datum.
     """
-    lay = cycle_layout(tuple(lengths))
+    counts = tuple(counts)
+    lay = cycle_layout(counts)
     for _ in range(passes):
-        knots, total = cycle_arc(np.linalg.norm(x[lay.nxt] - x, axis=1), lay)
-        spline = PeriodicSpline(knots, total, lay.counts, x)
+        knots, total = cycle_arc(row_norms(np.take(x, lay.nxt, axis=0) - x), lay)
+        spline = PeriodicSpline(knots, total, counts, x)
         x = spline(lay.comp, total[lay.comp] * lay.local / lay.counts[lay.comp])
     return x
 
@@ -170,18 +174,19 @@ def step(state: FlowState, config: FlowConfig, dt: float | None = None) -> FlowS
     """Advance one step of size dt (default config.dt); raises StepRejected.
 
     All components move in one stacked pass: one pentadiagonal solve, one
-    area-neutral shift and one spline resampling.
+    area-neutral shift and one spline resampling, whose stacked vertices
+    make the next curve as they are.
     """
     if dt is None:
         dt = config.dt
     geom = state.geometry
-    lay = geom.layout
+    lay, counts = geom.layout, state.curve.counts
     x, nu = geom.vertices, geom.nu
     try:
-        w = _normal_velocity(x, nu, geom.edge_lengths, geom.weights, lay.counts, dt)
-        w = _area_neutral_shift(x, nu, w, lay.counts, dt)
+        w = _normal_velocity(x, nu, geom.edge_lengths, geom.weights, counts, dt)
+        w = _area_neutral_shift(x, nu, w, counts, dt)
         new_curve = state.curve.with_vertices(
-            _resample_uniform(x + dt * w[:, None] * nu, lay.counts))
+            _resample_uniform(x + dt * w[:, None] * nu, counts))
         new_geom = build_geometry(new_curve)
     except SelfIntersection as exc:
         raise StepRejected(f"self-intersection: {exc}") from exc
@@ -213,7 +218,9 @@ class Trajectory:
 
     Vertices correspond index by index across samples; the per-step
     redistribution keeps every component at uniform arc-length fractions, so
-    index correspondence is arc-fraction correspondence.
+    index correspondence is arc-fraction correspondence.  Samples may differ
+    in their components (a weak run may change topology); ``curve_at``
+    raises ``ValueError`` where it would blend two such samples.
     """
 
     times: np.ndarray
@@ -232,10 +239,14 @@ class Trajectory:
         j = min(max(int(np.searchsorted(times, t, side="right") - 1), 0), len(times) - 2)
         t0, t1 = times[j], times[j + 1]
         lam = (t - t0) / (t1 - t0)
-        if lam == 0.0:
-            return self.curves[j]
+        if lam == 0.0 or lam == 1.0:
+            return self.curves[j + int(lam)]
         a, b = self.curves[j], self.curves[j + 1]
-        return a.with_vertices((1 - lam) * a.segments[0] + lam * b.segments[0])
+        if a.counts != b.counts or not np.array_equal(a.orientations, b.orientations):
+            raise ValueError(f"cannot blend the curves at t = {float(t0)!r} and "
+                             f"t = {float(t1)!r}: their components differ in vertex counts "
+                             f"or orientations")
+        return a.with_vertices((1 - lam) * a.vertices + lam * b.vertices)
 
 
 @dataclass
@@ -268,7 +279,7 @@ def run_flow(initial: PolyCurve, config: FlowConfig, sample_stride: int = 10,
     doubling) to stay within bound.
     """
     initial = initial.with_vertices(
-        _resample_uniform(initial.segments[0], initial.layout.counts, passes=4))
+        _resample_uniform(initial.vertices, initial.counts, passes=4))
     state = FlowState.initial(initial)
     dt = config.dt
     dt_min = config.dt * DT_MIN_FACTOR

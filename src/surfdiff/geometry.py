@@ -69,6 +69,15 @@ class Component:
 class PolyCurve:
     """A forest of disjoint simple closed components, holes included.
 
+    The curve is one read-only (N, 2) array, ``vertices``, of every
+    component's vertices stacked in order, with each component's vertex
+    count (``counts``, a tuple) and orientation (``orientations``,
+    read-only).  It is built from a list of components (:class:`Component`
+    or (n, 2) arrays of orientation +1), or from the stacked array, its
+    counts and its orientations given by keyword; :meth:`with_vertices`
+    takes the stacked path, so a flow step neither splits nor re-stacks.
+    ``components`` holds views of ``vertices``, built on first read.
+
     Construction checks the cheap invariants (vertex counts, edges against
     a floor relative to each component's diameter, orientation/area
     consistency, positive total area) without a hull; ``diameters`` (one
@@ -77,25 +86,52 @@ class PolyCurve:
     :func:`build_geometry` invokes.
     """
 
-    def __init__(self, components):
-        comps = []
-        for c in components:
-            if not isinstance(c, Component):
-                c = Component(np.asarray(c, dtype=float))
-            comps.append(c)
-        if not comps:
+    def __init__(self, components=None, *, vertices=None, counts=None, orientations=None):
+        if components is not None:
+            comps = [c if isinstance(c, Component) else Component(c) for c in components]
+            if not comps:
+                raise ValueError("a curve needs at least one component")
+            vertices = np.vstack([c.vertices for c in comps])
+            counts = [c.n for c in comps]
+            orientations = [c.orientation for c in comps]
+        v = np.asarray(vertices, dtype=float)
+        if v.ndim != 2 or v.shape[1] != 2:
+            raise ValueError("vertices must be an (n, 2) array")
+        self.counts = tuple(map(int, counts))
+        self.orientations = np.array(orientations, dtype=np.intp)
+        if not self.counts:
             raise ValueError("a curve needs at least one component")
-        self.components: list[Component] = comps
+        if len(self.orientations) != len(self.counts):
+            raise ValueError(f"{len(self.orientations)} orientations given for "
+                             f"{len(self.counts)} components")
+        if not set(np.asarray(orientations).tolist()) <= {1, -1}:
+            raise ValueError("orientation must be +1 or -1")
+        if sum(self.counts) != len(v):
+            raise ValueError(f"{len(v)} vertices given for components of "
+                             f"{' + '.join(map(str, self.counts))} = {sum(self.counts)} vertices")
+        if not np.isfinite(v).all():
+            raise ValueError("vertices must be finite (no NaN or inf)")
+        for k, n in enumerate(self.counts):
+            if n < 8:
+                raise ValueError(f"component {k} has {n} < 8 vertices")
+        # a view, so that the caller's own array keeps its flags
+        self.vertices = v.view()
+        self.layout = cycle_layout(self.counts)
+        # np.take gathers rows several times faster than fancy indexing
+        ends = np.take(v, self.layout.nxt, axis=0)
+        self.vertices.flags.writeable = self.orientations.flags.writeable = False
+        ends.flags.writeable = False
+        self.segments = (self.vertices, ends, self.layout.comp, self.layout.local)
+        # the edge vectors and shoelace terms go to the first build_geometry
+        # and are not kept beyond it
+        self._edge_terms = _edge_terms(v, ends)
+        self.edge_lengths = row_norms(self._edge_terms[0])
+        self.edge_lengths.flags.writeable = False
         self._validate()
 
     def _validate(self):
-        comps = self.components
-        for k, c in enumerate(comps):
-            if c.n < 8:
-                raise ValueError(f"component {k} has {c.n} < 8 vertices")
-        starts, ends, _, _ = self.segments
-        first = self.layout.first
-        hmin = np.minimum.reduceat(self.edge_lengths, first)
+        starts, h, first = self.vertices, self.edge_lengths, self.layout.first
+        hmin = np.minimum.reduceat(h, first)
         # the box diagonal bounds the diameter from above, in floating point
         # too (a caliper distance |p - q| rounds along the same monotone
         # path), so only a component within the floor of its bound reads its
@@ -105,17 +141,28 @@ class PolyCurve:
         if np.any(short):
             diam = self.diameters
             short &= (diam <= 0.0) | (hmin <= EDGE_FLOOR_REL * diam)
-        area = 0.5 * np.add.reduceat(starts[:, 0] * ends[:, 1] - ends[:, 0] * starts[:, 1],
-                                     first)
-        flipped = np.sign(area) != [c.orientation for c in comps]
+        area = 0.5 * np.add.reduceat(self._edge_terms[1], first)
+        flipped = np.sign(area) != self.orientations
         if np.any(short | flipped):
             k = int(np.argmax(short | flipped))
             if short[k]:
                 raise DegenerateEdge(f"component {k} has an edge below the length floor")
             raise ValueError(f"component {k}: signed area {area[k]:.3e} "
-                             f"contradicts orientation {comps[k].orientation}")
+                             f"contradicts orientation {self.orientations[k]}")
         if area.sum() <= 0.0:
             raise ValueError("total signed enclosed area must be positive")
+
+    def _take_edge_terms(self):
+        """Edge vectors and shoelace terms: the validation's on the first
+        call, which the curve then drops, recomputed on later ones."""
+        terms, self._edge_terms = self._edge_terms, None
+        return terms if terms is not None else _edge_terms(*self.segments[:2])
+
+    @cached_property
+    def components(self) -> list[Component]:
+        """Each component, its vertices a view of ``vertices``; built on first read."""
+        return [Component(v, int(o)) for v, o
+                in zip(np.split(self.vertices, self.layout.split), self.orientations)]
 
     @cached_property
     def _calipers(self) -> np.ndarray:
@@ -143,38 +190,11 @@ class PolyCurve:
 
     @property
     def ncomponents(self) -> int:
-        return len(self.components)
-
-    @cached_property
-    def layout(self) -> "CycleLayout":
-        """The cycle index arrays of the components, stacked in order."""
-        return cycle_layout(tuple(c.n for c in self.components))
-
-    @cached_property
-    def segments(self):
-        """Edges of all components, flattened: starts, ends, component, local index.
-
-        Built once per curve (``components`` is only assigned in
-        ``__init__``) and shared by every reader, so the arrays are read-only.
-        """
-        lay = self.layout
-        starts = np.vstack([c.vertices for c in self.components])
-        ends = starts[lay.nxt]
-        starts.flags.writeable = ends.flags.writeable = False
-        return starts, ends, lay.comp, lay.local
-
-    @cached_property
-    def edge_lengths(self) -> np.ndarray:
-        """Length of every edge of ``segments``, measured once per curve; read-only."""
-        starts, ends, _, _ = self.segments
-        h = np.linalg.norm(ends - starts, axis=1)
-        h.flags.writeable = False
-        return h
+        return len(self.counts)
 
     def with_vertices(self, vertices) -> "PolyCurve":
-        """The curve at these stacked vertices, its components' orientations kept."""
-        return PolyCurve([Component(v, c.orientation) for v, c
-                          in zip(np.split(vertices, self.layout.split), self.components)])
+        """The curve at these stacked vertices, its counts and orientations kept."""
+        return PolyCurve(vertices=vertices, counts=self.counts, orientations=self.orientations)
 
     def signed_area(self) -> float:
         return sum(c.signed_area() for c in self.components)
@@ -184,7 +204,22 @@ class PolyCurve:
 
     def rotated(self, angle: float) -> "PolyCurve":
         c, s = np.cos(angle), np.sin(angle)
-        return self.with_vertices(self.segments[0] @ np.array([[c, -s], [s, c]]).T)
+        return self.with_vertices(self.vertices @ np.array([[c, -s], [s, c]]).T)
+
+
+def row_norms(a: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of an (n, 2) array.
+
+    The sum of squares of ``np.linalg.norm(a, axis=1)``, so bit for bit its
+    result, at a fraction of its overhead.
+    """
+    x, y = a[:, 0], a[:, 1]
+    return np.sqrt(x * x + y * y)
+
+
+def _edge_terms(starts: np.ndarray, ends: np.ndarray):
+    """Edge vectors ends - starts and shoelace terms starts x ends."""
+    return ends - starts, starts[:, 0] * ends[:, 1] - ends[:, 0] * starts[:, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -387,22 +422,23 @@ def _diameters(hulls) -> np.ndarray:
 def build_geometry(curve: PolyCurve) -> CurveGeometry:
     """The stacked geometry of every component, from one pass over the segments.
 
-    Raises if the curve is not embedded.  Each length and area is its own
-    component's slice summed by ``np.sum`` (``np.add.reduceat`` adds in
-    another order), the sums the flow's length and area tests read.
+    Raises if the curve is not embedded.  The edge vectors and shoelace
+    terms are the ones the curve's validation computed.  Each length and
+    area is its own component's slice summed by ``np.sum``
+    (``np.add.reduceat`` adds in another order), the sums the flow's length
+    and area tests read.
     """
     check_embedded(curve)
     v, ends, _, _ = curve.segments
     lay = curve.layout
     h = curve.edge_lengths
-    edges = ends - v
+    edges, cross = curve._take_edge_terms()
     w = 0.5 * (h + h[lay.prv])
-    chord = ends - v[lay.prv]
-    tau = chord / np.linalg.norm(chord, axis=1)[:, None]
-    em = edges[lay.prv]
+    chord = ends - np.take(v, lay.prv, axis=0)
+    tau = chord / row_norms(chord)[:, None]
+    em = np.take(edges, lay.prv, axis=0)
     turn = np.arctan2(em[:, 0] * edges[:, 1] - em[:, 1] * edges[:, 0],
                       np.sum(em * edges, axis=1))
-    cross = v[:, 0] * ends[:, 1] - ends[:, 0] * v[:, 1]
     parts = [slice(a, a + n) for a, n in zip(lay.first, lay.counts)]
     return CurveGeometry(
         curve=curve, layout=lay, vertices=v, edge_lengths=h,
@@ -439,7 +475,7 @@ def d2ds2(geom: CurveGeometry, values: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# embeddedness: k-d tree broad phase + exact segment tests
+# embeddedness: sort-and-sweep broad phase + exact segment tests
 # ---------------------------------------------------------------------------
 
 def _point_segment_dist(p, a, b):
@@ -470,43 +506,64 @@ def _segment_segment_dist(a0, a1, b0, b1):
     return np.where(proper, 0.0, d)
 
 
-def _segment_pairs_within(starts, ends, h, reach):
+SWEEP_DIRECTION = (np.cos(1.0), np.sin(1.0))   # neither an axis nor a diagonal
+
+
+def _overlapping(lo: np.ndarray, hi: np.ndarray):
+    """Index pairs of the intervals [lo, hi] that overlap, each pair once.
+
+    In the order of lo, interval a overlaps exactly the later intervals whose
+    lo is at most hi[a]: one argsort and one searchsorted list them.  The
+    sort is stable, which is fastest on the few monotone runs a curve's
+    projection makes.
+    """
+    order = np.argsort(lo, kind="stable")
+    cnt = np.searchsorted(lo[order], hi[order], side="right") - np.arange(1, len(lo) + 1)
+    a = np.repeat(np.arange(len(lo)), cnt)
+    b = a + 1 + np.arange(len(a)) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+    return order[a], order[b]
+
+
+def _segment_pairs_within(starts, ends, reach):
     """Pairs (i, j), i < j, unordered, among them every segment pair closer than reach.
 
-    Points of a segment lie within half its length h (``h`` holds them) of
-    its midpoint m, so a pair closer than reach has |m_i - m_j| <
-    (h_i + h_j)/2 + reach (the triangle inequality): a k-d tree lists the
-    midpoint pairs within h_max + reach (Bentley 1975), and the per-pair
-    bound filters them.  Both radii carry a slack of 1e-12 of the largest
-    coordinate, far above the rounding of the midpoints, lengths and
-    distances compared.
+    Each segment's box in the frame of d = SWEEP_DIRECTION is widened by
+    reach/2 on every side; the boxes of two segments closer than reach
+    overlap.  A sort-and-sweep over the extents along d lists the pairs that
+    overlap there (Shamos & Hoey 1976), and the extents along the normal of
+    d filter them.  As d is no axis, axis-aligned straight runs do not pile
+    up in one extent.  The reach carries a slack of 1e-12 of the largest
+    coordinate, far above the rounding of the projections and distances
+    compared.
     """
-    mid = 0.5 * (starts + ends)
-    reach = reach + 1e-12 * np.abs(starts).max()
-    pi, pj = cKDTree(mid).query_pairs(h.max() + reach, output_type="ndarray").T
-    z = mid[:, 0] + 1j * mid[:, 1]
-    near = np.abs(z[pi] - z[pj]) <= 0.5 * (h[pi] + h[pj]) + reach
-    return pi[near], pj[near]
+    half = 0.5 * (reach + 1e-12 * np.abs(starts).max())
+    c, s = SWEEP_DIRECTION
+    u0, u1 = c * starts[:, 0] + s * starts[:, 1], c * ends[:, 0] + s * ends[:, 1]
+    v0, v1 = c * starts[:, 1] - s * starts[:, 0], c * ends[:, 1] - s * ends[:, 0]
+    pi, pj = _overlapping(np.minimum(u0, u1) - half, np.maximum(u0, u1) + half)
+    lo, hi = np.minimum(v0, v1) - half, np.maximum(v0, v1) + half
+    near = (lo[pi] <= hi[pj]) & (lo[pj] <= hi[pi])
+    pi, pj = pi[near], pj[near]
+    return np.minimum(pi, pj), np.maximum(pi, pj)
 
 
 def check_embedded(curve: PolyCurve) -> None:
     """Reject self-crossing components and touching component pairs.
 
     Segment pairs closer than SIMPLICITY_TOL_REL times the curve's box
-    diagonal, an upper bound of its diameter, come from a k-d tree on the
-    segment midpoints; the exact tolerance, SIMPLICITY_TOL_REL times the
+    diagonal, an upper bound of its diameter, come from a sort-and-sweep
+    over the segments; the exact tolerance, SIMPLICITY_TOL_REL times the
     diameter, is computed only if one of them is that close.  The first bad
     pair in (i, j) order names the error.
     """
     starts, ends, comp_of, local_of = curve.segments
-    dx, dy = np.ptp(starts[:, 0]), np.ptp(starts[:, 1])
+    dx, dy = np.ptp(starts, axis=0)
     tol = SIMPLICITY_TOL_REL * np.sqrt(dx * dx + dy * dy)
-    pi, pj = _segment_pairs_within(starts, ends, curve.edge_lengths, tol)
-    same = comp_of[pi] == comp_of[pj]
-    # cyclically adjacent segments of the same component legitimately touch
-    gap = np.abs(local_of[pi] - local_of[pj])
-    keep = ~(same & ((gap <= 1) | (gap >= np.bincount(comp_of)[comp_of[pi]] - 1)))
-    pi, pj, same = pi[keep], pj[keep], same[keep]
+    pi, pj = _segment_pairs_within(starts, ends, tol)
+    # cyclically adjacent segments legitimately touch
+    nxt = curve.layout.nxt
+    keep = (nxt[pi] != pj) & (nxt[pj] != pi)
+    pi, pj = pi[keep], pj[keep]
     if len(pi) == 0:
         return
     dist = _segment_segment_dist(starts[pi], ends[pi], starts[pj], ends[pj])
@@ -516,7 +573,7 @@ def check_embedded(curve: PolyCurve) -> None:
     if np.any(bad):
         b = np.flatnonzero(bad)
         b = b[np.lexsort((pj[b], pi[b]))[0]]
-        if same[b]:
+        if comp_of[pi[b]] == comp_of[pj[b]]:
             raise SelfIntersection(
                 f"component {comp_of[pi[b]]} self-intersects near segment {local_of[pi[b]]}"
             )
@@ -622,7 +679,6 @@ def jordan_decompose(curve: PolyCurve) -> JordanForest:
     not the one its nesting depth asks for.
     """
     k = curve.ncomponents
-    comps = curve.components
     starts, ends, comp_of, _ = curve.segments
     # probe i is the first vertex of component i; its own component is skipped
     off = curve.layout.first
@@ -647,10 +703,10 @@ def jordan_decompose(curve: PolyCurve) -> JordanForest:
         if holders:
             parent[i] = max(holders, key=lambda j: depth[j])
         expected = +1 if depth[i] % 2 == 0 else -1
-        if comps[i].orientation != expected:
+        if curve.orientations[i] != expected:
             raise OrientationMismatch(
                 f"component {i} at nesting depth {depth[i]} should have orientation "
-                f"{expected}, got {comps[i].orientation}"
+                f"{expected}, got {curve.orientations[i]}"
             )
 
     return JordanForest(parent=parent, depth=[int(d) for d in depth])

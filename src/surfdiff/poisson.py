@@ -73,14 +73,15 @@ def solve_cyclic_banded(diags, rhs: np.ndarray, lengths) -> np.ndarray:
     b = np.reshape(rhs, (n, -1))
     if not (np.isfinite(diags).all() and np.isfinite(b).all()):
         raise SingularSystem("non-finite entries in a cyclic band system")
-    row, order, target = _band_layout(tuple(int(m) for m in lengths), p)
+    row, order, target = _band_layout(tuple(lengths), p)
     ab = np.zeros((6 * p + 1) * n)
     ab[target] = diags
-    _, _, x, info = dgbsv(2 * p, 2 * p, ab.reshape((6 * p + 1, n), order="F"), b[order],
+    _, _, x, info = dgbsv(2 * p, 2 * p, ab.reshape((6 * p + 1, n), order="F"),
+                          np.take(b, order, axis=0),
                           overwrite_ab=1, overwrite_b=1)
     if info > 0:
         raise SingularSystem("zero pivot in a cyclic band system")
-    return np.reshape(x[row], np.shape(rhs))
+    return np.reshape(np.take(x, row, axis=0), np.shape(rhs))
 
 
 class PeriodicSpline:
@@ -97,17 +98,19 @@ class PeriodicSpline:
     def __init__(self, arc, period, lengths, values):
         self.arc = np.asarray(arc, dtype=float)
         self.period = np.asarray(period, dtype=float)
-        self.lengths = np.asarray(lengths)
-        nxt, prv, self.start, comp = cycle_layout(tuple(int(m) for m in lengths))[:4]
+        key = tuple(lengths)
+        nxt, prv, self.start, comp, _, _, self.lengths = cycle_layout(key)
         # interval lengths; each cycle's last interval closes at its period
         h = np.where(nxt > np.arange(len(nxt)), self.arc[nxt], self.period[comp]) - self.arc
         y = np.reshape(values, (len(h), -1)).astype(float)
-        slope = (y[nxt] - y) / h[:, None]
+        # np.take gathers rows several times faster than fancy indexing
+        slope = (np.take(y, nxt, axis=0) - y) / h[:, None]
         hp = h[prv]
         d = solve_cyclic_banded([h, 2.0 * (hp + h), hp],
-                                3.0 * (h[:, None] * slope[prv] + hp[:, None] * slope),
-                                self.lengths)
-        t = (d + d[nxt] - 2.0 * slope) / h[:, None]
+                                3.0 * (h[:, None] * np.take(slope, prv, axis=0)
+                                       + hp[:, None] * slope),
+                                key)
+        t = (d + np.take(d, nxt, axis=0) - 2.0 * slope) / h[:, None]
         self.coef = np.stack([t / h[:, None], (slope - d) / h[:, None] - t, d, y])
         self.shape = np.shape(values)[1:]
         # interval search over all cycles laid end to end
@@ -121,7 +124,7 @@ class PeriodicSpline:
         j = np.searchsorted(self.key, s + self.offset[comp], side="right") - 1
         j = np.clip(j, self.start[comp], self.start[comp] + self.lengths[comp] - 1)
         x = (s - self.arc[j])[:, None]
-        c3, c2, c1, c0 = self.coef[:, j]
+        c3, c2, c1, c0 = np.take(self.coef, j, axis=1)
         if nu == 0:
             out = ((c3 * x + c2) * x + c1) * x + c0
         elif nu == 1:

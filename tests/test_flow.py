@@ -482,3 +482,42 @@ def test_stacked_step_matches_per_component_step(dt):
         assert np.max(np.abs(got - w)) <= 1e-12 * w_max
     for comp, x in zip(new.curve.components, vertices):
         assert np.max(np.abs(comp.vertices - x)) <= 1e-12 * x_max
+
+
+def test_curve_at_rejects_a_blend_across_layouts(tmp_path):
+    # index by index, a 16 + 12 curve and a 12 + 16 one blend into a wrong
+    # 16 + 12 curve
+    def pair(n, m, orientation=-1):
+        return geo.PolyCurve([geo.make_circle((0.0, 0.0), 2.0, n),
+                              geo.make_circle((0.0, 0.0), 1.0, m, orientation=orientation)])
+
+    for later in (pair(12, 16), geo.PolyCurve([geo.make_circle((0.0, 0.0), 2.0, 16),
+                                               geo.make_circle((5.0, 0.0), 1.0, 12)])):
+        traj = fl.Trajectory(times=[0.0, 0.25, 1.0], curves=[pair(16, 12)] * 2 + [later])
+        with pytest.raises(ValueError, match=r"t = 0\.25 and t = 1\.0"):
+            traj.curve_at(0.5)
+        # a trajectory whose topology changes still loads, and its samples read
+        fl.export_trajectory(traj, tmp_path / "traj")
+        back = fl.load_trajectory(tmp_path / "traj")
+        assert back.curve_at(1.0).counts == later.counts
+        assert back.curve_at(0.1).counts == (16, 12)
+
+
+def test_step_makes_one_curve_and_one_geometry(monkeypatch):
+    curve = _resampled([geo.make_ellipse(2.0, 1.0, 64), geo.make_circle((4.0, 0.0), 0.5, 24)])
+    state = fl.FlowState.initial(curve)
+    calls = {"PolyCurve": 0, "build_geometry": 0, "Component": 0}
+    init, build, post = geo.PolyCurve.__init__, fl.build_geometry, geo.Component.__post_init__
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(geo.PolyCurve, "__init__", counted("PolyCurve", init))
+    monkeypatch.setattr(fl, "build_geometry", counted("build_geometry", build))
+    monkeypatch.setattr(geo.Component, "__post_init__", counted("Component", post))
+    new = fl.step(state, fl.FlowConfig(dt=1e-5, end_time=1.0))
+    assert calls == {"PolyCurve": 1, "build_geometry": 1, "Component": 0}
+    assert new.geometry.vertices is new.curve.vertices

@@ -785,9 +785,9 @@ def test_clearance_decided_by_exact_diameter(n_a, n_b, factor, quarter, angle, s
 @given(st.floats(0.0, 2 * np.pi), st.floats(-1e3, 1e3), st.floats(-1e3, 1e3),
        st.integers(0, 2**32 - 1))
 def test_segment_pairs_within_keeps_collinear_gaps(angle, ox, oy, seed):
-    # end to end collinear segments make the midpoint bound tight: gaps
-    # within rounding of the reach must survive the k-d radius and the
-    # per-pair filter whenever their computed distance is below the reach
+    # end to end collinear segments make the box bounds tight: gaps within
+    # rounding of the reach must survive the sweep and the box filter
+    # whenever their computed distance is below the reach
     rng = np.random.default_rng(seed)
     m, reach = 64, 1e-7
     u = np.array([np.cos(angle), np.sin(angle)])
@@ -795,8 +795,139 @@ def test_segment_pairs_within_keeps_collinear_gaps(angle, ox, oy, seed):
     gap = reach - rng.uniform(0.0, 1e-12, m)
     starts = np.vstack([base, base + (1.0 + gap)[:, None] * u])
     ends = np.vstack([base + u, base + (2.0 + gap)[:, None] * u])
-    pi, pj = geo._segment_pairs_within(starts, ends, np.linalg.norm(ends - starts, axis=1),
-                                       reach)
+    pi, pj = geo._segment_pairs_within(starts, ends, reach)
     i, j = np.triu_indices(2 * m, k=1)
     near = geo._segment_segment_dist(starts[i], ends[i], starts[j], ends[j]) < reach
     assert set(zip(i[near], j[near])) <= set(zip(pi.tolist(), pj.tolist()))
+
+
+def _sweep_candidates(monkeypatch, curve):
+    """Candidate pairs the sweep lists for check_embedded, before the box filter."""
+    seen = []
+    overlapping = geo._overlapping
+
+    def counted(lo, hi):
+        pairs = overlapping(lo, hi)
+        seen.append(len(pairs[0]))
+        return pairs
+
+    monkeypatch.setattr(geo, "_overlapping", counted)
+    geo.check_embedded(curve)
+    (count,) = seen
+    return count
+
+
+def test_sweep_stays_linear_on_straight_runs_and_circles(monkeypatch):
+    # a sweep along a coordinate axis lists every pair of an axis-aligned
+    # straight run; along SWEEP_DIRECTION each edge meets its two neighbours
+    # and about one edge of the facing side
+    n = 4096
+    side = np.arange(n // 4) / (n // 4)
+    zero, one = np.zeros(n // 4), np.ones(n // 4)
+    square = np.vstack([np.column_stack([side, zero]), np.column_stack([one, side]),
+                        np.column_stack([1.0 - side, one]), np.column_stack([zero, 1.0 - side])])
+    for comp in (geo.Component(square), geo.make_circle((0.0, 0.0), 1.0, n)):
+        assert _sweep_candidates(monkeypatch, geo.PolyCurve([comp])) <= 4 * n
+
+
+# ---------------------------------------------------------------------------
+# one stacked build: the list and the stacked constructor agree
+# ---------------------------------------------------------------------------
+
+def _forest(rng, n_bubbles):
+    comps = [_star(rng, int(rng.integers(8, 60)), (0.0, 0.0), 0.6, 1.0),
+             _star(rng, int(rng.integers(8, 40)), (0.0, 0.0), 0.15, 0.4, orientation=-1)]
+    for i, phi in enumerate(rng.uniform(0, 2 * np.pi, n_bubbles)):
+        centre = (1.6 + 0.5 * i) * np.array([np.cos(phi), np.sin(phi)])
+        comps.append(_star(rng, int(rng.integers(8, 25)), centre, 0.02, 0.08))
+    return comps
+
+
+@ORACLE
+@given(st.integers(0, 4), st.integers(0, 2**32 - 1))
+def test_list_and_stacked_builds_are_bit_identical(n_bubbles, seed):
+    comps = _forest(np.random.default_rng(seed), n_bubbles)
+    listed = geo.PolyCurve(comps)
+    stacked = listed.with_vertices(np.vstack([c.vertices for c in comps]))
+    assert stacked.counts == tuple(c.n for c in comps) == listed.counts
+    assert np.array_equal(stacked.orientations, [c.orientation for c in comps])
+    for a, b in zip(listed.segments, stacked.segments):
+        assert np.array_equal(a, b)
+    assert np.array_equal(listed.edge_lengths, stacked.edge_lengths)
+    want, got = geo.build_geometry(listed), geo.build_geometry(stacked)
+    for f in dataclasses.fields(want):
+        if f.name not in ("curve", "layout"):
+            assert np.array_equal(getattr(want, f.name), getattr(got, f.name)), f.name
+    assert got.layout is want.layout
+    # a second build reads recomputed edge terms, bit for bit the first's
+    again = geo.build_geometry(stacked)
+    assert np.array_equal(again.kappa, got.kappa) and np.array_equal(again.area, got.area)
+    for a, b in zip(listed.components, stacked.components):
+        assert a.orientation == b.orientation and np.array_equal(a.vertices, b.vertices)
+
+
+def _bad_forests():
+    """(name, [(vertices, orientation), ...]) of five curves construction rejects."""
+    outer = geo.make_circle((0.0, 0.0), 2.0, 32).vertices
+    hole = geo.make_circle((0.0, 0.0), 1.0, 16, orientation=-1).vertices
+    nan = outer.copy()
+    nan[5, 1] = np.nan
+    short = outer.copy()
+    short[10] = short[9] + 1e-15
+    return [
+        ("nan", [(nan, 1), (hole, -1)]),
+        ("few", [(outer, 1), (geo.make_circle((0.0, 0.0), 1.0, 7, orientation=-1).vertices, -1)]),
+        ("degenerate", [(short, 1), (hole, -1)]),
+        ("flipped", [(outer, 1), (hole[::-1].copy(), -1)]),
+        ("area", [(geo.make_circle((5.0, 0.0), 1.0, 32).vertices, 1), (outer[::-2].copy(), -1)]),
+    ]
+
+
+def _raised(build):
+    with pytest.raises((ValueError, DegenerateEdge)) as err:
+        build()
+    return type(err.value), str(err.value)
+
+
+@pytest.mark.parametrize("name, comps", _bad_forests(), ids=[n for n, _ in _bad_forests()])
+def test_construction_paths_raise_alike(name, comps):
+    # counter-clockwise loops go in as raw arrays, which reach the shared
+    # validation unchecked (a Component would reject the NaN itself)
+    listed = [v if o > 0 else geo.Component(v, o) for v, o in comps]
+    want = _raised(lambda: geo.PolyCurve(listed))
+    vertices = np.vstack([v for v, _ in comps])
+    counts, orientations = [len(v) for v, _ in comps], [o for _, o in comps]
+    assert _raised(lambda: geo.PolyCurve(vertices=vertices, counts=counts,
+                                         orientations=orientations)) == want
+    if name != "few":
+        # the same vertices given to a valid curve of the same layout
+        valid = geo.PolyCurve([geo.make_circle((0.0, 0.0), 2.0, counts[0]),
+                               geo.make_circle((0.0, 0.0), 1.0, counts[1], orientation=-1)])
+        assert _raised(lambda: valid.with_vertices(vertices)) == want
+
+
+def test_with_vertices_rejects_a_vertex_count_mismatch():
+    # np.split gave the surplus or the deficit to the last component
+    curve = geo.PolyCurve([geo.make_circle((0.0, 0.0), 1.0, 16),
+                           geo.make_circle((0.0, 0.0), 0.5, 12, orientation=-1)])
+    v = curve.vertices
+    for rows in (np.vstack([v, v[:1]]), v[:-1]):
+        with pytest.raises(ValueError, match=f"^{len(rows)} vertices given for components "
+                                             r"of 16 \+ 12 = 28 vertices$"):
+            curve.with_vertices(rows)
+
+
+def test_stacked_vertices_are_a_read_only_view():
+    v = geo.make_circle((0.0, 0.0), 1.0, 16).vertices.copy()
+    curve = geo.PolyCurve(vertices=v, counts=(16,), orientations=(1,))
+    assert np.shares_memory(curve.vertices, v) and curve.segments[0] is curve.vertices
+    assert v.flags.writeable and not curve.vertices.flags.writeable
+    assert not curve.components[0].vertices.flags.writeable
+
+
+@ORACLE
+@given(arrays(np.float64, st.tuples(st.integers(1, 50), st.just(2)),
+              elements=st.floats(-1e300, 1e300, allow_subnormal=True)))
+def test_row_norms_match_linalg_norm(a):
+    with np.errstate(over="ignore"):
+        assert np.array_equal(geo.row_norms(a), np.linalg.norm(a, axis=1))
