@@ -29,7 +29,6 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -516,6 +515,8 @@ def main(argv=None) -> int:
         jobs.append((path, out, args.seed))
     ok_all = True
     if args.jobs > 1 and len(jobs) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             for name, ok in pool.map(_simulate_one, jobs):
                 print(f"{'PASS' if ok else 'FAIL'} scenario {name}")

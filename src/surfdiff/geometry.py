@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 from .errors import (
     AmbiguousNesting,
@@ -355,16 +354,28 @@ class CurveGeometry:
 
 
 def _hull(vertices: np.ndarray) -> np.ndarray:
-    """Convex hull vertices in counter-clockwise order.
+    """Convex hull vertices in counter-clockwise order, by Andrew's monotone
+    chain (1979): one lexicographic sort, then the lower and the upper chain,
+    each keeping a point only where the turn into it is strictly left, so
+    the hull holds no collinear points.
 
-    Collinear or coincident input has no hull; its two extremes, found by
-    two farthest-point sweeps, stand in for it (exact on a line).
+    Collinear or coincident input has no proper hull; its two lexicographic
+    extremes stand in for it (exact on a line).
     """
-    try:
-        return vertices[ConvexHull(vertices).vertices]
-    except QhullError:
-        far = vertices[np.argmax(np.sum((vertices - vertices[0]) ** 2, axis=1))]
-        return np.array([far, vertices[np.argmax(np.sum((vertices - far) ** 2, axis=1))]])
+    pts = vertices[np.lexsort((vertices[:, 1], vertices[:, 0]))].tolist()
+
+    def chain(seq):
+        out = []
+        for x, y in seq:
+            while len(out) >= 2:
+                (ax, ay), (bx, by) = out[-2], out[-1]
+                if (bx - ax) * (y - ay) - (by - ay) * (x - ax) > 0.0:
+                    break
+                out.pop()
+            out.append((x, y))
+        return out
+
+    return np.array(chain(pts)[:-1] + chain(reversed(pts))[:-1])
 
 
 def _diameters(hulls) -> np.ndarray:
@@ -716,28 +727,49 @@ def jordan_decompose(curve: PolyCurve) -> JordanForest:
 # fast closest-point queries against a polygonal forest
 # ---------------------------------------------------------------------------
 
-_QUERY_PAIRS = 1 << 16      # (point, candidate segment) pairs per closest-segment batch
+_QUERY_PAIRS = 1 << 16      # (point, circle or segment) pairs per closest-segment batch
+_RUN = 4                    # consecutive segments of a component per run
+_GROUP = 8                  # consecutive runs per group
+
+
+def _least(values: np.ndarray, k: int):
+    """Columns of the k least values of each row, and the next least value
+    (inf when the row has no more)."""
+    if k >= values.shape[1]:
+        return (np.broadcast_to(np.arange(values.shape[1]), values.shape),
+                np.full(len(values), np.inf))
+    part = np.argpartition(values, k, axis=1)
+    return part[:, :k], np.take_along_axis(values, part[:, k:k + 1], axis=1)[:, 0]
+
+
+def _circle_bounds(px, py, circles):
+    """Least distance from (px, py) to any point in the circles (x, y, r)."""
+    x, y, r = circles
+    return np.sqrt((px - x) ** 2 + (py - y) ** 2) - r
 
 
 class CurveIndex:
     """Closest-point and signed-distance queries against a polygonal forest.
 
-    A k-d tree holds the vertices.  The k nearest vertices of a point
-    (k = 4 first) name its candidate segments, the two that meet at each,
-    evaluated in one vectorised (points x 2k) pass.  Any other segment has
-    both endpoints a, b at least d_k (the k-th vertex distance) away.  Its
-    closest point f to p is an endpoint, or the foot of the perpendicular
-    from p; then |p - f|^2 = |p - a|^2 - |f - a|^2 = |p - b|^2 - |f - b|^2,
-    and f lies within h_max/2 of a or of b.  Either way the segment is at
-    least sqrt(d_k^2 - h_max^2/4) away, so the best candidate is the closest
-    segment when its squared distance is at most d_k^2 - h_max^2/4.  Points
+    A two-level hierarchy of bounding circles covers the segments: each
+    component's segments in runs of ``_RUN`` consecutive ones, and the runs
+    in groups of ``_GROUP`` consecutive ones.  A circle is centred on its
+    endpoints' bounding box and reaches the farthest endpoint, so no segment
+    inside it is nearer to a point p than |p - c| - r.  A point takes the k
+    groups of least bound (k = 1 first), then the 2k runs of least bound
+    inside those (two, so that a point near the end of a run sees the next
+    one), and evaluates their segments exactly in one vectorised pass.  Every segment not evaluated lies in a run or a group whose bound
+    is at least the next least one, so the best segment is the closest when
+    its squared distance is at most the square of that bound.  Points
     failing this guard are queried again with k four times larger, up to
-    every vertex.
+    every segment.  Each radius is widened by 1e-12 (r + |c|) against rounding.
 
     The distance returned is norm(point - foot) with foot = a + t (b - a),
     the vector the gradient (point - foot) / s divides, so |grad s| = 1 to
-    rounding even where s is itself at rounding level.  Where two segments
-    are exactly equally close, either may be returned.
+    rounding even where s is itself at rounding level.  Of two consecutive
+    segments exactly equally close, as at a foot on their shared vertex, the
+    one starting at that vertex is returned; other exact ties may return
+    either segment.
 
     Sign convention: negative inside the enclosed region, positive outside,
     matching dist(x, region) - dist(x, complement).
@@ -756,43 +788,78 @@ class CurveIndex:
         # on the vertex's whole normal cone, whatever its turning angle
         edge_nu = self.seg_vec[:, ::-1] * [1.0, -1.0] / np.sqrt(self.seg_len2)[:, None]
         self.pseudo_nu = edge_nu + edge_nu[self.prev_of]
-        self.tree = cKDTree(self.seg_start)
+        # start x, start y, edge x, edge y and squared length of each segment
+        self.seg_rows = np.vstack([self.seg_start.T, self.seg_vec.T, self.seg_len2])
+        # runs never cross a component; a short last run repeats its last segment
+        runs = cycle_index(-(-self.seg_count // _RUN))
+        run_seg = self.seg_first[runs.comp, None] + np.minimum(
+            runs.local[:, None] * _RUN + np.arange(_RUN), self.seg_count[runs.comp, None] - 1)
+        nrun = len(run_seg)
+        slots = np.arange(-(-nrun // _GROUP) * _GROUP).reshape(-1, _GROUP)
+        # the last group's spare slots name an extra run at infinity (its
+        # segments are the first run's), and its circle repeats its last real run
+        self.group_run = np.minimum(slots, nrun)
+        self.group_circle = self._circles(
+            run_seg[np.minimum(slots, nrun - 1)].reshape(len(slots), -1))
+        self.run_circle = np.hstack([self._circles(run_seg), [[np.inf], [np.inf], [0.0]]])
+        self.run_seg = np.vstack([run_seg, run_seg[:1]])
+
+    def _circles(self, segs):
+        """Bounding circles (x, y, r), (3, M), of M rows of segment ids."""
+        ends = np.concatenate([self.seg_start[segs], self.seg_end[segs]], axis=1)
+        centre = 0.5 * (ends.min(axis=1) + ends.max(axis=1))
+        radius = np.sqrt(np.max(np.sum((ends - centre[:, None]) ** 2, axis=2), axis=1))
+        return np.vstack([centre.T, radius + 1e-12 * (radius + np.abs(centre).max(axis=1))])
 
     def unsigned(self, points: np.ndarray):
         """Distance, foot point, global segment id and on-edge parameter."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        nvert = len(self.seg_start)
         seg = np.empty(len(points), dtype=np.intp)
         t = np.empty(len(points))
-        todo, k = np.arange(len(points)), min(4, nvert)
+        d2 = np.empty(len(points))
+        ngroup = len(self.group_run)
+        todo, k = np.arange(len(points)), 1
         while len(todo):
-            rows = max(1, _QUERY_PAIRS // (2 * k))
-            todo = np.concatenate([self._closest(points, todo[a:a + rows], k, seg, t)
+            rows = max(1, _QUERY_PAIRS // (ngroup + k * (_GROUP + 2 * _RUN)))
+            todo = np.concatenate([self._closest(points, todo[a:a + rows], k, seg, t, d2)
                                    for a in range(0, len(todo), rows)])
-            k = min(4 * k, nvert)
+            k = min(4 * k, self.group_run.size)
+        # of two consecutive segments equally close, the later one, which
+        # starts at the vertex they share
+        nxt = self.next_of[seg]
+        t_next, d2_next = self._project(points[:, 0], points[:, 1], nxt)
+        move = d2_next <= d2
+        seg[move] = nxt[move]
+        t[move] = t_next[move]
         foot = self.seg_start[seg] + t[:, None] * self.seg_vec[seg]
         return np.linalg.norm(points - foot, axis=1), foot, seg, t
 
-    def _closest(self, points, ids, k, seg, t):
-        """Closest of the segments at the k nearest vertices of points[ids],
-        written into seg and t; returns the ids whose completeness guard fails."""
-        p = points[ids]
-        dk, near = self.tree.query(p, k=k)
-        cand = np.hstack([near, self.prev_of[near]])
-        a, ab = self.seg_start[cand], self.seg_vec[cand]
-        px, py = p[:, 0, None], p[:, 1, None]
-        tc = np.clip(((px - a[..., 0]) * ab[..., 0] + (py - a[..., 1]) * ab[..., 1])
-                     / self.seg_len2[cand], 0.0, 1.0)
-        rx = px - (a[..., 0] + tc * ab[..., 0])
-        ry = py - (a[..., 1] + tc * ab[..., 1])
-        d2 = rx * rx + ry * ry
+    def _project(self, px, py, segs):
+        """On-edge parameter and squared distance of (px, py) to segments segs."""
+        ax, ay, abx, aby, len2 = np.take(self.seg_rows, segs, axis=1)
+        tc = np.clip(((px - ax) * abx + (py - ay) * aby) / len2, 0.0, 1.0)
+        rx = px - (ax + tc * abx)
+        ry = py - (ay + tc * aby)
+        return tc, rx * rx + ry * ry
+
+    def _closest(self, points, ids, k, seg, t, d2):
+        """Closest of the segments in the 2k nearest runs of the k nearest
+        groups of points[ids], written into seg, t and d2; returns the ids
+        whose completeness guard fails."""
+        px, py = points[ids, 0, None], points[ids, 1, None]
         rows = np.arange(len(ids))
-        j = np.argmin(d2, axis=1)
+        groups, next_group = _least(_circle_bounds(px, py, self.group_circle), k)
+        runs = self.group_run[groups].reshape(len(ids), -1)
+        picked, next_run = _least(
+            _circle_bounds(px, py, np.take(self.run_circle, runs, axis=1)), 2 * k)
+        cand = self.run_seg[np.take_along_axis(runs, picked, axis=1)].reshape(len(ids), -1)
+        tc, dc = self._project(px, py, cand)
+        j = np.argmin(dc, axis=1)
         seg[ids] = cand[rows, j]
         t[ids] = tc[rows, j]
-        if k == len(self.seg_start):
-            return ids[:0]
-        return ids[d2[rows, j] > dk[:, -1] ** 2 - 0.25 * self.hmax ** 2]
+        d2[ids] = dc[rows, j]
+        bound = np.maximum(np.minimum(next_group, next_run), 0.0)
+        return ids[d2[ids] > bound * bound]
 
     def bisector_crossings(self, points: np.ndarray, a: np.ndarray, b: np.ndarray):
         """Where the segments points[a] -> points[b] cross a vertex's bisector.

@@ -484,11 +484,16 @@ def test_report_missing_directory(tmp_path):
     assert cli.main(["report", str(tmp_path / "nothing")]) == 2
 
 
-def test_cli_import_leaves_scipy_interpolate_unloaded():
-    # the flow and the extension field fit the in-house periodic spline, so
-    # the set-up of every run no longer pays for importing scipy.interpolate
+@pytest.mark.parametrize("module", ["scipy.interpolate", "scipy.spatial",
+                                    "concurrent.futures.process"])
+def test_cli_import_leaves_module_unloaded(module):
+    # the set-up of every run pays for what `import surfdiff.cli` loads:
+    # the flow and the extension field fit the in-house periodic spline
+    # (no scipy.interpolate), geometry takes its hulls and closest points
+    # from its own code (no scipy.spatial), and only `simulate --jobs`
+    # starts a process pool
     src = os.path.dirname(os.path.dirname(os.path.abspath(surfdiff.__file__)))
-    code = "import sys, surfdiff.cli; print('scipy.interpolate' in sys.modules)"
+    code = f"import sys, surfdiff.cli; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "False"

@@ -477,7 +477,7 @@ def test_diameter_elongated_ellipses(ellipses):
 
 
 def test_diameter_collinear_and_coincident():
-    # no Qhull hull: the two extremes stand in, batched with proper hulls
+    # no proper hull: the two extremes stand in, batched with proper hulls
     line = np.outer(np.array([0.0, 3.0, 1.0, -2.0, 0.5]), [1.0, 2.0])
     square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     got = geo._diameters([geo._hull(p) for p in (line, square, np.ones((4, 2)), line[::-1])])
@@ -486,6 +486,40 @@ def test_diameter_collinear_and_coincident():
     assert got[2] == 0.0
     assert got[3] == got[0]
     assert geo._diameters([geo._hull(np.ones((4, 2)))])[0] == 0.0
+
+
+def _cross(o, a, b):
+    return (a[..., 0] - o[..., 0]) * (b[..., 1] - o[..., 1]) \
+        - (a[..., 1] - o[..., 1]) * (b[..., 0] - o[..., 0])
+
+
+@ORACLE
+@given(st.integers(3, 80), st.integers(1, 50), st.integers(-30, 30), st.integers(0, 2**32 - 1))
+def test_hull_is_strictly_convex_and_covers_its_input(n, spread, scale, seed):
+    # integer coordinates times a power of two, with duplicates and the
+    # half and quarter points of every hull edge added: every cross product
+    # below is exact, so "strictly left" and "inside or on" are exact tests
+    rng = np.random.default_rng(seed)
+    cloud = rng.integers(-spread, spread + 1, (n, 2)).astype(float)
+    base = geo._hull(cloud)
+    ends = np.roll(base, -1, axis=0)
+    on_edges = np.vstack([base + w * (ends - base) for w in (0.25, 0.5, 0.75)])
+    pts = np.ldexp(np.vstack([cloud, cloud[rng.integers(0, n, n)], on_edges]), scale)
+    pts = pts[rng.permutation(len(pts))]
+    hull = geo._hull(pts)
+    given_rows = {tuple(p) for p in pts.tolist()}
+    assert all(tuple(h) in given_rows for h in hull.tolist())
+    if len(hull) == 2:
+        # collinear or coincident: the two extremes, every point between them
+        assert np.all(_cross(hull[0], hull[1], pts) == 0.0)
+        along = (pts - hull[0]) @ (hull[1] - hull[0])
+        assert np.all(along >= 0.0) and np.all(along <= (hull[1] - hull[0]) @ (hull[1] - hull[0]))
+        return
+    nxt, after = np.roll(hull, -1, axis=0), np.roll(hull, -2, axis=0)
+    assert np.all(_cross(hull, nxt, after) > 0.0)
+    assert np.all(_cross(hull[:, None], nxt[:, None], pts[None]) >= 0.0)
+    # the added points change nothing: the vertices of the bare cloud's hull
+    assert np.array_equal(np.unique(hull, axis=0), np.unique(np.ldexp(base, scale), axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -631,6 +665,45 @@ def test_curve_index_coarse_vertices_on_fine_polygon():
     # level and only norm(point - foot) keeps |grad s| at 1
     starts, ends, _, _ = fine.segments
     _check_index(fine, np.vstack([coarse, 0.5 * (starts + ends)]))
+
+
+def test_curve_index_vertex_foot_starts_its_segment():
+    # outside each convex vertex of an octagon with integer vertices, the
+    # two segments meeting there are exactly equally close (a + 1 * (v - a)
+    # is v); the one starting at the vertex is returned, with t = 0
+    octagon = np.array([[2.0, 0.0], [4.0, 0.0], [6.0, 2.0], [6.0, 4.0],
+                        [4.0, 6.0], [2.0, 6.0], [0.0, 4.0], [0.0, 2.0]])
+    curve = geo.PolyCurve([geo.Component(octagon, 1)])
+    index = geo.build_geometry(curve).index
+    pts = octagon + 0.5 * index.pseudo_nu
+    d, foot, seg, t = index.unsigned(pts)
+    assert np.array_equal(seg, np.arange(8))
+    assert np.all(t == 0.0)
+    assert np.array_equal(foot, octagon)
+
+
+def test_curve_index_hierarchy_edge_cases():
+    # component sizes that leave a short last run (8, 9, 17, 31), a tiny
+    # far component in one group with a larger one, points exactly on every
+    # run and group circle, and points far outside the bounding box
+    rng = np.random.default_rng(7)
+    curve = geo.PolyCurve([geo.make_circle((0.0, 0.0), 1.0, 31),
+                           geo.make_circle((40.0, 25.0), 1e-3, 8),
+                           geo.make_circle((0.0, 0.0), 0.5, 17, orientation=-1),
+                           geo.make_circle((3.0, 0.0), 0.4, 9)])
+    index = geo.build_geometry(curve).index
+    shared = [np.unique(index.seg_comp[index.run_seg[runs]]) for runs in index.group_run]
+    assert any(1 in comps and 2 in comps for comps in shared)
+    circles = np.hstack([index.run_circle[:, :-1], index.group_circle])
+    ang = rng.uniform(0.0, 2 * np.pi, (circles.shape[1], 4))
+    on_circles = np.column_stack([
+        (circles[0, :, None] + circles[2, :, None] * np.cos(ang)).ravel(),
+        (circles[1, :, None] + circles[2, :, None] * np.sin(ang)).ravel()])
+    starts = curve.segments[0]
+    lo, hi = starts.min(axis=0), starts.max(axis=0)
+    far = np.vstack([rng.uniform(lo - 1e3 * (hi - lo), hi + 1e3 * (hi - lo), (200, 2)),
+                     [[1e8, 0.0], [-1e8, 1e8], [0.0, -1e12]]])
+    _check_index(curve, np.vstack([on_circles, far, starts]))
 
 
 # ---------------------------------------------------------------------------
