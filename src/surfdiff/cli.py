@@ -371,7 +371,9 @@ def evaluate_run(states: list, calib, sample_count: int) -> dict:
     """
     floor = _quadrature_floor(states[0].geometry, calib.reference)
     if len(states) > sample_count:
-        pick = np.unique(np.linspace(0, len(states) - 1, sample_count).astype(int))
+        # points more than 1 apart floor to distinct indices; np.unique would
+        # import numpy.ma inside the run
+        pick = np.linspace(0, len(states) - 1, sample_count).astype(int)
         states = [states[i] for i in pick]
 
     reports, slacks, fluxes, ratios = zip(*(_evaluate_sample(state, calib)

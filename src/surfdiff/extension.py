@@ -21,11 +21,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.lapack import dgesv
 
 from .errors import NonZeroMean, RankDeficient
 from .geometry import CurveGeometry, dds, field_mean, integrate
-from .poisson import PeriodicSpline
+from .poisson import PeriodicSpline, dgesv
 
 
 def _pair_blocks(targets, sources):

@@ -10,19 +10,54 @@ weighted mean is subtracted afterwards.  All components go to one call of
 solves the flow step's pentadiagonal system for all components of a curve,
 and the knot slopes of :class:`PeriodicSpline`, the periodic cubic
 interpolant of the flow's resampling and the extension field.
+
+LAPACK's ``dgbsv`` (these band solves) and ``dgesv`` (the extension field's
+density system) come from scipy's extension file ``linalg/_flapack``, loaded
+by :func:`load_lapack` without the ``scipy.linalg`` package import.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import dgbsv
 
 from .errors import NonZeroMean, SingularSystem
 from .geometry import CurveGeometry, cycle_index, cycle_layout, dds, field_mean, integrate
 
 RESIDUAL_TOL = 1e-9
+
+
+def _flapack_file() -> str:
+    """scipy's ``linalg/_flapack`` extension file, found without importing scipy."""
+    spec = importlib.util.find_spec("scipy")
+    for base in spec.submodule_search_locations if spec else ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(base, "linalg", "_flapack" + suffix)
+            if os.path.isfile(path):
+                return path
+    raise ImportError("scipy has no linalg/_flapack extension file")
+
+
+def load_lapack():
+    """scipy's f2py LAPACK wrappers: the ``_flapack`` module loaded from its
+    file and kept out of ``sys.modules`` (the name must match the file's
+    ``PyInit__flapack``), else ``scipy.linalg.lapack`` when there is no file."""
+    try:
+        spec = importlib.util.spec_from_file_location("_flapack", _flapack_file())
+    except ImportError:
+        from scipy.linalg import lapack
+        return lapack
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+lapack = load_lapack()
+dgbsv, dgesv = lapack.dgbsv, lapack.dgesv
 
 
 @lru_cache(maxsize=32)

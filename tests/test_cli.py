@@ -484,14 +484,17 @@ def test_report_missing_directory(tmp_path):
     assert cli.main(["report", str(tmp_path / "nothing")]) == 2
 
 
-@pytest.mark.parametrize("module", ["scipy.interpolate", "scipy.spatial",
+@pytest.mark.parametrize("module", ["scipy", "scipy.linalg", "numpy.f2py", "numpy.ma",
+                                    "scipy.interpolate", "scipy.spatial",
                                     "concurrent.futures.process"])
 def test_cli_import_leaves_module_unloaded(module):
     # the set-up of every run pays for what `import surfdiff.cli` loads:
-    # the flow and the extension field fit the in-house periodic spline
-    # (no scipy.interpolate), geometry takes its hulls and closest points
-    # from its own code (no scipy.spatial), and only `simulate --jobs`
-    # starts a process pool
+    # LAPACK comes from scipy's _flapack extension file (no scipy package,
+    # and no scipy.linalg with the numpy.f2py and numpy.ma its __init__
+    # pulls in), the flow and the extension field fit the in-house periodic
+    # spline (no scipy.interpolate), geometry takes its hulls and closest
+    # points from its own code (no scipy.spatial), and only `simulate
+    # --jobs` starts a process pool
     src = os.path.dirname(os.path.dirname(os.path.abspath(surfdiff.__file__)))
     code = f"import sys, surfdiff.cli; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

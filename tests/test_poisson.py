@@ -1,9 +1,14 @@
+import importlib.machinery
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
+from scipy.linalg import lapack as scipy_lapack
 
+from surfdiff import extension as ex
+from surfdiff import flow as fl
 from surfdiff import geometry as geo
 from surfdiff import poisson as po
 from surfdiff.errors import NonZeroMean, SingularSystem
@@ -307,3 +312,49 @@ def test_periodic_spline_matches_cubic_spline(cycles, seed):
             exact = ref(np.mod(s, period), nu)
             got = spline(comp, s, nu)
             assert np.max(np.abs(got - exact)) <= 1e-13 * np.max(np.abs(exact))
+
+
+def _lapack_solves(monkeypatch, lapack):
+    """The three kinds of LAPACK solve a run makes, through ``lapack``'s
+    routines: a p = 2 flow step, a p = 1 spline fit of two data columns and
+    the bordered density system of B."""
+    monkeypatch.setattr(po, "dgbsv", lapack.dgbsv)
+    monkeypatch.setattr(ex, "dgesv", lapack.dgesv)
+    rng = np.random.default_rng(21)
+    curve = geo.PolyCurve([jittered_loop(rng, 96, (0.0, 0.0), 1.0),
+                           jittered_loop(rng, 24, (4.0, 0.0), 0.3)])
+    geom = geo.build_geometry(curve)
+    flow = fl._normal_velocity(curve.vertices, geom.nu, geom.edge_lengths, geom.weights,
+                               curve.counts, 1e-4)
+    spline = po.PeriodicSpline(geom.arc_positions, geom.length, curve.counts,
+                               curve.vertices).coef
+    v = np.cos(vertex_angles(geom))
+    density, constants = ex._solve_density(geom, v - geo.field_mean(geom, v)[geom.layout.comp])
+    return flow, spline, density, constants
+
+
+@pytest.mark.parametrize("path", ["extension file", "fallback"])
+def test_lapack_loader_paths_solve_bit_identically(path, monkeypatch):
+    # the run's routines come from scipy's _flapack file, not from the
+    # scipy.linalg package import: a silent fall back fails the first branch
+    if path == "fallback":
+        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing"])
+    lapack = po.load_lapack()
+    if path == "fallback":
+        assert lapack is scipy_lapack
+    else:
+        assert lapack is not scipy_lapack and po.lapack is not scipy_lapack
+        assert lapack.__spec__.name == po.lapack.__spec__.name == "_flapack"
+        assert lapack.__spec__.origin == po.lapack.__spec__.origin == po._flapack_file()
+    expected = _lapack_solves(monkeypatch, scipy_lapack)
+    for got, want in zip(_lapack_solves(monkeypatch, lapack), expected):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_lapack_lookup_failure_other_than_import_error_propagates(monkeypatch):
+    def unreadable():
+        raise PermissionError("scipy's directory cannot be listed")
+
+    monkeypatch.setattr(po, "_flapack_file", unreadable)
+    with pytest.raises(PermissionError):
+        po.load_lapack()
