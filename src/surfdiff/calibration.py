@@ -25,6 +25,7 @@ from .geometry import (
     d2ds2,
     integrate,
     jordan_decompose,
+    row_norms,
 )
 
 
@@ -190,7 +191,7 @@ class AnalyticCircles:
         dist_to_bdry = np.empty((npts, len(self.circles)))
         radial = np.empty((npts, len(self.circles)))
         for k, c in enumerate(self.circles):
-            r = np.linalg.norm(points - np.asarray(c.center), axis=1)
+            r = row_norms(points - np.asarray(c.center))
             radial[:, k] = r
             dist_to_bdry[:, k] = np.abs(r - c.radius)
         nearest = np.argmin(dist_to_bdry, axis=1)

@@ -206,7 +206,7 @@ def _place_bubbles(rng, spec_list, reference, delta, existing: geo.PolyCurve):
                     if np.hypot(cand[0] - px, cand[1] - py) < 4.0 * (radius + pr):
                         ok = False
                         break
-                if ok and np.min(np.linalg.norm(verts - cand, axis=1)) > 2.5 * delta:
+                if ok and np.min(geo.row_norms(verts - cand)) > 2.5 * delta:
                     comp = geo.make_circle(tuple(cand), radius, 24)
                     comps.append(comp)
                     placed.append((cand[0], cand[1], radius))

@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NonZeroMean, RankDeficient
-from .geometry import CurveGeometry, dds, field_mean, integrate
+from .geometry import CurveGeometry, dds, field_mean, integrate, row_norms
 from .poisson import PeriodicSpline, dgesv
 
 
@@ -410,12 +410,12 @@ def _field_constants(field: BField):
         [-0.8, -0.4, -0.1, 0.1, 0.4, 0.8, 1.2, 1.6, 1.95]))
     h = 1e-3 * field.delta
     dirs = rng.normal(size=pts.shape)
-    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    dirs /= row_norms(dirs)[:, None]
     # one call: each point's B is independent of the rest of its batch
     b, div = field.at_and_div(np.vstack([pts, pts + h * dirs, pts - h * dirs]))
     bvals, plus, minus = np.split(b, 3)
-    sup_b = float(np.max(np.linalg.norm(bvals, axis=1)))
+    sup_b = float(np.max(row_norms(bvals)))
     div_sup = float(np.max(np.abs(div[:len(pts)])))
-    quot = np.linalg.norm(plus - minus, axis=1) / (2 * h)
+    quot = row_norms(plus - minus) / (2 * h)
     lip = float(np.max(quot)) if len(quot) else 0.0
     return div_sup, sup_b, lip

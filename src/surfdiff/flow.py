@@ -81,10 +81,10 @@ class FlowState:
     # 8 components on, which would move the sums the step's tests compare
 
     def length(self) -> float:
-        return float(sum(self.geometry.length))
+        return float(sum(self.geometry.length.tolist()))
 
     def area(self) -> float:
-        return float(sum(self.geometry.area))
+        return float(sum(self.geometry.area.tolist()))
 
 
 def _normal_velocity(x: np.ndarray, nu: np.ndarray, h: np.ndarray, w: np.ndarray,
@@ -99,22 +99,26 @@ def _normal_velocity(x: np.ndarray, nu: np.ndarray, h: np.ndarray, w: np.ndarray
     cyclic banded solve.
     """
     nxt, prv = cycle_layout(tuple(counts))[:2]
-    mid = -(1.0 / h + 1.0 / h[prv]) / w
-    up = (1.0 / h) / w
-    lo = (1.0 / h[prv]) / w
+    inv_h = 1.0 / h
+    inv_hp = inv_h.take(prv)
+    mid = -(inv_h + inv_hp) / w
+    up = inv_h / w
+    lo = inv_hp / w
 
     def lap(f):
-        return lo * f[prv] + mid * f + up * f[nxt]
+        return lo * f.take(prv) + mid * f + up * f.take(nxt)
 
-    kappa_pos = -np.sum(nu * np.column_stack([lap(x[:, 0]), lap(x[:, 1])]), axis=1)
+    # the row sums of np.sum(nu * L x, axis=1), which adds from +0.0
+    kappa_pos = -(nu[:, 0] * lap(x[:, 0]) + nu[:, 1] * lap(x[:, 1]) + 0.0)
     m = mid - kappa_pos**2
-    diags = dt * np.array([
-        lo * lo[prv],
-        lo * (m[prv] + mid),
-        lo * up[prv] + mid * m + up * lo[nxt],
-        up * (mid + m[nxt]),
-        up * up[nxt],
+    diags = np.array([
+        lo * lo.take(prv),
+        lo * (m.take(prv) + mid),
+        lo * up.take(prv) + mid * m + up * lo.take(nxt),
+        up * (mid + m.take(nxt)),
+        up * up.take(nxt),
     ])
+    diags *= dt
     diags[2] += 1.0
     return solve_cyclic_banded(diags, lap(kappa_pos), counts)
 
@@ -134,12 +138,13 @@ def _area_neutral_shift(x: np.ndarray, nu: np.ndarray, w: np.ndarray, counts: tu
     the velocity.
     """
     lay = cycle_layout(tuple(counts))
-    p = dt * w[:, None] * nu
+    # dt w times nu's (2, N) transpose: rows of N, not N rows of two
+    p = (dt * w * nu.T).T
     q = -dt * nu
 
     def form(y, z):
-        # np.take gathers rows several times faster than fancy indexing
-        chord = np.take(y, lay.nxt, axis=0) - np.take(y, lay.prv, axis=0)
+        # take gathers rows several times faster than fancy indexing
+        chord = y.take(lay.nxt, axis=0) - y.take(lay.prv, axis=0)
         return 0.5 * np.add.reduceat(z[:, 0] * chord[:, 1] - z[:, 1] * chord[:, 0],
                                      lay.first)
 
@@ -149,7 +154,7 @@ def _area_neutral_shift(x: np.ndarray, nu: np.ndarray, w: np.ndarray, counts: tu
     lam = np.zeros(len(c0))
     np.divide(-2.0 * c0, root, out=lam, where=root != 0.0)
     np.divide(-0.5 * c1, c2, out=lam, where=disc < 0.0)
-    return w - lam[lay.comp]
+    return w - lam.take(lay.comp)
 
 
 def _resample_uniform(x: np.ndarray, counts: tuple, passes: int = 1) -> np.ndarray:
@@ -164,9 +169,9 @@ def _resample_uniform(x: np.ndarray, counts: tuple, passes: int = 1) -> np.ndarr
     counts = tuple(counts)
     lay = cycle_layout(counts)
     for _ in range(passes):
-        knots, total = cycle_arc(row_norms(np.take(x, lay.nxt, axis=0) - x), lay)
+        knots, total = cycle_arc(row_norms(x.take(lay.nxt, axis=0) - x), lay)
         spline = PeriodicSpline(knots, total, counts, x)
-        x = spline(lay.comp, total[lay.comp] * lay.local / lay.counts[lay.comp])
+        x = spline(lay.comp, total.take(lay.comp) * lay.local / lay.counts.take(lay.comp))
     return x
 
 
@@ -186,7 +191,7 @@ def step(state: FlowState, config: FlowConfig, dt: float | None = None) -> FlowS
         w = _normal_velocity(x, nu, geom.edge_lengths, geom.weights, counts, dt)
         w = _area_neutral_shift(x, nu, w, counts, dt)
         new_curve = state.curve.with_vertices(
-            _resample_uniform(x + dt * w[:, None] * nu, counts))
+            _resample_uniform(x + (dt * w * nu.T).T, counts))
         new_geom = build_geometry(new_curve)
     except SelfIntersection as exc:
         raise StepRejected(f"self-intersection: {exc}") from exc
@@ -195,7 +200,7 @@ def step(state: FlowState, config: FlowConfig, dt: float | None = None) -> FlowS
     except (CurveError, ValueError) as exc:
         raise StepRejected(f"invalid geometry: {exc}") from exc
 
-    ratios = new_geom.edge_lengths / (new_geom.length / lay.counts)[lay.comp]
+    ratios = new_geom.edge_lengths / (new_geom.length / lay.counts).take(lay.comp)
     if ratios.min() < REMESH_RATIO_BOUNDS[0] or ratios.max() > REMESH_RATIO_BOUNDS[1]:
         raise StepRejected("resampling left edge ratios out of bounds")
 

@@ -116,15 +116,15 @@ class PolyCurve:
         # a view, so that the caller's own array keeps its flags
         self.vertices = v.view()
         self.layout = cycle_layout(self.counts)
-        # np.take gathers rows several times faster than fancy indexing
-        ends = np.take(v, self.layout.nxt, axis=0)
+        # take gathers rows several times faster than fancy indexing
+        ends = v.take(self.layout.nxt, axis=0)
         self.vertices.flags.writeable = self.orientations.flags.writeable = False
         ends.flags.writeable = False
         self.segments = (self.vertices, ends, self.layout.comp, self.layout.local)
-        # the edge vectors and shoelace terms go to the first build_geometry
-        # and are not kept beyond it
-        self._edge_terms = _edge_terms(v, ends)
-        self.edge_lengths = row_norms(self._edge_terms[0])
+        # the shoelace terms go to the first build_geometry and are not kept
+        # beyond it
+        self._shoelace = _shoelace(v, ends)
+        self.edge_lengths = row_norms(ends - v)
         self.edge_lengths.flags.writeable = False
         self._validate()
 
@@ -136,13 +136,13 @@ class PolyCurve:
         # path), so only a component within the floor of its bound reads its
         # exact diameter
         box = np.maximum.reduceat(starts, first) - np.minimum.reduceat(starts, first)
-        short = hmin <= EDGE_FLOOR_REL * np.sqrt(np.sum(box ** 2, axis=1))
-        if np.any(short):
+        short = hmin <= EDGE_FLOOR_REL * row_norms(box)
+        if short.any():
             diam = self.diameters
             short &= (diam <= 0.0) | (hmin <= EDGE_FLOOR_REL * diam)
-        area = 0.5 * np.add.reduceat(self._edge_terms[1], first)
+        area = 0.5 * np.add.reduceat(self._shoelace, first)
         flipped = np.sign(area) != self.orientations
-        if np.any(short | flipped):
+        if (short | flipped).any():
             k = int(np.argmax(short | flipped))
             if short[k]:
                 raise DegenerateEdge(f"component {k} has an edge below the length floor")
@@ -151,11 +151,11 @@ class PolyCurve:
         if area.sum() <= 0.0:
             raise ValueError("total signed enclosed area must be positive")
 
-    def _take_edge_terms(self):
-        """Edge vectors and shoelace terms: the validation's on the first
-        call, which the curve then drops, recomputed on later ones."""
-        terms, self._edge_terms = self._edge_terms, None
-        return terms if terms is not None else _edge_terms(*self.segments[:2])
+    def _take_shoelace(self):
+        """Shoelace terms: the validation's on the first call, which the
+        curve then drops, recomputed on later ones."""
+        terms, self._shoelace = self._shoelace, None
+        return terms if terms is not None else _shoelace(*self.segments[:2])
 
     @cached_property
     def components(self) -> list[Component]:
@@ -164,28 +164,22 @@ class PolyCurve:
                 in zip(np.split(self.vertices, self.layout.split), self.orientations)]
 
     @cached_property
-    def _calipers(self) -> np.ndarray:
-        """Each component's diameter and, with several components, the curve's.
+    def _hulls(self) -> list:
+        return [_hull(c.vertices) for c in self.components]
 
-        One caliper pass on first read: the hull of the union is the hull of
-        the component hulls' vertices.
-        """
-        hulls = [_hull(c.vertices) for c in self.components]
-        if len(hulls) > 1:
-            hulls.append(_hull(np.vstack(hulls)))
-        diams = _diameters(hulls)
-        diams.flags.writeable = False
-        return diams
-
-    @property
+    @cached_property
     def diameters(self) -> np.ndarray:
-        """Largest vertex-to-vertex distance of each component, (K,), read-only."""
-        return self._calipers[:self.ncomponents]
+        """Largest vertex-to-vertex distance of each component, (K,), read-only;
+        one caliper pass over the component hulls on first read."""
+        return _read_only(_diameters(self._hulls))
 
-    @property
+    @cached_property
     def diameter(self) -> float:
-        """Largest vertex-to-vertex distance over all components."""
-        return float(self._calipers[-1])
+        """Largest vertex-to-vertex distance over all components: with several,
+        that of the hull of the component hulls' vertices, built on first read."""
+        if self.ncomponents == 1:
+            return float(self.diameters[0])
+        return float(_diameters([_hull(np.vstack(self._hulls))])[0])
 
     @property
     def ncomponents(self) -> int:
@@ -216,9 +210,9 @@ def row_norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt(x * x + y * y)
 
 
-def _edge_terms(starts: np.ndarray, ends: np.ndarray):
-    """Edge vectors ends - starts and shoelace terms starts x ends."""
-    return ends - starts, starts[:, 0] * ends[:, 1] - ends[:, 0] * starts[:, 1]
+def _shoelace(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Shoelace terms starts x ends."""
+    return starts[:, 0] * ends[:, 1] - ends[:, 0] * starts[:, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -309,10 +303,10 @@ def cycle_arc(h: np.ndarray, lay: CycleLayout):
     ``h[i]`` is the step from entry i to its successor.  One cumulative sum
     runs over all cycles laid end to end; each cycle's start is subtracted.
     """
-    arc = np.cumsum(h)
-    base = np.concatenate(([0.0], arc[lay.split - 1]))
-    return (np.concatenate(([0.0], arc[:-1])) - base[lay.comp],
-            arc[lay.first + lay.counts - 1] - base)
+    arc = h.cumsum()
+    base = np.concatenate(([0.0], arc.take(lay.split - 1)))
+    return (np.concatenate(([0.0], arc[:-1])) - base.take(lay.comp),
+            arc.take(lay.first + lay.counts - 1) - base)
 
 
 @dataclass(frozen=True)
@@ -327,30 +321,48 @@ class CurveGeometry:
     at vertex i divided by weights[i], which makes each component's
     sum(kappa * weights) its total turning angle exactly.  arc_positions
     restart at 0 in each component; ``length`` and ``area`` hold one entry
-    per component.  Every array is read-only, so threads may share it.
+    per component.  ``kappa`` and ``arc_positions``, which no flow step
+    reads, are built on first read.  Every array is read-only, so threads
+    may share it.
     """
 
     curve: PolyCurve
     layout: CycleLayout
     vertices: np.ndarray
     edge_lengths: np.ndarray
-    arc_positions: np.ndarray
     weights: np.ndarray
     tau: np.ndarray
     nu: np.ndarray
-    kappa: np.ndarray
     length: np.ndarray
     area: np.ndarray
 
     def __post_init__(self):
-        for a in (self.vertices, self.edge_lengths, self.arc_positions, self.weights,
-                  self.tau, self.nu, self.kappa, self.length, self.area):
+        for a in (self.vertices, self.edge_lengths, self.weights, self.tau, self.nu,
+                  self.length, self.area):
             a.flags.writeable = False
+
+    @cached_property
+    def arc_positions(self) -> np.ndarray:
+        return _read_only(cycle_arc(self.edge_lengths, self.layout)[0])
+
+    @cached_property
+    def kappa(self) -> np.ndarray:
+        v, lay = self.vertices, self.layout
+        edges = v.take(lay.nxt, axis=0) - v
+        em = edges.take(lay.prv, axis=0)
+        turn = np.arctan2(em[:, 0] * edges[:, 1] - em[:, 1] * edges[:, 0],
+                          np.sum(em * edges, axis=1))
+        return _read_only(turn / self.weights)
 
     @cached_property
     def index(self) -> "CurveIndex":
         """The closest-point index of the curve, built on first read."""
         return CurveIndex(self)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def _hull(vertices: np.ndarray) -> np.ndarray:
@@ -433,30 +445,25 @@ def _diameters(hulls) -> np.ndarray:
 def build_geometry(curve: PolyCurve) -> CurveGeometry:
     """The stacked geometry of every component, from one pass over the segments.
 
-    Raises if the curve is not embedded.  The edge vectors and shoelace
-    terms are the ones the curve's validation computed.  Each length and
-    area is its own component's slice summed by ``np.sum``
-    (``np.add.reduceat`` adds in another order), the sums the flow's length
-    and area tests read.
+    Raises if the curve is not embedded.  The shoelace terms are the ones
+    the curve's validation computed.  Each length and area is its own
+    component's slice summed by ``np.sum`` (``np.add.reduceat`` adds in
+    another order), the sums the flow's length and area tests read.
     """
     check_embedded(curve)
     v, ends, _, _ = curve.segments
     lay = curve.layout
     h = curve.edge_lengths
-    edges, cross = curve._take_edge_terms()
-    w = 0.5 * (h + h[lay.prv])
-    chord = ends - np.take(v, lay.prv, axis=0)
+    cross = curve._take_shoelace()
+    w = 0.5 * (h + h.take(lay.prv))
+    chord = ends - v.take(lay.prv, axis=0)
     tau = chord / row_norms(chord)[:, None]
-    em = np.take(edges, lay.prv, axis=0)
-    turn = np.arctan2(em[:, 0] * edges[:, 1] - em[:, 1] * edges[:, 0],
-                      np.sum(em * edges, axis=1))
-    parts = [slice(a, a + n) for a, n in zip(lay.first, lay.counts)]
+    parts = [slice(a, a + n) for a, n in zip(lay.first.tolist(), lay.counts.tolist())]
     return CurveGeometry(
-        curve=curve, layout=lay, vertices=v, edge_lengths=h,
-        arc_positions=cycle_arc(h, lay)[0], weights=w, tau=tau,
-        nu=np.column_stack([tau[:, 1], -tau[:, 0]]), kappa=turn / w,
-        length=np.array([np.sum(h[p]) for p in parts]),
-        area=np.array([0.5 * np.sum(cross[p]) for p in parts]))
+        curve=curve, layout=lay, vertices=v, edge_lengths=h, weights=w, tau=tau,
+        nu=np.column_stack([tau[:, 1], -tau[:, 0]]),
+        length=np.array([h[p].sum() for p in parts]),
+        area=np.array([0.5 * cross[p].sum() for p in parts]))
 
 
 def integrate(geom: CurveGeometry, values: np.ndarray) -> np.ndarray:
@@ -528,11 +535,11 @@ def _overlapping(lo: np.ndarray, hi: np.ndarray):
     sort is stable, which is fastest on the few monotone runs a curve's
     projection makes.
     """
-    order = np.argsort(lo, kind="stable")
-    cnt = np.searchsorted(lo[order], hi[order], side="right") - np.arange(1, len(lo) + 1)
-    a = np.repeat(np.arange(len(lo)), cnt)
-    b = a + 1 + np.arange(len(a)) - np.repeat(np.cumsum(cnt) - cnt, cnt)
-    return order[a], order[b]
+    order = lo.argsort(kind="stable")
+    cnt = lo.take(order).searchsorted(hi.take(order), side="right") - np.arange(1, len(lo) + 1)
+    a = np.arange(len(lo)).repeat(cnt)
+    b = a + 1 + np.arange(len(a)) - (cnt.cumsum() - cnt).repeat(cnt)
+    return order.take(a), order.take(b)
 
 
 def _segment_pairs_within(starts, ends, reach):
@@ -549,11 +556,13 @@ def _segment_pairs_within(starts, ends, reach):
     """
     half = 0.5 * (reach + 1e-12 * np.abs(starts).max())
     c, s = SWEEP_DIRECTION
-    u0, u1 = c * starts[:, 0] + s * starts[:, 1], c * ends[:, 0] + s * ends[:, 1]
-    v0, v1 = c * starts[:, 1] - s * starts[:, 0], c * ends[:, 1] - s * ends[:, 0]
+    n = len(starts)
+    x, y = np.concatenate([starts, ends]).T.copy()
+    u, v = c * x + s * y, c * y - s * x
+    u0, u1, v0, v1 = u[:n], u[n:], v[:n], v[n:]
     pi, pj = _overlapping(np.minimum(u0, u1) - half, np.maximum(u0, u1) + half)
     lo, hi = np.minimum(v0, v1) - half, np.maximum(v0, v1) + half
-    near = (lo[pi] <= hi[pj]) & (lo[pj] <= hi[pi])
+    near = (lo.take(pi) <= hi.take(pj)) & (lo.take(pj) <= hi.take(pi))
     pi, pj = pi[near], pj[near]
     return np.minimum(pi, pj), np.maximum(pi, pj)
 
@@ -568,12 +577,14 @@ def check_embedded(curve: PolyCurve) -> None:
     pair in (i, j) order names the error.
     """
     starts, ends, comp_of, local_of = curve.segments
-    dx, dy = np.ptp(starts, axis=0)
+    # the extent of each column, as np.ptp(starts, axis=0) at a quarter of its cost
+    x, y = starts[:, 0], starts[:, 1]
+    dx, dy = x.max() - x.min(), y.max() - y.min()
     tol = SIMPLICITY_TOL_REL * np.sqrt(dx * dx + dy * dy)
     pi, pj = _segment_pairs_within(starts, ends, tol)
     # cyclically adjacent segments legitimately touch
     nxt = curve.layout.nxt
-    keep = (nxt[pi] != pj) & (nxt[pj] != pi)
+    keep = (nxt.take(pi) != pj) & (nxt.take(pj) != pi)
     pi, pj = pi[keep], pj[keep]
     if len(pi) == 0:
         return
@@ -832,7 +843,7 @@ class CurveIndex:
         seg[move] = nxt[move]
         t[move] = t_next[move]
         foot = self.seg_start[seg] + t[:, None] * self.seg_vec[seg]
-        return np.linalg.norm(points - foot, axis=1), foot, seg, t
+        return row_norms(points - foot), foot, seg, t
 
     def _project(self, px, py, segs):
         """On-edge parameter and squared distance of (px, py) to segments segs."""

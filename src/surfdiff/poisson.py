@@ -105,18 +105,18 @@ def solve_cyclic_banded(diags, rhs: np.ndarray, lengths) -> np.ndarray:
     diags = np.asarray(diags, dtype=float)
     p = len(diags) // 2
     n = diags.shape[1]
-    b = np.reshape(rhs, (n, -1))
+    rhs = np.asarray(rhs)
+    b = rhs.reshape(n, -1)
     if not (np.isfinite(diags).all() and np.isfinite(b).all()):
         raise SingularSystem("non-finite entries in a cyclic band system")
     row, order, target = _band_layout(tuple(lengths), p)
     ab = np.zeros((6 * p + 1) * n)
     ab[target] = diags
     _, _, x, info = dgbsv(2 * p, 2 * p, ab.reshape((6 * p + 1, n), order="F"),
-                          np.take(b, order, axis=0),
-                          overwrite_ab=1, overwrite_b=1)
+                          b.take(order, axis=0), overwrite_ab=1, overwrite_b=1)
     if info > 0:
         raise SingularSystem("zero pivot in a cyclic band system")
-    return np.reshape(np.take(x, row, axis=0), np.shape(rhs))
+    return x.take(row, axis=0).reshape(rhs.shape)
 
 
 class PeriodicSpline:
@@ -135,38 +135,39 @@ class PeriodicSpline:
         self.period = np.asarray(period, dtype=float)
         key = tuple(lengths)
         nxt, prv, self.start, comp, _, _, self.lengths = cycle_layout(key)
+        self.last = self.start + self.lengths - 1
         # interval lengths; each cycle's last interval closes at its period
-        h = np.where(nxt > np.arange(len(nxt)), self.arc[nxt], self.period[comp]) - self.arc
-        y = np.reshape(values, (len(h), -1)).astype(float)
-        # np.take gathers rows several times faster than fancy indexing
-        slope = (np.take(y, nxt, axis=0) - y) / h[:, None]
-        hp = h[prv]
-        d = solve_cyclic_banded([h, 2.0 * (hp + h), hp],
-                                3.0 * (h[:, None] * np.take(slope, prv, axis=0)
-                                       + hp[:, None] * slope),
-                                key)
-        t = (d + np.take(d, nxt, axis=0) - 2.0 * slope) / h[:, None]
-        self.coef = np.stack([t / h[:, None], (slope - d) / h[:, None] - t, d, y])
+        h = self.arc.take(nxt) - self.arc
+        h[self.last] = self.period - self.arc[self.last]
+        # the data columns as rows, (m, N), so that every product with a
+        # per-knot array runs along a contiguous row
+        y = np.asarray(values, dtype=float).reshape(len(h), -1).T
+        slope = (y.take(nxt, axis=1) - y) / h
+        hp = h.take(prv)
+        d = solve_cyclic_banded(np.array([h, 2.0 * (hp + h), hp]),
+                                (3.0 * (h * slope.take(prv, axis=1) + hp * slope)).T, key).T
+        t = (d + d.take(nxt, axis=1) - 2.0 * slope) / h
+        self.coef = np.array([t / h, (slope - d) / h - t, d, y])
         self.shape = np.shape(values)[1:]
         # interval search over all cycles laid end to end
-        self.offset = np.cumsum(self.period) - self.period
-        self.key = self.arc + self.offset[comp]
+        self.offset = self.period.cumsum() - self.period
+        self.key = self.arc + self.offset.take(comp)
 
     def __call__(self, comp, s, nu: int = 0) -> np.ndarray:
         """The nu-th derivative (nu <= 2) at arc positions s of cycles comp."""
         comp = np.asarray(comp)
-        s = np.mod(s, self.period[comp])
-        j = np.searchsorted(self.key, s + self.offset[comp], side="right") - 1
-        j = np.clip(j, self.start[comp], self.start[comp] + self.lengths[comp] - 1)
-        x = (s - self.arc[j])[:, None]
-        c3, c2, c1, c0 = np.take(self.coef, j, axis=1)
+        s = s % self.period.take(comp)
+        j = self.key.searchsorted(s + self.offset.take(comp), side="right") - 1
+        j = np.minimum(np.maximum(j, self.start.take(comp)), self.last.take(comp))
+        x = s - self.arc.take(j)
+        c3, c2, c1, c0 = self.coef.take(j, axis=2)
         if nu == 0:
             out = ((c3 * x + c2) * x + c1) * x + c0
         elif nu == 1:
             out = (3.0 * c3 * x + 2.0 * c2) * x + c1
         else:
             out = 6.0 * c3 * x + 2.0 * c2
-        return np.reshape(out, (len(j), *self.shape))
+        return np.ascontiguousarray(out.T).reshape(len(j), *self.shape)
 
 
 def solve_zero_average(geom: CurveGeometry, values) -> np.ndarray:

@@ -36,6 +36,17 @@ def d2ds2(edge_lengths, weights, values):
     return (fwd - bwd) / weights
 
 
+def turning_curvature(geom):
+    """Turning angle over weight at every stacked vertex, from the curve's
+    own segments: the expression ``build_geometry`` once evaluated eagerly."""
+    starts, ends = geom.curve.segments[:2]
+    edges = ends - starts
+    em = edges[geom.layout.prv]
+    turn = np.arctan2(em[:, 0] * edges[:, 1] - em[:, 1] * edges[:, 0],
+                      np.sum(em * edges, axis=1))
+    return turn / geom.weights
+
+
 def intrinsic_distance(geom, i, j):
     """Shorter arc between stacked vertices i and j; inf across distinct components."""
     k = geom.layout.comp[i]

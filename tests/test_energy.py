@@ -582,8 +582,8 @@ def test_stacked_checkers_one_B_call_per_sample(circle_calibration):
 def test_sample_checkers_make_one_caliper_pass_per_curve(monkeypatch, circle_calibration):
     # the small-component bound, the flux hypothesis count and the Poincare
     # ratio all read the diameters of one 9-component state: one caliper
-    # call over its 9 component hulls and their union's, with every
-    # component's diameter the same bits as a one-hull pass gives
+    # call over its 9 component hulls, none over the hull of their union,
+    # with every component's diameter the same bits as a one-hull pass gives
     curve = geo.PolyCurve([geo.make_ellipse(1.2, 0.9, 128)]
                           + [geo.make_circle((3.0, -1.75 + 0.5 * k), 0.01, 24)
                              for k in range(8)])
@@ -602,7 +602,7 @@ def test_sample_checkers_make_one_caliper_pass_per_curve(monkeypatch, circle_cal
     nb = en.nu_dot_B_sums(sample.geometry, field, circle_calibration, xi_bound,
                           f_value=1.0, e_value=1.0)
     poincare_ratio(sample.geometry, sample.s, 2)
-    assert calls == [10]
+    assert calls == [9]
     one_by_one = [diameters([geo._hull(c.vertices)])[0] for c in curve.components]
     assert np.array_equal(curve.diameters, one_by_one)
     limit = 1.0 / (2.0 * xi_bound)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
 import flow_oracle
-from geometry_oracle import parts, translated
+from geometry_oracle import parts, translated, turning_curvature
 from surfdiff import flow as fl
 from surfdiff import geometry as geo
 from surfdiff.errors import (AreaDriftExceeded, DtFloorReached, SingularSystem, StepRejected,
@@ -345,9 +345,9 @@ def test_banded_flow_operator_matches_dense_solve(n, bubbles, dt, seed):
 
 def test_step_computes_no_diameter(monkeypatch):
     # validating a new state needs no hull and no caliper pass; the first
-    # read of the curve's diameter makes one caliper call over a hull per
-    # component and, with several components, the hull of their hulls, and
-    # that call gives every component's diameter too
+    # read of the component diameters makes one caliper call over a hull per
+    # component, and the first read of the curve's diameter, with several
+    # components, one more over the hull of their hulls
     calls = {"_hull": 0, "_diameters": []}
     hull, diameters = geo._hull, geo._diameters
 
@@ -368,11 +368,29 @@ def test_step_computes_no_diameter(monkeypatch):
         new = fl.step(state, fl.FlowConfig(dt=1e-4, end_time=1.0))
         assert calls == {"_hull": 0, "_diameters": []}
         for _ in range(2):
-            new.curve.diameter
             new.curve.diameters
-            assert calls == {"_hull": hulls, "_diameters": [hulls]}
+            assert calls == {"_hull": bubbles + 1, "_diameters": [bubbles + 1]}
+        union = [1] if bubbles else []
+        for _ in range(2):
+            new.curve.diameter
+            assert calls == {"_hull": hulls, "_diameters": [bubbles + 1] + union}
         monkeypatch.undo()
         calls.update(_hull=0, _diameters=[])
+
+
+def test_step_builds_no_curvature():
+    # no step reads kappa or arc_positions, so the new state's geometry has
+    # built neither; read afterwards, both are bit for bit their eager
+    # expressions
+    for bubbles in (0, 4):
+        state = fl.FlowState.initial(_resampled(
+            [geo.make_ellipse(2.0, 1.0, 128)]
+            + [geo.make_circle((3.0 + k, 2.0), 0.1, 24) for k in range(bubbles)]))
+        geom = fl.step(state, fl.FlowConfig(dt=1e-4, end_time=1.0)).geometry
+        assert "kappa" not in vars(geom) and "arc_positions" not in vars(geom)
+        assert geom.kappa.tobytes() == turning_curvature(geom).tobytes()
+        assert (geom.arc_positions.tobytes()
+                == geo.cycle_arc(geom.edge_lengths, geom.layout)[0].tobytes())
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

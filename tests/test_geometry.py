@@ -582,19 +582,25 @@ def test_segments_cached_and_read_only():
 
 def test_curve_geometry_read_only_and_shares_the_curve_arrays():
     # the samples of a run are evaluated on several threads that share
-    # these arrays; the vertices and edge lengths are the curve's own
+    # these arrays; the vertices and edge lengths are the curve's own, and
+    # kappa and arc_positions, built on first read, are read-only too and
+    # bit for bit their eager expressions
     curve = geo.PolyCurve([geo.make_circle((0.0, 0.0), 1.0, 16),
                            geo.make_circle((0.0, 0.0), 0.5, 12, orientation=-1)])
     geom = geo.build_geometry(curve)
     assert geom.vertices is curve.segments[0]
     assert geom.edge_lengths is curve.edge_lengths
     assert geom.layout is curve.layout
-    arrays = [getattr(geom, f.name) for f in dataclasses.fields(geom)
-              if f.name not in ("curve", "layout")] + list(geom.layout)
+    arrays = ([getattr(geom, f.name) for f in dataclasses.fields(geom)
+               if f.name not in ("curve", "layout")]
+              + [geom.kappa, geom.arc_positions] + list(geom.layout))
     assert len(arrays) == 9 + 7
     for arr in arrays:
         with pytest.raises(ValueError):
             arr[0] = arr[-1]
+    assert geom.kappa.tobytes() == oracle.turning_curvature(geom).tobytes()
+    assert (geom.arc_positions.tobytes()
+            == geo.cycle_arc(geom.edge_lengths, geom.layout)[0].tobytes())
 
 
 # ---------------------------------------------------------------------------
@@ -928,11 +934,11 @@ def test_list_and_stacked_builds_are_bit_identical(n_bubbles, seed):
         assert np.array_equal(a, b)
     assert np.array_equal(listed.edge_lengths, stacked.edge_lengths)
     want, got = geo.build_geometry(listed), geo.build_geometry(stacked)
-    for f in dataclasses.fields(want):
-        if f.name not in ("curve", "layout"):
-            assert np.array_equal(getattr(want, f.name), getattr(got, f.name)), f.name
+    for name in [f.name for f in dataclasses.fields(want)] + ["kappa", "arc_positions"]:
+        if name not in ("curve", "layout"):
+            assert np.array_equal(getattr(want, name), getattr(got, name)), name
     assert got.layout is want.layout
-    # a second build reads recomputed edge terms, bit for bit the first's
+    # a second build reads recomputed shoelace terms, bit for bit the first's
     again = geo.build_geometry(stacked)
     assert np.array_equal(again.kappa, got.kappa) and np.array_equal(again.area, got.area)
     for a, b in zip(listed.components, stacked.components):
