@@ -258,19 +258,21 @@ class AnalyticCircles:
         return best
 
 
+DELTA_SCAN_TIMES = 9    # times at which a moving reference's admissible delta is taken
+
+
 class PolygonReference:
-    """Reference given by a trajectory of polygonal curves (or one static curve).
+    """Reference given by a trajectory of polygonal curves.
 
     Between trajectory samples the vertex positions are interpolated
     linearly; closest-point queries run against the interpolated polygon.
+    A trajectory of one sample is a stationary reference: its one curve at
+    every time, with zero velocity.
     """
 
-    def __init__(self, trajectory=None, curve: PolyCurve | None = None):
-        if (trajectory is None) == (curve is None):
-            raise ValueError("pass exactly one of trajectory or curve")
+    def __init__(self, trajectory):
         self.trajectory = trajectory
-        self.static_curve = curve
-        self.stationary = trajectory is None
+        self.stationary = len(trajectory.times) == 1
         self._cache: dict[float, tuple] = {}
 
     def _state_at(self, t: float):
@@ -278,21 +280,16 @@ class PolygonReference:
         key = float(t)
         state = self._cache.get(key)
         if state is None:
-            geom = build_geometry(self.static_curve if self.trajectory is None
-                                  else self.trajectory.curve_at(t))
+            geom = build_geometry(self.trajectory.curve_at(t))
             # spatial PDE velocity of the interpolated geometry; the discrete
             # second derivative has exactly zero weighted mean, which the
             # Neumann solvability check requires
-            v = (d2ds2(geom, geom.kappa) if self.trajectory is not None
-                 else np.zeros(len(geom.kappa)))
+            v = np.zeros(len(geom.kappa)) if self.stationary else d2ds2(geom, geom.kappa)
             state = (geom, v)
             if len(self._cache) > 64:
                 self._cache.clear()
             self._cache[key] = state
         return state
-
-    def curve_at(self, t: float) -> PolyCurve:
-        return self._state_at(t)[0].curve
 
     def geometry_at(self, t: float) -> CurveGeometry:
         return self._state_at(t)[0]
@@ -324,14 +321,12 @@ class PolygonReference:
             parent=np.array(jordan_decompose(geom.curve).parent), point=geom.vertices[first],
             normal=geom.nu[first])
 
-    def admissible_delta(self, nt: int = 9) -> float:
-        if self.trajectory is None:
-            times = [0.0]
-        else:
-            tt = self.trajectory.times
-            times = np.linspace(tt[0], tt[-1], nt)
+    def admissible_delta(self) -> float:
+        """The least polygonal bound at DELTA_SCAN_TIMES times spanning the
+        trajectory, or at its one time."""
+        tt = self.trajectory.times
         best = np.inf
-        for t in times:
+        for t in np.linspace(tt[0], tt[-1], 1 if self.stationary else DELTA_SCAN_TIMES):
             best = min(best, _admissible_delta_polygonal(self.geometry_at(t)))
         return float(best)
 

@@ -14,7 +14,7 @@ The invariant suite is the test suite (``pytest tests/test_acceptance.py``).
 states go through :func:`evaluate_run`, the outputs through
 :func:`write_outputs`, and :func:`passed` decides the exit status.  Only
 ``simulate`` has a flow run, so only its summary holds the flow diagnostics
-(length monotonicity, area drift, dissipation-identity residuals).
+(area drift, dissipation-identity residuals).
 
 Outputs are bit-identical across repeated runs with the same config and
 seed: randomness flows from a single 64-bit seed through a counter-based
@@ -64,20 +64,23 @@ class Scenario:
     weak_perturb_mode: int
     weak_bubbles: list           # ("auto", count, radius) or explicit (cx, cy, r, n)
     weak_dt: float
-    max_dt_growth: float = 1.2
     area_drift_abort: float = 1e-3
 
 
-def _parse_shape(text: str) -> tuple:
-    parts = text.split()
-    kind = parts[0]
-    if kind == "circle":
-        return ("circle", float(parts[1]))
-    if kind == "ellipse":
-        return ("ellipse", float(parts[1]), float(parts[2]))
+# the parameters each shape kind takes
+SHAPE_PARAMS = {"circle": "R", "ellipse": "a b", "wavy": "R amp mode"}
+
+
+def _parse_shape(text: str, where: str) -> tuple:
+    """A shape line; ``where`` names its file, section and key in the errors."""
+    kind, *vals = text.split()
+    if kind not in SHAPE_PARAMS:
+        raise ValueError(f"{where}: unknown shape {text!r}")
+    if len(vals) != len(SHAPE_PARAMS[kind].split()):
+        raise ValueError(f"{where} needs '{kind} {SHAPE_PARAMS[kind]}', got {text!r}")
     if kind == "wavy":
-        return ("wavy", float(parts[1]), float(parts[2]), int(parts[3]))
-    raise ValueError(f"unknown shape {text!r}")
+        return ("wavy", float(vals[0]), float(vals[1]), int(vals[2]))
+    return (kind, *map(float, vals))
 
 
 # the keys each section may hold, and the key each reference kind needs
@@ -85,7 +88,7 @@ SECTION_KEYS = {
     "scenario": {"name", "seed", "delta", "end_time", "sample_count", "out"},
     "reference": {"kind", "circles", "file", "shape", "resolution", "dt"},
     "weak": {"shape", "resolution", "perturb_amplitude", "perturb_mode", "bubbles", "dt",
-             "max_dt_growth", "area_drift_abort"},
+             "area_drift_abort"},
 }
 KIND_KEY = {"circles": "circles", "file": "file", "flow": "shape"}
 
@@ -115,6 +118,10 @@ def load_scenario(path) -> Scenario:
 
     if sc.get("end_time") is None:
         raise ValueError(f"{path}: [scenario] needs 'end_time'")
+    sample_count = sc.getint("sample_count", 12)
+    if sample_count < 1:
+        raise ValueError(f"{path}: [scenario] 'sample_count' must be at least 1, "
+                         f"got {sample_count}")
     delta_raw = sc.get("delta", "auto").strip()
     circles = []
     for line in ref.get("circles", "").strip().splitlines():
@@ -142,21 +149,22 @@ def load_scenario(path) -> Scenario:
         seed=sc.getint("seed", 0),
         delta=None if delta_raw == "auto" else float(delta_raw),
         end_time=sc.getfloat("end_time"),
-        sample_count=sc.getint("sample_count", 12),
+        sample_count=sample_count,
         out=sc.get("out", ""),
         ref_kind=kind,
         ref_circles=circles,
         ref_file=ref.get("file", None),
-        ref_shape=_parse_shape(ref["shape"]) if ref.get("shape") else None,
+        ref_shape=(_parse_shape(ref["shape"], f"{path}: [reference] 'shape'")
+                   if ref.get("shape") else None),
         ref_resolution=ref.getint("resolution", 512),
         ref_dt=ref.getfloat("dt", 1e-4),
-        weak_shape=_parse_shape(weak["shape"]) if weak.get("shape") else None,
+        weak_shape=(_parse_shape(weak["shape"], f"{path}: [weak] 'shape'")
+                    if weak.get("shape") else None),
         weak_resolution=weak.getint("resolution", 128),
         weak_perturb_amplitude=weak.getfloat("perturb_amplitude", 0.0),
         weak_perturb_mode=weak.getint("perturb_mode", 0),
         weak_bubbles=bubbles,
         weak_dt=weak.getfloat("dt", 1e-4),
-        max_dt_growth=weak.getfloat("max_dt_growth", 1.2),
         area_drift_abort=weak.getfloat("area_drift_abort", 1e-3),
     )
 
@@ -239,7 +247,10 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None,
         ref_datum = None
     elif scenario.ref_kind == "file":
         curve = geo.read_curve_file(scenario.ref_file)
-        reference = cblib.PolygonReference(curve=curve)
+        reference = cblib.PolygonReference(fllib.Trajectory([0.0], [curve]))
+        # every sample's stationary gradient ratio needs a union of circles:
+        # reject any other curve before the weak flow runs
+        enlib.require_constant_curvature(reference.geometry_at(0.0))
         ref_datum = None
     elif scenario.ref_kind == "flow":
         datum = _build_shape(scenario.ref_shape, scenario.ref_resolution)
@@ -268,7 +279,6 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None,
             rng, scenario.weak_bubbles, reference, calib.delta, weak_curve)
 
     cfg = fllib.FlowConfig(dt=scenario.weak_dt, end_time=scenario.end_time,
-                           max_dt_growth=scenario.max_dt_growth,
                            area_drift_abort=scenario.area_drift_abort)
     run = fllib.run_flow(weak_curve, cfg, sample_stride=1,
                          max_samples=4 * scenario.sample_count)
@@ -348,6 +358,7 @@ def _evaluate_sample(state, calib):
             "small_component_factor": 34.0 * b_field.div_sup,
             "length_threshold": (1.0 / b_field.sup_norm
                                  if b_field.sup_norm > 0 else None),
+            "bc_residual": b_field.bc_residual,
         }
     slacks = {
         "pointwise_slack": check.worst,
@@ -402,7 +413,7 @@ def evaluate_run(states: list, calib, sample_count: int) -> dict:
 
 
 def _flow_diagnostics(run: fllib.FlowRun) -> dict:
-    """Length monotonicity, area drift and the mean dissipation-identity residuals of a run.
+    """Area drift and the mean dissipation-identity residuals of a run.
 
     The residuals pair neighbouring recorded states, which are as many
     accepted steps apart as the run's sample stride when they were recorded.
@@ -416,8 +427,6 @@ def _flow_diagnostics(run: fllib.FlowRun) -> dict:
         residuals.append(full)
         residuals_half.append(half)
     return {
-        "length_monotone": bool(np.all(np.diff(run.length_series)
-                                       <= 1e-13 * run.length_series[0])),
         "area_drift": float(np.max(np.abs(np.array(run.area_series)
                                           - run.area_series[0]))
                             / abs(run.area_series[0])),
@@ -475,12 +484,6 @@ def run_report(directory: str) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
-def _simulate_one(args_tuple):
-    path, out, seed = args_tuple
-    scenario = load_scenario(path)
-    return scenario.name, passed(run_scenario(scenario, out_dir=out, seed=seed))
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="surfdiff",
                                      description="surface diffusion laboratory")
@@ -490,7 +493,6 @@ def main(argv=None) -> int:
     p_sim.add_argument("configs", nargs="+")
     p_sim.add_argument("--out", default=None, help="output root override")
     p_sim.add_argument("--seed", type=int, default=None)
-    p_sim.add_argument("--jobs", type=int, default=1)
 
     p_cmp = sub.add_parser("compare", help="weak vs strong trajectory")
     p_cmp.add_argument("weak")
@@ -508,26 +510,16 @@ def main(argv=None) -> int:
     if args.command == "report":
         return run_report(args.directory)
 
-    jobs = []
+    ok_all = True
     for path in args.configs:
         out = None
         if args.out:
             base = os.path.splitext(os.path.basename(path))[0]
             out = os.path.join(args.out, base)
-        jobs.append((path, out, args.seed))
-    ok_all = True
-    if args.jobs > 1 and len(jobs) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            for name, ok in pool.map(_simulate_one, jobs):
-                print(f"{'PASS' if ok else 'FAIL'} scenario {name}")
-                ok_all &= ok
-    else:
-        for job in jobs:
-            name, ok = _simulate_one(job)
-            print(f"{'PASS' if ok else 'FAIL'} scenario {name}")
-            ok_all &= ok
+        scenario = load_scenario(path)
+        ok = passed(run_scenario(scenario, out_dir=out, seed=args.seed))
+        print(f"{'PASS' if ok else 'FAIL'} scenario {scenario.name}")
+        ok_all &= ok
     return 0 if ok_all else 1
 
 

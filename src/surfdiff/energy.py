@@ -284,15 +284,17 @@ class GronwallResult:
     series: list
 
 
-def gronwall_verdict(reports: list[EnergyReport], floor: float = 1e-7,
-                     c_max: float = 1e3) -> GronwallResult:
+GRONWALL_C_MAX = 1e3    # the largest Gronwall constant a PASS may fit
+
+
+def gronwall_verdict(reports: list[EnergyReport], floor: float = 1e-7) -> GronwallResult:
     """Smallest C with E+F <= C exp(Ct) (E0+F0) and the integral form.
 
     Both the exponential and the trapezoidal integral form must hold at
     every sample for the fitted C; the verdict is PASS when such a finite C
-    exists below c_max.  The t=0 sample forces the literal exponential form
-    to C >= 1, so the integral-form constant (zero for a nonincreasing
-    series) is reported separately.  A start at the quadrature floor with
+    exists below GRONWALL_C_MAX.  The t=0 sample forces the literal
+    exponential form to C >= 1, so the integral-form constant (zero for a
+    nonincreasing series) is reported separately.  A start at the quadrature floor with
     later growth beyond it falsifies uniqueness and raises
     DegenerateInitialData.
     """
@@ -321,7 +323,7 @@ def gronwall_verdict(reports: list[EnergyReport], floor: float = 1e-7,
                 return False
         return not np.any(s - s0 > c * cum + 1e-30)
 
-    lo_c, hi_c = 0.0, c_max
+    lo_c, hi_c = 0.0, GRONWALL_C_MAX
     if not ok(hi_c):
         return GronwallResult(c_fit=np.inf, c_integral=c_int, verdict="FAIL",
                               floor=floor, initial=float(s0),
@@ -436,6 +438,14 @@ def small_component_area_check(sample: TubeSample,
 # stationary-reference gradient bound
 # ---------------------------------------------------------------------------
 
+def require_constant_curvature(geom: CurveGeometry) -> None:
+    """Raise NonStationaryReference unless the curvature is constant per component."""
+    first = geom.layout.first
+    grad = np.maximum.reduceat(np.abs(dds(geom, geom.kappa)), first)
+    if np.any(grad > 1e-3 * np.maximum(1.0, np.maximum.reduceat(np.abs(geom.kappa), first))):
+        raise NonStationaryReference("reference curvature is not constant per component")
+
+
 def stationary_gradient_ratio(report: EnergyReport, calib: Calibration) -> float:
     """int |d(div xi)/ds|^2 over E for a stationary reference, from one report.
 
@@ -446,12 +456,7 @@ def stationary_gradient_ratio(report: EnergyReport, calib: Calibration) -> float
     if not isinstance(ref, AnalyticCircles):
         if not ref.stationary:
             raise NonStationaryReference("reference evolves in time")
-        geom = ref.geometry_at(report.t)
-        first = geom.layout.first
-        grad = np.maximum.reduceat(np.abs(dds(geom, geom.kappa)), first)
-        if np.any(grad > 1e-3 * np.maximum(1.0, np.maximum.reduceat(np.abs(geom.kappa),
-                                                                    first))):
-            raise NonStationaryReference("reference curvature is not constant per component")
+        require_constant_curvature(ref.geometry_at(report.t))
     return report.cross_xi / report.E if report.E > 0 else 0.0
 
 

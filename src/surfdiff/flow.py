@@ -48,6 +48,7 @@ from .geometry import (
 from .poisson import PeriodicSpline, h_minus1_norm_sq, solve_cyclic_banded
 
 DT_MIN_FACTOR = 2.0**-24
+MAX_DT_GROWTH = 1.2                 # dt factor after ten consecutive accepted steps
 REMESH_RATIO_BOUNDS = (0.5, 2.0)    # edge length over its component's mean, after a step
 
 
@@ -55,14 +56,11 @@ REMESH_RATIO_BOUNDS = (0.5, 2.0)    # edge length over its component's mean, aft
 class FlowConfig:
     dt: float
     end_time: float
-    max_dt_growth: float = 1.2
     area_drift_abort: float = 1e-3
 
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-        if not (1.0 <= self.max_dt_growth <= 1.2):
-            raise ValueError("max_dt_growth must lie in [1.0, 1.2]")
 
 
 @dataclass
@@ -273,7 +271,7 @@ def run_flow(initial: PolyCurve, config: FlowConfig, sample_stride: int = 10,
              stop_condition=None, max_samples: int | None = None) -> FlowRun:
     """Drive the flow to end_time with halving-on-rejection dt control.
 
-    dt halves on StepRejected and regrows by max_dt_growth after ten
+    dt halves on StepRejected and regrows by MAX_DT_GROWTH after ten
     consecutive acceptances; each rejection is counted under its reason.  At
     the dt floor a persisting self-intersection is reported as
     TopologyChange, a persisting cumulative area drift as AreaDriftExceeded
@@ -332,7 +330,7 @@ def run_flow(initial: PolyCurve, config: FlowConfig, sample_stride: int = 10,
         lengths.append(state.length())
         areas.append(state.area())
         if streak >= 10:
-            dt *= config.max_dt_growth
+            dt *= MAX_DT_GROWTH
             streak = 0
         if state.step_index % stride == 0:
             samples.append(state)
@@ -350,7 +348,7 @@ def run_flow(initial: PolyCurve, config: FlowConfig, sample_stride: int = 10,
 
 
 def make_reference(config: FlowConfig, initial: PolyCurve,
-                   sample_stride: int = 10, stop_condition=None) -> Trajectory:
+                   sample_stride: int = 10) -> Trajectory:
     """Run the flow at reference resolution and record the trajectory.
 
     The caller supplies the high-resolution initial curve (at least four
@@ -358,7 +356,7 @@ def make_reference(config: FlowConfig, initial: PolyCurve,
     Trajectories are numerically smooth in the sense of being
     resolution-tested, no regularity class is certified.
     """
-    return run_flow(initial, config, sample_stride, stop_condition).trajectory
+    return run_flow(initial, config, sample_stride).trajectory
 
 
 def dissipation_identity_residual(before: FlowState,

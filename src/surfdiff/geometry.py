@@ -60,10 +60,6 @@ class Component:
         x, y = self.vertices[:, 0], self.vertices[:, 1]
         return float(0.5 * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
-    def length(self) -> float:
-        return float(np.sum(np.linalg.norm(np.roll(self.vertices, -1, axis=0)
-                                           - self.vertices, axis=1)))
-
 
 class PolyCurve:
     """A forest of disjoint simple closed components, holes included.
@@ -188,12 +184,6 @@ class PolyCurve:
     def with_vertices(self, vertices) -> "PolyCurve":
         """The curve at these stacked vertices, its counts and orientations kept."""
         return PolyCurve(vertices=vertices, counts=self.counts, orientations=self.orientations)
-
-    def signed_area(self) -> float:
-        return sum(c.signed_area() for c in self.components)
-
-    def length(self) -> float:
-        return sum(c.length() for c in self.components)
 
     def rotated(self, angle: float) -> "PolyCurve":
         c, s = np.cos(angle), np.sin(angle)

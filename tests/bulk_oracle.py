@@ -50,7 +50,7 @@ def reference_curve(calib, t, n):
     if isinstance(ref, AnalyticCircles):
         return PolyCurve([make_circle(c.center, c.radius, n, c.orientation)
                           for c in ref.circles])
-    return ref.curve_at(t)
+    return ref.geometry_at(t).curve
 
 
 def clip_rect(poly, lo, hi):

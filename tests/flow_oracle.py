@@ -3,15 +3,19 @@
 Each component gets its own pentadiagonal solve, its own area-neutral shift
 and its own periodic ``scipy.interpolate.CubicSpline`` resampling, one
 component after another, on its slice of the state's ``CurveGeometry``.
-``volume_drift`` measures a trajectory's area drift for the tests, and
-``flow_solve_gap`` checks the stacked band solve against a dense solve.
+``volume_drift`` measures a trajectory's area drift for the tests,
+``fixed_dt_run`` takes ``flow.step`` at one dt where ``run_flow`` would grow
+it, and ``flow_solve_gap`` checks the stacked band solve against a dense
+solve.
 Only the tests import this module.
 """
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from surfdiff.flow import _normal_velocity
+from surfdiff.flow import FlowConfig, FlowState, Trajectory, _normal_velocity, _resample_uniform
+from surfdiff.flow import step as flow_step
+from surfdiff.geometry import build_geometry
 from surfdiff.poisson import solve_cyclic_banded
 
 from geometry_oracle import parts
@@ -91,8 +95,24 @@ def step(state, dt):
 
 def volume_drift(trajectory):
     """Max relative enclosed-area drift over the trajectory samples."""
-    areas = np.array([curve.signed_area() for curve in trajectory.curves])
+    areas = np.array([sum(build_geometry(curve).area) for curve in trajectory.curves])
     return float(np.max(np.abs(areas - areas[0])) / abs(areas[0]))
+
+
+def fixed_dt_run(curve, dt, steps, sample_stride=1, area_drift_abort=1e-3):
+    """``steps`` flow steps at one dt, from the curve redistributed as ``run_flow``
+    starts it: every ``sample_stride``-th state as a Trajectory, with the area of
+    every state.  A rejected step raises StepRejected."""
+    config = FlowConfig(dt=dt, end_time=dt * steps, area_drift_abort=area_drift_abort)
+    state = FlowState.initial(curve.with_vertices(
+        _resample_uniform(curve.vertices, curve.counts, passes=4)))
+    states, areas = [state], [state.area()]
+    for k in range(1, steps + 1):
+        state = flow_step(state, config)
+        areas.append(state.area())
+        if k % sample_stride == 0:
+            states.append(state)
+    return Trajectory([s.time for s in states], [s.curve for s in states]), areas
 
 
 def flow_solve_gap(geom, dt):

@@ -163,7 +163,7 @@ def test_zero_reach_on_touching_circles():
 
 def test_polygonal_delta_conservative():
     curve = geo.PolyCurve([geo.make_circle((0, 0), 1.0, 512)])
-    ref = cb.PolygonReference(curve=curve)
+    ref = cb.PolygonReference(fl.Trajectory([0.0], [curve]))
     val = ref.admissible_delta()
     assert 0.2 <= val <= 0.25
 
@@ -275,7 +275,8 @@ def test_eikonal_and_idempotence(circle_calibration):
 
 
 def test_eikonal_polygon_reference():
-    pref = cb.PolygonReference(curve=geo.PolyCurve([geo.make_circle((0, 0), 1.0, 512)]))
+    pref = cb.PolygonReference(
+        fl.Trajectory([0.0], [geo.PolyCurve([geo.make_circle((0, 0), 1.0, 512)])]))
     calib = cb.Calibration(pref)
     rng = np.random.default_rng(2)
     ang = rng.uniform(0, 2 * np.pi, 1000)

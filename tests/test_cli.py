@@ -14,6 +14,7 @@ from surfdiff import cli
 from surfdiff import energy as en
 from surfdiff import flow as fl
 from surfdiff import geometry as geo
+from surfdiff.errors import NonStationaryReference
 
 
 def test_every_exported_name_resolves():
@@ -80,7 +81,6 @@ dt = 5e-5
 [weak]
 resolution = 64
 dt = 1e-4
-max_dt_growth = 1.0
 area_drift_abort = 1e-13
 """
 
@@ -116,6 +116,28 @@ def test_load_scenario_missing_end_time(tmp_path):
         cli.load_scenario(bad)
 
 
+@pytest.mark.parametrize("section, shape", [("weak", "ellipse 2"), ("weak", "circle"),
+                                            ("weak", "wavy 1 0.1"), ("reference", "ellipse 2")])
+def test_load_scenario_rejects_a_shape_of_the_wrong_arity(tmp_path, section, shape):
+    bad = tmp_path / "arity.ini"
+    if section == "weak":
+        bad.write_text(STATIONARY_INI.replace("shape = circle 1", f"shape = {shape}"))
+    else:
+        bad.write_text(FLOW_REF_INI.replace("shape = ellipse 2 1", f"shape = {shape}"))
+    kind = shape.split()[0]
+    with pytest.raises(ValueError, match=rf"arity\.ini: \[{section}\] 'shape' needs '{kind} "):
+        cli.load_scenario(bad)
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_load_scenario_rejects_sample_count_below_one(tmp_path, count):
+    bad = tmp_path / "count.ini"
+    bad.write_text(STATIONARY_INI.replace("sample_count = 10", f"sample_count = {count}"))
+    with pytest.raises(ValueError, match=rf"count\.ini: \[scenario\] 'sample_count' must be "
+                                         rf"at least 1, got {count}"):
+        cli.load_scenario(bad)
+
+
 @pytest.mark.parametrize("line", ["1.5 1.5", "auto 4"])
 def test_load_scenario_short_bubble_line(tmp_path, line):
     bad = tmp_path / "short_bubble.ini"
@@ -148,6 +170,14 @@ def test_load_scenario_rejects_unknown_key(tmp_path):
         cli.load_scenario(bad)
 
 
+def test_load_scenario_rejects_max_dt_growth(tmp_path):
+    # the growth factor is the constant flow.MAX_DT_GROWTH, no longer a key
+    bad = tmp_path / "growth.ini"
+    bad.write_text(STATIONARY_INI + "max_dt_growth = 1.0\n")
+    with pytest.raises(ValueError, match=r"growth\.ini: \[weak\] unknown key 'max_dt_growth'"):
+        cli.load_scenario(bad)
+
+
 @pytest.mark.parametrize("kind, key", [("flow", "shape"), ("file", "file"),
                                        ("circles", "circles")])
 def test_load_scenario_rejects_reference_kind_without_its_key(tmp_path, kind, key):
@@ -173,8 +203,8 @@ def test_simulate_stationary_end_to_end(stationary_cfg, tmp_path):
     run_dir = out / "stat"
     summary = json.loads((run_dir / "summary.json").read_text())
     assert summary["gronwall"]["verdict"].startswith("PASS")
-    assert summary["length_monotone"] is True
     assert summary["area_drift"] <= 1e-4
+    assert "length_monotone" not in summary    # step rejects every length increase
     assert summary["worst_slacks"]["pointwise_slack"] >= -1e-12
     assert (run_dir / "reports.csv").exists()
     assert (run_dir / "trajectory" / "index.csv").exists()
@@ -217,16 +247,21 @@ def test_identical_initial_data_uniqueness(tmp_path):
     assert summary["gronwall"]["verdict"] == "PASS-TRIVIAL"
 
 
-def test_simulate_jobs_flag(stationary_cfg, tmp_path):
+def test_simulate_jobs_flag_is_gone(stationary_cfg, tmp_path, capsys):
+    # configs run one after another, each into its own directory; argparse
+    # rejects the old flag that ran them in a process pool
     second = tmp_path / "stat2.ini"
     second.write_text(STATIONARY_INI.replace("name = mini-stationary",
                                              "name = mini-second"))
-    out = tmp_path / "par"
-    code = cli.main(["simulate", str(stationary_cfg), str(second),
-                     "--out", str(out), "--jobs", "2"])
-    assert code == 0
+    out = tmp_path / "seq"
+    assert cli.main(["simulate", str(stationary_cfg), str(second), "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines() == ["PASS scenario mini-stationary",
+                                                    "PASS scenario mini-second"]
     assert (out / "stat" / "summary.json").exists()
     assert (out / "stat2" / "summary.json").exists()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["simulate", str(stationary_cfg), "--jobs", "2"])
+    assert exc.value.code == 2
 
 
 def test_verify_command_is_gone():
@@ -237,8 +272,8 @@ def test_verify_command_is_gone():
 
 
 def test_flow_reference_ignores_weak_run_settings(tmp_path, monkeypatch):
-    # [weak] max_dt_growth and area_drift_abort set the weak run only: the
-    # reference flow takes its own dt and the horizon
+    # [weak] area_drift_abort sets the weak run only: the reference flow
+    # takes its own dt and the horizon
     path = tmp_path / "flow.ini"
     path.write_text(FLOW_REF_INI)
     scenario = cli.load_scenario(path)
@@ -247,7 +282,7 @@ def test_flow_reference_ignores_weak_run_settings(tmp_path, monkeypatch):
     class Reached(Exception):
         pass
 
-    def capture(config, initial, sample_stride=10, stop_condition=None):
+    def capture(config, initial, sample_stride=10):
         seen.append(config)
         raise Reached
 
@@ -255,6 +290,28 @@ def test_flow_reference_ignores_weak_run_settings(tmp_path, monkeypatch):
     with pytest.raises(Reached):
         cli.run_scenario(scenario, out_dir=str(tmp_path / "out"))
     assert seen == [fl.FlowConfig(dt=5e-5, end_time=0.002)]
+
+
+@pytest.mark.parametrize("ref, error", [("ellipse", NonStationaryReference), ("circle", None)])
+def test_file_reference_is_checked_before_the_weak_flow(tmp_path, monkeypatch, ref, error):
+    # a file reference is stationary, and its stationary gradient ratio needs
+    # a union of circles: any other curve fails before the weak flow starts
+    comp = (geo.make_ellipse(2.0, 1.0, 256) if ref == "ellipse"
+            else geo.make_circle((0.0, 0.0), 1.0, 256))
+    geo.write_curve_file(geo.PolyCurve([comp]), tmp_path / "ref.txt")
+    path = tmp_path / "file.ini"
+    path.write_text(STATIONARY_INI.replace("delta = 0.25", "delta = auto").replace(
+        "kind = circles\ncircles = 0 0 1 1\n", f"kind = file\nfile = {tmp_path / 'ref.txt'}\n"))
+
+    class Reached(Exception):
+        pass
+
+    def weak_flow(*args, **kwargs):
+        raise Reached
+
+    monkeypatch.setattr(fl, "run_flow", weak_flow)
+    with pytest.raises(error or Reached, match="not constant per component" if error else None):
+        cli.run_scenario(cli.load_scenario(path), out_dir=str(tmp_path / "out"))
 
 
 def test_evaluate_run_evaluates_each_sample_once(monkeypatch):
@@ -467,7 +524,8 @@ def test_compare_reports_equal_direct_dissipation_reports(tmp_path):
         assert (t_, e, f, d_v) == (rep.t, rep.E, rep.F, rep.D_V)
     summary = json.loads((out / "summary.json").read_text())
     assert summary["worst_slacks"]["pointwise_slack"] is not None
-    assert summary["flux_constants_final"] is not None
+    assert (summary["flux_constants_final"]["bc_residual"]
+            == calib.b_field(traj.times[-1]).bc_residual)
 
 
 def test_report_command(stationary_cfg, tmp_path, capsys):
@@ -493,8 +551,8 @@ def test_cli_import_leaves_module_unloaded(module):
     # and no scipy.linalg with the numpy.f2py and numpy.ma its __init__
     # pulls in), the flow and the extension field fit the in-house periodic
     # spline (no scipy.interpolate), geometry takes its hulls and closest
-    # points from its own code (no scipy.spatial), and only `simulate
-    # --jobs` starts a process pool
+    # points from its own code (no scipy.spatial), and no command starts a
+    # process pool
     src = os.path.dirname(os.path.dirname(os.path.abspath(surfdiff.__file__)))
     code = f"import sys, surfdiff.cli; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

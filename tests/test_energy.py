@@ -10,6 +10,7 @@ from scipy.integrate import quad
 from surfdiff import calibration as cb
 from surfdiff import energy as en
 from surfdiff import extension as ex
+from surfdiff import flow as fl
 from surfdiff import geometry as geo
 from surfdiff import poisson as po
 from surfdiff.errors import (
@@ -145,7 +146,8 @@ def test_bulk_error_montecarlo_agreement(circle_calibration):
 
 
 def test_bulk_error_polygon_reference():
-    pref = cb.PolygonReference(curve=geo.PolyCurve([geo.make_circle((0, 0), 1.0, 512)]))
+    pref = cb.PolygonReference(
+        fl.Trajectory([0.0], [geo.PolyCurve([geo.make_circle((0, 0), 1.0, 512)])]))
     calib = cb.Calibration(pref)
     curve = geo.PolyCurve([geo.make_circle((0.05, 0), 1.0, 256)])
     f = _bulk(curve, calib)
@@ -204,7 +206,7 @@ def _random_forest(seed):
 _REFERENCES = {
     "circle": lambda: cb.Calibration(cb.AnalyticCircles([cb.CircleSpec((0.0, 0.0), 1.0)]), 0.25),
     "polygon": lambda: cb.Calibration(cb.PolygonReference(
-        curve=geo.PolyCurve([geo.make_ellipse(1.1, 0.9, 256)]))),
+        fl.Trajectory([0.0], [geo.PolyCurve([geo.make_ellipse(1.1, 0.9, 256)])]))),
 }
 
 
@@ -292,7 +294,7 @@ def test_bulk_error_polygon_reference_converges_to_the_oracle():
     gaps = []
     for n in (512, 1024, 2048):
         calib = cb.Calibration(cb.PolygonReference(
-            curve=geo.PolyCurve([geo.make_ellipse(2.0, 1.0, n)])), 0.125)
+            fl.Trajectory([0.0], [geo.PolyCurve([geo.make_ellipse(2.0, 1.0, n)])])), 0.125)
         oracle = bulk_error_recursive(weak, calib)
         gaps.append(abs(_bulk(weak, calib) - oracle) / oracle)
     assert gaps[0] > gaps[1] > gaps[2]
@@ -699,8 +701,6 @@ def test_lemma32_far_bubble_lowers_ratio(circle_calibration):
 
 
 def test_lemma32_rejects_moving_reference():
-    from surfdiff import flow as fl
-
     curve = geo.PolyCurve([geo.make_ellipse(2.0, 1.0, 128)])
     cfg = fl.FlowConfig(dt=1e-4, end_time=0.005)
     traj = fl.make_reference(cfg, curve, sample_stride=10)

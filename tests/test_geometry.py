@@ -284,12 +284,6 @@ def test_closed_curve_derivative_telescopes(unit_circle_256):
     assert abs(geo.integrate(geom, geo.dds(geom, np.sin(3 * geom.arc_positions)))[0]) <= 1e-12
 
 
-def test_perimeter_additivity():
-    curve = geo.PolyCurve([geo.make_circle((0, 0), 1.0, 64),
-                           geo.make_circle((5, 0), 2.0, 128)])
-    assert curve.length() == sum(geo.build_geometry(curve).length)
-
-
 def test_smooth_sampling_curvature_order():
     errs = []
     for n in (64, 128, 256):
