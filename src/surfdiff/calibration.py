@@ -26,6 +26,7 @@ from .geometry import (
     integrate,
     jordan_decompose,
     row_norms,
+    _point_segment_dist,
 )
 
 
@@ -276,8 +277,9 @@ class PolygonReference:
         self._cache: dict[float, tuple] = {}
 
     def _state_at(self, t: float):
-        """The geometry and PDE velocity at t, built once per time."""
-        key = float(t)
+        """The geometry and PDE velocity at t, built once per time; a
+        stationary reference has one state for every time."""
+        key = 0.0 if self.stationary else float(t)
         state = self._cache.get(key)
         if state is None:
             geom = build_geometry(self.trajectory.curve_at(t))
@@ -331,30 +333,39 @@ class PolygonReference:
         return float(best)
 
 
+_GAP_PAIRS = 1 << 13    # pairs per row block of the delta scan's kernels: 64 KB temporaries
+
+
 def _facing_self_gap(geom: CurveGeometry, k: int) -> float:
     """Min distance between curve points whose normals face along the chord.
 
     Operationalizes "self-distance between non-adjacent arcs": pairs are
     counted only if the connecting chord is nearly parallel to both normals,
     which singles out bottlenecks and ignores the trivially-near neighbours
-    along component k.
+    along component k.  Row blocks of about _GAP_PAIRS pairs keep each
+    entry's arithmetic, so the minimum over them is exact.
     """
     length, n = geom.length[k], geom.layout.counts[k]
     step = max(1, n // 256)
     idx = geom.layout.first[k] + np.arange(0, n, step)
     (x, y), (nx, ny), si = geom.vertices[idx].T, geom.nu[idx].T, geom.arc_positions[idx]
-    dx, dy = x[None, :] - x[:, None], y[None, :] - y[:, None]
-    d = np.sqrt(dx * dx + dy * dy)
-    darc = np.abs(si[None, :] - si[:, None])
-    darc = np.minimum(darc, length - darc)
-    dd = np.maximum(d, 1e-300)
-    ux, uy = dx / dd, dy / dd
-    a1 = np.abs(ux * nx[:, None] + uy * ny[:, None])
-    a2 = np.abs(ux * nx[None, :] + uy * ny[None, :])
-    facing = (a1 > 0.9) & (a2 > 0.9) & (darc > 8.0 * (length / n) * step) & (d > 0)
-    if not np.any(facing):
-        return np.inf
-    return float(d[facing].min())
+    near = 8.0 * (length / n) * step
+    best = np.inf
+    block = max(1, _GAP_PAIRS // len(idx))
+    for a in range(0, len(idx), block):
+        rows = slice(a, a + block)
+        dx, dy = x - x[rows, None], y - y[rows, None]
+        d = np.sqrt(dx * dx + dy * dy)
+        darc = np.abs(si - si[rows, None])
+        darc = np.minimum(darc, length - darc)
+        dd = np.maximum(d, 1e-300)
+        ux, uy = dx / dd, dy / dd
+        a1 = np.abs(ux * nx[rows, None] + uy * ny[rows, None])
+        a2 = np.abs(ux * nx + uy * ny)
+        facing = (a1 > 0.9) & (a2 > 0.9) & (darc > near) & (d > 0)
+        if np.any(facing):
+            best = min(best, d[facing].min())
+    return float(best)
 
 
 def _admissible_delta_polygonal(geom: CurveGeometry) -> float:
@@ -374,17 +385,18 @@ def _admissible_delta_polygonal(geom: CurveGeometry) -> float:
 
 
 def _polyline_gap(curve: PolyCurve, i: int, j: int) -> float:
-    """Least vertex-to-edge distance between components i and j, both ways."""
-    from .geometry import _point_segment_dist
-
+    """Least vertex-to-edge distance between components i and j, both ways,
+    over row blocks of about _GAP_PAIRS vertex-edge pairs."""
     starts, ends, comp_of, _ = curve.segments
     a = slice(*np.searchsorted(comp_of, [i, i + 1]))
     b = slice(*np.searchsorted(comp_of, [j, j + 1]))
-    d1 = _point_segment_dist(starts[a][:, None, :], starts[b][None, :, :],
-                             ends[b][None, :, :]).min()
-    d2 = _point_segment_dist(starts[b][:, None, :], starts[a][None, :, :],
-                             ends[a][None, :, :]).min()
-    return float(min(d1, d2))
+    best = np.inf
+    for verts, edges in ((starts[a], b), (starts[b], a)):
+        block = max(1, _GAP_PAIRS // (edges.stop - edges.start))
+        for r in range(0, len(verts), block):
+            best = min(best, _point_segment_dist(verts[r:r + block, None], starts[edges][None],
+                                                 ends[edges][None]).min())
+    return float(best)
 
 
 # ---------------------------------------------------------------------------

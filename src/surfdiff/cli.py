@@ -71,6 +71,15 @@ class Scenario:
 SHAPE_PARAMS = {"circle": "R", "ellipse": "a b", "wavy": "R amp mode"}
 
 
+def _number(convert, text: str, where: str):
+    """``int(text)`` or ``float(text)``; an error names ``where``."""
+    try:
+        return convert(text)
+    except ValueError:
+        kind = "an integer" if convert is int else "a number"
+        raise ValueError(f"{where}: {text!r} is not {kind}") from None
+
+
 def _parse_shape(text: str, where: str) -> tuple:
     """A shape line; ``where`` names its file, section and key in the errors."""
     kind, *vals = text.split()
@@ -78,9 +87,8 @@ def _parse_shape(text: str, where: str) -> tuple:
         raise ValueError(f"{where}: unknown shape {text!r}")
     if len(vals) != len(SHAPE_PARAMS[kind].split()):
         raise ValueError(f"{where} needs '{kind} {SHAPE_PARAMS[kind]}', got {text!r}")
-    if kind == "wavy":
-        return ("wavy", float(vals[0]), float(vals[1]), int(vals[2]))
-    return (kind, *map(float, vals))
+    types = (float, float, int) if kind == "wavy" else (float,) * len(vals)
+    return (kind, *(_number(convert, v, where) for convert, v in zip(types, vals)))
 
 
 # the keys each section may hold, and the key each reference kind needs
@@ -116,9 +124,13 @@ def load_scenario(path) -> Scenario:
     if not ref.get(KIND_KEY[kind]):
         raise ValueError(f"{path}: [reference] kind = {kind} needs {KIND_KEY[kind]!r}")
 
+    def number(section, key, convert, default=None):
+        raw = cp[section].get(key)
+        return default if raw is None else _number(convert, raw, f"{path}: [{section}] {key!r}")
+
     if sc.get("end_time") is None:
         raise ValueError(f"{path}: [scenario] needs 'end_time'")
-    sample_count = sc.getint("sample_count", 12)
+    sample_count = number("scenario", "sample_count", int, 12)
     if sample_count < 1:
         raise ValueError(f"{path}: [scenario] 'sample_count' must be at least 1, "
                          f"got {sample_count}")
@@ -128,27 +140,30 @@ def load_scenario(path) -> Scenario:
         vals = line.split()
         if len(vals) != 4:
             raise ValueError(f"{path}: circle line needs 'cx cy R orient': {line!r}")
-        circles.append(cblib.CircleSpec((float(vals[0]), float(vals[1])),
-                                        float(vals[2]), int(vals[3])))
+        cx, cy, r, o = (_number(convert, v, f"{path}: [reference] 'circles' line {line!r}")
+                        for convert, v in zip((float, float, float, int), vals))
+        circles.append(cblib.CircleSpec((cx, cy), r, o))
     bubbles = []
     braw = weak.get("bubbles", "").strip()
     if braw:
         for line in braw.splitlines():
             vals = line.split()
+            where = f"{path}: [weak] 'bubbles' line {line!r}"
             if len(vals) not in (3, 4) or (vals[0] == "auto" and len(vals) != 3):
                 raise ValueError(
                     f"{path}: bubble line needs 'auto count r' or 'cx cy r [n]': {line!r}")
             if vals[0] == "auto":
-                bubbles.append(("auto", int(vals[1]), float(vals[2])))
+                bubbles.append(("auto", _number(int, vals[1], where),
+                                _number(float, vals[2], where)))
             else:
-                bubbles.append((float(vals[0]), float(vals[1]), float(vals[2]),
-                                int(vals[3]) if len(vals) > 3 else 24))
+                bubbles.append((*(_number(float, v, where) for v in vals[:3]),
+                                _number(int, vals[3], where) if len(vals) > 3 else 24))
 
     return Scenario(
         name=sc.get("name", os.path.splitext(os.path.basename(path))[0]),
-        seed=sc.getint("seed", 0),
-        delta=None if delta_raw == "auto" else float(delta_raw),
-        end_time=sc.getfloat("end_time"),
+        seed=number("scenario", "seed", int, 0),
+        delta=None if delta_raw == "auto" else number("scenario", "delta", float),
+        end_time=number("scenario", "end_time", float),
         sample_count=sample_count,
         out=sc.get("out", ""),
         ref_kind=kind,
@@ -156,16 +171,16 @@ def load_scenario(path) -> Scenario:
         ref_file=ref.get("file", None),
         ref_shape=(_parse_shape(ref["shape"], f"{path}: [reference] 'shape'")
                    if ref.get("shape") else None),
-        ref_resolution=ref.getint("resolution", 512),
-        ref_dt=ref.getfloat("dt", 1e-4),
+        ref_resolution=number("reference", "resolution", int, 512),
+        ref_dt=number("reference", "dt", float, 1e-4),
         weak_shape=(_parse_shape(weak["shape"], f"{path}: [weak] 'shape'")
                     if weak.get("shape") else None),
-        weak_resolution=weak.getint("resolution", 128),
-        weak_perturb_amplitude=weak.getfloat("perturb_amplitude", 0.0),
-        weak_perturb_mode=weak.getint("perturb_mode", 0),
+        weak_resolution=number("weak", "resolution", int, 128),
+        weak_perturb_amplitude=number("weak", "perturb_amplitude", float, 0.0),
+        weak_perturb_mode=number("weak", "perturb_mode", int, 0),
         weak_bubbles=bubbles,
-        weak_dt=weak.getfloat("dt", 1e-4),
-        area_drift_abort=weak.getfloat("area_drift_abort", 1e-3),
+        weak_dt=number("weak", "dt", float, 1e-4),
+        area_drift_abort=number("weak", "area_drift_abort", float, 1e-3),
     )
 
 

@@ -3,8 +3,9 @@
 Given a reference curve and a zero-mean normal velocity per component, the
 harmonic potential with that Neumann data is represented by a single-layer
 density solved from the second-kind boundary integral equation (Nystrom
-collocation, dense, per-component mean constraints bordered in); its
-pairwise kernels run in real arithmetic over cache-sized row blocks.  The
+collocation, per-component mean constraints bordered in, assembled in place
+in the one dense array LAPACK factors); its pairwise kernels run in real
+arithmetic over cache-sized row blocks.  The
 extension field B is that gradient on the closed reference region; outside
 it continues by a second-order tube Taylor expansion of the interior trace,
 damped to zero beyond twice the tube width.  The result is C^1 across the
@@ -266,36 +267,47 @@ class BField:
 # construction
 # ---------------------------------------------------------------------------
 
-def _neumann_system(geom: CurveGeometry):
-    """Nystrom matrix of the second-kind equation, and the node weights.
+def _neumann_system(geom: CurveGeometry, a) -> None:
+    """Fill the (n, n) array ``a`` with the Nystrom matrix of the second-kind equation.
 
     Off the diagonal the kernel is -nu_i . (x_i - x_j) / (2 pi |x_i - x_j|^2)
     times w_j; the diagonal holds the jump 1/2 plus the kernel's curvature
-    limit.
+    limit.  Each pair block is a run of source columns j, written as a row
+    block of ``a.T``, which is contiguous where ``a`` is Fortran-ordered.  It
+    forms x_j - x_i and +w_j, whose sign flips are exact: every entry is bit
+    for bit the kernel above.
     """
-    nodes, nu, weights = geom.vertices, geom.nu, geom.weights
-    a = np.empty((len(nodes),) * 2)
-    cw = -weights / (2.0 * np.pi)
-    for rows, dx, dy, r2 in _pair_blocks(nodes, nodes):
-        np.fill_diagonal(r2[:, rows], 1.0)
-        a[rows] = (nu[rows, 0, None] * dx + nu[rows, 1, None] * dy) / r2 * cw
+    nodes, weights = geom.vertices, geom.weights
+    nx, ny = np.ascontiguousarray(geom.nu.T)
+    at = a.T
+    cw = weights / (2.0 * np.pi)
+    for cols, dx, dy, r2 in _pair_blocks(nodes, nodes):
+        np.fill_diagonal(r2[:, cols], 1.0)
+        at[cols] = (nx * dx + ny * dy) / r2 * cw[cols, None]
     np.fill_diagonal(a, 0.5 - weights * geom.kappa / (4.0 * np.pi))
-    return a, weights
 
 
-def _solve_density(geom: CurveGeometry, v_star):
-    """The density and per-component constants, the mean constraints bordered in."""
-    a, weights = _neumann_system(geom)
-    m = a.shape[0]
+def _bordered_system(geom: CurveGeometry) -> np.ndarray:
+    """The Fortran-ordered (n + K, n + K) density system: the Nystrom block
+    assembled in place, bordered by a column of ones and a row of node weights
+    per component (the mean constraints)."""
+    m = len(geom.weights)
     rows = np.arange(m)
     border = m + geom.layout.comp
     sys = np.zeros((m + len(geom.length),) * 2, order="F")
-    sys[:m, :m] = a
+    _neumann_system(geom, sys[:m, :m])
     sys[rows, border] = 1.0
-    sys[border, rows] = weights
+    sys[border, rows] = geom.weights
+    return sys
+
+
+def _solve_density(geom: CurveGeometry, v_star):
+    """The density and per-component constants: ``dgesv`` factors the bordered
+    system in place, so a solve holds one dense matrix and copies none."""
+    sys = _bordered_system(geom)
+    m = len(geom.weights)
     rhs = np.zeros(len(sys))
     rhs[:m] = v_star
-    # LAPACK in place on the Fortran-ordered system: no copy of the matrix
     _, _, sol, info = dgesv(sys, rhs, overwrite_a=1, overwrite_b=1)
     if info > 0:
         raise RankDeficient(f"boundary integral system singular: zero pivot {info}")

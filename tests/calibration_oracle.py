@@ -1,6 +1,7 @@
 """Single-point signed distance with the medial-axis ambiguity probe,
 pointwise tube fields, finite differences along the extended reference
-tangent, and the facing self-gap from (m, m, 2) chord arrays.
+tangent, the facing self-gap from (m, m, 2) chord arrays, and the gap
+between two components from one (n_i, n_j, 2) broadcast.
 
 The tube evaluators query the reference in batches and never need to know
 whether a foot point is ambiguous; the tests check that a strict single
@@ -11,6 +12,8 @@ evaluate the tube fields at arbitrary points from ``calib.query`` and
 """
 
 import numpy as np
+
+from surfdiff.geometry import _point_segment_dist
 
 
 class MedialAxisProximity(Exception):
@@ -119,3 +122,15 @@ def facing_self_gap(geom, k):
     if not np.any(facing):
         return np.inf
     return float(d[facing].min())
+
+
+def polyline_gap(curve, i, j):
+    """``calibration._polyline_gap`` as one (n_i, n_j, 2) broadcast each way."""
+    starts, ends, comp_of, _ = curve.segments
+    a = slice(*np.searchsorted(comp_of, [i, i + 1]))
+    b = slice(*np.searchsorted(comp_of, [j, j + 1]))
+    d1 = _point_segment_dist(starts[a][:, None, :], starts[b][None, :, :],
+                             ends[b][None, :, :]).min()
+    d2 = _point_segment_dist(starts[b][:, None, :], starts[a][None, :, :],
+                             ends[a][None, :, :]).min()
+    return float(min(d1, d2))

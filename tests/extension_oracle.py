@@ -4,7 +4,10 @@ kernels and of ``energy``'s stacked B checkers.
 The first functions form each pairwise kernel in full from (m, m, 2)
 differences, reading one component's slice of the stacked geometry at a time,
 as the package did before its kernels ran over row blocks and before the
-checkers evaluated B once per sample.  ``field_constants`` is the three-call
+checkers evaluated B once per sample.  ``bordered_system`` and
+``solve_density`` are the density system as the package assembled it before
+the Nystrom block was written straight into the bordered array: a separate
+C-ordered matrix, copied in.  ``field_constants`` is the three-call
 form of ``extension._field_constants``.  The constructions at the end (the
 divergence decay profile, the trivial extension, the reference potentials and
 the wedge-flux closedness residual) are checked by the tests only.  Only the
@@ -15,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from surfdiff.extension import BField, _arc_spline, _normal_rays
+from surfdiff.extension import BField, _arc_spline, _normal_rays, _pair_blocks
 from surfdiff.geometry import PolyCurve, build_geometry, dds, integrate
-from surfdiff.poisson import PeriodicSpline, nu_dot_B_potential, velocity_potential
+from surfdiff.poisson import PeriodicSpline, dgesv, nu_dot_B_potential, velocity_potential
 
 from calibration_oracle import d_sstar, div_xi, proj, xi_at
 from geometry_oracle import parts
@@ -39,6 +42,42 @@ def neumann_system(geom):
     a = kern * weights[None, :]
     np.fill_diagonal(a, 0.5 - weights * geom.kappa / (4.0 * np.pi))
     return a, weights
+
+
+def bordered_system(geom):
+    """The bordered density system as the package assembled it in two arrays.
+
+    The Nystrom matrix is formed in a C-ordered (m, m) array from row blocks of
+    targets, then copied into the Fortran-ordered (m + K, m + K) array that
+    ``dgesv`` factors, beside a column of ones and a row of weights per
+    component.
+    """
+    nodes, nu, weights = geom.vertices, geom.nu, geom.weights
+    m = len(nodes)
+    a = np.empty((m, m))
+    cw = -weights / (2.0 * np.pi)
+    for rows, dx, dy, r2 in _pair_blocks(nodes, nodes):
+        np.fill_diagonal(r2[:, rows], 1.0)
+        a[rows] = (nu[rows, 0, None] * dx + nu[rows, 1, None] * dy) / r2 * cw
+    np.fill_diagonal(a, 0.5 - weights * geom.kappa / (4.0 * np.pi))
+    rows = np.arange(m)
+    border = m + geom.layout.comp
+    system = np.zeros((m + len(geom.length),) * 2, order="F")
+    system[:m, :m] = a
+    system[rows, border] = 1.0
+    system[border, rows] = weights
+    return system
+
+
+def solve_density(geom, v_star):
+    """Density and per-component constants from ``dgesv`` on :func:`bordered_system`."""
+    system = bordered_system(geom)
+    m = len(geom.weights)
+    rhs = np.zeros(len(system))
+    rhs[:m] = v_star
+    _, _, sol, info = dgesv(system, rhs, overwrite_a=1, overwrite_b=1)
+    assert info == 0
+    return sol[:m], sol[m:]
 
 
 def surface_potential(geom, q):

@@ -154,6 +154,55 @@ def test_facing_self_gap_matches_dense_oracle():
     assert np.all(np.isfinite(gaps))
 
 
+@pytest.mark.parametrize("seed", range(12))
+def test_polyline_gap_matches_broadcast_oracle(seed):
+    # random forests of two and three components: a loop, a hole inside it
+    # and a loop beside it, each with more vertices than one row block takes
+    # and its first vertex at a random place, so the gap is met in any block
+    rng = np.random.default_rng(seed)
+    n = rng.integers(40, 700, size=3)
+    turn = rng.uniform(0.0, 2.0 * np.pi)
+    comps = [geo.make_wavy_circle(3.0, rng.uniform(0.0, 0.2), int(rng.integers(2, 6)), n[0]),
+             geo.make_circle(rng.uniform(-0.8, 0.8, size=2), rng.uniform(0.3, 1.0), n[1],
+                             orientation=-1),
+             geo.make_wavy_circle(rng.uniform(0.5, 2.0), rng.uniform(0.0, 0.3), 3, n[2],
+                                  center=rng.uniform(7.0, 9.0) * np.array([np.cos(turn),
+                                                                           np.sin(turn)]))]
+    comps = [geo.Component(np.roll(c.vertices, rng.integers(len(c.vertices)), axis=0),
+                           c.orientation) for c in comps]
+    curve = geo.PolyCurve(comps[:2 + seed % 2])
+    k = len(curve.counts)
+    for i in range(k):
+        for j in range(k):
+            if i != j:
+                assert cb._polyline_gap(curve, i, j) == calibration_oracle.polyline_gap(curve, i, j)
+
+
+def test_stationary_reference_builds_its_state_once(monkeypatch):
+    # a one-sample trajectory has one state, whatever time it is asked at
+    calls = {"build_geometry": 0, "CurveIndex": 0}
+    build, init = cb.build_geometry, geo.CurveIndex.__init__
+
+    def counting_build(curve):
+        calls["build_geometry"] += 1
+        return build(curve)
+
+    def counting_init(self, geometry):
+        calls["CurveIndex"] += 1
+        init(self, geometry)
+
+    monkeypatch.setattr(cb, "build_geometry", counting_build)
+    monkeypatch.setattr(geo.CurveIndex, "__init__", counting_init)
+    ref = cb.PolygonReference(fl.Trajectory([0.0], [geo.PolyCurve([
+        geo.make_circle((0, 0), 1.0, 256)])]))
+    pts = np.array([[0.5, 0.1], [1.2, -0.3], [0.0, 0.97]])
+    first = ref.query(pts, 0.0)
+    for t in np.linspace(0.01, 0.5, 11):
+        assert all(np.array_equal(a, b) for a, b in zip(ref.query(pts, t), first))
+    assert ref.geometry_at(0.3) is ref.geometry_at(0.0)
+    assert calls == {"build_geometry": 1, "CurveIndex": 1}
+
+
 def test_zero_reach_on_touching_circles():
     ref = cb.AnalyticCircles([cb.CircleSpec((0, 0), 1.0),
                               cb.CircleSpec((2.0, 0), 1.0)])

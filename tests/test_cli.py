@@ -146,6 +146,30 @@ def test_load_scenario_short_bubble_line(tmp_path, line):
         cli.load_scenario(bad)
 
 
+@pytest.mark.parametrize("base, old, new, message", [
+    (STATIONARY_INI, "shape = circle 1", "shape = ellipse a b",
+     r"\[weak\] 'shape': 'a' is not a number"),
+    (FLOW_REF_INI, "shape = ellipse 2 1", "shape = wavy 1 0.1 3.5",
+     r"\[reference\] 'shape': '3\.5' is not an integer"),
+    (STATIONARY_INI, "sample_count = 10", "sample_count = ten",
+     r"\[scenario\] 'sample_count': 'ten' is not an integer"),
+    (STATIONARY_INI, "dt = 1e-4", "dt = fast", r"\[weak\] 'dt': 'fast' is not a number"),
+    (STATIONARY_INI, "circles = 0 0 1 1", "circles = 0 0 one 1",
+     r"\[reference\] 'circles' line '0 0 one 1': 'one' is not a number"),
+    (STATIONARY_INI, "dt = 1e-4", "dt = 1e-4\nbubbles = auto four 0.01",
+     r"\[weak\] 'bubbles' line 'auto four 0\.01': 'four' is not an integer"),
+    (STATIONARY_INI, "dt = 1e-4", "dt = 1e-4\nbubbles = 1.5 1.5 0.1 2x",
+     r"\[weak\] 'bubbles' line '1\.5 1\.5 0\.1 2x': '2x' is not an integer"),
+])
+def test_load_scenario_names_the_key_of_a_value_that_does_not_parse(tmp_path, base, old,
+                                                                      new, message):
+    bad = tmp_path / "value.ini"
+    assert old in base
+    bad.write_text(base.replace(old, new))
+    with pytest.raises(ValueError, match=r"value\.ini: " + message):
+        cli.load_scenario(bad)
+
+
 def test_load_scenario_readme_example(tmp_path):
     # the INI block of the README, verbatim, inline ';' comments included
     readme = open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")).read()

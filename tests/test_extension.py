@@ -1,3 +1,4 @@
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -77,7 +78,7 @@ def test_compatibility_rejection():
 def test_singular_density_system_is_rank_deficient(monkeypatch):
     # a zero Nystrom block leaves only the border: the bordered system is singular
     geom = geo.build_geometry(geo.PolyCurve([geo.make_circle((0, 0), 1.0, 16)]))
-    monkeypatch.setattr(ex, "_neumann_system", lambda g: (np.zeros((16, 16)), g.weights))
+    monkeypatch.setattr(ex, "_neumann_system", lambda g, a: a.fill(0.0))
     with pytest.raises(RankDeficient, match="singular"):
         ex._solve_density(geom, np.cos(vertex_angles(geom)))
 
@@ -360,19 +361,27 @@ def _mode_velocities(geom, modes):
     return vals - geo.field_mean(geom, vals)[geom.layout.comp]
 
 
-@settings(max_examples=15, deadline=None, database=None)
-@given(st.lists(st.tuples(st.sampled_from(["circle", "ellipse", "wavy"]),
-                          st.integers(8, 64), st.floats(0.01, 1.0), st.integers(1, 5)),
-                min_size=1, max_size=4))
-@example([("ellipse", 512, 1.0, 2)] + [("circle", 24, 0.01, 1)] * 3)
-@example([("circle", 8, 1.0, 1), ("ellipse", 19, 0.01, 1)])
+def _on_forests(test):
+    """Run ``test`` on forests of up to four components, (kind, vertices,
+    radius, velocity mode) each, among them K >= 2 references."""
+    test = example([("circle", 8, 1.0, 1), ("ellipse", 19, 0.01, 1)])(test)
+    test = example([("ellipse", 512, 1.0, 2)] + [("circle", 24, 0.01, 1)] * 3)(test)
+    test = given(st.lists(st.tuples(st.sampled_from(["circle", "ellipse", "wavy"]),
+                                    st.integers(8, 64), st.floats(0.01, 1.0),
+                                    st.integers(1, 5)),
+                          min_size=1, max_size=4))(test)
+    return settings(max_examples=15, deadline=None, database=None)(test)
+
+
+@_on_forests
 def test_block_kernels_match_dense_oracles(specs):
     curve = geo.PolyCurve([_component(k, kind, n, r)
                            for k, (kind, n, r, _) in enumerate(specs)])
     geom = geo.build_geometry(curve)
     v = _mode_velocities(geom, [mode for *_, mode in specs])
     field = ex.build_B(geom, v, 0.25 * min(r for _, _, r, _ in specs))
-    a, _ = ex._neumann_system(geom)
+    m = len(geom.weights)
+    a = ex._bordered_system(geom)[:m, :m]
     a_ref, _ = oracle.neumann_system(geom)
     assert np.max(np.abs(a - a_ref)) <= 1e-13 * np.max(np.abs(a_ref))
     phi = ex._surface_potential(geom, field.density)
@@ -383,6 +392,38 @@ def test_block_kernels_match_dense_oracles(specs):
     res_ref = oracle.midpoint_bc_residual(field, v)
     v_sup = np.max(np.abs(v))
     assert abs(ex._midpoint_bc_residual(field, v) - res_ref) <= 1e-13 * v_sup
+
+
+@_on_forests
+def test_bordered_system_matches_two_array_assembly(specs):
+    # the Nystrom block written in place through source-column blocks is bit
+    # for bit the target-row matrix copied in, and so are the density and mu
+    curve = geo.PolyCurve([_component(k, kind, n, r)
+                           for k, (kind, n, r, _) in enumerate(specs)])
+    geom = geo.build_geometry(curve)
+    v = _mode_velocities(geom, [mode for *_, mode in specs])
+    system = ex._bordered_system(geom)
+    assert system.flags.f_contiguous
+    assert np.array_equal(system, oracle.bordered_system(geom))
+    q, mu = ex._solve_density(geom, v)
+    q_ref, mu_ref = oracle.solve_density(geom, v)
+    assert np.array_equal(q, q_ref) and np.array_equal(mu, mu_ref)
+
+
+def test_build_B_holds_one_dense_matrix():
+    # the bordered (n + 1)^2 system is the only dense array of a build: the
+    # Nystrom block is not formed apart from it and copied in
+    n = 1024
+    geom = geo.build_geometry(geo.PolyCurve([_component(0, "ellipse", n, 1.0)]))
+    v = _mode_velocities(geom, [2])
+    ex.build_B(geom, v, 0.125)      # the geometry's lazy fields, built once
+    tracemalloc.start()
+    try:
+        ex.build_B(geom, v, 0.125)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.3 * 8 * (n + 1) ** 2
 
 
 @pytest.mark.parametrize("specs", [
