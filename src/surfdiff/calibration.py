@@ -19,12 +19,14 @@ from numpy.polynomial.polynomial import polyder, polyint, polyval
 from .errors import ZeroReach
 from .extension import BField, build_B
 from .geometry import (
+    _PAIRS,
     CurveGeometry,
     PolyCurve,
     build_geometry,
     d2ds2,
     integrate,
     jordan_decompose,
+    pair_blocks,
     row_norms,
     _point_segment_dist,
 )
@@ -333,33 +335,30 @@ class PolygonReference:
         return float(best)
 
 
-_GAP_PAIRS = 1 << 13    # pairs per row block of the delta scan's kernels: 64 KB temporaries
-
-
 def _facing_self_gap(geom: CurveGeometry, k: int) -> float:
     """Min distance between curve points whose normals face along the chord.
 
     Operationalizes "self-distance between non-adjacent arcs": pairs are
     counted only if the connecting chord is nearly parallel to both normals,
     which singles out bottlenecks and ignores the trivially-near neighbours
-    along component k.  Row blocks of about _GAP_PAIRS pairs keep each
-    entry's arithmetic, so the minimum over them is exact.
+    along component k.  The pairs run in the row blocks of
+    :func:`pair_blocks`, each entry's arithmetic its own, so the minimum
+    over them is exact.
     """
     length, n = geom.length[k], geom.layout.counts[k]
     step = max(1, n // 256)
     idx = geom.layout.first[k] + np.arange(0, n, step)
-    (x, y), (nx, ny), si = geom.vertices[idx].T, geom.nu[idx].T, geom.arc_positions[idx]
+    pts, (nx, ny), si = geom.vertices[idx], geom.nu[idx].T, geom.arc_positions[idx]
     near = 8.0 * (length / n) * step
     best = np.inf
-    block = max(1, _GAP_PAIRS // len(idx))
-    for a in range(0, len(idx), block):
-        rows = slice(a, a + block)
-        dx, dy = x - x[rows, None], y - y[rows, None]
-        d = np.sqrt(dx * dx + dy * dy)
+    for rows, dx, dy, r2 in pair_blocks(pts, pts):
+        # d and the unit chord overwrite the block's own arrays: three fewer
+        # temporaries keep this kernel's working set in cache
+        d = np.sqrt(r2, out=r2)
         darc = np.abs(si - si[rows, None])
         darc = np.minimum(darc, length - darc)
         dd = np.maximum(d, 1e-300)
-        ux, uy = dx / dd, dy / dd
+        ux, uy = np.divide(dx, dd, out=dx), np.divide(dy, dd, out=dy)
         a1 = np.abs(ux * nx[rows, None] + uy * ny[rows, None])
         a2 = np.abs(ux * nx + uy * ny)
         facing = (a1 > 0.9) & (a2 > 0.9) & (darc > near) & (d > 0)
@@ -386,13 +385,13 @@ def _admissible_delta_polygonal(geom: CurveGeometry) -> float:
 
 def _polyline_gap(curve: PolyCurve, i: int, j: int) -> float:
     """Least vertex-to-edge distance between components i and j, both ways,
-    over row blocks of about _GAP_PAIRS vertex-edge pairs."""
+    over row blocks of about _PAIRS vertex-edge pairs."""
     starts, ends, comp_of, _ = curve.segments
     a = slice(*np.searchsorted(comp_of, [i, i + 1]))
     b = slice(*np.searchsorted(comp_of, [j, j + 1]))
     best = np.inf
     for verts, edges in ((starts[a], b), (starts[b], a)):
-        block = max(1, _GAP_PAIRS // (edges.stop - edges.start))
+        block = max(1, _PAIRS // (edges.stop - edges.start))
         for r in range(0, len(verts), block):
             best = min(best, _point_segment_dist(verts[r:r + block, None], starts[edges][None],
                                                  ends[edges][None]).min())
@@ -480,15 +479,6 @@ class Calibration:
                                               self.reference.velocity_at(t), self.delta)
         return b
 
-    # -- raw distance fields ------------------------------------------------
-
-    def sdist(self, points, t: float = 0.0):
-        s, _, _, _ = self.reference.query(points, t)
-        return s
-
-    def query(self, points, t: float = 0.0):
-        return self.reference.query(points, t)
-
     # -- tube fields ----------------------------------------------------------
 
     def _xi(self, s, grad):
@@ -508,7 +498,7 @@ class Calibration:
                           xi=self._xi(s, grad), div_xi=self._div_xi(s, kf))
 
     def vartheta_at(self, points, t: float = 0.0):
-        return self.profile.theta(self.sdist(points, t))
+        return self.profile.theta(self.reference.query(points, t)[0])
 
     def xi_grad_bound(self, t: float = 0.0) -> float:
         """sup |grad xi| over the tube, from the 1-d profile and curvature range.

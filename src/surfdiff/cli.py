@@ -3,8 +3,9 @@
 Scenarios are INI files (configparser sections as nested tables) describing
 a reference (analytic circles, a curve file, or a fine flow run), a weak run
 (resolution, perturbation, seeded bubbles), the tube width and the time
-horizon; ``;`` starts an inline comment, and an unknown key or a missing
-key of the reference kind is rejected when the file is loaded.
+horizon; ``;`` starts an inline comment, and an unknown key, a missing
+key of the reference kind or a weak perturbation that would go unused is
+rejected when the file is loaded.
 ``simulate`` produces trajectory exports, an energy-report CSV and a JSON
 verdict summary; ``compare`` evaluates a recorded weak trajectory against a
 recorded strong one; ``report`` summarizes a finished output directory.
@@ -102,7 +103,12 @@ KIND_KEY = {"circles": "circles", "file": "file", "flow": "shape"}
 
 
 def load_scenario(path) -> Scenario:
-    """Read a scenario file; unknown keys and a reference kind without its key are errors."""
+    """Read a scenario file.
+
+    Unknown keys, a reference kind without its key, a file reference without
+    a weak shape and a perturbation the weak datum cannot take (negative, of
+    a datum that is not a circle, or of mode below 1) are errors.
+    """
     cp = configparser.ConfigParser(inline_comment_prefixes=(";",))
     read = cp.read(path)
     if not read:
@@ -159,6 +165,26 @@ def load_scenario(path) -> Scenario:
                 bubbles.append((*(_number(float, v, where) for v in vals[:3]),
                                 _number(int, vals[3], where) if len(vals) > 3 else 24))
 
+    ref_shape = (_parse_shape(ref["shape"], f"{path}: [reference] 'shape'")
+                 if ref.get("shape") else None)
+    weak_shape = (_parse_shape(weak["shape"], f"{path}: [weak] 'shape'")
+                  if weak.get("shape") else None)
+    if kind == "file" and weak_shape is None:
+        raise ValueError(f"{path}: [weak] needs 'shape' with a file reference")
+    # the weak datum: its own shape, else the flow reference's, else a circle
+    datum = weak_shape or (ref_shape if kind == "flow" else ("circle",))
+    amplitude = number("weak", "perturb_amplitude", float, 0.0)
+    mode = number("weak", "perturb_mode", int, 0)
+    if not amplitude >= 0.0:
+        raise ValueError(f"{path}: [weak] 'perturb_amplitude' must not be negative, "
+                         f"got {amplitude}")
+    if amplitude > 0.0 and datum[0] != "circle":
+        raise ValueError(f"{path}: [weak] 'perturb_amplitude' perturbs only a circle, "
+                         f"got shape {datum[0]!r}")
+    if amplitude > 0.0 and mode < 1:
+        raise ValueError(f"{path}: [weak] 'perturb_mode' must be at least 1 with a "
+                         f"perturbation, got {mode}")
+
     return Scenario(
         name=sc.get("name", os.path.splitext(os.path.basename(path))[0]),
         seed=number("scenario", "seed", int, 0),
@@ -169,15 +195,13 @@ def load_scenario(path) -> Scenario:
         ref_kind=kind,
         ref_circles=circles,
         ref_file=ref.get("file", None),
-        ref_shape=(_parse_shape(ref["shape"], f"{path}: [reference] 'shape'")
-                   if ref.get("shape") else None),
+        ref_shape=ref_shape,
         ref_resolution=number("reference", "resolution", int, 512),
         ref_dt=number("reference", "dt", float, 1e-4),
-        weak_shape=(_parse_shape(weak["shape"], f"{path}: [weak] 'shape'")
-                    if weak.get("shape") else None),
+        weak_shape=weak_shape,
         weak_resolution=number("weak", "resolution", int, 128),
-        weak_perturb_amplitude=number("weak", "perturb_amplitude", float, 0.0),
-        weak_perturb_mode=number("weak", "perturb_mode", int, 0),
+        weak_perturb_amplitude=amplitude,
+        weak_perturb_mode=mode,
         weak_bubbles=bubbles,
         weak_dt=number("weak", "dt", float, 1e-4),
         area_drift_abort=number("weak", "area_drift_abort", float, 1e-3),
@@ -436,8 +460,6 @@ def _flow_diagnostics(run: fllib.FlowRun) -> dict:
     residuals = []
     residuals_half = []
     for a, b in zip(run.states[:-1], run.states[1:]):
-        if b.normal_velocity is None:
-            continue
         full, half = fllib.dissipation_identity_residual(a, b)
         residuals.append(full)
         residuals_half.append(half)
@@ -466,11 +488,8 @@ def run_compare(weak_dir: str, strong_dir: str, delta: str, out: str | None) -> 
     weak = fllib.load_trajectory(weak_dir)
     reference = cblib.PolygonReference(trajectory=fllib.load_trajectory(strong_dir))
     calib = cblib.Calibration(reference, None if delta == "auto" else float(delta))
-    states = []
-    for k, (t, curve) in enumerate(zip(weak.times, weak.curves)):
-        geom = geo.build_geometry(curve)
-        states.append(fllib.FlowState(curve=curve, time=float(t), step_index=k, geometry=geom,
-                                      normal_velocity=geo.d2ds2(geom, geom.kappa)))
+    states = [fllib.FlowState.initial(curve, float(t), k)
+              for k, (t, curve) in enumerate(zip(weak.times, weak.curves))]
     summary = evaluate_run(states, calib, len(states))
     summary["delta"] = calib.delta
     write_outputs(summary, out or "compare_out")

@@ -148,7 +148,7 @@ def bulk_error(sample: TubeSample, calib: Calibration) -> float:
     d = du[:, None] * e
     frac = u0 + x[:, None] * du
     pts = starts[piece] + frac[:, :, None] * e
-    s, grad, _, kappa = calib.query(pts.reshape(-1, 2), t)
+    s, grad, _, kappa = calib.reference.query(pts.reshape(-1, 2), t)
     s, kappa = s.reshape(len(x), -1), kappa.reshape(len(x), -1)
     grad = grad.reshape(pts.shape)
 
@@ -240,24 +240,21 @@ CSV_COLUMNS = ["t", "E", "F", "L", "A", "D_H", "D_V",
 
 
 def dissipation_report(curve: PolyCurve, sample: TubeSample, calib: Calibration,
-                       b_field, velocity: np.ndarray | None) -> EnergyReport:
+                       b_field, velocity: np.ndarray) -> EnergyReport:
     """Assemble the per-sample energy bookkeeping of ``curve`` at ``sample.t``.
 
-    ``sample`` holds the tube fields at the vertices of ``curve``.
-    ``b_field`` may be None for a stationary reference (B = 0); the stacked
-    normal ``velocity`` may be None when no velocity data exists (the D_V
-    family is zero then).
+    ``sample`` holds the tube fields at the vertices of ``curve``, and
+    ``velocity`` is its stacked normal velocity.  ``b_field`` may be None
+    for a stationary reference (B = 0).
     """
     t = sample.t
     geom = sample.geometry
     dkappa = dds(geom, geom.kappa)
     ddiv = dds(geom, sample.div_xi)
-    d_v = cross_v_xi = 0.0
-    if velocity is not None:
-        phi_v = velocity_potential(geom, velocity - field_mean(geom, velocity)[geom.layout.comp])
-        dphi = dds(geom, phi_v)
-        d_v = np.sum(integrate(geom, dphi**2))
-        cross_v_xi = np.sum(integrate(geom, (dphi - ddiv)**2))
+    phi_v = velocity_potential(geom, velocity - field_mean(geom, velocity)[geom.layout.comp])
+    dphi = dds(geom, phi_v)
+    d_v = np.sum(integrate(geom, dphi**2))
+    cross_v_xi = np.sum(integrate(geom, (dphi - ddiv)**2))
     # B = 0 for a stationary reference, so phi_(nu.B) = 0
     dphib = 0.0 if b_field is None else dds(
         geom, nu_dot_B_potential(geom, b_field.at(geom.vertices)))

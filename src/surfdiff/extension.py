@@ -5,8 +5,8 @@ harmonic potential with that Neumann data is represented by a single-layer
 density solved from the second-kind boundary integral equation (Nystrom
 collocation, per-component mean constraints bordered in, assembled in place
 in the one dense array LAPACK factors); its pairwise kernels run in real
-arithmetic over cache-sized row blocks.  The
-extension field B is that gradient on the closed reference region; outside
+arithmetic over the cache-sized row blocks of :func:`geometry.pair_blocks`.
+The extension field B is that gradient on the closed reference region; outside
 it continues by a second-order tube Taylor expansion of the interior trace,
 damped to zero beyond twice the tube width.  The result is C^1 across the
 boundary, has div B = 0 on the closed region and O(dist) outside, is
@@ -24,23 +24,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NonZeroMean, RankDeficient
-from .geometry import CurveGeometry, dds, field_mean, integrate, row_norms
+from .geometry import CurveGeometry, dds, field_mean, integrate, pair_blocks, row_norms
 from .poisson import PeriodicSpline, dgesv
-
-
-def _pair_blocks(targets, sources):
-    """Row blocks (rows, dx, dy, r2) of about 2**14 target-source pairs, with
-    dx = x_i - y_j, dy likewise and r2 = dx^2 + dy^2: each 128 KB temporary
-    stays in cache, and each row is formed from its own target alone."""
-    sx, sy = np.ascontiguousarray(sources.T)
-    step = max(1, (1 << 14) // max(len(sx), 1))
-    for a in range(0, len(targets), step):
-        rows = slice(a, a + step)
-        dx = targets[rows, 0, None] - sx
-        dy = targets[rows, 1, None] - sy
-        r2 = dx * dx
-        r2 += dy * dy
-        yield rows, dx, dy, r2
 
 
 def _smoothstep(u):
@@ -92,7 +77,7 @@ class BField:
         """
         c = -self.fine_charge / (2.0 * np.pi)
         g = np.empty((len(points), 2))
-        for rows, dx, dy, r2 in _pair_blocks(points, self.fine_points):
+        for rows, dx, dy, r2 in pair_blocks(points, self.fine_points):
             cr = c / r2
             g[rows, 0] = np.einsum("ij,ij->i", dx, cr)
             g[rows, 1] = np.einsum("ij,ij->i", dy, cr)
@@ -281,7 +266,7 @@ def _neumann_system(geom: CurveGeometry, a) -> None:
     nx, ny = np.ascontiguousarray(geom.nu.T)
     at = a.T
     cw = weights / (2.0 * np.pi)
-    for cols, dx, dy, r2 in _pair_blocks(nodes, nodes):
+    for cols, dx, dy, r2 in pair_blocks(nodes, nodes):
         np.fill_diagonal(r2[:, cols], 1.0)
         at[cols] = (nx * dx + ny * dy) / r2 * cw[cols, None]
     np.fill_diagonal(a, 0.5 - weights * geom.kappa / (4.0 * np.pi))
@@ -326,7 +311,7 @@ def _surface_potential(geom: CurveGeometry, q) -> np.ndarray:
     """
     nodes, weights = geom.vertices, geom.weights
     phi = np.empty(len(nodes))
-    for rows, _, _, r2 in _pair_blocks(nodes, nodes):
+    for rows, _, _, r2 in pair_blocks(nodes, nodes):
         np.fill_diagonal(r2[:, rows], 1.0)
         phi[rows] = 0.5 * np.log(r2) @ (weights * q)
     half = 0.5 * weights
@@ -396,7 +381,7 @@ def _midpoint_bc_residual(field: BField, v_star) -> float:
     q = field.density
     cq = -geom.weights * q / (2.0 * np.pi)
     flux = np.empty(len(comp))
-    for rows, dx, dy, r2 in _pair_blocks(mids, geom.vertices):
+    for rows, dx, dy, r2 in pair_blocks(mids, geom.vertices):
         flux[rows] = (nmid[rows, 0, None] * dx + nmid[rows, 1, None] * dy) / r2 @ cq
     q_mid = 0.5 * (q + q[nxt])
     flux = flux + 0.5 * q_mid + field.mu[comp]

@@ -38,6 +38,7 @@ from .geometry import (
     build_geometry,
     cycle_arc,
     cycle_layout,
+    d2ds2,
     dds,
     field_mean,
     integrate,
@@ -69,11 +70,15 @@ class FlowState:
     time: float
     step_index: int
     geometry: CurveGeometry
-    normal_velocity: np.ndarray | None = None    # stacked, of the step that led here
+    normal_velocity: np.ndarray    # stacked, of the step that led here (see initial)
 
     @classmethod
-    def initial(cls, curve: PolyCurve) -> "FlowState":
-        return cls(curve=curve, time=0.0, step_index=0, geometry=build_geometry(curve))
+    def initial(cls, curve: PolyCurve, time: float = 0.0, step_index: int = 0) -> "FlowState":
+        """A state no step led to: its velocity is the PDE velocity
+        d^2 kappa/ds^2 of its own geometry."""
+        geom = build_geometry(curve)
+        return cls(curve=curve, time=time, step_index=step_index, geometry=geom,
+                   normal_velocity=d2ds2(geom, geom.kappa))
 
     # the totals are added one component at a time: np.sum pairs them from
     # 8 components on, which would move the sums the step's tests compare
@@ -378,10 +383,8 @@ def dissipation_identity_residual(before: FlowState,
     mid = build_geometry(before.curve.with_vertices(
         0.5 * (before.geometry.vertices + after.geometry.vertices)))
     d_h = float(np.sum(integrate(mid, dds(mid, mid.kappa) ** 2)))
-    d_v = 0.0
-    if after.normal_velocity is not None:
-        v = after.normal_velocity
-        d_v = h_minus1_norm_sq(mid, v - field_mean(mid, v)[mid.layout.comp])
+    v = after.normal_velocity
+    d_v = h_minus1_norm_sq(mid, v - field_mean(mid, v)[mid.layout.comp])
     rate = (after.length() - before.length()) / dt
     return float(abs(rate + d_h)), float(abs(rate + 0.5 * (d_h + d_v)))
 

@@ -13,6 +13,7 @@ nesting.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -75,7 +76,7 @@ class PolyCurve:
 
     Construction checks the cheap invariants (vertex counts, edges against
     a floor relative to each component's diameter, orientation/area
-    consistency, positive total area) without a hull; ``diameters`` (one
+    consistency, positive total area) in O(n) passes; ``diameters`` (one
     per component) and ``diameter`` (over all components) are computed on
     first read.  The embeddedness test runs in :func:`check_embedded`, which
     :func:`build_geometry` invokes.
@@ -128,9 +129,9 @@ class PolyCurve:
         starts, h, first = self.vertices, self.edge_lengths, self.layout.first
         hmin = np.minimum.reduceat(h, first)
         # the box diagonal bounds the diameter from above, in floating point
-        # too (a caliper distance |p - q| rounds along the same monotone
-        # path), so only a component within the floor of its bound reads its
-        # exact diameter
+        # too (a vertex distance sqrt(dx^2 + dy^2) rounds along the same
+        # monotone path), so only a component within the floor of its bound
+        # reads its exact diameter
         box = np.maximum.reduceat(starts, first) - np.minimum.reduceat(starts, first)
         short = hmin <= EDGE_FLOOR_REL * row_norms(box)
         if short.any():
@@ -160,22 +161,18 @@ class PolyCurve:
                 in zip(np.split(self.vertices, self.layout.split), self.orientations)]
 
     @cached_property
-    def _hulls(self) -> list:
-        return [_hull(c.vertices) for c in self.components]
-
-    @cached_property
     def diameters(self) -> np.ndarray:
         """Largest vertex-to-vertex distance of each component, (K,), read-only;
-        one caliper pass over the component hulls on first read."""
-        return _read_only(_diameters(self._hulls))
+        computed on first read."""
+        return _read_only(np.array([_max_distance(c.vertices) for c in self.components]))
 
     @cached_property
     def diameter(self) -> float:
-        """Largest vertex-to-vertex distance over all components: with several,
-        that of the hull of the component hulls' vertices, built on first read."""
+        """Largest vertex-to-vertex distance over all components, computed on
+        first read."""
         if self.ncomponents == 1:
             return float(self.diameters[0])
-        return float(_diameters([_hull(np.vstack(self._hulls))])[0])
+        return _max_distance(self.vertices)
 
     @property
     def ncomponents(self) -> int:
@@ -259,8 +256,8 @@ def cycle_index(lengths) -> CycleLayout:
     ``nxt``, ``prv``: every entry's cyclic neighbours; ``comp``, ``local``:
     its cycle and its place there; ``first``, ``split``: the offsets of
     ``np.add.reduceat`` and ``np.split``; ``counts``: the lengths.  Not
-    cached: callers whose lengths change on every call (hulls, clipped
-    polygons) use it directly.
+    cached: callers whose lengths change on every call (runs of segments,
+    band layouts) use it directly.
     """
     counts = np.asarray(lengths, dtype=np.intp)
     first = np.cumsum(counts) - counts
@@ -355,81 +352,31 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _hull(vertices: np.ndarray) -> np.ndarray:
-    """Convex hull vertices in counter-clockwise order, by Andrew's monotone
-    chain (1979): one lexicographic sort, then the lower and the upper chain,
-    each keeping a point only where the turn into it is strictly left, so
-    the hull holds no collinear points.
-
-    Collinear or coincident input has no proper hull; its two lexicographic
-    extremes stand in for it (exact on a line).
-    """
-    pts = vertices[np.lexsort((vertices[:, 1], vertices[:, 0]))].tolist()
-
-    def chain(seq):
-        out = []
-        for x, y in seq:
-            while len(out) >= 2:
-                (ax, ay), (bx, by) = out[-2], out[-1]
-                if (bx - ax) * (y - ay) - (by - ay) * (x - ax) > 0.0:
-                    break
-                out.pop()
-            out.append((x, y))
-        return out
-
-    return np.array(chain(pts)[:-1] + chain(reversed(pts))[:-1])
+_PAIRS = 1 << 14    # pairs per row block of the all-pairs kernels: 128 KB temporaries
 
 
-def _diameters(hulls) -> np.ndarray:
-    """Largest vertex distance of each hull, by one rotating-calipers pass
-    over all hulls stacked (Toussaint 1983).
+def pair_blocks(targets, sources):
+    """Row blocks (rows, dx, dy, r2) of about _PAIRS target-source pairs, with
+    dx = x_i - y_j, dy likewise and r2 = dx^2 + dy^2: each 128 KB temporary
+    stays in cache, and each row is formed from its own target alone."""
+    sx, sy = np.ascontiguousarray(sources.T)
+    step = max(1, _PAIRS // max(len(sx), 1))
+    for a in range(0, len(targets), step):
+        rows = slice(a, a + step)
+        dx = targets[rows, 0, None] - sx
+        dy = targets[rows, 1, None] - sy
+        r2 = dx * dx
+        r2 += dy * dy
+        yield rows, dx, dy, r2
 
-    Hull vertex i+1 is antipodal to every vertex from the support of edge i
-    (the hull vertex farthest to its left) through the support of edge i+1;
-    each range is widened by one vertex against rounding at parallel edges.
-    A two-point hull (collinear input) is its own diameter.
-    """
-    sizes = np.array([len(h) for h in hulls], dtype=np.intp)
-    out = np.zeros(len(hulls))
-    flat = sizes < 3
-    if np.any(flat):
-        ends = np.array([h[[0, -1]] for h in hulls if len(h) < 3])
-        out[flat] = np.sqrt(np.sum((ends[:, 0] - ends[:, 1]) ** 2, axis=1))
-    if np.all(flat):
-        return out
-    pts = np.vstack([h for h in hulls if len(h) >= 3])
-    sizes = sizes[~flat]
-    n = len(pts)
-    ids = np.arange(n)
-    lay = cycle_index(sizes)
-    hid, local, nxt = lay.comp, lay.local, lay.nxt
-    first = lay.first[hid]
-    m = sizes[hid]
-    edges = pts[nxt] - pts
-    raw = np.arctan2(edges[:, 1], edges[:, 0])
-    # unwrap each hull's edge angles from its first edge, as np.unwrap does
-    jump = np.where(local > 0, raw - np.roll(raw, 1), 0.0)
-    wraps = np.cumsum((jump < -np.pi).astype(np.intp) - (jump > np.pi))
-    angle = raw + 2.0 * np.pi * (wraps - wraps[first])
-    # support[i]: how many of its hull's doubled angles lie below angle[i] + pi,
-    # from one sort of all hulls' doubled angles and targets by (hull, angle),
-    # targets first on ties
-    order = np.lexsort((np.r_[np.ones(2 * n), np.zeros(n)],
-                        np.r_[angle, angle + 2.0 * np.pi, angle + np.pi],
-                        np.r_[hid, hid, hid]))
-    is_target = order >= 2 * n
-    target = order[is_target] - 2 * n
-    support = np.empty(n, dtype=np.intp)
-    support[target] = np.flatnonzero(is_target) - ids - 2 * first[target]
-    counts = support[nxt] + np.where(local == m - 1, m, 0) - support + 3
-    start = np.cumsum(counts) - counts
-    a = np.repeat(first + (local + 1) % m, counts)
-    b = (np.repeat(first, counts)
-         + (np.repeat(support - 1 - start, counts) + np.arange(counts.sum()))
-         % np.repeat(m, counts))
-    d2 = np.sum((pts[a] - pts[b]) ** 2, axis=1)
-    out[~flat] = np.sqrt(np.maximum.reduceat(d2, start[local == 0]))
-    return out
+
+def _max_distance(points: np.ndarray) -> float:
+    """Largest distance between two of the (n, 2) points: each row block
+    against the points from its own first row on, so every pair is formed
+    once and the maximum is exact."""
+    step = max(1, _PAIRS // len(points))
+    return math.sqrt(max(r2.max() for a in range(0, len(points), step)
+                         for *_, r2 in pair_blocks(points[a:a + step], points[a:])))
 
 
 def build_geometry(curve: PolyCurve) -> CurveGeometry:
@@ -957,8 +904,11 @@ def read_curve_file(path) -> PolyCurve:
         comp = Component(np.array([[float(a) for a in ln.split()] for ln in lines[1:]]),
                          int(head[2]))
         v = comp.vertices
-        if comp.n >= 2 and (np.linalg.norm(v[0] - v[-1])
-                            <= EDGE_FLOOR_REL * _diameters([_hull(v)])[0]):
+        # the box diagonal bounds the diameter, as in PolyCurve._validate: only
+        # a closing gap within the floor of that bound reads the diameter
+        gap = row_norms(v[:1] - v[-1:])[0]
+        if (comp.n >= 2 and gap <= EDGE_FLOOR_REL * row_norms(np.ptp(v, axis=0)[None])[0]
+                and gap <= EDGE_FLOOR_REL * _max_distance(v)):
             raise ValueError("curve blocks must not repeat the first vertex")
         comps.append(comp)
     curve = PolyCurve(comps)

@@ -198,7 +198,7 @@ def bulk_error_recursive(curve, calib, t=0.0, max_depth=12, reference_resolution
 
 def _near_joint(center, radius, calib, t):
     """Pieces whose |s| range may hold delta/2 or delta, where theta'' jumps."""
-    a = np.abs(calib.sdist(center, t))
+    a = np.abs(calib.reference.query(center, t)[0])
     return ((np.abs(a - 0.5 * calib.delta) < radius)
             | (np.abs(a - calib.delta) < radius)) & (radius > _JOINT_SIZE * calib.delta)
 

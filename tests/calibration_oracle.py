@@ -6,8 +6,8 @@ between two components from one (n_i, n_j, 2) broadcast.
 The tube evaluators query the reference in batches and never need to know
 whether a foot point is ambiguous; the tests check that a strict single
 query far outside the tube detects it.  ``xi_at``, ``div_xi`` and ``proj``
-evaluate the tube fields at arbitrary points from ``calib.query`` and
-``calib.profile``; a run reads xi and div xi at curve vertices only, through
+evaluate the tube fields at arbitrary points from ``calib.reference.query``
+and ``calib.profile``; a run reads xi and div xi at curve vertices only, through
 ``Calibration.sample``.  Only the tests import this module.
 """
 
@@ -73,7 +73,7 @@ def d_sstar(calib, func, points, t=0.0, step=None):
 def xi_at(calib, points, t=0.0):
     """The calibration vector zeta(s) grad s."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    s, grad, _, _ = calib.query(points, t)
+    s, grad, _, _ = calib.reference.query(points, t)
     return calib.profile.zeta(s)[:, None] * grad
 
 
@@ -84,7 +84,7 @@ def div_xi(calib, points, t=0.0):
     with kappa the reference curvature at the foot point.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    s, _, _, kf = calib.query(points, t)
+    s, _, _, kf = calib.reference.query(points, t)
     out = np.zeros(len(s))
     tube = np.abs(s) < calib.delta
     st, kt = s[tube], kf[tube]
@@ -95,7 +95,7 @@ def div_xi(calib, points, t=0.0):
 def proj(calib, points, t=0.0):
     """The closest point on the reference, x - s grad s."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    s, grad, _, _ = calib.query(points, t)
+    s, grad, _, _ = calib.reference.query(points, t)
     return points - s[:, None] * grad
 
 

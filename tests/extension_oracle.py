@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from surfdiff.extension import BField, _arc_spline, _normal_rays, _pair_blocks
-from surfdiff.geometry import PolyCurve, build_geometry, dds, integrate
+from surfdiff.extension import BField, _arc_spline, _normal_rays
+from surfdiff.geometry import PolyCurve, build_geometry, dds, integrate, pair_blocks
 from surfdiff.poisson import PeriodicSpline, dgesv, nu_dot_B_potential, velocity_potential
 
 from calibration_oracle import d_sstar, div_xi, proj, xi_at
@@ -56,7 +56,7 @@ def bordered_system(geom):
     m = len(nodes)
     a = np.empty((m, m))
     cw = -weights / (2.0 * np.pi)
-    for rows, dx, dy, r2 in _pair_blocks(nodes, nodes):
+    for rows, dx, dy, r2 in pair_blocks(nodes, nodes):
         np.fill_diagonal(r2[:, rows], 1.0)
         a[rows] = (nu[rows, 0, None] * dx + nu[rows, 1, None] * dy) / r2 * cw
     np.fill_diagonal(a, 0.5 - weights * geom.kappa / (4.0 * np.pi))
@@ -193,7 +193,7 @@ def divergence_decay_profile(field: BField, n_rays: int = 32):
 def trivial_extension_Bbar(calib, field: BField, points, t: float = 0.0):
     """eta(s(x)) * B(closest point): the tube pullback of the boundary values."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    s = calib.sdist(points, t)
+    s = calib.reference.query(points, t)[0]
     feet = proj(calib, points, t)
     return calib.profile.eta(s)[:, None] * field.at(feet)
 

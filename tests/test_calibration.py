@@ -288,10 +288,13 @@ def test_d_sstar_identities(circle_calibration):
     calib = circle_calibration
     pts = np.array([[1.05 * np.cos(0.8), 1.05 * np.sin(0.8)]])
     # tangential derivative of the signed distance vanishes
-    val = calibration_oracle.d_sstar(calib, lambda p: calib.sdist(p), pts)
+    def sdist(p):
+        return calib.reference.query(p)[0]
+
+    val = calibration_oracle.d_sstar(calib, sdist, pts)
     assert abs(val[0]) <= 1e-8
     # same for the cutoff composed with the distance
-    val2 = calibration_oracle.d_sstar(calib, lambda p: calib.profile.zeta(calib.sdist(p)), pts)
+    val2 = calibration_oracle.d_sstar(calib, lambda p: calib.profile.zeta(sdist(p)), pts)
     assert abs(val2[0]) <= 1e-8
 
 
@@ -314,13 +317,13 @@ def test_eikonal_and_idempotence(circle_calibration):
     ang = rng.uniform(0, 2 * np.pi, 1000)
     rad = 1 + rng.uniform(-0.24, 0.24, 1000)
     pts = np.column_stack([rad * np.cos(ang), rad * np.sin(ang)])
-    _, grad, _, _ = calib.query(pts)
+    _, grad, _, _ = calib.reference.query(pts)
     assert np.max(np.abs(np.linalg.norm(grad, axis=1) - 1.0)) <= 1e-8
     proj = calibration_oracle.proj(calib, pts)
     again = calibration_oracle.proj(calib, proj)
     assert np.max(np.linalg.norm(again - proj, axis=1)) <= 1e-8 * calib.delta
     # projected points land on the reference
-    assert np.max(np.abs(calib.sdist(proj))) <= 1e-8 * calib.delta
+    assert np.max(np.abs(calib.reference.query(proj)[0])) <= 1e-8 * calib.delta
 
 
 def test_eikonal_polygon_reference():
@@ -331,7 +334,7 @@ def test_eikonal_polygon_reference():
     ang = rng.uniform(0, 2 * np.pi, 1000)
     rad = 1 + rng.uniform(-0.9, 0.9, 1000) * calib.delta
     pts = np.column_stack([rad * np.cos(ang), rad * np.sin(ang)])
-    _, grad, _, _ = calib.query(pts)
+    _, grad, _, _ = calib.reference.query(pts)
     assert np.max(np.abs(np.linalg.norm(grad, axis=1) - 1.0)) <= 1e-8
 
 

@@ -220,6 +220,34 @@ def test_load_scenario_rejects_unknown_reference_kind(tmp_path):
         cli.load_scenario(bad)
 
 
+@pytest.mark.parametrize("base, edits, message", [
+    (STATIONARY_INI, [("perturb_amplitude = 0.04", "perturb_amplitude = -0.04")],
+     r"\[weak\] 'perturb_amplitude' must not be negative, got -0\.04"),
+    (STATIONARY_INI, [("shape = circle 1", "shape = ellipse 2 1")],
+     r"\[weak\] 'perturb_amplitude' perturbs only a circle, got shape 'ellipse'"),
+    (STATIONARY_INI, [("shape = circle 1", "shape = wavy 1 0.1 3")],
+     r"\[weak\] 'perturb_amplitude' perturbs only a circle, got shape 'wavy'"),
+    (FLOW_REF_INI, [("resolution = 64", "resolution = 64\nperturb_amplitude = 0.1\n"
+                                        "perturb_mode = 3")],
+     r"\[weak\] 'perturb_amplitude' perturbs only a circle, got shape 'ellipse'"),
+    (STATIONARY_INI, [("perturb_mode = 3", "perturb_mode = 0")],
+     r"\[weak\] 'perturb_mode' must be at least 1 with a perturbation, got 0"),
+    (STATIONARY_INI, [("kind = circles\ncircles = 0 0 1 1", "kind = file\nfile = ref.txt"),
+                      ("shape = circle 1\n", "")],
+     r"\[weak\] needs 'shape' with a file reference"),
+])
+def test_load_scenario_rejects_a_weak_datum_it_would_not_build(tmp_path, base, edits, message):
+    # each of these used to run: the perturbation silently dropped, or the
+    # file reference failing in the weak datum's build after the reference
+    for old, new in edits:
+        assert old in base
+        base = base.replace(old, new)
+    bad = tmp_path / "datum.ini"
+    bad.write_text(base)
+    with pytest.raises(ValueError, match=r"datum\.ini: " + message):
+        cli.load_scenario(bad)
+
+
 def test_simulate_stationary_end_to_end(stationary_cfg, tmp_path):
     out = tmp_path / "out"
     code = cli.main(["simulate", str(stationary_cfg), "--out", str(out)])
@@ -368,8 +396,7 @@ def test_evaluate_run_evaluates_each_sample_once(monkeypatch):
     cli._flow_diagnostics(run)
     assert len(run.states) > 10
     assert len(vertex_queries) == len(set(vertex_queries)) == 10
-    pairs = sum(state.normal_velocity is not None for state in run.states[1:])
-    assert len(builds) == pairs > 0
+    assert len(builds) == len(run.states) - 1 > 0
 
 
 def test_evaluate_run_evaluates_samples_in_order_on_the_calling_thread(monkeypatch):
@@ -550,6 +577,21 @@ def test_compare_reports_equal_direct_dissipation_reports(tmp_path):
     assert summary["worst_slacks"]["pointwise_slack"] is not None
     assert (summary["flux_constants_final"]["bc_residual"]
             == calib.b_field(traj.times[-1]).bc_residual)
+
+
+def test_simulate_first_sample_has_the_velocity_compare_gives_it(stationary_cfg, tmp_path):
+    # the t = 0 state of a run had no step behind it; it carries the PDE
+    # velocity d^2 kappa/ds^2 that compare gives every recorded curve, so
+    # both read the same D_V for the exported first sample
+    cli.main(["simulate", str(stationary_cfg), "--out", str(tmp_path / "out")])
+    run = tmp_path / "out" / "stat"
+    traj = str(run / "trajectory")
+    cli.main(["compare", traj, traj, "--out", str(tmp_path / "cmp")])
+    first = [dict(zip(en.CSV_COLUMNS, (path / "reports.csv").read_text().splitlines()[1]
+                      .split(","))) for path in (run, tmp_path / "cmp")]
+    assert float(first[0]["t"]) == float(first[1]["t"]) == 0.0
+    assert float(first[0]["D_V"]) == float(first[1]["D_V"]) > 0.0
+    assert float(first[0]["cross1"]) > 0.0
 
 
 def test_report_command(stationary_cfg, tmp_path, capsys):

@@ -280,7 +280,7 @@ def test_bulk_error_equals_the_polar_integral_on_a_star(circle_calibration):
         rho = lambda phi: (a[0] * d[1] - a[1] * d[0]) / (np.cos(phi) * d[1] - np.sin(phi) * d[0])
         exact += quad(lambda phi: g(rho(phi) - 1.0), lo, hi, epsabs=1e-16, epsrel=1e-13,
                       limit=200)[0]
-    s = circle_calibration.sdist(body)
+    s = circle_calibration.reference.query(body)[0]
     assert s.max() > 0.125 and s.min() < 0.0
     assert f == pytest.approx(exact, rel=1e-12)
 
@@ -391,7 +391,7 @@ def test_dissipation_dh_matches_bruteforce(circle_calibration):
     curve = geo.PolyCurve([geo.make_wavy_circle(1.0, 0.05, 3, 256)])
     geom = geo.build_geometry(curve)
     rep = en.dissipation_report(curve, circle_calibration.sample(geom), circle_calibration,
-                                None, None)
+                                None, np.zeros(256))
     # independent quadrature loop
     n, kappa, w = 256, geom.kappa, geom.weights
     total = 0.0
@@ -538,7 +538,8 @@ def test_stacked_checkers_one_B_call_per_sample(circle_calibration):
     geom = geo.build_geometry(curve)
     sample = circle_calibration.sample(geom)
     counting = _CountingField(field)
-    rep = en.dissipation_report(curve, sample, circle_calibration, counting, None)
+    rep = en.dissipation_report(curve, sample, circle_calibration, counting,
+                                np.zeros(len(geom.vertices)))
     assert counting.calls == 1
     counting.calls = 0
     nb = en.nu_dot_B_sums(geom, counting, circle_calibration,
@@ -581,22 +582,21 @@ def test_stacked_checkers_one_B_call_per_sample(circle_calibration):
     assert rep.cross_h_b == pytest.approx(cross, rel=1e-15)
 
 
-def test_sample_checkers_make_one_caliper_pass_per_curve(monkeypatch, circle_calibration):
+def test_sample_checkers_compute_each_diameter_once(monkeypatch, circle_calibration):
     # the small-component bound, the flux hypothesis count and the Poincare
-    # ratio all read the diameters of one 9-component state: one caliper
-    # call over its 9 component hulls, none over the hull of their union,
-    # with every component's diameter the same bits as a one-hull pass gives
+    # ratio all read the diameters of one 9-component state: one maximum
+    # per component, none over their union, each the largest vertex distance
     curve = geo.PolyCurve([geo.make_ellipse(1.2, 0.9, 128)]
                           + [geo.make_circle((3.0, -1.75 + 0.5 * k), 0.01, 24)
                              for k in range(8)])
     calls = []
-    diameters = geo._diameters
+    max_distance = geo._max_distance
 
-    def counting_diameters(hulls):
-        calls.append(len(hulls))
-        return diameters(hulls)
+    def counting(points):
+        calls.append(len(points))
+        return max_distance(points)
 
-    monkeypatch.setattr(geo, "_diameters", counting_diameters)
+    monkeypatch.setattr(geo, "_max_distance", counting)
     sample = circle_calibration.sample(geo.build_geometry(curve))
     xi_bound = circle_calibration.xi_grad_bound()
     bubbles = en.small_component_area_check(sample, xi_bound)
@@ -604,8 +604,8 @@ def test_sample_checkers_make_one_caliper_pass_per_curve(monkeypatch, circle_cal
     nb = en.nu_dot_B_sums(sample.geometry, field, circle_calibration, xi_bound,
                           f_value=1.0, e_value=1.0)
     poincare_ratio(sample.geometry, sample.s, 2)
-    assert calls == [9]
-    one_by_one = [diameters([geo._hull(c.vertices)])[0] for c in curve.components]
+    assert calls == list(curve.counts)
+    one_by_one = [max_distance(c.vertices) for c in curve.components]
     assert np.array_equal(curve.diameters, one_by_one)
     limit = 1.0 / (2.0 * xi_bound)
     assert [b.applicable for b in bubbles] == [d <= limit for d in one_by_one]
@@ -668,7 +668,7 @@ def test_bubble_lemma_randomized_in_tube(circle_calibration):
 def test_lemma32_on_reference(unit_circle_256, circle_calibration):
     curve, geom = unit_circle_256
     rep = en.dissipation_report(curve, circle_calibration.sample(geom), circle_calibration,
-                                None, None)
+                                None, np.zeros(256))
     lhs = rep.cross_xi
     assert lhs <= 1e-6
 
@@ -679,7 +679,7 @@ def test_lemma32_ratio_bounded_over_sweep(circle_calibration):
         curve = geo.PolyCurve([geo.make_wavy_circle(1.0, amp, 3, 256)])
         geom = geo.build_geometry(curve)
         rep = en.dissipation_report(curve, circle_calibration.sample(geom),
-                                    circle_calibration, None, None)
+                                    circle_calibration, None, np.zeros(256))
         ratio = en.stationary_gradient_ratio(rep, circle_calibration)
         ratios.append(ratio)
     assert max(ratios) / min(ratios) <= 4.0
@@ -689,7 +689,7 @@ def test_lemma32_far_bubble_lowers_ratio(circle_calibration):
     def lhs_and_ratio(curve):
         geom = geo.build_geometry(curve)
         rep = en.dissipation_report(curve, circle_calibration.sample(geom),
-                                    circle_calibration, None, None)
+                                    circle_calibration, None, np.zeros(len(geom.vertices)))
         return rep.cross_xi, en.stationary_gradient_ratio(rep, circle_calibration)
 
     lhs0, ratio0 = lhs_and_ratio(geo.PolyCurve([geo.make_wavy_circle(1.0, 0.02, 3, 256)]))
@@ -708,7 +708,7 @@ def test_lemma32_rejects_moving_reference():
     calib = cb.Calibration(ref)
     weak = geo.PolyCurve([geo.make_ellipse(2.0, 1.0, 64)])
     rep = en.dissipation_report(weak, calib.sample(geo.build_geometry(weak)), calib,
-                                None, None)
+                                None, np.zeros(64))
     with pytest.raises(NonStationaryReference):
         en.stationary_gradient_ratio(rep, calib)
 

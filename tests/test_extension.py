@@ -179,7 +179,7 @@ def test_bbar_vanishes_beyond_double_tube(disk_cos1, circle_calibration):
 def test_bbar_normal_component_is_velocity(disk_cos1, circle_calibration):
     ang = np.linspace(0, 2 * np.pi, 64, endpoint=False)
     pts = np.column_stack([1.08 * np.cos(ang), 1.08 * np.sin(ang)])
-    s, grad, foot, _ = circle_calibration.query(pts)
+    s, grad, foot, _ = circle_calibration.reference.query(pts)
     bbar = oracle.trivial_extension_Bbar(circle_calibration, disk_cos1, pts)
     v_foot = np.cos(np.arctan2(foot[:, 1], foot[:, 0]))
     assert np.max(np.abs(np.sum(bbar * grad, axis=1) - v_foot)) <= 1e-3
@@ -257,14 +257,15 @@ def test_wedge_constant_fields_identically_zero():
         def divergence(self, pts, h=None):
             return np.zeros(len(np.atleast_2d(pts)))
 
+    def flat_query(pts, t=0.0):
+        n = len(np.atleast_2d(pts))
+        return np.zeros(n), np.tile([0.0, 0.4], (n, 1)), None, np.zeros(n)
+
     class ConstantCalib:
         # s = 0 and a flat level set everywhere: xi = zeta(0) grad s = (0, 0.4)
         delta = 0.25
         profile = SimpleNamespace(zeta=np.ones_like, zeta_prime=np.zeros_like)
-
-        def query(self, pts, t=0.0):
-            n = len(np.atleast_2d(pts))
-            return np.zeros(n), np.tile([0.0, 0.4], (n, 1)), None, np.zeros(n)
+        reference = SimpleNamespace(query=flat_query)
 
     geom = geo.build_geometry(geo.PolyCurve([geo.make_wavy_circle(1.0, 0.1, 5, 128)]))
     res = oracle.gauss_wedge_residual(geom, ConstantField(), ConstantCalib())
@@ -336,13 +337,15 @@ def test_b_does_not_depend_on_its_batch(disk_cos1, seed):
 # ---------------------------------------------------------------------------
 
 def _component(k: int, kind: str, n: int, radius: float):
-    """Component k, 4 apart along the x axis, nodes uniform in arc length.
+    """Component k, 5 apart along the x axis, nodes uniform in arc length.
+
+    An ellipse of radius 1 spans 4 along x, so 5 keeps neighbours apart.
 
     Uniform nodes, as the flow leaves them, keep every spline midpoint of the
     boundary residual half an edge from the nodes; a midpoint next to a node
     costs both the block kernel and its oracle their last digits.
     """
-    center = (4.0 * k, 0.0)
+    center = (5.0 * k, 0.0)
     if kind == "circle":
         comp = geo.make_circle(center, radius, n)
     elif kind == "ellipse":

@@ -204,8 +204,6 @@ def test_dissipation_residual_halves_with_dt():
 def test_half_weighted_residual_reported(ellipse_run):
     states = ellipse_run.states
     a, b = states[-2], states[-1]
-    if b.normal_velocity is None:
-        pytest.skip("no velocity on sample")
     full, half = fl.dissipation_identity_residual(a, b)
     assert np.isfinite(full) and np.isfinite(half)
 
@@ -339,38 +337,33 @@ def test_banded_flow_operator_matches_dense_solve(n, bubbles, dt, seed):
 
 
 def test_step_computes_no_diameter(monkeypatch):
-    # validating a new state needs no hull and no caliper pass; the first
-    # read of the component diameters makes one caliper call over a hull per
-    # component, and the first read of the curve's diameter, with several
-    # components, one more over the hull of their hulls
-    calls = {"_hull": 0, "_diameters": []}
-    hull, diameters = geo._hull, geo._diameters
+    # validating a new state needs no diameter; the first read of the
+    # component diameters takes one maximum per component, and the first
+    # read of the curve's diameter, with several components, one more over
+    # all vertices
+    calls = []
+    max_distance = geo._max_distance
 
-    def counting_hull(vertices):
-        calls["_hull"] += 1
-        return hull(vertices)
+    def counting(points):
+        calls.append(len(points))
+        return max_distance(points)
 
-    def counting_diameters(hulls):
-        calls["_diameters"].append(len(hulls))
-        return diameters(hulls)
-
-    for bubbles, hulls in ((0, 1), (4, 6)):
+    for bubbles in (0, 4):
         state = fl.FlowState.initial(_resampled(
             [geo.make_ellipse(2.0, 1.0, 128)]
             + [geo.make_circle((3.0 + k, 2.0), 0.1, 24) for k in range(bubbles)]))
-        monkeypatch.setattr(geo, "_hull", counting_hull)
-        monkeypatch.setattr(geo, "_diameters", counting_diameters)
+        monkeypatch.setattr(geo, "_max_distance", counting)
         new = fl.step(state, fl.FlowConfig(dt=1e-4, end_time=1.0))
-        assert calls == {"_hull": 0, "_diameters": []}
+        assert calls == []
         for _ in range(2):
             new.curve.diameters
-            assert calls == {"_hull": bubbles + 1, "_diameters": [bubbles + 1]}
-        union = [1] if bubbles else []
+            assert calls == list(new.curve.counts)
+        union = [len(new.curve.vertices)] if bubbles else []
         for _ in range(2):
             new.curve.diameter
-            assert calls == {"_hull": hulls, "_diameters": [bubbles + 1] + union}
+            assert calls == list(new.curve.counts) + union
         monkeypatch.undo()
-        calls.update(_hull=0, _diameters=[])
+        calls.clear()
 
 
 def test_step_builds_no_curvature():

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -388,6 +389,29 @@ def test_curve_file_rejects_duplicate_endpoint(tmp_path):
         geo.read_curve_file(path)
 
 
+def test_curve_file_reads_a_diameter_only_for_a_near_repeat(tmp_path, monkeypatch):
+    # a closing gap above the floor of the box diagonal is decided without
+    # the O(n^2) diameter; a repeated first vertex reads it once
+    calls = []
+    max_distance = geo._max_distance
+
+    def counting(points):
+        calls.append(len(points))
+        return max_distance(points)
+
+    monkeypatch.setattr(geo, "_max_distance", counting)
+    curve = geo.PolyCurve([geo.make_circle((0.0, 0.0), 1.0, 4096)])
+    path = tmp_path / "loop.txt"
+    geo.write_curve_file(curve, path)
+    assert np.array_equal(geo.read_curve_file(path).vertices, curve.vertices)
+    assert calls == []
+    lines = path.read_text().strip().splitlines()
+    path.write_text("\n".join(lines + [lines[1]]) + "\n")
+    with pytest.raises(ValueError, match="must not repeat the first vertex"):
+        geo.read_curve_file(path)
+    assert calls == [4097]
+
+
 @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
 def test_curve_file_rejects_non_finite(tmp_path, token):
     path = tmp_path / "nan.txt"
@@ -417,7 +441,7 @@ def test_curve_file_rejects_bad_header(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# diameter: rotating calipers against all pairs
+# diameter: the row-block maximum against all pairs
 # ---------------------------------------------------------------------------
 
 ORACLE = settings(max_examples=60, deadline=None, database=None)
@@ -428,11 +452,10 @@ def _brute_diameter(points):
 
 
 def _assert_diameters_exact(clouds):
-    # all clouds go through one batched caliper pass
-    got = geo._diameters([geo._hull(p) for p in clouds])
-    for p, d in zip(clouds, got):
-        exact = _brute_diameter(p)
-        assert abs(d - exact) <= 1e-15 * exact
+    # each pair's arithmetic is the oracle's, and sqrt is monotone, so the
+    # largest distance is the same bits
+    for p in clouds:
+        assert geo._max_distance(p) == _brute_diameter(p)
 
 
 @ORACLE
@@ -459,8 +482,8 @@ def test_diameter_regular_ngons(ngons):
 @given(st.lists(st.tuples(st.integers(3, 600), st.floats(1.0, 1e3), st.floats(0.0, np.pi),
                           st.integers(0, 2**32 - 1)), min_size=1, max_size=4))
 def test_diameter_elongated_ellipses(ellipses):
-    # dense sampling of elongated convex curves, where a neighbour-only
-    # caliper walk misses the farthest pair
+    # dense sampling of elongated convex curves, whose farthest pair lies
+    # in the last row blocks as often as in the first
     clouds = []
     for n, aspect, angle, seed in ellipses:
         t = np.sort(np.random.default_rng(seed).uniform(0.0, 2 * np.pi, n))
@@ -471,49 +494,27 @@ def test_diameter_elongated_ellipses(ellipses):
 
 
 def test_diameter_collinear_and_coincident():
-    # no proper hull: the two extremes stand in, batched with proper hulls
     line = np.outer(np.array([0.0, 3.0, 1.0, -2.0, 0.5]), [1.0, 2.0])
     square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-    got = geo._diameters([geo._hull(p) for p in (line, square, np.ones((4, 2)), line[::-1])])
-    assert got[0] == pytest.approx(5.0 * np.sqrt(5.0), rel=1e-15)
-    assert got[1] == np.sqrt(2.0)
-    assert got[2] == 0.0
-    assert got[3] == got[0]
-    assert geo._diameters([geo._hull(np.ones((4, 2)))])[0] == 0.0
+    assert geo._max_distance(line) == pytest.approx(5.0 * np.sqrt(5.0), rel=1e-15)
+    assert geo._max_distance(line[::-1]) == geo._max_distance(line)
+    assert geo._max_distance(square) == np.sqrt(2.0)
+    assert geo._max_distance(np.ones((4, 2))) == 0.0
+    _assert_diameters_exact([line, square, np.ones((4, 2))])
 
 
-def _cross(o, a, b):
-    return (a[..., 0] - o[..., 0]) * (b[..., 1] - o[..., 1]) \
-        - (a[..., 1] - o[..., 1]) * (b[..., 0] - o[..., 0])
-
-
-@ORACLE
-@given(st.integers(3, 80), st.integers(1, 50), st.integers(-30, 30), st.integers(0, 2**32 - 1))
-def test_hull_is_strictly_convex_and_covers_its_input(n, spread, scale, seed):
-    # integer coordinates times a power of two, with duplicates and the
-    # half and quarter points of every hull edge added: every cross product
-    # below is exact, so "strictly left" and "inside or on" are exact tests
-    rng = np.random.default_rng(seed)
-    cloud = rng.integers(-spread, spread + 1, (n, 2)).astype(float)
-    base = geo._hull(cloud)
-    ends = np.roll(base, -1, axis=0)
-    on_edges = np.vstack([base + w * (ends - base) for w in (0.25, 0.5, 0.75)])
-    pts = np.ldexp(np.vstack([cloud, cloud[rng.integers(0, n, n)], on_edges]), scale)
-    pts = pts[rng.permutation(len(pts))]
-    hull = geo._hull(pts)
-    given_rows = {tuple(p) for p in pts.tolist()}
-    assert all(tuple(h) in given_rows for h in hull.tolist())
-    if len(hull) == 2:
-        # collinear or coincident: the two extremes, every point between them
-        assert np.all(_cross(hull[0], hull[1], pts) == 0.0)
-        along = (pts - hull[0]) @ (hull[1] - hull[0])
-        assert np.all(along >= 0.0) and np.all(along <= (hull[1] - hull[0]) @ (hull[1] - hull[0]))
-        return
-    nxt, after = np.roll(hull, -1, axis=0), np.roll(hull, -2, axis=0)
-    assert np.all(_cross(hull, nxt, after) > 0.0)
-    assert np.all(_cross(hull[:, None], nxt[:, None], pts[None]) >= 0.0)
-    # the added points change nothing: the vertices of the bare cloud's hull
-    assert np.array_equal(np.unique(hull, axis=0), np.unique(np.ldexp(base, scale), axis=0))
+def test_diameters_hold_no_quadratic_temporary():
+    # a 4,096-vertex loop has 2**24 vertex pairs (128 MiB as float64); its
+    # row blocks stay near 3 x 128 KiB
+    curve = geo.PolyCurve([geo.make_circle((0.0, 0.0), 1.0, 4096)])
+    tracemalloc.start()
+    try:
+        curve.diameters
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert curve.diameters[0] == pytest.approx(2.0, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
