@@ -5,7 +5,6 @@ from .energy import EnergyReport, bulk_error, gronwall_verdict, relative_energy
 from .extension import BField, build_B
 from .flow import FlowConfig, FlowState, Trajectory, make_reference, run_flow, step
 from .geometry import (
-    Component,
     CurveGeometry,
     PolyCurve,
     build_geometry,
@@ -21,7 +20,6 @@ __all__ = [
     "BField",
     "Calibration",
     "CircleSpec",
-    "Component",
     "CurveGeometry",
     "CutoffProfile",
     "EnergyReport",

@@ -19,16 +19,15 @@ from numpy.polynomial.polynomial import polyder, polyint, polyval
 from .errors import ZeroReach
 from .extension import BField, build_B
 from .geometry import (
-    _PAIRS,
     CurveGeometry,
-    PolyCurve,
+    _segment_pairs_within,
+    _segment_segment_dist,
     build_geometry,
     d2ds2,
     integrate,
     jordan_decompose,
     pair_blocks,
     row_norms,
-    _point_segment_dist,
 )
 
 
@@ -368,34 +367,27 @@ def _facing_self_gap(geom: CurveGeometry, k: int) -> float:
 
 
 def _admissible_delta_polygonal(geom: CurveGeometry) -> float:
+    """A quarter of the least of each loop's reach and the gaps between loops.
+
+    Only a gap below four times the loops' own bound can decide, so one
+    sort-and-sweep lists the segment pairs closer than that; the least
+    distance of those that join two loops is the least vertex-to-edge gap.
+    ``geometry_at`` ran :func:`check_embedded`, so no two loops touch.
+    """
     best = np.inf
     kmax = np.maximum.reduceat(np.abs(geom.kappa), geom.layout.first)
     for k in range(len(kmax)):
         reach = 1.0 / kmax[k] if kmax[k] > 0 else np.inf
         reach = min(reach, 0.5 * _facing_self_gap(geom, k))
         best = min(best, reach / 4.0)
-    for i in range(len(kmax)):
-        for j in range(i + 1, len(kmax)):
-            gap = _polyline_gap(geom.curve, i, j)
-            if gap <= 0.0:
-                raise ZeroReach(f"components {i} and {j} touch")
-            best = min(best, gap / 4.0)
+    starts, ends, comp_of, _ = geom.curve.segments
+    pi, pj = _segment_pairs_within(starts, ends, 4.0 * best)
+    other = comp_of[pi] != comp_of[pj]
+    pi, pj = pi[other], pj[other]
+    if len(pi):
+        best = min(best, _segment_segment_dist(starts[pi], ends[pi],
+                                               starts[pj], ends[pj]).min() / 4.0)
     return best
-
-
-def _polyline_gap(curve: PolyCurve, i: int, j: int) -> float:
-    """Least vertex-to-edge distance between components i and j, both ways,
-    over row blocks of about _PAIRS vertex-edge pairs."""
-    starts, ends, comp_of, _ = curve.segments
-    a = slice(*np.searchsorted(comp_of, [i, i + 1]))
-    b = slice(*np.searchsorted(comp_of, [j, j + 1]))
-    best = np.inf
-    for verts, edges in ((starts[a], b), (starts[b], a)):
-        block = max(1, _PAIRS // (edges.stop - edges.start))
-        for r in range(0, len(verts), block):
-            best = min(best, _point_segment_dist(verts[r:r + block, None], starts[edges][None],
-                                                 ends[edges][None]).min())
-    return float(best)
 
 
 # ---------------------------------------------------------------------------

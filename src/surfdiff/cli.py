@@ -208,7 +208,7 @@ def load_scenario(path) -> Scenario:
     )
 
 
-def _build_shape(shape: tuple, n: int, amplitude=0.0, mode=0) -> geo.Component:
+def _build_shape(shape: tuple, n: int, amplitude=0.0, mode=0) -> np.ndarray:
     kind = shape[0]
     if kind == "circle":
         if amplitude > 0 and mode > 0:
@@ -225,7 +225,7 @@ def _build_shape(shape: tuple, n: int, amplitude=0.0, mode=0) -> geo.Component:
 
 def _place_bubbles(rng, spec_list, reference, delta, existing: geo.PolyCurve):
     """Seeded disjoint bubble placement outside the calibration tube."""
-    comps = list(existing.components)
+    comps = np.split(existing.vertices, existing.layout.split)
     placed = []
     verts = existing.segments[0]
     lo = verts.min(axis=0)
@@ -239,8 +239,7 @@ def _place_bubbles(rng, spec_list, reference, delta, existing: geo.PolyCurve):
             want = [entry]
         for cx, cy, radius, nseg in want:
             if cx is not None:
-                comp = geo.make_circle((cx, cy), radius, nseg)
-                comps.append(comp)
+                comps.append(geo.make_circle((cx, cy), radius, nseg))
                 placed.append((cx, cy, radius))
                 continue
             for _ in range(2000):
@@ -254,8 +253,7 @@ def _place_bubbles(rng, spec_list, reference, delta, existing: geo.PolyCurve):
                         ok = False
                         break
                 if ok and np.min(geo.row_norms(verts - cand)) > 2.5 * delta:
-                    comp = geo.make_circle(tuple(cand), radius, 24)
-                    comps.append(comp)
+                    comps.append(geo.make_circle(tuple(cand), radius, 24))
                     placed.append((cand[0], cand[1], radius))
                     break
             else:
@@ -375,8 +373,7 @@ def _evaluate_sample(state, calib):
     t = state.time
     b_field = calib.b_field(t)
     sample = calib.sample(state.geometry, t)
-    rep = enlib.dissipation_report(state.curve, sample, calib, b_field,
-                                   state.normal_velocity)
+    rep = enlib.dissipation_report(sample, calib, b_field, state.normal_velocity)
     check = calib.pointwise_tilt_check(sample)
     rep.verdicts["pointwise"] = "PASS" if check.worst >= SLACK_FLOOR else "FAIL"
     xi_bound = calib.xi_grad_bound(t)

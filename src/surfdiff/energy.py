@@ -31,7 +31,7 @@ from .errors import (
     ReferenceEnclosed,
 )
 from .calibration import AnalyticCircles, Calibration, TubeSample
-from .geometry import CurveGeometry, PolyCurve, crossing_parity, dds, field_mean, integrate
+from .geometry import CurveGeometry, crossing_parity, dds, field_mean, integrate
 from .poisson import nu_dot_B_potential, velocity_potential
 
 # 4-point Gauss-Legendre on [0, 1]
@@ -239,11 +239,11 @@ CSV_COLUMNS = ["t", "E", "F", "L", "A", "D_H", "D_V",
                "cross1", "cross2", "cross3", "verdicts"]
 
 
-def dissipation_report(curve: PolyCurve, sample: TubeSample, calib: Calibration,
+def dissipation_report(sample: TubeSample, calib: Calibration,
                        b_field, velocity: np.ndarray) -> EnergyReport:
-    """Assemble the per-sample energy bookkeeping of ``curve`` at ``sample.t``.
+    """Assemble the per-sample energy bookkeeping of a curve at ``sample.t``.
 
-    ``sample`` holds the tube fields at the vertices of ``curve``, and
+    ``sample`` holds the tube fields at the curve's vertices, and
     ``velocity`` is its stacked normal velocity.  ``b_field`` may be None
     for a stationary reference (B = 0).
     """

@@ -36,43 +36,18 @@ NESTING_TOL = 1e-10         # absolute clearance for the nesting probe vertex
 # curve containers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Component:
-    """One closed polygonal loop: vertices (n, 2) and an orientation flag."""
-
-    vertices: np.ndarray
-    orientation: int = 1
-
-    def __post_init__(self):
-        v = np.asarray(self.vertices, dtype=float)
-        if v.ndim != 2 or v.shape[1] != 2:
-            raise ValueError("vertices must be an (n, 2) array")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("vertices must be finite (no NaN or inf)")
-        object.__setattr__(self, "vertices", v)
-        if self.orientation not in (+1, -1):
-            raise ValueError("orientation must be +1 or -1")
-
-    @property
-    def n(self) -> int:
-        return self.vertices.shape[0]
-
-    def signed_area(self) -> float:
-        x, y = self.vertices[:, 0], self.vertices[:, 1]
-        return float(0.5 * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
-
-
 class PolyCurve:
     """A forest of disjoint simple closed components, holes included.
 
     The curve is one read-only (N, 2) array, ``vertices``, of every
     component's vertices stacked in order, with each component's vertex
     count (``counts``, a tuple) and orientation (``orientations``,
-    read-only).  It is built from a list of components (:class:`Component`
-    or (n, 2) arrays of orientation +1), or from the stacked array, its
-    counts and its orientations given by keyword; :meth:`with_vertices`
-    takes the stacked path, so a flow step neither splits nor re-stacks.
-    ``components`` holds views of ``vertices``, built on first read.
+    read-only).  It is built from a list of (n, 2) vertex arrays, each
+    component's orientation the sign of its shoelace area (a zero-area
+    component is rejected), or from the stacked array, its counts and its
+    orientations given by keyword; :meth:`with_vertices` takes the stacked
+    path, so a flow step neither splits nor re-stacks.  ``np.split(vertices,
+    layout.split)`` gives the components as views.
 
     Construction checks the cheap invariants (vertex counts, edges against
     a floor relative to each component's diameter, orientation/area
@@ -82,26 +57,23 @@ class PolyCurve:
     :func:`build_geometry` invokes.
     """
 
-    def __init__(self, components=None, *, vertices=None, counts=None, orientations=None):
-        if components is not None:
-            comps = [c if isinstance(c, Component) else Component(c) for c in components]
-            if not comps:
-                raise ValueError("a curve needs at least one component")
-            vertices = np.vstack([c.vertices for c in comps])
-            counts = [c.n for c in comps]
-            orientations = [c.orientation for c in comps]
+    def __init__(self, parts=None, *, vertices=None, counts=None, orientations=None):
+        if parts is not None:
+            parts = list(parts)
+            vertices = np.vstack(parts) if parts else np.zeros((0, 2))
+            counts = [len(p) for p in parts]
         v = np.asarray(vertices, dtype=float)
         if v.ndim != 2 or v.shape[1] != 2:
             raise ValueError("vertices must be an (n, 2) array")
         self.counts = tuple(map(int, counts))
-        self.orientations = np.array(orientations, dtype=np.intp)
         if not self.counts:
             raise ValueError("a curve needs at least one component")
-        if len(self.orientations) != len(self.counts):
-            raise ValueError(f"{len(self.orientations)} orientations given for "
-                             f"{len(self.counts)} components")
-        if not set(np.asarray(orientations).tolist()) <= {1, -1}:
-            raise ValueError("orientation must be +1 or -1")
+        if orientations is not None:
+            if len(orientations) != len(self.counts):
+                raise ValueError(f"{len(orientations)} orientations given for "
+                                 f"{len(self.counts)} components")
+            if not set(np.asarray(orientations).tolist()) <= {1, -1}:
+                raise ValueError("orientation must be +1 or -1")
         if sum(self.counts) != len(v):
             raise ValueError(f"{len(v)} vertices given for components of "
                              f"{' + '.join(map(str, self.counts))} = {sum(self.counts)} vertices")
@@ -115,12 +87,16 @@ class PolyCurve:
         self.layout = cycle_layout(self.counts)
         # take gathers rows several times faster than fancy indexing
         ends = v.take(self.layout.nxt, axis=0)
-        self.vertices.flags.writeable = self.orientations.flags.writeable = False
-        ends.flags.writeable = False
-        self.segments = (self.vertices, ends, self.layout.comp, self.layout.local)
         # the shoelace terms go to the first build_geometry and are not kept
         # beyond it
         self._shoelace = _shoelace(v, ends)
+        if orientations is None:
+            # a zero area reads +1, which the validation then rejects
+            orientations = np.where(np.add.reduceat(self._shoelace, self.layout.first) < 0, -1, 1)
+        self.orientations = np.array(orientations, dtype=np.intp)
+        self.vertices.flags.writeable = self.orientations.flags.writeable = False
+        ends.flags.writeable = False
+        self.segments = (self.vertices, ends, self.layout.comp, self.layout.local)
         self.edge_lengths = row_norms(ends - v)
         self.edge_lengths.flags.writeable = False
         self._validate()
@@ -155,16 +131,11 @@ class PolyCurve:
         return terms if terms is not None else _shoelace(*self.segments[:2])
 
     @cached_property
-    def components(self) -> list[Component]:
-        """Each component, its vertices a view of ``vertices``; built on first read."""
-        return [Component(v, int(o)) for v, o
-                in zip(np.split(self.vertices, self.layout.split), self.orientations)]
-
-    @cached_property
     def diameters(self) -> np.ndarray:
         """Largest vertex-to-vertex distance of each component, (K,), read-only;
         computed on first read."""
-        return _read_only(np.array([_max_distance(c.vertices) for c in self.components]))
+        return _read_only(np.array([_max_distance(v)
+                                    for v in np.split(self.vertices, self.layout.split)]))
 
     @cached_property
     def diameter(self) -> float:
@@ -206,25 +177,23 @@ def _shoelace(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
 # shape builders used across tests and the scenario runner
 # ---------------------------------------------------------------------------
 
-def make_circle(center, radius, n, orientation=1) -> Component:
-    """Regular n-gon on a circle; orientation -1 stores it clockwise (a hole)."""
+def make_circle(center, radius, n, orientation=1) -> np.ndarray:
+    """Regular n-gon on a circle, (n, 2); orientation -1 stores it clockwise (a hole)."""
     t = 2.0 * np.pi * np.arange(n) / n
     if orientation < 0:
         t = -t
     cx, cy = center
-    v = np.column_stack([cx + radius * np.cos(t), cy + radius * np.sin(t)])
-    return Component(v, orientation)
+    return np.column_stack([cx + radius * np.cos(t), cy + radius * np.sin(t)])
 
 
-def make_ellipse(a, b, n, center=(0.0, 0.0)) -> Component:
+def make_ellipse(a, b, n, center=(0.0, 0.0)) -> np.ndarray:
     t = 2.0 * np.pi * np.arange(n) / n
     cx, cy = center
-    v = np.column_stack([cx + a * np.cos(t), cy + b * np.sin(t)])
-    return Component(v, 1)
+    return np.column_stack([cx + a * np.cos(t), cy + b * np.sin(t)])
 
 
 def make_wavy_circle(radius, amplitude, mode, n, center=(0.0, 0.0),
-                     normalize_area=False) -> Component:
+                     normalize_area=False) -> np.ndarray:
     """r(t) = radius * (1 + amplitude*cos(mode*t)), optionally area-matched.
 
     With ``normalize_area`` the shape is rescaled so its enclosed area equals
@@ -234,13 +203,12 @@ def make_wavy_circle(radius, amplitude, mode, n, center=(0.0, 0.0),
     r = radius * (1.0 + amplitude * np.cos(mode * t))
     cx, cy = center
     v = np.column_stack([cx + r * np.cos(t), cy + r * np.sin(t)])
-    comp = Component(v, 1)
     if normalize_area:
-        target = Component(make_circle(center, radius, n).vertices, 1).signed_area()
-        scale = np.sqrt(target / comp.signed_area())
+        target, area = (_shoelace(p, np.roll(p, -1, axis=0)).sum()
+                        for p in (make_circle(center, radius, n), v))
         c = np.array([cx, cy])
-        comp = Component(c + scale * (v - c), 1)
-    return comp
+        v = c + np.sqrt(target / area) * (v - c)
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -545,35 +513,6 @@ def check_embedded(curve: PolyCurve) -> None:
 # point-in-polygon and region classification
 # ---------------------------------------------------------------------------
 
-def _buckets(lo: np.ndarray, hi: np.ndarray):
-    """Uniform buckets over [min lo, max hi]; interval i is listed in every bucket it meets.
-
-    Returns (base, top, width, start, items): bucket b holds the interval ids
-    items[start[b]:start[b + 1]].  Bucket indices are monotone in the value,
-    so an interval holding q always shares q's bucket.
-    """
-    nb = max(1, len(lo))
-    base, top = float(lo.min()), float(hi.max())
-    width = (top - base) / nb or 1.0
-    b0 = np.minimum(((lo - base) / width).astype(np.int64), nb - 1)
-    span = np.minimum(((hi - base) / width).astype(np.int64), nb - 1) - b0 + 1
-    first = np.cumsum(span) - span
-    bucket = np.repeat(b0 - first, span) + np.arange(span.sum())
-    order = np.argsort(bucket, kind="stable")
-    start = np.searchsorted(bucket[order], np.arange(nb + 1))
-    return base, top, width, start, np.repeat(np.arange(len(lo)), span)[order]
-
-
-def _bucket_pairs(buckets, q: np.ndarray):
-    """(query, interval) index pairs sharing a bucket: a superset of lo <= q <= hi."""
-    base, top, width, start, items = buckets
-    k = np.nonzero((q >= base) & (q <= top))[0]
-    b = np.minimum(((q[k] - base) / width).astype(np.int64), len(start) - 2)
-    cnt = start[b + 1] - start[b]
-    pos = np.repeat(start[b] - (np.cumsum(cnt) - cnt), cnt) + np.arange(cnt.sum())
-    return np.repeat(k, cnt), items[pos]
-
-
 _PARITY_CHUNK = 1 << 14     # query points per batch of the crossing test
 
 
@@ -581,29 +520,30 @@ def crossing_parity(points: np.ndarray, starts: np.ndarray, ends: np.ndarray,
                     group: np.ndarray | None = None, ngroups: int = 1) -> np.ndarray:
     """Even-odd parity of +x ray crossings, per point and per edge group.
 
-    Edges are bucketed by their y-range (E. Haines, "Point in Polygon
-    Strategies", Graphics Gems IV, 1994), so each point tests only the edges
-    whose y-range spans it.  The half-open rule min(y0, y1) <= y < max(y0, y1)
-    keeps a vertex on the ray from counting twice.  Returns (n, ngroups) bool;
-    ``group`` maps each edge to its group (all edges in group 0 by default).
+    Each batch of points is sorted by y, and an edge tests the points of
+    its half-open y-range min(y0, y1) <= y < max(y0, y1): one slice of that
+    order, found by two searchsorted calls.  The half-open rule keeps a
+    vertex on the ray from counting twice and gives a horizontal edge no
+    point.  Returns (n, ngroups) bool; ``group`` maps each edge to its group
+    (all edges in group 0 by default).
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     out = np.zeros((len(points), ngroups), dtype=bool)
-    sel = np.nonzero(starts[:, 1] != ends[:, 1])[0]   # horizontal edges never cross
-    if len(sel) == 0:
-        return out
     group = np.zeros(len(starts), dtype=np.int64) if group is None else group
-    y0, y1 = starts[sel, 1], ends[sel, 1]
-    buckets = _buckets(np.minimum(y0, y1), np.maximum(y0, y1))
+    y0, y1 = starts[:, 1], ends[:, 1]
+    lo, hi = np.minimum(y0, y1), np.maximum(y0, y1)
     for a in range(0, len(points), _PARITY_CHUNK):
         pts = points[a:a + _PARITY_CHUNK]
-        k, e = _bucket_pairs(buckets, pts[:, 1])
-        e = sel[e]
+        order = pts[:, 1].argsort(kind="stable")
+        y_sorted = pts[order, 1]
+        first = y_sorted.searchsorted(lo)
+        cnt = y_sorted.searchsorted(hi) - first
+        e = np.repeat(np.arange(len(starts)), cnt)
+        k = order[np.repeat(first - (cnt.cumsum() - cnt), cnt) + np.arange(len(e))]
         v0, v1 = starts[e], ends[e]
         x, y = pts[k, 0], pts[k, 1]
-        cond = (v0[:, 1] > y) != (v1[:, 1] > y)
         t = (y - v0[:, 1]) / (v1[:, 1] - v0[:, 1])
-        hit = cond & (v0[:, 0] + t * (v1[:, 0] - v0[:, 0]) > x)
+        hit = v0[:, 0] + t * (v1[:, 0] - v0[:, 0]) > x
         counts = np.bincount(k[hit] * ngroups + group[e[hit]], minlength=len(pts) * ngroups)
         out[a:a + _PARITY_CHUNK] = (counts % 2 == 1).reshape(len(pts), ngroups)
     return out
@@ -881,17 +821,19 @@ class CurveIndex:
 def write_curve_file(curve: PolyCurve, path) -> None:
     """Plain-text blocks: 'component <id> <orientation>' then 'x y' lines."""
     with open(path, "w") as fh:
-        for k, c in enumerate(curve.components):
-            fh.write(f"component {k} {c.orientation:+d}\n")
-            fh.write("".join(f"{x!r} {y!r}\n" for x, y in c.vertices.tolist()))
+        for k, (v, o) in enumerate(zip(np.split(curve.vertices, curve.layout.split),
+                                       curve.orientations.tolist())):
+            fh.write(f"component {k} {o:+d}\n")
+            fh.write("".join(f"{x!r} {y!r}\n" for x, y in v.tolist()))
             fh.write("\n")
 
 
 def read_curve_file(path) -> PolyCurve:
     """Parse the block format; closure is implicit and duplicated endpoints
-    are rejected, as is an orientation that contradicts its nesting depth
+    are rejected, as are a header orientation that contradicts its block's
+    vertex order (``ValueError``) and one that contradicts its nesting depth
     (:class:`OrientationMismatch`)."""
-    comps = []
+    parts, orientations = [], []
     with open(path) as fh:
         blocks = fh.read().split("\n\n")
     for block in blocks:
@@ -901,16 +843,19 @@ def read_curve_file(path) -> PolyCurve:
         head = lines[0].split()
         if head[0] != "component" or len(head) != 3:
             raise ValueError(f"bad component header: {lines[0]!r}")
-        comp = Component(np.array([[float(a) for a in ln.split()] for ln in lines[1:]]),
-                         int(head[2]))
-        v = comp.vertices
+        v = np.array([[float(a) for a in ln.split()] for ln in lines[1:]])
+        if v.ndim != 2 or v.shape[1] != 2 or not np.isfinite(v).all():
+            raise ValueError("vertices must be a finite (n, 2) array")
         # the box diagonal bounds the diameter, as in PolyCurve._validate: only
         # a closing gap within the floor of that bound reads the diameter
         gap = row_norms(v[:1] - v[-1:])[0]
-        if (comp.n >= 2 and gap <= EDGE_FLOOR_REL * row_norms(np.ptp(v, axis=0)[None])[0]
+        if (len(v) >= 2 and gap <= EDGE_FLOOR_REL * row_norms(np.ptp(v, axis=0)[None])[0]
                 and gap <= EDGE_FLOOR_REL * _max_distance(v)):
             raise ValueError("curve blocks must not repeat the first vertex")
-        comps.append(comp)
-    curve = PolyCurve(comps)
+        parts.append(v)
+        orientations.append(int(head[2]))
+    # the keyword form checks each header orientation against its block's area
+    curve = PolyCurve(vertices=np.vstack(parts) if parts else np.zeros((0, 2)),
+                      counts=[len(v) for v in parts], orientations=orientations)
     jordan_decompose(curve)
     return curve

@@ -96,7 +96,7 @@ def _triangle_fan(poly):
 
 class _Forest:
     def __init__(self, curve):
-        self.components = [c.vertices for c in curve.components]
+        self.components = np.split(curve.vertices, curve.layout.split)
         starts = np.vstack(self.components)
         ends = np.vstack([np.roll(v, -1, axis=0) for v in self.components])
         self.seg_lo = np.minimum(starts, ends)

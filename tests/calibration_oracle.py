@@ -1,7 +1,8 @@
 """Single-point signed distance with the medial-axis ambiguity probe,
 pointwise tube fields, finite differences along the extended reference
-tangent, the facing self-gap from (m, m, 2) chord arrays, and the gap
-between two components from one (n_i, n_j, 2) broadcast.
+tangent, the facing self-gap from (m, m, 2) chord arrays, the gap between
+two components from one (n_i, n_j, 2) broadcast, and the polygonal
+admissible delta from that gap over every pair of components.
 
 The tube evaluators query the reference in batches and never need to know
 whether a foot point is ambiguous; the tests check that a strict single
@@ -134,3 +135,18 @@ def polyline_gap(curve, i, j):
     d2 = _point_segment_dist(starts[b][:, None, :], starts[a][None, :, :],
                              ends[a][None, :, :]).min()
     return float(min(d1, d2))
+
+
+def admissible_delta(geom):
+    """``calibration._admissible_delta_polygonal`` from every pair of loops:
+    each loop's reach, then :func:`polyline_gap` of each pair, a quarter of
+    the least."""
+    best = np.inf
+    kmax = np.maximum.reduceat(np.abs(geom.kappa), geom.layout.first)
+    for k in range(len(kmax)):
+        reach = 1.0 / kmax[k] if kmax[k] > 0 else np.inf
+        best = min(best, min(reach, 0.5 * facing_self_gap(geom, k)) / 4.0)
+    for i in range(len(kmax)):
+        for j in range(i + 1, len(kmax)):
+            best = min(best, polyline_gap(geom.curve, i, j) / 4.0)
+    return best

@@ -25,4 +25,4 @@ def jittered_loop(rng, n, center, scale):
     """A 2:1 mode-3 loop with nodes jittered by up to 0.3 of a parameter step."""
     t = 2 * np.pi * (np.arange(n) + rng.uniform(-0.3, 0.3, n)) / n
     r = scale * (1.0 + 0.2 * np.cos(3 * t + rng.uniform(0, 2 * np.pi)))
-    return geo.Component(center + np.column_stack([2 * r * np.cos(t), r * np.sin(t)]), 1)
+    return center + np.column_stack([2 * r * np.cos(t), r * np.sin(t)])

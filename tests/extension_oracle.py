@@ -170,7 +170,7 @@ def nu_dot_B_potentials(curve, b_field):
     """Zero-average potential of nu . B per component, each component a curve of
     its own (so counter-clockwise), B evaluated per component."""
     out = []
-    for comp in curve.components:
+    for comp in np.split(curve.vertices, curve.layout.split):
         geom = build_geometry(PolyCurve([comp]))
         out.append(nu_dot_B_potential(geom, b_field.at(geom.vertices)))
     return out

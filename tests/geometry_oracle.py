@@ -3,8 +3,9 @@
 Each function is the ``np.roll`` / ``np.dot`` definition on one component's
 arrays that the package used while it kept one geometry object per
 component; ``parts`` slices a stacked ``CurveGeometry`` into its
-components.  ``intrinsic_distance``, ``translated``, the Gauss-Bonnet
-residual and the Poincare ratio are checked or used by the tests only.
+components.  ``crossing_parity`` tests every (point, edge) pair at once.
+``intrinsic_distance``, ``translated``, the Gauss-Bonnet residual and the
+Poincare ratio are checked or used by the tests only.
 Only the tests import this module.
 """
 
@@ -63,8 +64,7 @@ def translated(curve, shift):
 
 def gauss_bonnet_residual(geom):
     """|sum(kappa ds) - orientation * 2 pi| for each component, (K,)."""
-    orientation = np.array([c.orientation for c in geom.curve.components])
-    return np.abs(geo.integrate(geom, geom.kappa) - orientation * 2.0 * np.pi)
+    return np.abs(geo.integrate(geom, geom.kappa) - geom.curve.orientations * 2.0 * np.pi)
 
 
 def poincare_ratio(geom, u, p):
@@ -79,3 +79,15 @@ def poincare_ratio(geom, u, p):
     ratio = np.zeros(len(num))
     np.divide(num, den, out=ratio, where=den > 1e-300 * np.maximum(1.0, num))
     return ratio
+
+
+def crossing_parity(points, starts, ends, group, ngroups):
+    """``geometry.crossing_parity`` from every (point, edge) pair at once: an
+    edge counts for a point when exactly one of its ends lies above the
+    point's height, and it meets that height right of the point."""
+    x, y = points[:, 0, None], points[:, 1, None]
+    (x0, y0), (x1, y1) = starts.T, ends.T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (y - y0) / (y1 - y0)
+    hit = ((y0 > y) != (y1 > y)) & (x0 + t * (x1 - x0) > x)
+    return hit.astype(int) @ (group[:, None] == np.arange(ngroups)) % 2 == 1

@@ -117,9 +117,8 @@ def test_criterion_01_circle_stationarity():
     for _ in range(100):
         state = fl.step(state, cfg)
     elapsed = time.perf_counter() - t0
-    deviation = np.max(np.abs(np.linalg.norm(
-        state.curve.components[0].vertices, axis=1)
-        - np.linalg.norm(curve.components[0].vertices, axis=1)))
+    deviation = np.max(np.abs(np.linalg.norm(state.curve.vertices, axis=1)
+                              - np.linalg.norm(curve.vertices, axis=1)))
     _line(1, deviation <= 1e-6 and elapsed < 5.0,
           f"circle deviation {deviation:.2e} (<=1e-6), runtime {elapsed:.2f}s (<5s)")
 
@@ -139,9 +138,9 @@ def test_criterion_02_conservation_laws(ellipse_run_512):
 
 
 def test_criterion_03_dissipation_identity_convergence():
-    base = geo.make_ellipse(2.0, 1.0, 512).vertices
+    base = geo.make_ellipse(2.0, 1.0, 512)
     state = fl.FlowState.initial(geo.PolyCurve(
-        [geo.Component(fl._resample_uniform(base, [len(base)], passes=4), 1)]))
+        [fl._resample_uniform(base, [len(base)], passes=4)]))
     warm = fl.FlowConfig(dt=1e-4, end_time=1.0)
     for _ in range(20):
         state = fl.step(state, warm, 1e-4)

@@ -8,7 +8,7 @@ from scipy.integrate import quad
 from surfdiff import calibration as cb
 from surfdiff import flow as fl
 from surfdiff import geometry as geo
-from surfdiff.errors import ZeroReach
+from surfdiff.errors import SelfIntersection, ZeroReach
 
 import calibration_oracle
 from calibration_oracle import MedialAxisProximity
@@ -154,28 +154,49 @@ def test_facing_self_gap_matches_dense_oracle():
     assert np.all(np.isfinite(gaps))
 
 
-@pytest.mark.parametrize("seed", range(12))
-def test_polyline_gap_matches_broadcast_oracle(seed):
-    # random forests of two and three components: a loop, a hole inside it
-    # and a loop beside it, each with more vertices than one row block takes
-    # and its first vertex at a random place, so the gap is met in any block
+def _forest_with_gaps(seed):
+    """A wavy loop, a hole inside it and, on odd seeds, a loop beside it, each
+    0.01 to 0.2 from the wavy loop (0.6 to 0.8 on every fourth seed), with
+    more vertices than one row block takes and its first vertex at a random
+    place."""
     rng = np.random.default_rng(seed)
+    gaps = (0.6, 0.8) if seed % 4 == 3 else (0.01, 0.2)
     n = rng.integers(40, 700, size=3)
-    turn = rng.uniform(0.0, 2.0 * np.pi)
-    comps = [geo.make_wavy_circle(3.0, rng.uniform(0.0, 0.2), int(rng.integers(2, 6)), n[0]),
-             geo.make_circle(rng.uniform(-0.8, 0.8, size=2), rng.uniform(0.3, 1.0), n[1],
-                             orientation=-1),
-             geo.make_wavy_circle(rng.uniform(0.5, 2.0), rng.uniform(0.0, 0.3), 3, n[2],
-                                  center=rng.uniform(7.0, 9.0) * np.array([np.cos(turn),
-                                                                           np.sin(turn)]))]
-    comps = [geo.Component(np.roll(c.vertices, rng.integers(len(c.vertices)), axis=0),
-                           c.orientation) for c in comps]
-    curve = geo.PolyCurve(comps[:2 + seed % 2])
-    k = len(curve.counts)
-    for i in range(k):
-        for j in range(k):
-            if i != j:
-                assert cb._polyline_gap(curve, i, j) == calibration_oracle.polyline_gap(curve, i, j)
+    outer = geo.make_wavy_circle(3.0, rng.uniform(0.0, 0.2), int(rng.integers(2, 6)), n[0])
+    centre = rng.uniform(-0.8, 0.8, size=2)
+    room = geo._point_segment_dist(centre, outer, np.roll(outer, -1, axis=0)).min()
+    comps = [outer, geo.make_circle(centre, room - rng.uniform(*gaps), n[1],
+                                    orientation=-1)]
+    if seed % 2:
+        turn = rng.uniform(0.0, 2.0 * np.pi)
+        u = np.array([np.cos(turn), np.sin(turn)])
+        radius, amp = rng.uniform(0.5, 2.0), rng.uniform(0.0, 0.3)
+        along = np.max(outer @ u) + radius * (1.0 + amp) + rng.uniform(*gaps)
+        comps.append(geo.make_wavy_circle(radius, amp, 3, n[2], center=along * u))
+    return geo.PolyCurve([np.roll(c, rng.integers(len(c)), axis=0) for c in comps])
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_polygonal_delta_matches_all_pairs_oracle(seed):
+    # the sweep's pairs give the least gap of all pairs of loops, bit for bit;
+    # where the loops are near, that gap, not a loop's own reach, decides delta
+    geom = geo.build_geometry(_forest_with_gaps(seed))
+    delta = cb._admissible_delta_polygonal(geom)
+    assert delta == calibration_oracle.admissible_delta(geom)
+    k = geom.curve.ncomponents
+    gap = min(calibration_oracle.polyline_gap(geom.curve, i, j)
+              for i in range(k) for j in range(i + 1, k))
+    assert (delta == gap / 4.0) == (seed % 4 != 3)
+
+
+def test_touching_loops_fail_before_the_delta_scan(monkeypatch):
+    scanned = []
+    monkeypatch.setattr(cb, "_admissible_delta_polygonal", scanned.append)
+    curve = geo.PolyCurve([geo.make_circle((0, 0), 1.0, 64),
+                           geo.make_circle((2.0, 0), 1.0, 64)])
+    with pytest.raises(SelfIntersection, match="components 0 and 1 touch"):
+        cb.PolygonReference(fl.Trajectory([0.0], [curve])).admissible_delta()
+    assert scanned == []
 
 
 def test_stationary_reference_builds_its_state_once(monkeypatch):

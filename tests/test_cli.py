@@ -374,7 +374,7 @@ def test_evaluate_run_evaluates_each_sample_once(monkeypatch):
     curve = geo.PolyCurve([geo.make_wavy_circle(1.0, 0.04, 3, 64, normalize_area=True)])
     run = fl.run_flow(curve, fl.FlowConfig(dt=1e-4, end_time=0.002), sample_stride=1,
                       max_samples=40)
-    vertex_sets = [state.curve.components[0].vertices for state in run.states]
+    vertex_sets = [state.curve.vertices for state in run.states]
     vertex_queries = []
     query = ref.query
 
@@ -569,7 +569,7 @@ def test_compare_reports_equal_direct_dissipation_reports(tmp_path):
     assert len(rows) == len(traj.times) >= 10
     for row, t, curve in zip(rows, traj.times, traj.curves):
         geom = geo.build_geometry(curve)
-        rep = en.dissipation_report(curve, calib.sample(geom, t), calib, calib.b_field(t),
+        rep = en.dissipation_report(calib.sample(geom, t), calib, calib.b_field(t),
                                     geo.d2ds2(geom, geom.kappa))
         t_, e, f, _, _, _, d_v = map(float, row.split(",")[:7])
         assert (t_, e, f, d_v) == (rep.t, rep.E, rep.F, rep.D_V)

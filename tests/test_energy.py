@@ -132,7 +132,8 @@ def test_bulk_error_far_bubble_saturates(circle_calibration):
                            geo.make_circle((3, 0), 0.1, 128)])
     f0 = _bulk(base, circle_calibration)
     f1 = _bulk(withb, circle_calibration)
-    area = withb.components[1].signed_area()
+    v = geo.make_circle((3, 0), 0.1, 128)
+    area = 0.5 * np.sum(v[:, 0] * np.roll(v[:, 1], -1) - np.roll(v[:, 0], -1) * v[:, 1])
     assert f1 - f0 == pytest.approx(area * 0.25, rel=1e-10)
 
 
@@ -176,7 +177,7 @@ def test_bulk_error_clockwise_hole_subtracts(circle_calibration):
 # bulk error against the recursive reference implementation
 # ---------------------------------------------------------------------------
 
-def _star(center, radius, n, rng, amp, orientation=1):
+def _star(center, radius, n, rng, amp, clockwise=False):
     ang = 2 * np.pi * np.arange(n) / n
     modes = np.arange(2, 5)
     coef = rng.uniform(-1, 1, len(modes))
@@ -184,7 +185,7 @@ def _star(center, radius, n, rng, amp, orientation=1):
     phase = rng.uniform(0, 2 * np.pi, len(modes))
     r = radius * (1 + np.cos(np.outer(ang, modes) + phase) @ coef)
     v = np.asarray(center) + np.column_stack([r * np.cos(ang), r * np.sin(ang)])
-    return geo.Component(v if orientation > 0 else v[::-1], orientation)
+    return v[::-1] if clockwise else v
 
 
 def _random_forest(seed):
@@ -194,7 +195,7 @@ def _random_forest(seed):
                    int(rng.integers(96, 160)), rng, 0.08)]
     rho, phi = rng.uniform(0, 0.4), rng.uniform(0, 2 * np.pi)
     comps.append(_star((rho * np.cos(phi), rho * np.sin(phi)), rng.uniform(0.15, 0.35),
-                       int(rng.integers(48, 96)), rng, 0.1, orientation=-1))
+                       int(rng.integers(48, 96)), rng, 0.1, clockwise=True))
     for j in range(int(rng.integers(0, 4))):
         phi = 2 * np.pi * j / 3 + rng.uniform(-0.3, 0.3)
         dist = rng.uniform(1.3, 2.2)
@@ -234,12 +235,10 @@ def test_bulk_error_matches_recursive_oracle(reference, seed):
 def _subdivided(curve, k):
     """The same polygons with k - 1 points inserted evenly on every edge."""
     comps = []
-    for c in curve.components:
-        v = c.vertices
+    for v in np.split(curve.vertices, curve.layout.split):
         e = np.roll(v, -1, axis=0) - v
         frac = np.arange(k) / k
-        comps.append(geo.Component((v[:, None, :] + frac[None, :, None] * e[:, None, :])
-                                   .reshape(-1, 2), c.orientation))
+        comps.append((v[:, None, :] + frac[None, :, None] * e[:, None, :]).reshape(-1, 2))
     return geo.PolyCurve(comps)
 
 
@@ -265,8 +264,8 @@ def test_bulk_error_equals_the_polar_integral_on_a_star(circle_calibration):
     # a star around the origin crossing |s| = delta/2: in polar coordinates
     # F = int G(rho(phi) - 1, 1) dphi, with rho the polygon's radius, a
     # 1-D integral adaptive quadrature resolves to rounding
-    body = _star((0.01, -0.02), 1.06, 160, np.random.default_rng(5), 0.1).vertices
-    f = _bulk(geo.PolyCurve([geo.Component(body, 1)]), circle_calibration)
+    body = _star((0.01, -0.02), 1.06, 160, np.random.default_rng(5), 0.1)
+    f = _bulk(geo.PolyCurve([body]), circle_calibration)
 
     def g(u):
         m1, m2 = circle_calibration.profile.theta_moments(np.array([u]))
@@ -375,8 +374,8 @@ def test_bulk_error_component_leaving_the_band_is_rejected(circle_calibration):
 # ---------------------------------------------------------------------------
 
 def test_dissipation_report_stationary(unit_circle_256, circle_calibration):
-    curve, geom = unit_circle_256
-    rep = en.dissipation_report(curve, circle_calibration.sample(geom), circle_calibration,
+    _, geom = unit_circle_256
+    rep = en.dissipation_report(circle_calibration.sample(geom), circle_calibration,
                                 None, np.zeros(256))
     assert rep.E <= 1e-6
     assert rep.F <= 1e-6
@@ -390,7 +389,7 @@ def test_dissipation_report_stationary(unit_circle_256, circle_calibration):
 def test_dissipation_dh_matches_bruteforce(circle_calibration):
     curve = geo.PolyCurve([geo.make_wavy_circle(1.0, 0.05, 3, 256)])
     geom = geo.build_geometry(curve)
-    rep = en.dissipation_report(curve, circle_calibration.sample(geom), circle_calibration,
+    rep = en.dissipation_report(circle_calibration.sample(geom), circle_calibration,
                                 None, np.zeros(256))
     # independent quadrature loop
     n, kappa, w = 256, geom.kappa, geom.weights
@@ -404,13 +403,13 @@ def test_dissipation_dh_matches_bruteforce(circle_calibration):
 
 
 def test_dissipation_velocity_scaling(unit_circle_256, circle_calibration):
-    curve, geom = unit_circle_256
+    _, geom = unit_circle_256
     theta = vertex_angles(geom)
     v1 = np.cos(2 * theta)
     v2 = 2 * np.cos(2 * theta)
     sample = circle_calibration.sample(geom)
-    r1 = en.dissipation_report(curve, sample, circle_calibration, None, v1)
-    r2 = en.dissipation_report(curve, sample, circle_calibration, None, v2)
+    r1 = en.dissipation_report(sample, circle_calibration, None, v1)
+    r2 = en.dissipation_report(sample, circle_calibration, None, v2)
     assert r2.D_V == pytest.approx(4.0 * r1.D_V, rel=1e-12)
 
 
@@ -538,7 +537,7 @@ def test_stacked_checkers_one_B_call_per_sample(circle_calibration):
     geom = geo.build_geometry(curve)
     sample = circle_calibration.sample(geom)
     counting = _CountingField(field)
-    rep = en.dissipation_report(curve, sample, circle_calibration, counting,
+    rep = en.dissipation_report(sample, circle_calibration, counting,
                                 np.zeros(len(geom.vertices)))
     assert counting.calls == 1
     counting.calls = 0
@@ -557,7 +556,7 @@ def test_stacked_checkers_one_B_call_per_sample(circle_calibration):
     comp_of = geom.curve.segments[2]
     gauss = seen[0].reshape(4, -1, 2)
     stacked_b = field.at(seen[0]).reshape(gauss.shape)
-    for k in range(len(curve.components)):
+    for k in range(curve.ncomponents):
         own = gauss[:, comp_of == k]
         assert np.array_equal(field.at(own.reshape(-1, 2)).reshape(own.shape),
                               stacked_b[:, comp_of == k])
@@ -568,7 +567,8 @@ def test_stacked_checkers_one_B_call_per_sample(circle_calibration):
     nu_e = np.column_stack([e[:, 1], -e[:, 0]]) / geom.edge_lengths[:, None]
     terms = np.abs(en._G4W[:, None] * geom.edge_lengths * np.sum(nu_e * stacked_b, axis=2))
     scale = np.add.reduceat(terms.sum(axis=0), geom.layout.first)
-    want = np.array([extension_oracle.edge_flux(field.at, c.vertices) for c in curve.components])
+    want = np.array([extension_oracle.edge_flux(field.at, v)
+                     for v in np.split(curve.vertices, curve.layout.split)])
     assert np.all(want[1:] != 0.0)
     assert np.all(np.abs(fluxes - want) <= 1e-15 * scale)
     assert abs(nb.sum_abs - np.sum(np.abs(want))) <= 1e-15 * np.sum(scale)
@@ -605,7 +605,7 @@ def test_sample_checkers_compute_each_diameter_once(monkeypatch, circle_calibrat
                           f_value=1.0, e_value=1.0)
     poincare_ratio(sample.geometry, sample.s, 2)
     assert calls == list(curve.counts)
-    one_by_one = [max_distance(c.vertices) for c in curve.components]
+    one_by_one = [max_distance(v) for v in np.split(curve.vertices, curve.layout.split)]
     assert np.array_equal(curve.diameters, one_by_one)
     limit = 1.0 / (2.0 * xi_bound)
     assert [b.applicable for b in bubbles] == [d <= limit for d in one_by_one]
@@ -666,8 +666,8 @@ def test_bubble_lemma_randomized_in_tube(circle_calibration):
 # ---------------------------------------------------------------------------
 
 def test_lemma32_on_reference(unit_circle_256, circle_calibration):
-    curve, geom = unit_circle_256
-    rep = en.dissipation_report(curve, circle_calibration.sample(geom), circle_calibration,
+    _, geom = unit_circle_256
+    rep = en.dissipation_report(circle_calibration.sample(geom), circle_calibration,
                                 None, np.zeros(256))
     lhs = rep.cross_xi
     assert lhs <= 1e-6
@@ -678,7 +678,7 @@ def test_lemma32_ratio_bounded_over_sweep(circle_calibration):
     for amp in (0.01, 0.02, 0.04):
         curve = geo.PolyCurve([geo.make_wavy_circle(1.0, amp, 3, 256)])
         geom = geo.build_geometry(curve)
-        rep = en.dissipation_report(curve, circle_calibration.sample(geom),
+        rep = en.dissipation_report(circle_calibration.sample(geom),
                                     circle_calibration, None, np.zeros(256))
         ratio = en.stationary_gradient_ratio(rep, circle_calibration)
         ratios.append(ratio)
@@ -688,7 +688,7 @@ def test_lemma32_ratio_bounded_over_sweep(circle_calibration):
 def test_lemma32_far_bubble_lowers_ratio(circle_calibration):
     def lhs_and_ratio(curve):
         geom = geo.build_geometry(curve)
-        rep = en.dissipation_report(curve, circle_calibration.sample(geom),
+        rep = en.dissipation_report(circle_calibration.sample(geom),
                                     circle_calibration, None, np.zeros(len(geom.vertices)))
         return rep.cross_xi, en.stationary_gradient_ratio(rep, circle_calibration)
 
@@ -707,7 +707,7 @@ def test_lemma32_rejects_moving_reference():
     ref = cb.PolygonReference(trajectory=traj)
     calib = cb.Calibration(ref)
     weak = geo.PolyCurve([geo.make_ellipse(2.0, 1.0, 64)])
-    rep = en.dissipation_report(weak, calib.sample(geo.build_geometry(weak)), calib,
+    rep = en.dissipation_report(calib.sample(geo.build_geometry(weak)), calib,
                                 None, np.zeros(64))
     with pytest.raises(NonStationaryReference):
         en.stationary_gradient_ratio(rep, calib)

@@ -352,7 +352,7 @@ def _component(k: int, kind: str, n: int, radius: float):
         comp = geo.make_ellipse(2.0 * radius, radius, n, center=center)
     else:
         comp = geo.make_wavy_circle(radius, 0.2, 3, n, center=center)
-    return geo.Component(fl._resample_uniform(comp.vertices, [n], passes=4), 1)
+    return fl._resample_uniform(comp, [n], passes=4)
 
 
 def _mode_velocities(geom, modes):
@@ -453,7 +453,7 @@ def test_midpoint_residual_on_parameter_uniform_nodes():
               _component(3, "circle", 16, 0.05)]
     first = geo.make_ellipse(0.1012, 0.0506, 37)
     residuals = []
-    for comp in (first, geo.Component(fl._resample_uniform(first.vertices, [37], passes=4), 1)):
+    for comp in (first, fl._resample_uniform(first, [37], passes=4)):
         curve = geo.PolyCurve([comp] + others)
         geom = geo.build_geometry(curve)
         v = _mode_velocities(geom, [2, 1, 3, 1])

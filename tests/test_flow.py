@@ -18,8 +18,7 @@ from conftest import jittered_loop
 
 def _resampled(components):
     """A curve of these components, each at its uniform arc-length fixed point."""
-    return geo.PolyCurve([geo.Component(fl._resample_uniform(c.vertices, [c.n], passes=4),
-                                        c.orientation) for c in components])
+    return geo.PolyCurve([fl._resample_uniform(c, [len(c)], passes=4) for c in components])
 
 
 @pytest.fixture(scope="module")
@@ -35,8 +34,8 @@ def test_circle_is_stationary():
     state = fl.FlowState.initial(curve)
     for _ in range(100):
         state = fl.step(state, cfg)
-    radii = np.linalg.norm(state.curve.components[0].vertices, axis=1)
-    radii0 = np.linalg.norm(curve.components[0].vertices, axis=1)
+    radii = np.linalg.norm(state.curve.vertices, axis=1)
+    radii0 = np.linalg.norm(curve.vertices, axis=1)
     assert np.max(np.abs(radii - radii0)) <= 1e-6
 
 
@@ -48,7 +47,7 @@ def test_circle_fixed_point_any_radius_and_resolution():
         for _ in range(50):
             state = fl.step(state, cfg)
         drift = np.max(np.linalg.norm(
-            state.curve.components[0].vertices - curve.components[0].vertices, axis=1))
+            state.curve.vertices - curve.vertices, axis=1))
         assert drift <= 1e-8 * radius * state.time / max(state.time, 1e-30)
 
 
@@ -59,8 +58,7 @@ def test_two_disjoint_circles_stationary():
     state = fl.FlowState.initial(curve)
     for _ in range(20):
         state = fl.step(state, cfg)
-    for comp, ref in zip(state.curve.components, curve.components):
-        assert np.max(np.linalg.norm(comp.vertices - ref.vertices, axis=1)) <= 1e-8
+    assert np.max(np.linalg.norm(state.curve.vertices - curve.vertices, axis=1)) <= 1e-8
 
 
 def test_ellipse_isoperimetric_monotone(ellipse_run):
@@ -104,7 +102,8 @@ def test_move_stage_exactly_area_neutral():
                                 [256], dt)
         w = fl._area_neutral_shift(geom.vertices, geom.nu, w, [256], dt)
         moved = geom.vertices + dt * w[:, None] * geom.nu
-        drift = abs(geo.Component(moved, 1).signed_area() - geom.area[0])
+        drift = abs(0.5 * np.sum(moved[:, 0] * np.roll(moved[:, 1], -1)
+                                 - np.roll(moved[:, 0], -1) * moved[:, 1]) - geom.area[0])
         assert drift <= 1e-12 * abs(geom.area[0])
 
 
@@ -141,7 +140,7 @@ def test_closed_form_shift_without_real_root_takes_vertex():
     # the rotation field nu = J x with w = 1 + cos 2t: the area change
     # c0 + c1 lam + c2 lam^2, fitted from three exact shoelace areas, has no
     # real root, and the shift is its vertex -c1 / (2 c2)
-    x = geo.make_circle((0.0, 0.0), 1.0, 16).vertices
+    x = geo.make_circle((0.0, 0.0), 1.0, 16)
     nu = np.column_stack([-x[:, 1], x[:, 0]])
     w = 1.0 + np.cos(2.0 * np.arctan2(x[:, 1], x[:, 0]))
     dt = 0.1
@@ -217,9 +216,8 @@ def test_equivariance_under_rigid_motion():
     s_moved = fl.step(fl.FlowState.initial(moved), cfg)
     c, s = np.cos(angle), np.sin(angle)
     rot = np.array([[c, -s], [s, c]])
-    expected = s_base.curve.components[0].vertices @ rot.T + shift
-    err = np.max(np.linalg.norm(s_moved.curve.components[0].vertices - expected,
-                                axis=1))
+    expected = s_base.curve.vertices @ rot.T + shift
+    err = np.max(np.linalg.norm(s_moved.curve.vertices - expected, axis=1))
     assert err <= 1e-10
 
 
@@ -266,8 +264,8 @@ def test_trajectory_interpolation_self_convergence():
     mids = 0.5 * (coarse.times[1:] + coarse.times[:-1])
     errs = []
     for tq in mids[mids > 0.5 * coarse.times[-1]]:
-        ci = coarse.curve_at(tq).components[0].vertices
-        fi = fine.curve_at(tq).components[0].vertices
+        ci = coarse.curve_at(tq).vertices
+        fi = fine.curve_at(tq).vertices
         errs.append(np.max(np.linalg.norm(ci - fi, axis=1)))
     stride_dt = np.max(np.diff(coarse.times))
     assert max(errs) <= 100.0 * stride_dt**2
@@ -278,7 +276,7 @@ def test_make_reference_circle_constant():
     cfg = fl.FlowConfig(dt=1e-3, end_time=0.02)
     traj = fl.make_reference(cfg, curve, sample_stride=5)
     for c in traj.curves:
-        radii = np.linalg.norm(c.components[0].vertices, axis=1)
+        radii = np.linalg.norm(c.vertices, axis=1)
         assert np.max(np.abs(radii - radii[0])) <= 1e-8
     assert np.all(np.diff(traj.times) > 0)
 
@@ -299,8 +297,7 @@ def test_trajectory_export_roundtrip(tmp_path):
     back = fl.load_trajectory(tmp_path / "traj")
     np.testing.assert_array_equal(back.times, traj.times)
     for a, b in zip(traj.curves, back.curves):
-        np.testing.assert_array_equal(a.components[0].vertices,
-                                      b.components[0].vertices)
+        np.testing.assert_array_equal(a.vertices, b.vertices)
 
 
 def test_load_trajectory_rejects_an_empty_index(tmp_path):
@@ -462,7 +459,7 @@ def test_area_drift_at_dt_floor_raises_specific_error(monkeypatch):
 def test_resample_matches_per_coordinate_splines():
     # scipy's periodic CubicSpline per coordinate, in chord length, is the
     # oracle of the in-house spline resampling
-    v = geo.make_wavy_circle(1.0, 0.05, 3, 512).vertices
+    v = geo.make_wavy_circle(1.0, 0.05, 3, 512)
     closed = np.vstack([v, v[:1]])
     s = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(closed, axis=0), axis=1))])
     s_new = s[-1] * np.arange(512) / 512
@@ -486,8 +483,8 @@ def test_stacked_step_matches_per_component_step(dt):
     x_max = max(np.max(np.abs(x)) for x in vertices)
     for got, w in zip(np.split(new.normal_velocity, new.curve.layout.split), velocities):
         assert np.max(np.abs(got - w)) <= 1e-12 * w_max
-    for comp, x in zip(new.curve.components, vertices):
-        assert np.max(np.abs(comp.vertices - x)) <= 1e-12 * x_max
+    for comp, x in zip(np.split(new.curve.vertices, new.curve.layout.split), vertices):
+        assert np.max(np.abs(comp - x)) <= 1e-12 * x_max
 
 
 def test_curve_at_rejects_a_blend_across_layouts(tmp_path):
@@ -512,8 +509,8 @@ def test_curve_at_rejects_a_blend_across_layouts(tmp_path):
 def test_step_makes_one_curve_and_one_geometry(monkeypatch):
     curve = _resampled([geo.make_ellipse(2.0, 1.0, 64), geo.make_circle((4.0, 0.0), 0.5, 24)])
     state = fl.FlowState.initial(curve)
-    calls = {"PolyCurve": 0, "build_geometry": 0, "Component": 0}
-    init, build, post = geo.PolyCurve.__init__, fl.build_geometry, geo.Component.__post_init__
+    calls = {"PolyCurve": 0, "build_geometry": 0}
+    init, build = geo.PolyCurve.__init__, fl.build_geometry
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -523,7 +520,6 @@ def test_step_makes_one_curve_and_one_geometry(monkeypatch):
 
     monkeypatch.setattr(geo.PolyCurve, "__init__", counted("PolyCurve", init))
     monkeypatch.setattr(fl, "build_geometry", counted("build_geometry", build))
-    monkeypatch.setattr(geo.Component, "__post_init__", counted("Component", post))
     new = fl.step(state, fl.FlowConfig(dt=1e-5, end_time=1.0))
-    assert calls == {"PolyCurve": 1, "build_geometry": 1, "Component": 0}
+    assert calls == {"PolyCurve": 1, "build_geometry": 1}
     assert new.geometry.vertices is new.curve.vertices

@@ -58,26 +58,30 @@ def test_vertex_count_floor():
 
 
 def test_degenerate_edge_rejected():
-    v = geo.make_circle((0, 0), 1.0, 64).vertices.copy()
+    v = geo.make_circle((0, 0), 1.0, 64)
     v[10] = v[9] + 1e-15
     with pytest.raises(DegenerateEdge):
-        geo.PolyCurve([geo.Component(v, 1)])
+        geo.PolyCurve([v])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_vertex_rejected(bad):
-    v = geo.make_circle((0, 0), 1.0, 64).vertices.copy()
+    v = geo.make_circle((0, 0), 1.0, 64)
     v[5, 1] = bad
-    with pytest.raises(ValueError, match="finite"):
-        geo.PolyCurve([geo.Component(v, 1)])
     with pytest.raises(ValueError, match="finite"):
         geo.PolyCurve([v])
 
 
 def test_orientation_area_consistency():
-    v = geo.make_circle((0, 0), 1.0, 64).vertices
-    with pytest.raises(ValueError):
-        geo.PolyCurve([geo.Component(v, -1)])
+    # a listed component takes the orientation of its area, which a stacked
+    # build checks; a component of zero area has neither
+    v = geo.make_circle((0, 0), 1.0, 64)
+    assert geo.PolyCurve([v[::-1], 2.0 * v]).orientations.tolist() == [-1, 1]
+    with pytest.raises(ValueError, match="^component 0: signed area .* contradicts orientation -1$"):
+        geo.PolyCurve(vertices=v, counts=[64], orientations=[-1])
+    flat = np.column_stack([[0.0, 1.0, 2.0, 3.0, 4.0, 3.0, 2.0, 1.0], np.zeros(8)])
+    with pytest.raises(ValueError, match="^component 1: signed area 0.000e\\+00 contradicts"):
+        geo.PolyCurve([2.0 * v, flat])
 
 
 def test_self_intersection_detected():
@@ -86,7 +90,7 @@ def test_self_intersection_detected():
     t = 2 * np.pi * np.arange(64) / 64
     fig8 = np.column_stack([np.sin(2 * t), np.sin(t)])
     with pytest.raises(SelfIntersection, match="near segment 0$"):
-        geo.check_embedded(geo.PolyCurve([geo.Component(fig8, 1)]))
+        geo.check_embedded(geo.PolyCurve([fig8]))
 
 
 def test_touching_components_detected():
@@ -109,8 +113,7 @@ def test_turning_angle_sum_exact_for_any_polygon():
     rng = np.random.default_rng(11)
     t = 2 * np.pi * np.arange(128) / 128
     r = 1.0 + 0.15 * np.cos(4 * t) + 0.1 * np.sin(7 * t) + 0.02 * rng.normal(size=128)
-    curve = geo.PolyCurve([geo.Component(
-        np.column_stack([r * np.cos(t), r * np.sin(t)]), 1)])
+    curve = geo.PolyCurve([np.column_stack([r * np.cos(t), r * np.sin(t)])])
     assert oracle.gauss_bonnet_residual(geo.build_geometry(curve))[0] <= 1e-10
 
 
@@ -138,12 +141,13 @@ def _brute_force_containment(curve):
     """Oracle: winding-number containment matrix via angle accumulation."""
     k = curve.ncomponents
     mat = np.zeros((k, k), dtype=bool)
+    parts = np.split(curve.vertices, curve.layout.split)
     for i in range(k):
-        probe = curve.components[i].vertices[0]
+        probe = parts[i][0]
         for j in range(k):
             if i == j:
                 continue
-            v = curve.components[j].vertices - probe
+            v = parts[j] - probe
             ang = np.arctan2(v[:, 1], v[:, 0])
             dang = np.diff(np.concatenate([ang, ang[:1]]))
             dang = (dang + np.pi) % (2 * np.pi) - np.pi
@@ -197,10 +201,10 @@ def test_jordan_ambiguous_probe():
     # the inner component's probe vertex sits within the nesting tolerance of
     # the outer polygon: the decomposition must report, not guess
     outer = geo.make_circle((0, 0), 2.0, 64)
-    inner = geo.make_circle((0, 0), 1.0, 64, -1).vertices.copy()
-    inner[0] = outer.vertices[0] * (1.0 - 1e-12)
+    inner = geo.make_circle((0, 0), 1.0, 64, -1)
+    inner[0] = outer[0] * (1.0 - 1e-12)
     with pytest.raises(AmbiguousNesting):
-        geo.jordan_decompose(geo.PolyCurve([outer, geo.Component(inner, -1)]))
+        geo.jordan_decompose(geo.PolyCurve([outer, inner]))
 
 
 # ---------------------------------------------------------------------------
@@ -348,26 +352,26 @@ def test_curve_file_roundtrip(tmp_path):
     path = tmp_path / "curve.txt"
     geo.write_curve_file(curve, path)
     back = geo.read_curve_file(path)
-    assert back.ncomponents == 2
-    for a, b in zip(curve.components, back.components):
-        assert a.orientation == b.orientation
-        np.testing.assert_array_equal(a.vertices, b.vertices)
+    assert back.counts == curve.counts
+    np.testing.assert_array_equal(back.orientations, curve.orientations)
+    np.testing.assert_array_equal(back.vertices, curve.vertices)
 
 
 def test_curve_file_bytes_match_per_vertex_writer(tmp_path):
     def per_vertex_writer(curve, path):
         with open(path, "w") as fh:
-            for k, c in enumerate(curve.components):
-                fh.write(f"component {k} {c.orientation:+d}\n")
-                for x, y in c.vertices:
+            parts = np.split(curve.vertices, curve.layout.split)
+            for k, (v, o) in enumerate(zip(parts, curve.orientations)):
+                fh.write(f"component {k} {o:+d}\n")
+                for x, y in v:
                     fh.write(f"{float(x)!r} {float(y)!r}\n")
                 fh.write("\n")
 
-    outer = geo.make_circle((0, 0), 1e17, 8).vertices.copy()
+    outer = geo.make_circle((0, 0), 1e17, 8)
     outer[2, 0] = -0.0
-    hole = geo.make_circle((0, 0), 1.0, 8, -1).vertices.copy()
+    hole = geo.make_circle((0, 0), 1.0, 8, -1)
     hole[6, 0] = 1e-300
-    holed = geo.PolyCurve([geo.Component(outer, 1), geo.Component(hole, -1)])
+    holed = geo.PolyCurve([outer, hole])
     loop = geo.PolyCurve([jittered_loop(np.random.default_rng(3), 512, np.zeros(2), 1.0)])
     for k, curve in enumerate((holed, loop)):
         geo.write_curve_file(curve, tmp_path / f"new{k}.txt")
@@ -379,7 +383,7 @@ def test_curve_file_bytes_match_per_vertex_writer(tmp_path):
 
 def test_curve_file_rejects_duplicate_endpoint(tmp_path):
     path = tmp_path / "bad.txt"
-    v = geo.make_circle((0, 0), 1.0, 16).vertices
+    v = geo.make_circle((0, 0), 1.0, 16)
     with open(path, "w") as fh:
         fh.write("component 0 +1\n")
         for x, y in v:
@@ -415,7 +419,7 @@ def test_curve_file_reads_a_diameter_only_for_a_near_repeat(tmp_path, monkeypatc
 @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
 def test_curve_file_rejects_non_finite(tmp_path, token):
     path = tmp_path / "nan.txt"
-    v = geo.make_circle((0, 0), 1.0, 16).vertices
+    v = geo.make_circle((0, 0), 1.0, 16)
     lines = [f"{float(x)!r} {float(y)!r}" for x, y in v]
     lines[3] = f"{token} 0.5"
     path.write_text("component 0 +1\n" + "\n".join(lines) + "\n")
@@ -430,6 +434,16 @@ def test_curve_file_rejects_orientation_against_nesting(tmp_path):
     geo.write_curve_file(geo.PolyCurve([geo.make_circle((0, 0), 2.0, 64),
                                         geo.make_circle((0, 0), 1.0, 32)]), path)
     with pytest.raises(OrientationMismatch, match="orientation"):
+        geo.read_curve_file(path)
+
+
+def test_curve_file_rejects_header_against_vertex_order(tmp_path):
+    # the hole's block runs clockwise but its header says +1
+    path = tmp_path / "flipped.txt"
+    geo.write_curve_file(geo.PolyCurve([geo.make_circle((0, 0), 2.0, 64),
+                                        geo.make_circle((0, 0), 1.0, 32, -1)]), path)
+    path.write_text(path.read_text().replace("component 1 -1", "component 1 +1"))
+    with pytest.raises(ValueError, match="^component 1: signed area .* contradicts orientation 1$"):
         geo.read_curve_file(path)
 
 
@@ -518,7 +532,8 @@ def test_diameters_hold_no_quadratic_temporary():
 
 
 # ---------------------------------------------------------------------------
-# point in polygon: bucketed crossing test against the winding number
+# point in polygon: the crossing test against the winding number and
+# against every (point, edge) pair
 # ---------------------------------------------------------------------------
 
 def _winding(points, vertices):
@@ -556,6 +571,43 @@ def test_points_in_component_star_polygons(n, seed, clockwise):
     assert np.array_equal(grouped[:, 1], _winding(pts, other) != 0)
 
 
+def _histogram(rng, m, origin, scale):
+    """An axis-aligned polygon, counter-clockwise: the region under a step
+    function on m unit columns whose neighbouring heights differ, scaled and
+    moved.  Half its edges are horizontal."""
+    steps = rng.integers(1, 4, m - 1) * rng.choice([-1, 1], m - 1)
+    h = np.concatenate([[0], np.cumsum(steps)])
+    top = [(i + di, h[i] - h.min() + 1) for i in range(m - 1, -1, -1) for di in (1, 0)]
+    return origin + np.array([(0, 0), (m, 0)] + top, dtype=float) * scale
+
+
+@ORACLE
+@given(st.integers(2, 20), st.integers(2, 20), st.integers(0, 2**32 - 1))
+def test_crossing_parity_axis_aligned_polygons(m_a, m_b, seed):
+    # a histogram and a transposed one, whose vertex heights every horizontal
+    # edge and every vertical edge's end sit at: points at every vertex
+    # height, on the vertices and at the vertical edges' abscissae are
+    # decided by the half-open rule, and a horizontal edge holds no point,
+    # so it divides by nothing; batches of 7 points split every set
+    rng = np.random.default_rng(seed)
+    a = _histogram(rng, m_a, rng.uniform(-1, 1, 2), rng.uniform(0.1, 1.0, 2))
+    b = _histogram(rng, m_b, rng.uniform(-1, 1, 2), rng.uniform(0.1, 1.0, 2))[:, ::-1]
+    starts = np.vstack([a, b])
+    ends = np.vstack([np.roll(a, -1, axis=0), np.roll(b, -1, axis=0)])
+    lo, hi = starts.min(axis=0) - 0.5, starts.max(axis=0) + 0.5
+    xs = np.concatenate([rng.uniform(lo[0], hi[0], len(starts)), starts[:, 0]])
+    pts = np.vstack([rng.uniform(lo, hi, (100, 2)), starts,
+                     np.column_stack([rng.permutation(xs), np.tile(starts[:, 1], 2)])])
+    group = np.repeat([0, 1], [len(a), len(b)])
+    want = oracle.crossing_parity(pts, starts, ends, group, 2)
+    single = oracle.crossing_parity(pts, starts, ends, np.zeros_like(group), 1)
+    for chunk in (geo._PARITY_CHUNK, 7):
+        with pytest.MonkeyPatch.context() as mp, np.errstate(all="raise"):
+            mp.setattr(geo, "_PARITY_CHUNK", chunk)
+            assert np.array_equal(geo.crossing_parity(pts, starts, ends, group, 2), want)
+            assert np.array_equal(geo.crossing_parity(pts, starts, ends), single)
+
+
 # ---------------------------------------------------------------------------
 # flattened segments: built once per curve, read-only
 # ---------------------------------------------------------------------------
@@ -566,8 +618,8 @@ def test_segments_cached_and_read_only():
     first, second = curve.segments, curve.segments
     assert all(a is b for a, b in zip(first, second))
     starts, ends, comp_of, local_of = first
-    assert np.array_equal(starts[16:], curve.components[1].vertices)
-    assert np.array_equal(ends[:16], np.roll(curve.components[0].vertices, -1, axis=0))
+    assert np.array_equal(starts[16:], geo.make_circle((0.0, 0.0), 0.5, 12, orientation=-1))
+    assert np.array_equal(ends[:16], np.roll(starts[:16], -1, axis=0))
     assert np.array_equal(comp_of, np.repeat([0, 1], [16, 12]))
     assert np.array_equal(local_of, np.concatenate([np.arange(16), np.arange(12)]))
     for arr in first:
@@ -608,7 +660,7 @@ def _star(rng, n, center, rmin, rmax, orientation=1):
     ang = 2 * np.pi * (np.arange(n) + 0.8 * rng.uniform(size=n)) / n
     rad = rng.uniform(rmin, rmax, n)
     v = np.asarray(center) + np.column_stack([rad * np.cos(ang), rad * np.sin(ang)])
-    return geo.Component(v[::-1] if orientation < 0 else v, orientation)
+    return v[::-1] if orientation < 0 else v
 
 
 def _check_index(curve, pts):
@@ -658,7 +710,7 @@ def test_curve_index_coarse_vertices_on_fine_polygon():
     # is exactly zero and the gradient the vertex normal, whichever of the
     # two segments meeting there is returned
     fine = geo.PolyCurve([geo.make_ellipse(2.0, 1.0, 512)])
-    coarse = geo.make_ellipse(2.0, 1.0, 128).vertices
+    coarse = geo.make_ellipse(2.0, 1.0, 128)
     s, grad, _, _, _ = geo.build_geometry(fine).index.signed(coarse)
     assert np.all(s == 0.0)
     assert np.array_equal(grad, geo.build_geometry(fine).nu[::4])
@@ -674,7 +726,7 @@ def test_curve_index_vertex_foot_starts_its_segment():
     # is v); the one starting at the vertex is returned, with t = 0
     octagon = np.array([[2.0, 0.0], [4.0, 0.0], [6.0, 2.0], [6.0, 4.0],
                         [4.0, 6.0], [2.0, 6.0], [0.0, 4.0], [0.0, 2.0]])
-    curve = geo.PolyCurve([geo.Component(octagon, 1)])
+    curve = geo.PolyCurve([octagon])
     index = geo.build_geometry(curve).index
     pts = octagon + 0.5 * index.pseudo_nu
     d, foot, seg, t = index.unsigned(pts)
@@ -720,7 +772,7 @@ def _tipped_star(rng, n, center, flip, rmin=0.5):
     rad = rng.uniform(rmin, 0.9, n)
     rad[0] = 1.0
     v = np.column_stack([rad * np.cos(ang), rad * np.sin(ang)])
-    return geo.Component(np.asarray(center) + (-v if flip else v), 1)
+    return np.asarray(center) + (-v if flip else v)
 
 
 def _brute_pairs(curve):
@@ -755,10 +807,9 @@ def test_check_embedded_star_forests(n_a, n_b, inject, exponent, n_bubbles, radi
     else:
         # vertices k and k + 2 swapped: the chords into and out of the
         # swapped pair interleave in angle, mostly a self-crossing
-        v = comps[0].vertices.copy()
+        v = comps[0]
         k = int(rng.integers(1, n_a - 2))
         v[[k, k + 2]] = v[[k + 2, k]]
-        comps[0] = geo.Component(v, 1)
     # bubbles of radius down to 1e-3, whose edges are far shorter than the
     # main loop's
     for i in range(n_bubbles):
@@ -785,14 +836,13 @@ def test_near_pair_found_at_any_offset():
     # twice the longest edge: a uniform grid of that cell size would split
     # the pair whenever a cell line falls inside the gap
     rng = np.random.default_rng(3)
-    a = _tipped_star(rng, 24, (0.0, 0.0), False).vertices
-    b = _tipped_star(rng, 24, (2.0, 0.0), True).vertices
+    a = _tipped_star(rng, 24, (0.0, 0.0), False)
+    b = _tipped_star(rng, 24, (2.0, 0.0), True)
     gap = 0.5 * geo.SIMPLICITY_TOL_REL * _brute_diameter(np.vstack([a, b]))
     cell = 2 * max(np.linalg.norm(np.roll(v, -1, axis=0) - v, axis=1).max() for v in (a, b))
     for f in np.linspace(0.0, 1.0, 9):
         shift = [(5 + f) * cell - 1.0 - 0.5 * gap, 0.0]
-        curve = geo.PolyCurve([geo.Component(a + shift, 1),
-                               geo.Component(b + [gap, 0.0] + shift, 1)])
+        curve = geo.PolyCurve([a + shift, b + [gap, 0.0] + shift])
         with pytest.raises(SelfIntersection, match="components 0 and 1 touch or cross"):
             geo.check_embedded(curve)
 
@@ -811,7 +861,7 @@ def test_edge_floor_decided_by_exact_diameter(n, factor, angle, seed):
     # the rotation opens a gap of up to sqrt(2) between the diameter and the
     # box diagonal, inside which only the exact diameter decides
     rng = np.random.default_rng(seed)
-    v = _star(rng, n, (0.0, 0.0), 0.5, 1.0).vertices
+    v = _star(rng, n, (0.0, 0.0), 0.5, 1.0)
     c, s = np.cos(angle), np.sin(angle)
     v = v @ np.array([[c, s], [-s, c]])
     diam = _brute_diameter(v)
@@ -822,9 +872,9 @@ def test_edge_floor_decided_by_exact_diameter(n, factor, angle, seed):
     shortest = np.linalg.norm(np.roll(v, -1, axis=0) - v, axis=1).min()
     if shortest <= geo.EDGE_FLOOR_REL * diam:
         with pytest.raises(DegenerateEdge):
-            geo.PolyCurve([geo.Component(v, 1)])
+            geo.PolyCurve([v])
     else:
-        geo.PolyCurve([geo.Component(v, 1)])
+        geo.PolyCurve([v])
 
 
 @ORACLE
@@ -836,13 +886,12 @@ def test_clearance_decided_by_exact_diameter(n_a, n_b, factor, quarter, angle, s
     # then the box-diagonal tolerance lies above both gaps
     rng = np.random.default_rng(seed)
     angle += quarter * np.pi / 2
-    a = _tipped_star(rng, n_a, (0.0, 0.0), False, rmin=0.8).vertices
-    b = [1.1, 0.0] + 0.1 * _tipped_star(rng, n_b, (0.0, 0.0), True).vertices
+    a = _tipped_star(rng, n_a, (0.0, 0.0), False, rmin=0.8)
+    b = [1.1, 0.0] + 0.1 * _tipped_star(rng, n_b, (0.0, 0.0), True)
     gap = factor * geo.SIMPLICITY_TOL_REL * _brute_diameter(np.vstack([a, b]))
     c, s = np.cos(angle), np.sin(angle)
     rot = np.array([[c, s], [-s, c]])
-    curve = geo.PolyCurve([geo.Component(a @ rot, 1),
-                           geo.Component((b + [gap, 0.0]) @ rot, 1)])
+    curve = geo.PolyCurve([a @ rot, (b + [gap, 0.0]) @ rot])
     starts = curve.segments[0]
     tol = geo.SIMPLICITY_TOL_REL * _brute_diameter(starts)
     clearance = _brute_clearance(curve)
@@ -900,7 +949,7 @@ def test_sweep_stays_linear_on_straight_runs_and_circles(monkeypatch):
     zero, one = np.zeros(n // 4), np.ones(n // 4)
     square = np.vstack([np.column_stack([side, zero]), np.column_stack([one, side]),
                         np.column_stack([1.0 - side, one]), np.column_stack([zero, 1.0 - side])])
-    for comp in (geo.Component(square), geo.make_circle((0.0, 0.0), 1.0, n)):
+    for comp in (square, geo.make_circle((0.0, 0.0), 1.0, n)):
         assert _sweep_candidates(monkeypatch, geo.PolyCurve([comp])) <= 4 * n
 
 
@@ -922,9 +971,9 @@ def _forest(rng, n_bubbles):
 def test_list_and_stacked_builds_are_bit_identical(n_bubbles, seed):
     comps = _forest(np.random.default_rng(seed), n_bubbles)
     listed = geo.PolyCurve(comps)
-    stacked = listed.with_vertices(np.vstack([c.vertices for c in comps]))
-    assert stacked.counts == tuple(c.n for c in comps) == listed.counts
-    assert np.array_equal(stacked.orientations, [c.orientation for c in comps])
+    stacked = listed.with_vertices(np.vstack(comps))
+    assert stacked.counts == tuple(len(c) for c in comps) == listed.counts
+    assert np.array_equal(stacked.orientations, [1, -1] + [1] * n_bubbles)
     for a, b in zip(listed.segments, stacked.segments):
         assert np.array_equal(a, b)
     assert np.array_equal(listed.edge_lengths, stacked.edge_lengths)
@@ -936,24 +985,21 @@ def test_list_and_stacked_builds_are_bit_identical(n_bubbles, seed):
     # a second build reads recomputed shoelace terms, bit for bit the first's
     again = geo.build_geometry(stacked)
     assert np.array_equal(again.kappa, got.kappa) and np.array_equal(again.area, got.area)
-    for a, b in zip(listed.components, stacked.components):
-        assert a.orientation == b.orientation and np.array_equal(a.vertices, b.vertices)
 
 
 def _bad_forests():
-    """(name, [(vertices, orientation), ...]) of five curves construction rejects."""
-    outer = geo.make_circle((0.0, 0.0), 2.0, 32).vertices
-    hole = geo.make_circle((0.0, 0.0), 1.0, 16, orientation=-1).vertices
+    """(name, [(vertices, orientation), ...]) of four curves construction rejects."""
+    outer = geo.make_circle((0.0, 0.0), 2.0, 32)
+    hole = geo.make_circle((0.0, 0.0), 1.0, 16, orientation=-1)
     nan = outer.copy()
     nan[5, 1] = np.nan
     short = outer.copy()
     short[10] = short[9] + 1e-15
     return [
         ("nan", [(nan, 1), (hole, -1)]),
-        ("few", [(outer, 1), (geo.make_circle((0.0, 0.0), 1.0, 7, orientation=-1).vertices, -1)]),
+        ("few", [(outer, 1), (geo.make_circle((0.0, 0.0), 1.0, 7, orientation=-1), -1)]),
         ("degenerate", [(short, 1), (hole, -1)]),
-        ("flipped", [(outer, 1), (hole[::-1].copy(), -1)]),
-        ("area", [(geo.make_circle((5.0, 0.0), 1.0, 32).vertices, 1), (outer[::-2].copy(), -1)]),
+        ("area", [(geo.make_circle((5.0, 0.0), 1.0, 32), 1), (outer[::-2].copy(), -1)]),
     ]
 
 
@@ -965,10 +1011,9 @@ def _raised(build):
 
 @pytest.mark.parametrize("name, comps", _bad_forests(), ids=[n for n, _ in _bad_forests()])
 def test_construction_paths_raise_alike(name, comps):
-    # counter-clockwise loops go in as raw arrays, which reach the shared
-    # validation unchecked (a Component would reject the NaN itself)
-    listed = [v if o > 0 else geo.Component(v, o) for v, o in comps]
-    want = _raised(lambda: geo.PolyCurve(listed))
+    # a listed build reads each orientation from the area, which matches the
+    # one the stacked builds are given
+    want = _raised(lambda: geo.PolyCurve([v for v, _ in comps]))
     vertices = np.vstack([v for v, _ in comps])
     counts, orientations = [len(v) for v, _ in comps], [o for _, o in comps]
     assert _raised(lambda: geo.PolyCurve(vertices=vertices, counts=counts,
@@ -992,11 +1037,11 @@ def test_with_vertices_rejects_a_vertex_count_mismatch():
 
 
 def test_stacked_vertices_are_a_read_only_view():
-    v = geo.make_circle((0.0, 0.0), 1.0, 16).vertices.copy()
+    v = geo.make_circle((0.0, 0.0), 1.0, 16)
     curve = geo.PolyCurve(vertices=v, counts=(16,), orientations=(1,))
     assert np.shares_memory(curve.vertices, v) and curve.segments[0] is curve.vertices
     assert v.flags.writeable and not curve.vertices.flags.writeable
-    assert not curve.components[0].vertices.flags.writeable
+    assert not np.split(curve.vertices, curve.layout.split)[0].flags.writeable
 
 
 @ORACLE

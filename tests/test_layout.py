@@ -4,8 +4,9 @@ Every ``def`` and ``class`` in ``src/surfdiff`` must be named somewhere else
 in the package: test-only helpers belong in ``tests/*_oracle.py``.  The
 benchmark is a caller too: a name its modules read counts as used, and the
 functions its tracer wraps (``perfbench/tracer.py`` ``TARGETS``, attribute
-paths given as strings) are exempt.  Both are read with ``ast``, never
-imported.
+paths given as strings) are exempt.  Every parameter of a module-level
+function must be read by its body; a method may keep one its class ignores,
+because an interface asks for it.  All is read with ``ast``, never imported.
 """
 
 import ast
@@ -83,9 +84,29 @@ def unused_definitions(package=PACKAGE, exempt=frozenset(), callers=()):
     return unused
 
 
+def unread_parameters(package=PACKAGE):
+    """``module.function(parameter)`` of each parameter of a module-level
+    function that the function's body never reads."""
+    unread = []
+    for module, tree in _parse_dir(package).items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = node.args
+                params = [p.arg for p in (*a.posonlyargs, *a.args, a.vararg, *a.kwonlyargs,
+                                          a.kwarg) if p is not None]
+                read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                        if isinstance(n, ast.Name)}
+                unread += [f"{module}.{node.name}({p})" for p in params if p not in read]
+    return unread
+
+
 def test_src_holds_only_what_runs():
     bench = _parse_dir(PERFBENCH)
     assert unused_definitions(exempt=_tracer_targets(), callers=bench.values()) == []
+
+
+def test_src_functions_read_every_parameter():
+    assert unread_parameters() == []
 
 
 def test_guard_flags_a_helper_nothing_calls(tmp_path):
@@ -100,3 +121,13 @@ def test_guard_flags_a_helper_nothing_calls(tmp_path):
     assert unused_definitions(str(tmp_path), exempt={("a", "lonely")}) == ["a.Shape.spare"]
     caller = ast.parse("import a\n\na.Shape().spare()\n")
     assert unused_definitions(str(tmp_path), callers=[caller]) == ["a.lonely"]
+
+
+def test_guard_flags_a_parameter_nothing_reads(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "class Shape:\n"
+        "    def area(self, t=0.0):\n        return 1.0\n\n"
+        "def scaled(shape, factor, *rest, unit=1, **extra):\n"
+        "    def inner():\n        return factor * unit\n"
+        "    return shape.area() * inner()\n")
+    assert unread_parameters(str(tmp_path)) == ["a.scaled(rest)", "a.scaled(extra)"]

@@ -21,8 +21,7 @@ from conftest import jittered_loop, vertex_angles
 def _graded_circle(n, jitter=0.3):
     u = 2 * np.pi * np.arange(n) / n
     th = u + jitter * np.sin(u)
-    return geo.build_geometry(geo.PolyCurve([
-        geo.Component(np.column_stack([np.cos(th), np.sin(th)]), 1)]))
+    return geo.build_geometry(geo.PolyCurve([np.column_stack([np.cos(th), np.sin(th)])]))
 
 
 def test_manufactured_cos3(unit_circle_256):
