@@ -142,7 +142,6 @@ class CutoffProfile:
         c = np.max(np.abs(self.zeta_prime(sp)) / sp)
         if not np.isfinite(c):
             raise ValueError("zeta' / s unbounded")
-        self.zeta_prime_slope = float(c)
         th = self.theta(s)
         if np.any(np.diff(th) < -1e-12 * d):
             raise ValueError("theta is not monotone")
@@ -321,7 +320,7 @@ class PolygonReference:
         return ReferenceLoops(
             orientation=geom.curve.orientations.astype(float),
             length=geom.length, area=geom.area, kappa_integral=integrate(geom, geom.kappa),
-            parent=np.array(jordan_decompose(geom.curve).parent), point=geom.vertices[first],
+            parent=jordan_decompose(geom.curve), point=geom.vertices[first],
             normal=geom.nu[first])
 
     def admissible_delta(self) -> float:
@@ -394,23 +393,6 @@ def _admissible_delta_polygonal(geom: CurveGeometry) -> float:
 # the calibration bundle
 # ---------------------------------------------------------------------------
 
-@dataclass
-class PointwiseCheckReport:
-    """Worst slacks of the pointwise tilt inequalities; violations are data."""
-
-    checked: int
-    skipped: int
-    slack_normal: float        # 2(1 - nu.xi) - zeta |nu - nu*|^2
-    slack_tangential: float    # 2(1 - nu.xi) - |tau . grad s|^2
-    slack_derivative: float    # |grad u|^2 zeta |tau - tau*|^2 - zeta |du/ds - d u/ds*|^2
-    slack_xi_product: float    # zeta(1 - zeta) - xi.(nu - xi)
-
-    @property
-    def worst(self) -> float:
-        return min(self.slack_normal, self.slack_tangential,
-                   self.slack_derivative, self.slack_xi_product)
-
-
 @dataclass(frozen=True)
 class TubeSample:
     """The tube fields at every vertex of one curve state, from one reference query.
@@ -452,7 +434,6 @@ class Calibration:
         if delta > dmax * (1.0 + 1e-12):
             raise ValueError(f"delta {delta} exceeds admissible bound {dmax}")
         self.delta = float(delta)
-        self.delta_max = float(dmax)
         self.profile = CutoffProfile(self.delta)
         self._b_fields: dict[float, BField] = {}
 
@@ -511,38 +492,24 @@ class Calibration:
 
     # -- pointwise inequality checks -----------------------------------------
 
-    def pointwise_tilt_check(self, sample: TubeSample,
-                              test_functions=None) -> PointwiseCheckReport:
-        """Evaluate the tilt inequalities at every vertex inside the 2 delta tube.
+    def pointwise_tilt_check(self, sample: TubeSample) -> float:
+        """The least slack of the tilt inequalities at the vertices inside the
+        2 delta tube, inf when there are none.
 
-        ``test_functions`` is a list of (u, grad_u) callables on (n, 2) arrays
-        used for the derivative-replacement inequality.
+        With nu* = eta(s) grad s and xi = zeta(s) grad s, the slacks are
+        2(1 - nu.xi) - zeta |nu - nu*|^2, 2(1 - nu.xi) - |tau . grad s|^2
+        and zeta(1 - zeta) - xi.(nu - xi).
         """
         inside = np.abs(sample.s) < 2.0 * self.delta
-        checked = int(np.sum(inside))
-        worst = [np.inf] * 4
-        if checked:
-            geom = sample.geometry
-            nu, tau = geom.nu[inside], geom.tau[inside]
-            ss, gs = sample.s[inside], sample.grad[inside]
-            zeta = self.profile.zeta(ss)
-            nu_star = self.profile.eta(ss)[:, None] * gs
-            tau_star = np.column_stack([-nu_star[:, 1], nu_star[:, 0]])
-            xi = zeta[:, None] * gs
-            rhs = 2.0 * (1.0 - np.sum(nu * xi, axis=1))
-            worst[0] = float(np.min(rhs - zeta * np.sum((nu - nu_star) ** 2, axis=1)))
-            worst[1] = float(np.min(rhs - np.sum(tau * gs, axis=1) ** 2))
-            for _, grad_u in test_functions or ():
-                gu = np.asarray(grad_u(geom.vertices[inside]))
-                lhs3 = zeta * (np.sum(tau * gu, axis=1) - np.sum(tau_star * gu, axis=1)) ** 2
-                rhs3 = np.sum(gu * gu, axis=1) * zeta * np.sum((tau - tau_star) ** 2, axis=1)
-                worst[2] = min(worst[2], float(np.min(rhs3 - lhs3)))
-            worst[3] = float(np.min(zeta * (1.0 - zeta) - np.sum(xi * (nu - xi), axis=1)))
-        return PointwiseCheckReport(
-            checked=checked,
-            skipped=len(inside) - checked,
-            slack_normal=worst[0],
-            slack_tangential=worst[1],
-            slack_derivative=worst[2],
-            slack_xi_product=worst[3],
-        )
+        if not inside.any():
+            return np.inf
+        geom = sample.geometry
+        nu, tau = geom.nu[inside], geom.tau[inside]
+        ss, gs = sample.s[inside], sample.grad[inside]
+        zeta = self.profile.zeta(ss)
+        nu_star = self.profile.eta(ss)[:, None] * gs
+        xi = zeta[:, None] * gs
+        rhs = 2.0 * (1.0 - np.sum(nu * xi, axis=1))
+        return float(min(np.min(rhs - zeta * np.sum((nu - nu_star) ** 2, axis=1)),
+                         np.min(rhs - np.sum(tau * gs, axis=1) ** 2),
+                         np.min(zeta * (1.0 - zeta) - np.sum(xi * (nu - xi), axis=1))))

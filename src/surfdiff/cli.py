@@ -81,6 +81,14 @@ def _number(convert, text: str, where: str):
         raise ValueError(f"{where}: {text!r} is not {kind}") from None
 
 
+def _tube_width(text: str, where: str) -> float | None:
+    """None for 'auto', else a positive number; an error names ``where``."""
+    delta = None if text.strip() == "auto" else _number(float, text, where)
+    if delta is not None and not 0.0 < delta < np.inf:
+        raise ValueError(f"{where}: must be 'auto' or a positive number, got {text!r}")
+    return delta
+
+
 def _parse_shape(text: str, where: str) -> tuple:
     """A shape line; ``where`` names its file, section and key in the errors."""
     kind, *vals = text.split()
@@ -140,7 +148,7 @@ def load_scenario(path) -> Scenario:
     if sample_count < 1:
         raise ValueError(f"{path}: [scenario] 'sample_count' must be at least 1, "
                          f"got {sample_count}")
-    delta_raw = sc.get("delta", "auto").strip()
+    delta = _tube_width(sc.get("delta", "auto"), f"{path}: [scenario] 'delta'")
     circles = []
     for line in ref.get("circles", "").strip().splitlines():
         vals = line.split()
@@ -188,7 +196,7 @@ def load_scenario(path) -> Scenario:
     return Scenario(
         name=sc.get("name", os.path.splitext(os.path.basename(path))[0]),
         seed=number("scenario", "seed", int, 0),
-        delta=None if delta_raw == "auto" else number("scenario", "delta", float),
+        delta=delta,
         end_time=number("scenario", "end_time", float),
         sample_count=sample_count,
         out=sc.get("out", ""),
@@ -374,10 +382,9 @@ def _evaluate_sample(state, calib):
     b_field = calib.b_field(t)
     sample = calib.sample(state.geometry, t)
     rep = enlib.dissipation_report(sample, calib, b_field, state.normal_velocity)
-    check = calib.pointwise_tilt_check(sample)
-    rep.verdicts["pointwise"] = "PASS" if check.worst >= SLACK_FLOOR else "FAIL"
+    pointwise = calib.pointwise_tilt_check(sample)
+    rep.verdicts["pointwise"] = "PASS" if pointwise >= SLACK_FLOOR else "FAIL"
     xi_bound = calib.xi_grad_bound(t)
-    bubbles = enlib.small_component_area_check(sample, xi_bound)
     nb = flux_constants = None
     if b_field is not None:
         nb = enlib.nu_dot_B_sums(state.geometry, b_field, calib, xi_bound,
@@ -397,8 +404,8 @@ def _evaluate_sample(state, calib):
             "bc_residual": b_field.bc_residual,
         }
     slacks = {
-        "pointwise_slack": check.worst,
-        "bubble_slack": min((b.slack for b in bubbles if b.applicable), default=np.inf),
+        "pointwise_slack": pointwise,
+        "bubble_slack": enlib.small_component_area_check(sample, xi_bound),
         "nu_dot_B_slack_abs": np.inf if nb is None else nb.slack_abs,
         "nu_dot_B_slack_scaled": np.inf if nb is None else nb.slack_scaled,
     }
@@ -474,17 +481,18 @@ def _flow_diagnostics(run: fllib.FlowRun) -> dict:
 # compare and report
 # ---------------------------------------------------------------------------
 
-def run_compare(weak_dir: str, strong_dir: str, delta: str, out: str | None) -> int:
+def run_compare(weak_dir: str, strong_dir: str, delta: float | None, out: str | None) -> int:
     """Evaluate a recorded weak trajectory against a recorded strong one.
 
     Every weak sample is a flow state whose velocity is the PDE velocity
     d^2 kappa/ds^2 of its recorded curve; the states go through
     :func:`evaluate_run` and the outputs through :func:`write_outputs`, as a
-    ``simulate`` run's do.  Returns 0 when the run passes, else 1.
+    ``simulate`` run's do; ``delta`` None takes the largest admissible tube
+    width.  Returns 0 when the run passes, else 1.
     """
     weak = fllib.load_trajectory(weak_dir)
     reference = cblib.PolygonReference(trajectory=fllib.load_trajectory(strong_dir))
-    calib = cblib.Calibration(reference, None if delta == "auto" else float(delta))
+    calib = cblib.Calibration(reference, delta)
     states = [fllib.FlowState.initial(curve, float(t), k)
               for k, (t, curve) in enumerate(zip(weak.times, weak.curves))]
     summary = evaluate_run(states, calib, len(states))
@@ -515,6 +523,14 @@ def run_report(directory: str) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+def _delta_option(text: str) -> float | None:
+    """``--delta`` read by :func:`_tube_width`; a bad value is a parser error."""
+    try:
+        return _tube_width(text, "tube width")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="surfdiff",
                                      description="surface diffusion laboratory")
@@ -528,7 +544,8 @@ def main(argv=None) -> int:
     p_cmp = sub.add_parser("compare", help="weak vs strong trajectory")
     p_cmp.add_argument("weak")
     p_cmp.add_argument("strong")
-    p_cmp.add_argument("--delta", default="auto")
+    p_cmp.add_argument("--delta", type=_delta_option, default=None,
+                       help="tube width: 'auto' (the default) or a positive number")
     p_cmp.add_argument("--out", default=None)
 
     p_rep = sub.add_parser("report", help="summarize an output directory")

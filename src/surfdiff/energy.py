@@ -276,7 +276,6 @@ class GronwallResult:
     c_fit: float
     c_integral: float
     verdict: str
-    floor: float
     initial: float
     series: list
 
@@ -306,8 +305,7 @@ def gronwall_verdict(reports: list[EnergyReport], floor: float = 1e-7) -> Gronwa
                 f"E+F started at {s0:.2e} but reached {s.max():.2e}"
             )
         return GronwallResult(c_fit=0.0, c_integral=0.0, verdict="PASS-TRIVIAL",
-                              floor=floor, initial=float(s0),
-                              series=list(map(float, s)))
+                              initial=float(s0), series=list(map(float, s)))
 
     cum = np.concatenate([[0.0], np.cumsum(0.5 * (s[1:] + s[:-1]) * np.diff(t))])
     with np.errstate(divide="ignore"):
@@ -323,8 +321,7 @@ def gronwall_verdict(reports: list[EnergyReport], floor: float = 1e-7) -> Gronwa
     lo_c, hi_c = 0.0, GRONWALL_C_MAX
     if not ok(hi_c):
         return GronwallResult(c_fit=np.inf, c_integral=c_int, verdict="FAIL",
-                              floor=floor, initial=float(s0),
-                              series=list(map(float, s)))
+                              initial=float(s0), series=list(map(float, s)))
     for _ in range(60):
         mid = 0.5 * (lo_c + hi_c)
         if ok(mid):
@@ -332,8 +329,7 @@ def gronwall_verdict(reports: list[EnergyReport], floor: float = 1e-7) -> Gronwa
         else:
             lo_c = mid
     return GronwallResult(c_fit=float(hi_c), c_integral=c_int, verdict="PASS",
-                          floor=floor, initial=float(s0),
-                          series=list(map(float, s)))
+                          initial=float(s0), series=list(map(float, s)))
 
 
 # ---------------------------------------------------------------------------
@@ -362,12 +358,9 @@ def edge_flux(vector_field, geom: CurveGeometry) -> np.ndarray:
 class NuDotBReport:
     sum_abs: float
     sum_scaled: float
-    bound_abs: float
-    bound_scaled: float
     slack_abs: float
     slack_scaled: float
     hypothesis_failures: int
-    floor: float
 
 
 def nu_dot_B_sums(geom: CurveGeometry, b_field, calib: Calibration,
@@ -378,7 +371,9 @@ def nu_dot_B_sums(geom: CurveGeometry, b_field, calib: Calibration,
     length-normalized sum is bounded by the same quantity times ||B||_inf
     plus 34 ||div B||_inf E, splitting components at length 1/||B||_inf.
     Components failing the diameter hypothesis of the small-component bound
-    (``xi_grad_bound`` is sup |grad xi|) are counted, not silently dropped.
+    (``xi_grad_bound`` is sup |grad xi|) are counted in
+    ``hypothesis_failures``, but no run reports the count: a run reads only
+    the two slacks.
     """
     fluxes = edge_flux(b_field.at, geom)
     lengths = geom.length
@@ -399,10 +394,9 @@ def nu_dot_B_sums(geom: CurveGeometry, b_field, calib: Calibration,
     quadrature_floor = 1e-9 * max(sup_b, 1.0) * float(np.sum(lengths))
     return NuDotBReport(
         sum_abs=sum_abs, sum_scaled=sum_scaled,
-        bound_abs=bound_abs, bound_scaled=bound_scaled,
         slack_abs=bound_abs - sum_abs + quadrature_floor,
         slack_scaled=bound_scaled - sum_scaled + quadrature_floor,
-        hypothesis_failures=hyp_fail, floor=quadrature_floor,
+        hypothesis_failures=hyp_fail,
     )
 
 
@@ -410,25 +404,14 @@ def nu_dot_B_sums(geom: CurveGeometry, b_field, calib: Calibration,
 # small-component area bound with the explicit constant 34
 # ---------------------------------------------------------------------------
 
-@dataclass
-class BubbleVerdict:
-    component: int
-    applicable: bool
-    length: float
-    tilt_integral: float
-    slack: float
-
-
-def small_component_area_check(sample: TubeSample,
-                               xi_grad_bound: float) -> list[BubbleVerdict]:
-    """length <= 34 int (1 - xi . nu) for components small against 1/(2|grad xi|)."""
+def small_component_area_check(sample: TubeSample, xi_grad_bound: float) -> float:
+    """The least slack 34 int (1 - xi . nu) - length over the components small
+    against 1/(2|grad xi|), inf when none is."""
     geom = sample.geometry
     applicable = (np.ones(len(geom.length), dtype=bool) if xi_grad_bound <= 0.0
                   else geom.curve.diameters <= 1.0 / (2.0 * xi_grad_bound))
-    return [BubbleVerdict(component=k, applicable=bool(applicable[k]),
-                          length=float(geom.length[k]), tilt_integral=float(sample.tilt[k]),
-                          slack=float(34.0 * sample.tilt[k] - geom.length[k]))
-            for k in range(len(geom.length))]
+    return float(np.min(34.0 * sample.tilt[applicable] - geom.length[applicable],
+                        initial=np.inf))
 
 
 # ---------------------------------------------------------------------------

@@ -41,13 +41,13 @@ class PolyCurve:
 
     The curve is one read-only (N, 2) array, ``vertices``, of every
     component's vertices stacked in order, with each component's vertex
-    count (``counts``, a tuple) and orientation (``orientations``,
-    read-only).  It is built from a list of (n, 2) vertex arrays, each
-    component's orientation the sign of its shoelace area (a zero-area
-    component is rejected), or from the stacked array, its counts and its
-    orientations given by keyword; :meth:`with_vertices` takes the stacked
-    path, so a flow step neither splits nor re-stacks.  ``np.split(vertices,
-    layout.split)`` gives the components as views.
+    count (``counts``, a tuple), orientation (``orientations``) and signed
+    shoelace area (``area``), both read-only.  It is built from a list of
+    (n, 2) vertex arrays, each component's orientation the sign of its area
+    (a zero-area component is rejected), or from the stacked array, its
+    counts and its orientations given by keyword; :meth:`with_vertices`
+    takes the stacked path, so a flow step neither splits nor re-stacks.
+    ``np.split(vertices, layout.split)`` gives the components as views.
 
     Construction checks the cheap invariants (vertex counts, edges against
     a floor relative to each component's diameter, orientation/area
@@ -87,12 +87,10 @@ class PolyCurve:
         self.layout = cycle_layout(self.counts)
         # take gathers rows several times faster than fancy indexing
         ends = v.take(self.layout.nxt, axis=0)
-        # the shoelace terms go to the first build_geometry and are not kept
-        # beyond it
-        self._shoelace = _shoelace(v, ends)
+        self.area = _read_only(0.5 * cycle_sums(_shoelace(v, ends), self.layout))
         if orientations is None:
             # a zero area reads +1, which the validation then rejects
-            orientations = np.where(np.add.reduceat(self._shoelace, self.layout.first) < 0, -1, 1)
+            orientations = np.where(self.area < 0, -1, 1)
         self.orientations = np.array(orientations, dtype=np.intp)
         self.vertices.flags.writeable = self.orientations.flags.writeable = False
         ends.flags.writeable = False
@@ -113,22 +111,15 @@ class PolyCurve:
         if short.any():
             diam = self.diameters
             short &= (diam <= 0.0) | (hmin <= EDGE_FLOOR_REL * diam)
-        area = 0.5 * np.add.reduceat(self._shoelace, first)
-        flipped = np.sign(area) != self.orientations
+        flipped = np.sign(self.area) != self.orientations
         if (short | flipped).any():
             k = int(np.argmax(short | flipped))
             if short[k]:
                 raise DegenerateEdge(f"component {k} has an edge below the length floor")
-            raise ValueError(f"component {k}: signed area {area[k]:.3e} "
+            raise ValueError(f"component {k}: signed area {self.area[k]:.3e} "
                              f"contradicts orientation {self.orientations[k]}")
-        if area.sum() <= 0.0:
+        if self.area.sum() <= 0.0:
             raise ValueError("total signed enclosed area must be positive")
-
-    def _take_shoelace(self):
-        """Shoelace terms: the validation's on the first call, which the
-        curve then drops, recomputed on later ones."""
-        terms, self._shoelace = self._shoelace, None
-        return terms if terms is not None else _shoelace(*self.segments[:2])
 
     @cached_property
     def diameters(self) -> np.ndarray:
@@ -218,14 +209,16 @@ def make_wavy_circle(radius, amplitude, mode, n, center=(0.0, 0.0),
 CycleLayout = namedtuple("CycleLayout", "nxt prv first comp local split counts")
 
 
-def cycle_index(lengths) -> CycleLayout:
-    """Read-only index arrays of cycles of these lengths, stacked end to end.
+@lru_cache(maxsize=32)
+def cycle_layout(lengths: tuple) -> CycleLayout:
+    """Read-only index arrays of cycles of these lengths, stacked end to end, cached.
 
     ``nxt``, ``prv``: every entry's cyclic neighbours; ``comp``, ``local``:
     its cycle and its place there; ``first``, ``split``: the offsets of
-    ``np.add.reduceat`` and ``np.split``; ``counts``: the lengths.  Not
-    cached: callers whose lengths change on every call (runs of segments,
-    band layouts) use it directly.
+    ``np.add.reduceat`` and ``np.split``; ``counts``: the lengths.  The
+    lengths of a run repeat: a flow run has one or two tuples, and every
+    reference time has the same component counts, so the runs of segments
+    of its closest-point index and the band solves share arrays too.
     """
     counts = np.asarray(lengths, dtype=np.intp)
     first = np.cumsum(counts) - counts
@@ -242,16 +235,6 @@ def cycle_index(lengths) -> CycleLayout:
     return lay
 
 
-@lru_cache(maxsize=32)
-def cycle_layout(lengths: tuple) -> CycleLayout:
-    """:func:`cycle_index` of a tuple of lengths, cached.
-
-    A flow run has one or two length tuples, so all its steps share one set
-    of arrays.
-    """
-    return cycle_index(lengths)
-
-
 def cycle_arc(h: np.ndarray, lay: CycleLayout):
     """Arc position of every entry from its cycle's first, and each cycle's total.
 
@@ -262,6 +245,14 @@ def cycle_arc(h: np.ndarray, lay: CycleLayout):
     base = np.concatenate(([0.0], arc.take(lay.split - 1)))
     return (np.concatenate(([0.0], arc[:-1])) - base.take(lay.comp),
             arc.take(lay.first + lay.counts - 1) - base)
+
+
+def cycle_sums(values: np.ndarray, lay: CycleLayout) -> np.ndarray:
+    """Each cycle's slice of ``values`` summed by ``np.sum``, (K,): a curve's
+    lengths and areas, the sums the flow's tests read (``reduceat`` adds in
+    another order)."""
+    return np.array([values[a:a + n].sum()
+                     for a, n in zip(lay.first.tolist(), lay.counts.tolist())])
 
 
 @dataclass(frozen=True)
@@ -350,25 +341,21 @@ def _max_distance(points: np.ndarray) -> float:
 def build_geometry(curve: PolyCurve) -> CurveGeometry:
     """The stacked geometry of every component, from one pass over the segments.
 
-    Raises if the curve is not embedded.  The shoelace terms are the ones
-    the curve's validation computed.  Each length and area is its own
-    component's slice summed by ``np.sum`` (``np.add.reduceat`` adds in
-    another order), the sums the flow's length and area tests read.
+    Raises if the curve is not embedded.  The areas are the curve's own;
+    the lengths, like them, are each component's slice summed by
+    :func:`cycle_sums`.
     """
     check_embedded(curve)
     v, ends, _, _ = curve.segments
     lay = curve.layout
     h = curve.edge_lengths
-    cross = curve._take_shoelace()
     w = 0.5 * (h + h.take(lay.prv))
     chord = ends - v.take(lay.prv, axis=0)
     tau = chord / row_norms(chord)[:, None]
-    parts = [slice(a, a + n) for a, n in zip(lay.first.tolist(), lay.counts.tolist())]
     return CurveGeometry(
         curve=curve, layout=lay, vertices=v, edge_lengths=h, weights=w, tau=tau,
         nu=np.column_stack([tau[:, 1], -tau[:, 0]]),
-        length=np.array([h[p].sum() for p in parts]),
-        area=np.array([0.5 * cross[p].sum() for p in parts]))
+        length=cycle_sums(h, lay), area=curve.area)
 
 
 def integrate(geom: CurveGeometry, values: np.ndarray) -> np.ndarray:
@@ -558,26 +545,15 @@ def points_in_component(points: np.ndarray, vertices: np.ndarray) -> np.ndarray:
 # Jordan decomposition
 # ---------------------------------------------------------------------------
 
-@dataclass
-class JordanForest:
-    """Nesting structure of the component forest.
-
-    depth[k] is the number of components enclosing component k (even for
-    outer Jordan curves, odd for holes); parent[k] is the index of the
-    tightest enclosing component, or -1 at the roots.
-    """
-
-    parent: list[int]
-    depth: list[int]
-
-
-def jordan_decompose(curve: PolyCurve) -> JordanForest:
+def jordan_decompose(curve: PolyCurve) -> np.ndarray:
     """Classify components into nested Jordan boundaries by containment parity.
 
-    Raises :class:`OrientationMismatch` for a component whose orientation is
-    not the one its nesting depth asks for.
+    Returns, per component, the index of the tightest enclosing component,
+    -1 at the roots.  A component's nesting depth, the number of components
+    enclosing it, is even for outer Jordan curves and odd for holes; raises
+    :class:`OrientationMismatch` for a component whose orientation is not
+    the one its depth asks for.
     """
-    k = curve.ncomponents
     starts, ends, comp_of, _ = curve.segments
     # probe i is the first vertex of component i; its own component is skipped
     off = curve.layout.first
@@ -592,23 +568,20 @@ def jordan_decompose(curve: PolyCurve) -> JordanForest:
         raise AmbiguousNesting(
             f"vertex of component {i} lies within {NESTING_TOL} of component {j}"
         )
-    contains = crossing_parity(probes, starts, ends, comp_of, k).T
+    contains = crossing_parity(probes, starts, ends, comp_of, curve.ncomponents).T
     np.fill_diagonal(contains, False)
 
-    depth = contains.sum(axis=0).astype(int)
-    parent = [-1] * k
-    for i in range(k):
-        holders = [j for j in range(k) if contains[j, i]]
-        if holders:
-            parent[i] = max(holders, key=lambda j: depth[j])
-        expected = +1 if depth[i] % 2 == 0 else -1
-        if curve.orientations[i] != expected:
-            raise OrientationMismatch(
-                f"component {i} at nesting depth {depth[i]} should have orientation "
-                f"{expected}, got {curve.orientations[i]}"
-            )
-
-    return JordanForest(parent=parent, depth=[int(d) for d in depth])
+    depth = contains.sum(axis=0)
+    wrong = curve.orientations != np.where(depth % 2 == 0, 1, -1)
+    if wrong.any():
+        i = int(np.argmax(wrong))
+        raise OrientationMismatch(
+            f"component {i} at nesting depth {depth[i]} should have orientation "
+            f"{-curve.orientations[i]}, got {curve.orientations[i]}"
+        )
+    # the tightest holder of a component is the deepest one enclosing it
+    deepest = np.argmax(np.where(contains, depth[:, None], -1), axis=0)
+    return np.where(contains.any(axis=0), deepest, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -679,7 +652,7 @@ class CurveIndex:
         # start x, start y, edge x, edge y and squared length of each segment
         self.seg_rows = np.vstack([self.seg_start.T, self.seg_vec.T, self.seg_len2])
         # runs never cross a component; a short last run repeats its last segment
-        runs = cycle_index(-(-self.seg_count // _RUN))
+        runs = cycle_layout(tuple((-(-self.seg_count // _RUN)).tolist()))
         run_seg = self.seg_first[runs.comp, None] + np.minimum(
             runs.local[:, None] * _RUN + np.arange(_RUN), self.seg_count[runs.comp, None] - 1)
         nrun = len(run_seg)

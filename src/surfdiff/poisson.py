@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NonZeroMean, SingularSystem
-from .geometry import CurveGeometry, cycle_index, cycle_layout, dds, field_mean, integrate
+from .geometry import CurveGeometry, cycle_layout, dds, field_mean, integrate
 
 RESIDUAL_TOL = 1e-9
 
@@ -72,7 +72,7 @@ def _band_layout(lengths: tuple, p: int):
     entry), ``order`` (its inverse) and ``target``, the flat index in
     LAPACK's column-major (6p+1, N) band storage of diagonal entry (k, i).
     """
-    lay = cycle_index(lengths)
+    lay = cycle_layout(lengths)
     if np.any(lay.counts <= 2 * p):
         raise ValueError(f"cycles need more than {2 * p} entries for half-width {p}")
     n = len(lay.comp)

@@ -93,6 +93,21 @@ def div_xi(calib, points, t=0.0):
     return out
 
 
+def tilt_slacks(calib, geom, t=0.0):
+    """Per vertex within 2 delta of the reference, (3, m): the slacks of
+    2(1 - nu.xi) >= zeta |nu - nu*|^2, 2(1 - nu.xi) >= |tau . grad s|^2 and
+    zeta(1 - zeta) >= xi.(nu - xi), from the pointwise tube fields."""
+    s, grad, _, _ = calib.reference.query(geom.vertices, t)
+    inside = np.abs(s) < 2.0 * calib.delta
+    pts, nu, tau = geom.vertices[inside], geom.nu[inside], geom.tau[inside]
+    zeta = calib.profile.zeta(s[inside])
+    xi, off = xi_at(calib, pts, t), nu - nu_star_at(calib, pts, t)
+    gap = 2.0 * (1.0 - np.einsum("ij,ij->i", nu, xi))
+    return np.array([gap - zeta * np.einsum("ij,ij->i", off, off),
+                     gap - np.einsum("ij,ij->i", tau, grad[inside]) ** 2,
+                     zeta * (1.0 - zeta) - np.einsum("ij,ij->i", xi, nu - xi)])
+
+
 def proj(calib, points, t=0.0):
     """The closest point on the reference, x - s grad s."""
     points = np.atleast_2d(np.asarray(points, dtype=float))

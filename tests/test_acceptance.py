@@ -234,8 +234,7 @@ def test_criterion_08_pointwise_inequalities(stationary_scenario,
         for _, s in level["runs"].values():
             worst = min(worst, s["worst_slacks"]["pointwise_slack"])
     shifted = geo.build_geometry(geo.PolyCurve([geo.make_circle((0.05, 0), 1.0, 256)]))
-    rep = circle_calibration.pointwise_tilt_check(circle_calibration.sample(shifted))
-    worst = min(worst, rep.worst)
+    worst = min(worst, circle_calibration.pointwise_tilt_check(circle_calibration.sample(shifted)))
     _line(8, worst >= -1e-12,
           f"worst pointwise slack over all scenarios {worst:.3e} (>= 0)")
 

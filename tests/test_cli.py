@@ -138,6 +138,16 @@ def test_load_scenario_rejects_sample_count_below_one(tmp_path, count):
         cli.load_scenario(bad)
 
 
+@pytest.mark.parametrize("value", ["-0.1", "0", "nan", "inf"])
+def test_load_scenario_rejects_a_delta_that_is_not_positive(tmp_path, value):
+    # rejected on load, before the reference flow and the delta scan run
+    bad = tmp_path / "delta.ini"
+    bad.write_text(STATIONARY_INI.replace("delta = 0.25", f"delta = {value}"))
+    with pytest.raises(ValueError, match=rf"delta\.ini: \[scenario\] 'delta': must be 'auto' "
+                                         rf"or a positive number, got '{value}'"):
+        cli.load_scenario(bad)
+
+
 @pytest.mark.parametrize("line", ["1.5 1.5", "auto 4"])
 def test_load_scenario_short_bubble_line(tmp_path, line):
     bad = tmp_path / "short_bubble.ini"
@@ -154,6 +164,8 @@ def test_load_scenario_short_bubble_line(tmp_path, line):
     (STATIONARY_INI, "sample_count = 10", "sample_count = ten",
      r"\[scenario\] 'sample_count': 'ten' is not an integer"),
     (STATIONARY_INI, "dt = 1e-4", "dt = fast", r"\[weak\] 'dt': 'fast' is not a number"),
+    (STATIONARY_INI, "delta = 0.25", "delta = wide",
+     r"\[scenario\] 'delta': 'wide' is not a number"),
     (STATIONARY_INI, "circles = 0 0 1 1", "circles = 0 0 one 1",
      r"\[reference\] 'circles' line '0 0 one 1': 'one' is not a number"),
     (STATIONARY_INI, "dt = 1e-4", "dt = 1e-4\nbubbles = auto four 0.01",
@@ -366,6 +378,21 @@ def test_file_reference_is_checked_before_the_weak_flow(tmp_path, monkeypatch, r
         cli.run_scenario(cli.load_scenario(path), out_dir=str(tmp_path / "out"))
 
 
+def test_checkers_with_nothing_to_check_write_null(circle_calibration, tmp_path):
+    # a circle 3 from the reference: no vertex within 2 delta, and too wide
+    # for the small-component bound; both slacks are inf and read null
+    curve = geo.PolyCurve([geo.make_circle((5.0, 0.0), 1.0, 64)])
+    states = [fl.FlowState.initial(curve, 1e-3 * k, k) for k in range(10)]
+    sample = circle_calibration.sample(states[0].geometry)
+    assert np.min(np.abs(sample.s)) > 2.0 * circle_calibration.delta
+    assert curve.diameters[0] > 1.0 / (2.0 * circle_calibration.xi_grad_bound())
+    assert circle_calibration.pointwise_tilt_check(sample) == np.inf
+    assert en.small_component_area_check(sample, circle_calibration.xi_grad_bound()) == np.inf
+    cli.write_outputs(cli.evaluate_run(states, circle_calibration, 10), str(tmp_path))
+    worst = json.loads((tmp_path / "summary.json").read_text())["worst_slacks"]
+    assert worst["pointwise_slack"] is None and worst["bubble_slack"] is None
+
+
 def test_evaluate_run_evaluates_each_sample_once(monkeypatch):
     # every checker reads one reference query of the sample's vertices, and
     # each residual pair builds its midpoint geometry once
@@ -529,6 +556,24 @@ def test_compare_command(tmp_path):
     assert code == 0
     summary = json.loads((tmp_path / "cmp" / "summary.json").read_text())
     assert summary["gronwall"]["verdict"].startswith("PASS")
+
+
+@pytest.mark.parametrize("value, message", [
+    ("abc", "'abc' is not a number"),
+    ("0", "must be 'auto' or a positive number, got '0'"),
+    ("-0.5", "must be 'auto' or a positive number, got '-0.5'"),
+])
+def test_compare_rejects_a_bad_delta_before_reading_a_file(tmp_path, capsys, value, message):
+    # the trajectory directories do not exist: a value that parsed would
+    # fail reading them instead
+    missing = [str(tmp_path / "weak"), str(tmp_path / "strong")]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["compare", *missing, f"--delta={value}"])
+    assert exc.value.code == 2
+    assert f"argument --delta: tube width: {message}" in capsys.readouterr().err
+    for good in ("auto", "0.1"):
+        with pytest.raises(FileNotFoundError):
+            cli.main(["compare", *missing, "--delta", good])
 
 
 def _export_short_runs(tmp_path, weak_samples=None):

@@ -599,7 +599,7 @@ def test_sample_checkers_compute_each_diameter_once(monkeypatch, circle_calibrat
     monkeypatch.setattr(geo, "_max_distance", counting)
     sample = circle_calibration.sample(geo.build_geometry(curve))
     xi_bound = circle_calibration.xi_grad_bound()
-    bubbles = en.small_component_area_check(sample, xi_bound)
+    bubble = en.small_component_area_check(sample, xi_bound)
     field = SimpleNamespace(at=np.zeros_like, support_radius=3.0, div_sup=1.0, sup_norm=1.0)
     nb = en.nu_dot_B_sums(sample.geometry, field, circle_calibration, xi_bound,
                           f_value=1.0, e_value=1.0)
@@ -608,7 +608,8 @@ def test_sample_checkers_compute_each_diameter_once(monkeypatch, circle_calibrat
     one_by_one = [max_distance(v) for v in np.split(curve.vertices, curve.layout.split)]
     assert np.array_equal(curve.diameters, one_by_one)
     limit = 1.0 / (2.0 * xi_bound)
-    assert [b.applicable for b in bubbles] == [d <= limit for d in one_by_one]
+    applicable = _assert_bubble_slack_matches_oracle(bubble, sample, xi_bound)[1]
+    assert list(applicable) == [d <= limit for d in one_by_one]
     small = sample.geometry.length <= 1.0
     assert nb.hypothesis_failures == sum(d > limit for d, k in zip(one_by_one, small) if k)
 
@@ -624,24 +625,48 @@ def _build_disk_bundle():
 # small-component area bound
 # ---------------------------------------------------------------------------
 
+def _bubble_slacks(sample, xi_grad_bound):
+    """Oracle, per component: 34 int (1 - xi . nu) - length, the integral one
+    dot product over its vertices, and whether its largest vertex distance,
+    from every pair at once, is at most 1/(2 xi_grad_bound)."""
+    geom = sample.geometry
+    slacks, applicable = [], []
+    for k, part in enumerate(parts(geom)):
+        tilt = np.dot(geom.weights[part], 1.0 - np.sum(sample.xi[part] * geom.nu[part], axis=1))
+        slacks.append(34.0 * tilt - geom.length[k])
+        v = geom.vertices[part]
+        diameter = np.max(np.linalg.norm(v[:, None] - v[None], axis=2))
+        applicable.append(xi_grad_bound <= 0.0 or diameter <= 1.0 / (2.0 * xi_grad_bound))
+    return np.array(slacks), np.array(applicable)
+
+
+def _assert_bubble_slack_matches_oracle(got, sample, xi_grad_bound):
+    """The checker's float is the oracle's least slack over the applicable
+    components, inf when none is; returns the oracle's arrays."""
+    slacks, applicable = _bubble_slacks(sample, xi_grad_bound)
+    want = np.min(slacks[applicable], initial=np.inf)
+    assert got == (pytest.approx(want, rel=1e-12) if np.isfinite(want) else want)
+    return slacks, applicable
+
+
 def test_bubble_lemma_constant_direction(unit_circle_256, circle_calibration):
     _, geom = unit_circle_256
     constant = replace(circle_calibration.sample(geom),
                        xi=np.tile([0.3, -0.5], (256, 1)))
-    verdicts = en.small_component_area_check(constant, 0.0)
-    assert verdicts[0].applicable
-    assert verdicts[0].slack >= 0.0
+    slack = en.small_component_area_check(constant, 0.0)
+    assert _assert_bubble_slack_matches_oracle(slack, constant, 0.0)[1].all()
+    assert slack >= 0.0
     # constant field: the tilt integral equals the length exactly at the
     # quadrature level, so the slack is 33x the length
-    assert verdicts[0].slack == pytest.approx(33 * geom.length[0], rel=1e-10)
+    assert slack == pytest.approx(33 * geom.length[0], rel=1e-10)
 
 
 def test_bubble_lemma_far_tiny_circle(circle_calibration):
     geom = geo.build_geometry(geo.PolyCurve([geo.make_circle((3, 0), 0.01, 24)]))
-    verdicts = en.small_component_area_check(
-        circle_calibration.sample(geom), circle_calibration.xi_grad_bound())
-    assert verdicts[0].applicable
-    assert verdicts[0].slack >= 0.0
+    sample, bound = circle_calibration.sample(geom), circle_calibration.xi_grad_bound()
+    slack = en.small_component_area_check(sample, bound)
+    assert _assert_bubble_slack_matches_oracle(slack, sample, bound)[1].all()
+    assert slack >= 0.0
 
 
 def test_bubble_lemma_randomized_in_tube(circle_calibration):
@@ -655,9 +680,10 @@ def test_bubble_lemma_randomized_in_tube(circle_calibration):
         r_b = rng.uniform(0.004, 0.015)
         c = (rad * np.cos(ang), rad * np.sin(ang))
         geom = geo.build_geometry(geo.PolyCurve([geo.make_circle(c, r_b, 24)]))
-        verdicts = en.small_component_area_check(circle_calibration.sample(geom), bound)
-        assert verdicts[0].applicable
-        worst = min(worst, verdicts[0].slack)
+        sample = circle_calibration.sample(geom)
+        slack = en.small_component_area_check(sample, bound)
+        assert _assert_bubble_slack_matches_oracle(slack, sample, bound)[1].all()
+        worst = min(worst, slack)
     assert worst >= 0.0
 
 

@@ -156,32 +156,39 @@ def _brute_force_containment(curve):
     return mat
 
 
-def _assert_matches_containment_oracle(curve, forest):
+def _depth(parent):
+    """Nesting depth of each component: the steps up its parent chain to a root."""
+    def up(k):
+        return 0 if parent[k] < 0 else 1 + up(parent[k])
+    return [up(k) for k in range(len(parent))]
+
+
+def _assert_matches_containment_oracle(curve, parent):
     oracle_mat = _brute_force_containment(curve)
     k = curve.ncomponents
     depth_oracle = oracle_mat.sum(axis=0)
-    assert forest.depth == list(depth_oracle)
+    assert _depth(parent) == list(depth_oracle)
     for i in range(k):
         holders = [j for j in range(k) if oracle_mat[j, i]]
         parent_oracle = max(holders, key=lambda j: depth_oracle[j]) if holders else -1
-        assert forest.parent[i] == parent_oracle
+        assert parent[i] == parent_oracle
 
 
 def test_jordan_single_circle(unit_circle_256):
     curve, _ = unit_circle_256
-    forest = geo.jordan_decompose(curve)
-    assert forest.depth == [0]
-    assert forest.parent == [-1]
-    _assert_matches_containment_oracle(curve, forest)
+    parent = geo.jordan_decompose(curve)
+    assert _depth(parent) == [0]
+    assert parent.tolist() == [-1]
+    _assert_matches_containment_oracle(curve, parent)
 
 
 def test_jordan_annulus():
     curve = geo.PolyCurve([geo.make_circle((0, 0), 2.0, 128),
                            geo.make_circle((0, 0), 1.0, 128, -1)])
-    forest = geo.jordan_decompose(curve)
-    assert forest.depth == [0, 1]
-    assert forest.parent == [-1, 0]
-    _assert_matches_containment_oracle(curve, forest)
+    parent = geo.jordan_decompose(curve)
+    assert _depth(parent) == [0, 1]
+    assert parent.tolist() == [-1, 0]
+    _assert_matches_containment_oracle(curve, parent)
 
 
 def test_jordan_depth_three_forest():
@@ -191,10 +198,10 @@ def test_jordan_depth_three_forest():
         geo.make_circle((1.8, 0), 0.8, 128, -1),
         geo.make_circle((-1.5, 0), 0.4, 64),   # island inside the first hole
     ])
-    forest = geo.jordan_decompose(curve)
-    assert forest.depth == [0, 1, 1, 2]
-    assert forest.parent == [-1, 0, 0, 1]
-    _assert_matches_containment_oracle(curve, forest)
+    parent = geo.jordan_decompose(curve)
+    assert _depth(parent) == [0, 1, 1, 2]
+    assert parent.tolist() == [-1, 0, 0, 1]
+    _assert_matches_containment_oracle(curve, parent)
 
 
 def test_jordan_ambiguous_probe():
@@ -433,7 +440,8 @@ def test_curve_file_rejects_orientation_against_nesting(tmp_path):
     path = tmp_path / "nested.txt"
     geo.write_curve_file(geo.PolyCurve([geo.make_circle((0, 0), 2.0, 64),
                                         geo.make_circle((0, 0), 1.0, 32)]), path)
-    with pytest.raises(OrientationMismatch, match="orientation"):
+    with pytest.raises(OrientationMismatch, match="component 1 at nesting depth 1 should "
+                                                  "have orientation -1, got 1"):
         geo.read_curve_file(path)
 
 

@@ -6,7 +6,9 @@ benchmark is a caller too: a name its modules read counts as used, and the
 functions its tracer wraps (``perfbench/tracer.py`` ``TARGETS``, attribute
 paths given as strings) are exempt.  Every parameter of a module-level
 function must be read by its body; a method may keep one its class ignores,
-because an interface asks for it.  All is read with ``ast``, never imported.
+because an interface asks for it.  Every field of a dataclass and every
+attribute a method stores on ``self`` must be read, by name, somewhere in
+``src``, ``tests`` or ``perfbench``.  All is read with ``ast``, never imported.
 """
 
 import ast
@@ -42,11 +44,12 @@ def _definitions(tree):
     yield from walk(tree, "")
 
 
-def _parse_dir(directory):
-    """Module name -> syntax tree of every non-test ``.py`` file in a directory."""
+def _parse_dir(directory, tests=False):
+    """Module name -> syntax tree of every ``.py`` file in a directory, test
+    modules only if ``tests``."""
     return {fname[:-3]: ast.parse(open(os.path.join(directory, fname)).read())
             for fname in sorted(os.listdir(directory))
-            if fname.endswith(".py") and not fname.startswith("test_")}
+            if fname.endswith(".py") and (tests or not fname.startswith("test_"))}
 
 
 def _tracer_targets():
@@ -100,6 +103,34 @@ def unread_parameters(package=PACKAGE):
     return unread
 
 
+def _is_dataclass(node):
+    return any(getattr(d, "id", getattr(d, "attr", None)) == "dataclass"
+               for d in (d.func if isinstance(d, ast.Call) else d for d in node.decorator_list))
+
+
+def unread_attributes(package=PACKAGE, readers=()):
+    """``module.Class.name`` of each dataclass field, and of each attribute a
+    method stores on ``self``, whose name no attribute read in the package
+    or in the ``readers`` trees gives."""
+    trees = _parse_dir(package)
+    read = {n.attr for tree in [*trees.values(), *readers] for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    unread = set()
+    for module, tree in trees.items():
+        for path, node in _definitions(tree):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            names = [stmt.target.id for stmt in node.body if _is_dataclass(node)
+                     and isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+            names += [n.attr for stmt in node.body
+                      if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+                      for n in ast.walk(stmt)
+                      if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+                      and isinstance(n.value, ast.Name) and n.value.id == "self"]
+            unread |= {f"{module}.{path}.{name}" for name in names if name not in read}
+    return sorted(unread)
+
+
 def test_src_holds_only_what_runs():
     bench = _parse_dir(PERFBENCH)
     assert unused_definitions(exempt=_tracer_targets(), callers=bench.values()) == []
@@ -107,6 +138,12 @@ def test_src_holds_only_what_runs():
 
 def test_src_functions_read_every_parameter():
     assert unread_parameters() == []
+
+
+def test_src_stores_only_attributes_something_reads():
+    readers = [*_parse_dir(os.path.join(ROOT, "tests"), tests=True).values(),
+               *_parse_dir(PERFBENCH, tests=True).values()]
+    assert unread_attributes(readers=readers) == []
 
 
 def test_guard_flags_a_helper_nothing_calls(tmp_path):
@@ -131,3 +168,27 @@ def test_guard_flags_a_parameter_nothing_reads(tmp_path):
         "    def inner():\n        return factor * unit\n"
         "    return shape.area() * inner()\n")
     assert unread_parameters(str(tmp_path)) == ["a.scaled(rest)", "a.scaled(extra)"]
+
+
+def test_guard_flags_an_attribute_nothing_reads(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "import dataclasses\n"
+        "from dataclasses import dataclass\n\n"
+        "@dataclass(frozen=True)\nclass Report:\n    slack: float\n    floor: float\n\n"
+        "@dataclasses.dataclass\nclass Verdict:\n    slack: float\n    length: float\n\n"
+        "class Plain:\n    size: int\n\n"
+        "    def __init__(self, n):\n"
+        "        self.n, self.spare = n, n\n"
+        "        self.cache = {}\n\n"
+        "    def grow(self):\n"
+        "        def inner():\n            self.extra = 1\n"
+        "        inner()\n        return self.n\n")
+    (tmp_path / "b.py").write_text(
+        "from .a import Plain, Report\n\n"
+        "VALUE = Report(1.0, 0.0).slack + Plain(2).grow()\n")
+    assert unread_attributes(str(tmp_path)) == [
+        "a.Plain.cache", "a.Plain.extra", "a.Plain.spare", "a.Report.floor",
+        "a.Verdict.length"]
+    caller = ast.parse("def f(v, p):\n    return v.length + len(p.cache)\n")
+    assert unread_attributes(str(tmp_path), readers=[caller]) == [
+        "a.Plain.extra", "a.Plain.spare", "a.Report.floor"]
