@@ -371,7 +371,8 @@ def _admissible_delta_polygonal(geom: CurveGeometry) -> float:
     Only a gap below four times the loops' own bound can decide, so one
     sort-and-sweep lists the segment pairs closer than that; the least
     distance of those that join two loops is the least vertex-to-edge gap.
-    ``geometry_at`` ran :func:`check_embedded`, so no two loops touch.
+    One loop has no such pairs, so it skips the sweep.  ``geometry_at`` ran
+    :func:`check_embedded`, so no two loops touch.
     """
     best = np.inf
     kmax = np.maximum.reduceat(np.abs(geom.kappa), geom.layout.first)
@@ -379,6 +380,8 @@ def _admissible_delta_polygonal(geom: CurveGeometry) -> float:
         reach = 1.0 / kmax[k] if kmax[k] > 0 else np.inf
         reach = min(reach, 0.5 * _facing_self_gap(geom, k))
         best = min(best, reach / 4.0)
+    if len(kmax) == 1:
+        return best
     starts, ends, comp_of, _ = geom.curve.segments
     pi, pj = _segment_pairs_within(starts, ends, 4.0 * best)
     other = comp_of[pi] != comp_of[pj]

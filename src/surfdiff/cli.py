@@ -114,8 +114,10 @@ def load_scenario(path) -> Scenario:
     """Read a scenario file.
 
     Unknown keys, a reference kind without its key, a file reference without
-    a weak shape and a perturbation the weak datum cannot take (negative, of
-    a datum that is not a circle, or of mode below 1) are errors.
+    a weak shape, a perturbation the weak datum cannot take (negative, of
+    a datum that is not a circle, or of mode below 1) and an ``end_time``,
+    ``dt`` or ``area_drift_abort`` that is not a positive finite number are
+    errors.
     """
     cp = configparser.ConfigParser(inline_comment_prefixes=(";",))
     read = cp.read(path)
@@ -141,6 +143,13 @@ def load_scenario(path) -> Scenario:
     def number(section, key, convert, default=None):
         raw = cp[section].get(key)
         return default if raw is None else _number(convert, raw, f"{path}: [{section}] {key!r}")
+
+    def positive(section, key, default=None):
+        value = number(section, key, float, default)
+        if not 0.0 < value < np.inf:
+            raise ValueError(f"{path}: [{section}] {key!r}: must be a positive number, "
+                             f"got {cp[section][key]!r}")
+        return value
 
     if sc.get("end_time") is None:
         raise ValueError(f"{path}: [scenario] needs 'end_time'")
@@ -197,7 +206,7 @@ def load_scenario(path) -> Scenario:
         name=sc.get("name", os.path.splitext(os.path.basename(path))[0]),
         seed=number("scenario", "seed", int, 0),
         delta=delta,
-        end_time=number("scenario", "end_time", float),
+        end_time=positive("scenario", "end_time"),
         sample_count=sample_count,
         out=sc.get("out", ""),
         ref_kind=kind,
@@ -205,14 +214,14 @@ def load_scenario(path) -> Scenario:
         ref_file=ref.get("file", None),
         ref_shape=ref_shape,
         ref_resolution=number("reference", "resolution", int, 512),
-        ref_dt=number("reference", "dt", float, 1e-4),
+        ref_dt=positive("reference", "dt", 1e-4),
         weak_shape=weak_shape,
         weak_resolution=number("weak", "resolution", int, 128),
         weak_perturb_amplitude=amplitude,
         weak_perturb_mode=mode,
         weak_bubbles=bubbles,
-        weak_dt=number("weak", "dt", float, 1e-4),
-        area_drift_abort=number("weak", "area_drift_abort", float, 1e-3),
+        weak_dt=positive("weak", "dt", 1e-4),
+        area_drift_abort=positive("weak", "area_drift_abort", 1e-3),
     )
 
 

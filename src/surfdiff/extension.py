@@ -4,8 +4,10 @@ Given a reference curve and a zero-mean normal velocity per component, the
 harmonic potential with that Neumann data is represented by a single-layer
 density solved from the second-kind boundary integral equation (Nystrom
 collocation, per-component mean constraints bordered in, assembled in place
-in the one dense array LAPACK factors); its pairwise kernels run in real
-arithmetic over the cache-sized row blocks of :func:`geometry.pair_blocks`.
+in the one dense array, and solved by GMRES, whose step count does not grow
+with the curve's resolution, so a build is O(n^2)); its pairwise kernels run
+in real arithmetic over the cache-sized row blocks of
+:func:`geometry.pair_blocks`.
 The extension field B is that gradient on the closed reference region; outside
 it continues by a second-order tube Taylor expansion of the interior trace,
 damped to zero beyond twice the tube width.  The result is C^1 across the
@@ -18,6 +20,7 @@ that cross-checks it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -25,7 +28,12 @@ import numpy as np
 
 from .errors import NonZeroMean, RankDeficient
 from .geometry import CurveGeometry, dds, field_mean, integrate, pair_blocks, row_norms
-from .poisson import PeriodicSpline, dgesv
+from .poisson import PeriodicSpline
+
+# GMRES on the density system: the residual it stops at, relative to the
+# right side's largest entry, and its step cap
+GMRES_TOL = 1e-14
+GMRES_MAX_ITER = 100
 
 
 def _smoothstep(u):
@@ -286,16 +294,73 @@ def _bordered_system(geom: CurveGeometry) -> np.ndarray:
     return sys
 
 
+def _gmres(a, b):
+    """Solve ``a x = b`` by GMRES from x = 0; returns x and the step count.
+
+    The Krylov basis is held as rows, so each of the two classical
+    Gram-Schmidt passes is one matrix-vector product each way.  Givens
+    rotations keep the small Hessenberg matrix triangular and leave the
+    residual's 2-norm, which bounds its largest entry, in ``g[j + 1]``; the
+    iteration stops once that is at most ``GMRES_TOL`` times b's largest
+    entry.  A step that does not lower it (a stall), a zero Arnoldi vector
+    on a singular Hessenberg matrix, or ``GMRES_MAX_ITER`` steps raise
+    RankDeficient.  The rotations run in Python floats and divide only by
+    a norm checked to be non-zero, so no step makes a floating-point warning.
+    """
+    beta = float(np.sqrt(b @ b))
+    if beta == 0.0:
+        return np.zeros_like(b), 0
+    b_sup = float(np.max(np.abs(b)))
+    basis = np.empty((GMRES_MAX_ITER + 1, len(b)))
+    basis[0] = b / beta
+    tri = np.zeros((GMRES_MAX_ITER, GMRES_MAX_ITER))
+    rot = []
+    g = [beta]
+    for j in range(GMRES_MAX_ITER):
+        v = basis[:j + 1]
+        w = a @ v[j]
+        h = v @ w
+        w -= h @ v
+        h2 = v @ w
+        w -= h2 @ v
+        col = (h + h2).tolist()
+        hn = float(np.sqrt(w @ w))
+        for i, (c, s) in enumerate(rot):
+            col[i], col[i + 1] = c * col[i] + s * col[i + 1], c * col[i + 1] - s * col[i]
+        d = math.hypot(col[j], hn)
+        if d == 0.0:
+            raise RankDeficient("boundary integral system singular: zero Arnoldi vector "
+                                f"at GMRES step {j + 1}")
+        c, s = col[j] / d, hn / d
+        col[j] = d
+        tri[:j + 1, j] = col
+        rot.append((c, s))
+        g.append(-s * g[j])
+        g[j] *= c
+        if abs(g[j + 1]) <= GMRES_TOL * b_sup:
+            break
+        if s >= 1.0:
+            raise RankDeficient("boundary integral system singular: GMRES stalled at "
+                                f"step {j + 1}, residual {abs(g[j + 1]) / b_sup:.1e} |b|")
+        basis[j + 1] = w / hn
+    else:
+        raise RankDeficient("boundary integral system singular: GMRES residual "
+                            f"{abs(g[-1]) / b_sup:.1e} |b| at the step cap {GMRES_MAX_ITER}")
+    k = j + 1
+    y = np.zeros(k)
+    for i in range(k - 1, -1, -1):
+        y[i] = (g[i] - tri[i, i + 1:k] @ y[i + 1:]) / tri[i, i]
+    return y @ basis[:k], k
+
+
 def _solve_density(geom: CurveGeometry, v_star):
-    """The density and per-component constants: ``dgesv`` factors the bordered
-    system in place, so a solve holds one dense matrix and copies none."""
+    """The density and per-component constants: GMRES on the bordered system,
+    so a solve holds one dense matrix, copies none and factors none."""
     sys = _bordered_system(geom)
     m = len(geom.weights)
     rhs = np.zeros(len(sys))
     rhs[:m] = v_star
-    _, _, sol, info = dgesv(sys, rhs, overwrite_a=1, overwrite_b=1)
-    if info > 0:
-        raise RankDeficient(f"boundary integral system singular: zero pivot {info}")
+    sol, _ = _gmres(sys, rhs)
     if not np.all(np.isfinite(sol)):
         raise RankDeficient("boundary integral solve produced non-finite density")
     return sol[:m], sol[m:]

@@ -11,9 +11,9 @@ solves the flow step's pentadiagonal system for all components of a curve,
 and the knot slopes of :class:`PeriodicSpline`, the periodic cubic
 interpolant of the flow's resampling and the extension field.
 
-LAPACK's ``dgbsv`` (these band solves) and ``dgesv`` (the extension field's
-density system) come from scipy's extension file ``linalg/_flapack``, loaded
-by :func:`load_lapack` without the ``scipy.linalg`` package import.
+LAPACK's ``dgbsv``, these band solves, comes from scipy's extension file
+``linalg/_flapack``, loaded by :func:`load_lapack` without the
+``scipy.linalg`` package import.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ def load_lapack():
 
 
 lapack = load_lapack()
-dgbsv, dgesv = lapack.dgbsv, lapack.dgesv
+dgbsv = lapack.dgbsv
 
 
 @lru_cache(maxsize=32)

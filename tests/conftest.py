@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from surfdiff import calibration as cb
+from surfdiff import extension as ex
 from surfdiff import geometry as geo
 
 
@@ -26,3 +27,17 @@ def jittered_loop(rng, n, center, scale):
     t = 2 * np.pi * (np.arange(n) + rng.uniform(-0.3, 0.3, n)) / n
     r = scale * (1.0 + 0.2 * np.cos(3 * t + rng.uniform(0, 2 * np.pi)))
     return center + np.column_stack([2 * r * np.cos(t), r * np.sin(t)])
+
+
+def gmres_steps(monkeypatch):
+    """The step count of every density solve made after the call, in order."""
+    steps = []
+    gmres = ex._gmres
+
+    def counting(a, b):
+        x, k = gmres(a, b)
+        steps.append(k)
+        return x, k
+
+    monkeypatch.setattr(ex, "_gmres", counting)
+    return steps

@@ -4,10 +4,11 @@ kernels and of ``energy``'s stacked B checkers.
 The first functions form each pairwise kernel in full from (m, m, 2)
 differences, reading one component's slice of the stacked geometry at a time,
 as the package did before its kernels ran over row blocks and before the
-checkers evaluated B once per sample.  ``bordered_system`` and
-``solve_density`` are the density system as the package assembled it before
-the Nystrom block was written straight into the bordered array: a separate
-C-ordered matrix, copied in.  ``field_constants`` is the three-call
+checkers evaluated B once per sample.  ``bordered_system`` is the density
+system as the package assembled it before the Nystrom block was written
+straight into the bordered array: a separate C-ordered matrix, copied in.
+``solve_density`` solves it by LAPACK's dense LU (``dgesv``), as the package
+did before it solved the system by GMRES.  ``field_constants`` is the three-call
 form of ``extension._field_constants``.  The constructions at the end (the
 divergence decay profile, the trivial extension, the reference potentials and
 the wedge-flux closedness residual) are checked by the tests only.  Only the
@@ -17,10 +18,11 @@ tests import this module.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dgesv
 
 from surfdiff.extension import BField, _arc_spline, _normal_rays
 from surfdiff.geometry import PolyCurve, build_geometry, dds, integrate, pair_blocks
-from surfdiff.poisson import PeriodicSpline, dgesv, nu_dot_B_potential, velocity_potential
+from surfdiff.poisson import PeriodicSpline, nu_dot_B_potential, velocity_potential
 
 from calibration_oracle import d_sstar, div_xi, proj, xi_at
 from geometry_oracle import parts
@@ -48,9 +50,8 @@ def bordered_system(geom):
     """The bordered density system as the package assembled it in two arrays.
 
     The Nystrom matrix is formed in a C-ordered (m, m) array from row blocks of
-    targets, then copied into the Fortran-ordered (m + K, m + K) array that
-    ``dgesv`` factors, beside a column of ones and a row of weights per
-    component.
+    targets, then copied into a Fortran-ordered (m + K, m + K) array, beside a
+    column of ones and a row of weights per component.
     """
     nodes, nu, weights = geom.vertices, geom.nu, geom.weights
     m = len(nodes)

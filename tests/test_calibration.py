@@ -191,6 +191,24 @@ def test_polygonal_delta_matches_all_pairs_oracle(seed):
     assert (delta == gap / 4.0) == (seed % 4 != 3)
 
 
+@pytest.mark.parametrize("loops", [1, 2])
+def test_delta_scan_sweeps_segment_pairs_only_between_loops(loops, monkeypatch):
+    # one loop has no pair of segments that joins two loops to list
+    sweeps = []
+    sweep = cb._segment_pairs_within
+
+    def counting(*args):
+        sweeps.append(args)
+        return sweep(*args)
+
+    monkeypatch.setattr(cb, "_segment_pairs_within", counting)
+    curve = geo.PolyCurve([geo.make_ellipse(2.0, 1.0, 128, center=(5.0 * k, 0.0))
+                           for k in range(loops)])
+    delta = cb._admissible_delta_polygonal(geo.build_geometry(curve))
+    assert len(sweeps) == loops - 1
+    assert delta == calibration_oracle.admissible_delta(geo.build_geometry(curve))
+
+
 def test_touching_loops_fail_before_the_delta_scan(monkeypatch):
     scanned = []
     monkeypatch.setattr(cb, "_admissible_delta_polygonal", scanned.append)

@@ -16,6 +16,8 @@ from surfdiff import flow as fl
 from surfdiff import geometry as geo
 from surfdiff.errors import NonStationaryReference
 
+from conftest import gmres_steps
+
 
 def test_every_exported_name_resolves():
     assert len(set(surfdiff.__all__)) == len(surfdiff.__all__)
@@ -146,6 +148,26 @@ def test_load_scenario_rejects_a_delta_that_is_not_positive(tmp_path, value):
     with pytest.raises(ValueError, match=rf"delta\.ini: \[scenario\] 'delta': must be 'auto' "
                                          rf"or a positive number, got '{value}'"):
         cli.load_scenario(bad)
+
+
+@pytest.mark.parametrize("section, line", [("scenario", "end_time = 0.002"),
+                                           ("reference", "dt = 5e-5"), ("weak", "dt = 1e-4"),
+                                           ("weak", "area_drift_abort = 1e-13")])
+@pytest.mark.parametrize("value", ["-1e-4", "0", "nan", "inf"])
+def test_simulate_rejects_a_time_or_bound_that_is_not_positive(tmp_path, monkeypatch,
+                                                                section, line, value):
+    # rejected on load, before the reference flow, the delta scan and the
+    # weak run
+    flows = []
+    monkeypatch.setattr(fl, "make_reference", lambda *args, **kw: flows.append(args))
+    monkeypatch.setattr(fl, "run_flow", lambda *args, **kw: flows.append(args))
+    key = line.split()[0]
+    bad = tmp_path / "bound.ini"
+    bad.write_text(FLOW_REF_INI.replace(line, f"{key} = {value}"))
+    with pytest.raises(ValueError, match=rf"bound\.ini: \[{section}\] '{key}': must be a "
+                                         rf"positive number, got '{value}'"):
+        cli.main(["simulate", str(bad), "--out", str(tmp_path / "out")])
+    assert flows == []
 
 
 @pytest.mark.parametrize("line", ["1.5 1.5", "auto 4"])
@@ -518,6 +540,14 @@ def test_b_field_is_built_once_per_time(short_flow_pair, monkeypatch):
     assert second["flux_constants_final"] == first["flux_constants_final"]
 
 
+def test_every_reference_build_converges_within_twenty_gmres_steps(short_flow_pair,
+                                                                   monkeypatch):
+    traj, run = short_flow_pair
+    steps = gmres_steps(monkeypatch)
+    cli.evaluate_run(run.states, cb.Calibration(cb.PolygonReference(trajectory=traj)), 6)
+    assert len(steps) == 6 and all(1 <= k <= 20 for k in steps)
+
+
 def test_b_field_is_none_on_analytic_circles():
     calib = cb.Calibration(cb.AnalyticCircles([cb.CircleSpec((0.0, 0.0), 1.0)]), 0.25)
     assert calib.b_field(0.0) is None
@@ -654,16 +684,17 @@ def test_report_missing_directory(tmp_path):
 
 
 @pytest.mark.parametrize("module", ["scipy", "scipy.linalg", "numpy.f2py", "numpy.ma",
-                                    "scipy.interpolate", "scipy.spatial",
-                                    "concurrent.futures.process"])
+                                    "scipy.interpolate", "scipy.spatial", "scipy.sparse",
+                                    "scipy.sparse.linalg", "concurrent.futures.process"])
 def test_cli_import_leaves_module_unloaded(module):
     # the set-up of every run pays for what `import surfdiff.cli` loads:
     # LAPACK comes from scipy's _flapack extension file (no scipy package,
     # and no scipy.linalg with the numpy.f2py and numpy.ma its __init__
     # pulls in), the flow and the extension field fit the in-house periodic
-    # spline (no scipy.interpolate), geometry takes its hulls and closest
-    # points from its own code (no scipy.spatial), and no command starts a
-    # process pool
+    # spline (no scipy.interpolate), geometry takes its closest points from
+    # its own code (no scipy.spatial), the extension field solves its
+    # density by its own GMRES (no scipy.sparse.linalg), and no command
+    # starts a process pool
     src = os.path.dirname(os.path.dirname(os.path.abspath(surfdiff.__file__)))
     code = f"import sys, surfdiff.cli; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

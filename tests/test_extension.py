@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,7 +13,7 @@ from surfdiff import flow as fl
 from surfdiff import geometry as geo
 from surfdiff.errors import NonZeroMean, RankDeficient
 
-from conftest import vertex_angles
+from conftest import gmres_steps, vertex_angles
 from geometry_oracle import parts
 
 
@@ -81,6 +82,25 @@ def test_singular_density_system_is_rank_deficient(monkeypatch):
     monkeypatch.setattr(ex, "_neumann_system", lambda g, a: a.fill(0.0))
     with pytest.raises(RankDeficient, match="singular"):
         ex._solve_density(geom, np.cos(vertex_angles(geom)))
+
+
+@pytest.mark.parametrize("fault", ["stall", "zero Arnoldi vector", "step cap"])
+def test_gmres_failures_raise_rank_deficient_without_a_floating_point_error(fault,
+                                                                           monkeypatch):
+    # a zero Nystrom block stalls GMRES at the first step, an all-zero system
+    # has a zero Arnoldi vector, and two steps do not solve an ellipse's
+    # system: each is RankDeficient, and no step divides by zero
+    geom = geo.build_geometry(geo.PolyCurve([_component(0, "ellipse", 64, 1.0)]))
+    if fault == "stall":
+        monkeypatch.setattr(ex, "_neumann_system", lambda g, a: a.fill(0.0))
+    elif fault == "zero Arnoldi vector":
+        monkeypatch.setattr(ex, "_bordered_system", lambda g: np.zeros((65, 65), order="F"))
+    else:
+        monkeypatch.setattr(ex, "GMRES_MAX_ITER", 2)
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        with pytest.raises(RankDeficient, match=f"singular: .*{fault.split()[-1]}"):
+            ex._solve_density(geom, _mode_velocities(geom, [2]))
 
 
 def test_far_field_vanishes(disk_cos1):
@@ -400,7 +420,8 @@ def test_block_kernels_match_dense_oracles(specs):
 @_on_forests
 def test_bordered_system_matches_two_array_assembly(specs):
     # the Nystrom block written in place through source-column blocks is bit
-    # for bit the target-row matrix copied in, and so are the density and mu
+    # for bit the target-row matrix copied in; GMRES solves it to rounding
+    # level, and its density and mu agree with the dense LU solution
     curve = geo.PolyCurve([_component(k, kind, n, r)
                            for k, (kind, n, r, _) in enumerate(specs)])
     geom = geo.build_geometry(curve)
@@ -409,8 +430,23 @@ def test_bordered_system_matches_two_array_assembly(specs):
     assert system.flags.f_contiguous
     assert np.array_equal(system, oracle.bordered_system(geom))
     q, mu = ex._solve_density(geom, v)
+    rhs = np.concatenate([v, np.zeros(len(mu))])
+    assert np.max(np.abs(system @ np.concatenate([q, mu]) - rhs)) <= 1e-13 * np.max(np.abs(v))
+    # mu vanishes to rounding for compatible data, so both compare on the
+    # density's scale
     q_ref, mu_ref = oracle.solve_density(geom, v)
-    assert np.array_equal(q, q_ref) and np.array_equal(mu, mu_ref)
+    scale = np.max(np.abs(q_ref))
+    assert np.max(np.abs(q - q_ref)) <= 1e-12 * scale
+    assert np.max(np.abs(mu - mu_ref)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("n", [256, 512, 1024, 2048])
+def test_gmres_steps_do_not_grow_with_the_ellipse(n, monkeypatch):
+    # a second-kind system: the step count is bounded as the nodes refine
+    steps = gmres_steps(monkeypatch)
+    geom = geo.build_geometry(geo.PolyCurve([_component(0, "ellipse", n, 1.0)]))
+    ex._solve_density(geom, _mode_velocities(geom, [2]))
+    assert len(steps) == 1 and 1 <= steps[0] <= 20
 
 
 def test_build_B_holds_one_dense_matrix():

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 from scipy.linalg import lapack as scipy_lapack
 
-from surfdiff import extension as ex
 from surfdiff import flow as fl
 from surfdiff import geometry as geo
 from surfdiff import poisson as po
@@ -314,11 +313,10 @@ def test_periodic_spline_matches_cubic_spline(cycles, seed):
 
 
 def _lapack_solves(monkeypatch, lapack):
-    """The three kinds of LAPACK solve a run makes, through ``lapack``'s
-    routines: a p = 2 flow step, a p = 1 spline fit of two data columns and
-    the bordered density system of B."""
+    """The two kinds of LAPACK solve a run makes, through ``lapack``'s
+    ``dgbsv``: a p = 2 flow step and a p = 1 spline fit of two data columns
+    (B's density system is solved by GMRES)."""
     monkeypatch.setattr(po, "dgbsv", lapack.dgbsv)
-    monkeypatch.setattr(ex, "dgesv", lapack.dgesv)
     rng = np.random.default_rng(21)
     curve = geo.PolyCurve([jittered_loop(rng, 96, (0.0, 0.0), 1.0),
                            jittered_loop(rng, 24, (4.0, 0.0), 0.3)])
@@ -327,9 +325,7 @@ def _lapack_solves(monkeypatch, lapack):
                                curve.counts, 1e-4)
     spline = po.PeriodicSpline(geom.arc_positions, geom.length, curve.counts,
                                curve.vertices).coef
-    v = np.cos(vertex_angles(geom))
-    density, constants = ex._solve_density(geom, v - geo.field_mean(geom, v)[geom.layout.comp])
-    return flow, spline, density, constants
+    return flow, spline
 
 
 @pytest.mark.parametrize("path", ["extension file", "fallback"])
