@@ -432,6 +432,9 @@ class Calibration:
     def __init__(self, reference, delta: float | None = None):
         self.reference = reference
         dmax = reference.admissible_delta()
+        for name, value in (("admissible bound", dmax), ("delta", delta)):
+            if value is not None and not 0.0 < value < np.inf:
+                raise ValueError(f"{name} {value} is not a positive finite number")
         if delta is None:
             delta = dmax
         if delta > dmax * (1.0 + 1e-12):

@@ -3,9 +3,9 @@
 Scenarios are INI files (configparser sections as nested tables) describing
 a reference (analytic circles, a curve file, or a fine flow run), a weak run
 (resolution, perturbation, seeded bubbles), the tube width and the time
-horizon; ``;`` starts an inline comment, and an unknown key, a missing
-key of the reference kind or a weak perturbation that would go unused is
-rejected when the file is loaded.
+horizon; ``;`` starts an inline comment.  One table, :data:`KEYS`, gives
+every key's field, domain and default, and a value outside its domain is
+rejected, naming its key, when the file is loaded.
 ``simulate`` produces trajectory exports, an energy-report CSV and a JSON
 verdict summary; ``compare`` evaluates a recorded weak trajectory against a
 recorded strong one; ``report`` summarizes a finished output directory.
@@ -65,164 +65,157 @@ class Scenario:
     weak_perturb_mode: int
     weak_bubbles: list           # ("auto", count, radius) or explicit (cx, cy, r, n)
     weak_dt: float
-    area_drift_abort: float = 1e-3
+    area_drift_abort: float = fllib.FlowConfig.area_drift_abort
 
 
-# the parameters each shape kind takes
-SHAPE_PARAMS = {"circle": "R", "ellipse": "a b", "wavy": "R amp mode"}
+# the domains of scenario values: each reads the text of one value, or raises
+# a ValueError that says what the value must be and quotes the text
+
+def _domain(what: str, convert, within):
+    """A reader of ``convert(text)``, a value for which ``within`` holds."""
+    def read(text: str):
+        try:
+            if within(value := convert(text)):
+                return value
+        except ValueError:
+            pass
+        raise ValueError(f"must be {what}, got {text!r}")
+    return read
 
 
-def _number(convert, text: str, where: str):
-    """``int(text)`` or ``float(text)``; an error names ``where``."""
-    try:
-        return convert(text)
-    except ValueError:
-        kind = "an integer" if convert is int else "a number"
-        raise ValueError(f"{where}: {text!r} is not {kind}") from None
-
-
-def _tube_width(text: str, where: str) -> float | None:
-    """None for 'auto', else a positive number; an error names ``where``."""
-    delta = None if text.strip() == "auto" else _number(float, text, where)
-    if delta is not None and not 0.0 < delta < np.inf:
-        raise ValueError(f"{where}: must be 'auto' or a positive number, got {text!r}")
-    return delta
-
-
-def _parse_shape(text: str, where: str) -> tuple:
-    """A shape line; ``where`` names its file, section and key in the errors."""
-    kind, *vals = text.split()
-    if kind not in SHAPE_PARAMS:
-        raise ValueError(f"{where}: unknown shape {text!r}")
-    if len(vals) != len(SHAPE_PARAMS[kind].split()):
-        raise ValueError(f"{where} needs '{kind} {SHAPE_PARAMS[kind]}', got {text!r}")
-    types = (float, float, int) if kind == "wavy" else (float,) * len(vals)
-    return (kind, *(_number(convert, v, where) for convert, v in zip(types, vals)))
-
-
-# the keys each section may hold, and the key each reference kind needs
-SECTION_KEYS = {
-    "scenario": {"name", "seed", "delta", "end_time", "sample_count", "out"},
-    "reference": {"kind", "circles", "file", "shape", "resolution", "dt"},
-    "weak": {"shape", "resolution", "perturb_amplitude", "perturb_mode", "bubbles", "dt",
-             "area_drift_abort"},
-}
+NUMBER = _domain("a finite number", float, np.isfinite)
+POSITIVE = _domain("a positive number", float, lambda v: 0.0 < v < np.inf)
+NON_NEGATIVE = _domain("a non-negative number", float, lambda v: 0.0 <= v < np.inf)
+NON_NEGATIVE_INT = _domain("an integer >= 0", int, lambda v: v >= 0)
+COUNT = _domain("an integer >= 1", int, lambda v: v >= 1)
+VERTICES = _domain("an integer >= 8", int, lambda v: v >= 8)
+SIGN = _domain("1 or -1", int, lambda v: v in (1, -1))
+TUBE_WIDTH = _domain("'auto' or a positive number",
+                     lambda text: None if text.strip() == "auto" else float(text),
+                     lambda v: v is None or 0.0 < v < np.inf)
+# the key each reference kind needs
 KIND_KEY = {"circles": "circles", "file": "file", "flow": "shape"}
+KIND = _domain("one of " + ", ".join(KIND_KEY), str, KIND_KEY.__contains__)
+
+
+def _fields(words: list, text: str, form: str, domains: tuple) -> tuple:
+    """``words`` of ``text`` read by ``domains``, one each; ``form`` names the layout."""
+    if len(words) != len(domains):
+        raise ValueError(f"must be '{form}', got {text!r}")
+    try:
+        return tuple(read(word) for read, word in zip(domains, words))
+    except ValueError as exc:
+        raise ValueError(f"{exc} in {text!r}") from None
+
+
+# each shape kind: its layout and the domains of its parameters
+SHAPES = {"circle": ("circle R>0", (POSITIVE,)),
+          "ellipse": ("ellipse a>0 b>0", (POSITIVE, POSITIVE)),
+          "wavy": ("wavy R>0 amp>=0 mode>=1", (POSITIVE, NON_NEGATIVE, COUNT))}
+
+
+def _shape(text: str) -> tuple:
+    kind, *words = text.split() or [""]
+    if kind not in SHAPES:
+        raise ValueError(f"must be {' | '.join(form for form, _ in SHAPES.values())}, "
+                         f"got {text!r}")
+    return (kind, *_fields(words, text, *SHAPES[kind]))
+
+
+def _circle(line: str) -> cblib.CircleSpec:
+    fields = _fields(line.split(), line, "cx cy R>0 ±1", (NUMBER, NUMBER, POSITIVE, SIGN))
+    return cblib.CircleSpec(fields[:2], *fields[2:])
+
+
+def _bubble(line: str) -> tuple:
+    words = line.split()
+    if words[0] == "auto":
+        return ("auto", *_fields(words[1:], line, "auto count>=1 r>0", (COUNT, POSITIVE)))
+    words += ["24"] * (len(words) == 3)     # 24 vertices unless given
+    return _fields(words, line, "cx cy r>0 [n>=8]", (NUMBER, NUMBER, POSITIVE, VERTICES))
+
+
+def _lines(read):
+    """A reader of one record per non-blank line."""
+    return lambda text: [read(line) for line in text.splitlines() if line.strip()]
+
+
+REQUIRED = object()    # the default of a key the file must give
+# every key of a scenario file: (section, key) -> (Scenario field, domain,
+# default).  A default is text the domain reads, or None for a field left None
+# (for ``name``, the file's stem).
+KEYS = {
+    ("scenario", "name"): ("name", str, None),
+    ("scenario", "seed"): ("seed", NON_NEGATIVE_INT, "0"),
+    ("scenario", "delta"): ("delta", TUBE_WIDTH, "auto"),
+    ("scenario", "end_time"): ("end_time", POSITIVE, REQUIRED),
+    ("scenario", "sample_count"): ("sample_count", COUNT, "12"),
+    ("scenario", "out"): ("out", str, ""),
+    ("reference", "kind"): ("ref_kind", KIND, REQUIRED),
+    ("reference", "circles"): ("ref_circles", _lines(_circle), ""),
+    ("reference", "file"): ("ref_file", str, None),
+    ("reference", "shape"): ("ref_shape", _shape, None),
+    ("reference", "resolution"): ("ref_resolution", VERTICES, "512"),
+    ("reference", "dt"): ("ref_dt", POSITIVE, "1e-4"),
+    ("weak", "shape"): ("weak_shape", _shape, None),
+    ("weak", "resolution"): ("weak_resolution", VERTICES, "128"),
+    ("weak", "perturb_amplitude"): ("weak_perturb_amplitude", NON_NEGATIVE, "0"),
+    ("weak", "perturb_mode"): ("weak_perturb_mode", NON_NEGATIVE_INT, "0"),
+    ("weak", "bubbles"): ("weak_bubbles", _lines(_bubble), ""),
+    ("weak", "dt"): ("weak_dt", POSITIVE, "1e-4"),
+    ("weak", "area_drift_abort"): ("area_drift_abort", POSITIVE,
+                                   repr(fllib.FlowConfig.area_drift_abort)),
+}
 
 
 def load_scenario(path) -> Scenario:
-    """Read a scenario file.
+    """Read a scenario file against :data:`KEYS`.
 
-    Unknown keys, a reference kind without its key, a file reference without
-    a weak shape, a perturbation the weak datum cannot take (negative, of
-    a datum that is not a circle, or of mode below 1) and an ``end_time``,
-    ``dt`` or ``area_drift_abort`` that is not a positive finite number are
-    errors.
+    An unknown section or key, a missing section or required key and a value
+    outside its domain are errors, and so are three rules between keys: a
+    reference kind needs its key, a file reference needs a weak shape, and a
+    perturbation applies only to a circle datum, with a mode of at least 1
+    and below half the weak resolution.  Each error is a ValueError that
+    names the file, the section and the key.
     """
-    cp = configparser.ConfigParser(inline_comment_prefixes=(";",))
-    read = cp.read(path)
-    if not read:
+    cp = configparser.ConfigParser(inline_comment_prefixes=(";",), interpolation=None)
+    if not cp.read(path):
         raise FileNotFoundError(path)
-    try:
-        sc = cp["scenario"]
-        ref = cp["reference"]
-        weak = cp["weak"]
-    except KeyError as exc:
-        raise ValueError(f"{path}: missing section {exc}") from exc
-    for section, known in SECTION_KEYS.items():
-        for key in cp[section]:
-            if key not in known:
-                raise ValueError(f"{path}: [{section}] unknown key {key!r}")
-    kind = ref.get("kind")
-    if kind not in KIND_KEY:
-        raise ValueError(f"{path}: [reference] 'kind' must be one of "
-                         f"{', '.join(KIND_KEY)}, got {kind!r}")
-    if not ref.get(KIND_KEY[kind]):
-        raise ValueError(f"{path}: [reference] kind = {kind} needs {KIND_KEY[kind]!r}")
+    if set(cp.sections()) != {section for section, _ in KEYS}:
+        raise ValueError(f"{path}: has sections {cp.sections()}, not scenario, reference, weak")
 
-    def number(section, key, convert, default=None):
-        raw = cp[section].get(key)
-        return default if raw is None else _number(convert, raw, f"{path}: [{section}] {key!r}")
+    def rejected(section, key, problem):
+        return ValueError(f"{path}: [{section}] {key!r}: {problem}")
 
-    def positive(section, key, default=None):
-        value = number(section, key, float, default)
-        if not 0.0 < value < np.inf:
-            raise ValueError(f"{path}: [{section}] {key!r}: must be a positive number, "
-                             f"got {cp[section][key]!r}")
-        return value
+    for section, key in ((s, k) for s in cp.sections() for k in cp[s]):
+        if (section, key) not in KEYS:
+            raise rejected(section, key, "unknown key")
+    fields = {}
+    for (section, key), (field, read, default) in KEYS.items():
+        text = cp[section].get(key, default)
+        if text is REQUIRED:
+            raise rejected(section, key, "must be given")
+        try:
+            fields[field] = None if text is None else read(text)
+        except ValueError as exc:
+            raise rejected(section, key, exc) from None
+    fields["name"] = fields["name"] or os.path.splitext(os.path.basename(path))[0]
 
-    if sc.get("end_time") is None:
-        raise ValueError(f"{path}: [scenario] needs 'end_time'")
-    sample_count = number("scenario", "sample_count", int, 12)
-    if sample_count < 1:
-        raise ValueError(f"{path}: [scenario] 'sample_count' must be at least 1, "
-                         f"got {sample_count}")
-    delta = _tube_width(sc.get("delta", "auto"), f"{path}: [scenario] 'delta'")
-    circles = []
-    for line in ref.get("circles", "").strip().splitlines():
-        vals = line.split()
-        if len(vals) != 4:
-            raise ValueError(f"{path}: circle line needs 'cx cy R orient': {line!r}")
-        cx, cy, r, o = (_number(convert, v, f"{path}: [reference] 'circles' line {line!r}")
-                        for convert, v in zip((float, float, float, int), vals))
-        circles.append(cblib.CircleSpec((cx, cy), r, o))
-    bubbles = []
-    braw = weak.get("bubbles", "").strip()
-    if braw:
-        for line in braw.splitlines():
-            vals = line.split()
-            where = f"{path}: [weak] 'bubbles' line {line!r}"
-            if len(vals) not in (3, 4) or (vals[0] == "auto" and len(vals) != 3):
-                raise ValueError(
-                    f"{path}: bubble line needs 'auto count r' or 'cx cy r [n]': {line!r}")
-            if vals[0] == "auto":
-                bubbles.append(("auto", _number(int, vals[1], where),
-                                _number(float, vals[2], where)))
-            else:
-                bubbles.append((*(_number(float, v, where) for v in vals[:3]),
-                                _number(int, vals[3], where) if len(vals) > 3 else 24))
-
-    ref_shape = (_parse_shape(ref["shape"], f"{path}: [reference] 'shape'")
-                 if ref.get("shape") else None)
-    weak_shape = (_parse_shape(weak["shape"], f"{path}: [weak] 'shape'")
-                  if weak.get("shape") else None)
-    if kind == "file" and weak_shape is None:
-        raise ValueError(f"{path}: [weak] needs 'shape' with a file reference")
+    kind = fields["ref_kind"]
+    if not fields[KEYS["reference", KIND_KEY[kind]][0]]:
+        raise rejected("reference", KIND_KEY[kind], f"must be given with kind = {kind}")
+    if kind == "file" and fields["weak_shape"] is None:
+        raise rejected("weak", "shape", "must be given with kind = file")
     # the weak datum: its own shape, else the flow reference's, else a circle
-    datum = weak_shape or (ref_shape if kind == "flow" else ("circle",))
-    amplitude = number("weak", "perturb_amplitude", float, 0.0)
-    mode = number("weak", "perturb_mode", int, 0)
-    if not amplitude >= 0.0:
-        raise ValueError(f"{path}: [weak] 'perturb_amplitude' must not be negative, "
-                         f"got {amplitude}")
+    datum = fields["weak_shape"] or (fields["ref_shape"] if kind == "flow" else ("circle",))
+    amplitude, mode = fields["weak_perturb_amplitude"], fields["weak_perturb_mode"]
     if amplitude > 0.0 and datum[0] != "circle":
-        raise ValueError(f"{path}: [weak] 'perturb_amplitude' perturbs only a circle, "
-                         f"got shape {datum[0]!r}")
-    if amplitude > 0.0 and mode < 1:
-        raise ValueError(f"{path}: [weak] 'perturb_mode' must be at least 1 with a "
-                         f"perturbation, got {mode}")
-
-    return Scenario(
-        name=sc.get("name", os.path.splitext(os.path.basename(path))[0]),
-        seed=number("scenario", "seed", int, 0),
-        delta=delta,
-        end_time=positive("scenario", "end_time"),
-        sample_count=sample_count,
-        out=sc.get("out", ""),
-        ref_kind=kind,
-        ref_circles=circles,
-        ref_file=ref.get("file", None),
-        ref_shape=ref_shape,
-        ref_resolution=number("reference", "resolution", int, 512),
-        ref_dt=positive("reference", "dt", 1e-4),
-        weak_shape=weak_shape,
-        weak_resolution=number("weak", "resolution", int, 128),
-        weak_perturb_amplitude=amplitude,
-        weak_perturb_mode=mode,
-        weak_bubbles=bubbles,
-        weak_dt=positive("weak", "dt", 1e-4),
-        area_drift_abort=positive("weak", "area_drift_abort", 1e-3),
-    )
+        raise rejected("weak", "perturb_amplitude", f"must be 0 on a datum that is not "
+                       f"a circle, got {amplitude} on shape {datum[0]!r}")
+    if amplitude > 0.0 and not 1 <= mode < fields["weak_resolution"] / 2:
+        raise rejected("weak", "perturb_mode", f"must be an integer >= 1 and below half "
+                       f"the weak resolution with a perturbation, got {mode}")
+    return Scenario(**fields)
 
 
 def _build_shape(shape: tuple, n: int, amplitude=0.0, mode=0) -> np.ndarray:
@@ -234,10 +227,7 @@ def _build_shape(shape: tuple, n: int, amplitude=0.0, mode=0) -> np.ndarray:
         return geo.make_circle((0.0, 0.0), shape[1], n)
     if kind == "ellipse":
         return geo.make_ellipse(shape[1], shape[2], n)
-    if kind == "wavy":
-        return geo.make_wavy_circle(shape[1], shape[2], shape[3], n,
-                                    normalize_area=True)
-    raise ValueError(f"unknown shape kind {kind}")
+    return geo.make_wavy_circle(shape[1], shape[2], shape[3], n, normalize_area=True)
 
 
 def _place_bubbles(rng, spec_list, reference, delta, existing: geo.PolyCurve):
@@ -306,15 +296,13 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None,
         # reject any other curve before the weak flow runs
         enlib.require_constant_curvature(reference.geometry_at(0.0))
         ref_datum = None
-    elif scenario.ref_kind == "flow":
+    else:                                 # flow
         datum = _build_shape(scenario.ref_shape, scenario.ref_resolution)
         # the reference takes only its dt and the horizon, never [weak] settings
         cfg = fllib.FlowConfig(dt=scenario.ref_dt, end_time=scenario.end_time)
         traj = fllib.make_reference(cfg, geo.PolyCurve([datum]), sample_stride=5)
         reference = cblib.PolygonReference(trajectory=traj)
         ref_datum = scenario.ref_shape
-    else:
-        raise ValueError(f"unknown reference kind {scenario.ref_kind!r}")
 
     calib = cblib.Calibration(reference, scenario.delta)
 
@@ -361,7 +349,7 @@ def write_outputs(summary: dict, out: str) -> None:
 
 
 def passed(summary: dict) -> bool:
-    """A PASS Gronwall verdict and no worst slack below SLACK_FLOOR."""
+    """A PASS Gronwall verdict and no worst slack below SLACK_FLOOR or NaN."""
     ok = str(summary["gronwall"]["verdict"]).startswith("PASS")
     return ok and all(v is None or v >= SLACK_FLOOR for v in summary["worst_slacks"].values())
 
@@ -430,7 +418,8 @@ def evaluate_run(states: list, calib, sample_count: int) -> dict:
     velocity its D_V terms read; at most ``sample_count`` of them, spread
     evenly, are evaluated against ``calib``, one after another in time
     order.  ``flux_constants_final`` holds the B-field constants of the last
-    sample, while each worst slack is the minimum over all samples.
+    sample, while each worst slack is the minimum over all samples: NaN if
+    any sample's is, and None only if every sample's is inf.
     """
     floor = _quadrature_floor(states[0].geometry, calib.reference)
     if len(states) > sample_count:
@@ -454,11 +443,11 @@ def evaluate_run(states: list, calib, sample_count: int) -> dict:
     except ValueError as exc:
         gron_info = {"verdict": "SKIPPED-SHORT", "detail": str(exc)}
 
-    worst = {key: min(s[key] for s in slacks) for key in slacks[0]}
+    worst = {key: np.min([s[key] for s in slacks]) for key in slacks[0]}
     return {
         "_reports": list(reports),
         "gronwall": gron_info,
-        "worst_slacks": {k: float(v) if np.isfinite(v) else None for k, v in worst.items()},
+        "worst_slacks": {k: None if v == np.inf else float(v) for k, v in worst.items()},
         "flux_constants_final": fluxes[-1],
         "stationary_gradient_ratio_max": None if ratios[0] is None else max(ratios),
     }
@@ -532,12 +521,14 @@ def run_report(directory: str) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
-def _delta_option(text: str) -> float | None:
-    """``--delta`` read by :func:`_tube_width`; a bad value is a parser error."""
-    try:
-        return _tube_width(text, "tube width")
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _option(read):
+    """An option read by a scenario domain; a value outside it is a usage error."""
+    def parse(text: str):
+        try:
+            return read(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
 
 
 def main(argv=None) -> int:
@@ -548,12 +539,12 @@ def main(argv=None) -> int:
     p_sim = sub.add_parser("simulate", help="run scenario config files")
     p_sim.add_argument("configs", nargs="+")
     p_sim.add_argument("--out", default=None, help="output root override")
-    p_sim.add_argument("--seed", type=int, default=None)
+    p_sim.add_argument("--seed", type=_option(NON_NEGATIVE_INT), default=None)
 
     p_cmp = sub.add_parser("compare", help="weak vs strong trajectory")
     p_cmp.add_argument("weak")
     p_cmp.add_argument("strong")
-    p_cmp.add_argument("--delta", type=_delta_option, default=None,
+    p_cmp.add_argument("--delta", type=_option(TUBE_WIDTH), default=None,
                        help="tube width: 'auto' (the default) or a positive number")
     p_cmp.add_argument("--out", default=None)
 

@@ -288,17 +288,20 @@ def gronwall_verdict(reports: list[EnergyReport], floor: float = 1e-7) -> Gronwa
 
     Both the exponential and the trapezoidal integral form must hold at
     every sample for the fitted C; the verdict is PASS when such a finite C
-    exists below GRONWALL_C_MAX.  The t=0 sample forces the literal
-    exponential form to C >= 1, so the integral-form constant (zero for a
-    nonincreasing series) is reported separately.  A start at the quadrature floor with
-    later growth beyond it falsifies uniqueness and raises
-    DegenerateInitialData.
+    exists below GRONWALL_C_MAX, and FAIL on a series that is not finite.
+    The t=0 sample forces the literal exponential form to C >= 1, so the
+    integral-form constant (zero for a nonincreasing series) is reported
+    separately.  A start at the quadrature floor with later growth beyond it
+    falsifies uniqueness and raises DegenerateInitialData.
     """
     if len(reports) < 10:
         raise ValueError("need at least 10 samples for a Gronwall fit")
     t = np.array([r.t for r in reports])
     s = np.array([r.E + r.F for r in reports])
     s0 = s[0]
+    if not np.all(np.isfinite(s)):      # no constant bounds a NaN or an infinity
+        return GronwallResult(c_fit=np.inf, c_integral=np.inf, verdict="FAIL",
+                              initial=float(s0), series=list(map(float, s)))
     if s0 <= floor:
         if np.any(s > 10.0 * floor):
             raise DegenerateInitialData(

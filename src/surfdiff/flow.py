@@ -60,8 +60,9 @@ class FlowConfig:
     area_drift_abort: float = 1e-3
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        for name in ("dt", "end_time", "area_drift_abort"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} {getattr(self, name)} is not a positive finite number")
 
 
 @dataclass

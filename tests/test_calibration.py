@@ -264,6 +264,18 @@ def test_delta_above_bound_rejected():
         cb.Calibration(ref, 0.3)
 
 
+@pytest.mark.parametrize("radius, delta, message", [
+    (1.0, np.nan, "delta nan is"), (1.0, -0.1, "delta -0.1 is"), (1.0, np.inf, "delta inf is"),
+    (np.nan, None, "admissible bound nan is"), (np.nan, 0.25, "admissible bound nan is"),
+    (-1.0, None, "admissible bound -0.25 is")])
+def test_calibration_rejects_a_width_that_is_not_positive_and_finite(radius, delta, message):
+    # a NaN width used to pass every comparison and fail late, at the
+    # profile, with a message that named neither
+    ref = cb.AnalyticCircles([cb.CircleSpec((0, 0), radius)])
+    with pytest.raises(ValueError, match=message + " not a positive finite number"):
+        cb.Calibration(ref, delta)
+
+
 # ---------------------------------------------------------------------------
 # tube fields
 # ---------------------------------------------------------------------------

@@ -1,12 +1,15 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import surfdiff
 from surfdiff import calibration as cb
@@ -104,10 +107,20 @@ def test_load_scenario(stationary_cfg):
     assert sc.weak_perturb_mode == 3
 
 
+def test_load_scenario_reads_each_value_as_written(tmp_path):
+    # no interpolation: a '%' is a character, not an error raised at the key
+    path = tmp_path / "percent.ini"
+    path.write_text(STATIONARY_INI.replace("name = mini-stationary", "name = run 50%"))
+    assert cli.load_scenario(path).name == "run 50%"
+
+
 def test_load_scenario_missing_section(tmp_path):
     bad = tmp_path / "bad.ini"
     bad.write_text("[scenario]\nname = x\nend_time = 1\n")
     with pytest.raises(ValueError):
+        cli.load_scenario(bad)
+    bad.write_text(STATIONARY_INI.replace("[weak]", "[Weak]"))
+    with pytest.raises(ValueError, match=r"bad\.ini: has sections .*'Weak'"):
         cli.load_scenario(bad)
 
 
@@ -127,7 +140,8 @@ def test_load_scenario_rejects_a_shape_of_the_wrong_arity(tmp_path, section, sha
     else:
         bad.write_text(FLOW_REF_INI.replace("shape = ellipse 2 1", f"shape = {shape}"))
     kind = shape.split()[0]
-    with pytest.raises(ValueError, match=rf"arity\.ini: \[{section}\] 'shape' needs '{kind} "):
+    with pytest.raises(ValueError, match=rf"arity\.ini: \[{section}\] 'shape': must be '{kind} "
+                                         rf".*, got '{re.escape(shape)}'"):
         cli.load_scenario(bad)
 
 
@@ -135,8 +149,8 @@ def test_load_scenario_rejects_a_shape_of_the_wrong_arity(tmp_path, section, sha
 def test_load_scenario_rejects_sample_count_below_one(tmp_path, count):
     bad = tmp_path / "count.ini"
     bad.write_text(STATIONARY_INI.replace("sample_count = 10", f"sample_count = {count}"))
-    with pytest.raises(ValueError, match=rf"count\.ini: \[scenario\] 'sample_count' must be "
-                                         rf"at least 1, got {count}"):
+    with pytest.raises(ValueError, match=rf"count\.ini: \[scenario\] 'sample_count': must be "
+                                         rf"an integer >= 1, got '{count}'"):
         cli.load_scenario(bad)
 
 
@@ -180,20 +194,21 @@ def test_load_scenario_short_bubble_line(tmp_path, line):
 
 @pytest.mark.parametrize("base, old, new, message", [
     (STATIONARY_INI, "shape = circle 1", "shape = ellipse a b",
-     r"\[weak\] 'shape': 'a' is not a number"),
+     r"\[weak\] 'shape': must be a positive number, got 'a' in 'ellipse a b'"),
     (FLOW_REF_INI, "shape = ellipse 2 1", "shape = wavy 1 0.1 3.5",
-     r"\[reference\] 'shape': '3\.5' is not an integer"),
+     r"\[reference\] 'shape': must be an integer >= 1, got '3\.5' in 'wavy 1 0\.1 3\.5'"),
     (STATIONARY_INI, "sample_count = 10", "sample_count = ten",
-     r"\[scenario\] 'sample_count': 'ten' is not an integer"),
-    (STATIONARY_INI, "dt = 1e-4", "dt = fast", r"\[weak\] 'dt': 'fast' is not a number"),
+     r"\[scenario\] 'sample_count': must be an integer >= 1, got 'ten'"),
+    (STATIONARY_INI, "dt = 1e-4", "dt = fast",
+     r"\[weak\] 'dt': must be a positive number, got 'fast'"),
     (STATIONARY_INI, "delta = 0.25", "delta = wide",
-     r"\[scenario\] 'delta': 'wide' is not a number"),
+     r"\[scenario\] 'delta': must be 'auto' or a positive number, got 'wide'"),
     (STATIONARY_INI, "circles = 0 0 1 1", "circles = 0 0 one 1",
-     r"\[reference\] 'circles' line '0 0 one 1': 'one' is not a number"),
+     r"\[reference\] 'circles': must be a positive number, got 'one' in '0 0 one 1'"),
     (STATIONARY_INI, "dt = 1e-4", "dt = 1e-4\nbubbles = auto four 0.01",
-     r"\[weak\] 'bubbles' line 'auto four 0\.01': 'four' is not an integer"),
+     r"\[weak\] 'bubbles': must be an integer >= 1, got 'four' in 'auto four 0\.01'"),
     (STATIONARY_INI, "dt = 1e-4", "dt = 1e-4\nbubbles = 1.5 1.5 0.1 2x",
-     r"\[weak\] 'bubbles' line '1\.5 1\.5 0\.1 2x': '2x' is not an integer"),
+     r"\[weak\] 'bubbles': must be an integer >= 8, got '2x' in '1\.5 1\.5 0\.1 2x'"),
 ])
 def test_load_scenario_names_the_key_of_a_value_that_does_not_parse(tmp_path, base, old,
                                                                       new, message):
@@ -224,7 +239,7 @@ def test_load_scenario_readme_example(tmp_path):
 def test_load_scenario_rejects_unknown_key(tmp_path):
     bad = tmp_path / "typo.ini"
     bad.write_text(STATIONARY_INI + "max_dt_grwoth = 1.0\n")
-    with pytest.raises(ValueError, match=r"typo\.ini: \[weak\] unknown key 'max_dt_grwoth'"):
+    with pytest.raises(ValueError, match=r"typo\.ini: \[weak\] 'max_dt_grwoth': unknown key"):
         cli.load_scenario(bad)
 
 
@@ -232,7 +247,7 @@ def test_load_scenario_rejects_max_dt_growth(tmp_path):
     # the growth factor is the constant flow.MAX_DT_GROWTH, no longer a key
     bad = tmp_path / "growth.ini"
     bad.write_text(STATIONARY_INI + "max_dt_growth = 1.0\n")
-    with pytest.raises(ValueError, match=r"growth\.ini: \[weak\] unknown key 'max_dt_growth'"):
+    with pytest.raises(ValueError, match=r"growth\.ini: \[weak\] 'max_dt_growth': unknown key"):
         cli.load_scenario(bad)
 
 
@@ -243,32 +258,38 @@ def test_load_scenario_rejects_reference_kind_without_its_key(tmp_path, kind, ke
     bad.write_text(STATIONARY_INI.replace("kind = circles\ncircles = 0 0 1 1\n",
                                           f"kind = {kind}\n"))
     with pytest.raises(ValueError,
-                       match=rf"no_key\.ini: \[reference\] kind = {kind} needs '{key}'"):
+                       match=rf"no_key\.ini: \[reference\] '{key}': must be given with "
+                             rf"kind = {kind}"):
         cli.load_scenario(bad)
 
 
 def test_load_scenario_rejects_unknown_reference_kind(tmp_path):
     bad = tmp_path / "kind.ini"
     bad.write_text(STATIONARY_INI.replace("kind = circles", "kind = polygon"))
-    with pytest.raises(ValueError, match=r"\[reference\] 'kind' must be one of .*'polygon'"):
+    with pytest.raises(ValueError, match=r"\[reference\] 'kind': must be one of circles, file, "
+                                         r"flow, got 'polygon'"):
         cli.load_scenario(bad)
 
 
 @pytest.mark.parametrize("base, edits, message", [
     (STATIONARY_INI, [("perturb_amplitude = 0.04", "perturb_amplitude = -0.04")],
-     r"\[weak\] 'perturb_amplitude' must not be negative, got -0\.04"),
+     r"\[weak\] 'perturb_amplitude': must be a non-negative number, got '-0\.04'"),
     (STATIONARY_INI, [("shape = circle 1", "shape = ellipse 2 1")],
-     r"\[weak\] 'perturb_amplitude' perturbs only a circle, got shape 'ellipse'"),
+     r"\[weak\] 'perturb_amplitude': must be 0 on a datum that is not a circle, "
+     r"got 0\.04 on shape 'ellipse'"),
     (STATIONARY_INI, [("shape = circle 1", "shape = wavy 1 0.1 3")],
-     r"\[weak\] 'perturb_amplitude' perturbs only a circle, got shape 'wavy'"),
+     r"\[weak\] 'perturb_amplitude': must be 0 on a datum that is not a circle, "
+     r"got 0\.04 on shape 'wavy'"),
     (FLOW_REF_INI, [("resolution = 64", "resolution = 64\nperturb_amplitude = 0.1\n"
                                         "perturb_mode = 3")],
-     r"\[weak\] 'perturb_amplitude' perturbs only a circle, got shape 'ellipse'"),
+     r"\[weak\] 'perturb_amplitude': must be 0 on a datum that is not a circle, "
+     r"got 0\.1 on shape 'ellipse'"),
     (STATIONARY_INI, [("perturb_mode = 3", "perturb_mode = 0")],
-     r"\[weak\] 'perturb_mode' must be at least 1 with a perturbation, got 0"),
+     r"\[weak\] 'perturb_mode': must be an integer >= 1 and below half the weak "
+     r"resolution with a perturbation, got 0"),
     (STATIONARY_INI, [("kind = circles\ncircles = 0 0 1 1", "kind = file\nfile = ref.txt"),
                       ("shape = circle 1\n", "")],
-     r"\[weak\] needs 'shape' with a file reference"),
+     r"\[weak\] 'shape': must be given with kind = file"),
 ])
 def test_load_scenario_rejects_a_weak_datum_it_would_not_build(tmp_path, base, edits, message):
     # each of these used to run: the perturbation silently dropped, or the
@@ -280,6 +301,125 @@ def test_load_scenario_rejects_a_weak_datum_it_would_not_build(tmp_path, base, e
     bad.write_text(base)
     with pytest.raises(ValueError, match=r"datum\.ini: " + message):
         cli.load_scenario(bad)
+
+
+# the README's stationary scenario, cut to 64 weak vertices and T = 0.002
+SMALL_INI = STATIONARY_INI.replace("resolution = 128", "resolution = 64").replace(
+    "end_time = 0.01", "end_time = 0.002")
+
+
+@pytest.mark.parametrize("old, new, section, key", [
+    ("circles = 0 0 1 1", "circles = 0 0 nan 1", "reference", "circles"),
+    ("circles = 0 0 1 1", "circles = 0 0 1 5", "reference", "circles"),
+    ("circles = 0 0 1 1", "circles = 0 0 -1 1", "reference", "circles"),
+    ("circles = 0 0 1 1", "circles = 0 0 0 1", "reference", "circles"),
+    ("resolution = 64", "resolution = 2", "weak", "resolution"),
+    ("resolution = 64", "resolution = 0", "weak", "resolution"),
+    ("resolution = 64", "resolution = -5", "weak", "resolution"),
+    ("shape = circle 1", "shape = circle -1", "weak", "shape"),
+    ("shape = circle 1", "shape = circle 0", "weak", "shape"),
+    ("dt = 1e-4", "dt = 1e-4\nbubbles = auto -2 0.01", "weak", "bubbles"),
+    ("dt = 1e-4", "dt = 1e-4\nbubbles = auto 2 -0.01", "weak", "bubbles"),
+    ("dt = 1e-4", "dt = 1e-4\nbubbles = 5 5 0.01 2", "weak", "bubbles"),
+    ("dt = 1e-4", "dt = 1e-4\nbubbles = 5 5 0 24", "weak", "bubbles"),
+    ("perturb_mode = 3", "perturb_mode = 100", "weak", "perturb_mode"),
+    ("perturb_amplitude = 0.04", "perturb_amplitude = inf", "weak", "perturb_amplitude"),
+    ("seed = 7", "seed = -1", "scenario", "seed"),
+])
+def test_simulate_rejects_a_value_outside_its_domain_before_any_flow(tmp_path, monkeypatch,
+                                                                     old, new, section, key):
+    # each of these loaded and then ran (a NaN radius read PASS, an aliased
+    # perturbation mode too) or failed late with a message that named no key
+    def flow(*args, **kwargs):
+        raise AssertionError("a flow ran")
+
+    monkeypatch.setattr(fl, "make_reference", flow)
+    monkeypatch.setattr(fl, "run_flow", flow)
+    assert old in SMALL_INI
+    bad = tmp_path / "domain.ini"
+    bad.write_text(SMALL_INI.replace(old, new))
+    with pytest.raises(ValueError) as exc:
+        cli.main(["simulate", str(bad), "--out", str(tmp_path / "out")])
+    message = str(exc.value)
+    assert f"domain.ini: [{section}] '{key}': must be " in message
+    assert new.split(" = ")[-1] in message
+
+
+def test_simulate_on_a_nan_radius_exits_1(tmp_path):
+    bad = tmp_path / "nan.ini"
+    bad.write_text(SMALL_INI.replace("circles = 0 0 1 1", "circles = 0 0 nan 1"))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(surfdiff.__file__)))
+    out = subprocess.run([sys.executable, "-m", "surfdiff.cli", "simulate", str(bad),
+                          "--out", str(tmp_path / "out")], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 1
+    assert "nan.ini: [reference] 'circles': must be a positive number, got 'nan'" in out.stderr
+    assert out.stdout == "" and not (tmp_path / "out").exists()
+
+
+def _outside(domain):
+    """Texts outside one domain of the key table: NaN, infinities, too small,
+    non-integers and too large."""
+    nonfinite = st.sampled_from(["nan", "inf", "-inf", "1e999"])
+    floats = st.floats(allow_nan=False, allow_infinity=False)
+    if domain == "number":
+        return nonfinite
+    if domain in ("positive", "non-negative"):
+        top = 0.0 if domain == "positive" else -1e-300
+        return nonfinite | st.floats(max_value=top, allow_infinity=False).map(repr)
+    if domain == "sign":
+        return nonfinite | floats.map(repr) | st.integers().filter(lambda v: abs(v) != 1).map(str)
+    # an integer domain: at least ``low``, and below ``high`` if given
+    low, high = {"seed": (0, None), "count": (1, None), "vertices": (8, None),
+                 "mode": (1, 64)}[domain]
+    bad = nonfinite | floats.map(repr) | st.integers(max_value=low - 1).map(str)
+    return bad if high is None else bad | st.integers(min_value=high).map(str)
+
+
+# (base file, line to edit, section, key, value layout, domain) of every key
+# and field of the key table that a number fills
+TABLE_CASES = [
+    (STATIONARY_INI, "seed = 7", "scenario", "seed", "{}", "seed"),
+    (STATIONARY_INI, "delta = 0.25", "scenario", "delta", "{}", "positive"),
+    (STATIONARY_INI, "end_time = 0.01", "scenario", "end_time", "{}", "positive"),
+    (STATIONARY_INI, "sample_count = 10", "scenario", "sample_count", "{}", "count"),
+    (STATIONARY_INI, "circles = 0 0 1 1", "reference", "circles", "{} 0 1 1", "number"),
+    (STATIONARY_INI, "circles = 0 0 1 1", "reference", "circles", "0 0 {} 1", "positive"),
+    (STATIONARY_INI, "circles = 0 0 1 1", "reference", "circles", "0 0 1 {}", "sign"),
+    (FLOW_REF_INI, "shape = ellipse 2 1", "reference", "shape", "ellipse 2 {}", "positive"),
+    (FLOW_REF_INI, "shape = ellipse 2 1", "reference", "shape", "wavy 1 {} 3", "non-negative"),
+    (FLOW_REF_INI, "shape = ellipse 2 1", "reference", "shape", "wavy 1 0.1 {}", "count"),
+    (FLOW_REF_INI, "resolution = 256", "reference", "resolution", "{}", "vertices"),
+    (FLOW_REF_INI, "dt = 5e-5", "reference", "dt", "{}", "positive"),
+    (STATIONARY_INI, "shape = circle 1", "weak", "shape", "circle {}", "positive"),
+    (STATIONARY_INI, "resolution = 128", "weak", "resolution", "{}", "vertices"),
+    (STATIONARY_INI, "perturb_amplitude = 0.04", "weak", "perturb_amplitude", "{}",
+     "non-negative"),
+    (STATIONARY_INI, "perturb_mode = 3", "weak", "perturb_mode", "{}", "mode"),
+    (BUBBLE_INI, "bubbles = auto 3 0.01", "weak", "bubbles", "auto {} 0.01", "count"),
+    (BUBBLE_INI, "bubbles = auto 3 0.01", "weak", "bubbles", "auto 3 {}", "positive"),
+    (BUBBLE_INI, "bubbles = auto 3 0.01", "weak", "bubbles", "{} 5 0.01", "number"),
+    (BUBBLE_INI, "bubbles = auto 3 0.01", "weak", "bubbles", "5 5 {} 24", "positive"),
+    (BUBBLE_INI, "bubbles = auto 3 0.01", "weak", "bubbles", "5 5 0.01 {}", "vertices"),
+    (STATIONARY_INI, "dt = 1e-4", "weak", "dt", "{}", "positive"),
+    (FLOW_REF_INI, "area_drift_abort = 1e-13", "weak", "area_drift_abort", "{}", "positive"),
+]
+
+
+@settings(max_examples=200, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(TABLE_CASES).flatmap(
+    lambda case: st.tuples(st.just(case), _outside(case[-1]))))
+def test_load_scenario_rejects_any_value_outside_its_domain(tmp_path, drawn):
+    (base, line, section, key, layout, _), value = drawn
+    assert line in base
+    bad = tmp_path / "drawn.ini"
+    bad.write_text(base.replace(line, f"{key} = {layout.format(value)}"))
+    with pytest.raises(ValueError) as exc:
+        cli.load_scenario(bad)
+    message = str(exc.value)
+    assert f"drawn.ini: [{section}] '{key}': must be " in message
+    assert value in message
 
 
 def test_simulate_stationary_end_to_end(stationary_cfg, tmp_path):
@@ -413,6 +553,21 @@ def test_checkers_with_nothing_to_check_write_null(circle_calibration, tmp_path)
     cli.write_outputs(cli.evaluate_run(states, circle_calibration, 10), str(tmp_path))
     worst = json.loads((tmp_path / "summary.json").read_text())["worst_slacks"]
     assert worst["pointwise_slack"] is None and worst["bubble_slack"] is None
+
+
+def test_a_nan_slack_is_the_worst_and_fails(circle_calibration, monkeypatch):
+    # null means "nothing to check" (inf) only; a NaN in any sample, not
+    # only the first, is the worst slack, and the run fails
+    curve = geo.PolyCurve([geo.make_circle((5.0, 0.0), 1.0, 64)])
+    states = [fl.FlowState.initial(curve, 1e-3 * k, k) for k in range(10)]
+    slacks = iter([np.inf, np.nan] + [np.inf] * 8)
+    monkeypatch.setattr(en, "small_component_area_check", lambda *args: next(slacks))
+    summary = cli.evaluate_run(states, circle_calibration, 10)
+    assert np.isnan(summary["worst_slacks"]["bubble_slack"])
+    assert summary["worst_slacks"]["pointwise_slack"] is None
+    assert not cli.passed(summary)
+    assert cli.passed({**summary, "gronwall": {"verdict": "PASS"},
+                       "worst_slacks": {"pointwise_slack": None}})
 
 
 def test_evaluate_run_evaluates_each_sample_once(monkeypatch):
@@ -588,22 +743,30 @@ def test_compare_command(tmp_path):
     assert summary["gronwall"]["verdict"].startswith("PASS")
 
 
-@pytest.mark.parametrize("value, message", [
-    ("abc", "'abc' is not a number"),
-    ("0", "must be 'auto' or a positive number, got '0'"),
-    ("-0.5", "must be 'auto' or a positive number, got '-0.5'"),
-])
-def test_compare_rejects_a_bad_delta_before_reading_a_file(tmp_path, capsys, value, message):
+@pytest.mark.parametrize("value", ["abc", "0", "-0.5"])
+def test_compare_rejects_a_bad_delta_before_reading_a_file(tmp_path, capsys, value):
     # the trajectory directories do not exist: a value that parsed would
     # fail reading them instead
     missing = [str(tmp_path / "weak"), str(tmp_path / "strong")]
     with pytest.raises(SystemExit) as exc:
         cli.main(["compare", *missing, f"--delta={value}"])
     assert exc.value.code == 2
-    assert f"argument --delta: tube width: {message}" in capsys.readouterr().err
+    assert (f"argument --delta: must be 'auto' or a positive number, got '{value}'"
+            in capsys.readouterr().err)
     for good in ("auto", "0.1"):
         with pytest.raises(FileNotFoundError):
             cli.main(["compare", *missing, "--delta", good])
+
+
+def test_simulate_rejects_a_bad_seed_before_reading_a_file(tmp_path, capsys):
+    # numpy rejected a negative seed inside the run, after the reference
+    missing = str(tmp_path / "missing.ini")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["simulate", missing, "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "argument --seed: must be an integer >= 0, got '-1'" in capsys.readouterr().err
+    with pytest.raises(FileNotFoundError):
+        cli.main(["simulate", missing, "--seed", "5"])
 
 
 def _export_short_runs(tmp_path, weak_samples=None):

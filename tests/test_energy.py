@@ -456,6 +456,19 @@ def test_gronwall_exponential_growth_fits_rate():
     assert res.c_integral == pytest.approx(2.0, rel=0.1)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("where", [[0], [3], list(range(12))])
+def test_gronwall_fails_a_series_that_is_not_finite(bad, where):
+    # every comparison with NaN is false: [1, NaN, ...] once read PASS with
+    # C_fit 1.0, an all-NaN series PASS, and a start at the floor PASS-TRIVIAL
+    ts = 0.05 * np.arange(12)
+    for start in (1e-2, 1e-9):
+        es = np.full(12, start)
+        es[where] = bad
+        res = en.gronwall_verdict(_series(ts, es, np.zeros(12)))
+        assert (res.verdict, res.c_fit) == ("FAIL", np.inf)
+
+
 def test_gronwall_needs_ten_samples():
     ts = 0.1 * np.arange(5)
     with pytest.raises(ValueError):

@@ -306,9 +306,13 @@ def test_load_trajectory_rejects_an_empty_index(tmp_path):
         fl.load_trajectory(tmp_path)
 
 
-def test_flow_config_validation():
-    with pytest.raises(ValueError):
-        fl.FlowConfig(dt=-1.0, end_time=1.0)
+@pytest.mark.parametrize("name", ["dt", "end_time", "area_drift_abort"])
+@pytest.mark.parametrize("value", [-1.0, 0.0, np.nan, np.inf])
+def test_flow_config_validation(name, value):
+    # a NaN dt would reject every step and halve itself forever: the config
+    # is refused before any flow starts
+    with pytest.raises(ValueError, match=f"{name} {value} is not a positive finite number"):
+        fl.FlowConfig(**{"dt": 1e-4, "end_time": 1.0, name: value})
 
 
 # ---------------------------------------------------------------------------
