@@ -259,9 +259,6 @@ class AnalyticCircles:
         return best
 
 
-DELTA_SCAN_TIMES = 9    # times at which a moving reference's admissible delta is taken
-
-
 class PolygonReference:
     """Reference given by a trajectory of polygonal curves.
 
@@ -324,13 +321,9 @@ class PolygonReference:
             normal=geom.nu[first])
 
     def admissible_delta(self) -> float:
-        """The least polygonal bound at DELTA_SCAN_TIMES times spanning the
-        trajectory, or at its one time."""
-        tt = self.trajectory.times
-        best = np.inf
-        for t in np.linspace(tt[0], tt[-1], 1 if self.stationary else DELTA_SCAN_TIMES):
-            best = min(best, _admissible_delta_polygonal(self.geometry_at(t)))
-        return float(best)
+        """The least polygonal bound over the trajectory's recorded times."""
+        return float(min(_admissible_delta_polygonal(self.geometry_at(t))
+                         for t in self.trajectory.times))
 
 
 def _facing_self_gap(geom: CurveGeometry, k: int) -> float:

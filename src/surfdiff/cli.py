@@ -171,21 +171,33 @@ KEYS = {
 def load_scenario(path) -> Scenario:
     """Read a scenario file against :data:`KEYS`.
 
-    An unknown section or key, a missing section or required key and a value
-    outside its domain are errors, and so are three rules between keys: a
-    reference kind needs its key, a file reference needs a weak shape, and a
-    perturbation applies only to a circle datum, with a mode of at least 1
-    and below half the weak resolution.  Each error is a ValueError that
-    names the file, the section and the key.
+    An unknown section or key, a key given twice, a missing section or
+    required key and a value outside its domain are errors, and so are four
+    rules between keys: a reference kind needs its key, a file reference
+    needs a weak shape, a perturbation applies only to a circle datum, with
+    a mode of at least 1 and below half the weak resolution, and a wavy
+    shape's mode is below half of each resolution it is built at.  Each
+    error is a ValueError that names the file, the section and the key (a
+    line that is no key, its number).
     """
-    cp = configparser.ConfigParser(inline_comment_prefixes=(";",), interpolation=None)
-    if not cp.read(path):
-        raise FileNotFoundError(path)
-    if set(cp.sections()) != {section for section, _ in KEYS}:
-        raise ValueError(f"{path}: has sections {cp.sections()}, not scenario, reference, weak")
-
     def rejected(section, key, problem):
         return ValueError(f"{path}: [{section}] {key!r}: {problem}")
+
+    cp = configparser.ConfigParser(inline_comment_prefixes=(";",), interpolation=None)
+    try:
+        if not cp.read(path):
+            raise FileNotFoundError(f"{path}: no such file")
+    except configparser.DuplicateOptionError as exc:
+        raise rejected(exc.section, exc.option, f"is given twice (line {exc.lineno})") from None
+    except configparser.DuplicateSectionError as exc:
+        raise ValueError(f"{path}: [{exc.section}] is given twice (line {exc.lineno})") from None
+    except configparser.ParsingError as exc:
+        # the first line read as neither; a ParsingError holds its repr
+        lineno, line = (getattr(exc, "errors", None) or [(exc.lineno, repr(exc.line))])[0]
+        raise ValueError(f"{path}: line {lineno}: must be '[section]' or, below one, "
+                         f"'key = value', got {line}") from None
+    if set(cp.sections()) != {section for section, _ in KEYS}:
+        raise ValueError(f"{path}: has sections {cp.sections()}, not scenario, reference, weak")
 
     for section, key in ((s, k) for s in cp.sections() for k in cp[s]):
         if (section, key) not in KEYS:
@@ -207,7 +219,14 @@ def load_scenario(path) -> Scenario:
     if kind == "file" and fields["weak_shape"] is None:
         raise rejected("weak", "shape", "must be given with kind = file")
     # the weak datum: its own shape, else the flow reference's, else a circle
-    datum = fields["weak_shape"] or (fields["ref_shape"] if kind == "flow" else ("circle",))
+    ref_shape = fields["ref_shape"] if kind == "flow" else None
+    datum = fields["weak_shape"] or ref_shape or ("circle",)
+    weak_key = "weak" if fields["weak_shape"] else "reference"    # where the datum is given
+    for key, shape, at, n in (("reference", ref_shape, "reference", fields["ref_resolution"]),
+                              (weak_key, datum, "weak", fields["weak_resolution"])):
+        if shape and shape[0] == "wavy" and not shape[3] < n / 2:
+            raise rejected(key, "shape", f"must have a mode below half the [{at}] "
+                           f"resolution {n}, got {shape[3]}")
     amplitude, mode = fields["weak_perturb_amplitude"], fields["weak_perturb_mode"]
     if amplitude > 0.0 and datum[0] != "circle":
         raise rejected("weak", "perturb_amplitude", f"must be 0 on a datum that is not "
@@ -235,9 +254,7 @@ def _place_bubbles(rng, spec_list, reference, delta, existing: geo.PolyCurve):
     comps = np.split(existing.vertices, existing.layout.split)
     placed = []
     verts = existing.segments[0]
-    lo = verts.min(axis=0)
-    hi = verts.max(axis=0)
-    span = hi - lo
+    lo, span = verts.min(axis=0), np.ptp(verts, axis=0)
     for entry in spec_list:
         if entry[0] == "auto":
             _, count, radius = entry
@@ -254,11 +271,8 @@ def _place_bubbles(rng, spec_list, reference, delta, existing: geo.PolyCurve):
                 s = reference.query(cand[None, :], 0.0)[0][0]
                 if abs(s) < 2.5 * delta + 2.0 * radius:
                     continue
-                ok = True
-                for (px, py, pr) in placed:
-                    if np.hypot(cand[0] - px, cand[1] - py) < 4.0 * (radius + pr):
-                        ok = False
-                        break
+                ok = all(np.hypot(cand[0] - px, cand[1] - py) >= 4.0 * (radius + pr)
+                         for px, py, pr in placed)
                 if ok and np.min(geo.row_norms(verts - cand)) > 2.5 * delta:
                     comps.append(geo.make_circle(tuple(cand), radius, 24))
                     placed.append((cand[0], cand[1], radius))
@@ -285,32 +299,30 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None,
     rng = np.random.Generator(np.random.Philox(seed))
     out = out_dir or scenario.out or os.path.join("runs", scenario.name)
 
+    # the weak run and a flow reference both record the sample times
+    times = np.linspace(0.0, scenario.end_time, scenario.sample_count)
     # reference
     if scenario.ref_kind == "circles":
         reference = cblib.AnalyticCircles(scenario.ref_circles)
-        ref_datum = None
     elif scenario.ref_kind == "file":
         curve = geo.read_curve_file(scenario.ref_file)
         reference = cblib.PolygonReference(fllib.Trajectory([0.0], [curve]))
         # every sample's stationary gradient ratio needs a union of circles:
         # reject any other curve before the weak flow runs
         enlib.require_constant_curvature(reference.geometry_at(0.0))
-        ref_datum = None
     else:                                 # flow
         datum = _build_shape(scenario.ref_shape, scenario.ref_resolution)
         # the reference takes only its dt and the horizon, never [weak] settings
         cfg = fllib.FlowConfig(dt=scenario.ref_dt, end_time=scenario.end_time)
-        traj = fllib.make_reference(cfg, geo.PolyCurve([datum]), sample_stride=5)
+        traj = fllib.make_reference(cfg, geo.PolyCurve([datum]), times)
         reference = cblib.PolygonReference(trajectory=traj)
-        ref_datum = scenario.ref_shape
 
     calib = cblib.Calibration(reference, scenario.delta)
 
-    # weak initial datum
-    weak_shape = scenario.weak_shape or ref_datum
-    if weak_shape is None and scenario.ref_kind == "circles":
-        c0 = scenario.ref_circles[0]
-        weak_shape = ("circle", c0.radius)
+    # weak initial datum: its own shape, else the flow reference's, else a
+    # circle of the first reference circle's radius (a file reference has a shape)
+    weak_shape = scenario.weak_shape or (scenario.ref_shape if scenario.ref_kind == "flow"
+                                         else ("circle", scenario.ref_circles[0].radius))
     main = _build_shape(weak_shape, scenario.weak_resolution,
                         scenario.weak_perturb_amplitude,
                         scenario.weak_perturb_mode)
@@ -322,10 +334,9 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None,
 
     cfg = fllib.FlowConfig(dt=scenario.weak_dt, end_time=scenario.end_time,
                            area_drift_abort=scenario.area_drift_abort)
-    run = fllib.run_flow(weak_curve, cfg, sample_stride=1,
-                         max_samples=4 * scenario.sample_count)
+    run = fllib.run_flow(weak_curve, cfg, times=times)
 
-    summary = evaluate_run(run.states, calib, scenario.sample_count)
+    summary = evaluate_run(run.states, calib)
     summary.update(_flow_diagnostics(run))
     summary["scenario"] = scenario.name
     summary["seed"] = seed
@@ -388,18 +399,12 @@ def _evaluate_sample(state, calib):
                                  f_value=rep.F, e_value=rep.E)
         rep.verdicts["nu_dot_B"] = ("PASS" if min(nb.slack_abs, nb.slack_scaled) >= SLACK_FLOOR
                                     else "FAIL")
-        flux_constants = {
-            "support_radius": b_field.support_radius,
-            "div_sup": b_field.div_sup,
-            "sup_norm": b_field.sup_norm,
-            "lipschitz": b_field.lipschitz,
-            "prefactor_abs": 2.0 * b_field.support_radius / calib.delta
-                             * b_field.div_sup,
-            "small_component_factor": 34.0 * b_field.div_sup,
-            "length_threshold": (1.0 / b_field.sup_norm
-                                 if b_field.sup_norm > 0 else None),
-            "bc_residual": b_field.bc_residual,
-        }
+        flux_constants = {name: getattr(b_field, name) for name in
+                          ("support_radius", "div_sup", "sup_norm", "lipschitz", "bc_residual")}
+        flux_constants.update(
+            prefactor_abs=2.0 * b_field.support_radius / calib.delta * b_field.div_sup,
+            small_component_factor=34.0 * b_field.div_sup,
+            length_threshold=1.0 / b_field.sup_norm if b_field.sup_norm > 0 else None)
     slacks = {
         "pointwise_slack": pointwise,
         "bubble_slack": enlib.small_component_area_check(sample, xi_bound),
@@ -411,23 +416,17 @@ def _evaluate_sample(state, calib):
     return rep, slacks, flux_constants, ratio
 
 
-def evaluate_run(states: list, calib, sample_count: int) -> dict:
+def evaluate_run(states: list, calib) -> dict:
     """Energy reports, inequality verdicts and the Gronwall fit of sampled states.
 
     ``states`` are ``flow.FlowState``s in time order, each with the normal
-    velocity its D_V terms read; at most ``sample_count`` of them, spread
-    evenly, are evaluated against ``calib``, one after another in time
-    order.  ``flux_constants_final`` holds the B-field constants of the last
-    sample, while each worst slack is the minimum over all samples: NaN if
-    any sample's is, and None only if every sample's is inf.
+    velocity its D_V terms read; each is evaluated against ``calib``, one
+    after another in time order.  ``flux_constants_final`` holds the B-field
+    constants of the last sample, while each worst slack is the minimum over
+    all samples: NaN if any sample's is, and None only if every sample's is
+    inf.
     """
     floor = _quadrature_floor(states[0].geometry, calib.reference)
-    if len(states) > sample_count:
-        # points more than 1 apart floor to distinct indices; np.unique would
-        # import numpy.ma inside the run
-        pick = np.linspace(0, len(states) - 1, sample_count).astype(int)
-        states = [states[i] for i in pick]
-
     reports, slacks, fluxes, ratios = zip(*(_evaluate_sample(state, calib)
                                              for state in states))
 
@@ -456,22 +455,16 @@ def evaluate_run(states: list, calib, sample_count: int) -> dict:
 def _flow_diagnostics(run: fllib.FlowRun) -> dict:
     """Area drift and the mean dissipation-identity residuals of a run.
 
-    The residuals pair neighbouring recorded states, which are as many
-    accepted steps apart as the run's sample stride when they were recorded.
+    Each residual is that of the one accepted step that landed on a recorded
+    time; a run that landed on none has None for both means.
     """
-    residuals = []
-    residuals_half = []
-    for a, b in zip(run.states[:-1], run.states[1:]):
-        full, half = fllib.dissipation_identity_residual(a, b)
-        residuals.append(full)
-        residuals_half.append(half)
+    means = (np.mean([fllib.dissipation_identity_residual(a, b) for a, b in run.landings],
+                     axis=0).tolist() if run.landings else [None, None])
+    areas = np.array(run.area_series)
     return {
-        "area_drift": float(np.max(np.abs(np.array(run.area_series)
-                                          - run.area_series[0]))
-                            / abs(run.area_series[0])),
-        "dissipation_residual_mean": float(np.mean(residuals)) if residuals else None,
-        "dissipation_residual_half_mean": (float(np.mean(residuals_half))
-                                           if residuals_half else None),
+        "area_drift": float(np.max(np.abs(areas - areas[0])) / abs(areas[0])),
+        "dissipation_residual_mean": means[0],
+        "dissipation_residual_half_mean": means[1],
     }
 
 
@@ -486,15 +479,18 @@ def run_compare(weak_dir: str, strong_dir: str, delta: float | None, out: str | 
     d^2 kappa/ds^2 of its recorded curve; the states go through
     :func:`evaluate_run` and the outputs through :func:`write_outputs`, as a
     ``simulate`` run's do; ``delta`` None takes the largest admissible tube
-    width.  Returns 0 when the run passes, else 1.
+    width.  The reference interpolates between its recorded times;
+    ``max_time_gap`` is the largest distance from a weak sample time to the
+    nearest of them.  Returns 0 when the run passes, else 1.
     """
     weak = fllib.load_trajectory(weak_dir)
-    reference = cblib.PolygonReference(trajectory=fllib.load_trajectory(strong_dir))
-    calib = cblib.Calibration(reference, delta)
+    strong = fllib.load_trajectory(strong_dir)
+    calib = cblib.Calibration(cblib.PolygonReference(trajectory=strong), delta)
     states = [fllib.FlowState.initial(curve, float(t), k)
               for k, (t, curve) in enumerate(zip(weak.times, weak.curves))]
-    summary = evaluate_run(states, calib, len(states))
+    summary = evaluate_run(states, calib)
     summary["delta"] = calib.delta
+    summary["max_time_gap"] = float(np.abs(weak.times[:, None] - strong.times).min(axis=1).max())
     write_outputs(summary, out or "compare_out")
     ok = passed(summary)
     print(f"{'PASS' if ok else 'FAIL'} compare: gronwall {summary['gronwall']['verdict']}")
@@ -558,13 +554,15 @@ def main(argv=None) -> int:
     if args.command == "report":
         return run_report(args.directory)
 
+    try:
+        scenarios = [load_scenario(path) for path in args.configs]
+    except (OSError, ValueError) as exc:
+        print(f"surfdiff: {exc}", file=sys.stderr)
+        return 1
     ok_all = True
-    for path in args.configs:
-        out = None
-        if args.out:
-            base = os.path.splitext(os.path.basename(path))[0]
-            out = os.path.join(args.out, base)
-        scenario = load_scenario(path)
+    for path, scenario in zip(args.configs, scenarios):
+        base = os.path.splitext(os.path.basename(path))[0]
+        out = os.path.join(args.out, base) if args.out else None
         ok = passed(run_scenario(scenario, out_dir=out, seed=args.seed))
         print(f"{'PASS' if ok else 'FAIL'} scenario {scenario.name}")
         ok_all &= ok

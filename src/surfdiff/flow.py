@@ -260,12 +260,13 @@ class Trajectory:
 
 @dataclass
 class FlowRun:
-    states: list[FlowState]         # recorded states; the last is the final state
+    states: list[FlowState]         # recorded states
     accepted: int
     rejected: int
     length_series: list[float]
     area_series: list[float]
     rejections: dict[str, int]      # rejection count per reason, up to its first ':'
+    landings: list[tuple[FlowState, FlowState]]    # (before, after) of each output time's step
 
     @property
     def trajectory(self) -> Trajectory:
@@ -274,7 +275,7 @@ class FlowRun:
 
 
 def run_flow(initial: PolyCurve, config: FlowConfig, sample_stride: int = 10,
-             stop_condition=None, max_samples: int | None = None) -> FlowRun:
+             stop_condition=None, times=None) -> FlowRun:
     """Drive the flow to end_time with halving-on-rejection dt control.
 
     dt halves on StepRejected and regrows by MAX_DT_GROWTH after ten
@@ -283,28 +284,38 @@ def run_flow(initial: PolyCurve, config: FlowConfig, sample_stride: int = 10,
     TopologyChange, a persisting cumulative area drift as AreaDriftExceeded
     and any other persisting rejection as DtFloorReached.  The initial curve
     is redistributed to uniform arc length once, so that the per-step
-    tangential redistribution starts from its own fixed point.  With
-    ``max_samples`` the recorded states are thinned on the fly (stride
-    doubling) to stay within bound.
+    tangential redistribution starts from its own fixed point.  The run
+    lands on end_time and on each output time (``times``, increasing in [0,
+    end_time]): the step that would pass one ends on it, dt is kept, and the
+    landed state's time is that time exactly.  With ``times`` it records
+    exactly the states at those times and each landing step's (before,
+    after) pair, else every ``sample_stride``-th state and the final one; a
+    ``stop_condition`` ends the run at the first state it holds for, which
+    is then recorded too.
     """
+    if times is not None and not (np.all(np.diff(times) > 0.0) and 0.0 <= times[0]
+                                  and times[-1] <= config.end_time):
+        raise ValueError(f"output times {times} are not increasing in [0, {config.end_time}]")
+    marks = set(map(float, () if times is None else times))
     initial = initial.with_vertices(
         _resample_uniform(initial.vertices, initial.counts, passes=4))
     state = FlowState.initial(initial)
     dt = config.dt
     dt_min = config.dt * DT_MIN_FACTOR
-    samples = [state]
+    samples = [state] if times is None or 0.0 in marks else []
+    landings = []
+    goals = sorted((marks | {config.end_time}) - {0.0})   # the times to land on
     accepted = rejected = 0
     rejections: dict[str, int] = {}
     streak = 0
-    lengths = [state.length()]
-    areas = [state.area()]
-    area_start = state.area()
-    stride = sample_stride
+    lengths, areas = [state.length()], [state.area()]
+    area_start = areas[0]
 
-    while state.time < config.end_time - 1e-14 * config.end_time:
-        dt_try = min(dt, config.end_time - state.time)
+    while goals:
+        # land on the goal when a full step would reach it or stop a sliver short
+        landing = state.time + dt >= goals[0] - 1e-9 * dt
         try:
-            new_state = step(state, config, dt_try)
+            new_state = step(state, config, goals[0] - state.time if landing else dt)
             drift = abs(new_state.area() - area_start)
             if drift > config.area_drift_abort * abs(area_start):
                 raise StepRejected("cumulative area drift exceeded configured bound")
@@ -315,21 +326,21 @@ def run_flow(initial: PolyCurve, config: FlowConfig, sample_stride: int = 10,
             streak = 0
             dt *= 0.5
             if dt < dt_min:
+                at = f"at the dt floor (t={state.time:.6g})"
                 if reason == "self-intersection":
-                    raise TopologyChange(
-                        f"intersection persists at dt floor (t={state.time:.6g})"
-                    ) from exc
+                    raise TopologyChange(f"intersection persists {at}") from exc
                 if reason == "cumulative area drift exceeded configured bound":
-                    raise AreaDriftExceeded(
-                        f"cumulative area drift {drift / abs(area_start):.6e} exceeds the "
-                        f"bound {config.area_drift_abort:.6e} at the dt floor "
-                        f"(t={state.time:.6g})"
-                    ) from exc
-                raise DtFloorReached(
-                    f"step rejected at the dt floor (t={state.time:.6g}): {exc.reason}"
-                ) from exc
+                    raise AreaDriftExceeded(f"cumulative area drift {drift / abs(area_start):.6e}"
+                                            f" exceeds the bound {config.area_drift_abort:.6e} "
+                                            f"{at}") from exc
+                raise DtFloorReached(f"step rejected {at}: {exc.reason}") from exc
             continue
 
+        if landing:
+            new_state.time = goals.pop(0)
+            if new_state.time in marks:
+                samples.append(new_state)
+                landings.append((state, new_state))
         state = new_state
         accepted += 1
         streak += 1
@@ -338,45 +349,42 @@ def run_flow(initial: PolyCurve, config: FlowConfig, sample_stride: int = 10,
         if streak >= 10:
             dt *= MAX_DT_GROWTH
             streak = 0
-        if state.step_index % stride == 0:
+        if times is None and state.step_index % sample_stride == 0:
             samples.append(state)
-            if max_samples is not None and len(samples) > 2 * max_samples:
-                samples = samples[::2]
-                stride *= 2
         if stop_condition is not None and stop_condition(state):
             break
 
-    if samples[-1] is not state:
+    if (times is None or goals) and (not samples or samples[-1] is not state):
         samples.append(state)
 
     return FlowRun(states=samples, accepted=accepted, rejected=rejected,
-                   length_series=lengths, area_series=areas, rejections=rejections)
+                   length_series=lengths, area_series=areas, rejections=rejections,
+                   landings=landings)
 
 
-def make_reference(config: FlowConfig, initial: PolyCurve,
-                   sample_stride: int = 10) -> Trajectory:
-    """Run the flow at reference resolution and record the trajectory.
+def make_reference(config: FlowConfig, initial: PolyCurve, times) -> Trajectory:
+    """Run the flow at reference resolution and record it at the output times.
 
     The caller supplies the high-resolution initial curve (at least four
     times the resolution of any run that will be compared against it).
     Trajectories are numerically smooth in the sense of being
     resolution-tested, no regularity class is certified.
     """
-    return run_flow(initial, config, sample_stride).trajectory
+    return run_flow(initial, config, times=times).trajectory
 
 
 def dissipation_identity_residual(before: FlowState,
                                   after: FlowState) -> tuple[float, float]:
     """|dL/dt + int |d kappa/ds|^2| between two states of a run, and its half form.
 
-    dL/dt is the difference quotient between the two states, which may be
-    one or more accepted steps apart; the velocity term reads ``after``'s
-    normal velocity, that of its own last step.  The dissipation integrals
-    are evaluated at the midpoint geometry.  The half form uses
-    (1/2)(int |d kappa/ds|^2 + int |d phi_V/ds|^2) instead, which splits the
-    rate between the curvature gradient and the velocity potential; the
-    scenario runner reports both because the discrete scheme need not
-    satisfy either sharply.  Returns (full, half).
+    dL/dt is the difference quotient between the two states, which a run
+    reports one accepted step apart (``FlowRun.landings``); the velocity
+    term reads ``after``'s normal velocity, that of the step between them.
+    The dissipation integrals are evaluated at the midpoint geometry.  The
+    half form uses (1/2)(int |d kappa/ds|^2 + int |d phi_V/ds|^2) instead,
+    which splits the rate between the curvature gradient and the velocity
+    potential; the scenario runner reports both because the discrete scheme
+    need not satisfy either sharply.  Returns (full, half).
     """
     dt = after.time - before.time
     if dt <= 0:

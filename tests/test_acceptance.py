@@ -50,9 +50,9 @@ def stationary_scenario():
                                                 normalize_area=True)])
     cfg = fl.FlowConfig(dt=1e-4, end_time=0.5, area_drift_abort=1e-3)
     stop = lambda s: s.length() ** 2 / (4 * np.pi * abs(s.area())) <= 1.0001
-    run = fl.run_flow(curve, cfg, sample_stride=1, max_samples=48,
-                      stop_condition=stop)
-    summary = cli.evaluate_run(run.states, calib, sample_count=14)
+    # the stop comes near t = 0.038: the times before it, then the final state
+    run = fl.run_flow(curve, cfg, stop_condition=stop, times=np.linspace(0.0, 0.04, 14))
+    summary = cli.evaluate_run(run.states, calib)
     return run, calib, ref, summary
 
 
@@ -78,10 +78,11 @@ def weak_strong_bundle():
             continue
         centers.append(cand)
 
+    times = np.linspace(0.0, horizon, 12)    # recorded and evaluated by every run
     for dt in (1e-4, 5e-5):
         cfg_ref = fl.FlowConfig(dt=dt, end_time=horizon, area_drift_abort=1e-3)
         traj = fl.make_reference(cfg_ref, geo.PolyCurve([geo.make_ellipse(2, 1, 512)]),
-                                 sample_stride=5)
+                                 times)
         reference = cb.PolygonReference(trajectory=traj)
         calib = cb.Calibration(reference)
         runs = {}
@@ -90,8 +91,8 @@ def weak_strong_bundle():
             comps += [geo.make_circle(tuple(c), 0.01, 24) for c in centers[:k]]
             weak = geo.PolyCurve(comps)
             cfg = fl.FlowConfig(dt=dt, end_time=horizon, area_drift_abort=1e-3)
-            run = fl.run_flow(weak, cfg, sample_stride=1, max_samples=40)
-            summary = cli.evaluate_run(run.states, calib, sample_count=12)
+            run = fl.run_flow(weak, cfg, times=times)
+            summary = cli.evaluate_run(run.states, calib)
             runs[k] = (run, summary)
         out[dt] = {"reference": reference, "calib": calib, "runs": runs}
     return out
@@ -248,10 +249,10 @@ def test_criterion_09_stationary_stability(stationary_scenario):
     # uniqueness clause: identical datum stays at the quadrature floor
     circle = geo.PolyCurve([geo.make_circle((0, 0), 1.0, 256)])
     cfg = fl.FlowConfig(dt=1e-4, end_time=0.02)
-    run_u = fl.run_flow(circle, cfg, sample_stride=1, max_samples=40)
+    run_u = fl.run_flow(circle, cfg, times=np.linspace(0.0, 0.02, 11))
     floor = 1e-7
     worst_u = 0.0
-    for state in run_u.states[:: max(1, len(run_u.states) // 10)]:
+    for state in run_u.states:
         sample = calib.sample(state.geometry)
         worst_u = max(worst_u, en.relative_energy(sample) + en.bulk_error(sample, calib))
     ok = (iso <= 1.0001 and gron["verdict"] == "PASS"

@@ -143,9 +143,9 @@ def test_facing_self_gap_matches_dense_oracle():
     # reads, then wavy loops with bottlenecks, at vertex strides 1, 2 and 3
     cfg = fl.FlowConfig(dt=1e-4, end_time=0.06, area_drift_abort=1e-3)
     traj = fl.make_reference(cfg, geo.PolyCurve([geo.make_ellipse(2, 1, 512)]),
-                             sample_stride=5)
+                             np.linspace(0.0, 0.06, 12))
     ref = cb.PolygonReference(trajectory=traj)
-    geoms = [ref.geometry_at(t) for t in np.linspace(traj.times[0], traj.times[-1], 9)]
+    geoms = [ref.geometry_at(t) for t in traj.times]
     geoms += [geo.build_geometry(geo.PolyCurve([geo.make_wavy_circle(1.0, amp, mode, n)]))
               for amp, mode, n in [(0.3, 2, 200), (0.45, 2, 600), (0.2, 5, 900),
                                    (0.35, 3, 257)]]
@@ -473,7 +473,7 @@ def test_polygon_reference_state_on_two_threads():
     # other is between storing its state and returning it
     traj = fl.make_reference(fl.FlowConfig(dt=1e-4, end_time=0.002),
                              geo.PolyCurve([geo.make_ellipse(2.0, 1.0, 64)]),
-                             sample_stride=5)
+                             np.linspace(0.0, 0.002, 5))
     times = np.linspace(traj.times[0], traj.times[-1], 80)
     serial = cb.PolygonReference(trajectory=traj)
     want = {t: serial._state_at(t) for t in times}
@@ -497,7 +497,7 @@ def test_b_field_on_two_threads():
     # field with the serial field's values
     traj = fl.make_reference(fl.FlowConfig(dt=1e-4, end_time=0.002),
                              geo.PolyCurve([geo.make_ellipse(2.0, 1.0, 64)]),
-                             sample_stride=5)
+                             np.linspace(0.0, 0.002, 5))
     times = np.linspace(traj.times[0], traj.times[-1], 6)
     serial = cb.Calibration(cb.PolygonReference(trajectory=traj))
     want = {t: serial.b_field(t) for t in times}

@@ -168,7 +168,7 @@ def test_load_scenario_rejects_a_delta_that_is_not_positive(tmp_path, value):
                                            ("reference", "dt = 5e-5"), ("weak", "dt = 1e-4"),
                                            ("weak", "area_drift_abort = 1e-13")])
 @pytest.mark.parametrize("value", ["-1e-4", "0", "nan", "inf"])
-def test_simulate_rejects_a_time_or_bound_that_is_not_positive(tmp_path, monkeypatch,
+def test_simulate_rejects_a_time_or_bound_that_is_not_positive(tmp_path, monkeypatch, capsys,
                                                                 section, line, value):
     # rejected on load, before the reference flow, the delta scan and the
     # weak run
@@ -178,9 +178,9 @@ def test_simulate_rejects_a_time_or_bound_that_is_not_positive(tmp_path, monkeyp
     key = line.split()[0]
     bad = tmp_path / "bound.ini"
     bad.write_text(FLOW_REF_INI.replace(line, f"{key} = {value}"))
-    with pytest.raises(ValueError, match=rf"bound\.ini: \[{section}\] '{key}': must be a "
-                                         rf"positive number, got '{value}'"):
-        cli.main(["simulate", str(bad), "--out", str(tmp_path / "out")])
+    assert cli.main(["simulate", str(bad), "--out", str(tmp_path / "out")]) == 1
+    assert re.fullmatch(rf"surfdiff: \S*bound\.ini: \[{section}\] '{key}': must be a "
+                        rf"positive number, got '{value}'\n", capsys.readouterr().err)
     assert flows == []
 
 
@@ -303,6 +303,39 @@ def test_load_scenario_rejects_a_weak_datum_it_would_not_build(tmp_path, base, e
         cli.load_scenario(bad)
 
 
+@pytest.mark.parametrize("old, new, limit, message", [
+    ("[weak]\n", "[weak]\nshape = wavy 1 0.1 {}\n", 32,
+     r"\[weak\] 'shape': must have a mode below half the \[weak\] resolution 64"),
+    ("shape = ellipse 2 1", "shape = wavy 1 0.1 {}", 128,
+     r"\[reference\] 'shape': must have a mode below half the \[reference\] resolution 256"),
+    # the weak run reuses the reference shape at its own resolution
+    ("shape = ellipse 2 1", "shape = wavy 1 0.1 {}", 32,
+     r"\[reference\] 'shape': must have a mode below half the \[weak\] resolution 64"),
+])
+def test_load_scenario_rejects_a_wavy_mode_the_resolution_aliases(tmp_path, old, new, limit,
+                                                                   message):
+    assert old in FLOW_REF_INI
+    bad = tmp_path / "wavy.ini"
+    bad.write_text(FLOW_REF_INI.replace(old, new.format(limit)))
+    with pytest.raises(ValueError, match=rf"wavy\.ini: {message}, got {limit}"):
+        cli.load_scenario(bad)
+    bad.write_text(FLOW_REF_INI.replace(old, new.format(31)))
+    assert cli.load_scenario(bad).name == "mini-flow"
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("dt = 1e-4", "dt = 1e-4\ndt = 2e-4", r"\[weak\] 'dt': is given twice \(line 18\)"),
+    ("[weak]", "[weak]\n[weak]", r"\[weak\] is given twice \(line 13\)"),
+    ("seed = 7", "seed 7", r"line 3: must be '\[section\]' or, below one, 'key = value', "
+                           r"got 'seed 7\\n'"),
+])
+def test_load_scenario_names_the_file_for_a_line_it_cannot_read(tmp_path, old, new, message):
+    bad = tmp_path / "lines.ini"
+    bad.write_text(STATIONARY_INI.replace(old, new))
+    with pytest.raises(ValueError, match=r"lines\.ini: " + message):
+        cli.load_scenario(bad)
+
+
 # the README's stationary scenario, cut to 64 weak vertices and T = 0.002
 SMALL_INI = STATIONARY_INI.replace("resolution = 128", "resolution = 64").replace(
     "end_time = 0.01", "end_time = 0.002")
@@ -327,7 +360,8 @@ SMALL_INI = STATIONARY_INI.replace("resolution = 128", "resolution = 64").replac
     ("seed = 7", "seed = -1", "scenario", "seed"),
 ])
 def test_simulate_rejects_a_value_outside_its_domain_before_any_flow(tmp_path, monkeypatch,
-                                                                     old, new, section, key):
+                                                                     capsys, old, new, section,
+                                                                     key):
     # each of these loaded and then ran (a NaN radius read PASS, an aliased
     # perturbation mode too) or failed late with a message that named no key
     def flow(*args, **kwargs):
@@ -338,9 +372,9 @@ def test_simulate_rejects_a_value_outside_its_domain_before_any_flow(tmp_path, m
     assert old in SMALL_INI
     bad = tmp_path / "domain.ini"
     bad.write_text(SMALL_INI.replace(old, new))
-    with pytest.raises(ValueError) as exc:
-        cli.main(["simulate", str(bad), "--out", str(tmp_path / "out")])
-    message = str(exc.value)
+    assert cli.main(["simulate", str(bad), "--out", str(tmp_path / "out")]) == 1
+    message = capsys.readouterr().err
+    assert message.startswith("surfdiff: ") and message.count("\n") == 1
     assert f"domain.ini: [{section}] '{key}': must be " in message
     assert new.split(" = ")[-1] in message
 
@@ -508,7 +542,7 @@ def test_flow_reference_ignores_weak_run_settings(tmp_path, monkeypatch):
     class Reached(Exception):
         pass
 
-    def capture(config, initial, sample_stride=10):
+    def capture(config, initial, times):
         seen.append(config)
         raise Reached
 
@@ -516,6 +550,49 @@ def test_flow_reference_ignores_weak_run_settings(tmp_path, monkeypatch):
     with pytest.raises(Reached):
         cli.run_scenario(scenario, out_dir=str(tmp_path / "out"))
     assert seen == [fl.FlowConfig(dt=5e-5, end_time=0.002)]
+
+
+def test_simulate_on_a_flow_reference_reads_only_recorded_states(tmp_path, monkeypatch):
+    # the reference (dt 5e-5) and the weak run (dt 1e-4) both land on the
+    # sample times, so neither the delta scan nor a sample blends two states
+    path = tmp_path / "flow.ini"
+    path.write_text(FLOW_REF_INI.replace("area_drift_abort = 1e-13", "area_drift_abort = 1e-3"))
+    runs, asked = [], []
+    run_flow, curve_at = fl.run_flow, fl.Trajectory.curve_at
+
+    def recorded_run(*args, **kwargs):
+        runs.append(run_flow(*args, **kwargs))
+        return runs[-1]
+
+    def recorded_curve_at(self, t):
+        asked.append((t, self.times))
+        return curve_at(self, t)
+
+    monkeypatch.setattr(fl, "run_flow", recorded_run)
+    monkeypatch.setattr(fl.Trajectory, "curve_at", recorded_curve_at)
+    assert cli.main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 0
+    times = np.linspace(0.0, 0.002, 10).tolist()
+    assert [[s.time for s in run.states] for run in runs] == [times, times]
+    assert runs[0].accepted > runs[1].accepted
+    # a recorded time is a blend weight of 0 or 1
+    assert len(asked) >= 10 and all(t in recorded for t, recorded in asked)
+    index = (tmp_path / "out" / "flow" / "trajectory" / "index.csv").read_text().splitlines()
+    assert [float(line.split(",")[0]) for line in index[1:]] == times
+
+
+def test_every_reported_residual_spans_one_accepted_step(tmp_path, monkeypatch):
+    pairs = []
+    residual = fl.dissipation_identity_residual
+
+    def recorded(before, after):
+        pairs.append((before.step_index, after.step_index))
+        return residual(before, after)
+
+    monkeypatch.setattr(fl, "dissipation_identity_residual", recorded)
+    path = tmp_path / "small.ini"
+    path.write_text(SMALL_INI)
+    assert cli.main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert len(pairs) == 9 and all(after == before + 1 for before, after in pairs)
 
 
 @pytest.mark.parametrize("ref, error", [("ellipse", NonStationaryReference), ("circle", None)])
@@ -550,7 +627,7 @@ def test_checkers_with_nothing_to_check_write_null(circle_calibration, tmp_path)
     assert curve.diameters[0] > 1.0 / (2.0 * circle_calibration.xi_grad_bound())
     assert circle_calibration.pointwise_tilt_check(sample) == np.inf
     assert en.small_component_area_check(sample, circle_calibration.xi_grad_bound()) == np.inf
-    cli.write_outputs(cli.evaluate_run(states, circle_calibration, 10), str(tmp_path))
+    cli.write_outputs(cli.evaluate_run(states, circle_calibration), str(tmp_path))
     worst = json.loads((tmp_path / "summary.json").read_text())["worst_slacks"]
     assert worst["pointwise_slack"] is None and worst["bubble_slack"] is None
 
@@ -562,7 +639,7 @@ def test_a_nan_slack_is_the_worst_and_fails(circle_calibration, monkeypatch):
     states = [fl.FlowState.initial(curve, 1e-3 * k, k) for k in range(10)]
     slacks = iter([np.inf, np.nan] + [np.inf] * 8)
     monkeypatch.setattr(en, "small_component_area_check", lambda *args: next(slacks))
-    summary = cli.evaluate_run(states, circle_calibration, 10)
+    summary = cli.evaluate_run(states, circle_calibration)
     assert np.isnan(summary["worst_slacks"]["bubble_slack"])
     assert summary["worst_slacks"]["pointwise_slack"] is None
     assert not cli.passed(summary)
@@ -576,8 +653,8 @@ def test_evaluate_run_evaluates_each_sample_once(monkeypatch):
     ref = cb.AnalyticCircles([cb.CircleSpec((0.0, 0.0), 1.0)])
     calib = cb.Calibration(ref, 0.25)
     curve = geo.PolyCurve([geo.make_wavy_circle(1.0, 0.04, 3, 64, normalize_area=True)])
-    run = fl.run_flow(curve, fl.FlowConfig(dt=1e-4, end_time=0.002), sample_stride=1,
-                      max_samples=40)
+    run = fl.run_flow(curve, fl.FlowConfig(dt=1e-4, end_time=0.002),
+                      times=np.linspace(0.0, 0.002, 10))
     vertex_sets = [state.curve.vertices for state in run.states]
     vertex_queries = []
     query = ref.query
@@ -596,23 +673,22 @@ def test_evaluate_run_evaluates_each_sample_once(monkeypatch):
 
     monkeypatch.setattr(ref, "query", counting_query)
     monkeypatch.setattr(fl, "build_geometry", counting_build)
-    cli.evaluate_run(run.states, calib, 10)
+    cli.evaluate_run(run.states, calib)
     cli._flow_diagnostics(run)
-    assert len(run.states) > 10
+    assert len(run.states) == 10
     assert len(vertex_queries) == len(set(vertex_queries)) == 10
-    assert len(builds) == len(run.states) - 1 > 0
+    assert len(builds) == len(run.landings) == 9
 
 
 def test_evaluate_run_evaluates_samples_in_order_on_the_calling_thread(monkeypatch):
+    times = np.linspace(0.0, 0.002, 6)
     traj = fl.make_reference(fl.FlowConfig(dt=1e-4, end_time=0.002),
-                             geo.PolyCurve([geo.make_ellipse(2.0, 1.0, 128)]),
-                             sample_stride=5)
+                             geo.PolyCurve([geo.make_ellipse(2.0, 1.0, 128)]), times)
     calib = cb.Calibration(cb.PolygonReference(trajectory=traj))
     weak = geo.PolyCurve([geo.make_ellipse(2.0, 1.0, 32),
                           geo.make_circle((3.0, 0.0), 0.01, 12),
                           geo.make_circle((0.0, 2.0), 0.01, 12)])
-    run = fl.run_flow(weak, fl.FlowConfig(dt=1e-4, end_time=0.002), sample_stride=1,
-                      max_samples=40)
+    run = fl.run_flow(weak, fl.FlowConfig(dt=1e-4, end_time=0.002), times=times)
     evaluate_sample = cli._evaluate_sample
     calls = []
 
@@ -621,23 +697,20 @@ def test_evaluate_run_evaluates_samples_in_order_on_the_calling_thread(monkeypat
         return evaluate_sample(state, calib_)
 
     monkeypatch.setattr(cli, "_evaluate_sample", recorded)
-    summary = cli.evaluate_run(run.states, calib, 6)
+    summary = cli.evaluate_run(run.states, calib)
     assert {ident for ident, _ in calls} == {threading.get_ident()}
-    times = [t for _, t in calls]
-    assert len(times) == 6 and times == sorted(times)
-    assert [r.t for r in summary["_reports"]] == times
+    assert [t for _, t in calls] == [r.t for r in summary["_reports"]] == times.tolist()
     assert summary["flux_constants_final"] is not None
 
 
 @pytest.fixture(scope="module")
 def short_flow_pair():
     """A 128-vertex ellipse flow trajectory and a 32-vertex weak run beside it,
-    both to t = 0.002."""
+    both to t = 0.002 and both recorded at the same 10 times."""
     cfg = fl.FlowConfig(dt=1e-4, end_time=0.002)
-    traj = fl.make_reference(cfg, geo.PolyCurve([geo.make_ellipse(2.0, 1.0, 128)]),
-                             sample_stride=5)
-    run = fl.run_flow(geo.PolyCurve([geo.make_ellipse(2.0, 1.0, 32)]), cfg, sample_stride=1,
-                      max_samples=40)
+    times = np.linspace(0.0, 0.002, 10)
+    traj = fl.make_reference(cfg, geo.PolyCurve([geo.make_ellipse(2.0, 1.0, 128)]), times)
+    run = fl.run_flow(geo.PolyCurve([geo.make_ellipse(2.0, 1.0, 32)]), cfg, times=times)
     return traj, run
 
 
@@ -662,12 +735,12 @@ def test_evaluate_run_builds_each_reference_time_once(short_flow_pair, monkeypat
     monkeypatch.setattr(fl.Trajectory, "curve_at", counting_curve_at)
     monkeypatch.setattr(geo.CurveIndex, "__init__", counting_init)
     calib = cb.Calibration(cb.PolygonReference(trajectory=traj))
-    summary = cli.evaluate_run(run.states, calib, 6)
+    summary = cli.evaluate_run(run.states, calib)
     sample_times = {report.t for report in summary["_reports"]}
-    assert len(sample_times) == 6
+    assert len(sample_times) == 10
     assert len(curve_at_times) == len(set(curve_at_times))
     assert sample_times <= set(curve_at_times)
-    assert len(indexed) == len({id(g) for g in indexed}) == 6
+    assert len(indexed) == len({id(g) for g in indexed}) == 10
     assert {id(g) for g in indexed} == {id(calib.reference.geometry_at(t))
                                         for t in sample_times}
 
@@ -685,11 +758,11 @@ def test_b_field_is_built_once_per_time(short_flow_pair, monkeypatch):
 
     monkeypatch.setattr(cb, "build_B", counting_build)
     calib = cb.Calibration(cb.PolygonReference(trajectory=traj))
-    first = cli.evaluate_run(run.states, calib, 6)
+    first = cli.evaluate_run(run.states, calib)
     times = [report.t for report in first["_reports"]]
     fields = [calib.b_field(t) for t in times]
-    second = cli.evaluate_run(run.states, calib, 6)
-    assert len(built) == 6
+    second = cli.evaluate_run(run.states, calib)
+    assert len(built) == 10
     assert all(calib.b_field(t) is b for t, b in zip(times, fields))
     assert {id(b) for b in fields} == {id(b) for b in built}
     assert second["flux_constants_final"] == first["flux_constants_final"]
@@ -699,8 +772,8 @@ def test_every_reference_build_converges_within_twenty_gmres_steps(short_flow_pa
                                                                    monkeypatch):
     traj, run = short_flow_pair
     steps = gmres_steps(monkeypatch)
-    cli.evaluate_run(run.states, cb.Calibration(cb.PolygonReference(trajectory=traj)), 6)
-    assert len(steps) == 6 and all(1 <= k <= 20 for k in steps)
+    cli.evaluate_run(run.states, cb.Calibration(cb.PolygonReference(trajectory=traj)))
+    assert len(steps) == 10 and all(1 <= k <= 20 for k in steps)
 
 
 def test_b_field_is_none_on_analytic_circles():
@@ -720,7 +793,7 @@ def test_slack_a_hair_below_zero_passes(short_flow_pair, monkeypatch):
 
     monkeypatch.setattr(en, "nu_dot_B_sums", hair_below)
     calib = cb.Calibration(cb.PolygonReference(trajectory=traj))
-    summary = cli.evaluate_run(run.states, calib, 10)
+    summary = cli.evaluate_run(run.states, calib)
     assert summary["worst_slacks"]["nu_dot_B_slack_abs"] == -1e-13
     assert summary["gronwall"]["verdict"].startswith("PASS")
     assert all(report.verdicts["nu_dot_B"] == "PASS" for report in summary["_reports"])
@@ -728,12 +801,13 @@ def test_slack_a_hair_below_zero_passes(short_flow_pair, monkeypatch):
 
 
 def test_compare_command(tmp_path):
+    # the strong run is recorded at every other weak sample time: the
+    # reference blends the rest, half a strong interval from a record
     strong_curve = geo.PolyCurve([geo.make_ellipse(2.0, 1.0, 256)])
     weak_curve = geo.PolyCurve([geo.make_ellipse(2.0, 1.0, 64)])
-    cfg_s = fl.FlowConfig(dt=1e-4, end_time=0.01)
-    cfg_w = fl.FlowConfig(dt=1e-4, end_time=0.01)
-    strong = fl.make_reference(cfg_s, strong_curve, sample_stride=5)
-    weak = fl.make_reference(cfg_w, weak_curve, sample_stride=5)
+    cfg = fl.FlowConfig(dt=1e-4, end_time=0.01)
+    strong = fl.make_reference(cfg, strong_curve, np.linspace(0.0, 0.01, 6))
+    weak = fl.make_reference(cfg, weak_curve, np.linspace(0.0, 0.01, 11))
     fl.export_trajectory(strong, tmp_path / "strong")
     fl.export_trajectory(weak, tmp_path / "weak")
     code = cli.main(["compare", str(tmp_path / "weak"), str(tmp_path / "strong"),
@@ -741,6 +815,7 @@ def test_compare_command(tmp_path):
     assert code == 0
     summary = json.loads((tmp_path / "cmp" / "summary.json").read_text())
     assert summary["gronwall"]["verdict"].startswith("PASS")
+    assert summary["max_time_gap"] == pytest.approx(0.001, rel=1e-12)
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-0.5"])
@@ -765,18 +840,18 @@ def test_simulate_rejects_a_bad_seed_before_reading_a_file(tmp_path, capsys):
         cli.main(["simulate", missing, "--seed", "-1"])
     assert exc.value.code == 2
     assert "argument --seed: must be an integer >= 0, got '-1'" in capsys.readouterr().err
-    with pytest.raises(FileNotFoundError):
-        cli.main(["simulate", missing, "--seed", "5"])
+    assert cli.main(["simulate", missing, "--seed", "5"]) == 1
+    assert capsys.readouterr().err == f"surfdiff: {missing}: no such file\n"
 
 
 def _export_short_runs(tmp_path, weak_samples=None):
     """A strong and a weak ellipse trajectory over t <= 0.002, exported; the weak
     one cut to its first ``weak_samples`` samples."""
     cfg = fl.FlowConfig(dt=1e-4, end_time=0.002)
-    strong = fl.make_reference(cfg, geo.PolyCurve([geo.make_ellipse(2.0, 1.0, 128)]),
-                               sample_stride=2)
-    weak = fl.make_reference(cfg, geo.PolyCurve([geo.make_ellipse(2.0, 1.0, 32)]),
-                             sample_stride=1)
+    strong = fl.run_flow(geo.PolyCurve([geo.make_ellipse(2.0, 1.0, 128)]), cfg,
+                         sample_stride=2).trajectory
+    weak = fl.run_flow(geo.PolyCurve([geo.make_ellipse(2.0, 1.0, 32)]), cfg,
+                       sample_stride=1).trajectory
     if weak_samples is not None:
         weak = fl.Trajectory(times=weak.times[:weak_samples], curves=weak.curves[:weak_samples])
     fl.export_trajectory(strong, tmp_path / "strong")

@@ -742,7 +742,7 @@ def test_lemma32_far_bubble_lowers_ratio(circle_calibration):
 def test_lemma32_rejects_moving_reference():
     curve = geo.PolyCurve([geo.make_ellipse(2.0, 1.0, 128)])
     cfg = fl.FlowConfig(dt=1e-4, end_time=0.005)
-    traj = fl.make_reference(cfg, curve, sample_stride=10)
+    traj = fl.make_reference(cfg, curve, np.linspace(0.0, 0.005, 6))
     ref = cb.PolygonReference(trajectory=traj)
     calib = cb.Calibration(ref)
     weak = geo.PolyCurve([geo.make_ellipse(2.0, 1.0, 64)])

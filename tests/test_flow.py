@@ -255,6 +255,56 @@ def test_other_rejection_at_dt_floor_is_typed():
     assert isinstance(err.value.__cause__, StepRejected)
 
 
+@pytest.mark.parametrize("dt", [1e-4, 7e-5])
+def test_run_flow_records_exactly_the_output_times(dt):
+    # times that no sum of steps hits: each is landed on, bit for bit, and
+    # each landing step is one accepted step from its before state
+    curve = geo.PolyCurve([geo.make_ellipse(2.0, 1.0, 64)])
+    times = np.linspace(0.0, 2e-3, 7)
+    run = fl.run_flow(curve, fl.FlowConfig(dt=dt, end_time=2e-3), times=times)
+    assert [s.time for s in run.states] == times.tolist()
+    assert [after for _, after in run.landings] == run.states[1:]
+    for before, after in run.landings:
+        assert after.step_index == before.step_index + 1 and before.time < after.time
+
+
+def test_a_landing_shortens_one_step_and_keeps_dt():
+    # dt 1e-4 lands on 2.5e-4 with a half step, then takes full steps again:
+    # 3 steps to the mark and 3 from it to the end, not 3 + 5
+    curve = geo.PolyCurve([geo.make_circle((0.0, 0.0), 1.0, 64)])
+    run = fl.run_flow(curve, fl.FlowConfig(dt=1e-4, end_time=5e-4), times=[2.5e-4, 5e-4])
+    assert run.accepted == 6
+    assert [s.time for s in run.states] == [2.5e-4, 5e-4]
+    assert run.landings[1][0].time == pytest.approx(4.5e-4, rel=1e-12)
+
+
+def test_a_stopped_run_keeps_the_times_it_reached_then_its_final_state():
+    curve = geo.PolyCurve([geo.make_ellipse(2.0, 1.0, 64)])
+    times = np.linspace(0.0, 2e-3, 5)
+    run = fl.run_flow(curve, fl.FlowConfig(dt=1e-4, end_time=2e-3), times=times,
+                      stop_condition=lambda s: s.time > 1.2e-3)
+    assert [s.time for s in run.states[:-1]] == times[:3].tolist()
+    # ten steps of 1e-4, then dt grows by 1.2
+    assert run.states[-1].time == pytest.approx(1.24e-3, rel=1e-12)
+    assert run.states[-1].step_index == run.accepted and len(run.landings) == 2
+
+
+def test_one_output_time_records_the_initial_state_only():
+    # sample_count = 1 is the time 0: the run still flows to end_time
+    curve = geo.PolyCurve([geo.make_ellipse(2.0, 1.0, 64)])
+    run = fl.run_flow(curve, fl.FlowConfig(dt=1e-4, end_time=1e-3),
+                      times=np.linspace(0.0, 1e-3, 1))
+    assert [(s.time, s.step_index) for s in run.states] == [(0.0, 0)]
+    assert run.landings == [] and run.accepted == 10 == len(run.length_series) - 1
+
+
+@pytest.mark.parametrize("times", [[0.0, 0.0], [1e-3, 5e-4], [-1e-4, 5e-4], [0.0, 2e-3]])
+def test_output_times_must_increase_within_the_run(times):
+    curve = geo.PolyCurve([geo.make_circle((0.0, 0.0), 1.0, 32)])
+    with pytest.raises(ValueError, match="not increasing in"):
+        fl.run_flow(curve, fl.FlowConfig(dt=1e-4, end_time=1e-3), times=times)
+
+
 def test_trajectory_interpolation_self_convergence():
     curve = geo.PolyCurve([geo.make_ellipse(2.0, 1.0, 128)])
     coarse, _ = flow_oracle.fixed_dt_run(curve, 1e-4, 200, sample_stride=40)
@@ -274,7 +324,7 @@ def test_trajectory_interpolation_self_convergence():
 def test_make_reference_circle_constant():
     curve = geo.PolyCurve([geo.make_circle((0, 0), 1.0, 128)])
     cfg = fl.FlowConfig(dt=1e-3, end_time=0.02)
-    traj = fl.make_reference(cfg, curve, sample_stride=5)
+    traj = fl.make_reference(cfg, curve, np.linspace(0.0, 0.02, 5))
     for c in traj.curves:
         radii = np.linalg.norm(c.vertices, axis=1)
         assert np.max(np.abs(radii - radii[0])) <= 1e-8
@@ -284,7 +334,7 @@ def test_make_reference_circle_constant():
 def test_make_reference_ellipse_length_decreases():
     curve = geo.PolyCurve([geo.make_ellipse(2.0, 1.0, 128)])
     cfg = fl.FlowConfig(dt=1e-4, end_time=0.01)
-    traj = fl.make_reference(cfg, curve, sample_stride=5)
+    traj = fl.make_reference(cfg, curve, np.linspace(0.0, 0.01, 21))
     lengths = [sum(geo.build_geometry(c).length) for c in traj.curves]
     assert all(b < a for a, b in zip(lengths[:-1], lengths[1:]))
 
@@ -292,7 +342,7 @@ def test_make_reference_ellipse_length_decreases():
 def test_trajectory_export_roundtrip(tmp_path):
     curve = geo.PolyCurve([geo.make_ellipse(2.0, 1.0, 64)])
     cfg = fl.FlowConfig(dt=1e-4, end_time=0.005)
-    traj = fl.make_reference(cfg, curve, sample_stride=10)
+    traj = fl.make_reference(cfg, curve, np.linspace(0.0, 0.005, 6))
     fl.export_trajectory(traj, tmp_path / "traj")
     back = fl.load_trajectory(tmp_path / "traj")
     np.testing.assert_array_equal(back.times, traj.times)
